@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race bench bench-engine bench-scale bench-guard docscheck figures figures-quick faults floodd-smoke floodd-chaos trace-smoke protocol-smoke fuzz-faults fuzz-shard fuzz-trace examples clean
+.PHONY: all build vet test test-short test-race bench bench-engine bench-scale bench-guard docscheck figures figures-quick faults floodd-smoke floodd-chaos trace-smoke protocol-smoke fuzz-faults fuzz-shard fuzz-trace fuzz-spec examples clean
 
 all: build vet test
 
@@ -33,14 +33,14 @@ bench-engine:
 	$(GO) run ./cmd/engbench -o BENCH_engine.json
 
 # Refresh the committed large-topology baseline (10k/100k-node GreenOrbs
-# scaling grid, serial vs sharded engine, 3 reps per cell).
+# grid: serial engine, keyed engine inline and on nproc workers; median and
+# quartiles of 5 alternating reps per row, plus host metadata).
 bench-scale:
 	$(GO) run ./cmd/engbench -scale -o BENCH_scale.json
 
 # Assert the clean (no-fault) engine has not regressed against the
-# committed baselines: slot horizons exactly, wall clock within 50%, and
-# the modeled parallel speedup at or above each case's committed
-# workers_speedup_floor.
+# committed baselines: slot horizons exactly, measured wall clock within
+# 50% (minimum per case for BENCH_engine, median per row for BENCH_scale).
 bench-guard:
 	$(GO) run ./cmd/engbench -against BENCH_engine.json -tolerance 0.5 -o ""
 	$(GO) run ./cmd/engbench -scale -against BENCH_scale.json -tolerance 0.5 -o ""
@@ -102,6 +102,11 @@ fuzz-shard:
 # torn / corrupt, never a panic); CI runs a 10s smoke of this.
 fuzz-trace:
 	$(GO) test -fuzz FuzzReader -fuzztime 30s ./internal/tracebin
+
+# Arbitrary JSON vs service.Compile: never a panic, and compile -> JSON ->
+# compile keeps cells, worker split and journal key; CI runs a 10s smoke.
+fuzz-spec:
+	$(GO) test -fuzz FuzzSpec -fuzztime 30s ./internal/service
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -104,8 +104,8 @@ func main() {
 	out := flag.String("o", "BENCH_engine.json", "output file (empty skips writing)")
 	against := flag.String("against", "", "committed baseline to guard against (empty skips the check)")
 	tolerance := flag.Float64("tolerance", 0.5, "allowed fractional wall-clock regression vs -against")
-	scale := flag.Bool("scale", false, "run the large-topology sharded-engine grid (BENCH_scale.json) instead of the engine grid")
-	scaleReps := flag.Int("scale-reps", 3, "repetitions per -scale cell per worker count (all cells, including 100k); the minimum wall-clock is reported")
+	scale := flag.Bool("scale", false, "run the large-topology wall-clock grid (BENCH_scale.json) instead of the engine grid")
+	scaleReps := flag.Int("scale-reps", 5, "repetitions per -scale row, alternating between a cell's engines; the median and quartiles are reported")
 	smoke := flag.Bool("scale-smoke", false, "run the CI scale smoke (10k-node rgg, workers 1 vs 4 byte-equality) and exit")
 	smokeWorkers := flag.Int("smoke-workers", 8, "additional worker count the -scale-smoke gate checks beyond 1 and 4")
 	flag.Parse()

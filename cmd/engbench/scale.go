@@ -1,52 +1,30 @@
 package main
 
-// The -scale mode: large-topology throughput baseline BENCH_scale.json.
+// The -scale mode: large-topology wall-clock baseline BENCH_scale.json.
 //
 // Where BENCH_engine.json times the paper-scale 298-node grid, the scale
-// grid times the sharded engine (sim.Config.Workers) on 10k- and 100k-node
-// ScaledGreenOrbs instances at 1% duty. Three timings per cell:
+// grid times the engine on 10k- and 100k-node ScaledGreenOrbs instances at
+// 1% duty, in up to three configurations per cell:
 //
-//   - serial_ns: the historical serial path (Workers: 0), which scans all n
-//     nodes every slot and resolves receivers sequentially.
-//   - sharded1_ns / sharded4_ns: the sharded path at 1 and 4 workers, which
+//   - serial: the historical serial engine (Workers: 0), which scans all
+//     n nodes every slot. Measured at 10k nodes only; at 100k it would
+//     dominate the run for a number the 10k cells already pin.
+//   - keyed1: the keyed-stream engine inline (Workers: 1), which
 //     activates the CSR adjacency and the bucketed awake-set fast paths.
+//   - keyed-nproc: the keyed-stream engine on its worker pool, Workers =
+//     runtime.NumCPU() (recorded in the row).
 //
-// speedup = serial_ns / sharded4_ns is the headline number: at 1% duty the
-// bucketed awake set turns the per-slot wake scan from O(n) into O(awake),
-// so the sharded engine wins by an order of magnitude regardless of worker
-// count.
+// Every number is measured wall clock. Each row runs -scale-reps times;
+// the configurations of a cell alternate run by run (in reverse order on
+// odd reps), so a slow period on a shared host lands on all of them
+// rather than on one, and a row records the median and quartiles of its
+// runs. The document records the host (CPU model, nproc, GOMAXPROCS),
+// without which a worker-count comparison means nothing.
 //
-// workers_speedup isolates the parallel contribution. The raw wall ratio
-// sharded1_ns / sharded4_ns (kept as workers_wall_speedup) only shows a
-// win when the benchmark machine actually has idle cores — on a
-// single-core CI runner it sits near or below 1.0 no matter how parallel
-// the engine is. So the committed metric is machine-independent, measured
-// the way Cilk's work/span profiler predicts multicore makespans: a
-// dedicated profiling rep (sim.Config.ShardStats) keeps the workers-4
-// chunk geometry but runs every chunk sequentially on one goroutine,
-// timing each contention-free. From that one run:
-//
-//	work_ns     = summed per-chunk busy time
-//	span_ns     = summed per-batch makespan of the pool's claim-order
-//	              list schedule replayed exactly over the measured chunk
-//	              durations on W virtual workers (single-chunk batches
-//	              contribute their full duration: one chunk cannot
-//	              parallelize)
-//	residual_ns = profile_ns - work_ns, the serial spine outside batches
-//
-//	workers_speedup = profile_ns / (residual_ns + span_ns)
-//
-// i.e. the speedup the measured chunk schedule would achieve on four real
-// cores over the same engine on one. Timing the pooled execution instead
-// would fold scheduler noise — and, on core-starved machines, pure
-// timeslicing — into every chunk, understating work and span alike. make
-// bench-guard enforces the committed floor (workers_speedup_floor) on
-// every case.
-//
-// The serial and sharded paths draw from different (both certified) RNG
-// disciplines, so their results legitimately differ; serial_slots and
-// sharded_slots are recorded separately, while `identical` asserts the
-// byte-equality that must hold: workers 1 versus workers 4.
+// The serial and keyed engines draw from different (both certified) RNG
+// disciplines, so their slot horizons legitimately differ. The two keyed
+// rows of a cell must produce identical Results; the command fails
+// otherwise.
 
 import (
 	"encoding/json"
@@ -54,69 +32,58 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"ldcflood/internal/flood"
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/schedule"
 	"ldcflood/internal/sim"
+	"ldcflood/internal/stats"
 	"ldcflood/internal/topology"
 )
 
-// scaleCase is one cell of the BENCH_scale.json grid.
-type scaleCase struct {
-	Topology string `json:"topology"`
+// scaleRow is one engine configuration of one grid cell.
+type scaleRow struct {
+	// Name is protocol/nodes/engine, the key the guard matches rows by.
+	Name     string `json:"name"`
+	Protocol string `json:"protocol"`
 	Nodes    int    `json:"nodes"`
 	Links    int    `json:"links"`
-	Protocol string `json:"protocol"`
-	Duty     string `json:"duty"`
-	Period   int    `json:"period"`
-	Reps     int    `json:"reps"`
-	// SerialNS is 0 when the serial measurement was skipped (the 100k cell:
-	// the O(n)-scan path is measured at 10k, rerunning it at 100k would
-	// dominate the whole benchmark for a number the 10k cells already pin).
-	SerialNS   int64 `json:"serial_ns,omitempty"`
-	Sharded1NS int64 `json:"sharded1_ns"`
-	Sharded4NS int64 `json:"sharded4_ns"`
-	// ProfileNS is the wall clock of the best profiling rep: workers-4
-	// chunk geometry executed sequentially on one goroutine, so it plays
-	// the one-worker numerator of the modeled speedup.
-	ProfileNS int64 `json:"profile_ns"`
-	// Speedup = SerialNS / Sharded4NS (omitted with SerialNS).
-	Speedup float64 `json:"speedup,omitempty"`
-	// WorkersSpeedup = ProfileNS / (ResidualNS + SpanNS): the modeled
-	// multicore speedup of the measured workers-4 chunk schedule (see the
-	// file comment). WorkersSpeedupFloor is the committed regression floor
-	// guardScale enforces; WorkersWallSpeedup is the raw machine-dependent
-	// wall ratio Sharded1NS / Sharded4NS, recorded for transparency.
-	WorkersSpeedup      float64 `json:"workers_speedup"`
-	WorkersSpeedupFloor float64 `json:"workers_speedup_floor"`
-	WorkersWallSpeedup  float64 `json:"workers_wall_speedup"`
-	// WorkNS / SpanNS / ResidualNS decompose the best profiling rep:
-	// summed contention-free per-chunk busy time, its modeled W-worker
-	// makespan (exact claim-order schedule replay), and the serial spine
-	// outside batches (ProfileNS - WorkNS).
-	WorkNS       int64 `json:"work_ns"`
-	SpanNS       int64 `json:"span_ns"`
-	ResidualNS   int64 `json:"residual_ns"`
-	SerialSlots  int64 `json:"serial_slots,omitempty"`
-	ShardedSlots int64 `json:"sharded_slots"`
-	// NSPerSlot is Sharded4NS over the sharded run's slot horizon.
-	NSPerSlot float64 `json:"ns_per_slot"`
-	// BytesPerNode is the heap allocated by one sharded run divided by the
-	// node count — the O(n+m)-memory evidence for the 100k cell.
-	BytesPerNode float64 `json:"bytes_per_node"`
-	// Identical records byte-equality of the workers-1 and workers-4 results.
-	Identical bool `json:"identical"`
+	// Engine is serial, keyed1 or keyed-nproc; Workers is the
+	// sim.Config.Workers value it ran with.
+	Engine  string `json:"engine"`
+	Workers int    `json:"workers"`
+	Reps    int    `json:"reps"`
+	// MedianNS, Q1NS and Q3NS summarize the row's per-run wall clock.
+	MedianNS int64 `json:"median_ns"`
+	Q1NS     int64 `json:"q1_ns"`
+	Q3NS     int64 `json:"q3_ns"`
+	// Slots is the run's simulated-slot horizon, deterministic per row.
+	Slots int64 `json:"slots"`
+	// BytesPerNode is the heap one keyed1 run allocates divided by the
+	// node count — the O(n+m)-memory evidence. Keyed1 rows only.
+	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
+}
+
+// scaleHost describes the machine a baseline was measured on.
+type scaleHost struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
 }
 
 // scaleBaseline is the BENCH_scale.json document.
 type scaleBaseline struct {
-	Generator string      `json:"generator"`
-	M         int         `json:"m"`
-	Coverage  float64     `json:"coverage"`
-	Seed      int64       `json:"seed"`
-	Cases     []scaleCase `json:"cases"`
+	Generator string     `json:"generator"`
+	Host      scaleHost  `json:"host"`
+	M         int        `json:"m"`
+	Coverage  float64    `json:"coverage"`
+	Seed      int64      `json:"seed"`
+	Period    int        `json:"period"`
+	Rows      []scaleRow `json:"rows"`
 }
 
 // scaleGrid defines the measured cells. Period 100 ≈ 1% duty, the paper's
@@ -124,26 +91,44 @@ type scaleBaseline struct {
 var scaleGrid = []struct {
 	nodes    int
 	protocol string
-	period   int
 	serial   bool
 }{
-	{10000, "opt", 100, true},
-	{10000, "dbao", 100, true},
-	{100000, "opt", 100, false},
+	{10000, "opt", true},
+	{10000, "dbao", true},
+	{100000, "opt", false},
+	{100000, "dbao", false},
 }
 
+const scalePeriod = 100
+
 func runScale(out, against string, tol float64, reps int) error {
-	doc := &scaleBaseline{Generator: "cmd/engbench -scale", M: 4, Coverage: 0.99, Seed: 1}
+	doc := &scaleBaseline{
+		Generator: "cmd/engbench -scale",
+		Host:      hostInfo(),
+		M:         4,
+		Coverage:  0.99,
+		Seed:      1,
+		Period:    scalePeriod,
+	}
+	fmt.Printf("host: %s, nproc %d, GOMAXPROCS %d\n", doc.Host.CPU, doc.Host.NProc, doc.Host.GOMAXPROCS)
 	for _, cell := range scaleGrid {
-		c, err := measureScaleCell(cell.nodes, cell.protocol, cell.period, reps, cell.serial)
+		rows, err := measureScaleCell(cell.nodes, cell.protocol, reps, cell.serial)
 		if err != nil {
 			return fmt.Errorf("%s/%d: %w", cell.protocol, cell.nodes, err)
 		}
-		doc.Cases = append(doc.Cases, *c)
+		doc.Rows = append(doc.Rows, rows...)
 	}
 	if against != "" {
-		if err := guardScale(doc, against, tol); err != nil {
+		data, err := os.ReadFile(against)
+		if err != nil {
 			return err
+		}
+		var base scaleBaseline
+		if err := json.Unmarshal(data, &base); err != nil {
+			return fmt.Errorf("%s: %w", against, err)
+		}
+		if err := guardScale(doc, &base, tol); err != nil {
+			return fmt.Errorf("%s: %w", against, err)
 		}
 		fmt.Printf("scale baseline %s holds within %.0f%%\n", against, tol*100)
 	}
@@ -158,8 +143,23 @@ func runScale(out, against string, tol float64, reps int) error {
 	if err := os.WriteFile(out, buf, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d cases)\n", out, len(doc.Cases))
+	fmt.Printf("wrote %s (%d rows)\n", out, len(doc.Rows))
 	return nil
+}
+
+// hostInfo reads the CPU model from /proc/cpuinfo (empty where that file
+// does not exist) and the Go runtime's view of the machine.
+func hostInfo() scaleHost {
+	h := scaleHost{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version()}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 // scaleConfig assembles the simulation config for one cell.
@@ -180,195 +180,118 @@ func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string
 	}, nil
 }
 
-// timeScaleRun executes cfg reps times (after one untimed warm-up that also
-// yields the deterministic result) and returns the minimum wall-clock.
-func timeScaleRun(cfg sim.Config, reps int) (int64, *sim.Result, error) {
-	warm, err := sim.Run(cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !warm.Completed {
-		return 0, nil, fmt.Errorf("run did not complete within %d slots", cfg.MaxSlots)
-	}
-	var best time.Duration
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if _, err := sim.Run(cfg); err != nil {
-			return 0, nil, err
-		}
-		if d := time.Since(start); i == 0 || d < best {
-			best = d
-		}
-	}
-	return best.Nanoseconds(), warm, nil
-}
-
-// profileScaleRun executes cfg reps times in ShardStats profiling mode
-// (sequential chunk execution, per-chunk timing) and returns the
-// least-noisy rep's wall clock with its work/span decomposition, plus
-// the result for the identity cross-check against the normal runs. The
-// best rep is the one with the highest modeled speedup, mirroring
-// best-of-N wall timing: an OS preemption landing inside one chunk
-// inflates that batch's max-chunk term and poisons the whole rep's span,
-// so min-wall selection alone still admits spiky decompositions.
-func profileScaleRun(cfg sim.Config, reps int) (int64, sim.ShardStats, *sim.Result, error) {
-	var bestStats sim.ShardStats
-	var res *sim.Result
-	var bestWall int64
-	bestModel := -1.0
-	for i := 0; i < reps; i++ {
-		var st sim.ShardStats
-		cfg.ShardStats = &st
-		start := time.Now()
-		r, err := sim.Run(cfg)
-		if err != nil {
-			return 0, bestStats, nil, err
-		}
-		wall := time.Since(start).Nanoseconds()
-		residual := max(wall-st.WorkNS, 0)
-		model := float64(wall) / float64(residual+st.SpanNS)
-		if model > bestModel {
-			bestModel, bestWall, bestStats = model, wall, st
-		}
-		res = r
-	}
-	return bestWall, bestStats, res, nil
-}
-
-// measureScaleCell builds the topology and times the three engine modes.
-func measureScaleCell(nodes int, protocol string, period, reps int, serial bool) (*scaleCase, error) {
+// measureScaleCell builds the topology and times the cell's engine
+// configurations, alternating between them run by run.
+func measureScaleCell(nodes int, protocol string, reps int, serial bool) ([]scaleRow, error) {
 	fmt.Printf("building scaled-greenorbs %d...\n", nodes)
 	g, err := topology.GenerateGreenOrbs(topology.ScaledGreenOrbsConfig(nodes), 1)
 	if err != nil {
 		return nil, err
 	}
-	scheds := schedule.AssignUniform(g.N(), period, rngutil.New(1).SubName("schedule"))
-	c := &scaleCase{
-		Topology: "scaled-greenorbs",
-		Nodes:    g.N(),
-		Links:    g.NumLinks(),
-		Protocol: protocol,
-		Duty:     fmt.Sprintf("%.0fpct", 100.0/float64(period)),
-		Period:   period,
-		Reps:     reps,
+	scheds := schedule.AssignUniform(g.N(), scalePeriod, rngutil.New(1).SubName("schedule"))
+	type engine struct {
+		name    string
+		workers int
+	}
+	engines := []engine{{"keyed1", 1}, {"keyed-nproc", runtime.NumCPU()}}
+	if serial {
+		engines = append([]engine{{"serial", 0}}, engines...)
+	}
+	rows := make([]scaleRow, len(engines))
+	cfgs := make([]sim.Config, len(engines))
+	results := make([]*sim.Result, len(engines))
+	times := make([][]float64, len(engines))
+	for i, en := range engines {
+		if cfgs[i], err = scaleConfig(g, scheds, protocol, en.workers); err != nil {
+			return nil, err
+		}
+		rows[i] = scaleRow{
+			Name:     fmt.Sprintf("%s/%d/%s", protocol, g.N(), en.name),
+			Protocol: protocol,
+			Nodes:    g.N(),
+			Links:    g.NumLinks(),
+			Engine:   en.name,
+			Workers:  en.workers,
+			Reps:     reps,
+		}
 	}
 
-	cfg1, err := scaleConfig(g, scheds, protocol, 1)
-	if err != nil {
-		return nil, err
-	}
-	// Heap cost of one sharded run, measured before any timing so the
+	// Heap cost of one keyed run, measured before any timing so the
 	// allocation profile is cold-start-representative.
+	keyed1 := slices.IndexFunc(rows, func(r scaleRow) bool { return r.Engine == "keyed1" })
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := sim.Run(cfg1); err != nil {
+	if _, err := sim.Run(cfgs[keyed1]); err != nil {
 		return nil, err
 	}
 	runtime.ReadMemStats(&after)
-	c.BytesPerNode = float64(after.TotalAlloc-before.TotalAlloc) / float64(g.N())
+	rows[keyed1].BytesPerNode = float64(after.TotalAlloc-before.TotalAlloc) / float64(g.N())
 
-	var res1 *sim.Result
-	c.Sharded1NS, res1, err = timeScaleRun(cfg1, reps)
-	if err != nil {
-		return nil, err
-	}
-	cfg4, err := scaleConfig(g, scheds, protocol, 4)
-	if err != nil {
-		return nil, err
-	}
-	var res4 *sim.Result
-	c.Sharded4NS, res4, err = timeScaleRun(cfg4, reps)
-	if err != nil {
-		return nil, err
-	}
-	var st sim.ShardStats
-	var resP *sim.Result
-	c.ProfileNS, st, resP, err = profileScaleRun(cfg4, reps)
-	if err != nil {
-		return nil, err
-	}
-	c.ShardedSlots = res1.TotalSlots
-	c.WorkNS, c.SpanNS = st.WorkNS, st.SpanNS
-	c.ResidualNS = c.ProfileNS - st.WorkNS
-	if c.ResidualNS < 0 {
-		c.ResidualNS = 0
-	}
-	c.WorkersWallSpeedup = float64(c.Sharded1NS) / float64(c.Sharded4NS)
-	c.WorkersSpeedup = float64(c.ProfileNS) / float64(c.ResidualNS+c.SpanNS)
-	// The committed floor: the acceptance threshold, raised when the
-	// measurement clears it with margin (so real regressions from a good
-	// baseline still trip the guard).
-	c.WorkersSpeedupFloor = 2.5
-	if f := 0.8 * c.WorkersSpeedup; f > c.WorkersSpeedupFloor {
-		c.WorkersSpeedupFloor = f
-	}
-	c.NSPerSlot = float64(c.Sharded4NS) / float64(res4.TotalSlots)
-	c.Identical = reflect.DeepEqual(res1, res4) && reflect.DeepEqual(res1, resP)
-	if !c.Identical {
-		return nil, fmt.Errorf("workers 1, workers 4, and profiling results diverge")
-	}
-	if serial {
-		cfg0, err := scaleConfig(g, scheds, protocol, 0)
-		if err != nil {
-			return nil, err
+	for r := 0; r < reps; r++ {
+		for k := range cfgs {
+			i := k
+			if r%2 == 1 {
+				i = len(cfgs) - 1 - k
+			}
+			// A fresh protocol per run keeps memoized state from crossing runs.
+			p, err := flood.New(protocol)
+			if err != nil {
+				return nil, err
+			}
+			cfgs[i].Protocol = p
+			runtime.GC()
+			start := time.Now()
+			res, err := sim.Run(cfgs[i])
+			d := time.Since(start)
+			if err != nil {
+				return nil, err
+			}
+			if !res.Completed {
+				return nil, fmt.Errorf("%s did not complete within %d slots", rows[i].Name, cfgs[i].MaxSlots)
+			}
+			times[i] = append(times[i], float64(d.Nanoseconds()))
+			results[i] = res
 		}
-		var res0 *sim.Result
-		c.SerialNS, res0, err = timeScaleRun(cfg0, reps)
-		if err != nil {
-			return nil, err
-		}
-		c.SerialSlots = res0.TotalSlots
-		c.Speedup = float64(c.SerialNS) / float64(c.Sharded4NS)
 	}
-	fmt.Printf("%-5s n=%-6d serial=%9.1fms  sharded1=%9.1fms  sharded4=%9.1fms  speedup=%.2fx  workers=%.2fx (wall %.2fx)  %.0f B/node\n",
-		protocol, g.N(), float64(c.SerialNS)/1e6, float64(c.Sharded1NS)/1e6,
-		float64(c.Sharded4NS)/1e6, c.Speedup, c.WorkersSpeedup, c.WorkersWallSpeedup, c.BytesPerNode)
-	return c, nil
+	for i := range rows {
+		rows[i].MedianNS = int64(stats.Percentile(times[i], 50))
+		rows[i].Q1NS = int64(stats.Percentile(times[i], 25))
+		rows[i].Q3NS = int64(stats.Percentile(times[i], 75))
+		rows[i].Slots = results[i].TotalSlots
+		if rows[i].Engine != "serial" && !reflect.DeepEqual(results[i], results[keyed1]) {
+			return nil, fmt.Errorf("%s and %s results diverge", rows[i].Name, rows[keyed1].Name)
+		}
+		fmt.Printf("%-24s workers=%-2d median=%9.1fms  IQR=%7.1fms  slots=%d\n",
+			rows[i].Name, rows[i].Workers, float64(rows[i].MedianNS)/1e6,
+			float64(rows[i].Q3NS-rows[i].Q1NS)/1e6, rows[i].Slots)
+	}
+	return rows, nil
 }
 
-// guardScale compares a fresh scale measurement against the committed
-// baseline: sharded slot horizons exactly (they are deterministic), sharded
-// wall clock within tol. Serial numbers are informational — the serial path
-// is guarded at paper scale by the BENCH_engine.json guard.
-func guardScale(doc *scaleBaseline, path string, tol float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base scaleBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	byCell := make(map[string]scaleCase, len(base.Cases))
-	for _, c := range base.Cases {
-		byCell[fmt.Sprintf("%s/%d", c.Protocol, c.Nodes)] = c
-	}
-	for _, c := range doc.Cases {
-		key := fmt.Sprintf("%s/%d", c.Protocol, c.Nodes)
-		b, ok := byCell[key]
-		if !ok {
-			return fmt.Errorf("%s: baseline lacks case %s", path, key)
+// guardScale compares a fresh scale measurement against a baseline. The
+// two must hold the same rows; slot horizons must match exactly (they are
+// deterministic, so drift means engine behavior changed), and each row's
+// median wall clock may exceed the baseline's by at most tol.
+func guardScale(doc, base *scaleBaseline, tol float64) error {
+	for _, b := range base.Rows {
+		if !slices.ContainsFunc(doc.Rows, func(r scaleRow) bool { return r.Name == b.Name }) {
+			return fmt.Errorf("baseline row %s missing from the new run", b.Name)
 		}
-		if c.ShardedSlots != b.ShardedSlots {
-			return fmt.Errorf("%s: sharded slot horizon %d differs from baseline %d — engine behavior changed",
-				key, c.ShardedSlots, b.ShardedSlots)
+	}
+	for _, r := range doc.Rows {
+		i := slices.IndexFunc(base.Rows, func(b scaleRow) bool { return b.Name == r.Name })
+		if i < 0 {
+			return fmt.Errorf("baseline lacks row %s", r.Name)
 		}
-		for _, m := range []struct {
-			name      string
-			cur, base int64
-		}{
-			{"sharded1", c.Sharded1NS, b.Sharded1NS},
-			{"sharded4", c.Sharded4NS, b.Sharded4NS},
-		} {
-			if lim := float64(m.base) * (1 + tol); float64(m.cur) > lim {
-				return fmt.Errorf("%s: %s path %.1fms regressed past baseline %.1fms +%.0f%%",
-					key, m.name, float64(m.cur)/1e6, float64(m.base)/1e6, tol*100)
-			}
+		b := base.Rows[i]
+		if r.Slots != b.Slots {
+			return fmt.Errorf("%s: slot horizon %d differs from baseline %d — engine behavior changed",
+				r.Name, r.Slots, b.Slots)
 		}
-		if b.WorkersSpeedupFloor > 0 && c.WorkersSpeedup < b.WorkersSpeedupFloor {
-			return fmt.Errorf("%s: workers_speedup %.2fx fell below the committed floor %.2fx",
-				key, c.WorkersSpeedup, b.WorkersSpeedupFloor)
+		if lim := float64(b.MedianNS) * (1 + tol); float64(r.MedianNS) > lim {
+			return fmt.Errorf("%s: median %.1fms regressed past baseline %.1fms +%.0f%%",
+				r.Name, float64(r.MedianNS)/1e6, float64(b.MedianNS)/1e6, tol*100)
 		}
 	}
 	return nil

@@ -28,6 +28,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -242,14 +243,21 @@ func Compile(spec Spec) (*Grid, error) {
 	var fs *fault.Schedule
 	var faultJSON []byte
 	if len(spec.Faults) > 0 {
-		faultJSON = []byte(spec.Faults)
 		var err error
-		if fs, err = fault.Parse(faultJSON); err != nil {
+		if fs, err = fault.Parse(spec.Faults); err != nil {
 			return nil, err
 		}
 		if err := fs.Validate(g); err != nil {
 			return nil, err
 		}
+		// The journal key hashes the schedule's compact form, so layout
+		// alone (the indented copy a restarted daemon reads back from
+		// spec.json, a pretty-printed -faults file) never changes it.
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, spec.Faults); err != nil {
+			return nil, err
+		}
+		faultJSON = buf.Bytes()
 	}
 
 	grid := &Grid{Spec: spec, faultJSON: faultJSON}
@@ -294,7 +302,8 @@ func Compile(spec Spec) (*Grid, error) {
 
 // JournalKey identifies the batch a journal belongs to: every parameter
 // that changes the simulation output, including the fault spec itself
-// (hashed, so an edited spec invalidates old checkpoints) and the engine
+// (its compact JSON form hashed, so an edited spec invalidates old
+// checkpoints while re-indenting it does not) and the engine
 // discipline (serial vs sharded — two different, individually
 // deterministic RNG streams). The exact shard-worker count is NOT keyed:
 // every count >= 1 produces identical results by construction, so a

@@ -1,0 +1,102 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+)
+
+// FuzzSpec feeds arbitrary JSON to the spec surface. Compile must never
+// panic, and a compiled spec must survive the trip a restarted daemon
+// takes — marshal (indented, as spec.json is written), unmarshal,
+// compile — with its cells, parallelism split and journal key unchanged;
+// a second trip must reproduce the first byte for byte.
+func FuzzSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"protocols":["opt"],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1}`,
+		`{"protocols":["opt","dbao"],"duties":[0.05,0.1],"seeds":2,"m":3,"coverage":0.99,"toposeed":1,"workers":-1}`,
+		`{"protocols":["of"],"duties":[0.2],"seeds":3,"m":2,"coverage":0.9,"toposeed":2,"workers":-1,"parallel":3}`,
+		`{"protocols":["naive"],"duties":[0.5],"seeds":1,"m":1,"coverage":1,"toposeed":1,"workers":0,"parallel":0}`,
+		`{"protocols":[" trickle "],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"workers":1,"parallel":3}`,
+		`{"protocols":["dflood"],"duties":[1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"workers":8,"timeout":"1m","retries":2,"backoff":"10ms"}`,
+		`{"protocols":["opt"],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"workers":-1,"parallel":3,"faults":{"crashes":[{"node":5,"at":10,"reboot_at":50}]}}`,
+		`{"protocols":["flash"],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"faults":{ "links": [ {"pgb": 0.01, "pbg": 0.1, "bad_scale": 0.5} ] }}`,
+		`{"protocols":["opt"],"duties":[0],"seeds":1,"m":2}`,
+		`{"workers":-2}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Spec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		// Compile builds one engine config per cell; keep the grid small
+		// so the fuzzer explores validation rather than allocation.
+		if cells := len(spec.Protocols) * len(spec.Duties) * spec.Seeds; len(spec.Protocols) > 8 || len(spec.Duties) > 8 || spec.Seeds > 8 || cells > 64 {
+			return
+		}
+		g1, err := Compile(spec)
+		if err != nil {
+			return
+		}
+		if spec.Workers == -1 && g1.ShardWorkers < 1 {
+			t.Fatalf("workers -1 resolved to the serial engine (shard workers %d)", g1.ShardWorkers)
+		}
+		trip := func(g *Grid) ([]byte, *Grid) {
+			t.Helper()
+			js, err := json.MarshalIndent(g.Spec, "", "  ")
+			if err != nil {
+				t.Fatalf("marshal compiled spec: %v", err)
+			}
+			var back Spec
+			if err := json.Unmarshal(js, &back); err != nil {
+				t.Fatalf("unmarshal %s: %v", js, err)
+			}
+			g2, err := Compile(back)
+			if err != nil {
+				t.Fatalf("compiled spec %s no longer compiles: %v", js, err)
+			}
+			return js, g2
+		}
+		js1, g2 := trip(g1)
+		js2, _ := trip(g2)
+		if !bytes.Equal(js1, js2) {
+			t.Fatalf("spec JSON is not a fixed point:\n%s\nvs\n%s", js1, js2)
+		}
+		if !reflect.DeepEqual(g1.Cells, g2.Cells) {
+			t.Fatalf("round trip changed the cells: %v vs %v", g1.Cells, g2.Cells)
+		}
+		if g1.BatchWorkers != g2.BatchWorkers || g1.ShardWorkers != g2.ShardWorkers {
+			t.Fatalf("round trip changed the split: %d/%d vs %d/%d",
+				g1.BatchWorkers, g1.ShardWorkers, g2.BatchWorkers, g2.ShardWorkers)
+		}
+		if k1, k2 := g1.JournalKey(), g2.JournalKey(); k1 != k2 {
+			t.Fatalf("round trip changed the journal key:\n%s\nvs\n%s", k1, k2)
+		}
+	})
+}
+
+// TestJournalKeyWorkersAuto pins the workers -1 resolution: it selects
+// the sharded discipline, so its journal key equals the workers 1 key and
+// a journal written at either resumes at the other.
+func TestJournalKeyWorkersAuto(t *testing.T) {
+	spec := Spec{Protocols: []string{"opt"}, Duties: []float64{0.1}, Seeds: 2, M: 2, Coverage: 0.99, TopoSeed: 1, Parallel: 3, Workers: -1}
+	auto, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workers = 1
+	one, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.ShardWorkers < 1 {
+		t.Fatalf("workers -1 resolved to shard workers %d, want the sharded engine", auto.ShardWorkers)
+	}
+	if auto.JournalKey() != one.JournalKey() {
+		t.Fatalf("workers -1 key %q differs from workers 1 key %q", auto.JournalKey(), one.JournalKey())
+	}
+}

@@ -283,7 +283,7 @@ func Run(cfg Config) (*Result, error) {
 			e.planArenas = make([]planArena, e.workers)
 			e.emitFn = e.emitPlanned
 		}
-		e.pool = newShardPool(e.workers, cfg.ShardStats)
+		e.pool = newShardPool(e.workers)
 		defer e.pool.close()
 	}
 	if e.planner == nil {

@@ -46,13 +46,16 @@ package sim
 // geometry never affects results — decisions are keyed per node, and the
 // only cross-chunk state (overhear hit lists) is merged and sorted into
 // ascending node order before any world mutation.
+//
+// Whether the pool pays is a wall-clock question, answered by cmd/engbench
+// -scale (BENCH_scale.json): on a 2-vCPU host inline execution (Workers:
+// 1) is faster at 10k nodes, while two workers win at 100k nodes.
 
 import (
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ldcflood/internal/schedule"
 )
@@ -115,40 +118,6 @@ const (
 // Chunk geometry never affects results — decisions are keyed per node.
 var debugMinChunk = 64
 
-// ShardStats is the sharded path's opt-in performance instrumentation,
-// filled through Config.ShardStats. Attaching it switches the pool into
-// a single-threaded profiling mode: every batch keeps the chunk geometry
-// of the configured worker count, but its chunks execute sequentially on
-// the submitting goroutine, each timed individually. Results stay
-// bit-for-bit identical to any normal run (chunk geometry and execution
-// order never affect outcomes — decisions are keyed per node), but wall
-// time resembles a one-worker run. The point is measurement honesty:
-// per-chunk costs are observed contention-free, the way Cilk's work/span
-// profiler measures a DAG on one worker to predict its W-worker
-// makespan. Timing pooled execution directly would fold scheduler noise
-// — and, on core-starved machines, timeslicing between workers — into
-// every chunk.
-//
-// WorkNS accumulates the busy time of every chunk of every batch.
-// SpanNS accumulates the modeled per-batch makespan: an exact replay of
-// the pool's claim-order list schedule over the measured chunk
-// durations on W virtual worker clocks (see profileBatch); single-chunk
-// batches contribute their full duration (one chunk cannot
-// parallelize).
-// BatchWallNS equals the wall time spent inside batches (sequential
-// execution makes it the same as WorkNS), so run wall - BatchWallNS is
-// the serial residue outside the batches. cmd/engbench derives its
-// workers_speedup metric from exactly these fields; see
-// cmd/engbench/scale.go.
-type ShardStats struct {
-	Batches     int64 // batches executed, single-chunk calls included
-	Chunks      int64 // chunks across all batches
-	Items       int64 // items across all batches
-	WorkNS      int64 // summed per-chunk busy time, measured contention-free
-	SpanNS      int64 // summed modeled per-batch makespan (schedule replay)
-	BatchWallNS int64 // wall time inside batches (= WorkNS under profiling)
-}
-
 // shardPool is a bounded set of persistent workers draining atomically
 // claimed chunks of index ranges. The submitting goroutine participates in
 // every batch, so a pool of w workers runs w-1 goroutines.
@@ -165,20 +134,13 @@ type shardPool struct {
 	next  atomic.Int64
 	wg    sync.WaitGroup
 
-	// stats is non-nil when profiling mode is on (see ShardStats); batches
-	// then run sequentially on the submitter and never reach the workers.
-	// clocks is the profiling mode's per-worker virtual time, reused
-	// across batches to replay each batch's claim-order list schedule.
-	stats  *ShardStats
-	clocks []int64
-
 	// Deterministic batch accounting, drained into telemetry by the
 	// engine. Submitter-only writes.
 	batches, chunks, items int64
 }
 
-func newShardPool(workers int, stats *ShardStats) *shardPool {
-	p := &shardPool{workers: workers, stop: make(chan struct{}), stats: stats}
+func newShardPool(workers int) *shardPool {
+	p := &shardPool{workers: workers, stop: make(chan struct{})}
 	p.wake = make([]chan struct{}, workers-1)
 	for i := range p.wake {
 		p.wake[i] = make(chan struct{}, 1)
@@ -245,10 +207,6 @@ func (p *shardPool) runShards(count, minChunk int, fn func(worker, chunk, lo, hi
 		return
 	}
 	chunk, nchunks := p.plan(count, minChunk)
-	if p.stats != nil {
-		p.profileBatch(fn, count, chunk, nchunks)
-		return
-	}
 	if p.workers == 1 || nchunks == 1 {
 		fn(0, 0, 0, count)
 		return
@@ -265,76 +223,6 @@ func (p *shardPool) runShards(count, minChunk int, fn func(worker, chunk, lo, hi
 	p.drain(0)
 	p.wg.Wait()
 	p.fn = nil
-}
-
-// profileBatch is the ShardStats execution mode: the batch keeps the
-// configured worker count's chunk geometry but runs its chunks
-// sequentially on the submitter, timing each one contention-free. All
-// chunks report worker 0 — per-worker arenas then share one slot, which
-// changes where results are staged but not what they are. The telemetry
-// claim counters mirror the normal path: only batches the pool would
-// have fanned out are counted as pooled work.
-//
-// The batch's SpanNS contribution is an exact replay of the pool's
-// schedule over the measured durations: chunks are claimed off an atomic
-// counter in index order, each by whichever worker frees up first, so
-// assigning chunk durations to the minimum of W virtual worker clocks
-// reproduces the claim-order list schedule; the makespan is the largest
-// clock. This is tighter than the closed-form Graham bound
-// work/W + (1-1/W)·max-chunk, which charges the worst chunk's full
-// imbalance to every batch — with heavy-tailed chunk durations (a dense
-// neighbor row among early-outs) the bound overstates real makespans by
-// whole factors, while the replay converges to work/W plus the true
-// trailing-chunk tail.
-func (p *shardPool) profileBatch(fn func(worker, chunk, lo, hi int), count, chunk, nchunks int) {
-	if p.workers > 1 && nchunks > 1 {
-		p.batches++
-		p.chunks += int64(nchunks)
-		p.items += int64(count)
-	}
-	clocks := p.clocks
-	if clocks == nil {
-		clocks = make([]int64, p.workers)
-		p.clocks = clocks
-	}
-	for i := range clocks {
-		clocks[i] = 0
-	}
-	// Clock reads are chained — each chunk's end stamp is the next one's
-	// start — so the batch pays nchunks+1 reads, not 2·nchunks. On dense
-	// slots chunks are a few hundred ns, and the unchained version's
-	// extra read per chunk showed up as several percent of the whole run
-	// attributed to the serial spine.
-	var work int64
-	prev := time.Now()
-	for c, lo := 0, 0; lo < count; c, lo = c+1, lo+chunk {
-		hi := min(lo+chunk, count)
-		fn(0, c, lo, hi)
-		now := time.Now()
-		d := int64(now.Sub(prev))
-		prev = now
-		work += d
-		early := 0
-		for i := 1; i < len(clocks); i++ {
-			if clocks[i] < clocks[early] {
-				early = i
-			}
-		}
-		clocks[early] += d
-	}
-	span := clocks[0]
-	for _, c := range clocks[1:] {
-		if c > span {
-			span = c
-		}
-	}
-	s := p.stats
-	s.Batches++
-	s.Chunks += int64(nchunks)
-	s.Items += int64(count)
-	s.WorkNS += work
-	s.SpanNS += span
-	s.BatchWallNS += work
 }
 
 // awakePlan precomputes per-offset awake buckets over the schedule

@@ -203,43 +203,3 @@ func TestShardZeroAwakeGaps(t *testing.T) {
 	}
 	checkEdgeCase(t, g, scheds, []int{4})
 }
-
-// TestShardStatsOutParam certifies the Config.ShardStats out-parameter:
-// attaching it never perturbs results, and after a run with forced
-// multi-chunk batches its accounting is internally consistent.
-func TestShardStatsOutParam(t *testing.T) {
-	restore := setMinChunk(1)
-	defer restore()
-	g := lineGraph(24, 1)
-	scheds := schedule.AssignStaggered(24, 4)
-	plain := edgeRun(t, g, scheds, 4, false)
-
-	var st ShardStats
-	res, err := Run(Config{
-		Graph:            g,
-		Schedules:        scheds,
-		Protocol:         &greedyPlanner{},
-		M:                2,
-		Coverage:         1,
-		Seed:             7,
-		MaxSlots:         50000,
-		RecordReceptions: true,
-		Workers:          4,
-		ShardStats:       &st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, plain) {
-		t.Fatal("attaching ShardStats changed the result")
-	}
-	if st.Batches <= 0 || st.Chunks < st.Batches || st.Items < st.Chunks {
-		t.Fatalf("implausible batch accounting: %+v", st)
-	}
-	if st.WorkNS <= 0 || st.SpanNS <= 0 || st.BatchWallNS <= 0 {
-		t.Fatalf("missing timing accounting: %+v", st)
-	}
-	if st.SpanNS > st.WorkNS+st.BatchWallNS {
-		t.Fatalf("modeled span exceeds any plausible bound: %+v", st)
-	}
-}

@@ -403,16 +403,6 @@ type Config struct {
 	// rejected; counts beyond the machine's parallelism waste scheduling
 	// overhead but do not change results.
 	Workers int
-	// ShardStats, when non-nil, runs the sharded path (Workers >= 1) in
-	// its work/span profiling mode: batches keep the configured worker
-	// count's chunk geometry but execute sequentially on one goroutine,
-	// each chunk timed contention-free (see the ShardStats type). It is
-	// deliberately an out-parameter rather than a Result field: attaching
-	// it cannot perturb result identity (runs with and without it are
-	// bit-for-bit equal); wall time, however, resembles a one-worker run.
-	// cmd/engbench -scale derives its workers_speedup metric from these
-	// fields. Ignored when Workers is 0.
-	ShardStats *ShardStats
 	// CompactTime enables the compact-time-scale fast path (the paper's
 	// Section III modeling move: analyze dissemination over active slots
 	// only). The engine precomputes each schedule's periodic active-slot

@@ -57,8 +57,9 @@ const maxVarintLen = 10
 // a time or ReadAll for the whole document.
 type Reader struct {
 	r   io.Reader
-	buf []byte // unconsumed decoded window
-	off int64  // file offset of buf[0]
+	buf []byte // read buffer; buf[pos:] is the unconsumed window
+	pos int    // read cursor into buf
+	off int64  // file offset of buf[pos]
 	eof bool   // underlying reader exhausted
 
 	headerDone bool
@@ -79,28 +80,41 @@ func NewReader(r io.Reader) *Reader {
 func (r *Reader) Torn() bool { return r.torn }
 
 // fill grows the window to at least n unconsumed bytes, stopping early at
-// EOF. It returns the number of bytes available.
+// EOF. It returns the number of bytes available. Consumed bytes are
+// reclaimed only here, when the buffer runs short of room for a read: the
+// window (a few dozen bytes at most when fill is called) slides to the
+// front, and the buffer grows only if it is still short. Consuming a
+// record is therefore O(1), not a shift of the whole buffered window.
 func (r *Reader) fill(n int) (int, error) {
-	for len(r.buf) < n && !r.eof {
+	for len(r.buf)-r.pos < n && !r.eof {
 		if cap(r.buf)-len(r.buf) < 4096 {
-			grown := make([]byte, len(r.buf), cap(r.buf)*2+4096)
-			copy(grown, r.buf)
-			r.buf = grown
+			live := r.buf[r.pos:]
+			if cap(r.buf)-len(live) < 4096 {
+				grown := make([]byte, len(live), cap(r.buf)*2+4096)
+				copy(grown, live)
+				r.buf = grown
+			} else {
+				r.buf = r.buf[:copy(r.buf, live)]
+			}
+			r.pos = 0
 		}
 		m, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
 		r.buf = r.buf[:len(r.buf)+m]
 		if err == io.EOF {
 			r.eof = true
 		} else if err != nil {
-			return len(r.buf), err
+			return len(r.buf) - r.pos, err
 		}
 	}
-	return len(r.buf), nil
+	return len(r.buf) - r.pos, nil
 }
+
+// window returns the unconsumed bytes.
+func (r *Reader) window() []byte { return r.buf[r.pos:] }
 
 // consume drops n bytes from the front of the window.
 func (r *Reader) consume(n int) {
-	r.buf = r.buf[:copy(r.buf, r.buf[n:])]
+	r.pos += n
 	r.off += int64(n)
 }
 
@@ -115,17 +129,18 @@ func (r *Reader) header() error {
 	if err != nil {
 		return err
 	}
+	b := r.window()
 	if n < headerLen {
-		if n > 0 && string(r.buf[:min(n, len(Magic))]) != Magic[:min(n, len(Magic))] {
+		if n > 0 && string(b[:min(n, len(Magic))]) != Magic[:min(n, len(Magic))] {
 			return &CorruptError{Offset: 0, Reason: "bad magic"}
 		}
 		r.torn = true
 		return io.EOF
 	}
-	if string(r.buf[:len(Magic)]) != Magic {
+	if string(b[:len(Magic)]) != Magic {
 		return &CorruptError{Offset: 0, Reason: "bad magic"}
 	}
-	if v := r.buf[len(Magic)]; v != Version {
+	if v := b[len(Magic)]; v != Version {
 		return &CorruptError{
 			Offset: int64(len(Magic)),
 			Reason: fmt.Sprintf("version %d (reader understands <= %d)", v, Version),
@@ -137,20 +152,20 @@ func (r *Reader) header() error {
 	return nil
 }
 
-// varint decodes one zigzag varint at position p in the window. It
+// varint decodes one zigzag varint at position p in the window win. It
 // returns errShort when the window ends mid-varint (possible torn tail)
 // and a *CorruptError when the varint overflows int64.
-func (r *Reader) varint(p int) (v int64, next int, err error) {
+func (r *Reader) varint(win []byte, p int) (v int64, next int, err error) {
 	var uv uint64
 	var shift uint
 	for i := 0; ; i++ {
-		if p+i >= len(r.buf) {
+		if p+i >= len(win) {
 			return 0, 0, errShort
 		}
 		if i == maxVarintLen {
 			return 0, 0, &CorruptError{Offset: r.off + int64(p), Reason: "varint overflow"}
 		}
-		b := r.buf[p+i]
+		b := win[p+i]
 		if b < 0x80 {
 			if i == maxVarintLen-1 && b > 1 {
 				return 0, 0, &CorruptError{Offset: r.off + int64(p), Reason: "varint overflow"}
@@ -198,18 +213,19 @@ func (r *Reader) Next() (tracelog.Event, error) {
 	if _, err := r.fill(1 + 5*maxVarintLen); err != nil {
 		return tracelog.Event{}, err
 	}
-	if len(r.buf) == 0 {
+	win := r.window()
+	if len(win) == 0 {
 		return tracelog.Event{}, io.EOF
 	}
-	kind := r.buf[0]
+	kind := win[0]
 	n := fieldCount(kind)
 	if n < 0 {
 		return tracelog.Event{}, &CorruptError{Offset: r.off, Reason: fmt.Sprintf("unknown record kind 0x%02x", kind)}
 	}
-	fields := make([]int64, n)
+	var fields [5]int64
 	p := 1
 	for i := 0; i < n; i++ {
-		v, next, err := r.varint(p)
+		v, next, err := r.varint(win, p)
 		if err == errShort {
 			// The window holds everything the input had; a record that
 			// does not fit is a torn tail.
