@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race bench bench-engine bench-scale bench-guard docscheck figures figures-quick faults floodd-smoke floodd-chaos trace-smoke protocol-smoke fuzz-faults fuzz-shard fuzz-trace fuzz-spec examples clean
+.PHONY: all build vet test test-short test-race bench bench-engine bench-scale bench-guard docscheck figures figures-quick faults floodd-smoke floodd-chaos trace-smoke protocol-smoke fuzz-faults fuzz-shard fuzz-trace fuzz-spec fuzz-service examples clean
 
 all: build vet test
 
@@ -107,6 +107,12 @@ fuzz-trace:
 # compile keeps cells, worker split and journal key; CI runs a 10s smoke.
 fuzz-spec:
 	$(GO) test -fuzz FuzzSpec -fuzztime 30s ./internal/service
+
+# Arbitrary bodies vs the lease completion endpoint of a live job: never a
+# panic, 4xx for a malformed body, and no cell outside the leased chunk
+# ever journaled; CI runs a 10s smoke.
+fuzz-service:
+	$(GO) test -fuzz FuzzCompleteBody -fuzztime 30s ./internal/service
 
 examples:
 	$(GO) run ./examples/quickstart

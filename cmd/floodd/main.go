@@ -1,7 +1,8 @@
 // Command floodd is the simulation-as-a-service daemon: a long-running
-// HTTP server that accepts sweep specifications as JSON jobs, schedules
-// them one at a time on the internal/runner batch executor, streams
-// progress as server-sent events, and serves the finished CSV artifacts.
+// HTTP server that accepts sweep specifications as JSON jobs, runs them
+// one at a time as leasable chunks (internal/lease) that its own local
+// executor and any floodworker processes pull, streams progress as
+// server-sent events, and serves the finished CSV artifacts.
 // Every job is journal-backed on disk, so killing the daemon mid-job and
 // restarting it resumes the sweep byte-identically (docs/SERVICE.md
 // documents the API, the job spec schema, and the resume semantics).
@@ -10,8 +11,7 @@
 //
 //	floodd [-addr 127.0.0.1:8080] [-dir floodd-data] [-queue 16]
 //	       [-job-timeout 0] [-drain-timeout 30s]
-//	       [-distributed] [-chunk 4] [-lease-ttl 15s] [-lease-attempts 5]
-//	       [-local-grace 0]
+//	       [-chunk 4] [-lease-ttl 15s] [-lease-attempts 5] [-local-grace 0]
 //
 // Endpoints:
 //
@@ -21,23 +21,24 @@
 //	GET    /v1/jobs/{id}/events  live progress stream (SSE)
 //	GET    /v1/jobs/{id}/result  result CSV (?format=json for rows)
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
-//	GET    /v1/work              job currently accepting leases (-distributed)
+//	GET    /v1/work              job currently accepting leases
 //	POST   /v1/jobs/{id}/lease   claim a chunk; heartbeat and complete
 //	                             sub-resources renew it and report results
 //	GET    /healthz              liveness (503 while draining)
 //	GET    /debug/vars           telemetry: floodd.* + per-job job.<id>.*
 //	GET    /debug/pprof/         live profiling
 //
-// With -distributed, jobs execute through the worker-pull lease protocol
-// (docs/SERVICE.md, "Distributed sweeps"): remote floodworker processes
-// claim chunks of the sweep over HTTP, heartbeat while simulating, and
-// report results the daemon journals. The daemon's own local executor
-// completes any job no worker picks up, so -distributed with zero
-// workers behaves like a plain daemon — and the result CSV is
-// byte-identical either way.
+// Every job executes through the worker-pull lease protocol
+// (docs/SERVICE.md, "Job execution"): remote floodworker processes claim
+// chunks of the sweep over HTTP, heartbeat while simulating, and report
+// results the daemon journals. The daemon's own local executor pulls
+// chunks the same way, so a daemon no worker connects to still finishes
+// every job — and the result CSV is byte-identical either way. The lease
+// endpoints are served behind the same trust boundary as job submission
+// (the default bind is 127.0.0.1).
 //
-// On SIGINT/SIGTERM the daemon drains: it stops accepting jobs, cancels
-// the active batch with the runner's shutdown cause (the job stays
+// On SIGINT/SIGTERM the daemon drains: it stops accepting jobs, stops
+// the active job with the runner's shutdown cause (the job stays
 // resumable, not canceled), and exits once the scheduler settles or
 // -drain-timeout expires. The announced listen URL is printed to stderr
 // as "floodd: serving on http://..." so scripts can scrape it when
@@ -66,11 +67,10 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job wall-clock budget covering the whole sweep (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may take before forced exit")
 
-		distributed   = flag.Bool("distributed", false, "execute jobs via the worker-pull lease protocol (floodworker clients)")
-		chunk         = flag.Int("chunk", 4, "distributed: cells per lease")
-		leaseTTL      = flag.Duration("lease-ttl", 15*time.Second, "distributed: lease lifetime between heartbeats")
-		leaseAttempts = flag.Int("lease-attempts", 5, "distributed: per-chunk attempts before poisoning the job")
-		localGrace    = flag.Duration("local-grace", 0, "distributed: head start workers get before the daemon simulates chunks itself")
+		chunk         = flag.Int("chunk", 4, "cells per lease")
+		leaseTTL      = flag.Duration("lease-ttl", 15*time.Second, "lease lifetime between heartbeats")
+		leaseAttempts = flag.Int("lease-attempts", 5, "per-chunk lost leases (silent expiries, partial reports) before the job fails")
+		localGrace    = flag.Duration("local-grace", 0, "head start floodworker processes get before the daemon simulates chunks itself")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: floodd [flags]
@@ -85,7 +85,6 @@ flags:
 	}
 	flag.Parse()
 	lo := service.LeaseOptions{
-		Enabled:     *distributed,
 		ChunkSize:   *chunk,
 		TTL:         *leaseTTL,
 		MaxAttempts: *leaseAttempts,

@@ -150,7 +150,7 @@ func TestFlagsDocumented(t *testing.T) {
 	// check below catches a rename, the doc check a stale SERVICE.md.
 	for _, name := range []string{
 		"-addr", "-dir", "-queue", "-job-timeout", "-drain-timeout",
-		"-distributed", "-chunk", "-lease-ttl", "-lease-attempts", "-local-grace",
+		"-chunk", "-lease-ttl", "-lease-attempts", "-local-grace",
 	} {
 		if !bytes.Contains(doc, []byte("`"+name+"`")) {
 			t.Errorf("docs/SERVICE.md missing flag %s", name)
@@ -162,7 +162,7 @@ func TestFlagsDocumented(t *testing.T) {
 	}
 	for _, name := range []string{
 		"addr", "dir", "queue", "job-timeout", "drain-timeout",
-		"distributed", "chunk", "lease-ttl", "lease-attempts", "local-grace",
+		"chunk", "lease-ttl", "lease-attempts", "local-grace",
 	} {
 		if !bytes.Contains(src, []byte(fmt.Sprintf("%q", name))) {
 			t.Errorf("main.go missing flag declaration %q", name)

@@ -1,11 +1,11 @@
 // Command floodworker is the pull-based compute client for a floodd
-// daemon running in -distributed mode. It polls the daemon for work,
-// leases chunks of the active sweep, simulates them with the same
-// engine/runner stack the daemon uses locally, heartbeats while
-// simulating, and reports results back. Because every simulation is
-// deterministic and the daemon journals completions idempotently, any
-// number of workers — killed, restarted, or zombified mid-chunk — leave
-// the final CSV byte-identical to a single-daemon run.
+// daemon. It polls the daemon for work, leases chunks of the active
+// sweep, simulates them with the chunk executor the daemon's own local
+// executor uses (service.RunChunk, the spec's retries included),
+// heartbeats while simulating, and reports results back. Because every
+// simulation is deterministic and the daemon journals completions
+// idempotently, any number of workers — killed, restarted, or zombified
+// mid-chunk — leave the final CSV byte-identical to a single-daemon run.
 //
 // Usage:
 //
@@ -24,7 +24,7 @@
 // verifies its journal key matches the grant's — a mismatch means the
 // worker binary disagrees with the daemon about what the sweep computes
 // (version skew) and executing would corrupt the sweep, so the worker
-// refuses the job. See docs/SERVICE.md, "Distributed sweeps".
+// refuses the job. See docs/SERVICE.md, "Job execution".
 package main
 
 import (
@@ -41,9 +41,7 @@ import (
 	"syscall"
 	"time"
 
-	"ldcflood/internal/runner"
 	"ldcflood/internal/service"
-	"ldcflood/internal/sim"
 )
 
 func main() {
@@ -59,8 +57,8 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: floodworker -server URL [flags]
 
-Pull-based compute client for floodd -distributed: leases sweep chunks,
-simulates them, reports results. Safe to kill -9 at any instant — the
+Pull-based compute client for floodd: leases sweep chunks, simulates
+them, reports results. Safe to kill -9 at any instant — the
 lease protocol reassigns abandoned chunks and deduplicates late reports.
 See docs/SERVICE.md.
 
@@ -170,7 +168,7 @@ func (w *worker) pullOnce(ctx context.Context) (bool, error) {
 	case http.StatusOK:
 	case http.StatusNoContent, http.StatusGone, http.StatusConflict:
 		// Nothing leasable right now / the job just finished / the job
-		// transitioned out of distributed mode between the two calls.
+		// stopped running between the two calls.
 		return false, nil
 	default:
 		return false, fmt.Errorf("lease: unexpected status %d", code)
@@ -242,17 +240,11 @@ func (w *worker) execute(ctx context.Context, jobID string, grid *service.Grid, 
 		}
 	}()
 
-	cfgs := make([]sim.Config, len(grant.Cells))
-	for i, idx := range grant.Cells {
-		if idx < 0 || idx >= len(grid.Jobs) {
-			w.logf("job %s: grant cell %d outside grid, abandoning", jobID, idx)
-			return
-		}
-		cfgs[i] = grid.Jobs[idx]
+	outs, err := service.RunChunk(runCtx, grid, grant.Cells, w.parallel, nil)
+	if err != nil {
+		w.logf("job %s: %v, abandoning", jobID, err)
+		return
 	}
-	ropts := grid.Options()
-	ropts.Workers = w.parallel
-	rs, _ := runner.Run(runCtx, cfgs, ropts)
 	// Snapshot abandonment BEFORE tearing runCtx down ourselves: after
 	// cancel() below, runCtx.Err() is non-nil on every path and cannot
 	// distinguish a lost lease from a normal finish.
@@ -267,17 +259,6 @@ func (w *worker) execute(ctx context.Context, jobID string, grid *service.Grid, 
 		return
 	}
 
-	outs := make([]service.CellOutcome, len(rs))
-	for i := range rs {
-		outs[i] = service.CellOutcome{Index: grant.Cells[i], Res: rs[i].Res}
-		if err := rs[i].Err; err != nil {
-			outs[i].Error = err.Error()
-			var je *runner.JobError
-			if errors.As(err, &je) {
-				outs[i].Terminal = je.Kind == runner.KindSim || je.Kind == runner.KindSlotLimit
-			}
-		}
-	}
 	if w.completeDelay > 0 {
 		w.logf("job %s: chaos delay %v before completing chunk %d", jobID, w.completeDelay, grant.Chunk)
 		t := time.NewTimer(w.completeDelay)

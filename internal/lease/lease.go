@@ -23,9 +23,12 @@
 //   - Expire sweeps overdue leases and requeues their chunks with capped
 //     exponential backoff and deterministic jitter (seeded per chunk), so
 //     a mass expiry does not thundering-herd the next Lease wave.
-//   - A chunk that keeps failing — by expiry or by reported worker errors
-//     — trips poison detection after Config.MaxAttempts: the whole manager
-//     settles with a typed *PoisonError instead of retrying forever.
+//   - A chunk whose leases keep getting lost — silent expiries and
+//     partial reports — trips poison detection after Config.MaxAttempts:
+//     the whole manager settles with a typed *PoisonError instead of
+//     retrying forever. A reported cell failure poisons at once: the
+//     executor has already spent its own retries on the cell, so another
+//     lease would only repeat them.
 //
 // The Manager tracks only ownership and per-cell done/not-done; result
 // payloads stay with the caller (internal/service journals them), which
@@ -33,13 +36,14 @@
 // concurrent use. Time is injectable (Config.Now) so expiry logic is
 // deterministic under test.
 //
-// docs/SERVICE.md ("Distributed sweeps") documents the HTTP protocol
+// docs/SERVICE.md ("Job execution") documents the HTTP protocol
 // internal/service builds on top of this package.
 package lease
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -63,10 +67,11 @@ var (
 	ErrLeaseGone = errors.New("lease: lease expired or unknown")
 )
 
-// PoisonError is the typed failure for a chunk that exhausted
-// Config.MaxAttempts: every attempt either expired silently or reported a
-// worker-side error. It fails the whole manager — the work set cannot
-// complete — rather than looping forever on a chunk that never succeeds.
+// PoisonError is the typed failure for a chunk that cannot complete:
+// either a worker reported a cell failure, or Config.MaxAttempts leases
+// were lost (expired silently or reported only part of the chunk). It
+// fails the whole manager rather than looping forever on a chunk that
+// never succeeds.
 type PoisonError struct {
 	// Chunk is the poisoned chunk's id.
 	Chunk int
@@ -74,8 +79,8 @@ type PoisonError struct {
 	Cells []int
 	// Attempts is how many times the chunk was handed out.
 	Attempts int
-	// LastErr is the most recent worker-reported error text, "" when every
-	// failure was a silent expiry.
+	// LastErr is the worker-reported failure text, or a partial-report
+	// note; "" when every lost lease expired silently.
 	LastErr string
 }
 
@@ -100,7 +105,8 @@ type Config struct {
 	ChunkSize int
 	// TTL is the lease lifetime; Heartbeat resets it. <= 0 means 15s.
 	TTL time.Duration
-	// MaxAttempts is the per-chunk poison threshold. <= 0 means 5.
+	// MaxAttempts is the per-chunk poison threshold on lost leases
+	// (silent expiries and partial reports). <= 0 means 5.
 	MaxAttempts int
 	// BackoffBase is the requeue delay after a chunk's first failed
 	// attempt; it doubles per further attempt. <= 0 means 250ms.
@@ -161,7 +167,7 @@ type chunk struct {
 	state     int
 	notBefore time.Time // backoff gate while pending
 	attempts  int       // times handed out
-	lastErr   string    // most recent worker-reported error
+	lastErr   string    // worker-reported failure or partial-report note
 	leaseID   string    // current owner while leased
 }
 
@@ -372,22 +378,28 @@ func (m *Manager) Heartbeat(id string) (time.Time, error) {
 	return rec.deadline, nil
 }
 
-// Complete reports a lease's outcome. With errText == "" it is a success
-// report for the given cells: each must belong to the lease's chunk
-// (anything else is a protocol violation and rejects the whole report),
-// cells nobody completed yet are accepted for the caller to persist, and
-// cells already completed are dropped — the idempotency that makes zombie
-// double-completions harmless. Success from an expired-but-known lease is
-// still accepted (the work is deterministic) and flagged Accept.Zombie.
+// Complete reports a lease's outcome. cells are the cells the worker
+// finished; each must belong to the lease's chunk (anything else is a
+// protocol violation that rejects the whole report and leaves the lease
+// as it was). Cells nobody completed yet are accepted for the caller to
+// persist, and cells already completed are dropped — the idempotency
+// that makes zombie double-completions harmless. A report from an
+// expired-but-known lease is still honored (the work is deterministic)
+// and flagged Accept.Zombie.
 //
-// With errText != "" it is a failure report: the chunk is requeued with
-// backoff, or poisons the manager once MaxAttempts is exhausted; terminal
-// true skips the remaining attempts and poisons immediately (for failures
-// the caller knows are deterministic, e.g. an engine validation error).
+// failed lists the cells the worker gave up on after its own retries,
+// errText says why; they too must belong to the chunk. A report with a
+// failed cell still lands its finished cells, and the chunk poisons the
+// manager at once, returning the *PoisonError. A report that covers only
+// part of the chunk without a failure is a lost lease: the chunk is
+// requeued with backoff, or poisons once MaxAttempts leases are spent.
+// The report is moot once the chunk is complete, and once the manager
+// has settled (Stop, or another chunk's poison) it only lands its
+// finished cells.
 //
 // An unknown lease id — a previous daemon's grant, after a restart —
 // cannot be validated and is rejected with ErrLeaseGone.
-func (m *Manager) Complete(id string, cells []int, errText string, terminal bool) (Accept, error) {
+func (m *Manager) Complete(id string, cells, failed []int, errText string) (Accept, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.cfg.Now()
@@ -400,6 +412,16 @@ func (m *Manager) Complete(id string, cells []int, errText string, terminal bool
 		return Accept{Zombie: true}, ErrLeaseGone
 	}
 	c := m.chunks[rec.chunk]
+	in := make(map[int]bool, len(c.cells))
+	for _, idx := range c.cells {
+		in[idx] = true
+	}
+	for _, idx := range slices.Concat(cells, failed) {
+		if !in[idx] {
+			return Accept{Zombie: !rec.live}, fmt.Errorf("lease: cell %d is not in chunk %d", idx, c.id)
+		}
+	}
+
 	acc := Accept{Zombie: !rec.live}
 	if m.tel != nil {
 		m.tel.completions.Inc()
@@ -410,33 +432,9 @@ func (m *Manager) Complete(id string, cells []int, errText string, terminal bool
 	// One report per lease: drop the record's liveness so a second
 	// Complete on the same id is a zombie duplicate.
 	rec.live = false
-	if c.leaseID == id {
+	owner := c.leaseID == id
+	if owner {
 		c.leaseID = ""
-	}
-
-	if errText != "" {
-		c.lastErr = errText
-		if c.state == stateDone {
-			// Someone else already finished the chunk; the late failure is
-			// moot.
-			return acc, nil
-		}
-		if terminal || c.attempts >= m.cfg.MaxAttempts {
-			m.poisonLocked(c)
-			return acc, m.failErr
-		}
-		m.requeueLocked(c, now)
-		return acc, nil
-	}
-
-	in := make(map[int]bool, len(c.cells))
-	for _, idx := range c.cells {
-		in[idx] = true
-	}
-	for _, idx := range cells {
-		if !in[idx] {
-			return Accept{Zombie: acc.Zombie}, fmt.Errorf("lease: cell %d is not in chunk %d", idx, c.id)
-		}
 	}
 	seen := make(map[int]bool, len(cells))
 	for _, idx := range cells {
@@ -448,50 +446,59 @@ func (m *Manager) Complete(id string, cells []int, errText string, terminal bool
 			acc.Dropped++
 			continue
 		}
+		m.cellDone[idx] = true
 		acc.Cells = append(acc.Cells, idx)
-	}
-	if len(acc.Cells)+acc.Dropped < len(c.cells) && c.state != stateDone {
-		// A partial success report cannot finish the chunk; requeue the
-		// remainder (attempts were already charged at Lease time).
-		for _, idx := range acc.Cells {
-			m.cellDone[idx] = true
-		}
-		if c.attempts >= m.cfg.MaxAttempts {
-			c.lastErr = fmt.Sprintf("partial completion (%d of %d cells)", len(acc.Cells)+acc.Dropped, len(c.cells))
-			m.poisonLocked(c)
-			if m.tel != nil {
-				m.tel.cellsOK.Add(int64(len(acc.Cells)))
-				m.tel.cellsDup.Add(int64(acc.Dropped))
-			}
-			return acc, m.failErr
-		}
-		m.requeueLocked(c, now)
-	} else {
-		for _, idx := range acc.Cells {
-			m.cellDone[idx] = true
-		}
-		m.finishChunkLocked(c)
 	}
 	if m.tel != nil {
 		m.tel.cellsOK.Add(int64(len(acc.Cells)))
 		m.tel.cellsDup.Add(int64(acc.Dropped))
 	}
-	m.gauges()
+	defer m.gauges()
+
+	all := true
+	for _, idx := range c.cells {
+		all = all && m.cellDone[idx]
+	}
+	switch {
+	case c.state == stateDone:
+		// Someone else already finished the chunk; the report is moot.
+	case all:
+		m.finishChunkLocked(c)
+	case m.settled():
+		// The work set is over; nothing is requeued or poisoned any more.
+	case len(failed) > 0:
+		c.lastErr = errText
+		return acc, m.poisonLocked(c)
+	case !owner:
+		// A zombie's partial report: the chunk is already pending again or
+		// owned by a newer lease, which carries its attempt budget.
+	case c.attempts >= m.cfg.MaxAttempts:
+		c.lastErr = fmt.Sprintf("partial completion (%d of %d cells)", len(acc.Cells)+acc.Dropped, len(c.cells))
+		return acc, m.poisonLocked(c)
+	default:
+		// A partial report cannot finish the chunk; requeue the remainder
+		// (the attempt was already charged at Lease time).
+		m.requeueLocked(c, now)
+	}
 	return acc, nil
 }
 
-// MarkDone records cells completed outside the lease protocol (e.g.
-// served from a journal mid-flight); their chunks complete once every
-// cell is covered. Unknown indices are ignored.
-func (m *Manager) MarkDone(cells []int) {
+// MarkDone records cells completed outside a completion report (the
+// daemon's own executor journals each cell as it finishes); their chunks
+// complete once every cell is covered, which ends the chunk's lease. It
+// returns the cells nobody had completed yet, for the caller to persist.
+// Unknown indices are ignored.
+func (m *Manager) MarkDone(cells []int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var fresh []int
 	for _, idx := range cells {
 		c, ok := m.cellState[idx]
 		if !ok || m.cellDone[idx] {
 			continue
 		}
 		m.cellDone[idx] = true
+		fresh = append(fresh, idx)
 		if c.state == stateDone {
 			continue
 		}
@@ -507,6 +514,7 @@ func (m *Manager) MarkDone(cells []int) {
 		}
 	}
 	m.gauges()
+	return fresh
 }
 
 // finishChunkLocked marks a chunk complete, invalidating any live lease
@@ -559,7 +567,7 @@ func (m *Manager) expireLocked(now time.Time) int {
 		}
 		c.leaseID = ""
 		if c.attempts >= m.cfg.MaxAttempts {
-			m.poisonLocked(c)
+			m.poisonLocked(c) //nolint:errcheck // the manager is settled with it
 			continue
 		}
 		// Backoff counts from when ownership actually lapsed (the missed
@@ -583,19 +591,22 @@ func (m *Manager) requeueLocked(c *chunk, now time.Time) {
 	}
 }
 
-// poisonLocked fails the manager with the chunk's typed error; callers
-// hold m.mu.
-func (m *Manager) poisonLocked(c *chunk) {
+// poisonLocked fails the manager with the chunk's typed error and
+// returns it; callers hold m.mu. A manager that already settled (Stop)
+// keeps its first outcome.
+func (m *Manager) poisonLocked(c *chunk) error {
 	c.state = statePending // terminal anyway; the manager is settled
 	if m.tel != nil {
 		m.tel.poisoned.Inc()
 	}
-	m.settle(&PoisonError{
+	pe := &PoisonError{
 		Chunk:    c.id,
 		Cells:    append([]int(nil), c.cells...),
 		Attempts: c.attempts,
 		LastErr:  c.lastErr,
-	})
+	}
+	m.settle(pe)
+	return pe
 }
 
 // backoff computes the requeue delay after a chunk's attempt'th handout:
@@ -627,8 +638,8 @@ func (m *Manager) Err() error {
 }
 
 // Stop settles the manager with the given cause (drain, cancel, timeout):
-// pending grants stop, and every later protocol call answers ErrFinished
-// or ErrLeaseGone. Stop after settling is a no-op.
+// Lease answers ErrFinished from then on, while a lease granted before
+// may still report the cells it finished. Stop after settling is a no-op.
 func (m *Manager) Stop(cause error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,7 +47,7 @@ func TestLeaseCompleteLifecycle(t *testing.T) {
 		t.Fatalf("third chunk cells = %v", got)
 	}
 	for _, l := range leases {
-		acc, err := m.Complete(l.ID, l.Cells, "", false)
+		acc, err := m.Complete(l.ID, l.Cells, nil, "")
 		if err != nil {
 			t.Fatalf("Complete: %v", err)
 		}
@@ -124,11 +125,11 @@ func TestZombieCompletionsAreDroppedNotDoubleCounted(t *testing.T) {
 	}
 
 	// The second worker completes first.
-	if _, err := m.Complete(l2.ID, l2.Cells, "", false); err != nil {
+	if _, err := m.Complete(l2.ID, l2.Cells, nil, ""); err != nil {
 		t.Fatalf("Complete(l2): %v", err)
 	}
 	// The zombie reports late: detected, dropped, never double-counted.
-	acc, err := m.Complete(l1.ID, l1.Cells, "", false)
+	acc, err := m.Complete(l1.ID, l1.Cells, nil, "")
 	if err != nil {
 		t.Fatalf("Complete(zombie): %v", err)
 	}
@@ -156,7 +157,7 @@ func TestZombieFreshCellsAcceptedOnce(t *testing.T) {
 	l1 := mustLease(t, m)
 	clk.advance(3 * time.Second)
 	l2 := mustLease(t, m) // chunk re-granted; l1 is now a zombie
-	acc, err := m.Complete(l1.ID, l1.Cells, "", false)
+	acc, err := m.Complete(l1.ID, l1.Cells, nil, "")
 	if err != nil {
 		t.Fatalf("Complete(zombie): %v", err)
 	}
@@ -167,7 +168,7 @@ func TestZombieFreshCellsAcceptedOnce(t *testing.T) {
 	if _, err := m.Heartbeat(l2.ID); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("heartbeat on superseded lease: got %v, want ErrLeaseGone", err)
 	}
-	acc2, err := m.Complete(l2.ID, l2.Cells, "", false)
+	acc2, err := m.Complete(l2.ID, l2.Cells, nil, "")
 	if err != nil {
 		t.Fatalf("Complete(superseded): %v", err)
 	}
@@ -178,11 +179,11 @@ func TestZombieFreshCellsAcceptedOnce(t *testing.T) {
 
 func TestUnknownLeaseRejected(t *testing.T) {
 	m := NewManager(Config{Cells: ints(0), Now: newClock().now})
-	if _, err := m.Complete("L999999", ints(0), "", false); !errors.Is(err, ErrLeaseGone) {
+	if _, err := m.Complete("L999999", ints(0), nil, ""); !errors.Is(err, ErrLeaseGone) {
 		t.Fatalf("unknown lease: got %v, want ErrLeaseGone", err)
 	}
 	if _, err := m.Heartbeat("L999999"); !errors.Is(err, ErrLeaseGone) {
-		t.Fatalf("unknown heartbeat: got %v, want ErrLeaseGone", err)
+		t.Fatalf("Lease after poison: got %v, want ErrFinished", err)
 	}
 }
 
@@ -190,8 +191,44 @@ func TestForeignCellsRejected(t *testing.T) {
 	clk := newClock()
 	m := NewManager(Config{Cells: ints(0, 1, 2, 3), ChunkSize: 2, Now: clk.now})
 	l := mustLease(t, m)
-	if _, err := m.Complete(l.ID, ints(0, 3), "", false); err == nil {
+	if _, err := m.Complete(l.ID, ints(0, 3), nil, ""); err == nil {
 		t.Fatal("Complete with a foreign cell succeeded, want validation error")
+	}
+	// A failure naming a cell the lease never held is a violation too: it
+	// must not poison the work set.
+	var pe *PoisonError
+	if _, err := m.Complete(l.ID, ints(0), ints(2), "boom"); err == nil || errors.As(err, &pe) {
+		t.Fatalf("Complete with a foreign failed cell: got %v, want validation error", err)
+	}
+	select {
+	case <-m.Finished():
+		t.Fatalf("a rejected report settled the manager: %v", m.Err())
+	default:
+	}
+	if acc, err := m.Complete(l.ID, l.Cells, nil, ""); err != nil || len(acc.Cells) != 2 {
+		t.Fatalf("Complete after rejected reports = %+v, %v; want both cells", acc, err)
+	}
+}
+
+// TestCompleteAfterStop: a lease granted before Stop still lands the
+// cells it finished, and its partial report neither requeues nor poisons
+// the chunk — the drained daemon keeps finished work in its journal.
+func TestCompleteAfterStop(t *testing.T) {
+	clk := newClock()
+	reg := telemetry.New()
+	m := NewManager(Config{Cells: ints(0, 1, 2), ChunkSize: 3, MaxAttempts: 1, Now: clk.now, Telemetry: reg})
+	l := mustLease(t, m)
+	stop := errors.New("drain")
+	m.Stop(stop)
+	acc, err := m.Complete(l.ID, ints(0, 1), nil, "")
+	if err != nil || !slices.Equal(acc.Cells, ints(0, 1)) {
+		t.Fatalf("Complete after Stop = %+v, %v; want cells [0 1]", acc, err)
+	}
+	if got := m.Err(); got != stop {
+		t.Fatalf("Err = %v, want the Stop cause", got)
+	}
+	if n := reg.Counter("lease.requeues").Value() + reg.Counter("lease.poisoned").Value(); n != 0 {
+		t.Fatalf("requeues+poisoned = %d after Stop, want 0", n)
 	}
 }
 
@@ -222,37 +259,51 @@ func TestPoisonAfterRepeatedExpiry(t *testing.T) {
 	}
 }
 
+// TestPoisonCarriesWorkerError: a failure report poisons its chunk on
+// the first attempt — the worker already spent the spec's retries — and
+// the typed error carries the worker's text.
 func TestPoisonCarriesWorkerError(t *testing.T) {
 	clk := newClock()
 	m := NewManager(Config{Cells: ints(7, 8), ChunkSize: 2, TTL: time.Second,
 		MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffCap: time.Millisecond, Now: clk.now})
 	l := mustLease(t, m)
-	if _, err := m.Complete(l.ID, nil, "sim exploded", false); err != nil {
-		t.Fatalf("first failure report: %v", err)
-	}
-	clk.advance(time.Second)
-	l = mustLease(t, m)
-	_, err := m.Complete(l.ID, nil, "sim exploded again", false)
+	_, err := m.Complete(l.ID, nil, ints(8), "sim exploded")
 	var pe *PoisonError
 	if !errors.As(err, &pe) {
-		t.Fatalf("second failure: got %v, want *PoisonError", err)
+		t.Fatalf("failure report: got %v, want *PoisonError", err)
 	}
-	if pe.LastErr != "sim exploded again" || pe.Chunk != 0 || len(pe.Cells) != 2 {
+	if pe.LastErr != "sim exploded" || pe.Chunk != 0 || len(pe.Cells) != 2 || pe.Attempts != 1 {
 		t.Fatalf("poison = %+v", pe)
+	}
+	if got := m.Err(); got != err {
+		t.Fatalf("Err = %v, want the returned *PoisonError", got)
 	}
 }
 
+// TestTerminalFailurePoisonsImmediately: any failure report poisons at
+// once, whatever attempt budget remains, and the cells the report did
+// finish are still accepted for the caller to persist.
 func TestTerminalFailurePoisonsImmediately(t *testing.T) {
 	clk := newClock()
-	m := NewManager(Config{Cells: ints(0), MaxAttempts: 10, Now: clk.now})
+	reg := telemetry.New()
+	m := NewManager(Config{Cells: ints(0, 1), ChunkSize: 2, MaxAttempts: 10, Now: clk.now, Telemetry: reg})
 	l := mustLease(t, m)
-	_, err := m.Complete(l.ID, nil, "invalid config", true)
+	acc, err := m.Complete(l.ID, ints(0), ints(1), "cell 1: invalid config")
 	var pe *PoisonError
 	if !errors.As(err, &pe) {
-		t.Fatalf("terminal failure: got %v, want immediate *PoisonError", err)
+		t.Fatalf("failure report: got %v, want immediate *PoisonError", err)
 	}
 	if pe.Attempts != 1 {
 		t.Fatalf("attempts = %d, want 1 (no retry burn-down)", pe.Attempts)
+	}
+	if len(acc.Cells) != 1 || acc.Cells[0] != 0 {
+		t.Fatalf("accept = %+v, want the finished cell 0", acc)
+	}
+	if _, err := m.Lease("w"); !errors.Is(err, ErrFinished) {
+		t.Fatalf("lease after poison: got %v, want ErrFinished", err)
+	}
+	if v := reg.Counter("lease.requeues").Value(); v != 0 {
+		t.Fatalf("lease.requeues = %d, want 0", v)
 	}
 }
 
@@ -301,6 +352,27 @@ func TestJitterRangeAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestMarkDoneEndsLease: the daemon's own executor marks a leased
+// chunk's cells done one by one; MarkDone returns only cells nobody had
+// completed, and covering the chunk ends its lease without a report.
+func TestMarkDoneEndsLease(t *testing.T) {
+	clk := newClock()
+	m := NewManager(Config{Cells: ints(0, 1, 2, 3), ChunkSize: 2, TTL: time.Second, Now: clk.now})
+	l := mustLease(t, m)
+	if fresh := m.MarkDone(ints(0)); !slices.Equal(fresh, ints(0)) {
+		t.Fatalf("MarkDone(0) = %v, want [0]", fresh)
+	}
+	if fresh := m.MarkDone(ints(0, 1)); !slices.Equal(fresh, ints(1)) {
+		t.Fatalf("MarkDone(0, 1) = %v, want [1]", fresh)
+	}
+	if _, err := m.Heartbeat(l.ID); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("Heartbeat after MarkDone covered the chunk: got %v, want ErrLeaseGone", err)
+	}
+	if p := m.Snapshot(); p.DoneChunks != 1 || p.LeasedChunks != 0 {
+		t.Fatalf("snapshot = %+v, want 1 chunk done, none leased", p)
+	}
+}
+
 func TestMarkDoneCompletesChunks(t *testing.T) {
 	clk := newClock()
 	m := NewManager(Config{Cells: ints(0, 1, 2, 3), ChunkSize: 2, Now: clk.now})
@@ -325,7 +397,7 @@ func TestPartialCompletionRequeuesRemainder(t *testing.T) {
 	m := NewManager(Config{Cells: ints(0, 1, 2), ChunkSize: 3, TTL: time.Second,
 		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond, Now: clk.now})
 	l := mustLease(t, m)
-	acc, err := m.Complete(l.ID, ints(0), "", false)
+	acc, err := m.Complete(l.ID, ints(0), nil, "")
 	if err != nil {
 		t.Fatalf("partial Complete: %v", err)
 	}
@@ -337,7 +409,7 @@ func TestPartialCompletionRequeuesRemainder(t *testing.T) {
 	if l2.Chunk != l.Chunk {
 		t.Fatalf("requeued chunk = %d, want %d", l2.Chunk, l.Chunk)
 	}
-	acc, err = m.Complete(l2.ID, l2.Cells, "", false)
+	acc, err = m.Complete(l2.ID, l2.Cells, nil, "")
 	if err != nil {
 		t.Fatalf("second Complete: %v", err)
 	}
@@ -363,7 +435,7 @@ func TestStopSettlesWithCause(t *testing.T) {
 		t.Fatalf("lease after stop: got %v, want ErrFinished", err)
 	}
 	// In-flight completions after Stop are still answered coherently.
-	if _, err := m.Complete(l.ID, l.Cells, "", false); err != nil {
+	if _, err := m.Complete(l.ID, l.Cells, nil, ""); err != nil {
 		t.Fatalf("complete after stop: %v", err)
 	}
 }

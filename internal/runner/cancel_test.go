@@ -1,7 +1,8 @@
 package runner_test
 
-// Tests for the asynchronous Batch handle and the KindShutdown
-// cancellation-cause classification it enables.
+// Tests for the KindShutdown cancellation-cause classification: a batch
+// whose context is cancelled with ErrShutdown reports its interrupted jobs
+// as drained, not cancelled.
 
 import (
 	"context"
@@ -13,51 +14,6 @@ import (
 	"ldcflood/internal/runner"
 	"ldcflood/internal/sim"
 )
-
-func TestBatchWaitMatchesRun(t *testing.T) {
-	jobs := []sim.Config{quickJob(1), quickJob(2), quickJob(3)}
-	want, _ := runner.Run(context.Background(), jobs, runner.Options{Workers: 2})
-
-	b := runner.Start(context.Background(), jobs, runner.Options{Workers: 2})
-	rs, stats := b.Wait()
-	if stats.Jobs != 3 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want 3 jobs 0 failed", stats)
-	}
-	for i := range rs {
-		if rs[i].Err != nil {
-			t.Fatalf("job %d failed: %v", i, rs[i].Err)
-		}
-		if rs[i].Res.TotalSlots != want[i].Res.TotalSlots {
-			t.Fatalf("job %d diverged from synchronous Run", i)
-		}
-	}
-	select {
-	case <-b.Done():
-	default:
-		t.Fatal("Done() not closed after Wait returned")
-	}
-	// A second Wait returns the same values.
-	rs2, _ := b.Wait()
-	if len(rs2) != len(rs) {
-		t.Fatalf("second Wait returned %d results", len(rs2))
-	}
-}
-
-func TestBatchProgressSnapshot(t *testing.T) {
-	jobs := []sim.Config{quickJob(1), quickJob(2)}
-	var hookCalls int
-	b := runner.Start(nil, jobs, runner.Options{
-		Workers:  1,
-		Progress: func(runner.Progress) { hookCalls++ },
-	})
-	b.Wait()
-	if p := b.Progress(); p.Done != 2 || p.Total != 2 {
-		t.Fatalf("final Progress = %+v, want Done=2 Total=2", p)
-	}
-	if hookCalls != 2 {
-		t.Fatalf("caller hook ran %d times, want 2 (wrapping must preserve it)", hookCalls)
-	}
-}
 
 // TestBatchCancelShutdownKind: cancelling with ErrShutdown classifies
 // interrupted jobs as KindShutdown, distinguishable from a user cancel
@@ -78,10 +34,9 @@ func TestBatchCancelShutdownKind(t *testing.T) {
 			// jobs never start and fail on the pre-start check, covering
 			// both classification sites.
 			jobs := []sim.Config{stuckJob(1), quickJob(2), quickJob(3)}
-			b := runner.Start(context.Background(), jobs, runner.Options{Workers: 1})
-			time.Sleep(10 * time.Millisecond)
-			b.Cancel(tc.cause)
-			rs, _ := b.Wait()
+			ctx, cancel := context.WithCancelCause(context.Background())
+			time.AfterFunc(10*time.Millisecond, func() { cancel(tc.cause) })
+			rs, _ := runner.Run(ctx, jobs, runner.Options{Workers: 1})
 
 			var je *runner.JobError
 			if !errors.As(rs[0].Err, &je) {

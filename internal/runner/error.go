@@ -81,10 +81,10 @@ var (
 	ErrCanceled = errors.New("runner: batch canceled")
 	// ErrShutdown doubles as the cancellation *cause* callers pass to
 	// signal a drain: cancel the batch context via context.WithCancelCause
-	// (or Batch.Cancel) with ErrShutdown — or an error wrapping it — and
-	// every interrupted job fails with KindShutdown instead of
-	// KindCanceled, so "the server is restarting" is distinguishable from
-	// "the user abandoned this job" without string matching.
+	// with ErrShutdown — or an error wrapping it — and every interrupted
+	// job fails with KindShutdown instead of KindCanceled, so "the server
+	// is restarting" is distinguishable from "the user abandoned this
+	// job" without string matching.
 	ErrShutdown = errors.New("runner: batch shut down")
 )
 

@@ -288,7 +288,7 @@ func retryable(err error) bool {
 }
 
 // cancelKind classifies a context cancellation: KindShutdown when the
-// cancellation cause wraps ErrShutdown (a drain, see Batch.Cancel),
+// cancellation cause wraps ErrShutdown (a drain),
 // KindCanceled for every other cancellation or deadline.
 func cancelKind(ctx context.Context) Kind {
 	if errors.Is(context.Cause(ctx), ErrShutdown) {

@@ -135,7 +135,6 @@ func (w *testWorker) drainAll(name string) {
 // long enough that the test's own workers keep control of the sweep.
 func leaseOpts(localGrace time.Duration) service.LeaseOptions {
 	return service.LeaseOptions{
-		Enabled:    true,
 		ChunkSize:  2,
 		TTL:        300 * time.Millisecond,
 		LocalGrace: localGrace,
@@ -388,7 +387,7 @@ func TestDistributedPoison(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	outs := []service.CellOutcome{{
-		Index: grant.Cells[0], Error: "engine validation failed", Terminal: true,
+		Index: grant.Cells[0], Error: "engine validation failed",
 	}}
 	if _, code := w.complete(grant.Lease, outs); code != http.StatusOK {
 		t.Fatalf("terminal complete = %d", code)

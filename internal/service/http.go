@@ -11,7 +11,7 @@ package service
 //	GET    /v1/jobs/{id}/result  the CSV artifact (?format=json for rows)
 //	DELETE /v1/jobs/{id}         cancel (queued or running)
 //	GET    /v1/work              the job currently accepting leases (204 if none)
-//	POST   /v1/jobs/{id}/lease   claim a chunk (distributed mode; 204 no work)
+//	POST   /v1/jobs/{id}/lease   claim a chunk of a running job (204 no work)
 //	POST   /v1/jobs/{id}/lease/{lease}/heartbeat  renew a lease (410 gone)
 //	POST   /v1/jobs/{id}/lease/{lease}/complete   report chunk results
 //	GET    /healthz              "ok", or 503 while draining
@@ -257,49 +257,62 @@ func writeJSONBody(w http.ResponseWriter, code int, v any) {
 }
 
 // handleWork is GET /v1/work: the id of the job currently accepting
-// leases, or 204 when no distributed job is running. Workers poll this
-// to discover work without knowing job ids in advance.
+// leases, or 204 when no job is running. Workers poll this to discover
+// work without knowing job ids in advance.
 func (s *Service) handleWork(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	act := s.active
 	s.mu.Unlock()
-	if act == nil || act.distributed() == nil {
+	if act == nil || act.running() == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	writeJSONBody(w, http.StatusOK, WorkReply{ID: act.ID})
 }
 
-// leaseRun resolves {id} to its live distributed run, or writes the
+// liveRun resolves {id} to its live lease run, or writes the
 // appropriate error: 404 for an unknown job, 409 for a job that is not
-// currently executing in distributed mode.
-func (s *Service) leaseRun(w http.ResponseWriter, r *http.Request) (*distRun, bool) {
+// currently executing.
+func (s *Service) liveRun(w http.ResponseWriter, r *http.Request) (*jobRun, bool) {
 	j, ok := s.lookup(w, r)
 	if !ok {
 		return nil, false
 	}
-	dist := j.distributed()
-	if dist == nil {
+	run := j.running()
+	if run == nil {
 		httpError(w, http.StatusConflict, "job %s is not accepting leases (state %s)", j.ID, j.State())
 		return nil, false
 	}
-	return dist, true
+	return run, true
+}
+
+// decodeBody decodes the request body — at most limit bytes — as exactly
+// one JSON document into v; trailing data is an error.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return errors.New("trailing data after the JSON document")
+	}
+	return nil
 }
 
 // handleLease is POST /v1/jobs/{id}/lease: claim a chunk. 200 with a
 // LeaseGrant, 204 when every chunk is leased out or backing off (retry
 // shortly), 410 once the job's work set has settled.
 func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
-	dist, ok := s.leaseRun(w, r)
+	run, ok := s.liveRun(w, r)
 	if !ok {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, 1<<20, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad lease request: %v", err)
 		return
 	}
-	l, err := dist.mgr.Lease(req.Worker)
+	l, err := run.mgr.Lease(req.Worker)
 	switch {
 	case errors.Is(err, lease.ErrNoWork):
 		w.WriteHeader(http.StatusNoContent)
@@ -310,7 +323,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSONBody(w, http.StatusOK, LeaseGrant{
 			Lease: l.ID, Chunk: l.Chunk, Cells: l.Cells,
-			Deadline: l.Deadline, TTL: Duration(dist.ttl), Key: dist.key,
+			Deadline: l.Deadline, TTL: Duration(run.ttl), Key: run.key,
 		})
 	}
 }
@@ -319,11 +332,11 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 // lease. 410 means the lease is gone (expired, superseded, or completed)
 // and the worker should abandon the chunk.
 func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	dist, ok := s.leaseRun(w, r)
+	run, ok := s.liveRun(w, r)
 	if !ok {
 		return
 	}
-	deadline, err := dist.mgr.Heartbeat(r.PathValue("lease"))
+	deadline, err := run.mgr.Heartbeat(r.PathValue("lease"))
 	if err != nil {
 		httpError(w, http.StatusGone, "%v", err)
 		return
@@ -342,20 +355,20 @@ const maxCompleteBody = 64 << 20
 // journal-key mismatch (daemon/worker version skew), 410 an unknown or
 // expired-and-superseded lease, 400 a malformed report.
 func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
-	dist, ok := s.leaseRun(w, r)
+	run, ok := s.liveRun(w, r)
 	if !ok {
 		return
 	}
 	var req CompleteRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompleteBody)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxCompleteBody, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad completion report: %v", err)
 		return
 	}
-	if req.Key != "" && req.Key != dist.key {
-		httpError(w, http.StatusConflict, "journal key mismatch: report %q, job %q", req.Key, dist.key)
+	if req.Key != "" && req.Key != run.key {
+		httpError(w, http.StatusConflict, "journal key mismatch: report %q, job %q", req.Key, run.key)
 		return
 	}
-	reply, err := dist.apply(r.PathValue("lease"), req.Results)
+	reply, err := run.apply(r.PathValue("lease"), req.Results)
 	switch {
 	case errors.Is(err, lease.ErrLeaseGone):
 		// Still a JSON reply (Zombie set) so the worker can distinguish

@@ -130,17 +130,17 @@ type Job struct {
 	hasProg  bool
 	resumed  int
 	stop     func(error) // cancels the running execution with a cause; non-nil while running
-	dist     *distRun    // the distributed lease run, when executing via workers
+	run      *jobRun     // the live lease run, while executing
 	canceled bool        // user asked for cancellation (DELETE)
 	subs     map[chan Event]struct{}
 }
 
-// distributed returns the job's live lease run, or nil when the job is
-// not currently executing in distributed mode.
-func (j *Job) distributed() *distRun {
+// running returns the job's live lease run, or nil when the job is not
+// executing.
+func (j *Job) running() *jobRun {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.dist
+	return j.run
 }
 
 // stopWith invokes the job's stopper (if running) with the given cause.
@@ -279,7 +279,7 @@ func (j *Job) finish(state State, errText string, at time.Time) {
 	j.errText = errText
 	j.finished = at
 	j.stop = nil
-	j.dist = nil
+	j.run = nil
 	j.publishLocked(Event{Type: "done", Data: j.statusLocked()})
 	for sub := range j.subs {
 		delete(j.subs, sub)

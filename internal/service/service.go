@@ -2,13 +2,14 @@ package service
 
 // The job scheduler and its on-disk state. One Service owns a bounded
 // FIFO queue and a single scheduler goroutine: jobs execute one at a
-// time in submission order, each as one internal/runner batch that is
-// free to use the whole machine (the spec's Parallel/Workers knobs,
-// including the Workers=-1 runner.SplitParallelism mode). Every job
-// lives in its own directory —
+// time in submission order, each as leasable chunks (exec.go) that the
+// daemon's local executor and any remote floodworker pull, free to use
+// the whole machine (the spec's Parallel/Workers knobs, including the
+// Workers=-1 runner.SplitParallelism mode). Every job lives in its own
+// directory —
 //
 //	<dir>/<id>/spec.json      the submitted spec (+ id, creation time)
-//	<dir>/<id>/journal.jsonl  the runner journal, appended as cells finish
+//	<dir>/<id>/journal.jsonl  the runner journal, appended as chunks land
 //	<dir>/<id>/result.csv     the artifact, written atomically on success
 //	<dir>/<id>/status.json    the terminal Status, written exactly once
 //
@@ -16,7 +17,7 @@ package service
 // status.json is simply re-queued on the next startup, its journal
 // replays the finished cells, and the completed result is byte-identical
 // to an uninterrupted run (the runner's journal contract). Draining is
-// the deliberate version of the same path: cancel the active batch with
+// the deliberate version of the same path: stop the active job with
 // runner.ErrShutdown, leave no terminal status, exit.
 
 import (
@@ -68,7 +69,7 @@ type Options struct {
 	// it fail with ErrQueueFull. <= 0 means 16. Jobs resurrected from Dir
 	// at startup are exempt — they were admitted once already.
 	QueueLimit int
-	// JobTimeout is a per-job wall-clock budget covering the whole batch;
+	// JobTimeout is a per-job wall-clock budget covering the whole job;
 	// an overrunning job is cancelled and fails. 0 means no limit. (The
 	// per-cell budget is the spec's own Timeout field.)
 	JobTimeout time.Duration
@@ -79,26 +80,26 @@ type Options struct {
 	// Logf, when non-nil, receives one line per lifecycle event
 	// (submitted, started, finished, drained).
 	Logf func(format string, args ...any)
-	// Lease configures the distributed worker-pull protocol
-	// (docs/SERVICE.md, "Distributed sweeps"). The zero value disables
-	// it: jobs execute as local runner batches exactly as before.
+	// Lease tunes the worker-pull protocol every job runs through
+	// (docs/SERVICE.md, "Job execution"). The zero value is a local
+	// daemon: default chunks, and the local executor starts at once.
 	Lease LeaseOptions
 }
 
-// LeaseOptions enables and tunes distributed execution: jobs run as
-// leasable chunks that remote floodworker processes pull over HTTP, with
-// the daemon's own local executor guaranteeing completion when no worker
-// ever connects. All knobs shape wall-clock behavior only — the result
-// CSV is byte-identical to a local run by the journal contract.
+// LeaseOptions tunes job execution: jobs run as leasable chunks that the
+// daemon's local executor and any remote floodworker processes pull, and
+// the local executor guarantees completion when no worker ever connects.
+// All knobs shape wall-clock behavior only — the result CSV is
+// byte-identical whoever ran the chunks, by the journal contract.
 type LeaseOptions struct {
-	// Enabled turns the lease path on for every job this service runs.
-	Enabled bool
 	// ChunkSize is how many cells one lease carries. <= 0 means 4.
 	ChunkSize int
 	// TTL is the lease lifetime between heartbeats. <= 0 means 15s.
 	TTL time.Duration
-	// MaxAttempts is the per-chunk poison threshold (silent expiries plus
-	// reported failures). <= 0 means 5.
+	// MaxAttempts is the per-chunk poison threshold on lost leases
+	// (silent expiries and partial reports). A reported cell failure
+	// fails the job at once: the reporting executor already spent the
+	// spec's retries. <= 0 means 5.
 	MaxAttempts int
 	// LocalGrace is the head start remote workers get before the daemon's
 	// local executor begins pulling chunks itself. 0 means the local
@@ -329,7 +330,7 @@ func (s *Service) Jobs() []*Job {
 }
 
 // Cancel cancels the job with the given id: a queued job is finalized as
-// canceled immediately, a running one has its batch cancelled (with a
+// canceled immediately, a running one is stopped (with a
 // user-cancel cause, so it lands in StateCanceled, not the drain path).
 // Cancelling a terminal job fails with ErrJobTerminal.
 func (s *Service) Cancel(id string) error {
@@ -380,7 +381,7 @@ func (s *Service) Cancel(id string) error {
 }
 
 // Drain stops the service for shutdown: no new submissions are accepted,
-// the active batch (if any) is cancelled with runner.ErrShutdown so its
+// the active job (if any) is stopped with runner.ErrShutdown so its
 // job stays resumable, queued jobs stay queued on disk, and the
 // scheduler goroutine exits. It returns once the scheduler has settled
 // or ctx expires. A second Drain is a no-op that still waits.
@@ -427,103 +428,7 @@ func (s *Service) scheduler() {
 	}
 }
 
-// runJob executes one job — as a local runner batch, or through the
-// distributed lease protocol when Options.Lease is enabled — and settles
-// its fate.
-func (s *Service) runJob(j *Job) {
-	grid, err := Compile(j.spec)
-	if err != nil {
-		s.settle(j, StateFailed, err.Error())
-		return
-	}
-	jrn, err := runner.OpenJournal(filepath.Join(j.dir, "journal.jsonl"), grid.JournalKey(), true)
-	if err != nil {
-		s.settle(j, StateFailed, err.Error())
-		return
-	}
-	defer jrn.Close()
-
-	if s.opts.Lease.Enabled {
-		s.runDistributed(j, grid, jrn)
-		return
-	}
-
-	ropts := grid.Options()
-	ropts.Journal = jrn
-	ropts.Telemetry = j.Registry
-	ropts.Progress = j.observe
-	for i := range grid.Jobs {
-		grid.Jobs[i].Telemetry = j.Registry
-	}
-
-	ctx := context.Background()
-	if s.opts.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, s.opts.JobTimeout, errJobWall)
-		defer cancel()
-	}
-
-	j.mu.Lock()
-	j.state = StateRunning
-	j.started = time.Now().UTC()
-	j.resumed = jrn.Completed()
-	batch := runner.Start(ctx, grid.Jobs, ropts)
-	j.stop = batch.Cancel
-	userCanceled := j.canceled
-	j.mu.Unlock()
-	s.logf("job %s: running (%d cells, %d journaled)", j.ID, len(grid.Cells), jrn.Completed())
-
-	// Close the drain race: Drain may have set draining between the
-	// scheduler popping this job and the stopper landing in j.stop.
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		batch.Cancel(runner.ErrShutdown)
-	}
-	if userCanceled {
-		batch.Cancel(errUserCancel)
-	}
-
-	rs, _ := batch.Wait()
-	if err := jrn.Err(); err != nil {
-		s.logf("job %s: journal degraded: %v", j.ID, err)
-	}
-
-	ferr := rs.Err()
-	switch {
-	case ferr == nil:
-		if err := s.writeResult(j, grid, rs); err != nil {
-			s.settle(j, StateFailed, err.Error())
-			return
-		}
-		s.settle(j, StateDone, "")
-	case errors.Is(ferr, runner.ErrShutdown):
-		// Drained mid-run: back to queued, no terminal status on disk —
-		// the next daemon re-queues and the journal resumes the batch.
-		j.mu.Lock()
-		j.state = StateQueued
-		j.stop = nil
-		j.mu.Unlock()
-		s.logf("job %s: interrupted by drain, will resume on restart", j.ID)
-	case errors.Is(ferr, errUserCancel):
-		s.settle(j, StateCanceled, errUserCancel.Error())
-	case errors.Is(ferr, errJobWall):
-		s.settle(j, StateFailed, fmt.Sprintf("job exceeded wall-clock budget %v", s.opts.JobTimeout))
-	default:
-		// Name the first failing cell the way cmd/sweep does.
-		msg := ferr.Error()
-		for i := range rs {
-			if rs[i].Err != nil {
-				msg = fmt.Sprintf("%s: %v", grid.Cells[i], rs[i].Err)
-				break
-			}
-		}
-		s.settle(j, StateFailed, msg)
-	}
-}
-
-// writeResult renders the batch CSV atomically into the job directory
+// writeResult renders the job's CSV atomically into the job directory
 // (temp file + rename), so a crash can never leave a torn artifact.
 func (s *Service) writeResult(j *Job, grid *Grid, rs runner.Results) error {
 	f, err := os.CreateTemp(j.dir, "result-*.tmp")

@@ -56,7 +56,7 @@ func slowSpec() service.Spec {
 
 // newService builds a Service over a fresh (or given) directory and
 // registers its drain with test cleanup.
-func newService(t *testing.T, dir string, opts service.Options) *service.Service {
+func newService(t testing.TB, dir string, opts service.Options) *service.Service {
 	t.Helper()
 	opts.Dir = dir
 	s, err := service.New(opts)
@@ -331,6 +331,92 @@ func TestServiceDrainResumeByteIdentical(t *testing.T) {
 		if st := j2.Status(); st.Resumed == 0 {
 			t.Fatalf("resumed job reports Resumed = 0, want > 0 (status %+v)", st)
 		}
+	}
+}
+
+// TestServiceDrainKeepsFinishedCells: a drain that lands mid-chunk still
+// journals the chunk's finished cells, so the resumed job does not
+// simulate them again. One puller runs the whole grid as one chunk, and
+// the drain waits until the runner has finished some of its cells.
+func TestServiceDrainKeepsFinishedCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second grid; skipped in -short")
+	}
+	spec := slowSpec()
+	want := referenceCSV(t, spec)
+	dir := t.TempDir()
+	opts := service.Options{Lease: service.LeaseOptions{ChunkSize: 12}}
+
+	s1 := newService(t, dir, opts)
+	j, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := j.Registry.Counter("runner.jobs.done")
+	for deadline := time.Now().Add(60 * time.Second); finished.Value() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the runner finished fewer than 2 cells within 60s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	atDrain := int(finished.Value())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := j.State(); st != service.StateQueued {
+		t.Fatalf("job = %s after a mid-chunk drain, want queued", st)
+	}
+
+	s2 := newService(t, dir, opts)
+	j2, ok := s2.Job(j.ID)
+	if !ok {
+		t.Fatalf("job %s not resurrected on restart", j.ID)
+	}
+	if st := waitState(t, s2, j.ID, 120*time.Second); st != service.StateDone {
+		t.Fatalf("resumed job state = %s (%s)", st, j2.Status().Error)
+	}
+	if got := j2.Status().Resumed; got < atDrain {
+		t.Fatalf("resumed with %d journaled cells, want at least the %d finished before the drain", got, atDrain)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, j.ID, "result.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed result differs from uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestSmallJobRunsCellsConcurrently: a job of fewer cells than a chunk
+// still keeps its batch parallelism in flight. Both cells of the one
+// chunk overrun a wall-clock timeout; run side by side they fail
+// together after one timeout, where a chunk simulated one cell at a time
+// would take two.
+func TestSmallJobRunsCellsConcurrently(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	spec := service.Spec{
+		Protocols: []string{"dbao"},
+		Duties:    []float64{0.01},
+		Seeds:     2,
+		M:         1500, // well over a second per cell
+		Coverage:  0.99,
+		TopoSeed:  1,
+		Parallel:  2,
+		Timeout:   service.Duration(timeout),
+	}
+	s := newService(t, t.TempDir(), service.Options{})
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, s, j.ID, 60*time.Second); st != service.StateFailed {
+		t.Fatalf("job = %s, want failed on the timeout", st)
+	}
+	st := j.Status()
+	if d := st.Finished.Sub(*st.Started); d >= 2*timeout-timeout/4 {
+		t.Fatalf("two %v timeouts took %v from start to failure: the cells ran one after the other", timeout, d)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package service turns the batch simulation stack into a long-running
 // job API: it accepts sweep specifications as JSON, validates them
 // against the same configuration surface cmd/sweep exposes as flags,
-// schedules each job as one internal/runner batch (with
-// runner.SplitParallelism dividing the machine between batch- and
-// shard-level workers), streams progress over server-sent events, and
+// runs each job as leasable chunks that the daemon and any floodworker
+// pull (with runner.SplitParallelism dividing the machine between batch-
+// and shard-level workers), streams progress over server-sent events, and
 // persists every job to a journal-backed directory so a killed daemon
 // resumes byte-identically on restart.
 //
-// The package splits into three layers:
+// The package splits into four layers:
 //
 //   - Spec/Grid (spec.go): the declarative sweep description and its
 //     compiled form — cells, fully-specified sim.Configs, the journal
@@ -18,10 +18,13 @@
 //     scheduler goroutine, per-job state machines with telemetry
 //     registries and subscriber fan-out, and the on-disk layout behind
 //     crash-resume.
+//   - Execution (exec.go): every job as chunks arbitrated by
+//     internal/lease, the daemon's local executor, and RunChunk, the
+//     chunk executor cmd/floodworker shares.
 //   - Handler (http.go): the stdlib-HTTP surface — POST /v1/jobs,
-//     status, SSE events, result artifacts, DELETE-to-cancel, and the
-//     /debug/vars + pprof endpoints (telemetry.Server's private-mux
-//     pattern).
+//     status, SSE events, result artifacts, DELETE-to-cancel, the lease
+//     endpoints, and the /debug/vars + pprof endpoints
+//     (telemetry.Server's private-mux pattern).
 //
 // cmd/floodd is the daemon front-end; docs/SERVICE.md is the API
 // reference and operations guide.

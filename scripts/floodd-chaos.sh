@@ -81,7 +81,7 @@ job_state() {
 # --- Phase 1: distributed daemon + worker fleet under fire. -----------------
 
 "$workdir/floodd" -addr 127.0.0.1:0 -dir "$workdir/jobs" \
-  -distributed -chunk 1 -lease-ttl "$ttl" -lease-attempts 10 \
+  -chunk 1 -lease-ttl "$ttl" -lease-attempts 10 \
   -local-grace 120s 2> "$workdir/floodd1.err" &
 dpid=$!
 pids="$pids $dpid"
@@ -148,7 +148,7 @@ echo "floodd-chaos: SIGKILLed daemon 1 mid-sweep"
 # --- Phase 2: restart over the same directory and finish. -------------------
 
 "$workdir/floodd" -addr 127.0.0.1:0 -dir "$workdir/jobs" \
-  -distributed -chunk 1 -lease-ttl "$ttl" -lease-attempts 10 \
+  -chunk 1 -lease-ttl "$ttl" -lease-attempts 10 \
   -local-grace 1s 2> "$workdir/floodd2.err" &
 dpid2=$!
 pids="$pids $dpid2"
