@@ -33,8 +33,8 @@ bench-engine:
 	$(GO) run ./cmd/engbench -o BENCH_engine.json
 
 # Refresh the committed large-topology baseline (10k/100k-node GreenOrbs
-# grid: serial engine, keyed engine inline and on nproc workers; median and
-# quartiles of 5 alternating reps per row, plus host metadata).
+# grid: the engine inline and on nproc workers; median and quartiles of 5
+# alternating reps per row, plus host metadata).
 bench-scale:
 	$(GO) run ./cmd/engbench -scale -o BENCH_scale.json
 
@@ -83,8 +83,8 @@ trace-smoke:
 	sh scripts/trace-smoke.sh
 
 # Timer-protocol certification through the CLI: a small trickle+dflood
-# sweep built with -race, byte-identical CSVs at shard workers 1 vs 4,
-# and a deterministic serial rerun. Mirrored in CI.
+# sweep built with -race, byte-identical CSVs at slot workers 0, 1 and 4,
+# and a deterministic rerun. Mirrored in CI.
 protocol-smoke:
 	sh scripts/protocol-smoke.sh
 

@@ -4,14 +4,10 @@ package main
 //
 // Where BENCH_engine.json times the paper-scale 298-node grid, the scale
 // grid times the engine on 10k- and 100k-node ScaledGreenOrbs instances at
-// 1% duty, in up to three configurations per cell:
+// 1% duty, in two configurations per cell:
 //
-//   - serial: the historical serial engine (Workers: 0), which scans all
-//     n nodes every slot. Measured at 10k nodes only; at 100k it would
-//     dominate the run for a number the 10k cells already pin.
-//   - keyed1: the keyed-stream engine inline (Workers: 1), which
-//     activates the CSR adjacency and the bucketed awake-set fast paths.
-//   - keyed-nproc: the keyed-stream engine on its worker pool, Workers =
+//   - keyed1: the engine inline (Workers: 1).
+//   - keyed-nproc: the engine on its worker pool, Workers =
 //     runtime.NumCPU() (recorded in the row).
 //
 // Every number is measured wall clock. Each row runs -scale-reps times;
@@ -21,10 +17,8 @@ package main
 // runs. The document records the host (CPU model, nproc, GOMAXPROCS),
 // without which a worker-count comparison means nothing.
 //
-// The serial and keyed engines draw from different (both certified) RNG
-// disciplines, so their slot horizons legitimately differ. The two keyed
-// rows of a cell must produce identical Results; the command fails
-// otherwise.
+// The two rows of a cell must produce identical Results; the command
+// fails otherwise.
 
 import (
 	"encoding/json"
@@ -51,8 +45,8 @@ type scaleRow struct {
 	Protocol string `json:"protocol"`
 	Nodes    int    `json:"nodes"`
 	Links    int    `json:"links"`
-	// Engine is serial, keyed1 or keyed-nproc; Workers is the
-	// sim.Config.Workers value it ran with.
+	// Engine is keyed1 or keyed-nproc; Workers is the sim.Config.Workers
+	// value it ran with.
 	Engine  string `json:"engine"`
 	Workers int    `json:"workers"`
 	Reps    int    `json:"reps"`
@@ -91,12 +85,11 @@ type scaleBaseline struct {
 var scaleGrid = []struct {
 	nodes    int
 	protocol string
-	serial   bool
 }{
-	{10000, "opt", true},
-	{10000, "dbao", true},
-	{100000, "opt", false},
-	{100000, "dbao", false},
+	{10000, "opt"},
+	{10000, "dbao"},
+	{100000, "opt"},
+	{100000, "dbao"},
 }
 
 const scalePeriod = 100
@@ -112,7 +105,7 @@ func runScale(out, against string, tol float64, reps int) error {
 	}
 	fmt.Printf("host: %s, nproc %d, GOMAXPROCS %d\n", doc.Host.CPU, doc.Host.NProc, doc.Host.GOMAXPROCS)
 	for _, cell := range scaleGrid {
-		rows, err := measureScaleCell(cell.nodes, cell.protocol, reps, cell.serial)
+		rows, err := measureScaleCell(cell.nodes, cell.protocol, reps)
 		if err != nil {
 			return fmt.Errorf("%s/%d: %w", cell.protocol, cell.nodes, err)
 		}
@@ -182,7 +175,7 @@ func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string
 
 // measureScaleCell builds the topology and times the cell's engine
 // configurations, alternating between them run by run.
-func measureScaleCell(nodes int, protocol string, reps int, serial bool) ([]scaleRow, error) {
+func measureScaleCell(nodes int, protocol string, reps int) ([]scaleRow, error) {
 	fmt.Printf("building scaled-greenorbs %d...\n", nodes)
 	g, err := topology.GenerateGreenOrbs(topology.ScaledGreenOrbsConfig(nodes), 1)
 	if err != nil {
@@ -194,9 +187,6 @@ func measureScaleCell(nodes int, protocol string, reps int, serial bool) ([]scal
 		workers int
 	}
 	engines := []engine{{"keyed1", 1}, {"keyed-nproc", runtime.NumCPU()}}
-	if serial {
-		engines = append([]engine{{"serial", 0}}, engines...)
-	}
 	rows := make([]scaleRow, len(engines))
 	cfgs := make([]sim.Config, len(engines))
 	results := make([]*sim.Result, len(engines))
@@ -216,9 +206,9 @@ func measureScaleCell(nodes int, protocol string, reps int, serial bool) ([]scal
 		}
 	}
 
-	// Heap cost of one keyed run, measured before any timing so the
+	// Heap cost of one inline run, measured before any timing so the
 	// allocation profile is cold-start-representative.
-	keyed1 := slices.IndexFunc(rows, func(r scaleRow) bool { return r.Engine == "keyed1" })
+	const keyed1 = 0
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -259,7 +249,7 @@ func measureScaleCell(nodes int, protocol string, reps int, serial bool) ([]scal
 		rows[i].Q1NS = int64(stats.Percentile(times[i], 25))
 		rows[i].Q3NS = int64(stats.Percentile(times[i], 75))
 		rows[i].Slots = results[i].TotalSlots
-		if rows[i].Engine != "serial" && !reflect.DeepEqual(results[i], results[keyed1]) {
+		if !reflect.DeepEqual(results[i], results[keyed1]) {
 			return nil, fmt.Errorf("%s and %s results diverge", rows[i].Name, rows[keyed1].Name)
 		}
 		fmt.Printf("%-24s workers=%-2d median=%9.1fms  IQR=%7.1fms  slots=%d\n",

@@ -83,7 +83,7 @@ func main() {
 		backoff   = flag.Duration("backoff", time.Second, "base delay before the first retry, doubling per attempt")
 		out       = flag.String("out", "", "output CSV path (default stdout)")
 		parallel  = flag.Int("parallel", 0, "batch-runner workers (0 = GOMAXPROCS); the CSV is identical for every value")
-		workers   = flag.Int("workers", 0, "per-run shard workers: 0 = historical serial engine, >= 1 = sharded deterministic mode (identical results for every count), -1 = auto-split the machine between batch and shard workers")
+		workers   = flag.Int("workers", 0, "per-run slot workers: 0 or 1 = inline, n > 1 = a pool of n, -1 = auto-split the machine between batch and shard workers; results are identical for every value")
 		timeout   = flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); an overrunning cell fails with a typed timeout error")
 		progress  = flag.Bool("progress", false, "print live batch progress to stderr")
 		traceDir  = flag.String("trace-dir", "", "write one event trace per cell into this directory (created if missing)")
@@ -294,7 +294,7 @@ func run(w io.Writer, sc sweepConfig) error {
 		}
 	}
 	if sc.journalPath != "" {
-		j, err := runner.OpenJournal(sc.journalPath, grid.JournalKey(), sc.resume)
+		j, err := grid.OpenJournal(sc.journalPath, sc.resume)
 		if err != nil {
 			if sc.resume {
 				return diagnoseResume(err, sc.journalPath, grid.JournalKey())

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -321,6 +322,66 @@ func TestRunResumeLegacyJournal(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "older sweep release") {
 		t.Fatalf("grid mismatch misdiagnosed as legacy journal: %v", err)
+	}
+}
+
+// TestRunResumeV1Journal resumes journals keyed by a release with two slot
+// disciplines ("sweep|...|sharded=<bool>|faults=..."): a sharded=true
+// journal holds keyed-engine results and resumes to the uninterrupted CSV;
+// a sharded=false one holds serial-engine results and must fail with a
+// diagnosis naming the retired serial engine.
+func TestRunResumeV1Journal(t *testing.T) {
+	sc := testConfig()
+	sc.seeds = 2
+	var want bytes.Buffer
+	if err := run(&want, sc); err != nil {
+		t.Fatal(err)
+	}
+	for _, sharded := range []bool{true, false} {
+		// A journaled run, then its journal rewritten into what an older
+		// release would have left behind: v1 header, one record.
+		path := filepath.Join(t.TempDir(), "sweep.journal")
+		scJ := sc
+		scJ.journalPath = path
+		var scratch bytes.Buffer
+		if err := run(&scratch, scJ); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		key, err := runner.ReadJournalKey(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest, ok := strings.CutPrefix(key, "sweep/v2|")
+		i := strings.LastIndex(rest, "|faults=")
+		if !ok || i < 0 {
+			t.Fatalf("unexpected journal key %q", key)
+		}
+		v1 := "sweep|" + rest[:i] + fmt.Sprintf("|sharded=%v", sharded) + rest[i:]
+		header := fmt.Sprintf("{\"journal\":\"ldcflood-runner\",\"v\":1,\"key\":%q}\n", v1)
+		if err := os.WriteFile(path, append([]byte(header), lines[1]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		var got bytes.Buffer
+		scJ.resume = true
+		err = run(&got, scJ)
+		if !sharded {
+			if err == nil || !strings.Contains(err.Error(), "serial engine") {
+				t.Fatalf("resuming a sharded=false journal: err = %v, want the serial-engine diagnosis", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("resuming a sharded=true journal: %v", err)
+		}
+		if got.String() != want.String() {
+			t.Fatal("resumed sweep CSV differs from the uninterrupted run")
+		}
 	}
 }
 

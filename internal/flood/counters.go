@@ -4,8 +4,8 @@ import "ldcflood/internal/telemetry"
 
 // suppCounters is the message/suppression accounting shared by the
 // timer-driven protocols (Trickle, DFlood). Counts are mutated only in the
-// serial protocol phases (Intents / SelectIntents), so they are safe under
-// sharded resolution, and every counted event is a pure function of the
+// serial selection pass (SelectIntents), so they are safe on the worker
+// pool, and every counted event is a pure function of the
 // pre-slot world state — the values are identical across worker counts and
 // across the reference/compact time paths (certified by
 // TestProtocolCountersModeInvariant). Attaching a telemetry registry never

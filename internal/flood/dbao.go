@@ -1,8 +1,6 @@
 package flood
 
 import (
-	"slices"
-
 	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
 )
@@ -36,41 +34,16 @@ type DBAO struct {
 	// DisableOverhearing turns the overhearing mechanism off (ablation).
 	DisableOverhearing bool
 
-	assigned  []bool
-	audible   *audibility // carrier-sense audibility structure
-	csr       *topology.CSR
-	intentBuf []sim.Intent
-	candBuf   []dbaoCand
-	firingBuf []dbaoCand
-	sel       selScratch
+	assigned []bool
+	audible  *audibility // carrier-sense audibility structure
+	csr      *topology.CSR
+	sel      selScratch
 
 	// csGraph / csFactor memoize the audibility structure: graphs are
 	// immutable by convention, so repeated runs over the same topology
 	// (sweeps, the batch runner) skip the rebuild.
 	csGraph  *topology.Graph
 	csFactor float64
-}
-
-// dbaoCand is one back-off candidate: a neighbor holding a packet the
-// waking receiver needs, with the link quality that ranks it. The FCFS
-// packet it would send is computed only for the candidates that actually
-// fire (the world is frozen during Intents, so deferring the OldestNeeded
-// scan is exact).
-type dbaoCand struct {
-	node int
-	prr  float64
-}
-
-// dbaoRank orders candidates by the deterministic back-off rank: best link
-// quality first, node id breaking ties.
-func dbaoRank(a, b dbaoCand) int {
-	if a.prr != b.prr {
-		if a.prr > b.prr {
-			return -1
-		}
-		return 1
-	}
-	return a.node - b.node
 }
 
 // NewDBAO returns a fresh DBAO instance with default parameters.
@@ -134,67 +107,5 @@ func (d *DBAO) CollisionsApply() bool { return true }
 // Overhears implements sim.Protocol.
 func (d *DBAO) Overhears() bool { return !d.DisableOverhearing }
 
-// Intents implements sim.Protocol.
-func (d *DBAO) Intents(w *sim.World) []sim.Intent {
-	out := d.intentBuf[:0]
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			// No neighbor can hold anything r lacks, so the candidate scan
-			// below would admit nobody (and draw no RNG) — skip it.
-			continue
-		}
-		cands := d.candBuf[:0]
-		row, prrs := d.csr.Row(r)
-		for i, s32 := range row {
-			s := int(s32)
-			if d.assigned[s] {
-				continue
-			}
-			if w.AnyNeeded(s, r) && !deferToReception(w, s) {
-				cands = append(cands, dbaoCand{node: s, prr: prrs[i]})
-			}
-		}
-		d.candBuf = cands
-		if len(cands) == 0 {
-			continue
-		}
-		// Deterministic back-off ranks: best link quality first, node id
-		// breaking ties — every candidate computes the same order locally.
-		// Only the rank-ordering of the *hidden* candidates is observable
-		// (their fire/defer draws happen in rank order), so find the winner
-		// with a linear max and sort just the handful of candidates that
-		// cannot hear it, rather than the whole candidate list.
-		wi := 0
-		for i := 1; i < len(cands); i++ {
-			if dbaoRank(cands[i], cands[wi]) < 0 {
-				wi = i
-			}
-		}
-		winner := cands[wi].node
-		hidden := d.firingBuf[:0]
-		for i, c := range cands {
-			if i == wi || d.audible.has(c.node, winner) {
-				continue // carrier sense: hears the winner's earlier start
-			}
-			hidden = append(hidden, c)
-		}
-		d.firingBuf = hidden
-		slices.SortFunc(hidden, dbaoRank)
-		d.assigned[winner] = true
-		out = append(out, sim.Intent{From: winner, To: r, Packet: w.OldestNeeded(winner, r)})
-		for _, c := range hidden {
-			if w.ProtoRNG.Bool(d.HiddenFireProb) {
-				d.assigned[c.node] = true
-				out = append(out, sim.Intent{From: c.node, To: r, Packet: w.OldestNeeded(c.node, r)})
-			}
-		}
-	}
-	d.intentBuf = out
-	// assigned holds exactly the senders emitted above; clearing those
-	// entries instead of the whole array keeps the reset proportional to
-	// the slot's actual transmissions.
-	for _, in := range out {
-		d.assigned[in.From] = false
-	}
-	return out
-}
+// Intents implements sim.Protocol through the planner (sim.PlanIntents).
+func (d *DBAO) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, d) }

@@ -29,8 +29,9 @@ import (
 // Like Trickle, every timing quantity is a pure function of the pre-slot
 // world state and a keyed stream captured at Reset (jitter is keyed by
 // (node, packet, attempt)); the attempt counters advance only at emit
-// time in the serial phases. No engine hook is needed and the schedule is
-// bit-identical across the serial, sharded, reference and compact paths.
+// time in the serial selection pass. No engine hook is needed and the
+// schedule is bit-identical across worker counts and the reference and
+// compact time paths.
 type DFlood struct {
 	// Tmin and Tmax bound the per-packet forwarding delay in slots. Zero
 	// selects the exemplar defaults (5 and 65).
@@ -44,17 +45,16 @@ type DFlood struct {
 	// selects the default (6).
 	MaxDoublings int
 	// DisableOverhearing restricts DFlood to pure unicast receptions
-	// (used by the serial-vs-planner metamorphic tests).
+	// (used by the exact-optimum oracle tests).
 	DisableOverhearing bool
 
-	m         int // packets per run (w.M), fixed at Reset
-	csr       *topology.CSR
-	timer     rngutil.Stream
-	assigned  []bool
-	attempts  []int32 // attempts[s*m+p]: transmissions of p by s so far
-	intentBuf []sim.Intent
-	sel       selScratch
-	supp      suppCounters
+	m        int // packets per run (w.M), fixed at Reset
+	csr      *topology.CSR
+	timer    rngutil.Stream
+	assigned []bool
+	attempts []int32 // attempts[s*m+p]: transmissions of p by s so far
+	sel      selScratch
+	supp     suppCounters
 }
 
 // NewDFlood returns a DFlood instance with the exemplar's parameters
@@ -182,56 +182,8 @@ func (d *DFlood) pairChoice(w *sim.World, s, r int, now int64) (pkt int, require
 	return pkt, required, false
 }
 
-// Intents implements sim.Protocol: for each awake receiver, the due
-// neighbor with the earliest forwarding slot (ties to the first in row
-// order) transmits its chosen packet; duplicate-blocked pairs are tallied
-// but stay silent. The full row is scanned so the suppression tally
-// matches the planner path exactly.
-func (d *DFlood) Intents(w *sim.World) []sim.Intent {
-	out := d.intentBuf[:0]
-	now := w.Now()
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			continue
-		}
-		row, _ := d.csr.Row(r)
-		best, bestPkt := -1, 0
-		var bestReq int64
-		for _, s32 := range row {
-			s := int(s32)
-			if !w.AnyNeeded(s, r) {
-				continue
-			}
-			pkt, req, blocked := d.pairChoice(w, s, r, now)
-			if pkt < 0 {
-				continue
-			}
-			if blocked {
-				d.supp.note(s32)
-				continue
-			}
-			if d.assigned[s] {
-				continue
-			}
-			if deferToReception(w, s) {
-				continue
-			}
-			if best < 0 || req < bestReq {
-				best, bestReq, bestPkt = s, req, pkt
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		d.assigned[best] = true
-		d.attempts[best*d.m+bestPkt]++
-		d.supp.message()
-		out = append(out, sim.Intent{From: best, To: r, Packet: bestPkt})
-	}
-	d.intentBuf = out
-	for _, in := range out {
-		d.assigned[in.From] = false
-	}
-	d.supp.endSlot()
-	return out
-}
+// Intents implements sim.Protocol through the planner (sim.PlanIntents):
+// for each awake receiver, the due neighbor with the earliest forwarding
+// slot (ties to the first in row order) transmits its chosen packet;
+// duplicate-blocked pairs are tallied but stay silent.
+func (d *DFlood) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, d) }

@@ -11,9 +11,9 @@ func setAudibilityDenseLimit(n int) func() {
 }
 
 // setDeferProb pins the shared defer-to-reception probability. Zeroing it
-// removes the protocols' only randomness, putting serial and sharded
-// executions on a common deterministic subspace the metamorphic tests
-// compare bit-for-bit. Returns a restore function.
+// removes the protocols' only unconditional randomness, putting them on
+// the deterministic subspace the hand-derived tests pin. Returns a
+// restore function.
 func setDeferProb(p float64) func() {
 	old := deferProb
 	deferProb = p

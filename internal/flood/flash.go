@@ -14,10 +14,9 @@ import (
 // degenerates into the worst possible protocol, which is itself the
 // instructive ablation.
 type Flash struct {
-	assigned  []bool
-	csr       *topology.CSR
-	intentBuf []sim.Intent
-	sel       selScratch
+	assigned []bool
+	csr      *topology.CSR
+	sel      selScratch
 }
 
 // NewFlash returns a fresh Flash instance.
@@ -40,33 +39,5 @@ func (f *Flash) CollisionsApply() bool { return true }
 // promiscuous reception.
 func (f *Flash) Overhears() bool { return true }
 
-// Intents implements sim.Protocol.
-func (f *Flash) Intents(w *sim.World) []sim.Intent {
-	out := f.intentBuf[:0]
-	for _, r := range w.AwakeList() {
-		row, _ := f.csr.Row(r)
-		for _, s32 := range row {
-			s := int(s32)
-			if f.assigned[s] {
-				continue
-			}
-			pkt := w.OldestNeeded(s, r)
-			if pkt < 0 {
-				continue
-			}
-			if deferToReception(w, s) {
-				continue
-			}
-			f.assigned[s] = true
-			out = append(out, sim.Intent{From: s, To: r, Packet: pkt})
-		}
-	}
-	f.intentBuf = out
-	// assigned holds exactly the senders emitted above; clearing those
-	// entries instead of the whole array keeps the reset proportional to
-	// the slot's actual transmissions.
-	for _, in := range out {
-		f.assigned[in.From] = false
-	}
-	return out
-}
+// Intents implements sim.Protocol through the planner (sim.PlanIntents).
+func (f *Flash) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, f) }

@@ -25,10 +25,13 @@
 //     Flash is registered in New but excluded from the Names evaluation
 //     set.
 //
-// Trickle and DFlood derive all timer state from keyed RNG streams
-// captured at Reset plus pure world-state reads, so their schedules are
-// bit-identical across the serial/sharded and reference/compact engine
-// paths; their suppression behavior is tuned for liveness under the
+// Every protocol decides through one implementation, the
+// sim.ShardPlanner pair PlanReceiver + SelectIntents (planner.go); its
+// Intents method runs that pair inline through sim.PlanIntents. Trickle
+// and DFlood derive all timer state from keyed RNG streams captured at
+// Reset plus pure world-state reads, so their schedules are bit-identical
+// across worker counts and the reference/compact time paths; their
+// suppression behavior is tuned for liveness under the
 // receiver-initiated engine (see the type docs for the exact backoff and
 // suppression preconditions).
 package flood
@@ -67,17 +70,3 @@ func New(name string) (sim.Protocol, error) {
 // excluded because it additionally requires sim.Config.CaptureProb > 0;
 // request it explicitly with New("flash").
 func Names() []string { return []string{"opt", "dbao", "of", "naive", "trickle", "dflood"} }
-
-// deferToReception reports whether a prospective sender should stay silent
-// this slot to keep its own reception opportunity open. A node that is
-// awake and still missing packets cannot receive while it transmits
-// (semi-duplex); if two such nodes deterministically elect each other as
-// senders every period they starve forever. Every protocol therefore lets
-// an awake, needy sender abstain with a small probability, which breaks
-// mutual-transmission cycles within a few periods at negligible delay cost.
-func deferToReception(w *sim.World, sender int) bool {
-	if !w.IsAwake(sender) || !w.NeedsAnything(sender) {
-		return false
-	}
-	return w.ProtoRNG.Bool(deferProb)
-}

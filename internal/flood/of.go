@@ -23,13 +23,11 @@ type OF struct {
 	// DisableOpportunistic restricts OF to pure tree forwarding (ablation).
 	DisableOpportunistic bool
 
-	tr        *tree.Tree
-	expDelay  []float64
-	assigned  []bool
-	csr       *topology.CSR
-	intentBuf []sim.Intent
-	pktBuf    []int
-	sel       selScratch
+	tr       *tree.Tree
+	expDelay []float64
+	assigned []bool
+	csr      *topology.CSR
+	sel      selScratch
 
 	// treeGraph / treePeriod memoize the energy-optimal tree and its
 	// expected-delay distribution across runs over the same (immutable)
@@ -72,77 +70,15 @@ func (o *OF) CollisionsApply() bool { return true }
 // through overhearing.
 func (o *OF) Overhears() bool { return false }
 
-// Intents implements sim.Protocol.
-func (o *OF) Intents(w *sim.World) []sim.Intent {
-	out := o.intentBuf[:0]
-	for _, r := range w.AwakeList() {
-		parent := o.tr.Parent[r]
-		parentServes := false
-		if parent >= 0 && !o.assigned[parent] && !deferToReception(w, parent) {
-			if pkt := w.OldestNeeded(parent, r); pkt >= 0 {
-				o.assigned[parent] = true
-				out = append(out, sim.Intent{From: parent, To: r, Packet: pkt})
-				parentServes = true
-			}
-		}
-		if o.DisableOpportunistic {
-			continue
-		}
-		// Opportunistic senders: non-parent neighbors holding a needed
-		// packet decide independently; they cannot know whether the parent
-		// is about to transmit, so collisions with it are possible. Each
-		// sender normalizes its forwarding probability by the local
-		// candidate density (part of OF's p-value computation) so the
-		// expected number of opportunistic transmissions per wake-up stays
-		// O(Aggressiveness) rather than O(degree).
-		nbrs, prrs := o.csr.Row(r)
-		if cap(o.pktBuf) < len(nbrs) {
-			o.pktBuf = make([]int, len(nbrs))
-		}
-		// pkts caches OldestNeeded per neighbor between the density count and
-		// the firing loop: the world is frozen during Intents, and assigned
-		// only grows between the loops, so every neighbor the firing loop
-		// considers was scanned here.
-		pkts := o.pktBuf[:len(nbrs)]
-		oppCands := 0
-		for i, s32 := range nbrs {
-			s := int(s32)
-			pkts[i] = -1
-			if s != parent && !o.assigned[s] {
-				if pkt := w.OldestNeeded(s, r); pkt >= 0 {
-					pkts[i] = pkt
-					oppCands++
-				}
-			}
-		}
-		if oppCands == 0 {
-			continue
-		}
-		for i, s32 := range nbrs {
-			s := int(s32)
-			if s == parent || o.assigned[s] {
-				continue
-			}
-			pkt := pkts[i]
-			if pkt < 0 {
-				continue
-			}
-			q := o.forwardProbability(w, r, pkt, prrs[i], parentServes, oppCands)
-			if q > 0 && w.ProtoRNG.Bool(q) && !deferToReception(w, s) {
-				o.assigned[s] = true
-				out = append(out, sim.Intent{From: s, To: r, Packet: pkt})
-			}
-		}
-	}
-	o.intentBuf = out
-	// assigned holds exactly the senders emitted above; clearing those
-	// entries instead of the whole array keeps the reset proportional to
-	// the slot's actual transmissions.
-	for _, in := range out {
-		o.assigned[in.From] = false
-	}
-	return out
-}
+// Intents implements sim.Protocol through the planner (sim.PlanIntents):
+// the tree parent serves its child when free; opportunistic senders
+// (non-parent neighbors holding a needed packet) decide independently and
+// cannot know whether the parent is about to transmit, so collisions with
+// it are possible. Each normalizes its forwarding probability by the local
+// candidate density (part of OF's p-value computation), so the expected
+// number of opportunistic transmissions per wake-up stays
+// O(Aggressiveness) rather than O(degree).
+func (o *OF) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, o) }
 
 // forwardProbability is the opportunistic forwarding decision: compare the
 // packet's age against its expected tree-path arrival at the receiver. A

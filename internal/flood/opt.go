@@ -17,10 +17,9 @@ type OPT struct {
 	// one unicast per slot.
 	DisableOverhearing bool
 
-	assigned  []bool
-	csr       *topology.CSR
-	intentBuf []sim.Intent
-	sel       selScratch
+	assigned []bool
+	csr      *topology.CSR
+	sel      selScratch
 }
 
 // NewOPT returns a fresh OPT instance.
@@ -44,43 +43,7 @@ func (o *OPT) CollisionsApply() bool { return false }
 // scheme, contradicting its definition.
 func (o *OPT) Overhears() bool { return !o.DisableOverhearing }
 
-// Intents implements sim.Protocol: for each awake receiver, its
-// highest-PRR neighbor holding a needed packet transmits the FCFS packet.
-// A sender serves one receiver per slot (semi-duplex); contended receivers
-// fall back to their next-best holder.
-func (o *OPT) Intents(w *sim.World) []sim.Intent {
-	out := o.intentBuf[:0]
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			// No neighbor can hold anything r lacks, so the selection scan
-			// below would elect nobody (and draw no RNG) — skip it.
-			continue
-		}
-		bestS, bestPRR := -1, 0.0
-		row, prrs := o.csr.Row(r)
-		for i, s32 := range row {
-			s := int(s32)
-			if o.assigned[s] {
-				continue
-			}
-			if prrs[i] > bestPRR || (prrs[i] == bestPRR && bestS >= 0 && s < bestS) {
-				if w.AnyNeeded(s, r) && !deferToReception(w, s) {
-					bestS, bestPRR = s, prrs[i]
-				}
-			}
-		}
-		if bestS < 0 {
-			continue
-		}
-		o.assigned[bestS] = true
-		out = append(out, sim.Intent{From: bestS, To: r, Packet: w.OldestNeeded(bestS, r)})
-	}
-	o.intentBuf = out
-	// assigned holds exactly the senders emitted above; clearing those
-	// entries instead of the whole array keeps the reset proportional to
-	// the slot's actual transmissions.
-	for _, in := range out {
-		o.assigned[in.From] = false
-	}
-	return out
-}
+// Intents implements sim.Protocol through the planner (sim.PlanIntents):
+// for each awake receiver, its highest-PRR neighbor holding a needed packet
+// transmits the FCFS packet.
+func (o *OPT) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, o) }

@@ -1,36 +1,32 @@
 package flood
 
-// sim.ShardPlanner implementations for every protocol in the package.
-//
-// Under Workers >= 1 the engine moves the per-receiver candidate scan —
-// the dominant serial cost of a slot — onto the worker pool, replacing the
-// shared sequential ProtoRNG with (slot, node)-keyed sub-streams so every
-// receiver's candidates are a pure function of (seed, slot, pre-slot world
-// state) regardless of worker count or scan order. The cheap cross-receiver
-// contention state (a sender serves one receiver per slot; OF's density
-// divisor) stays in the serial SelectIntents pass.
+// sim.ShardPlanner implementations for every protocol in the package —
+// each protocol's one decision implementation. The engine runs the
+// per-receiver candidate scan (PlanReceiver) on its worker pool, drawing
+// from (slot, node)-keyed sub-streams so every receiver's candidates are a
+// pure function of (seed, slot, pre-slot world state) regardless of worker
+// count or scan order. The cheap cross-receiver contention state (a sender
+// serves one receiver per slot; OF's density divisor) stays in the serial
+// SelectIntents pass. Each protocol's Intents runs the same pair inline
+// through sim.PlanIntents, so a decorator that hides the planner methods
+// from the engine floods byte-identically.
 //
 // Keying scheme (all under the slot's protocol stream, which the engine
 // derives at sim's protoStreamKey — disjoint from the engine's own node
 // keys):
 //
 //   - defer-to-reception: SubValue2(sender, deferTag). One decision per
-//     sender per slot. The serial path re-draws on every occurrence of a
-//     sender across receiver scans; a keyed per-occurrence draw would need
-//     a (receiver, sender, occurrence) key whose extra correlation buys
-//     nothing, so the sharded path intentionally collapses it to one
-//     decision — a semantic (not statistical) deviation the sharded
-//     contract permits, since sharded results only promise identity across
-//     worker counts, not identity with Workers == 0.
+//     sender per slot, shared by every receiver that sees the sender as a
+//     candidate.
 //   - per-pair fire draws (DBAO/Naive hidden terminals, OF opportunistic
 //     forwarding): SubValue2(receiver, sender).Float64(), stashed in
 //     Candidate.U. Receiver != sender on every link and deferTag exceeds
 //     any node id, so the two key families never collide.
 //
-// Stored uniforms are compared as U < p, which agrees with the serial
-// path's Bool(p) at both degenerate ends (p <= 0 never fires, p >= 1
-// always fires, since U < 1 by construction) — the property the
-// deterministic-subspace metamorphic tests exploit.
+// Stored uniforms are compared as U < p, so the degenerate probabilities
+// are exact: p <= 0 never fires and p >= 1 always fires (U < 1 by
+// construction) — the deterministic subspace the hand-derived tests in
+// oracle_test.go pin.
 //
 // PlanReceiver bodies are concurrency-clean: they read the World, the CSR
 // and immutable protocol config, and append only to the engine-provided
@@ -45,8 +41,8 @@ import (
 )
 
 // deferProb is the defer-to-reception probability shared by every protocol
-// (see deferToReception). A package variable so tests can zero it and land
-// in the protocols' deterministic subspace.
+// (see deferKeyed). A package variable so tests can zero it and land in the
+// protocols' deterministic subspace.
 var deferProb = 0.25
 
 // deferTag keys the per-sender defer decision under the slot's protocol
@@ -64,22 +60,27 @@ const (
 	// opportunistic density count.
 	candParent uint8 = 1 << 1
 	// candAudibleTop marks a DBAO candidate audible to the receiver's
-	// top-ranked candidate. DBAO plans its candidates in rank order, so
-	// when the top candidate is unassigned at selection time it is the
-	// back-off winner and the hidden-terminal test is this precomputed
-	// (parallel) bit instead of a serial audibility search.
+	// top-ranked candidate, which DBAO plans first. When the top candidate
+	// is unassigned at selection time it is the back-off winner and the
+	// hidden-terminal test is this precomputed (parallel) bit instead of a
+	// serial audibility search.
 	candAudibleTop uint8 = 1 << 2
 	// candSuppressed marks a Trickle/DFlood candidate whose firing is
 	// suppressed this slot (redundancy rule / duplicate penalty).
 	// Selection never emits it — it is planned only so the serial
-	// selection pass can tally the suppression exactly as the serial
-	// Intents scan does (PlanReceiver itself must stay mutation-free).
+	// selection pass can tally the suppression (PlanReceiver itself must
+	// stay mutation-free).
 	candSuppressed uint8 = 1 << 3
 )
 
-// deferKeyed is the sharded-path defer-to-reception decision: same
-// predicate as deferToReception, with the draw keyed by (slot, sender)
-// instead of consumed from the sequential ProtoRNG.
+// deferKeyed reports whether a prospective sender stays silent this slot
+// to keep its own reception opportunity open. A node that is awake and
+// still missing packets cannot receive while it transmits (semi-duplex);
+// if two such nodes deterministically elect each other as senders every
+// period they starve forever. Every protocol therefore lets an awake,
+// needy sender abstain with probability deferProb, which breaks
+// mutual-transmission cycles within a few periods at negligible delay
+// cost. The draw is keyed by (slot, sender).
 func deferKeyed(w *sim.World, sender int, slot *rngutil.Stream) bool {
 	if !w.IsAwake(sender) || !w.NeedsAnything(sender) {
 		return false
@@ -96,8 +97,8 @@ func pairU(slot *rngutil.Stream, r, s int) float64 {
 }
 
 // selScratch is the per-protocol SelectIntents scratch: the senders
-// assigned this slot (for the sparse assigned reset the serial Intents
-// path also uses) and candidate filter/sort buffers.
+// assigned this slot (for a sparse reset of assigned, proportional to the
+// slot's transmissions) and candidate filter/sort buffers.
 type selScratch struct {
 	emitted []int32
 	cands   []sim.Candidate
@@ -107,10 +108,7 @@ type selScratch struct {
 // ---- OPT ----
 
 // PlanReceiver implements sim.ShardPlanner: every neighbor holding a
-// packet r needs and not deferring is a candidate, sorted into selection
-// rank order (PRR descending, node ascending) so the serial selection is
-// a first-unassigned walk. Rows are ascending, so the node tie-break
-// equals the serial rule's "first in row order among PRR ties".
+// packet r needs and not deferring is a candidate, in row order.
 func (o *OPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
 	if !w.NeedsAnything(r) {
 		return buf
@@ -122,32 +120,30 @@ func (o *OPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.
 			buf = append(buf, sim.Candidate{Node: s32, Packet: sim.PacketFCFS, PRR: prrs[i]})
 		}
 	}
-	if len(buf) > 1 {
-		slices.SortFunc(buf, dbaoRankCand)
-	}
 	return buf
 }
 
-// SelectIntents implements sim.ShardPlanner: the serial scan's selection
-// rule — highest-PRR unassigned candidate, first in row order among ties
-// — applied per receiver in ascending order. Candidates arrive
-// rank-sorted from PlanReceiver, so the winner is simply the first
-// unassigned one.
+// SelectIntents implements sim.ShardPlanner: per receiver in ascending
+// order, the best-ranked unassigned candidate (highest PRR, lowest node id
+// among ties) transmits. A sender serves one receiver per slot
+// (semi-duplex); a contended receiver falls back to its next-best holder.
 func (o *OPT) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := o.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {
-		r := plan.Receiver(i)
 		cands := plan.Candidates(i)
+		wi := -1
 		for j := range cands {
-			s := cands[j].Node
-			if o.assigned[s] {
-				continue
+			if !o.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
+				wi = j
 			}
-			o.assigned[s] = true
-			sel = append(sel, s)
-			emit(sim.Intent{From: int(s), To: r, Packet: sim.PacketFCFS}, cands[j].PRR)
-			break
 		}
+		if wi < 0 {
+			continue
+		}
+		s := cands[wi].Node
+		o.assigned[s] = true
+		sel = append(sel, s)
+		emit(sim.Intent{From: int(s), To: plan.Receiver(i), Packet: sim.PacketFCFS}, cands[wi].PRR)
 	}
 	for _, s := range sel {
 		o.assigned[s] = false
@@ -157,8 +153,9 @@ func (o *OPT) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.I
 
 // ---- DBAO ----
 
-// dbaoRankCand is dbaoRank over planned candidates.
-func dbaoRankCand(a, b sim.Candidate) int {
+// dbaoRank orders candidates by the deterministic back-off rank: best link
+// quality first, node id breaking ties.
+func dbaoRank(a, b sim.Candidate) int {
 	if a.PRR != b.PRR {
 		if a.PRR > b.PRR {
 			return -1
@@ -169,11 +166,13 @@ func dbaoRankCand(a, b sim.Candidate) int {
 }
 
 // PlanReceiver implements sim.ShardPlanner: the back-off candidate set
-// (needed holders that did not defer) with pre-drawn hidden-fire uniforms,
-// sorted into back-off rank order with audibility against the top-ranked
-// candidate precomputed. Sorting and the audibility searches are the
-// expensive parts of DBAO's selection rule; doing them here puts them on
-// the worker pool and leaves SelectIntents a near-trivial serial walk.
+// (needed holders that did not defer) with pre-drawn hidden-fire uniforms.
+// The top-ranked candidate is found by a linear max and swapped to the
+// front, and every other candidate's audibility to it is precomputed
+// (candAudibleTop) — the audibility searches are the expensive part of
+// DBAO's selection rule, so doing them here puts them on the worker pool.
+// The rest of the list stays in row order: only the hidden candidates'
+// rank order is observable, and SelectIntents sorts just those.
 func (d *DBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
 	if !w.NeedsAnything(r) {
 		return buf
@@ -186,10 +185,15 @@ func (d *DBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim
 		}
 	}
 	if len(buf) > 1 {
-		slices.SortFunc(buf, dbaoRankCand)
-		top := int(buf[0].Node)
+		top := 0
 		for j := 1; j < len(buf); j++ {
-			if d.audible.has(int(buf[j].Node), top) {
+			if dbaoRank(buf[j], buf[top]) < 0 {
+				top = j
+			}
+		}
+		buf[0], buf[top] = buf[top], buf[0]
+		for j := 1; j < len(buf); j++ {
+			if d.audible.has(int(buf[j].Node), int(buf[0].Node)) {
 				buf[j].Flags |= candAudibleTop
 			}
 		}
@@ -197,14 +201,13 @@ func (d *DBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim
 	return buf
 }
 
-// SelectIntents implements sim.ShardPlanner: deterministic back-off winner
-// plus hidden candidates firing on their stashed uniforms, in rank order.
-// Candidates arrive rank-sorted from PlanReceiver, so the winner is the
-// first unassigned candidate and the walk emits hidden candidates already
-// in rank order. When the winner is the top-ranked candidate — the common
-// case — the hidden-terminal test reads the plan-time candAudibleTop bit;
-// otherwise it falls back to the audibility search against the actual
-// winner.
+// SelectIntents implements sim.ShardPlanner: the deterministic back-off
+// winner — the best-ranked unassigned candidate — plus the hidden
+// candidates firing on their stashed uniforms, emitted in rank order. The
+// winner is the plan's top candidate unless an earlier receiver already
+// took it, in which case a linear scan finds the best unassigned one and
+// the hidden-terminal test falls back to the audibility search against
+// it. Only the firing hidden candidates are sorted.
 func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := d.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {
@@ -212,9 +215,11 @@ func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.
 		cands := plan.Candidates(i)
 		wi := -1
 		for j := range cands {
-			if !d.assigned[cands[j].Node] {
+			if !d.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
 				wi = j
-				break
+				if j == 0 {
+					break // the top candidate outranks every other
+				}
 			}
 		}
 		if wi < 0 {
@@ -224,8 +229,9 @@ func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.
 		d.assigned[winner] = true
 		sel = append(sel, winner)
 		emit(sim.Intent{From: int(winner), To: r, Packet: sim.PacketFCFS}, cands[wi].PRR)
+		firing := d.sel.hidden[:0]
 		for j, c := range cands {
-			if j == wi || d.assigned[c.Node] {
+			if j == wi || d.assigned[c.Node] || c.U >= d.HiddenFireProb {
 				continue
 			}
 			if wi == 0 {
@@ -235,12 +241,15 @@ func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.
 			} else if d.audible.has(int(c.Node), int(winner)) {
 				continue
 			}
-			if c.U < d.HiddenFireProb {
-				d.assigned[c.Node] = true
-				sel = append(sel, c.Node)
-				emit(sim.Intent{From: int(c.Node), To: r, Packet: sim.PacketFCFS}, c.PRR)
-			}
+			firing = append(firing, c)
 		}
+		slices.SortFunc(firing, dbaoRank)
+		for _, c := range firing {
+			d.assigned[c.Node] = true
+			sel = append(sel, c.Node)
+			emit(sim.Intent{From: int(c.Node), To: r, Packet: sim.PacketFCFS}, c.PRR)
+		}
+		d.sel.hidden = firing
 	}
 	for _, s := range sel {
 		d.assigned[s] = false
@@ -265,10 +274,11 @@ func (n *Naive) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []si
 	return buf
 }
 
-// SelectIntents implements sim.ShardPlanner: the slot-rotated id-rank
-// winner plus hidden candidates firing on their stashed uniforms. Rows are
-// ascending, so the candidate list is already in the sorted order the
-// serial path establishes.
+// SelectIntents implements sim.ShardPlanner: among the unassigned
+// candidates in ascending id order (rows are ascending), the rank origin
+// rotates by slot — no quality knowledge, just a deterministic TDMA-ish
+// rotation every node can compute — to pick the winner; candidates hidden
+// from it (carrier sense) fire on their stashed uniforms.
 func (n *Naive) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := n.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {
@@ -353,8 +363,7 @@ func (o *OF) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.C
 // SelectIntents implements sim.ShardPlanner: the tree parent transmits if
 // free and not deferring; opportunistic candidates then fire independently
 // on their stashed uniforms against forwardProbability, whose density
-// divisor counts the still-unassigned opportunistic candidates exactly as
-// the serial scan does.
+// divisor counts the still-unassigned opportunistic candidates.
 func (o *OF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := o.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {
@@ -479,8 +488,8 @@ func (t *Trickle) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []
 
 // SelectIntents implements sim.ShardPlanner: the first unassigned,
 // unsuppressed, undeferred firing candidate in row order serves each
-// receiver — the serial scan's rule — while suppressed candidates are
-// tallied with the same per-slot sender dedupe the serial path applies.
+// receiver, while suppressed candidates are tallied once per sender per
+// slot.
 func (t *Trickle) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := t.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {

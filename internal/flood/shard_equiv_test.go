@@ -1,9 +1,9 @@
 package flood
 
-// Equivalence suite for the sharded engine (sim.Config.Workers >= 1) with
-// the real protocols: worker counts must be interchangeable byte for byte
+// Equivalence suite for the worker pool (sim.Config.Workers > 1) with the
+// real protocols: worker counts must be interchangeable byte for byte
 // across every protocol × time path × fault family, and the two time paths
-// must agree under sharding just as they do serially. Every run captures
+// must agree at every worker count. Every run captures
 // its trace in BOTH encodings — text (tracelog) and binary (tracebin) —
 // and the byte-identity guarantees are asserted on each independently,
 // plus a round-trip check that the two encodings carry identical events.
@@ -64,6 +64,12 @@ func runSharded(t *testing.T, cfg sim.Config, protocol string, workers int, comp
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runWith(t, cfg, p, workers, compact)
+}
+
+// runWith is runSharded for a given protocol instance.
+func runWith(t *testing.T, cfg sim.Config, p sim.Protocol, workers int, compact bool) (*sim.Result, traces) {
+	t.Helper()
 	var tbuf, bbuf bytes.Buffer
 	obs := fanout{text: tracelog.NewLogger(&tbuf), bin: tracebin.NewWriter(&bbuf)}
 	c := cfg
@@ -73,7 +79,7 @@ func runSharded(t *testing.T, cfg sim.Config, protocol string, workers int, comp
 	c.CompactTime = compact
 	res, err := sim.Run(c)
 	if err != nil {
-		t.Fatalf("%s workers=%d compact=%v: %v", protocol, workers, compact, err)
+		t.Fatalf("%s workers=%d compact=%v: %v", p.Name(), workers, compact, err)
 	}
 	if err := obs.text.Flush(); err != nil {
 		t.Fatal(err)
@@ -140,12 +146,11 @@ func shardCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 	return cfg
 }
 
-// TestShardEquivalenceGrid is the sharded acceptance grid: every protocol ×
-// both time paths × every fault family (plus the unfaulted case), workers
-// 1, 2, 4 (and 8 on the reference path) must produce identical results and
-// byte-identical traces; and at workers 4 the compact path must reproduce
-// the reference path, the same guarantee the serial engine certifies
-// elsewhere.
+// TestShardEquivalenceGrid is the worker-count acceptance grid: every
+// protocol × both time paths × every fault family (plus the unfaulted
+// case), workers 0 and 1 (inline), 2, 4 (and 8 on the reference path) must
+// produce identical results and byte-identical traces; and at workers 4
+// the compact path must reproduce the reference path.
 func TestShardEquivalenceGrid(t *testing.T) {
 	schedules := faultSchedules()
 	schedules["none"] = nil
@@ -158,7 +163,7 @@ func TestShardEquivalenceGrid(t *testing.T) {
 			for _, protocol := range allProtocols() {
 				ref1, refTrace1 := runSharded(t, cfg, protocol, 1, false)
 				ref4, refTrace4 := runSharded(t, cfg, protocol, 4, false)
-				for _, workers := range []int{2, 8} {
+				for _, workers := range []int{0, 2, 8} {
 					refW, refTraceW := runSharded(t, cfg, protocol, workers, false)
 					if !reflect.DeepEqual(ref1, refW) {
 						t.Errorf("%s reference: workers %d diverged from workers 1", protocol, workers)
@@ -171,11 +176,13 @@ func TestShardEquivalenceGrid(t *testing.T) {
 				}
 				equalTraces(t, refTrace1, refTrace4, protocol+" reference workers 1 vs 4")
 				cmp1, cmpTrace1 := runSharded(t, cfg, protocol, 1, true)
-				cmp2, cmpTrace2 := runSharded(t, cfg, protocol, 2, true)
-				if !reflect.DeepEqual(cmp1, cmp2) {
-					t.Errorf("%s compact: workers 2 diverged from workers 1", protocol)
+				for _, workers := range []int{0, 2} {
+					cmpW, cmpTraceW := runSharded(t, cfg, protocol, workers, true)
+					if !reflect.DeepEqual(cmp1, cmpW) {
+						t.Errorf("%s compact: workers %d diverged from workers 1", protocol, workers)
+					}
+					equalTraces(t, cmpTrace1, cmpTraceW, protocol+" compact workers 1 vs others")
 				}
-				equalTraces(t, cmpTrace1, cmpTrace2, protocol+" compact workers 1 vs 2")
 				cmp4, cmpTrace4 := runSharded(t, cfg, protocol, 4, true)
 				if !reflect.DeepEqual(cmp1, cmp4) {
 					t.Errorf("%s compact: workers 4 diverged from workers 1", protocol)

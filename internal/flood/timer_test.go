@@ -2,9 +2,8 @@ package flood
 
 // Behavior and counter suite for the timer-driven protocols (Trickle,
 // DFlood): timer arithmetic, suppression semantics, and the
-// mode-invariance of the message/suppression counters under the engine's
-// execution-path contract — identical across worker counts >= 1 on both
-// time paths, and across the two time paths at Workers == 0.
+// mode-invariance of the message/suppression counters — identical across
+// worker counts (0 and 1 inline, more on the pool) and both time paths.
 
 import (
 	"reflect"
@@ -175,8 +174,7 @@ func timerCounterRun(t *testing.T, name string, workers int, compact bool) (*sim
 
 // TestProtocolCountersModeInvariant pins the counter determinism claim in
 // counters.go: message and suppression counts are identical across worker
-// counts >= 1 on both time paths (the sharded stream), and across the two
-// time paths at Workers == 0 (the serial stream).
+// counts — inline (0, 1) and on the pool — on both time paths.
 func TestProtocolCountersModeInvariant(t *testing.T) {
 	for _, name := range []string{"trickle", "dflood"} {
 		t.Run(name, func(t *testing.T) {
@@ -185,7 +183,7 @@ func TestProtocolCountersModeInvariant(t *testing.T) {
 			for _, mode := range []struct {
 				workers int
 				compact bool
-			}{{1, false}, {2, false}, {4, false}, {1, true}, {4, true}} {
+			}{{0, false}, {1, false}, {2, false}, {4, false}, {0, true}, {1, true}, {4, true}} {
 				_, msg, supp, per := timerCounterRun(t, name, mode.workers, mode.compact)
 				if baseMsg < 0 {
 					baseMsg, baseSupp, basePer = msg, supp, per
@@ -195,12 +193,6 @@ func TestProtocolCountersModeInvariant(t *testing.T) {
 					t.Errorf("workers=%d compact=%v: counters (%d, %d) diverge from (%d, %d)",
 						mode.workers, mode.compact, msg, supp, baseMsg, baseSupp)
 				}
-			}
-			_, serialMsg, serialSupp, serialPer := timerCounterRun(t, name, 0, false)
-			_, cMsg, cSupp, cPer := timerCounterRun(t, name, 0, true)
-			if serialMsg != cMsg || serialSupp != cSupp || !reflect.DeepEqual(serialPer, cPer) {
-				t.Errorf("serial: compact path counters (%d, %d) diverge from reference (%d, %d)",
-					cMsg, cSupp, serialMsg, serialSupp)
 			}
 		})
 	}

@@ -25,11 +25,9 @@ import (
 // tallied per node (FloodCounters, flood.trickle.suppressed).
 //
 // Every timer quantity is a pure function of the pre-slot world state and
-// a keyed RNG stream captured at Reset, before any sequential protocol
-// draw: fire points are keyed by (node, interval start), so they are
-// bit-identical across the serial, sharded, reference and compact engine
-// paths with no new engine hook. The only sequential randomness is the
-// shared defer-to-reception draw.
+// a keyed RNG stream captured at Reset: fire points are keyed by (node,
+// interval start), so they are bit-identical across worker counts and the
+// reference and compact time paths with no engine hook.
 type Trickle struct {
 	// Imin is the smallest Trickle interval in slots. Zero selects the
 	// default (16).
@@ -45,17 +43,16 @@ type Trickle struct {
 	// selects the default (2); negative disables suppression.
 	K int
 	// DisableOverhearing restricts Trickle to pure unicast receptions
-	// (used by the serial-vs-planner metamorphic tests, whose overhearing
-	// semantics legitimately differ between the two paths).
+	// (used by the exact-optimum oracle tests, whose bound counts unicast
+	// receptions only).
 	DisableOverhearing bool
 
-	imax      int64
-	csr       *topology.CSR
-	timer     rngutil.Stream
-	assigned  []bool
-	intentBuf []sim.Intent
-	sel       selScratch
-	supp      suppCounters
+	imax     int64
+	csr      *topology.CSR
+	timer    rngutil.Stream
+	assigned []bool
+	sel      selScratch
+	supp     suppCounters
 }
 
 // NewTrickle returns a Trickle instance with the default parameters
@@ -65,9 +62,8 @@ func NewTrickle() *Trickle { return &Trickle{} }
 // Name implements sim.Protocol.
 func (t *Trickle) Name() string { return "Trickle" }
 
-// Reset implements sim.Protocol. It captures the keyed timer stream from
-// the protocol RNG before any sequential draw, so fire points are
-// identical on every engine path.
+// Reset implements sim.Protocol. It derives the keyed timer stream from
+// the protocol RNG, so fire points are identical on every engine path.
 func (t *Trickle) Reset(w *sim.World) {
 	if t.Imin <= 0 {
 		t.Imin = 16
@@ -179,49 +175,8 @@ func (t *Trickle) suppressedAt(w *sim.World, s int, startS int64) bool {
 	return false
 }
 
-// Intents implements sim.Protocol: for each awake receiver, the first
-// neighbor in row order whose Trickle timer is armed this slot, is not
-// suppressed, and does not defer transmits its FCFS packet. The scan
-// continues past the chosen sender so every suppressed firing is tallied
-// exactly as the planner path tallies it.
-func (t *Trickle) Intents(w *sim.World) []sim.Intent {
-	out := t.intentBuf[:0]
-	now := w.Now()
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			continue
-		}
-		row, _ := t.csr.Row(r)
-		chosen := false
-		for _, s32 := range row {
-			s := int(s32)
-			if !w.AnyNeeded(s, r) {
-				continue
-			}
-			start, length := t.intervalAt(lastResetOf(w, s), now)
-			if t.firePoint(s, start, length) > now {
-				continue
-			}
-			if t.suppressedAt(w, s, start) {
-				t.supp.note(s32)
-				continue
-			}
-			if chosen || t.assigned[s] {
-				continue
-			}
-			if deferToReception(w, s) {
-				continue
-			}
-			t.assigned[s] = true
-			chosen = true
-			t.supp.message()
-			out = append(out, sim.Intent{From: s, To: r, Packet: w.OldestNeeded(s, r)})
-		}
-	}
-	t.intentBuf = out
-	for _, in := range out {
-		t.assigned[in.From] = false
-	}
-	t.supp.endSlot()
-	return out
-}
+// Intents implements sim.Protocol through the planner (sim.PlanIntents):
+// for each awake receiver, the first neighbor in row order whose Trickle
+// timer is armed this slot, is not suppressed, and does not defer
+// transmits its FCFS packet.
+func (t *Trickle) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, t) }

@@ -128,23 +128,30 @@ func TestDeferToReceptionRules(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Each draw below uses a different slot stream, as successive slots do.
+	slot := func(i int) *rngutil.Stream { return rngutil.New(uint64(i)) }
 	// The source holds everything, so it never defers.
 	for i := 0; i < 100; i++ {
-		if deferToReception(captured, 0) {
+		if deferKeyed(captured, 0, slot(i)) {
 			t.Fatal("source deferred despite needing nothing")
 		}
 	}
 	// A dormant node never defers (it cannot receive anyway)... node 2 is
 	// dormant in the captured slot.
 	for i := 0; i < 100; i++ {
-		if deferToReception(captured, 2) {
+		if deferKeyed(captured, 2, slot(i)) {
 			t.Fatal("dormant node deferred")
 		}
 	}
-	// An awake, needy node defers sometimes but not always.
+	// An awake, needy node defers sometimes but not always, and a slot's
+	// decision is the same however often it is asked.
 	deferred, fired := 0, 0
 	for i := 0; i < 400; i++ {
-		if deferToReception(captured, 1) {
+		d := deferKeyed(captured, 1, slot(i))
+		if d != deferKeyed(captured, 1, slot(i)) {
+			t.Fatal("defer decision changed within one slot")
+		}
+		if d {
 			deferred++
 		} else {
 			fired++

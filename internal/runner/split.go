@@ -10,12 +10,10 @@ import "runtime"
 // budget remains multiplies into shard workers per job. budget <= 0 means
 // GOMAXPROCS; jobs < 1 is treated as one job.
 //
-// The returned shardWorkers is always >= 1, i.e. the sharded engine mode.
-// Callers wanting the historical serial engine (sim.Config.Workers == 0,
-// a different but equally deterministic RNG discipline) should not use
-// this helper: mixing the two modes across a sweep would make results
-// depend on the split. batchWorkers * shardWorkers never exceeds
-// max(budget, jobs-clamped minimums).
+// The returned shardWorkers is always >= 1. The split never changes
+// results: the engine's output is identical for every sim.Config.Workers
+// value. batchWorkers * shardWorkers never exceeds max(budget,
+// jobs-clamped minimums).
 func SplitParallelism(budget, jobs int) (batchWorkers, shardWorkers int) {
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)

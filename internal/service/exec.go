@@ -130,7 +130,7 @@ func (s *Service) runJob(j *Job) {
 		s.settle(j, StateFailed, err.Error())
 		return
 	}
-	jrn, err := runner.OpenJournal(filepath.Join(j.dir, "journal.jsonl"), grid.JournalKey(), true)
+	jrn, err := grid.OpenJournal(filepath.Join(j.dir, "journal.jsonl"), true)
 	if err != nil {
 		s.settle(j, StateFailed, err.Error())
 		return

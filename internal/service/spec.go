@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -118,10 +119,10 @@ type Spec struct {
 	// Compact opts into the compact-time fast path; dynamic fault
 	// schedules fall back per-run exactly as with cmd/sweep -compact.
 	Compact bool `json:"compact,omitempty"`
-	// Workers selects the engine discipline per run: 0 = historical
-	// serial engine, >= 1 = sharded deterministic mode (results identical
-	// for every count), -1 = auto-split the machine between batch and
-	// shard workers via runner.SplitParallelism.
+	// Workers is each run's slot worker count (sim.Config.Workers): 0 or
+	// 1 = inline, n > 1 = a pool of n, -1 = auto-split the machine between
+	// batch and shard workers via runner.SplitParallelism. Results are
+	// identical for every value.
 	Workers int `json:"workers,omitempty"`
 	// Parallel bounds the batch runner's worker pool (0 = GOMAXPROCS).
 	// The output is byte-identical for every value.
@@ -271,7 +272,7 @@ func Compile(spec Spec) (*Grid, error) {
 			}
 		}
 	}
-	// Resolve the engine discipline before jobs are built: Workers == -1
+	// Resolve the worker split before jobs are built: Workers == -1
 	// splits the machine budget between batch-level and shard-level
 	// parallelism (both layers are deterministic, so the CSV is identical
 	// for every split).
@@ -306,24 +307,65 @@ func Compile(spec Spec) (*Grid, error) {
 // JournalKey identifies the batch a journal belongs to: every parameter
 // that changes the simulation output, including the fault spec itself
 // (its compact JSON form hashed, so an edited spec invalidates old
-// checkpoints while re-indenting it does not) and the engine
-// discipline (serial vs sharded — two different, individually
-// deterministic RNG streams). The exact shard-worker count is NOT keyed:
-// every count >= 1 produces identical results by construction, so a
-// journal written at workers=1 resumes cleanly at workers=4. The
-// execution knobs (Parallel, Timeout, Retries, Backoff) are excluded for
-// the same reason.
+// checkpoints while re-indenting it does not). The worker counts and the
+// other execution knobs (Parallel, Timeout, Retries, Backoff) are not
+// keyed: they never change results, so a journal written at workers=1
+// resumes cleanly at workers=4. The "sweep/v2" prefix marks the key
+// format of the one-discipline engine (see OpenJournal for v1 keys).
 func (g *Grid) JournalKey() string {
-	h := fnv.New64a()
-	h.Write(g.faultJSON)
+	return "sweep/v2|" + g.keyFields() + fmt.Sprintf("|faults=%x", g.faultHash())
+}
+
+// v1JournalKey is JournalKey as releases with two slot disciplines wrote
+// it: a "sweep|" prefix and a sharded= field naming the discipline.
+func (g *Grid) v1JournalKey(sharded bool) string {
+	return "sweep|" + g.keyFields() + fmt.Sprintf("|sharded=%v|faults=%x", sharded, g.faultHash())
+}
+
+// keyFields is the grid-parameter part of the journal key.
+func (g *Grid) keyFields() string {
 	duties := make([]string, len(g.Spec.Duties))
 	for i, d := range g.Spec.Duties {
 		duties[i] = strconv.FormatFloat(d, 'g', -1, 64)
 	}
-	return fmt.Sprintf("sweep|protocols=%s|duties=%s|seeds=%d|m=%d|coverage=%g|toposeed=%d|syncerr=%g|compact=%v|sharded=%v|faults=%x",
+	return fmt.Sprintf("protocols=%s|duties=%s|seeds=%d|m=%d|coverage=%g|toposeed=%d|syncerr=%g|compact=%v",
 		strings.Join(g.Spec.Protocols, ","), strings.Join(duties, ","),
-		g.Spec.Seeds, g.Spec.M, g.Spec.Coverage, g.Spec.TopoSeed, g.Spec.SyncErr,
-		g.Spec.Compact, g.ShardWorkers > 0, h.Sum64())
+		g.Spec.Seeds, g.Spec.M, g.Spec.Coverage, g.Spec.TopoSeed, g.Spec.SyncErr, g.Spec.Compact)
+}
+
+func (g *Grid) faultHash() uint64 {
+	h := fnv.New64a()
+	h.Write(g.faultJSON)
+	return h.Sum64()
+}
+
+// ErrSerialJournal is wrapped by the error OpenJournal returns when asked
+// to resume a journal of the retired serial engine.
+var ErrSerialJournal = errors.New("journal written by the retired serial engine")
+
+// OpenJournal opens the grid's checkpoint journal at path, creating it
+// (resume=false) or resuming it (resume=true) as runner.OpenJournal does.
+// Resuming also accepts a journal an older release wrote under this grid's
+// v1 key with sharded=true: its records are keyed-engine results, exactly
+// what the current engine computes, so it resumes under its stored key. A
+// v1 journal with sharded=false holds results of the retired serial
+// engine, which differ; resuming it fails with ErrSerialJournal.
+func (g *Grid) OpenJournal(path string, resume bool) (*runner.Journal, error) {
+	key := g.JournalKey()
+	if resume {
+		if stored, err := runner.ReadJournalKey(path); err == nil {
+			switch serial := g.v1JournalKey(false); {
+			case stored == g.v1JournalKey(true):
+				key = stored
+			case stored == serial || LegacyJournalKey(stored, serial):
+				return nil, fmt.Errorf("%w: %s holds results of the serial engine (sharded=false), "+
+					"which no longer exists; every run now uses the keyed-stream engine, whose results differ. "+
+					"Recompute the grid into a fresh journal (run again without resuming, or delete the journal)",
+					ErrSerialJournal, path)
+			}
+		}
+	}
+	return runner.OpenJournal(path, key, resume)
 }
 
 // LegacyJournalKey reports whether a stored journal key matches want

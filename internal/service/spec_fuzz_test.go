@@ -43,7 +43,7 @@ func FuzzSpec(f *testing.F) {
 			return
 		}
 		if spec.Workers == -1 && g1.ShardWorkers < 1 {
-			t.Fatalf("workers -1 resolved to the serial engine (shard workers %d)", g1.ShardWorkers)
+			t.Fatalf("workers -1 resolved to shard workers %d, want >= 1", g1.ShardWorkers)
 		}
 		trip := func(g *Grid) ([]byte, *Grid) {
 			t.Helper()

@@ -37,9 +37,8 @@ func coverTarget(coverage float64, n int) int {
 type success struct{ from, to, packet int }
 
 // groupedTx is one surviving intent grouped under its receiver, with the
-// static link PRR stashed at admission time so the decision paths (serial
-// and sharded alike) never repeat the adjacency lookup — at 100k nodes
-// that lookup is a CSR binary search per draw.
+// static link PRR stashed at admission time so the decision phases never
+// repeat the adjacency lookup — a CSR binary search per draw.
 type groupedTx struct {
 	in  Intent
 	prr float64
@@ -55,7 +54,6 @@ type engine struct {
 	w          *World
 	res        *Result
 	scheds     []*schedule.Schedule
-	lossRNG    *rngutil.Stream
 	syncRNG    *rngutil.Stream
 	n          int
 	interval   int
@@ -63,18 +61,15 @@ type engine struct {
 	maxSlots   int64
 	covered    int
 
-	// linkPRR is a dense n×n PRR matrix (-1 for absent links) giving the
-	// hot loop O(1) link checks instead of adjacency scans; nil when n
-	// exceeds maxDensePRRNodes, falling back to CSR lookups.
-	linkPRR []float64
-	// csr is the graph's flat adjacency view, set whenever linkPRR is nil
-	// (large graphs) or the sharded mode is active (its overhearing phase
-	// iterates neighbor rows). Shared, read-only.
+	// csr is the graph's flat adjacency view: link lookups for plain
+	// protocols' intents and the overhearing phase's neighbor rows.
+	// Shared, read-only.
 	csr *topology.CSR
 
-	// Sharded execution mode (Config.Workers >= 1). shardRoot seeds the
-	// per-slot stream tree; slotStream is re-derived serially at the top of
-	// every sharded slot and only read by workers. See shard.go.
+	// Keyed-stream slot resolution (see shard.go). workers is the resolved
+	// Config.Workers (at least 1); shardRoot seeds the per-slot stream
+	// tree; slotStream is re-derived serially at the top of every slot and
+	// only read by workers.
 	workers    int
 	pool       *shardPool
 	shardRoot  *rngutil.Stream
@@ -95,8 +90,8 @@ type engine struct {
 	tel *simTel
 
 	// Per-slot scratch, reused across slots. rxIntents[r] collects the
-	// surviving intents targeting receiver r (replacing the former
-	// per-slot map churn); rxList is the receivers touched this slot.
+	// surviving intents of a plain (non-planner) protocol targeting
+	// receiver r; rxList is the receivers touched this slot.
 	rxIntents   [][]groupedTx
 	rxList      []int
 	successes   []success
@@ -105,7 +100,7 @@ type engine struct {
 	txTouched   []int // nodes whose transmitting flag was set this slot
 	recvTouched []int // nodes whose recvNow flag was set this slot
 
-	// Sharded-mode scratch: rxRec[i] is the decision record for rxList[i],
+	// Decision-phase scratch: rxRec[i] is the decision record for rxList[i],
 	// and senderSuccess maps a sender to its index in successes (-1
 	// otherwise), reset sparsely after every slot. ohRows/ohOff hold the
 	// slot's successful-sender neighbor rows and their prefix-sum offsets
@@ -121,45 +116,34 @@ type engine struct {
 	ohHits        []ohChunk
 	ohAll         []ohHit
 
-	// Planner-mode scratch (e.planner != nil): the slot's protocol stream
-	// root, per-worker candidate arenas, the per-awake-index plan slices,
-	// the compacted SlotPlan, the selected transmissions awaiting
-	// admission, and the pre-bound emit closure (bound once so the hot
-	// loop allocates nothing). rxFlat/rxOff replace rxIntents on this
-	// path: SelectIntents emits receiver groups contiguously in ascending
-	// order, so admitted survivors land in one flat arena with rxOff[i]
-	// marking where rxList[i]'s group starts — sequential appends and
-	// sequential group reads instead of a random-access bucket per
-	// receiver.
-	planner    ShardPlanner
-	protoSlot  rngutil.Stream
-	planArenas []planArena
-	rxPlan     [][]Candidate
-	planIdx    []idxChunk
-	plan       SlotPlan
-	planned    []groupedTx
-	rxFlat     []groupedTx
-	rxOff      []int32
-	emitFn     func(in Intent, prr float64)
+	// decideFn and overhearFn are decideChunk and overhearChunk bound once
+	// at setup, so handing them to the pool allocates nothing per slot.
+	decideFn   func(worker, chunk, lo, hi int)
+	overhearFn func(worker, chunk, lo, hi int)
 
-	// Deterministic sharded-path accounting drained into telemetry:
-	// planned candidates, receiver groups merged in phase D, and overhear
-	// candidates decided in phase E.
-	statPlanCands int64
+	// Planner-protocol state (e.planner != nil): the plan/select
+	// machinery on the engine's pool (see planner.go). rxFlat/rxOff
+	// replace rxIntents on this path: SelectIntents emits receiver groups
+	// contiguously in ascending order, so admitted survivors land in one
+	// flat arena with rxOff[i] marking where rxList[i]'s group starts —
+	// sequential appends and sequential group reads instead of a
+	// random-access bucket per receiver.
+	planner ShardPlanner
+	sp      slotPlanner
+	rxFlat  []groupedTx
+	rxOff   []int32
+
+	// Deterministic accounting drained into telemetry: receiver groups
+	// merged in phase D and overhear candidates decided in phase E (the
+	// planned-candidate tally lives in sp).
 	statMergeRecv int64
 	statOhCands   int64
 }
 
-// emitPlanned is the planner's emit callback: it stages a selected
-// transmission (with its stashed link PRR) for admission.
-func (e *engine) emitPlanned(in Intent, prr float64) {
-	e.planned = append(e.planned, groupedTx{in: in, prr: prr})
-}
-
 // Run executes one simulation until every packet reaches the coverage
 // target or the slot horizon expires. Runs are bit-for-bit reproducible for
-// a given Config (including Seed), and — for the protocols in
-// internal/flood — independent of Config.CompactTime.
+// a given Config (including Seed), independent of Config.Workers, and — for
+// the protocols in internal/flood — independent of Config.CompactTime.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -236,7 +220,6 @@ func Run(cfg Config) (*Result, error) {
 		w:          w,
 		res:        res,
 		scheds:     scheds,
-		lossRNG:    root.SubName("loss"),
 		syncRNG:    root.SubName("sync"),
 		n:          n,
 		interval:   interval,
@@ -248,47 +231,28 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Faults != nil {
 		// The fault stream is derived from (not drawn from) the root, so
-		// attaching a schedule leaves the loss/sync/protocol streams — and
+		// attaching a schedule leaves the sync/protocol/slot streams — and
 		// therefore any unfaulted behavior — untouched.
 		e.inj = cfg.Faults.Compile(cfg.Graph, root.SubName("fault"))
 		e.events = e.inj.Events()
 	}
-	if n <= maxDensePRRNodes {
-		m := make([]float64, n*n)
-		for i := range m {
-			m[i] = -1
-		}
-		for u := 0; u < n; u++ {
-			for _, l := range cfg.Graph.Neighbors(u) {
-				m[u*n+l.To] = l.PRR
-			}
-		}
-		e.linkPRR = m
+	e.csr = cfg.Graph.CSR()
+	e.workers = max(cfg.Workers, 1)
+	e.shardRoot = root.SubName("shard")
+	e.senderSuccess = make([]int32, n)
+	for i := range e.senderSuccess {
+		e.senderSuccess[i] = -1
+	}
+	e.ohSeen = make([]atomic.Bool, n)
+	e.decideFn, e.overhearFn = e.decideChunk, e.overhearChunk
+	e.pool = newShardPool(e.workers)
+	defer e.pool.close()
+	if p, ok := cfg.Protocol.(ShardPlanner); ok {
+		e.planner = p
+		e.sp = newSlotPlanner(e.pool)
 	} else {
-		e.csr = cfg.Graph.CSR()
-	}
-	if cfg.Workers > 0 {
-		e.workers = cfg.Workers
-		if e.csr == nil {
-			e.csr = cfg.Graph.CSR()
-		}
-		e.shardRoot = root.SubName("shard")
-		e.senderSuccess = make([]int32, n)
-		for i := range e.senderSuccess {
-			e.senderSuccess[i] = -1
-		}
-		e.ohSeen = make([]atomic.Bool, n)
-		if sp, ok := cfg.Protocol.(ShardPlanner); ok {
-			e.planner = sp
-			e.planArenas = make([]planArena, e.workers)
-			e.emitFn = e.emitPlanned
-		}
-		e.pool = newShardPool(e.workers)
-		defer e.pool.close()
-	}
-	if e.planner == nil {
 		// The flat rxFlat/rxOff arena replaces the per-receiver buckets on
-		// the planner path; every other path groups through rxIntents.
+		// the planner path; plain protocols group through rxIntents.
 		e.rxIntents = make([][]groupedTx, n)
 	}
 
@@ -321,34 +285,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// maxDensePRRNodes caps the engine's dense link-PRR matrix at n² float64s
-// (8 MB at the cap); larger graphs use CSR binary-search lookups, keeping
-// the engine's memory O(n+m). A variable so white-box tests can force the
-// sparse regime on small graphs.
-var maxDensePRRNodes = 1024
-
-// prr returns the link PRR of (u, v), or 0 when unlinked — Graph.PRR
-// semantics through the dense matrix when available, the CSR otherwise.
-func (e *engine) prr(u, v int) float64 {
-	if e.linkPRR != nil {
-		if p := e.linkPRR[u*e.n+v]; p >= 0 {
-			return p
-		}
-		return 0
-	}
-	return e.csr.PRROf(u, v)
-}
-
-// effPRR returns the PRR of link (u, v) at the current slot, after any
-// fault-schedule degradation. Without a schedule it is exactly prr.
-func (e *engine) effPRR(u, v int) float64 {
-	p := e.prr(u, v)
-	if e.inj != nil && p > 0 {
-		p *= e.inj.LinkScale(e.w.now, u, v)
-	}
-	return p
 }
 
 // applyFaults applies every compiled churn event due at or before slot t:
@@ -407,14 +343,14 @@ func (e *engine) inject(t int64) {
 }
 
 // runSlots is the reference execution path: iterate every wall-clock slot.
-// It supports every Config feature, including Adapt. The awake set is
-// recomputed each slot with an O(n) schedule scan — except in sharded mode
-// with static schedules, where precomputed hyperperiod buckets make the
-// recomputation O(awake); the two produce identical awake sets.
+// It supports every Config feature, including Adapt. With static schedules
+// precomputed hyperperiod buckets give the awake set in O(awake) per slot;
+// under Adapt (or an oversized hyperperiod) an O(n) schedule scan
+// recomputes it. The two produce identical awake sets.
 func (e *engine) runSlots() error {
 	w, res, cfg := e.w, e.res, &e.cfg
 	var plan *awakePlan
-	if e.workers > 0 && cfg.Adapt == nil {
+	if cfg.Adapt == nil {
 		plan = newAwakePlan(e.scheds)
 	}
 	// Without a fault injector no node can crash, so the per-node awake
@@ -465,7 +401,7 @@ func (e *engine) runSlots() error {
 				}
 			}
 		}
-		if err := e.resolve(t); err != nil {
+		if err := e.resolveSlotKeyed(t); err != nil {
 			return err
 		}
 		res.TotalSlots = t + 1
@@ -514,7 +450,7 @@ func (e *engine) runCompact(plan *compactPlan) error {
 			w.awake[i] = true
 			w.awakeList = append(w.awakeList, int(i))
 		}
-		if err := e.resolve(t); err != nil {
+		if err := e.resolveSlotKeyed(t); err != nil {
 			return err
 		}
 		res.TotalSlots = t + 1
@@ -537,26 +473,14 @@ func (e *engine) runCompact(plan *compactPlan) error {
 	return nil
 }
 
-// resolve runs one slot's protocol round on the path selected by
-// Config.Workers: the historical serial resolution (Workers == 0) or the
-// sharded discipline (see shard.go). The caller must have set w.now and the
-// awake set.
-func (e *engine) resolve(t int64) error {
-	if e.workers > 0 {
-		return e.resolveSlotSharded(t)
-	}
-	return e.resolveSlot(t)
-}
-
-// collectIntents asks the protocol for this slot's transmissions and
-// admits them. Shared verbatim by both resolution paths, so the
-// protocol-facing semantics — including the syncRNG consumption order —
-// are identical under every worker count.
+// collectIntents is phase B for a plain (non-planner) protocol: ask it for
+// this slot's transmissions and admit them in the order it returned them,
+// so the syncRNG consumption order is the protocol's own.
 func (e *engine) collectIntents(t int64) error {
 	intents := e.cfg.Protocol.Intents(e.w)
 	e.rxList = e.rxList[:0]
 	for _, in := range intents {
-		if err := e.admitIntent(in, -1, t); err != nil {
+		if err := e.admitIntent(in, t); err != nil {
 			return err
 		}
 	}
@@ -567,8 +491,8 @@ func (e *engine) collectIntents(t int64) error {
 // admitIntent validates one intent, enforces one transmission per sender,
 // applies the synchronization-miss draw, and groups the survivor under its
 // receiver with its link PRR stashed.
-func (e *engine) admitIntent(in Intent, prr float64, t int64) error {
-	prr, ok, err := e.vetIntent(in, prr, t)
+func (e *engine) admitIntent(in Intent, t int64) error {
+	prr, ok, err := e.vetIntent(in, -1, t)
 	if err != nil || !ok {
 		return err
 	}
@@ -584,7 +508,7 @@ func (e *engine) admitIntent(in Intent, prr float64, t int64) error {
 // It returns the resolved link PRR and whether the intent survives to a
 // receiver group. A negative prr means unknown — look it up;
 // planner-emitted intents pass the PRR stashed at plan time, which keeps
-// the CSR binary search off the sharded path's serial spine (links
+// the CSR binary search off the slot's serial spine (links
 // always have PRR > 0, so the link-existence check is the same either way).
 func (e *engine) vetIntent(in Intent, prr float64, t int64) (float64, bool, error) {
 	w, res, cfg := e.w, e.res, &e.cfg
@@ -598,7 +522,7 @@ func (e *engine) vetIntent(in Intent, prr float64, t int64) (float64, bool, erro
 		return 0, false, fmt.Errorf("sim: node %d does not hold packet %d", in.From, in.Packet)
 	}
 	if prr < 0 {
-		prr = e.prr(in.From, in.To)
+		prr = e.csr.PRROf(in.From, in.To)
 	}
 	if prr <= 0 {
 		return 0, false, fmt.Errorf("sim: intent over non-link %d-%d", in.From, in.To)
@@ -629,150 +553,13 @@ func (e *engine) vetIntent(in Intent, prr float64, t int64) (float64, bool, erro
 }
 
 // scaledPRR returns tx's stashed link PRR after any fault-schedule
-// degradation at slot t — effPRR without the adjacency lookup.
+// degradation at slot t.
 func (e *engine) scaledPRR(tx *groupedTx, t int64) float64 {
 	p := tx.prr
 	if e.inj != nil && p > 0 {
 		p *= e.inj.LinkScale(t, tx.in.From, tx.in.To)
 	}
 	return p
-}
-
-// resolveSlot is the historical serial slot resolution: collect intents,
-// resolve collisions/losses/capture per receiver drawing from the shared
-// loss stream in slot order, fan out overhearing, and update coverage
-// accounting. Scratch state touched during the slot is cleared before
-// returning, so consecutive calls need no O(n) wipes.
-func (e *engine) resolveSlot(t int64) error {
-	w, res, cfg := e.w, e.res, &e.cfg
-	if err := e.collectIntents(t); err != nil {
-		return err
-	}
-
-	e.successes = e.successes[:0]
-	for _, r := range e.rxList {
-		txs := e.rxIntents[r]
-		res.Transmissions += len(txs)
-		for _, tx := range txs {
-			res.TxPerNode[tx.in.From]++
-		}
-		e.targeted[r] = true
-		switch {
-		case e.inj != nil && e.inj.Jammed(t, r):
-			// Receiver-side jamming: every reception at a jammed node fails
-			// deterministically, without consuming a loss-RNG draw.
-			res.JamFailures += len(txs)
-			if cfg.Observer != nil {
-				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxJammed)
-				}
-			}
-		case w.transmitting[r]:
-			// Semi-duplex: a transmitting node cannot receive.
-			res.BusyFailures += len(txs)
-			if cfg.Observer != nil {
-				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxBusy)
-				}
-			}
-		case len(txs) > 1 && cfg.Protocol.CollisionsApply():
-			// Capture effect: the strongest signal may survive the
-			// collision (reference [17]'s flash-flooding mechanism).
-			captured := false
-			if cfg.CaptureProb > 0 && e.lossRNG.Bool(cfg.CaptureProb) {
-				best := 0
-				for j := 1; j < len(txs); j++ {
-					if e.scaledPRR(&txs[j], t) > e.scaledPRR(&txs[best], t) {
-						best = j
-					}
-				}
-				if e.lossRNG.Bool(e.scaledPRR(&txs[best], t)) {
-					captured = true
-					res.Captures++
-					bestTx := txs[best]
-					e.deliverNow(bestTx.in.Packet, r, t)
-					e.successes = append(e.successes, success{bestTx.in.From, r, bestTx.in.Packet})
-					res.CollisionFailures += len(txs) - 1
-					if cfg.Observer != nil {
-						for j, tx := range txs {
-							outcome := TxCollision
-							if j == best {
-								outcome = TxSuccess
-							}
-							cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, outcome)
-						}
-					}
-				}
-			}
-			if !captured {
-				res.CollisionFailures += len(txs)
-				if cfg.Observer != nil {
-					for _, tx := range txs {
-						cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxCollision)
-					}
-				}
-			}
-		default:
-			// Attempt in order until one succeeds; the rest of an
-			// oracle's redundant transmissions are counted as losses.
-			got := false
-			for j := range txs {
-				tx := &txs[j]
-				if got {
-					res.LossFailures++
-					if cfg.Observer != nil {
-						cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxRedundant)
-					}
-					continue
-				}
-				if e.lossRNG.Bool(e.scaledPRR(tx, t)) {
-					got = true
-					e.deliverNow(tx.in.Packet, r, t)
-					e.successes = append(e.successes, success{tx.in.From, r, tx.in.Packet})
-					if cfg.Observer != nil {
-						cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxSuccess)
-					}
-				} else {
-					res.LossFailures++
-					if cfg.Observer != nil {
-						cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxLoss)
-					}
-				}
-			}
-		}
-	}
-	// Overhearing: awake, silent, non-targeted neighbors of successful
-	// senders may pick the packet up for free. Candidates are visited in
-	// ascending node id; iterating the (small) awake list and testing
-	// adjacency is much cheaper than scanning the sender's full neighbor
-	// list when only a few nodes are awake. The sender itself is excluded
-	// by the transmitting check.
-	if cfg.Protocol.Overhears() {
-		for _, s := range e.successes {
-			for _, o := range w.awakeList {
-				if o == s.to || w.transmitting[o] || e.targeted[o] || e.recvNow[o] {
-					continue
-				}
-				if e.inj != nil && e.inj.Jammed(t, o) {
-					continue // jammed nodes cannot overhear
-				}
-				prr := e.effPRR(s.from, o)
-				if prr <= 0 || w.Has(s.packet, o) {
-					continue
-				}
-				if e.lossRNG.Bool(prr) {
-					e.deliverNow(s.packet, o, t)
-					res.Overheard++
-					if cfg.Observer != nil {
-						cfg.Observer.OnOverhear(t, s.from, o, s.packet)
-					}
-				}
-			}
-		}
-	}
-	e.accountCoverage(t)
-	e.cleanupSlot()
-	return nil
 }
 
 // accountCoverage latches per-packet coverage and first-hop milestones

@@ -1,22 +1,15 @@
 package sim
 
-// Parallel intent planning for the sharded path. Profiling the sharded
-// engine shows the serial Protocol.Intents call dominating the slot
-// (55%+ of runtime for the flood protocols): per awake receiver it scans
-// a neighbor row, probes packet bitsets, and draws contention randomness
-// from the shared sequential ProtoRNG — work that grows with the awake
-// bucket while phases C/E shrink. Amdahl then caps any worker speedup
-// near 1 no matter how parallel the decision phases are.
-//
-// ShardPlanner splits that work the same way the engine split the loss
-// draws: a parallel, per-receiver candidate scan using (slot, node)-keyed
-// streams, followed by a cheap serial selection pass for the cross-
-// receiver contention state (a sender serves one receiver per slot). A
-// protocol that implements it keeps its Workers == 0 behavior bit-for-bit
-// (the serial path never calls the planner); under Workers >= 1 its
-// results remain identical across every worker count but legitimately
-// differ from the serial stream — exactly the existing sharded contract,
-// now extended to the protocol's own draws.
+// Intent planning. A protocol's per-receiver candidate scan is the
+// dominant cost of a slot: per awake receiver it scans a neighbor row,
+// probes packet bitsets, and draws contention randomness. ShardPlanner
+// splits that work the same way the engine splits its delivery draws: a
+// per-receiver candidate scan using (slot, node)-keyed streams, which the
+// worker pool can run in parallel, followed by a cheap serial selection
+// pass for the cross-receiver contention state (a sender serves one
+// receiver per slot). A planner's results are identical across every
+// worker count, and — through PlanIntents — identical whether the engine
+// sees the planner interface or only the plain Protocol it embeds.
 //
 // Concurrency contract for PlanReceiver: it runs on pool workers, so it
 // must only read the World and protocol state and append to the provided
@@ -118,73 +111,150 @@ type idxChunk struct {
 	_   [40]byte
 }
 
-// planIntents is the sharded phase B for planner protocols: parallel
-// per-receiver candidate planning into per-worker arenas, serial
-// selection, a parallel FCFS packet-resolution pass, then the shared
-// serial admission (validation, one-tx-per-sender, syncRNG draws,
-// receiver grouping).
-func (e *engine) planIntents(t int64) error {
-	w := e.w
-	e.protoSlot = e.slotStream.SubValue(protoStreamKey)
+// slotPlanner is the plan/select machinery shared by the engine's phase B
+// and PlanIntents: per-worker candidate arenas, the per-awake-index plan
+// slices, the compacted SlotPlan, the selected transmissions, and the
+// callbacks bound once on first use so the hot loop allocates nothing.
+// w and p are the slot being planned, for the chunk callbacks.
+type slotPlanner struct {
+	pool    *shardPool
+	arenas  []planArena
+	rxPlan  [][]Candidate
+	idx     []idxChunk
+	plan    SlotPlan
+	planned []groupedTx
+	// cands tallies planned candidates for telemetry.
+	cands int64
+
+	w              *World
+	p              ShardPlanner
+	emitFn         func(in Intent, prr float64)
+	planFn, fcfsFn func(worker, chunk, lo, hi int)
+}
+
+func newSlotPlanner(pool *shardPool) slotPlanner {
+	return slotPlanner{pool: pool, arenas: make([]planArena, pool.workers)}
+}
+
+// run plans and selects one slot for p: parallel per-receiver candidate
+// planning into per-worker arenas, serial compaction and selection, then a
+// parallel FCFS packet-resolution pass. The selected transmissions, with
+// their stashed link PRRs, are left in sp.planned in emission order.
+func (sp *slotPlanner) run(w *World, p ShardPlanner) {
+	if sp.emitFn == nil {
+		sp.emitFn, sp.planFn, sp.fcfsFn = sp.emit, sp.planChunk, sp.fcfsChunk
+	}
+	sp.w, sp.p = w, p
 	list := w.awakeList
-	if cap(e.rxPlan) < len(list) {
-		e.rxPlan = make([][]Candidate, len(list))
+	if cap(sp.rxPlan) < len(list) {
+		sp.rxPlan = make([][]Candidate, len(list))
 	}
-	e.rxPlan = e.rxPlan[:len(list)]
-	for i := range e.planArenas {
-		e.planArenas[i].store = e.planArenas[i].store[:0]
+	sp.rxPlan = sp.rxPlan[:len(list)]
+	for i := range sp.arenas {
+		sp.arenas[i].store = sp.arenas[i].store[:0]
 	}
-	_, nchunks := e.pool.plan(len(list), planMinChunk)
-	for len(e.planIdx) < nchunks {
-		e.planIdx = append(e.planIdx, idxChunk{})
+	_, nchunks := sp.pool.plan(len(list), planMinChunk)
+	for len(sp.idx) < nchunks {
+		sp.idx = append(sp.idx, idxChunk{})
 	}
-	planIdx := e.planIdx[:nchunks]
-	e.pool.runShards(len(list), planMinChunk, func(worker, c, lo, hi int) {
-		a := &e.planArenas[worker]
-		ic := planIdx[c].idx[:0]
-		for k := lo; k < hi; k++ {
-			cands := e.planner.PlanReceiver(w, list[k], &e.protoSlot, a.scratch[:0])
-			a.scratch = cands
-			if len(cands) == 0 {
-				continue
-			}
-			start := len(a.store)
-			a.store = append(a.store, cands...)
-			e.rxPlan[k] = a.store[start:len(a.store):len(a.store)]
-			ic = append(ic, int32(k))
-		}
-		planIdx[c].idx = ic
-	})
+	planIdx := sp.idx[:nchunks]
+	sp.pool.runShards(len(list), planMinChunk, sp.planFn)
 
 	// Serial compaction: receivers with candidates, ascending — chunk
 	// index lists in chunk order enumerate exactly the awake-list indices
 	// that planned something, so this walk is O(planned receivers), not
 	// O(awake). Entries of rxPlan outside those lists are stale garbage
 	// from earlier slots and are never read.
-	e.plan.recvs = e.plan.recvs[:0]
-	e.plan.cands = e.plan.cands[:0]
+	sp.plan.recvs = sp.plan.recvs[:0]
+	sp.plan.cands = sp.plan.cands[:0]
 	for ci := range planIdx {
 		for _, k := range planIdx[ci].idx {
-			c := e.rxPlan[k]
-			e.plan.recvs = append(e.plan.recvs, int32(list[k]))
-			e.plan.cands = append(e.plan.cands, c)
-			e.statPlanCands += int64(len(c))
+			c := sp.rxPlan[k]
+			sp.plan.recvs = append(sp.plan.recvs, int32(list[k]))
+			sp.plan.cands = append(sp.plan.cands, c)
+			sp.cands += int64(len(c))
 		}
 	}
 
-	e.planned = e.planned[:0]
-	e.planner.SelectIntents(w, &e.plan, e.emitFn)
+	sp.planned = sp.planned[:0]
+	p.SelectIntents(w, &sp.plan, sp.emitFn)
 
 	// Resolve FCFS sentinels in parallel: the world is frozen between
-	// planning and phase D, so OldestNeeded here equals the serial path's
-	// at-emission scan.
-	e.pool.runShards(len(e.planned), fcfsMinChunk, func(_, _, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if e.planned[i].in.Packet == PacketFCFS {
-				e.planned[i].in.Packet = w.OldestNeeded(e.planned[i].in.From, e.planned[i].in.To)
-			}
+	// planning and the merge, so OldestNeeded here equals an at-emission
+	// scan.
+	sp.pool.runShards(len(sp.planned), fcfsMinChunk, sp.fcfsFn)
+}
+
+// emit stages one selected transmission, with its stashed link PRR.
+func (sp *slotPlanner) emit(in Intent, prr float64) {
+	sp.planned = append(sp.planned, groupedTx{in: in, prr: prr})
+}
+
+// planChunk plans the awake receivers list[lo:hi] into worker's arena and
+// records, in chunk c's index list, which of them planned a candidate.
+func (sp *slotPlanner) planChunk(worker, c, lo, hi int) {
+	w, list := sp.w, sp.w.awakeList
+	a := &sp.arenas[worker]
+	ic := sp.idx[c].idx[:0]
+	for k := lo; k < hi; k++ {
+		cands := sp.p.PlanReceiver(w, list[k], &w.protoSlot, a.scratch[:0])
+		a.scratch = cands
+		if len(cands) == 0 {
+			continue
 		}
-	})
+		start := len(a.store)
+		a.store = append(a.store, cands...)
+		sp.rxPlan[k] = a.store[start:len(a.store):len(a.store)]
+		ic = append(ic, int32(k))
+	}
+	sp.idx[c].idx = ic
+}
+
+// fcfsChunk resolves the PacketFCFS sentinels of planned[lo:hi].
+func (sp *slotPlanner) fcfsChunk(_, _, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if in := &sp.planned[i].in; in.Packet == PacketFCFS {
+			in.Packet = sp.w.OldestNeeded(in.From, in.To)
+		}
+	}
+}
+
+// PlanIntents runs p's PlanReceiver and SelectIntents inline over this
+// slot's awake receivers, on the slot's keyed protocol stream, and returns
+// the selected intents in emission order with PacketFCFS resolved. Every
+// planner in internal/flood implements Protocol.Intents with it, so a
+// decorator that embeds the Protocol interface — hiding the planner
+// methods from the engine, which then admits the protocol's Intents like
+// any plain protocol's — reaches exactly the decisions the engine's own
+// planning phase would, and the decorated run is byte-identical. Call it
+// only from Intents; the returned slice is reused by the next call.
+func PlanIntents(w *World, p ShardPlanner) []Intent {
+	if w.inline == nil {
+		// A one-worker pool runs every batch inline and starts no
+		// goroutine, so it needs no close.
+		w.inline = &inlinePlanner{sp: newSlotPlanner(newShardPool(1))}
+	}
+	ip := w.inline
+	ip.sp.run(w, p)
+	out := ip.out[:0]
+	for _, g := range ip.sp.planned {
+		out = append(out, g.in)
+	}
+	ip.out = out
+	return out
+}
+
+// inlinePlanner is PlanIntents' per-run state, owned by the World.
+type inlinePlanner struct {
+	sp  slotPlanner
+	out []Intent
+}
+
+// planIntents is phase B for planner protocols: plan and select on the
+// engine's pool, then the shared serial admission (validation,
+// one-tx-per-sender, syncRNG draws, receiver grouping).
+func (e *engine) planIntents(t int64) error {
+	e.sp.run(e.w, e.planner)
 
 	// Admission into the flat receiver-group arena. SelectIntents emits
 	// receiver groups contiguously in ascending receiver order (see the
@@ -195,9 +265,9 @@ func (e *engine) planIntents(t int64) error {
 	e.rxFlat = e.rxFlat[:0]
 	e.rxOff = e.rxOff[:0]
 	lastTo := -1
-	for i := range e.planned {
-		in := e.planned[i].in
-		prr, ok, err := e.vetIntent(in, e.planned[i].prr, t)
+	for _, g := range e.sp.planned {
+		in := g.in
+		prr, ok, err := e.vetIntent(in, g.prr, t)
 		if err != nil {
 			return err
 		}

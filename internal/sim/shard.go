@@ -1,26 +1,22 @@
 package sim
 
-// Sharded slot resolution (Config.Workers >= 1): the large-topology
-// execution mode. The serial engine draws every delivery decision from one
-// shared loss stream in slot order, which makes the decisions inherently
-// sequential — the position of a draw depends on the outcome of every draw
-// before it. The sharded discipline re-keys that randomness: each receiver
-// (and each potential overhearer) derives a private stream from (run seed,
-// slot, node) and consumes only it, so the per-node decisions are pure
+// Keyed-stream slot resolution, the engine's one slot discipline. Every
+// random decision of a slot comes from a stream keyed by (run seed, slot,
+// node): each receiver (and each potential overhearer) derives a private
+// stream and consumes only it, so the per-node decisions are pure
 // functions of pre-slot state and can be evaluated concurrently by a
-// bounded worker pool, then merged in a fixed ascending-node order. Results
-// are bit-for-bit identical for every worker count; they differ from the
-// Workers == 0 stream by construction (the shared-stream draw order cannot
-// be reproduced shard-locally).
+// bounded worker pool, then merged in a fixed ascending-node order.
+// Results are bit-for-bit identical for every worker count; Config.Workers
+// 0 and 1 run every phase inline.
 //
 // A slot resolves in phases:
 //
 //	A (serial)   faults, injection, chain Sync, awake set — in the caller.
 //	B            protocol intents. Protocols implementing ShardPlanner
 //	             (see planner.go) plan per-receiver candidates in parallel
-//	             and select serially; others run their serial Intents.
-//	             Validation and the syncRNG draws stay a shared sequential
-//	             stream either way.
+//	             and select serially; plain protocols return their
+//	             Intents. Validation and the syncRNG draws stay a shared
+//	             sequential stream either way.
 //	C (parallel) per-receiver delivery decisions into rxRec.
 //	D (serial)   merge rxRec in ascending receiver order: counters,
 //	             deliveries, Observer callbacks.
@@ -60,8 +56,7 @@ import (
 	"ldcflood/internal/schedule"
 )
 
-// rxKind classifies a receiver's slot outcome, mirroring the serial
-// engine's per-receiver switch.
+// rxKind classifies a receiver's slot outcome.
 type rxKind uint8
 
 const (
@@ -83,8 +78,8 @@ type rxRecord struct {
 
 // ohHit is one overhearing delivery: node decoded the success at index
 // succ. Produced into per-chunk lists, concatenated and sorted by node id
-// before application, which reproduces the serial ascending delivery
-// order regardless of which chunk claimed the node.
+// before application, so deliveries land in ascending node order
+// regardless of which chunk claimed the node.
 type ohHit struct {
 	node int32
 	succ int32
@@ -226,7 +221,7 @@ func (p *shardPool) runShards(count, minChunk int, fn func(worker, chunk, lo, hi
 }
 
 // awakePlan precomputes per-offset awake buckets over the schedule
-// hyperperiod, so the sharded reference path recomputes the awake set in
+// hyperperiod, so the reference path recomputes the awake set in
 // O(awake) per slot instead of an O(n) scan — at 100k nodes and 1% duty
 // that is the difference between touching 100k and ~1k schedule entries
 // per slot. Unlike compactPlan it carries no adjacency structure, so it
@@ -267,8 +262,7 @@ func newAwakePlan(scheds []*schedule.Schedule) *awakePlan {
 		plan.buckets[o] = backing[pos : pos : pos+c]
 		pos += c
 	}
-	// Ascending node order per bucket, matching the serial scan's
-	// AwakeList order.
+	// Ascending node order per bucket, the AwakeList order.
 	for i, s := range scheds {
 		for _, off := range s.ActiveSlots() {
 			for base := off; base < L; base += s.Period() {
@@ -279,9 +273,11 @@ func newAwakePlan(scheds []*schedule.Schedule) *awakePlan {
 	return plan
 }
 
-// resolveSlotSharded is the sharded counterpart of resolveSlot. See the
-// package comment at the top of this file for the phase structure.
-func (e *engine) resolveSlotSharded(t int64) error {
+// resolveSlotKeyed resolves one slot; the caller must have set w.now and
+// the awake set. See the comment at the top of this file for the phase
+// structure. Scratch state touched during the slot is cleared before
+// returning, so consecutive calls need no O(n) wipes.
+func (e *engine) resolveSlotKeyed(t int64) error {
 	w, res, cfg := e.w, e.res, &e.cfg
 
 	// Phase A tail: advance every fault chain to t now, serially, so the
@@ -289,9 +285,10 @@ func (e *engine) resolveSlotSharded(t int64) error {
 	if e.inj != nil {
 		e.inj.Sync(t)
 	}
-	// The slot's stream subtree root. Written here (serially), only read
-	// by workers.
+	// The slot's stream subtree root and its protocol-planning stream.
+	// Written here (serially), only read by workers.
 	e.slotStream = e.shardRoot.SubValue(uint64(t))
+	w.protoSlot = e.slotStream.SubValue(protoStreamKey)
 
 	// Phase B.
 	if e.planner != nil {
@@ -309,15 +306,10 @@ func (e *engine) resolveSlotSharded(t int64) error {
 		e.rxRec = make([]rxRecord, len(e.rxList))
 	}
 	e.rxRec = e.rxRec[:len(e.rxList)]
-	e.pool.runShards(len(e.rxList), rxMinChunk, func(_, _, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.decideReceiver(i, t)
-		}
-	})
+	e.pool.runShards(len(e.rxList), rxMinChunk, e.decideFn)
 
-	// Phase D: apply the records in ascending receiver order — the same
-	// order the serial path visits receivers — so counters, deliveries and
-	// Observer callbacks are deterministic.
+	// Phase D: apply the records in ascending receiver order, so counters,
+	// deliveries and Observer callbacks are deterministic.
 	e.successes = e.successes[:0]
 	for i, r := range e.rxList {
 		txs := e.groupTxs(i)
@@ -397,8 +389,8 @@ func (e *engine) resolveSlotSharded(t int64) error {
 	// one index space (ohOff is a prefix sum over row lengths); workers
 	// scan their index range, filter to awake, silent, untargeted nodes,
 	// claim each survivor with a compare-and-swap on its ohSeen flag —
-	// exactly one claimer decides any node, reproducing the serial
-	// dedup's accounting — and decide the claimed node against the slot's
+	// exactly one claimer decides any node — and decide the claimed node
+	// against the slot's
 	// successes. Which chunk claims a node contested between two rows is
 	// scheduling-dependent, but the decision is a pure function of
 	// (seed, slot, node), so the hit set is not; the merge sorts the hits
@@ -425,37 +417,15 @@ func (e *engine) resolveSlotSharded(t int64) error {
 				e.ohHits = append(e.ohHits, ohChunk{})
 			}
 			hits := e.ohHits[:nchunks]
-			e.pool.runShards(total, ohMinChunk, func(_, c, lo, hi int) {
-				si := sort.Search(len(rows), func(j int) bool { return int(off[j+1]) > lo })
-				hs := hits[c].hits[:0]
-				cl := hits[c].claimed[:0]
-				for k := lo; k < hi; k++ {
-					for k >= int(off[si+1]) {
-						si++
-					}
-					o := int(rows[si][k-int(off[si])])
-					if !w.awake[o] || e.targeted[o] || w.transmitting[o] || e.recvNow[o] {
-						continue
-					}
-					if !e.ohSeen[o].CompareAndSwap(false, true) {
-						continue
-					}
-					cl = append(cl, int32(o))
-					if dsi := e.decideOverhear(o, t); dsi >= 0 {
-						hs = append(hs, ohHit{node: int32(o), succ: dsi})
-					}
-				}
-				hits[c].hits, hits[c].claimed = hs, cl
-			})
+			e.pool.runShards(total, ohMinChunk, e.overhearFn)
 			all := e.ohAll[:0]
 			for c := range hits {
 				all = append(all, hits[c].hits...)
 				e.statOhCands += int64(len(hits[c].claimed))
 			}
 			e.ohAll = all
-			// Ascending node order, matching the serial path's delivery
-			// order. Node ids are unique within a slot's hits (the claim
-			// guarantees it).
+			// Ascending node order. Node ids are unique within a slot's hits
+			// (the claim guarantees it).
 			slices.SortFunc(all, func(a, b ohHit) int { return int(a.node - b.node) })
 			for _, h := range all {
 				s := e.successes[h.succ]
@@ -481,10 +451,44 @@ func (e *engine) resolveSlotSharded(t int64) error {
 	return nil
 }
 
+// decideChunk is phase C over rxList[lo:hi].
+func (e *engine) decideChunk(_, _, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.decideReceiver(i, e.w.now)
+	}
+}
+
+// overhearChunk is phase E over the index range [lo, hi) of the slot's
+// concatenated successful-sender rows (e.ohRows, offsets e.ohOff), writing
+// chunk c's hits and claims into e.ohHits[c].
+func (e *engine) overhearChunk(_, c, lo, hi int) {
+	w, rows, off := e.w, e.ohRows, e.ohOff
+	si := sort.Search(len(rows), func(j int) bool { return int(off[j+1]) > lo })
+	hs := e.ohHits[c].hits[:0]
+	cl := e.ohHits[c].claimed[:0]
+	for k := lo; k < hi; k++ {
+		for k >= int(off[si+1]) {
+			si++
+		}
+		o := int(rows[si][k-int(off[si])])
+		if !w.awake[o] || e.targeted[o] || w.transmitting[o] || e.recvNow[o] {
+			continue
+		}
+		if !e.ohSeen[o].CompareAndSwap(false, true) {
+			continue
+		}
+		cl = append(cl, int32(o))
+		if dsi := e.decideOverhear(o, w.now); dsi >= 0 {
+			hs = append(hs, ohHit{node: int32(o), succ: dsi})
+		}
+	}
+	e.ohHits[c].hits, e.ohHits[c].claimed = hs, cl
+}
+
 // decideReceiver computes rxRec[i]: the outcome at receiver rxList[i],
 // drawing only from the receiver's keyed stream. Pure with respect to
 // shared state — it reads pre-slot world state and writes one record. Link
-// PRRs come stashed in the intent group (admitIntent recorded them), so no
+// PRRs come stashed in the intent group (admission recorded them), so no
 // adjacency lookup happens here.
 func (e *engine) decideReceiver(i int, t int64) {
 	cfg := &e.cfg
@@ -529,8 +533,8 @@ func (e *engine) decideReceiver(i int, t int64) {
 // decideOverhear decides which of this slot's successful senders (an
 // index into successes, -1 for none) claimed candidate node o decodes.
 // Draws come from the node's keyed stream; candidates walk their own
-// neighbor row in ascending id order and the first decode wins, matching
-// the serial rule that a node receives at most once per slot. The result
+// neighbor row in ascending id order and the first decode wins — a node
+// receives at most once per slot. The result
 // is a pure function of (seed, slot, o) — independent of which chunk
 // claimed o. Nodes outside the candidate set would never have reached a
 // draw — they have no successful-sender neighbor — so restricting the

@@ -1,10 +1,11 @@
 package sim
 
-// Edge-case certification for the sharded path's pool and planner
-// machinery: degenerate worker/node ratios, single-candidate batches (the
-// inline fast path), and hyperperiods with empty awake buckets. Each case
-// pins the full Result against workers=1 on both time paths, plus — for
-// the RNG-free planner protocol — against the serial path itself.
+// Edge-case certification for the pool and planner machinery: degenerate
+// worker/node ratios, single-candidate batches (the inline fast path), and
+// hyperperiods with empty awake buckets. Each case pins the full Result
+// against workers=1 on both time paths, plus against the RNG-free
+// protocol's own plain Intents scan run through the engine's plain-protocol
+// admission path.
 
 import (
 	"reflect"
@@ -17,10 +18,11 @@ import (
 )
 
 // greedyPlanner is a deterministic, RNG-free protocol implemented both as
-// a serial Intents scan and as a ShardPlanner: each awake receiver is
+// a plain Intents scan and as a ShardPlanner: each awake receiver is
 // served by its lowest-id unassigned neighbor holding a packet it needs.
-// The two implementations make identical decisions, so serial and sharded
-// runs must agree bit for bit wherever the engine's own draws are
+// The two implementations make identical decisions, so a run through the
+// planner path and a run whose engine sees only the plain protocol (see
+// plainOnly) must agree bit for bit wherever the engine's own draws are
 // degenerate (PRR 1, no sync errors) — giving the sim package a
 // planner-path oracle that does not depend on the flood protocols.
 type greedyPlanner struct {
@@ -89,6 +91,10 @@ func (p *greedyPlanner) SelectIntents(w *World, plan *SlotPlan, emit func(in Int
 
 var _ ShardPlanner = (*greedyPlanner)(nil)
 
+// plainOnly hides a protocol's planner methods from the engine, which then
+// admits the protocol's own Intents.
+type plainOnly struct{ Protocol }
+
 // lineGraph builds an n-node path with uniform link quality.
 func lineGraph(n int, prr float64) *topology.Graph {
 	g := topology.New(n)
@@ -103,10 +109,22 @@ func lineGraph(n int, prr float64) *topology.Graph {
 // the requested worker count and time path.
 func edgeRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workers int, compact bool) *Result {
 	t.Helper()
+	return greedyRun(t, g, scheds, &greedyPlanner{}, workers, compact)
+}
+
+// edgeRunPlain is edgeRun with the planner hidden: the engine runs the
+// greedy protocol's plain Intents scan.
+func edgeRunPlain(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workers int) *Result {
+	t.Helper()
+	return greedyRun(t, g, scheds, plainOnly{&greedyPlanner{}}, workers, false)
+}
+
+func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p Protocol, workers int, compact bool) *Result {
+	t.Helper()
 	res, err := Run(Config{
 		Graph:            g,
 		Schedules:        scheds,
-		Protocol:         &greedyPlanner{},
+		Protocol:         p,
 		M:                2,
 		Coverage:         1,
 		Seed:             7,
@@ -121,18 +139,18 @@ func edgeRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, worke
 	return res
 }
 
-// checkEdgeCase pins every worker count in the list — plus the serial path
-// — against workers=1, on both time paths. The greedy planner is RNG-free
-// and the config draw-free (PRR 1, no sync errors, no capture), so all of
-// them must agree bit for bit.
+// checkEdgeCase pins every worker count in the list — plus the plain
+// Intents scan — against workers=1, on both time paths. The greedy planner
+// is RNG-free and the config draw-free (PRR 1, no sync errors, no
+// capture), so all of them must agree bit for bit.
 func checkEdgeCase(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workerCounts []int) {
 	t.Helper()
 	base := edgeRun(t, g, scheds, 1, false)
 	if base.Transmissions == 0 {
 		t.Fatal("degenerate case: nothing happened, edge path not exercised")
 	}
-	if serial := edgeRun(t, g, scheds, 0, false); !reflect.DeepEqual(serial, base) {
-		t.Error("serial path diverged from sharded workers=1 on the deterministic subspace")
+	if plain := edgeRunPlain(t, g, scheds, 0); !reflect.DeepEqual(plain, base) {
+		t.Error("plain Intents scan diverged from the planner path on the deterministic subspace")
 	}
 	for _, wk := range workerCounts {
 		if got := edgeRun(t, g, scheds, wk, false); !reflect.DeepEqual(got, base) {

@@ -4,8 +4,8 @@ package sim
 // counts, awake distributions (via the chaos configuration's random graph
 // + schedule periods) and fault schedules, asserting the two byte-identity
 // contracts on every input — worker-count invariance for arbitrary
-// configurations, and serial equivalence on the deterministic subspace
-// where the RNG conventions coincide.
+// configurations, and agreement of the planner path with a plain Intents
+// scan on the deterministic subspace.
 
 import (
 	"reflect"
@@ -42,15 +42,15 @@ func FuzzShardMerge(f *testing.F) {
 		}
 
 		// Contract 2: on the deterministic subspace (RNG-free planner
-		// protocol, PRR 1, no engine draws) the merge must also reproduce
-		// the serial path exactly.
+		// protocol, PRR 1, no engine draws) the planner path must also
+		// reproduce the protocol's plain Intents scan exactly.
 		n := 4 + int(seed%13)
 		g := lineGraph(n, 1)
 		period := 1 + int(seed/4)%8
 		scheds := schedule.AssignStaggered(n, period)
-		serial := edgeRun(t, g, scheds, 0, false)
-		if got := edgeRun(t, g, scheds, workers, false); !reflect.DeepEqual(got, serial) {
-			t.Fatalf("seed %d: deterministic sharded workers %d diverged from serial", seed, workers)
+		plain := edgeRunPlain(t, g, scheds, 0)
+		if got := edgeRun(t, g, scheds, workers, false); !reflect.DeepEqual(got, plain) {
+			t.Fatalf("seed %d: planner path at workers %d diverged from the plain scan", seed, workers)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 package sim
 
-// Certification of the sharded execution mode (Config.Workers >= 1):
-// worker-count invariance, node-relabeling invariance on the RNG-free
-// subspace, equivalence of the forced large-graph data structures, and an
+// Certification of the keyed-stream slot discipline: worker-count
+// invariance, node-relabeling invariance on the RNG-free subspace,
+// equivalence of the forced large-graph data structures, and an
 // adversarial stress shape for the race detector.
 
 import (
@@ -67,7 +67,7 @@ func chaosRun(t *testing.T, seed uint64, workers int, compact bool) *Result {
 	return res
 }
 
-// TestWorkerCountInvariance is the sharded mode's core determinism
+// TestWorkerCountInvariance is the slot discipline's core determinism
 // property: for any valid configuration — chaotic protocol behaviour,
 // every fault-schedule family, capture, sync errors — the full Result is
 // bit-for-bit identical for every worker count, on both time paths.
@@ -138,10 +138,10 @@ func relabelProtocol() *FuncProtocol {
 // RNG-free subspace (PRR 1 everywhere, so no loss draw is ever consumed;
 // the protocol consumes none by construction): permuting node labels — with
 // the source fixed, since injection is defined at node 0 — must permute the
-// per-node results and leave every aggregate untouched, under the serial
-// path, the sharded path, and both time modes. For the sharded path this
-// pins down that the (slot, node)-keyed streams never leak label-dependent
-// randomness into an otherwise deterministic run.
+// per-node results and leave every aggregate untouched, inline and on the
+// pool, on both time paths. This pins down that the (slot, node)-keyed
+// streams never leak label-dependent randomness into an otherwise
+// deterministic run.
 func TestRelabelingInvariance(t *testing.T) {
 	const n, period = 40, 5
 	build := func(perm []int) (*topology.Graph, []*schedule.Schedule) {
@@ -198,10 +198,10 @@ func TestRelabelingInvariance(t *testing.T) {
 		workers int
 		compact bool
 	}{
-		{"serial", 0, false},
-		{"sharded-4", 4, false},
-		{"serial-compact", 0, true},
-		{"sharded-4-compact", 4, true},
+		{"inline", 0, false},
+		{"pool-4", 4, false},
+		{"inline-compact", 0, true},
+		{"pool-4-compact", 4, true},
 	} {
 		got := run(perm, mode.workers, mode.compact)
 		// Aggregates are label-free.
@@ -227,7 +227,7 @@ func TestRelabelingInvariance(t *testing.T) {
 		// The identity labeling must also reproduce base exactly on every
 		// mode — the RNG-free subspace makes all paths coincide.
 		if gotID := run(id, mode.workers, mode.compact); !reflect.DeepEqual(gotID, base) {
-			t.Fatalf("%s: identity run differs from serial base", mode.name)
+			t.Fatalf("%s: identity run differs from the base run", mode.name)
 		}
 	}
 }
@@ -288,8 +288,8 @@ func keyedTimerProtocol(key func(int) int) *FuncProtocol {
 // TestRelabelingInvariance for timer-driven protocols: keyed stream
 // derivations are pure functions of (key, frame), so permuting the node
 // labels AND transporting the timer keys through the same permutation must
-// permute the outcome exactly — on the serial path, the sharded path, and
-// both time modes. This is the property that lets trickle and dflood keep
+// permute the outcome exactly — inline and on the pool, on both time
+// paths. This is the property that lets trickle and dflood keep
 // bit-identical schedules across every engine mode without any engine-side
 // timer state.
 func TestKeyedTimerRelabelingInvariance(t *testing.T) {
@@ -352,10 +352,10 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 		workers int
 		compact bool
 	}{
-		{"serial", 0, false},
-		{"sharded-4", 4, false},
-		{"serial-compact", 0, true},
-		{"sharded-4-compact", 4, true},
+		{"inline", 0, false},
+		{"pool-4", 4, false},
+		{"inline-compact", 0, true},
+		{"pool-4-compact", 4, true},
 	} {
 		got := run(perm, role, mode.workers, mode.compact)
 		if got.Transmissions != base.Transmissions || got.TotalSlots != base.TotalSlots ||
@@ -374,33 +374,27 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 			}
 		}
 		if gotID := run(id, id, mode.workers, mode.compact); !reflect.DeepEqual(gotID, base) {
-			t.Fatalf("%s: identity run differs from serial base", mode.name)
+			t.Fatalf("%s: identity run differs from the base run", mode.name)
 		}
 	}
 }
 
-// TestForcedLargeGraphStructures certifies the scale substitutions are
-// RNG-neutral: forcing the CSR link-lookup path (dense matrix disabled) and
-// the compact plan's sparse adjacency on a small graph reproduces the dense
-// structures' results bit-for-bit, serial and sharded alike.
+// TestForcedLargeGraphStructures certifies the compact plan's scale
+// substitution is RNG-neutral: forcing its sparse (CSR row walk) adjacency
+// on a small graph reproduces the dense bitset's results bit-for-bit,
+// inline and on the pool.
 func TestForcedLargeGraphStructures(t *testing.T) {
 	seeds := []uint64{2, 5, 11}
 	for _, seed := range seeds {
-		dense := chaosRun(t, seed, 0, false)
-		denseC := chaosRun(t, seed, 0, true)
-		denseW := chaosRun(t, seed, 4, false)
-		restore := setDenseLimit(0)
-		restoreC := setCompactSparse(1)
-		if got := chaosRun(t, seed, 0, false); !reflect.DeepEqual(got, dense) {
-			t.Fatalf("seed %d: CSR-backed serial run diverged from dense", seed)
-		}
-		if got := chaosRun(t, seed, 0, true); !reflect.DeepEqual(got, denseC) {
+		dense := chaosRun(t, seed, 0, true)
+		denseW := chaosRun(t, seed, 4, true)
+		restore := setCompactSparse(1)
+		if got := chaosRun(t, seed, 0, true); !reflect.DeepEqual(got, dense) {
 			t.Fatalf("seed %d: sparse compact plan diverged from dense", seed)
 		}
-		if got := chaosRun(t, seed, 4, false); !reflect.DeepEqual(got, denseW) {
-			t.Fatalf("seed %d: CSR-backed sharded run diverged", seed)
+		if got := chaosRun(t, seed, 4, true); !reflect.DeepEqual(got, denseW) {
+			t.Fatalf("seed %d: sparse compact plan diverged from dense at workers 4", seed)
 		}
-		restoreC()
 		restore()
 	}
 }

@@ -1,6 +1,6 @@
 package sim
 
-// Telemetry threading for both engine execution paths. The engine resolves
+// Telemetry threading for both engine time paths. The engine resolves
 // every instrument pointer once at setup (simTel), ticks a slot counter
 // live, and drains the Result accumulators into the registry as deltas —
 // periodically (every telFlushEvery visited slots) and at run end. The
@@ -45,11 +45,11 @@ type simTel struct {
 	dropped    *telemetry.Counter
 	chainFlips *telemetry.Counter
 
-	// Sharded-path instruments, nil when Workers == 0. The batch/chunk
-	// counters drain the pool's claim accounting; the planner/merge
-	// counters drain the engine's deterministic per-slot tallies (their
-	// values are independent of worker count and of whether telemetry is
-	// attached — attaching a registry never changes results).
+	// Slot-discipline instruments. The batch/chunk counters drain the
+	// pool's claim accounting; the planner/merge counters drain the
+	// engine's deterministic per-slot tallies (their values are
+	// independent of worker count and of whether telemetry is attached —
+	// attaching a registry never changes results).
 	shardBatches *telemetry.Counter
 	shardChunks  *telemetry.Counter
 	shardItems   *telemetry.Counter
@@ -73,9 +73,8 @@ type telPrev struct {
 }
 
 // newSimTel resolves the sim counter set against reg and counts the run
-// start and chosen execution path (compact reports whether the fast path
-// was selected; workers > 0 reports the sharded resolution mode, which
-// composes with either path).
+// start and chosen time path (compact reports whether the fast path was
+// selected); workers is the run's resolved slot worker count.
 func newSimTel(reg *telemetry.Registry, compact bool, workers int) *simTel {
 	reg.Counter("sim.runs.started").Inc()
 	if compact {
@@ -83,11 +82,9 @@ func newSimTel(reg *telemetry.Registry, compact bool, workers int) *simTel {
 	} else {
 		reg.Counter("sim.path.slots").Inc()
 	}
-	if workers > 0 {
-		reg.Counter("sim.path.sharded").Inc()
-		reg.Gauge("sim.workers").Set(int64(workers))
-	}
-	st := &simTel{
+	reg.Counter("sim.path.sharded").Inc()
+	reg.Gauge("sim.workers").Set(int64(workers))
+	return &simTel{
 		slotsVisited: reg.Counter("sim.slots.visited"),
 		slotsSkipped: reg.Counter("sim.slots.skipped"),
 		txAttempts:   reg.Counter("sim.tx.attempts"),
@@ -105,16 +102,13 @@ func newSimTel(reg *telemetry.Registry, compact bool, workers int) *simTel {
 		reboots:      reg.Counter("fault.reboots"),
 		dropped:      reg.Counter("fault.packets_dropped"),
 		chainFlips:   reg.Counter("fault.chain_flips"),
+		shardBatches: reg.Counter("sim.shard.batches"),
+		shardChunks:  reg.Counter("sim.shard.chunks"),
+		shardItems:   reg.Counter("sim.shard.items"),
+		planCands:    reg.Counter("sim.shard.planner.candidates"),
+		mergeRecv:    reg.Counter("sim.shard.merge.receivers"),
+		mergeOhCands: reg.Counter("sim.shard.merge.overhear_cands"),
 	}
-	if workers > 0 {
-		st.shardBatches = reg.Counter("sim.shard.batches")
-		st.shardChunks = reg.Counter("sim.shard.chunks")
-		st.shardItems = reg.Counter("sim.shard.items")
-		st.planCands = reg.Counter("sim.shard.planner.candidates")
-		st.mergeRecv = reg.Counter("sim.shard.merge.receivers")
-		st.mergeOhCands = reg.Counter("sim.shard.merge.overhear_cands")
-	}
-	return st
 }
 
 // tick is called once per visited slot by both execution paths. It keeps
@@ -173,14 +167,12 @@ func (st *simTel) flush(e *engine) {
 			st.prev.flips = e.inj.ChainFlips()
 		}
 	}
-	if st.shardBatches != nil {
-		addDelta64(st.shardBatches, e.pool.batches, &st.prev.shardBatches)
-		addDelta64(st.shardChunks, e.pool.chunks, &st.prev.shardChunks)
-		addDelta64(st.shardItems, e.pool.items, &st.prev.shardItems)
-		addDelta64(st.planCands, e.statPlanCands, &st.prev.planCands)
-		addDelta64(st.mergeRecv, e.statMergeRecv, &st.prev.mergeRecv)
-		addDelta64(st.mergeOhCands, e.statOhCands, &st.prev.mergeOhCands)
-	}
+	addDelta64(st.shardBatches, e.pool.batches, &st.prev.shardBatches)
+	addDelta64(st.shardChunks, e.pool.chunks, &st.prev.shardChunks)
+	addDelta64(st.shardItems, e.pool.items, &st.prev.shardItems)
+	addDelta64(st.planCands, e.sp.cands, &st.prev.planCands)
+	addDelta64(st.mergeRecv, e.statMergeRecv, &st.prev.mergeRecv)
+	addDelta64(st.mergeOhCands, e.statOhCands, &st.prev.mergeOhCands)
 }
 
 // finish performs the run-end drain: the final accumulator flush, the

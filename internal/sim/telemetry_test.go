@@ -177,8 +177,8 @@ func TestTelemetryCompactPathCounters(t *testing.T) {
 	}
 }
 
-// TestTelemetryShardedCounters certifies the sharded-path instrument set:
-// attaching a registry to a Workers>0 run is invisible to results, the
+// TestTelemetryShardedCounters certifies the slot-discipline instrument
+// set: attaching a registry to a pooled run is invisible to results, the
 // path/worker gauges report the mode, the pool counters drain the claim
 // accounting exactly, and the planner/merge counters are deterministic —
 // identical across worker counts and across repeated runs.
@@ -243,15 +243,23 @@ func TestTelemetryShardedCounters(t *testing.T) {
 		}
 	}
 
-	// A serial run must register none of the sharded instruments.
+	// Workers 0 runs the same discipline inline: it reports one worker and
+	// the same deterministic merge tallies.
 	reg3 := telemetry.New()
 	cfg3 := telTestConfig(false)
 	cfg3.Telemetry = reg3
 	if _, err := Run(cfg3); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reg3.Snapshot()["sim.shard.batches"]; ok {
-		t.Error("serial run registered sharded instruments")
+	snap3 := reg3.Snapshot()
+	if got := snap3["sim.workers"]; got != 1 {
+		t.Errorf("sim.workers = %d at Workers 0, want 1", got)
+	}
+	for _, name := range []string{"sim.shard.merge.receivers", "sim.shard.merge.overhear_cands"} {
+		if snap[name] != snap3[name] {
+			t.Errorf("%s moved with worker count: %d at w=4, %d at w=0",
+				name, snap[name], snap3[name])
+		}
 	}
 }
 

@@ -27,8 +27,10 @@ type World struct {
 	M int
 	// InjectInterval is the number of slots between injections.
 	InjectInterval int
-	// ProtoRNG is a dedicated random stream for protocol-internal decisions
-	// (e.g. OF's probabilistic forwarding), split from the run seed.
+	// ProtoRNG is a sequential random stream for protocol-internal
+	// decisions, split from the run seed. Plain protocols draw from it in
+	// Intents; planners draw from the slot's keyed stream instead (see
+	// ShardPlanner) and may derive keyed streams from ProtoRNG at Reset.
 	ProtoRNG *rngutil.Stream
 
 	// has is the node-major possession bitset: bit p%64 of word
@@ -51,6 +53,12 @@ type World struct {
 	// (injection, unicast or overheard). The compact-time fast path hooks
 	// it to maintain its relevant-slot bookkeeping incrementally.
 	onDeliver func(p, node int)
+
+	// protoSlot is the slot's keyed protocol-planning stream, re-derived
+	// by the engine every slot; inline is PlanIntents' scratch, allocated
+	// on first use.
+	protoSlot rngutil.Stream
+	inline    *inlinePlanner
 }
 
 // Now returns the current slot.
@@ -382,26 +390,19 @@ type Config struct {
 	// fan-out); values then aggregate across runs. When nil (the default),
 	// the hot path pays exactly one predictable branch per slot.
 	Telemetry *telemetry.Registry
-	// Workers selects the sharded execution mode for large topologies.
+	// Workers is how many goroutines resolve each slot. The engine has one
+	// slot discipline, the keyed-stream one (see shard.go): protocol
+	// planning, receiver-side delivery decisions and overhearing draws
+	// come from RNG streams keyed by (run seed, slot, node), so they are
+	// pure functions of pre-slot state that a bounded worker pool can
+	// evaluate concurrently and merge in a fixed order.
 	//
-	// 0 (the default) runs the historical serial engine: one goroutine,
-	// one shared loss stream drawn in slot order. Its results are
-	// bit-for-bit stable across releases and match every committed golden.
-	//
-	// Workers >= 1 switches the slot resolution to the sharded discipline:
-	// receiver-side delivery decisions and overhearing draws come from
-	// per-node RNG streams keyed by (run seed, slot, node), so they can be
-	// evaluated concurrently by a bounded worker pool and merged in a fixed
-	// order. Results under this discipline are bit-for-bit identical for
-	// every worker count (Workers: 1 and Workers: 8 agree exactly; see the
-	// equivalence suite in internal/flood and property_test.go) but differ
-	// from the Workers: 0 stream, which draws from one sequential stream
-	// whose consumption order cannot be reproduced shard-locally. The
-	// sharded mode also activates the large-topology fast paths (CSR link
-	// lookups, bucketed awake sets), making it the intended configuration
-	// for 10k–100k-node runs even at Workers: 1. Negative values are
-	// rejected; counts beyond the machine's parallelism waste scheduling
-	// overhead but do not change results.
+	// 0 (the default) and 1 run every phase inline on the caller's
+	// goroutine; larger values add a pool of that many workers, which pays
+	// only on very large topologies (cmd/engbench -scale measures it).
+	// Results are bit-for-bit identical for every value (see the
+	// equivalence suites in internal/flood and shard_test.go). Negative
+	// values are rejected.
 	Workers int
 	// CompactTime enables the compact-time-scale fast path (the paper's
 	// Section III modeling move: analyze dissemination over active slots

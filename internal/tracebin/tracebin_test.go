@@ -156,19 +156,12 @@ func TestEngineEmitMatchesConversion(t *testing.T) {
 	if !bytes.Equal(direct, converted) {
 		t.Fatal("engine-attached Writer diverged from text-trace conversion")
 	}
-	// The compact fast path must reproduce the serial reference bytes.
-	if got := runBin(0, true); !bytes.Equal(got, direct) {
-		t.Error("binary trace diverged between time paths (serial engine)")
-	}
-	// The sharded engine is its own deterministic RNG discipline (results
-	// differ from serial by design), but within it every worker count and
-	// both time paths must be byte-identical.
-	sharded := runBin(1, false)
+	// Every worker count and both time paths must be byte-identical.
 	for _, mode := range []struct {
 		workers int
 		compact bool
-	}{{4, false}, {8, false}, {1, true}, {4, true}} {
-		if got := runBin(mode.workers, mode.compact); !bytes.Equal(got, sharded) {
+	}{{0, true}, {1, false}, {4, false}, {8, false}, {1, true}, {4, true}} {
+		if got := runBin(mode.workers, mode.compact); !bytes.Equal(got, direct) {
 			t.Errorf("binary trace diverged at workers=%d compact=%v", mode.workers, mode.compact)
 		}
 	}

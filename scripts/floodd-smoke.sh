@@ -90,7 +90,8 @@ fi
 grep -q 'floodd: drained' "$workdir/floodd.err"
 
 # Crash-resume: boot a fresh daemon on its own directory, submit a
-# slower serial job, kill -9 the daemon mid-run, and require a restart
+# slower job (18 cells at parallel 1), kill -9 the daemon mid-run once
+# its first cell is journaled, and require a restart
 # over the same directory to requeue, resume from the journal, and
 # finish with the full CSV.
 "$workdir/floodd" -addr 127.0.0.1:0 -dir "$workdir/jobs2" 2> "$workdir/floodd2.err" &

@@ -1,13 +1,11 @@
 #!/bin/sh
 # protocol-smoke: CI certification for the timer-driven protocols
 # (trickle, dflood). Builds cmd/sweep under the race detector, runs a
-# small trickle+dflood grid with shard workers 1 and 4, and requires the
-# two CSVs to be byte-identical — the sharded engine's worker-count
-# invariance, end to end through the CLI. The serial engine (-workers 0)
-# is a different engine family with its own RNG discipline, so it is not
-# compared against the sharded runs; instead it is run twice and required
-# to be deterministic. Run via `make protocol-smoke`; CI runs the same
-# script.
+# small trickle+dflood grid at slot workers 0 and 1 (inline) and 4 (the
+# worker pool), and requires the three CSVs to be byte-identical — the
+# engine's worker-count invariance, end to end through the CLI — and a
+# rerun at -workers 0 to reproduce its CSV. Run via `make protocol-smoke`;
+# CI runs the same script.
 set -eu
 
 workdir=$(mktemp -d)
@@ -17,27 +15,24 @@ go build -race -o "$workdir/sweep" ./cmd/sweep
 
 grid="-protocols trickle,dflood -duties 0.05,0.10 -seeds 2 -m 5"
 
-"$workdir/sweep" $grid -workers 1 -out "$workdir/w1.csv"
-"$workdir/sweep" $grid -workers 4 -out "$workdir/w4.csv"
-if ! cmp -s "$workdir/w1.csv" "$workdir/w4.csv"; then
-  echo "sharded sweep CSVs differ between -workers 1 and -workers 4:" >&2
-  diff "$workdir/w1.csv" "$workdir/w4.csv" >&2 || true
-  exit 1
-fi
-
-"$workdir/sweep" $grid -workers 0 -out "$workdir/s1.csv"
-"$workdir/sweep" $grid -workers 0 -out "$workdir/s2.csv"
-if ! cmp -s "$workdir/s1.csv" "$workdir/s2.csv"; then
-  echo "serial sweep CSV is not deterministic across reruns" >&2
-  exit 1
-fi
+for w in 0 1 4; do
+  "$workdir/sweep" $grid -workers "$w" -out "$workdir/w$w.csv"
+done
+"$workdir/sweep" $grid -workers 0 -out "$workdir/rerun.csv"
+for other in w1 w4 rerun; do
+  if ! cmp -s "$workdir/w0.csv" "$workdir/$other.csv"; then
+    echo "sweep CSV $other differs from -workers 0:" >&2
+    diff "$workdir/w0.csv" "$workdir/$other.csv" >&2 || true
+    exit 1
+  fi
+done
 
 # The grid must actually have exercised both protocols.
 for proto in trickle dflood; do
-  if ! grep -qi "^$proto," "$workdir/w1.csv"; then
+  if ! grep -qi "^$proto," "$workdir/w0.csv"; then
     echo "protocol $proto missing from the sweep CSV" >&2
     exit 1
   fi
 done
 
-echo "protocol-smoke: OK (trickle+dflood grid; workers 1 == workers 4, serial deterministic)"
+echo "protocol-smoke: OK (trickle+dflood grid; workers 0 == 1 == 4, rerun deterministic)"
