@@ -27,8 +27,10 @@ test-race:
 bench: bench-engine
 	$(GO) test -bench=. -benchmem ./...
 
-# Refresh the committed engine-throughput baseline (slow vs compact path
-# on the BenchmarkEngine grid); fails if the two paths ever diverge.
+# Refresh the committed engine-throughput baseline (one wall-clock column
+# per case on the BenchmarkEngine grid, plus the telemetry- and
+# trace-attached runs measured against it); fails if attaching either
+# instrument ever changes a result.
 bench-engine:
 	$(GO) run ./cmd/engbench -o BENCH_engine.json
 
@@ -88,8 +90,8 @@ trace-smoke:
 protocol-smoke:
 	sh scripts/protocol-smoke.sh
 
-# Randomized fault schedules vs engine invariants and compact-path
-# equivalence; CI runs a 10s smoke of this.
+# Randomized fault schedules vs engine invariants and seed determinism;
+# CI runs a 10s smoke of this.
 fuzz-faults:
 	$(GO) test -fuzz FuzzFaultSchedule -fuzztime 30s ./internal/flood
 

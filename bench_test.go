@@ -220,11 +220,9 @@ func BenchmarkRunnerBatch(b *testing.B) {
 
 // BenchmarkEngine is the engine-throughput baseline (BENCH_engine.json is
 // produced from the same grid by `make bench` via cmd/engbench): the
-// 298-node GreenOrbs topology × {OPT, DBAO, OF} × duty {1%, 5%}, with the
-// slot-by-slot reference path and the compact-time fast path side by side.
-// The compact/slow ns-per-op ratio is the fast path's speedup; the compact
-// variants must report zero steady-state allocations per slot (the
-// per-iteration allocations are Run's one-time setup).
+// 298-node GreenOrbs topology × {OPT, DBAO, OF} × duty {1%, 5%}. The
+// per-iteration allocations are Run's one-time setup; the slot loop itself
+// runs allocation-free in the steady state.
 func BenchmarkEngine(b *testing.B) {
 	g := topology.GreenOrbs(1)
 	for _, duty := range []struct {
@@ -236,46 +234,37 @@ func BenchmarkEngine(b *testing.B) {
 	} {
 		scheds := schedule.AssignUniform(g.N(), duty.period, rngutil.New(1).SubName("schedule"))
 		for _, name := range []string{"opt", "dbao", "of"} {
-			for _, mode := range []struct {
-				name    string
-				compact bool
-			}{
-				{"slow", false},
-				{"compact", true},
-			} {
-				b.Run(name+"-"+duty.name+"-"+mode.name, func(b *testing.B) {
-					// One protocol instance per sub-benchmark: Run calls
-					// Reset every iteration, and reusing the instance lets
-					// the graph-keyed Reset memoization kick in exactly as
-					// it does across a sweep's runs.
-					p, err := flood.New(name)
+			b.Run(name+"-"+duty.name, func(b *testing.B) {
+				// One protocol instance per sub-benchmark: Run calls Reset
+				// every iteration, and reusing the instance lets the
+				// graph-keyed Reset memoization kick in exactly as it does
+				// across a sweep's runs.
+				p, err := flood.New(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var slots int64
+				for i := 0; i < b.N; i++ {
+					res, err := sim.Run(sim.Config{
+						Graph:     g,
+						Schedules: scheds,
+						Protocol:  p,
+						M:         10,
+						Coverage:  0.99,
+						Seed:      1,
+					})
 					if err != nil {
 						b.Fatal(err)
 					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					var slots int64
-					for i := 0; i < b.N; i++ {
-						res, err := sim.Run(sim.Config{
-							Graph:       g,
-							Schedules:   scheds,
-							Protocol:    p,
-							M:           10,
-							Coverage:    0.99,
-							Seed:        1,
-							CompactTime: mode.compact,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if !res.Completed {
-							b.Fatal("benchmark run did not complete")
-						}
-						slots = res.TotalSlots
+					if !res.Completed {
+						b.Fatal("benchmark run did not complete")
 					}
-					b.ReportMetric(float64(slots), "sim-slots")
-				})
-			}
+					slots = res.TotalSlots
+				}
+				b.ReportMetric(float64(slots), "sim-slots")
+			})
 		}
 	}
 }

@@ -1,20 +1,19 @@
 // Command engbench produces the committed engine-throughput baseline
 // BENCH_engine.json: the BenchmarkEngine grid (298-node GreenOrbs ×
-// {OPT, DBAO, OF} × duty {1%, 5%}) timed with the slot-by-slot reference
-// path and the compact-time fast path side by side.
+// {OPT, DBAO, OF, Trickle, DFlood} × duty {1%, 5%}) timed per run.
 //
-// Each case runs -reps times per path through the batch runner
-// (single-worker, so timings are not perturbed by sibling jobs) and
-// reports the minimum wall-clock per run — the least noisy estimator on a
-// shared machine. The slow and compact results of every case are compared
-// field-for-field; a mismatch fails the command, so a committed baseline
-// also certifies fast-path equivalence on the full grid.
+// Each case runs -reps times through the batch runner (single-worker, so
+// timings are not perturbed by sibling jobs) and reports the minimum
+// wall-clock per run — the least noisy estimator on a shared machine.
 //
-// Each case also re-times the compact path with a full event trace
-// attached in both encodings (text tracelog vs binary tracebin), recording
-// the emit cost and the deterministic per-run byte counts — the committed
-// baseline doubles as the measured size-reduction record referenced by
-// docs/TRACE.md and EXPERIMENTS.md.
+// Each case is also re-timed with a telemetry registry attached and with
+// a full event trace attached in both encodings (text tracelog vs binary
+// tracebin), recording each cost against the plain run and the
+// deterministic per-run trace byte counts — the committed baseline doubles
+// as the measured size-reduction record referenced by docs/TRACE.md and
+// EXPERIMENTS.md. The instrumented results are compared field-for-field
+// with the plain one; a mismatch fails the command, so a committed
+// baseline also certifies that instrumentation never steers the engine.
 //
 // Usage:
 //
@@ -24,7 +23,7 @@
 // With -against, the fresh measurement is additionally checked against a
 // committed baseline: every case's slot horizon must match exactly (a
 // mismatch means the engine's clean-path behavior changed), and wall-clock
-// per path may not regress by more than -tolerance (a fraction; wall time
+// per column may not regress by more than -tolerance (a fraction; wall time
 // on shared machines is noisy, so keep it generous). Passing -o "" skips
 // rewriting the baseline, turning the command into a pure regression
 // guard.
@@ -55,36 +54,31 @@ type benchCase struct {
 	Protocol string `json:"protocol"`
 	Duty     string `json:"duty"`
 	Period   int    `json:"period"`
-	// SlowNS / CompactNS are minimum wall-clock nanoseconds per run over
-	// -reps repetitions of each path.
-	SlowNS    int64 `json:"slow_ns"`
-	CompactNS int64 `json:"compact_ns"`
-	// Speedup = SlowNS / CompactNS.
-	Speedup float64 `json:"speedup"`
-	// Slots is the simulated-slot horizon of the run (identical for both
-	// paths — the fast path skips visiting slots, not simulating them).
+	// NS is the minimum wall-clock nanoseconds per run over -reps
+	// repetitions.
+	NS int64 `json:"ns"`
+	// Slots is the simulated-slot horizon of the run.
 	Slots int64 `json:"slots"`
-	// Identical records that the two paths produced field-for-field equal
-	// sim.Results; engbench fails before writing output if any case is
-	// false, so a committed file always says true.
+	// Identical records that the telemetry- and trace-attached runs
+	// produced sim.Results field-for-field equal to the plain run's;
+	// engbench fails before writing output if any case is false, so a
+	// committed file always says true.
 	Identical bool `json:"identical"`
-	// TelemetryNS is the compact path re-timed with a telemetry.Registry
-	// attached, and TelemetryOverhead its fractional cost versus CompactNS
-	// (may dip below zero on a noisy machine). Baselines written before the
-	// telemetry layer omit both; guard then skips the telemetry check.
-	TelemetryNS       int64   `json:"telemetry_ns,omitempty"`
-	TelemetryOverhead float64 `json:"telemetry_overhead,omitempty"`
-	// TraceTextNS / TraceBinNS are the compact path re-timed with a full
-	// event-trace observer attached — the text encoding (internal/tracelog)
-	// versus the binary one (internal/tracebin). TraceTextBytes /
-	// TraceBinBytes are the bytes one run emits in each encoding; they are
-	// deterministic, so guard demands exact equality, while the timings get
-	// the usual tolerance. Baselines written before the trace layer omit
-	// all four; guard then skips the trace checks.
-	TraceTextNS    int64 `json:"trace_text_ns,omitempty"`
-	TraceBinNS     int64 `json:"trace_bin_ns,omitempty"`
-	TraceTextBytes int64 `json:"trace_text_bytes,omitempty"`
-	TraceBinBytes  int64 `json:"trace_bin_bytes,omitempty"`
+	// TelemetryNS is the run re-timed with a telemetry.Registry attached,
+	// and TelemetryOverhead its fractional cost versus NS (may dip below
+	// zero on a noisy machine).
+	TelemetryNS       int64   `json:"telemetry_ns"`
+	TelemetryOverhead float64 `json:"telemetry_overhead"`
+	// TraceTextNS / TraceBinNS are the run re-timed with a full event-trace
+	// observer attached — the text encoding (internal/tracelog) versus the
+	// binary one (internal/tracebin). TraceTextBytes / TraceBinBytes are
+	// the bytes one run emits in each encoding; they are deterministic, so
+	// guard demands exact equality, while the timings get the usual
+	// tolerance.
+	TraceTextNS    int64 `json:"trace_text_ns"`
+	TraceBinNS     int64 `json:"trace_bin_ns"`
+	TraceTextBytes int64 `json:"trace_text_bytes"`
+	TraceBinBytes  int64 `json:"trace_bin_bytes"`
 }
 
 // baseline is the BENCH_engine.json document.
@@ -100,7 +94,7 @@ type baseline struct {
 }
 
 func main() {
-	reps := flag.Int("reps", 5, "repetitions per case per path; the minimum wall-clock is reported")
+	reps := flag.Int("reps", 5, "repetitions per case and column; the minimum wall-clock is reported")
 	out := flag.String("o", "BENCH_engine.json", "output file (empty skips writing)")
 	against := flag.String("against", "", "committed baseline to guard against (empty skips the check)")
 	tolerance := flag.Float64("tolerance", 0.5, "allowed fractional wall-clock regression vs -against")
@@ -158,9 +152,10 @@ func main() {
 }
 
 // guard compares a fresh measurement against a committed baseline. Slot
-// horizons must match exactly — they are deterministic, so any drift means
-// the clean path's behavior changed, not that the machine was busy. Wall
-// clock may not regress by more than tol per path.
+// horizons and trace byte counts must match exactly — they are
+// deterministic, so any drift means the engine's behavior or an encoding
+// changed, not that the machine was busy. Wall clock may not regress by
+// more than tol per column.
 func guard(doc *baseline, path string, tol float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -183,41 +178,26 @@ func guard(doc *baseline, path string, tol float64) error {
 			return fmt.Errorf("%s/%s: slot horizon %d differs from baseline %d — engine behavior changed",
 				c.Protocol, c.Duty, c.Slots, b.Slots)
 		}
-		if lim := float64(b.SlowNS) * (1 + tol); float64(c.SlowNS) > lim {
-			return fmt.Errorf("%s/%s: reference path %.2fms regressed past baseline %.2fms +%.0f%%",
-				c.Protocol, c.Duty, float64(c.SlowNS)/1e6, float64(b.SlowNS)/1e6, tol*100)
+		if c.TraceTextBytes != b.TraceTextBytes {
+			return fmt.Errorf("%s/%s: text trace emits %d bytes, baseline %d — encoding changed",
+				c.Protocol, c.Duty, c.TraceTextBytes, b.TraceTextBytes)
 		}
-		if lim := float64(b.CompactNS) * (1 + tol); float64(c.CompactNS) > lim {
-			return fmt.Errorf("%s/%s: compact path %.2fms regressed past baseline %.2fms +%.0f%%",
-				c.Protocol, c.Duty, float64(c.CompactNS)/1e6, float64(b.CompactNS)/1e6, tol*100)
+		if c.TraceBinBytes != b.TraceBinBytes {
+			return fmt.Errorf("%s/%s: binary trace emits %d bytes, baseline %d — encoding changed",
+				c.Protocol, c.Duty, c.TraceBinBytes, b.TraceBinBytes)
 		}
-		// Baselines predating the telemetry layer carry no TelemetryNS;
-		// skip rather than fail so old baselines keep guarding.
-		if b.TelemetryNS > 0 {
-			if lim := float64(b.TelemetryNS) * (1 + tol); float64(c.TelemetryNS) > lim {
-				return fmt.Errorf("%s/%s: telemetry-attached path %.2fms regressed past baseline %.2fms +%.0f%%",
-					c.Protocol, c.Duty, float64(c.TelemetryNS)/1e6, float64(b.TelemetryNS)/1e6, tol*100)
-			}
-		}
-		// Likewise for baselines predating the trace layer. The byte counts
-		// are deterministic: any drift means an encoding changed, not that
-		// the machine was busy, so they must match exactly.
-		if b.TraceBinBytes > 0 {
-			if c.TraceTextBytes != b.TraceTextBytes {
-				return fmt.Errorf("%s/%s: text trace emits %d bytes, baseline %d — encoding changed",
-					c.Protocol, c.Duty, c.TraceTextBytes, b.TraceTextBytes)
-			}
-			if c.TraceBinBytes != b.TraceBinBytes {
-				return fmt.Errorf("%s/%s: binary trace emits %d bytes, baseline %d — encoding changed",
-					c.Protocol, c.Duty, c.TraceBinBytes, b.TraceBinBytes)
-			}
-			if lim := float64(b.TraceTextNS) * (1 + tol); float64(c.TraceTextNS) > lim {
-				return fmt.Errorf("%s/%s: text-traced path %.2fms regressed past baseline %.2fms +%.0f%%",
-					c.Protocol, c.Duty, float64(c.TraceTextNS)/1e6, float64(b.TraceTextNS)/1e6, tol*100)
-			}
-			if lim := float64(b.TraceBinNS) * (1 + tol); float64(c.TraceBinNS) > lim {
-				return fmt.Errorf("%s/%s: binary-traced path %.2fms regressed past baseline %.2fms +%.0f%%",
-					c.Protocol, c.Duty, float64(c.TraceBinNS)/1e6, float64(b.TraceBinNS)/1e6, tol*100)
+		for _, col := range []struct {
+			name     string
+			got, was int64
+		}{
+			{"plain run", c.NS, b.NS},
+			{"telemetry-attached run", c.TelemetryNS, b.TelemetryNS},
+			{"text-traced run", c.TraceTextNS, b.TraceTextNS},
+			{"binary-traced run", c.TraceBinNS, b.TraceBinNS},
+		} {
+			if lim := float64(col.was) * (1 + tol); float64(col.got) > lim {
+				return fmt.Errorf("%s/%s: %s %.2fms regressed past baseline %.2fms +%.0f%%",
+					c.Protocol, c.Duty, col.name, float64(col.got)/1e6, float64(col.was)/1e6, tol*100)
 			}
 		}
 	}
@@ -246,24 +226,20 @@ func measure(reps int) (*baseline, error) {
 		scheds := schedule.AssignUniform(g.N(), duty.period, rngutil.New(1).SubName("schedule"))
 		for _, name := range []string{"opt", "dbao", "of", "trickle", "dflood"} {
 			c := benchCase{Protocol: name, Duty: duty.name, Period: duty.period}
-			slowNS, slowRes, err := timeCase(g, scheds, name, false, reps, nil)
+			ns, res, err := timeCase(g, scheds, name, reps, nil)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s slow: %w", name, duty.name, err)
+				return nil, fmt.Errorf("%s/%s: %w", name, duty.name, err)
 			}
-			compactNS, compactRes, err := timeCase(g, scheds, name, true, reps, nil)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s compact: %w", name, duty.name, err)
-			}
-			// The telemetry-on/off comparison: the same compact cell with a
-			// live registry attached. Its result must stay bit-identical —
+			// The telemetry-on/off comparison: the same cell with a live
+			// registry attached. Its result must stay bit-identical —
 			// telemetry observes the engine, never steers it.
-			telNS, telRes, err := timeCase(g, scheds, name, true, reps, telemetry.New())
+			telNS, telRes, err := timeCase(g, scheds, name, reps, telemetry.New())
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s telemetry: %w", name, duty.name, err)
 			}
-			// Trace-emission cost: the same compact cell re-timed with a
-			// full event trace streaming to a byte-counting sink, once per
-			// encoding. Results must again stay bit-identical.
+			// Trace-emission cost: the same cell re-timed with a full event
+			// trace streaming to a byte-counting sink, once per encoding.
+			// Results must again stay bit-identical.
 			textNS, textBytes, textRes, err := timeTraced(g, scheds, name, "text", reps)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s text trace: %w", name, duty.name, err)
@@ -272,24 +248,20 @@ func measure(reps int) (*baseline, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s binary trace: %w", name, duty.name, err)
 			}
-			c.SlowNS, c.CompactNS, c.TelemetryNS = slowNS, compactNS, telNS
+			c.NS, c.TelemetryNS = ns, telNS
 			c.TraceTextNS, c.TraceBinNS = textNS, binNS
 			c.TraceTextBytes, c.TraceBinBytes = textBytes, binBytes
-			c.Speedup = float64(slowNS) / float64(compactNS)
-			c.TelemetryOverhead = float64(telNS)/float64(compactNS) - 1
-			c.Slots = slowRes.TotalSlots
-			c.Identical = reflect.DeepEqual(slowRes, compactRes) && reflect.DeepEqual(compactRes, telRes)
-			if !reflect.DeepEqual(slowRes, compactRes) {
-				return nil, fmt.Errorf("%s/%s: compact path diverged from the reference path", name, duty.name)
-			}
-			if !reflect.DeepEqual(compactRes, telRes) {
+			c.TelemetryOverhead = float64(telNS)/float64(ns) - 1
+			c.Slots = res.TotalSlots
+			if !reflect.DeepEqual(res, telRes) {
 				return nil, fmt.Errorf("%s/%s: attaching telemetry changed the result", name, duty.name)
 			}
-			if !reflect.DeepEqual(compactRes, textRes) || !reflect.DeepEqual(compactRes, binRes) {
+			if !reflect.DeepEqual(res, textRes) || !reflect.DeepEqual(res, binRes) {
 				return nil, fmt.Errorf("%s/%s: attaching a trace observer changed the result", name, duty.name)
 			}
-			fmt.Printf("%-5s duty=%s  slow=%8.2fms  compact=%8.2fms  speedup=%.2fx  telemetry=%+.1f%%  trace text=%6.2fms bin=%6.2fms (%.1fx smaller)\n",
-				name, duty.name, float64(slowNS)/1e6, float64(compactNS)/1e6, c.Speedup, c.TelemetryOverhead*100,
+			c.Identical = true
+			fmt.Printf("%-7s duty=%s  run=%8.2fms  telemetry=%+.1f%%  trace text=%6.2fms bin=%6.2fms (%.1fx smaller)\n",
+				name, duty.name, float64(ns)/1e6, c.TelemetryOverhead*100,
 				float64(textNS)/1e6, float64(binNS)/1e6, float64(textBytes)/float64(binBytes))
 			doc.Cases = append(doc.Cases, c)
 		}
@@ -297,24 +269,23 @@ func measure(reps int) (*baseline, error) {
 	return doc, nil
 }
 
-// timeCase runs one (protocol, duty, path) cell reps times through the
+// timeCase runs one (protocol, duty) cell reps times through the
 // single-worker batch runner and returns the minimum wall-clock per run
 // plus the (deterministic, rep-independent) simulation result. A non-nil
 // reg attaches live telemetry to every run, measuring its overhead.
-func timeCase(g *topology.Graph, scheds []*schedule.Schedule, name string, compact bool, reps int, reg *telemetry.Registry) (int64, *sim.Result, error) {
+func timeCase(g *topology.Graph, scheds []*schedule.Schedule, name string, reps int, reg *telemetry.Registry) (int64, *sim.Result, error) {
 	p, err := flood.New(name)
 	if err != nil {
 		return 0, nil, err
 	}
 	cfg := sim.Config{
-		Graph:       g,
-		Schedules:   scheds,
-		Protocol:    p,
-		M:           10,
-		Coverage:    0.99,
-		Seed:        1,
-		CompactTime: compact,
-		Telemetry:   reg,
+		Graph:     g,
+		Schedules: scheds,
+		Protocol:  p,
+		M:         10,
+		Coverage:  0.99,
+		Seed:      1,
+		Telemetry: reg,
 	}
 	// Warm-up run: lets the protocol's Reset memoization (carrier-sense
 	// matrix, energy-optimal tree) build once outside the timed region,
@@ -344,7 +315,7 @@ type countWriter struct{ n int64 }
 
 func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
 
-// timeTraced re-times the compact path with a full event-trace observer
+// timeTraced re-times a cell with a full event-trace observer
 // attached in the given encoding ("text" or "bin"), streaming to a
 // byte-counting sink. It returns the minimum wall-clock per run, the
 // (deterministic) bytes one run emits, and the simulation result. Each
@@ -367,14 +338,13 @@ func timeTraced(g *topology.Graph, scheds []*schedule.Schedule, name, format str
 			obs, flush = w, w.Flush
 		}
 		cfg := sim.Config{
-			Graph:       g,
-			Schedules:   scheds,
-			Protocol:    p,
-			M:           10,
-			Coverage:    0.99,
-			Seed:        1,
-			CompactTime: true,
-			Observer:    obs,
+			Graph:     g,
+			Schedules: scheds,
+			Protocol:  p,
+			M:         10,
+			Coverage:  0.99,
+			Seed:      1,
+			Observer:  obs,
 		}
 		rs, st := runner.Run(context.Background(), []sim.Config{cfg}, runner.Options{Workers: 1})
 		if err := rs.Err(); err != nil {

@@ -6,7 +6,7 @@
 //
 //	sweep [-protocols opt,dbao,of] [-duties 0.02,0.05,0.1,0.2] [-seeds 3]
 //	      [-m 100] [-coverage 0.99] [-toposeed 1] [-syncerr 0]
-//	      [-faults spec.json] [-compact]
+//	      [-faults spec.json]
 //	      [-journal sweep.journal] [-resume] [-retries 0] [-backoff 1s]
 //	      [-out results.csv] [-parallel 0] [-timeout 0] [-progress]
 //	      [-trace-dir DIR] [-trace-format text|bin]
@@ -34,8 +34,7 @@
 // -workers value within the same engine family.
 //
 // -faults applies a JSON fault schedule (see internal/fault) to every
-// cell; -compact opts into the compact-time fast path, which silently
-// falls back per-run when the schedule is dynamic. -journal checkpoints
+// cell. -journal checkpoints
 // each finished run to a JSON-lines file, and -resume replays a prior
 // journal so a killed sweep restarts where it left off — the resumed CSV
 // is byte-identical to an uninterrupted run. The journal is keyed to the
@@ -76,7 +75,6 @@ func main() {
 		topoSeed  = flag.Uint64("toposeed", 1, "synthetic GreenOrbs topology seed")
 		syncErr   = flag.Float64("syncerr", 0, "local-synchronization miss probability")
 		faults    = flag.String("faults", "", "JSON fault-schedule file applied to every cell (see internal/fault)")
-		compact   = flag.Bool("compact", false, "use the compact-time fast path (falls back per-run for dynamic fault schedules)")
 		journal   = flag.String("journal", "", "checkpoint finished runs to this JSON-lines file")
 		resume    = flag.Bool("resume", false, "resume from an existing -journal, skipping already-completed runs")
 		retries   = flag.Int("retries", 0, "re-run a retryably failing cell (timeout, panic) up to this many times")
@@ -112,7 +110,6 @@ func main() {
 		topoSeed:     *topoSeed,
 		syncErr:      *syncErr,
 		faultsPath:   *faults,
-		compact:      *compact,
 		journalPath:  *journal,
 		resume:       *resume,
 		retries:      *retries,
@@ -145,7 +142,6 @@ type sweepConfig struct {
 	topoSeed     uint64
 	syncErr      float64
 	faultsPath   string // JSON fault schedule, "" for a clean sweep
-	compact      bool
 	journalPath  string // "" disables checkpointing
 	resume       bool
 	retries      int
@@ -174,7 +170,6 @@ func (sc sweepConfig) spec() (service.Spec, error) {
 		Coverage:  sc.coverage,
 		TopoSeed:  sc.topoSeed,
 		SyncErr:   sc.syncErr,
-		Compact:   sc.compact,
 		Workers:   sc.workers,
 		Parallel:  sc.parallel,
 		Timeout:   service.Duration(sc.timeout),
@@ -206,7 +201,10 @@ func (sc sweepConfig) spec() (service.Spec, error) {
 // valid results for the same grid. Any other failure is returned as-is.
 func diagnoseResume(err error, path, want string) error {
 	stored, kerr := runner.ReadJournalKey(path)
-	if kerr != nil || !service.LegacyJournalKey(stored, want) {
+	if kerr != nil {
+		return err
+	}
+	if norm, serial, retyped := service.NormalizeJournalKey(stored); norm != want || serial || !retyped {
 		return err
 	}
 	return fmt.Errorf("%v\n"+

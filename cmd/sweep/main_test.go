@@ -325,11 +325,12 @@ func TestRunResumeLegacyJournal(t *testing.T) {
 	}
 }
 
-// TestRunResumeV1Journal resumes journals keyed by a release with two slot
-// disciplines ("sweep|...|sharded=<bool>|faults=..."): a sharded=true
-// journal holds keyed-engine results and resumes to the uninterrupted CSV;
-// a sharded=false one holds serial-engine results and must fail with a
-// diagnosis naming the retired serial engine.
+// TestRunResumeV1Journal resumes journals keyed by older releases: a v1
+// key ("sweep|...|compact=<bool>|sharded=<bool>|faults=...") with
+// sharded=true and a v2 key ("sweep/v2|...|compact=<bool>|faults=...")
+// hold results the current engine reproduces and resume to the
+// uninterrupted CSV; a sharded=false one holds serial-engine results and
+// must fail with a diagnosis naming the retired serial engine.
 func TestRunResumeV1Journal(t *testing.T) {
 	sc := testConfig()
 	sc.seeds = 2
@@ -337,9 +338,13 @@ func TestRunResumeV1Journal(t *testing.T) {
 	if err := run(&want, sc); err != nil {
 		t.Fatal(err)
 	}
-	for _, sharded := range []bool{true, false} {
+	for _, tail := range []string{
+		"|compact=true|sharded=true",
+		"|compact=false|sharded=false",
+		"|compact=true", // v2
+	} {
 		// A journaled run, then its journal rewritten into what an older
-		// release would have left behind: v1 header, one record.
+		// release would have left behind: old header, one record.
 		path := filepath.Join(t.TempDir(), "sweep.journal")
 		scJ := sc
 		scJ.journalPath = path
@@ -356,13 +361,17 @@ func TestRunResumeV1Journal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest, ok := strings.CutPrefix(key, "sweep/v2|")
+		rest, ok := strings.CutPrefix(key, "sweep/v3|")
 		i := strings.LastIndex(rest, "|faults=")
 		if !ok || i < 0 {
 			t.Fatalf("unexpected journal key %q", key)
 		}
-		v1 := "sweep|" + rest[:i] + fmt.Sprintf("|sharded=%v", sharded) + rest[i:]
-		header := fmt.Sprintf("{\"journal\":\"ldcflood-runner\",\"v\":1,\"key\":%q}\n", v1)
+		prefix := "sweep|"
+		if !strings.Contains(tail, "sharded=") {
+			prefix = "sweep/v2|"
+		}
+		old := prefix + rest[:i] + tail + rest[i:]
+		header := fmt.Sprintf("{\"journal\":\"ldcflood-runner\",\"v\":1,\"key\":%q}\n", old)
 		if err := os.WriteFile(path, append([]byte(header), lines[1]...), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -370,17 +379,17 @@ func TestRunResumeV1Journal(t *testing.T) {
 		var got bytes.Buffer
 		scJ.resume = true
 		err = run(&got, scJ)
-		if !sharded {
+		if strings.Contains(tail, "sharded=false") {
 			if err == nil || !strings.Contains(err.Error(), "serial engine") {
 				t.Fatalf("resuming a sharded=false journal: err = %v, want the serial-engine diagnosis", err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("resuming a sharded=true journal: %v", err)
+			t.Fatalf("resuming a %s journal: %v", old, err)
 		}
 		if got.String() != want.String() {
-			t.Fatal("resumed sweep CSV differs from the uninterrupted run")
+			t.Fatalf("resumed sweep CSV (%s) differs from the uninterrupted run", tail)
 		}
 	}
 }
@@ -391,22 +400,6 @@ func TestRunResumeNeedsJournal(t *testing.T) {
 	sc.resume = true
 	if err := run(&buf, sc); err == nil {
 		t.Fatal("-resume without -journal accepted")
-	}
-}
-
-func TestRunCompactMatchesReference(t *testing.T) {
-	var slow, fast bytes.Buffer
-	sc := testConfig()
-	sc.seeds = 2
-	if err := run(&slow, sc); err != nil {
-		t.Fatal(err)
-	}
-	sc.compact = true
-	if err := run(&fast, sc); err != nil {
-		t.Fatal(err)
-	}
-	if slow.String() != fast.String() {
-		t.Fatal("compact-time sweep differs from the reference path")
 	}
 }
 

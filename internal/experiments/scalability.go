@@ -77,11 +77,9 @@ func TrickleScalability(opts SimOptions) (*FigureData, error) {
 				Coverage:  opts.Coverage,
 				Seed:      opts.Seed,
 				MaxSlots:  maxSlots,
-				// The sharded compact-time engine; results are certified
-				// identical for every worker count >= 1 and to the
-				// reference time path, so this is purely a speed choice.
-				Workers:     8,
-				CompactTime: true,
+				// Results are certified identical for every worker count,
+				// so this is purely a speed choice.
+				Workers: 8,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: scale: %s at %d nodes: %w", name, n, err)

@@ -15,8 +15,8 @@ const neverFlips = math.MaxInt64
 // than stepping the chain every slot, the next state flip is pre-drawn as
 // a geometric sojourn length from the link's private stream, so the state
 // at slot t costs O(flips), is independent of how often (or on which
-// slots) the link is queried, and is identical on the engine's
-// slot-by-slot and compact-time paths.
+// slots) the link is queried, so the engine's skipping of empty schedule
+// offsets cannot change it.
 type linkChain struct {
 	rng      *rngutil.Stream
 	pgb, pbg float64
@@ -199,8 +199,7 @@ func less(a, b Event) bool {
 }
 
 // Static reports whether the compiled schedule is time-invariant: no
-// churn, no jams, and no link chain that can move. Static injectors are
-// compatible with the engine's compact-time fast path.
+// churn, no jams, and no link chain that can move.
 func (in *Injector) Static() bool { return in.static }
 
 // Events returns the compiled churn timeline in slot order. The engine

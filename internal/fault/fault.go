@@ -140,10 +140,8 @@ type Jam struct {
 }
 
 // Dynamic reports whether the schedule mutates mid-run: any crash, any
-// jam, or any link rule whose chain can move. The sim engine's
-// compact-time fast path only handles static schedules (pure per-link PRR
-// scaling) and silently falls back to the slot-by-slot reference path for
-// dynamic ones.
+// jam, or any link rule whose chain can move. A static schedule is a pure
+// per-link PRR scaling.
 func (s *Schedule) Dynamic() bool {
 	if s == nil {
 		return false

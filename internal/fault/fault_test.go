@@ -208,8 +208,8 @@ func TestCompileDeterministic(t *testing.T) {
 	}
 }
 
-// TestChainQueryPatternIndependence is the core compact-path safety
-// property: the chain state at slot t must not depend on which earlier
+// TestChainQueryPatternIndependence is the core safety property behind
+// the engine's empty-offset skip: the chain state at slot t must not depend on which earlier
 // slots were queried.
 func TestChainQueryPatternIndependence(t *testing.T) {
 	g := line(3, 0.6)

@@ -1,10 +1,11 @@
 package flood
 
-// Equivalence suite for sim.Config.CompactTime with the real protocols:
-// the compact-time fast path must reproduce the slot-by-slot reference
-// path bit for bit — full sim.Result, aggregated metrics.Aggregate, and
-// the byte-exact tracelog event stream — across topology × protocol ×
-// duty-cycle combinations covering every shipped protocol.
+// Equivalence suite for the compact time scale with the real protocols:
+// the slot loop's empty-offset skip must reproduce the loop that visits
+// every slot bit for bit — full sim.Result, aggregated metrics.Aggregate,
+// and the byte-exact tracelog event stream — across topology × protocol ×
+// duty-cycle combinations covering every shipped protocol. A no-op Adapt
+// hook is the every-slot oracle: it disables the engine's offset plan.
 
 import (
 	"bytes"
@@ -34,11 +35,12 @@ var compactEquivCases = []struct {
 	{"ring-naive-10pct", func() *topology.Graph { return topology.Ring(24, 0.9) }, "naive", 10, 4, 100000},
 }
 
-// runBoth executes one configuration on both paths with a trace logger
-// attached and returns (slow, fast) results plus their trace bytes.
+// runBoth executes one configuration on the every-slot loop and on the
+// default, skipping loop with a trace logger attached and returns (slow,
+// fast) results plus their trace bytes.
 func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Result, slowTrace, fastTrace []byte) {
 	t.Helper()
-	run := func(compact bool) (*sim.Result, []byte) {
+	run := func(everySlot bool) (*sim.Result, []byte) {
 		p, err := New(protocol)
 		if err != nil {
 			t.Fatal(err)
@@ -47,24 +49,28 @@ func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Res
 		c := cfg
 		c.Protocol = p
 		c.Observer = tracelog.NewLogger(&buf)
-		c.CompactTime = compact
+		if everySlot {
+			c.Adapt = func(*sim.World, []*schedule.Schedule) {}
+			c.AdaptEvery = 1 << 62
+		}
 		res, err := sim.Run(c)
 		if err != nil {
-			t.Fatalf("%s compact=%v: %v", protocol, compact, err)
+			t.Fatalf("%s every-slot=%v: %v", protocol, everySlot, err)
 		}
 		if err := c.Observer.(*tracelog.Logger).Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return res, buf.Bytes()
 	}
-	slow, slowTrace = run(false)
-	fast, fastTrace = run(true)
+	slow, slowTrace = run(true)
+	fast, fastTrace = run(false)
 	return slow, fast, slowTrace, fastTrace
 }
 
 // TestCompactEquivalenceProtocols is the acceptance-criteria suite: for
-// each combo, CompactTime=true and false must emit identical results,
-// identical metrics.Aggregate values, and byte-identical trace logs.
+// each combo, the skipping and the every-slot loop must emit identical
+// results, identical metrics.Aggregate values, and byte-identical trace
+// logs.
 func TestCompactEquivalenceProtocols(t *testing.T) {
 	for _, tc := range compactEquivCases {
 		tc := tc

@@ -6,9 +6,8 @@ import "ldcflood/internal/telemetry"
 // timer-driven protocols (Trickle, DFlood). Counts are mutated only in the
 // serial selection pass (SelectIntents), so they are safe on the worker
 // pool, and every counted event is a pure function of the
-// pre-slot world state — the values are identical across worker counts and
-// across the reference/compact time paths (certified by
-// TestProtocolCountersModeInvariant). Attaching a telemetry registry never
+// pre-slot world state — the values are identical across worker counts
+// (certified by TestProtocolCountersModeInvariant). Attaching a telemetry registry never
 // affects simulation results; it only mirrors the counts live.
 type suppCounters struct {
 	messages   int64

@@ -30,8 +30,8 @@ import (
 // world state and a keyed stream captured at Reset (jitter is keyed by
 // (node, packet, attempt)); the attempt counters advance only at emit
 // time in the serial selection pass. No engine hook is needed and the
-// schedule is bit-identical across worker counts and the reference and
-// compact time paths.
+// schedule is bit-identical across worker counts and unaffected by the
+// slots the engine skips.
 type DFlood struct {
 	// Tmin and Tmax bound the per-packet forwarding delay in slots. Zero
 	// selects the exemplar defaults (5 and 65).

@@ -35,36 +35,31 @@ func (d *decorated) Intents(w *sim.World) []sim.Intent {
 
 // TestDecoratorHidingPlannerMatches wraps every protocol in a decorator
 // that hides sim.ShardPlanner and requires the decorated run to reproduce
-// the undecorated one — Result and both trace encodings — on both time
-// paths, unfaulted and under the mixed fault schedule.
+// the undecorated one — Result and both trace encodings — unfaulted and
+// under the mixed fault schedule.
 func TestDecoratorHidingPlannerMatches(t *testing.T) {
 	g := topology.Grid(6, 6, 0.8)
 	for name, fs := range map[string]*fault.Schedule{"none": nil, "mixed": faultSchedules()["mixed"]} {
 		cfg := shardCfg(g, fs, 1234)
 		for _, protocol := range allProtocols() {
-			for _, compact := range []bool{false, true} {
-				want, wantTrace := runSharded(t, cfg, protocol, 0, compact)
-				inner, err := New(protocol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dec := &decorated{Protocol: inner}
-				if _, ok := sim.Protocol(dec).(sim.ShardPlanner); ok {
-					t.Fatal("decorator exposes the planner; the test would not exercise Intents")
-				}
-				got, gotTrace := runWith(t, cfg, dec, 0, compact)
-				if dec.resets != 1 || dec.calls == 0 {
-					t.Fatalf("%s: decorator saw %d resets and %d Intents calls", protocol, dec.resets, dec.calls)
-				}
-				context := protocol + "/" + name
-				if compact {
-					context += " compact"
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: decorated run diverged from the undecorated one", context)
-				}
-				equalTraces(t, wantTrace, gotTrace, context+" decorated vs undecorated")
+			want, wantTrace := runSharded(t, cfg, protocol, 0)
+			inner, err := New(protocol)
+			if err != nil {
+				t.Fatal(err)
 			}
+			dec := &decorated{Protocol: inner}
+			if _, ok := sim.Protocol(dec).(sim.ShardPlanner); ok {
+				t.Fatal("decorator exposes the planner; the test would not exercise Intents")
+			}
+			got, gotTrace := runWith(t, cfg, dec, 0)
+			if dec.resets != 1 || dec.calls == 0 {
+				t.Fatalf("%s: decorator saw %d resets and %d Intents calls", protocol, dec.resets, dec.calls)
+			}
+			context := protocol + "/" + name
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: decorated run diverged from the undecorated one", context)
+			}
+			equalTraces(t, wantTrace, gotTrace, context+" decorated vs undecorated")
 		}
 	}
 }

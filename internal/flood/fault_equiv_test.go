@@ -1,10 +1,9 @@
 package flood
 
 // Equivalence and behavior suite for fault injection (internal/fault):
-// attaching a fault schedule must keep the engine's two execution paths
-// byte-identical — static schedules ride the compact fast path, dynamic
-// ones silently fall back to the reference path — and an empty schedule
-// must reproduce the unfaulted run exactly.
+// under every fault schedule, skipping empty schedule offsets must stay
+// byte-identical to visiting every slot, and an empty schedule must
+// reproduce the unfaulted run exactly.
 
 import (
 	"bytes"
@@ -63,9 +62,10 @@ func faultCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 func faultGridProtocols() []string { return Names() }
 
 // TestFaultEquivalence is the acceptance-criteria suite: for every fault
-// family and every registered protocol, CompactTime=true and false must
-// produce identical results and byte-identical trace logs — via the fast
-// path for static schedules, via the silent fallback for dynamic ones.
+// family and every registered protocol, the loop that skips empty schedule
+// offsets and the loop that visits every slot must produce identical
+// results and byte-identical trace logs — static and dynamic schedules
+// alike, since churn and link chains catch up at the next visited slot.
 func TestFaultEquivalence(t *testing.T) {
 	for name, fs := range faultSchedules() {
 		fs := fs
@@ -88,7 +88,7 @@ func TestFaultEquivalence(t *testing.T) {
 }
 
 // TestFaultEquivalenceAllProtocols sweeps every shipped protocol under the
-// mixed schedule, the hardest fallback case.
+// mixed schedule, the hardest case for the lazy catch-up.
 func TestFaultEquivalenceAllProtocols(t *testing.T) {
 	g := topology.Grid(6, 6, 0.8)
 	cfg := faultCfg(g, faultSchedules()["mixed"], 77)
@@ -108,24 +108,21 @@ func TestFaultEquivalenceAllProtocols(t *testing.T) {
 // fault RNG stream is derived, never drawn from).
 func TestEmptyScheduleMatchesNil(t *testing.T) {
 	g := topology.Grid(6, 6, 0.8)
-	for _, compact := range []bool{false, true} {
-		base := faultCfg(g, nil, 5)
-		base.CompactTime = compact
-		faulted := base
-		faulted.Faults = &fault.Schedule{}
-		for _, protocol := range []string{"opt", "of"} {
-			runOne := func(cfg sim.Config) (*sim.Result, []byte) {
-				slow, _, trace, _ := runBoth(t, cfg, protocol)
-				return slow, trace
-			}
-			a, ta := runOne(base)
-			b, tb := runOne(faulted)
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("%s compact=%v: empty schedule perturbed the run", protocol, compact)
-			}
-			if !bytes.Equal(ta, tb) {
-				t.Errorf("%s compact=%v: empty schedule perturbed the trace", protocol, compact)
-			}
+	base := faultCfg(g, nil, 5)
+	faulted := base
+	faulted.Faults = &fault.Schedule{}
+	for _, protocol := range []string{"opt", "of"} {
+		runOne := func(cfg sim.Config) (*sim.Result, []byte) {
+			_, res, _, trace := runBoth(t, cfg, protocol)
+			return res, trace
+		}
+		a, ta := runOne(base)
+		b, tb := runOne(faulted)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: empty schedule perturbed the run", protocol)
+		}
+		if !bytes.Equal(ta, tb) {
+			t.Errorf("%s: empty schedule perturbed the trace", protocol)
 		}
 	}
 }

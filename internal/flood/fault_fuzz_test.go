@@ -120,7 +120,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatalf("randomSchedule produced an invalid schedule: %v", err)
 		}
 		for _, protocol := range Names() {
-			run := func(compact bool) *sim.Result {
+			run := func() *sim.Result {
 				p, err := New(protocol)
 				if err != nil {
 					t.Fatal(err)
@@ -135,20 +135,15 @@ func FuzzFaultSchedule(f *testing.F) {
 					MaxSlots:         20000,
 					RecordReceptions: true,
 					Faults:           fs,
-					CompactTime:      compact,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", protocol, err)
 				}
 				return res
 			}
-			slow := run(false)
-			checkInvariants(t, slow, 2)
-			if fast := run(true); !reflect.DeepEqual(slow, fast) {
-				t.Errorf("%s: compact path diverged under faults\nslow %+v\nfast %+v",
-					protocol, slow, fast)
-			}
-			if again := run(false); !reflect.DeepEqual(slow, again) {
+			first := run()
+			checkInvariants(t, first, 2)
+			if again := run(); !reflect.DeepEqual(first, again) {
 				t.Errorf("%s: identical seed + schedule re-run diverged", protocol)
 			}
 		}

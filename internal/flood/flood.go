@@ -30,7 +30,7 @@
 // Intents method runs that pair inline through sim.PlanIntents. Trickle
 // and DFlood derive all timer state from keyed RNG streams captured at
 // Reset plus pure world-state reads, so their schedules are bit-identical
-// across worker counts and the reference/compact time paths; their
+// across worker counts and whichever slots the engine visits; their
 // suppression behavior is tuned for liveness under the
 // receiver-initiated engine (see the type docs for the exact backoff and
 // suppression preconditions).

@@ -54,21 +54,21 @@ type traces struct {
 	text, bin []byte
 }
 
-// runSharded executes one configuration with the given worker count and
-// time path, returning the result and the trace bytes in both encodings.
+// runSharded executes one configuration with the given worker count,
+// returning the result and the trace bytes in both encodings.
 // A fresh protocol instance per run keeps memoized state from crossing
 // runs.
-func runSharded(t *testing.T, cfg sim.Config, protocol string, workers int, compact bool) (*sim.Result, traces) {
+func runSharded(t *testing.T, cfg sim.Config, protocol string, workers int) (*sim.Result, traces) {
 	t.Helper()
 	p, err := New(protocol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runWith(t, cfg, p, workers, compact)
+	return runWith(t, cfg, p, workers)
 }
 
 // runWith is runSharded for a given protocol instance.
-func runWith(t *testing.T, cfg sim.Config, p sim.Protocol, workers int, compact bool) (*sim.Result, traces) {
+func runWith(t *testing.T, cfg sim.Config, p sim.Protocol, workers int) (*sim.Result, traces) {
 	t.Helper()
 	var tbuf, bbuf bytes.Buffer
 	obs := fanout{text: tracelog.NewLogger(&tbuf), bin: tracebin.NewWriter(&bbuf)}
@@ -76,10 +76,9 @@ func runWith(t *testing.T, cfg sim.Config, p sim.Protocol, workers int, compact 
 	c.Protocol = p
 	c.Observer = obs
 	c.Workers = workers
-	c.CompactTime = compact
 	res, err := sim.Run(c)
 	if err != nil {
-		t.Fatalf("%s workers=%d compact=%v: %v", p.Name(), workers, compact, err)
+		t.Fatalf("%s workers=%d: %v", p.Name(), workers, err)
 	}
 	if err := obs.text.Flush(); err != nil {
 		t.Fatal(err)
@@ -147,10 +146,9 @@ func shardCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 }
 
 // TestShardEquivalenceGrid is the worker-count acceptance grid: every
-// protocol × both time paths × every fault family (plus the unfaulted
-// case), workers 0 and 1 (inline), 2, 4 (and 8 on the reference path) must
-// produce identical results and byte-identical traces; and at workers 4
-// the compact path must reproduce the reference path.
+// protocol × every fault family (plus the unfaulted case), workers 0 and 1
+// (inline), 2, 4 and 8 must produce identical results and byte-identical
+// traces.
 func TestShardEquivalenceGrid(t *testing.T) {
 	schedules := faultSchedules()
 	schedules["none"] = nil
@@ -161,10 +159,10 @@ func TestShardEquivalenceGrid(t *testing.T) {
 			g := topology.Grid(6, 6, 0.8)
 			cfg := shardCfg(g, fs, 1234)
 			for _, protocol := range allProtocols() {
-				ref1, refTrace1 := runSharded(t, cfg, protocol, 1, false)
-				ref4, refTrace4 := runSharded(t, cfg, protocol, 4, false)
+				ref1, refTrace1 := runSharded(t, cfg, protocol, 1)
+				ref4, refTrace4 := runSharded(t, cfg, protocol, 4)
 				for _, workers := range []int{0, 2, 8} {
-					refW, refTraceW := runSharded(t, cfg, protocol, workers, false)
+					refW, refTraceW := runSharded(t, cfg, protocol, workers)
 					if !reflect.DeepEqual(ref1, refW) {
 						t.Errorf("%s reference: workers %d diverged from workers 1", protocol, workers)
 					}
@@ -175,23 +173,6 @@ func TestShardEquivalenceGrid(t *testing.T) {
 					t.Errorf("%s reference: workers 4 diverged from workers 1", protocol)
 				}
 				equalTraces(t, refTrace1, refTrace4, protocol+" reference workers 1 vs 4")
-				cmp1, cmpTrace1 := runSharded(t, cfg, protocol, 1, true)
-				for _, workers := range []int{0, 2} {
-					cmpW, cmpTraceW := runSharded(t, cfg, protocol, workers, true)
-					if !reflect.DeepEqual(cmp1, cmpW) {
-						t.Errorf("%s compact: workers %d diverged from workers 1", protocol, workers)
-					}
-					equalTraces(t, cmpTrace1, cmpTraceW, protocol+" compact workers 1 vs others")
-				}
-				cmp4, cmpTrace4 := runSharded(t, cfg, protocol, 4, true)
-				if !reflect.DeepEqual(cmp1, cmp4) {
-					t.Errorf("%s compact: workers 4 diverged from workers 1", protocol)
-				}
-				equalTraces(t, cmpTrace1, cmpTrace4, protocol+" compact workers 1 vs 4")
-				if !reflect.DeepEqual(ref4, cmp4) {
-					t.Errorf("%s: compact path diverged from reference path at workers 4", protocol)
-				}
-				equalTraces(t, refTrace4, cmpTrace4, protocol+" reference vs compact at workers 4")
 				// The two encodings of one run must carry identical events.
 				checkRoundTrip(t, refTrace1, protocol+" reference workers 1")
 			}
@@ -251,9 +232,9 @@ func TestSparseAudibilityEndToEnd(t *testing.T) {
 		RecordReceptions: true,
 	}
 	for _, protocol := range []string{"dbao", "naive"} {
-		dense, denseTrace := runSharded(t, cfg, protocol, 0, true)
+		dense, denseTrace := runSharded(t, cfg, protocol, 0)
 		restore := setAudibilityDenseLimit(1)
-		sparse, sparseTrace := runSharded(t, cfg, protocol, 0, true)
+		sparse, sparseTrace := runSharded(t, cfg, protocol, 0)
 		restore()
 		if !reflect.DeepEqual(dense, sparse) {
 			t.Errorf("%s: sparse audibility changed the run", protocol)

@@ -146,7 +146,7 @@ func TestDFloodPenaltyDisabled(t *testing.T) {
 
 // timerCounterRun executes one timer-protocol run and returns its result
 // plus counters.
-func timerCounterRun(t *testing.T, name string, workers int, compact bool) (*sim.Result, int64, int64, []int64) {
+func timerCounterRun(t *testing.T, name string, workers int) (*sim.Result, int64, int64, []int64) {
 	t.Helper()
 	g := topology.Grid(6, 6, 0.8)
 	p, err := New(name)
@@ -158,10 +158,10 @@ func timerCounterRun(t *testing.T, name string, workers int, compact bool) (*sim
 		Schedules: uniform(g.N(), 20, 42),
 		Protocol:  p,
 		M:         3, Coverage: 0.99, Seed: 99, MaxSlots: 200000,
-		Workers: workers, CompactTime: compact,
+		Workers: workers,
 	})
 	if err != nil {
-		t.Fatalf("%s workers=%d compact=%v: %v", name, workers, compact, err)
+		t.Fatalf("%s workers=%d: %v", name, workers, err)
 	}
 	type counted interface {
 		FloodCounters() (int64, int64)
@@ -174,24 +174,21 @@ func timerCounterRun(t *testing.T, name string, workers int, compact bool) (*sim
 
 // TestProtocolCountersModeInvariant pins the counter determinism claim in
 // counters.go: message and suppression counts are identical across worker
-// counts — inline (0, 1) and on the pool — on both time paths.
+// counts — inline (0, 1) and on the pool.
 func TestProtocolCountersModeInvariant(t *testing.T) {
 	for _, name := range []string{"trickle", "dflood"} {
 		t.Run(name, func(t *testing.T) {
 			baseMsg, baseSupp := int64(-1), int64(-1)
 			var basePer []int64
-			for _, mode := range []struct {
-				workers int
-				compact bool
-			}{{0, false}, {1, false}, {2, false}, {4, false}, {0, true}, {1, true}, {4, true}} {
-				_, msg, supp, per := timerCounterRun(t, name, mode.workers, mode.compact)
+			for _, workers := range []int{0, 1, 2, 4} {
+				_, msg, supp, per := timerCounterRun(t, name, workers)
 				if baseMsg < 0 {
 					baseMsg, baseSupp, basePer = msg, supp, per
 					continue
 				}
 				if msg != baseMsg || supp != baseSupp || !reflect.DeepEqual(per, basePer) {
-					t.Errorf("workers=%d compact=%v: counters (%d, %d) diverge from (%d, %d)",
-						mode.workers, mode.compact, msg, supp, baseMsg, baseSupp)
+					t.Errorf("workers=%d: counters (%d, %d) diverge from (%d, %d)",
+						workers, msg, supp, baseMsg, baseSupp)
 				}
 			}
 		})

@@ -26,8 +26,8 @@ import (
 //
 // Every timer quantity is a pure function of the pre-slot world state and
 // a keyed RNG stream captured at Reset: fire points are keyed by (node,
-// interval start), so they are bit-identical across worker counts and the
-// reference and compact time paths with no engine hook.
+// interval start), so they are bit-identical across worker counts and
+// unaffected by the slots the engine skips, with no engine hook.
 type Trickle struct {
 	// Imin is the smallest Trickle interval in slots. Zero selects the
 	// default (16).

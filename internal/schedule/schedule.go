@@ -112,10 +112,10 @@ func (s *Schedule) SleepLatency(t int64) int64 {
 }
 
 // ActiveCountBefore returns the number of active slots in [0, t) — the
-// radio-on time a node accumulates over the first t slots. The sim engine's
-// compact-time fast path uses it to account awake-slot bookkeeping
-// arithmetically instead of iterating dormant slots; it runs in O(log
-// ActiveSlots) via period arithmetic. Non-positive t returns 0.
+// radio-on time a node accumulates over the first t slots. The sim engine
+// uses it to account awake-slot bookkeeping arithmetically instead of
+// counting per slot; it runs in O(log ActiveSlots) via period arithmetic.
+// Non-positive t returns 0.
 func (s *Schedule) ActiveCountBefore(t int64) int64 {
 	if t <= 0 {
 		return 0

@@ -1,14 +1,18 @@
 package service_test
 
-// Journals written before the serial engine was retired carry v1 keys
-// ("sweep|...|sharded=<bool>|faults=..."). A sharded=true journal holds
-// keyed-engine results and must keep resuming; a sharded=false one holds
-// serial-engine results and must be refused with a diagnosis, both by
-// Grid.OpenJournal (cmd/sweep -resume) and by a restarted daemon.
+// Journals written by older releases carry older key formats: v2
+// ("sweep/v2|...|compact=<bool>|faults=...") named the time path, v1
+// ("sweep|...|compact=<bool>|sharded=<bool>|faults=...") also the slot
+// discipline. Both time paths computed identical results, and so did the
+// keyed (sharded=true) discipline, so those journals must keep resuming; a
+// sharded=false one holds serial-engine results and must be refused with a
+// diagnosis, both by Grid.OpenJournal (cmd/sweep -resume) and by a
+// restarted daemon.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -21,16 +25,20 @@ import (
 	"ldcflood/internal/service"
 )
 
-// v1Key rewrites a current journal key into the form a release with two
-// slot disciplines wrote for the same grid.
-func v1Key(t *testing.T, key string, sharded bool) string {
+// oldKey rewrites a current journal key into the form an older release
+// wrote for the same grid: a v2 key with the given compact= value, or —
+// with sharded non-nil — a v1 key that also names the slot discipline.
+func oldKey(t *testing.T, key string, compact bool, sharded *bool) string {
 	t.Helper()
-	k, ok := strings.CutPrefix(key, "sweep/v2|")
+	k, ok := strings.CutPrefix(key, "sweep/v3|")
 	i := strings.LastIndex(k, "|faults=")
-	if !ok || i < 0 || strings.Contains(k, "sharded=") {
+	if !ok || i < 0 || strings.Contains(k, "compact=") {
 		t.Fatalf("unexpected journal key format %q", key)
 	}
-	return "sweep|" + k[:i] + fmt.Sprintf("|sharded=%v", sharded) + k[i:]
+	if sharded == nil {
+		return "sweep/v2|" + k[:i] + fmt.Sprintf("|compact=%v", compact) + k[i:]
+	}
+	return "sweep|" + k[:i] + fmt.Sprintf("|compact=%v|sharded=%v", compact, *sharded) + k[i:]
 }
 
 // rekeyJournal rewrites the header key of the journal at path and keeps
@@ -78,20 +86,34 @@ func TestOpenJournalV1Keys(t *testing.T) {
 		return path
 	}
 
-	// A keyed (sharded=true) v1 journal resumes with its record intact.
-	j, err := grid.OpenJournal(write(v1Key(t, grid.JournalKey(), true)), true)
-	if err != nil {
-		t.Fatalf("resuming a sharded=true v1 journal: %v", err)
+	yes, no := true, false
+	for _, tc := range []struct {
+		name    string
+		compact bool
+		sharded *bool
+	}{
+		{"v2 compact=false", false, nil},
+		{"v2 compact=true", true, nil},
+		{"v1 compact=true sharded=true", true, &yes},
+		{"v1 compact=false sharded=true", false, &yes},
+	} {
+		j, err := grid.OpenJournal(write(oldKey(t, grid.JournalKey(), tc.compact, tc.sharded)), true)
+		if err != nil {
+			t.Fatalf("resuming a %s journal: %v", tc.name, err)
+		}
+		if _, ok := j.Done(0); !ok || j.Completed() != 1 {
+			t.Fatalf("%s journal resumed with %d records, want cell 0", tc.name, j.Completed())
+		}
+		j.Close()
 	}
-	if _, ok := j.Done(0); !ok || j.Completed() != 1 {
-		t.Fatalf("v1 journal resumed with %d records, want cell 0", j.Completed())
-	}
-	j.Close()
 
-	// A serial (sharded=false) v1 journal is refused with a diagnosis.
-	_, err = grid.OpenJournal(write(v1Key(t, grid.JournalKey(), false)), true)
-	if !errors.Is(err, service.ErrSerialJournal) || !strings.Contains(err.Error(), "serial engine") {
-		t.Fatalf("resuming a sharded=false v1 journal: err = %v, want ErrSerialJournal", err)
+	// A serial (sharded=false) v1 journal is refused with a diagnosis,
+	// whatever its compact= value.
+	for _, compact := range []bool{false, true} {
+		_, err = grid.OpenJournal(write(oldKey(t, grid.JournalKey(), compact, &no)), true)
+		if !errors.Is(err, service.ErrSerialJournal) || !strings.Contains(err.Error(), "serial engine") {
+			t.Fatalf("resuming a sharded=false compact=%v v1 journal: err = %v, want ErrSerialJournal", compact, err)
+		}
 	}
 
 	// Another grid's v1 journal is a plain key mismatch.
@@ -101,19 +123,30 @@ func TestOpenJournalV1Keys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = grid.OpenJournal(write(v1Key(t, og.JournalKey(), false)), true)
+	_, err = grid.OpenJournal(write(oldKey(t, og.JournalKey(), false, &no)), true)
 	if err == nil || errors.Is(err, service.ErrSerialJournal) {
 		t.Fatalf("another grid's serial journal: err = %v, want a key mismatch", err)
 	}
 }
 
 // TestServiceRestartV1Journals restarts a daemon over an unfinished job
-// whose journal carries a v1 key: a sharded=true journal resumes to the
-// reference CSV, a sharded=false one fails the job with the diagnosis.
+// an older release left behind: a v1 sharded=true journal resumes to the
+// reference CSV, a sharded=false one fails the job with the diagnosis, and
+// a v2 compact=true journal whose persisted spec still carries the retired
+// "compact": true field reloads and resumes.
 func TestServiceRestartV1Journals(t *testing.T) {
 	want := referenceCSV(t, tinySpec())
-	for _, sharded := range []bool{true, false} {
-		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
+	yes, no := true, false
+	for _, tc := range []struct {
+		name    string
+		compact bool
+		sharded *bool
+	}{
+		{"sharded=true", false, &yes},
+		{"sharded=false", false, &no},
+		{"v2 compact spec", true, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s1 := newService(t, dir, service.Options{})
 			j, err := s1.Submit(tinySpec())
@@ -135,11 +168,14 @@ func TestServiceRestartV1Journals(t *testing.T) {
 			// Turn the finished job back into an unfinished one an older
 			// release left behind: one journaled cell, no terminal status.
 			jobDir := filepath.Join(dir, j.ID)
-			rekeyJournal(t, filepath.Join(jobDir, "journal.jsonl"), v1Key(t, grid.JournalKey(), sharded), 1)
+			rekeyJournal(t, filepath.Join(jobDir, "journal.jsonl"), oldKey(t, grid.JournalKey(), tc.compact, tc.sharded), 1)
 			for _, f := range []string{"status.json", "result.csv"} {
 				if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if tc.compact {
+				addCompactField(t, filepath.Join(jobDir, "spec.json"))
 			}
 
 			s2 := newService(t, dir, service.Options{})
@@ -148,14 +184,14 @@ func TestServiceRestartV1Journals(t *testing.T) {
 				t.Fatalf("job %s not resurrected", j.ID)
 			}
 			st := waitState(t, s2, j.ID, 60*time.Second)
-			if !sharded {
+			if tc.sharded != nil && !*tc.sharded {
 				if st != service.StateFailed || !strings.Contains(j2.Status().Error, "serial engine") {
 					t.Fatalf("serial v1 journal: job = %s (%q), want failed with the diagnosis", st, j2.Status().Error)
 				}
 				return
 			}
 			if st != service.StateDone {
-				t.Fatalf("keyed v1 journal: job = %s (%s)", st, j2.Status().Error)
+				t.Fatalf("%s journal: job = %s (%s)", tc.name, st, j2.Status().Error)
 			}
 			if r := j2.Status().Resumed; r != 1 {
 				t.Fatalf("Resumed = %d, want the 1 journaled cell", r)
@@ -168,5 +204,26 @@ func TestServiceRestartV1Journals(t *testing.T) {
 				t.Fatalf("resumed CSV differs from the reference:\n%s\nvs\n%s", got, want)
 			}
 		})
+	}
+}
+
+// addCompactField rewrites a persisted spec.json as a release with the
+// compact-time option wrote it for a job that set it.
+func addCompactField(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["spec"].(map[string]any)["compact"] = true
+	if data, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

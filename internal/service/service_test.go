@@ -515,6 +515,7 @@ func TestServiceRejectsBadSpecs(t *testing.T) {
 		`{"m":-1}`,
 		`{"workers":-2}`,
 		`{"unknown_field":1}`,
+		`{"compact":true}`, // retired field: only persisted specs may carry it
 		`{"timeout":"not a duration"}`,
 		`{"faults":{"crashes":[{"node":99999,"at":1}]}}`,
 		`not json`,

@@ -116,9 +116,6 @@ type Spec struct {
 	// cmd/sweep's -faults flag reads from a file; see internal/fault and
 	// docs/FAULTS.md). Empty means a clean sweep.
 	Faults json.RawMessage `json:"faults,omitempty"`
-	// Compact opts into the compact-time fast path; dynamic fault
-	// schedules fall back per-run exactly as with cmd/sweep -compact.
-	Compact bool `json:"compact,omitempty"`
 	// Workers is each run's slot worker count (sim.Config.Workers): 0 or
 	// 1 = inline, n > 1 = a pool of n, -1 = auto-split the machine between
 	// batch and shard workers via runner.SplitParallelism. Results are
@@ -297,7 +294,6 @@ func Compile(spec Spec) (*Grid, error) {
 			Seed:          c.Seed,
 			SyncErrorProb: spec.SyncErr,
 			Faults:        fs,
-			CompactTime:   spec.Compact,
 			Workers:       grid.ShardWorkers,
 		}
 	}
@@ -310,33 +306,72 @@ func Compile(spec Spec) (*Grid, error) {
 // checkpoints while re-indenting it does not). The worker counts and the
 // other execution knobs (Parallel, Timeout, Retries, Backoff) are not
 // keyed: they never change results, so a journal written at workers=1
-// resumes cleanly at workers=4. The "sweep/v2" prefix marks the key
-// format of the one-discipline engine (see OpenJournal for v1 keys).
+// resumes cleanly at workers=4. The "sweep/v3" prefix marks the key
+// format of the one-loop engine; NormalizeJournalKey maps older formats
+// onto it.
 func (g *Grid) JournalKey() string {
-	return "sweep/v2|" + g.keyFields() + fmt.Sprintf("|faults=%x", g.faultHash())
-}
-
-// v1JournalKey is JournalKey as releases with two slot disciplines wrote
-// it: a "sweep|" prefix and a sharded= field naming the discipline.
-func (g *Grid) v1JournalKey(sharded bool) string {
-	return "sweep|" + g.keyFields() + fmt.Sprintf("|sharded=%v|faults=%x", sharded, g.faultHash())
-}
-
-// keyFields is the grid-parameter part of the journal key.
-func (g *Grid) keyFields() string {
 	duties := make([]string, len(g.Spec.Duties))
 	for i, d := range g.Spec.Duties {
 		duties[i] = strconv.FormatFloat(d, 'g', -1, 64)
 	}
-	return fmt.Sprintf("protocols=%s|duties=%s|seeds=%d|m=%d|coverage=%g|toposeed=%d|syncerr=%g|compact=%v",
-		strings.Join(g.Spec.Protocols, ","), strings.Join(duties, ","),
-		g.Spec.Seeds, g.Spec.M, g.Spec.Coverage, g.Spec.TopoSeed, g.Spec.SyncErr, g.Spec.Compact)
-}
-
-func (g *Grid) faultHash() uint64 {
 	h := fnv.New64a()
 	h.Write(g.faultJSON)
-	return h.Sum64()
+	return fmt.Sprintf("sweep/v3|protocols=%s|duties=%s|seeds=%d|m=%d|coverage=%g|toposeed=%d|syncerr=%g|faults=%x",
+		strings.Join(g.Spec.Protocols, ","), strings.Join(duties, ","),
+		g.Spec.Seeds, g.Spec.M, g.Spec.Coverage, g.Spec.TopoSeed, g.Spec.SyncErr, h.Sum64())
+}
+
+// NormalizeJournalKey maps a journal key any release wrote onto the
+// current JournalKey format, so a stored key can be compared with the
+// key of the grid being resumed:
+//
+//   - v2 keys ("sweep/v2|...") carry a compact= field naming the time
+//     path. Both paths computed identical results, so it is dropped.
+//   - v1 keys ("sweep|...") also carry sharded= naming the slot
+//     discipline. Only sharded=true journals hold results the current
+//     engine reproduces; serial reports any other v1 key, whose records
+//     came from the retired serial engine.
+//   - Releases before duty canonicalization wrote the duty axis as typed
+//     ("0.10,0.20"). The duties are canonicalized as JournalKey does, and
+//     retyped reports that this changed the key.
+//
+// A key in no known format is returned unchanged.
+func NormalizeJournalKey(stored string) (key string, serial, retyped bool) {
+	version, rest, _ := strings.Cut(stored, "|")
+	if version != "sweep" && version != "sweep/v2" && version != "sweep/v3" {
+		return stored, false, false
+	}
+	serial = version == "sweep"
+	var fields []string
+	for _, f := range strings.Split(rest, "|") {
+		name, val, _ := strings.Cut(f, "=")
+		switch name {
+		case "compact":
+			continue
+		case "sharded":
+			serial = val != "true"
+			continue
+		case "duties":
+			f = "duties=" + canonicalDuties(val)
+			retyped = retyped || f != "duties="+val
+		}
+		fields = append(fields, f)
+	}
+	return "sweep/v3|" + strings.Join(fields, "|"), serial, retyped
+}
+
+// canonicalDuties formats a comma-separated duty list as JournalKey does,
+// or returns it unchanged when a value does not parse.
+func canonicalDuties(list string) string {
+	parts := strings.Split(list, ",")
+	for k, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return list
+		}
+		parts[k] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
 }
 
 // ErrSerialJournal is wrapped by the error OpenJournal returns when asked
@@ -345,62 +380,29 @@ var ErrSerialJournal = errors.New("journal written by the retired serial engine"
 
 // OpenJournal opens the grid's checkpoint journal at path, creating it
 // (resume=false) or resuming it (resume=true) as runner.OpenJournal does.
-// Resuming also accepts a journal an older release wrote under this grid's
-// v1 key with sharded=true: its records are keyed-engine results, exactly
-// what the current engine computes, so it resumes under its stored key. A
-// v1 journal with sharded=false holds results of the retired serial
-// engine, which differ; resuming it fails with ErrSerialJournal.
+// Resuming also accepts a journal an older release wrote for this grid
+// whose records the current engine reproduces — a v2 key with either
+// compact= value, a v1 key with sharded=true — under its stored key
+// (NormalizeJournalKey). A v1 journal of the serial engine, whose results
+// differ, fails with ErrSerialJournal. A journal keyed with duties as
+// typed fails the key check; cmd/sweep explains how to migrate it.
 func (g *Grid) OpenJournal(path string, resume bool) (*runner.Journal, error) {
 	key := g.JournalKey()
 	if resume {
 		if stored, err := runner.ReadJournalKey(path); err == nil {
-			switch serial := g.v1JournalKey(false); {
-			case stored == g.v1JournalKey(true):
-				key = stored
-			case stored == serial || LegacyJournalKey(stored, serial):
+			switch norm, serial, retyped := NormalizeJournalKey(stored); {
+			case norm != key:
+			case serial:
 				return nil, fmt.Errorf("%w: %s holds results of the serial engine (sharded=false), "+
 					"which no longer exists; every run now uses the keyed-stream engine, whose results differ. "+
 					"Recompute the grid into a fresh journal (run again without resuming, or delete the journal)",
 					ErrSerialJournal, path)
+			case !retyped:
+				key = stored
 			}
 		}
 	}
 	return runner.OpenJournal(path, key, resume)
-}
-
-// LegacyJournalKey reports whether a stored journal key matches want
-// except for pre-canonicalization duty formatting. Older sweep releases
-// wrote the duty axis into the key exactly as the user typed it
-// ("0.10,0.20"); JournalKey now canonicalizes each value through
-// strconv.FormatFloat(d, 'g', -1, 64) ("0.1,0.2"), so a journal written
-// before the change can never match even though its records are valid
-// results for the very same grid. Callers (cmd/sweep) use this to turn a
-// bare key-mismatch error into an actionable migration message instead
-// of leaving the user to diff two opaque key strings.
-func LegacyJournalKey(stored, want string) bool {
-	if stored == want {
-		return false
-	}
-	const marker = "|duties="
-	i := strings.Index(stored, marker)
-	if i < 0 {
-		return false
-	}
-	start := i + len(marker)
-	n := strings.Index(stored[start:], "|")
-	if n < 0 {
-		return false
-	}
-	parts := strings.Split(stored[start:start+n], ",")
-	canon := make([]string, len(parts))
-	for k, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return false
-		}
-		canon[k] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return stored[:start]+strings.Join(canon, ",")+stored[start+n:] == want
 }
 
 // Options returns the runner options the grid's spec asks for (workers,

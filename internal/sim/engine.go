@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"ldcflood/internal/fault"
@@ -45,9 +44,8 @@ type groupedTx struct {
 }
 
 // engine bundles one run's mutable state: configuration, world, result
-// accumulators, RNG streams, and the per-slot scratch buffers shared by
-// the slot-by-slot and compact-time execution paths. All scratch is
-// allocated once at setup so both slot loops run allocation-free in the
+// accumulators, RNG streams, and the per-slot scratch buffers. All scratch
+// is allocated once at setup so the slot loop runs allocation-free in the
 // steady state.
 type engine struct {
 	cfg        Config
@@ -86,13 +84,11 @@ type engine struct {
 
 	// tel is the resolved telemetry instrument set, nil when
 	// Config.Telemetry is unset — in which case every telemetry site in the
-	// slot loops is one predictable nil-check branch (see telemetry.go).
+	// slot loop is one predictable nil-check branch (see telemetry.go).
 	tel *simTel
 
-	// Per-slot scratch, reused across slots. rxIntents[r] collects the
-	// surviving intents of a plain (non-planner) protocol targeting
-	// receiver r; rxList is the receivers touched this slot.
-	rxIntents   [][]groupedTx
+	// Per-slot scratch, reused across slots. rxList is the receivers
+	// targeted this slot.
 	rxList      []int
 	successes   []success
 	targeted    []bool
@@ -121,13 +117,11 @@ type engine struct {
 	decideFn   func(worker, chunk, lo, hi int)
 	overhearFn func(worker, chunk, lo, hi int)
 
-	// Planner-protocol state (e.planner != nil): the plan/select
-	// machinery on the engine's pool (see planner.go). rxFlat/rxOff
-	// replace rxIntents on this path: SelectIntents emits receiver groups
-	// contiguously in ascending order, so admitted survivors land in one
-	// flat arena with rxOff[i] marking where rxList[i]'s group starts —
-	// sequential appends and sequential group reads instead of a
-	// random-access bucket per receiver.
+	// Phase B state: the protocol as a planner (plain protocols wrapped in
+	// plainPlanner) and the plan/select machinery on the engine's pool
+	// (see planner.go). SelectIntents emits receiver groups contiguously
+	// in ascending order, so admitted survivors land in one flat arena,
+	// rxFlat, with rxOff[i] marking where rxList[i]'s group starts.
 	planner ShardPlanner
 	sp      slotPlanner
 	rxFlat  []groupedTx
@@ -142,8 +136,7 @@ type engine struct {
 
 // Run executes one simulation until every packet reaches the coverage
 // target or the slot horizon expires. Runs are bit-for-bit reproducible for
-// a given Config (including Seed), independent of Config.Workers, and — for
-// the protocols in internal/flood — independent of Config.CompactTime.
+// a given Config (including Seed) and independent of Config.Workers.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -247,27 +240,18 @@ func Run(cfg Config) (*Result, error) {
 	e.decideFn, e.overhearFn = e.decideChunk, e.overhearChunk
 	e.pool = newShardPool(e.workers)
 	defer e.pool.close()
+	e.sp = newSlotPlanner(e.pool)
 	if p, ok := cfg.Protocol.(ShardPlanner); ok {
 		e.planner = p
-		e.sp = newSlotPlanner(e.pool)
 	} else {
-		// The flat rxFlat/rxOff arena replaces the per-receiver buckets on
-		// the planner path; plain protocols group through rxIntents.
-		e.rxIntents = make([][]groupedTx, n)
+		e.planner = &plainPlanner{Protocol: cfg.Protocol}
 	}
 
-	plan := e.planCompact()
 	if cfg.Telemetry != nil {
-		e.tel = newSimTel(cfg.Telemetry, plan != nil, e.workers)
+		e.tel = newSimTel(cfg.Telemetry, e.workers)
 	}
-	var runErr error
-	if plan != nil {
-		runErr = e.runCompact(plan)
-	} else {
-		runErr = e.runSlots()
-	}
-	if runErr != nil {
-		return nil, runErr
+	if err := e.runSlots(); err != nil {
+		return nil, err
 	}
 	if e.tel != nil {
 		e.tel.finish(e, cfg.Telemetry)
@@ -305,23 +289,6 @@ func (e *engine) applyFaults(t int64) {
 	}
 }
 
-// planCompact decides whether the compact-time fast path applies and, if
-// so, builds its precomputed schedule structure. A nil return selects the
-// slot-by-slot path.
-func (e *engine) planCompact() *compactPlan {
-	if !e.cfg.CompactTime || e.cfg.Adapt != nil {
-		return nil
-	}
-	// Dynamic fault schedules (churn, jams, moving link chains) mutate the
-	// world mid-run in ways the hyperperiod plan cannot see; fall back to
-	// the reference path. Static schedules are a pure per-link PRR scaling
-	// and keep the fast path.
-	if e.inj != nil && !e.inj.Static() {
-		return nil
-	}
-	return newCompactPlan(e.cfg.Graph, e.scheds)
-}
-
 // interruptErr wraps ErrInterrupted with run context.
 func (e *engine) interruptErr(t int64) error {
 	return fmt.Errorf("sim: %s aborted at slot %d: %w",
@@ -342,11 +309,14 @@ func (e *engine) inject(t int64) {
 	}
 }
 
-// runSlots is the reference execution path: iterate every wall-clock slot.
-// It supports every Config feature, including Adapt. With static schedules
-// precomputed hyperperiod buckets give the awake set in O(awake) per slot;
-// under Adapt (or an oversized hyperperiod) an O(n) schedule scan
-// recomputes it. The two produce identical awake sets.
+// runSlots is the slot loop. With static schedules precomputed hyperperiod
+// buckets give the awake set in O(awake) per slot, and the loop steps over
+// slots whose offset bucket is empty unless a packet is injected there —
+// the paper's compact time scale (Section III), derived from the schedules
+// alone. Under Adapt (or an oversized hyperperiod) an O(n) schedule scan
+// recomputes the awake set and every slot is visited. Skipped slots have
+// nobody awake, so visiting them would change nothing: the fault timeline
+// and link chains catch up lazily at the next visited slot.
 func (e *engine) runSlots() error {
 	w, res, cfg := e.w, e.res, &e.cfg
 	var plan *awakePlan
@@ -355,10 +325,22 @@ func (e *engine) runSlots() error {
 	}
 	// Without a fault injector no node can crash, so the per-node awake
 	// tally is a pure function of the static schedules and the horizon —
-	// computed arithmetically after the loop (exactly as runCompact does)
-	// instead of incrementing per awake node per slot.
+	// computed arithmetically after the loop instead of incrementing per
+	// awake node per slot.
 	countAwake := plan == nil || e.inj != nil
 	for t := int64(0); t < e.maxSlots && e.covered < cfg.M; t++ {
+		if plan != nil {
+			if t = e.skip(plan, t); t == e.maxSlots {
+				// Nothing can happen before the horizon. Catch the fault
+				// timeline up to the last slot, as visiting it would.
+				e.applyFaults(t - 1)
+				if e.inj != nil {
+					e.inj.Sync(t - 1)
+				}
+				res.TotalSlots = t
+				break
+			}
+		}
 		if cfg.Interrupt != nil && cfg.Interrupt(t) {
 			return e.interruptErr(t)
 		}
@@ -417,99 +399,13 @@ func (e *engine) runSlots() error {
 	return nil
 }
 
-// runCompact is the compact-time fast path: the awake set comes from
-// precomputed hyperperiod offset buckets, and the loop steps directly from
-// one relevant slot to the next. Dormant-only stretches contribute to
-// TotalSlots and AwakeSlotsPerNode arithmetically. Preconditions
-// (CompactTime set, Adapt nil, bounded hyperperiod) are enforced by
-// planCompact.
-func (e *engine) runCompact(plan *compactPlan) error {
-	w, res, cfg := e.w, e.res, &e.cfg
-	fs := newFastState(e, plan)
-	w.onDeliver = fs.noteDeliver
-	defer func() { w.onDeliver = nil }()
-
-	L := int64(plan.L)
-	for t := int64(0); t < e.maxSlots && e.covered < cfg.M; {
-		if cfg.Interrupt != nil && cfg.Interrupt(t) {
-			return e.interruptErr(t)
-		}
-		w.now = t
-		before := w.injected
-		e.inject(t)
-		if w.injected != before {
-			fs.noteInjection()
-		}
-		// Awake set from the precomputed offset buckets: clear the
-		// previous slot's entries, then install this offset's bucket.
-		for _, i := range w.awakeList {
-			w.awake[i] = false
-		}
-		w.awakeList = w.awakeList[:0]
-		for _, i := range plan.buckets[t%L] {
-			w.awake[i] = true
-			w.awakeList = append(w.awakeList, int(i))
-		}
-		if err := e.resolveSlotKeyed(t); err != nil {
-			return err
-		}
-		res.TotalSlots = t + 1
-		if e.tel != nil {
-			e.tel.tick(e)
-		}
-		t = fs.nextRelevant(t + 1)
-	}
-	if e.covered < cfg.M {
-		// The reference path iterates (and counts) every slot up to the
-		// horizon even when nothing can happen; account for the skipped
-		// tail.
-		res.TotalSlots = e.maxSlots
-	}
-	// Awake-slot bookkeeping over [0, TotalSlots), computed arithmetically
-	// from the (static — Adapt is nil here) schedules.
-	for i := 0; i < e.n; i++ {
-		res.AwakeSlotsPerNode[i] = e.scheds[i].ActiveCountBefore(res.TotalSlots)
-	}
-	return nil
-}
-
-// collectIntents is phase B for a plain (non-planner) protocol: ask it for
-// this slot's transmissions and admit them in the order it returned them,
-// so the syncRNG consumption order is the protocol's own.
-func (e *engine) collectIntents(t int64) error {
-	intents := e.cfg.Protocol.Intents(e.w)
-	e.rxList = e.rxList[:0]
-	for _, in := range intents {
-		if err := e.admitIntent(in, t); err != nil {
-			return err
-		}
-	}
-	slices.Sort(e.rxList)
-	return nil
-}
-
-// admitIntent validates one intent, enforces one transmission per sender,
-// applies the synchronization-miss draw, and groups the survivor under its
-// receiver with its link PRR stashed.
-func (e *engine) admitIntent(in Intent, t int64) error {
-	prr, ok, err := e.vetIntent(in, -1, t)
-	if err != nil || !ok {
-		return err
-	}
-	if len(e.rxIntents[in.To]) == 0 {
-		e.rxList = append(e.rxList, in.To)
-	}
-	e.rxIntents[in.To] = append(e.rxIntents[in.To], groupedTx{in: in, prr: prr})
-	return nil
-}
-
 // vetIntent is admission without the grouping: validation, the
 // one-transmission-per-sender rule, and the synchronization-miss draw.
 // It returns the resolved link PRR and whether the intent survives to a
-// receiver group. A negative prr means unknown — look it up;
-// planner-emitted intents pass the PRR stashed at plan time, which keeps
-// the CSR binary search off the slot's serial spine (links
-// always have PRR > 0, so the link-existence check is the same either way).
+// receiver group. A negative prr means unknown — look it up; planners
+// pass the PRR stashed at plan time, which keeps the CSR binary search
+// off the slot's serial spine (links always have PRR > 0, so the
+// link-existence check is the same either way).
 func (e *engine) vetIntent(in Intent, prr float64, t int64) (float64, bool, error) {
 	w, res, cfg := e.w, e.res, &e.cfg
 	if in.From < 0 || in.From >= e.n || in.To < 0 || in.To >= e.n || in.From == in.To {
@@ -581,30 +477,18 @@ func (e *engine) accountCoverage(t int64) {
 	}
 }
 
-// groupTxs returns receiver rxList[i]'s intent group: a slice of the
-// planner path's flat arena, or the rxIntents bucket everywhere else.
+// groupTxs returns receiver rxList[i]'s intent group, a slice of the
+// flat arena.
 func (e *engine) groupTxs(i int) []groupedTx {
-	if e.planner != nil {
-		return e.rxFlat[e.rxOff[i]:e.rxOff[i+1]]
-	}
-	return e.rxIntents[e.rxList[i]]
+	return e.rxFlat[e.rxOff[i]:e.rxOff[i+1]]
 }
 
 // cleanupSlot resets exactly the scratch entries this slot touched, so
-// consecutive slots need no O(n) wipes. The planner path never populates
-// rxIntents (its groups live in the flat arena, truncated wholesale each
-// slot), so only the targeted marks need the per-receiver walk there.
+// consecutive slots need no O(n) wipes.
 func (e *engine) cleanupSlot() {
 	w := e.w
-	if e.planner != nil {
-		for _, r := range e.rxList {
-			e.targeted[r] = false
-		}
-	} else {
-		for _, r := range e.rxList {
-			e.targeted[r] = false
-			e.rxIntents[r] = e.rxIntents[r][:0]
-		}
+	for _, r := range e.rxList {
+		e.targeted[r] = false
 	}
 	for _, i := range e.txTouched {
 		w.transmitting[i] = false

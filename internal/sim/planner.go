@@ -20,7 +20,9 @@ package sim
 // SelectIntents runs serially and may use protocol scratch freely.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ldcflood/internal/rngutil"
 )
@@ -244,15 +246,43 @@ func PlanIntents(w *World, p ShardPlanner) []Intent {
 	return out
 }
 
+// plainPlanner adapts a plain Protocol to ShardPlanner, giving the engine
+// one admission path: it plans no candidates, and its selection asks the
+// protocol for this slot's Intents and emits them grouped by ascending
+// receiver — a stable sort, so each receiver's intents keep the protocol's
+// order — with an unknown PRR for admission to look up. Admission draws
+// syncRNG and applies the one-transmission-per-sender rule in that order.
+// A planner hidden behind a decorator emits in ascending receiver order
+// already (PlanIntents), so the sort keeps its order and its run is
+// byte-identical to the undecorated one.
+type plainPlanner struct {
+	Protocol
+	intents []Intent
+}
+
+// PlanReceiver implements ShardPlanner: a plain protocol plans nothing.
+func (*plainPlanner) PlanReceiver(_ *World, _ int, _ *rngutil.Stream, buf []Candidate) []Candidate {
+	return buf
+}
+
+// SelectIntents implements ShardPlanner.
+func (p *plainPlanner) SelectIntents(w *World, _ *SlotPlan, emit func(in Intent, prr float64)) {
+	p.intents = append(p.intents[:0], p.Protocol.Intents(w)...)
+	slices.SortStableFunc(p.intents, func(a, b Intent) int { return cmp.Compare(a.To, b.To) })
+	for _, in := range p.intents {
+		emit(in, -1)
+	}
+}
+
 // inlinePlanner is PlanIntents' per-run state, owned by the World.
 type inlinePlanner struct {
 	sp  slotPlanner
 	out []Intent
 }
 
-// planIntents is phase B for planner protocols: plan and select on the
-// engine's pool, then the shared serial admission (validation,
-// one-tx-per-sender, syncRNG draws, receiver grouping).
+// planIntents is phase B: plan and select on the engine's pool, then the
+// serial admission (validation, one-tx-per-sender, syncRNG draws, receiver
+// grouping).
 func (e *engine) planIntents(t int64) error {
 	e.sp.run(e.w, e.planner)
 

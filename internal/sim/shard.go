@@ -14,9 +14,10 @@ package sim
 //	A (serial)   faults, injection, chain Sync, awake set — in the caller.
 //	B            protocol intents. Protocols implementing ShardPlanner
 //	             (see planner.go) plan per-receiver candidates in parallel
-//	             and select serially; plain protocols return their
-//	             Intents. Validation and the syncRNG draws stay a shared
-//	             sequential stream either way.
+//	             and select serially; plain protocols are adapted as
+//	             planners whose selection returns their Intents grouped by
+//	             receiver. Validation and the syncRNG draws are one
+//	             sequential stream in emission order.
 //	C (parallel) per-receiver delivery decisions into rxRec.
 //	D (serial)   merge rxRec in ascending receiver order: counters,
 //	             deliveries, Observer callbacks.
@@ -48,6 +49,7 @@ package sim
 // 1) is faster at 10k nodes, while two workers win at 100k nodes.
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -221,27 +223,38 @@ func (p *shardPool) runShards(count, minChunk int, fn func(worker, chunk, lo, hi
 }
 
 // awakePlan precomputes per-offset awake buckets over the schedule
-// hyperperiod, so the reference path recomputes the awake set in
-// O(awake) per slot instead of an O(n) scan — at 100k nodes and 1% duty
-// that is the difference between touching 100k and ~1k schedule entries
-// per slot. Unlike compactPlan it carries no adjacency structure, so it
-// stays O(n + L·awake) in memory at any scale.
+// hyperperiod, so the slot loop recomputes the awake set in O(awake) per
+// slot instead of an O(n) scan — at 100k nodes and 1% duty that is the
+// difference between touching 100k and ~1k schedule entries per slot — and
+// steps over offsets at which nobody is scheduled awake. It is a pure
+// function of the static schedules and stays O(n + L·awake) in memory.
 type awakePlan struct {
 	L       int64
 	buckets [][]int32
+	// gap[o] is the distance from offset o to the next offset (cyclically,
+	// o itself included) whose bucket is non-empty: 0 when someone is
+	// awake at o.
+	gap []int32
 }
 
+// maxHyperperiod bounds the schedule hyperperiod (lcm of all periods) for
+// which the engine builds an awakePlan. Mutually irregular periods (e.g.
+// coprime large ones) blow past it and the loop falls back to an O(n)
+// schedule scan of every slot; the paper's uniform-period assignments have
+// hyperperiod == period.
+const maxHyperperiod = 8192
+
 // newAwakePlan builds the offset buckets, or returns nil when the
-// hyperperiod exceeds compactMaxHyperperiod (the caller then scans).
+// hyperperiod exceeds maxHyperperiod (the caller then scans).
 func newAwakePlan(scheds []*schedule.Schedule) *awakePlan {
 	L := 1
 	for _, s := range scheds {
 		L = lcm(L, s.Period())
-		if L > compactMaxHyperperiod {
+		if L > maxHyperperiod {
 			return nil
 		}
 	}
-	plan := &awakePlan{L: int64(L), buckets: make([][]int32, L)}
+	plan := &awakePlan{L: int64(L), buckets: make([][]int32, L), gap: make([]int32, L)}
 	counts := make([]int32, L)
 	total := 0
 	for _, s := range scheds {
@@ -270,7 +283,37 @@ func newAwakePlan(scheds []*schedule.Schedule) *awakePlan {
 			}
 		}
 	}
+	// Distances to the next non-empty bucket: two backward passes, the
+	// first to seed the wrap-around from offset 0's side. Every schedule
+	// has an active slot, so some bucket is non-empty whenever n > 0.
+	next := int32(math.MaxInt32)
+	for pass := 0; pass < 2; pass++ {
+		for o := L - 1; o >= 0; o-- {
+			if counts[o] > 0 {
+				next = 0
+			} else if next != math.MaxInt32 {
+				next++
+			}
+			plan.gap[o] = next
+		}
+	}
 	return plan
+}
+
+// skip returns the first slot at or after t that the loop must visit: one
+// whose offset bucket is non-empty, or the next injection slot, capped at
+// the horizon. Slots in between have nobody awake, so nothing can happen
+// on them.
+func (e *engine) skip(plan *awakePlan, t int64) int64 {
+	d := plan.gap[t%plan.L]
+	if d == 0 {
+		return t
+	}
+	to := min(t+int64(d), e.maxSlots)
+	if e.w.injected < e.cfg.M {
+		to = min(to, int64(e.w.injected)*int64(e.interval))
+	}
+	return to
 }
 
 // resolveSlotKeyed resolves one slot; the caller must have set w.now and
@@ -291,11 +334,7 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 	w.protoSlot = e.slotStream.SubValue(protoStreamKey)
 
 	// Phase B.
-	if e.planner != nil {
-		if err := e.planIntents(t); err != nil {
-			return err
-		}
-	} else if err := e.collectIntents(t); err != nil {
+	if err := e.planIntents(t); err != nil {
 		return err
 	}
 	e.statMergeRecv += int64(len(e.rxList))
@@ -563,4 +602,15 @@ func (e *engine) decideOverhear(o int, t int64) int32 {
 		}
 	}
 	return -1
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func lcm(a, b int) int {
+	return a / gcd(a, b) * b
 }

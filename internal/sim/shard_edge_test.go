@@ -106,20 +106,20 @@ func lineGraph(n int, prr float64) *topology.Graph {
 }
 
 // edgeRun executes the greedy planner protocol on the given schedules with
-// the requested worker count and time path.
-func edgeRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workers int, compact bool) *Result {
+// the requested worker count.
+func edgeRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workers int) *Result {
 	t.Helper()
-	return greedyRun(t, g, scheds, &greedyPlanner{}, workers, compact)
+	return greedyRun(t, g, scheds, &greedyPlanner{}, workers)
 }
 
 // edgeRunPlain is edgeRun with the planner hidden: the engine runs the
 // greedy protocol's plain Intents scan.
 func edgeRunPlain(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workers int) *Result {
 	t.Helper()
-	return greedyRun(t, g, scheds, plainOnly{&greedyPlanner{}}, workers, false)
+	return greedyRun(t, g, scheds, plainOnly{&greedyPlanner{}}, workers)
 }
 
-func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p Protocol, workers int, compact bool) *Result {
+func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p Protocol, workers int) *Result {
 	t.Helper()
 	res, err := Run(Config{
 		Graph:            g,
@@ -131,21 +131,20 @@ func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p P
 		MaxSlots:         50000,
 		RecordReceptions: true,
 		Workers:          workers,
-		CompactTime:      compact,
 	})
 	if err != nil {
-		t.Fatalf("workers=%d compact=%v: %v", workers, compact, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return res
 }
 
 // checkEdgeCase pins every worker count in the list — plus the plain
-// Intents scan — against workers=1, on both time paths. The greedy planner
+// Intents scan — against workers=1. The greedy planner
 // is RNG-free and the config draw-free (PRR 1, no sync errors, no
 // capture), so all of them must agree bit for bit.
 func checkEdgeCase(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workerCounts []int) {
 	t.Helper()
-	base := edgeRun(t, g, scheds, 1, false)
+	base := edgeRun(t, g, scheds, 1)
 	if base.Transmissions == 0 {
 		t.Fatal("degenerate case: nothing happened, edge path not exercised")
 	}
@@ -153,17 +152,8 @@ func checkEdgeCase(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule,
 		t.Error("plain Intents scan diverged from the planner path on the deterministic subspace")
 	}
 	for _, wk := range workerCounts {
-		if got := edgeRun(t, g, scheds, wk, false); !reflect.DeepEqual(got, base) {
+		if got := edgeRun(t, g, scheds, wk); !reflect.DeepEqual(got, base) {
 			t.Errorf("workers=%d diverged from workers=1", wk)
-		}
-	}
-	cbase := edgeRun(t, g, scheds, 1, true)
-	if !reflect.DeepEqual(cbase, base) {
-		t.Error("compact path diverged from reference path at workers=1")
-	}
-	for _, wk := range workerCounts {
-		if got := edgeRun(t, g, scheds, wk, true); !reflect.DeepEqual(got, cbase) {
-			t.Errorf("compact workers=%d diverged from compact workers=1", wk)
 		}
 	}
 }
@@ -187,8 +177,8 @@ func TestShardNumCPUWorkers(t *testing.T) {
 	g := lineGraph(24, 1)
 	checkEdgeCase(t, g, schedule.AssignStaggered(24, 4), []int{ncpu})
 	for seed := uint64(0); seed < 4; seed++ {
-		base := chaosRun(t, seed, 1, false)
-		if got := chaosRun(t, seed, ncpu, false); !reflect.DeepEqual(got, base) {
+		base := chaosRun(t, seed, 1)
+		if got := chaosRun(t, seed, ncpu); !reflect.DeepEqual(got, base) {
 			t.Errorf("seed %d: workers=NumCPU(%d) diverged from workers=1", seed, ncpu)
 		}
 	}
@@ -210,8 +200,7 @@ func TestShardSingleAwakeNodeSlots(t *testing.T) {
 
 // TestShardZeroAwakeGaps aligns every node on phase 0 of a period-8
 // schedule: seven of every eight slots have an empty awake bucket, so the
-// sharded resolver must repeatedly handle zero-item batches (and the
-// compact path must skip the gaps identically).
+// loop steps over the gaps, visiting only the injection slots and phase 0.
 func TestShardZeroAwakeGaps(t *testing.T) {
 	const n = 12
 	g := lineGraph(n, 1)

@@ -31,14 +31,10 @@ func FuzzShardMerge(f *testing.F) {
 		workers := 2 + int(workersRaw)%6
 
 		// Contract 1: worker-count invariance under chaos — protocol
-		// randomness, sync errors, capture, faults — on both time paths.
-		base := chaosRun(t, seed, 1, false)
-		if got := chaosRun(t, seed, workers, false); !reflect.DeepEqual(got, base) {
+		// randomness, sync errors, capture, faults.
+		base := chaosRun(t, seed, 1)
+		if got := chaosRun(t, seed, workers); !reflect.DeepEqual(got, base) {
 			t.Fatalf("seed %d: workers %d diverged from workers 1", seed, workers)
-		}
-		cbase := chaosRun(t, seed, 1, true)
-		if got := chaosRun(t, seed, workers, true); !reflect.DeepEqual(got, cbase) {
-			t.Fatalf("seed %d: compact workers %d diverged from compact workers 1", seed, workers)
 		}
 
 		// Contract 2: on the deterministic subspace (RNG-free planner
@@ -49,7 +45,7 @@ func FuzzShardMerge(f *testing.F) {
 		period := 1 + int(seed/4)%8
 		scheds := schedule.AssignStaggered(n, period)
 		plain := edgeRunPlain(t, g, scheds, 0)
-		if got := edgeRun(t, g, scheds, workers, false); !reflect.DeepEqual(got, plain) {
+		if got := edgeRun(t, g, scheds, workers); !reflect.DeepEqual(got, plain) {
 			t.Fatalf("seed %d: planner path at workers %d diverged from the plain scan", seed, workers)
 		}
 	})

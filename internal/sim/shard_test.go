@@ -1,8 +1,7 @@
 package sim
 
 // Certification of the keyed-stream slot discipline: worker-count
-// invariance, node-relabeling invariance on the RNG-free subspace,
-// equivalence of the forced large-graph data structures, and an
+// invariance, node-relabeling invariance on the RNG-free subspace, and an
 // adversarial stress shape for the race detector.
 
 import (
@@ -17,10 +16,10 @@ import (
 )
 
 // chaosRun builds a fresh randomized-but-valid configuration from seed and
-// runs it with the given worker count and time mode. Everything — graph,
+// runs it with the given worker count. Everything — graph,
 // schedules, protocol stream, fault schedule — is re-derived from the seed
 // so repeated calls are exact replicas differing only in the knobs.
-func chaosRun(t *testing.T, seed uint64, workers int, compact bool) *Result {
+func chaosRun(t *testing.T, seed uint64, workers int) *Result {
 	t.Helper()
 	r := rngutil.New(seed)
 	g := randomConnectedGraph(r)
@@ -59,7 +58,6 @@ func chaosRun(t *testing.T, seed uint64, workers int, compact bool) *Result {
 		RecordReceptions: true,
 		Faults:           faults,
 		Workers:          workers,
-		CompactTime:      compact,
 	})
 	if err != nil {
 		t.Fatalf("seed %d workers %d: %v", seed, workers, err)
@@ -70,18 +68,14 @@ func chaosRun(t *testing.T, seed uint64, workers int, compact bool) *Result {
 // TestWorkerCountInvariance is the slot discipline's core determinism
 // property: for any valid configuration — chaotic protocol behaviour,
 // every fault-schedule family, capture, sync errors — the full Result is
-// bit-for-bit identical for every worker count, on both time paths.
+// bit-for-bit identical for every worker count.
 func TestWorkerCountInvariance(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {
-		base := chaosRun(t, seed, 1, false)
+		base := chaosRun(t, seed, 1)
 		for _, workers := range []int{2, 3, 8} {
-			if got := chaosRun(t, seed, workers, false); !reflect.DeepEqual(got, base) {
+			if got := chaosRun(t, seed, workers); !reflect.DeepEqual(got, base) {
 				t.Fatalf("seed %d: workers %d diverged from workers 1", seed, workers)
 			}
-		}
-		cbase := chaosRun(t, seed, 1, true)
-		if got := chaosRun(t, seed, 4, true); !reflect.DeepEqual(got, cbase) {
-			t.Fatalf("seed %d: compact workers 4 diverged from compact workers 1", seed)
 		}
 	}
 }
@@ -156,7 +150,7 @@ func TestRelabelingInvariance(t *testing.T) {
 		}
 		return g, scheds
 	}
-	run := func(perm []int, workers int, compact bool) *Result {
+	run := func(perm []int, workers int) *Result {
 		g, scheds := build(perm)
 		res, err := Run(Config{
 			Graph:            g,
@@ -168,7 +162,6 @@ func TestRelabelingInvariance(t *testing.T) {
 			MaxSlots:         20000,
 			RecordReceptions: true,
 			Workers:          workers,
-			CompactTime:      compact,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +176,7 @@ func TestRelabelingInvariance(t *testing.T) {
 	for i := range id {
 		id[i] = i
 	}
-	base := run(id, 0, false)
+	base := run(id, 0)
 
 	// The permutation fixes the source and scrambles everything else.
 	perm := make([]int, n)
@@ -196,14 +189,11 @@ func TestRelabelingInvariance(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
 		workers int
-		compact bool
 	}{
-		{"inline", 0, false},
-		{"pool-4", 4, false},
-		{"inline-compact", 0, true},
-		{"pool-4-compact", 4, true},
+		{"inline", 0},
+		{"pool-4", 4},
 	} {
-		got := run(perm, mode.workers, mode.compact)
+		got := run(perm, mode.workers)
 		// Aggregates are label-free.
 		if got.Transmissions != base.Transmissions || got.Overheard != base.Overheard ||
 			got.TotalSlots != base.TotalSlots || !reflect.DeepEqual(got.Delay, base.Delay) ||
@@ -226,7 +216,7 @@ func TestRelabelingInvariance(t *testing.T) {
 		}
 		// The identity labeling must also reproduce base exactly on every
 		// mode — the RNG-free subspace makes all paths coincide.
-		if gotID := run(id, mode.workers, mode.compact); !reflect.DeepEqual(gotID, base) {
+		if gotID := run(id, mode.workers); !reflect.DeepEqual(gotID, base) {
 			t.Fatalf("%s: identity run differs from the base run", mode.name)
 		}
 	}
@@ -306,7 +296,7 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 		}
 		return g, scheds
 	}
-	run := func(perm, role []int, workers int, compact bool) *Result {
+	run := func(perm, role []int, workers int) *Result {
 		g, scheds := build(perm)
 		res, err := Run(Config{
 			Graph:            g,
@@ -318,7 +308,6 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 			MaxSlots:         40000,
 			RecordReceptions: true,
 			Workers:          workers,
-			CompactTime:      compact,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +322,7 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 	for i := range id {
 		id[i] = i
 	}
-	base := run(id, id, 0, false)
+	base := run(id, id, 0)
 
 	// Fix the source (injection is defined at node 0), scramble the rest,
 	// and transport the timer identity: node perm[i] plays role i.
@@ -350,14 +339,11 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
 		workers int
-		compact bool
 	}{
-		{"inline", 0, false},
-		{"pool-4", 4, false},
-		{"inline-compact", 0, true},
-		{"pool-4-compact", 4, true},
+		{"inline", 0},
+		{"pool-4", 4},
 	} {
-		got := run(perm, role, mode.workers, mode.compact)
+		got := run(perm, role, mode.workers)
 		if got.Transmissions != base.Transmissions || got.TotalSlots != base.TotalSlots ||
 			!reflect.DeepEqual(got.Delay, base.Delay) ||
 			!reflect.DeepEqual(got.CoverTime, base.CoverTime) {
@@ -373,29 +359,9 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 					mode.name, i, got.NodeRecvTime[0][perm[i]], base.NodeRecvTime[0][i])
 			}
 		}
-		if gotID := run(id, id, mode.workers, mode.compact); !reflect.DeepEqual(gotID, base) {
+		if gotID := run(id, id, mode.workers); !reflect.DeepEqual(gotID, base) {
 			t.Fatalf("%s: identity run differs from the base run", mode.name)
 		}
-	}
-}
-
-// TestForcedLargeGraphStructures certifies the compact plan's scale
-// substitution is RNG-neutral: forcing its sparse (CSR row walk) adjacency
-// on a small graph reproduces the dense bitset's results bit-for-bit,
-// inline and on the pool.
-func TestForcedLargeGraphStructures(t *testing.T) {
-	seeds := []uint64{2, 5, 11}
-	for _, seed := range seeds {
-		dense := chaosRun(t, seed, 0, true)
-		denseW := chaosRun(t, seed, 4, true)
-		restore := setCompactSparse(1)
-		if got := chaosRun(t, seed, 0, true); !reflect.DeepEqual(got, dense) {
-			t.Fatalf("seed %d: sparse compact plan diverged from dense", seed)
-		}
-		if got := chaosRun(t, seed, 4, true); !reflect.DeepEqual(got, denseW) {
-			t.Fatalf("seed %d: sparse compact plan diverged from dense at workers 4", seed)
-		}
-		restore()
 	}
 }
 

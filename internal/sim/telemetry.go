@@ -1,6 +1,6 @@
 package sim
 
-// Telemetry threading for both engine time paths. The engine resolves
+// Telemetry threading for the slot loop. The engine resolves
 // every instrument pointer once at setup (simTel), ticks a slot counter
 // live, and drains the Result accumulators into the registry as deltas —
 // periodically (every telFlushEvery visited slots) and at run end. The
@@ -73,15 +73,9 @@ type telPrev struct {
 }
 
 // newSimTel resolves the sim counter set against reg and counts the run
-// start and chosen time path (compact reports whether the fast path was
-// selected); workers is the run's resolved slot worker count.
-func newSimTel(reg *telemetry.Registry, compact bool, workers int) *simTel {
+// start; workers is the run's resolved slot worker count.
+func newSimTel(reg *telemetry.Registry, workers int) *simTel {
 	reg.Counter("sim.runs.started").Inc()
-	if compact {
-		reg.Counter("sim.path.compact").Inc()
-	} else {
-		reg.Counter("sim.path.slots").Inc()
-	}
 	reg.Counter("sim.path.sharded").Inc()
 	reg.Gauge("sim.workers").Set(int64(workers))
 	return &simTel{
@@ -111,7 +105,7 @@ func newSimTel(reg *telemetry.Registry, compact bool, workers int) *simTel {
 	}
 }
 
-// tick is called once per visited slot by both execution paths. It keeps
+// tick is called once per visited slot. It keeps
 // sim.slots.visited live and periodically drains the accumulators.
 func (st *simTel) tick(e *engine) {
 	st.visited++
@@ -176,9 +170,9 @@ func (st *simTel) flush(e *engine) {
 }
 
 // finish performs the run-end drain: the final accumulator flush, the
-// skipped-slot accounting (TotalSlots minus slots actually visited — zero
-// on the reference path, the dormant stretches the compact path never
-// iterated otherwise), and the completion counter.
+// skipped-slot accounting (TotalSlots minus slots actually visited — the
+// empty-offset stretches the loop stepped over), and the completion
+// counter.
 func (st *simTel) finish(e *engine, reg *telemetry.Registry) {
 	st.flush(e)
 	if skipped := e.res.TotalSlots - st.visited; skipped > 0 {

@@ -13,7 +13,7 @@ import (
 
 // telTestConfig builds a small faulted run: a 12-node line with a mid-run
 // crash/reboot and a bursty link chain, so every counter family moves.
-func telTestConfig(compact bool) Config {
+func telTestConfig() Config {
 	g := topology.Line(12, 0.9)
 	scheds := schedule.AssignUniform(g.N(), 10, rngutil.New(3).SubName("schedule"))
 	return Config{
@@ -43,15 +43,17 @@ func telTestConfig(compact bool) Config {
 			Links:   []fault.LinkRule{{PGB: 0.05, PBG: 0.2, BadScale: 0.3}},
 			Crashes: []fault.Crash{{Node: 5, At: 40, RebootAt: 200}},
 		},
-		CompactTime: compact,
 	}
 }
 
 // TestTelemetryDoesNotChangeResults: attaching a registry must be
-// invisible to the simulation on both execution paths.
+// invisible to the simulation, with and without a fault schedule.
 func TestTelemetryDoesNotChangeResults(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		cfg := telTestConfig(compact)
+	for _, faulted := range []bool{true, false} {
+		cfg := telTestConfig()
+		if !faulted {
+			cfg.Faults = nil
+		}
 		plain, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -62,118 +64,125 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, instrumented) {
-			t.Fatalf("compact=%v: attaching telemetry changed the result\nplain %+v\ninstrumented %+v",
-				compact, plain, instrumented)
+			t.Fatalf("faulted=%v: attaching telemetry changed the result\nplain %+v\ninstrumented %+v",
+				faulted, plain, instrumented)
 		}
 	}
 }
 
-// TestTelemetryCountersMatchResult: after a run, the registry must agree
-// with the Result's own accounting on both paths — including the
-// visited/skipped split that only the compact path exercises.
+// TestTelemetryCountersMatchResult: after a faulted run, the registry must
+// agree with the Result's own accounting.
 func TestTelemetryCountersMatchResult(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		reg := telemetry.New()
-		cfg := telTestConfig(compact)
-		cfg.Telemetry = reg
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		want := map[string]int64{
-			"sim.runs.started":      1,
-			"sim.runs.completed":    1,
-			"sim.tx.attempts":       int64(res.Transmissions),
-			"sim.tx.success":        int64(res.Transmissions - res.Failures()),
-			"sim.tx.loss":           int64(res.LossFailures),
-			"sim.tx.collision":      int64(res.CollisionFailures),
-			"sim.tx.busy":           int64(res.BusyFailures),
-			"sim.tx.sync_miss":      int64(res.SyncFailures),
-			"sim.tx.jammed":         int64(res.JamFailures),
-			"sim.tx.captured":       int64(res.Captures),
-			"sim.overheard":         int64(res.Overheard),
-			"sim.packets.injected":  int64(res.M),
-			"sim.packets.covered":   int64(res.M),
-			"fault.crashes":         int64(res.Crashes),
-			"fault.reboots":         int64(res.Reboots),
-			"fault.packets_dropped": int64(res.CrashDropped),
-		}
-		for k, v := range want {
-			if snap[k] != v {
-				t.Errorf("compact=%v: %s = %d, want %d", compact, k, snap[k], v)
-			}
-		}
-		if res.Crashes != 1 || res.Reboots != 1 {
-			t.Fatalf("compact=%v: fault scenario did not fire (crashes=%d reboots=%d)",
-				compact, res.Crashes, res.Reboots)
-		}
-		if snap["fault.chain_flips"] <= 0 {
-			t.Errorf("compact=%v: fault.chain_flips = %d, want > 0", compact, snap["fault.chain_flips"])
-		}
-		// Visited + skipped must cover the whole horizon exactly.
-		if got := snap["sim.slots.visited"] + snap["sim.slots.skipped"]; got != res.TotalSlots {
-			t.Errorf("compact=%v: visited(%d) + skipped(%d) = %d, want TotalSlots %d",
-				compact, snap["sim.slots.visited"], snap["sim.slots.skipped"], got, res.TotalSlots)
-		}
-		// Dynamic fault schedules force the reference path, so both runs
-		// must report the slot path and visit every slot.
-		if snap["sim.path.compact"] != 0 || snap["sim.path.slots"] != 1 {
-			t.Errorf("compact=%v: path counters (compact=%d slots=%d), want the dynamic-fault fallback",
-				compact, snap["sim.path.compact"], snap["sim.path.slots"])
-		}
-		if snap["sim.slots.skipped"] != 0 {
-			t.Errorf("compact=%v: slot path skipped %d slots", compact, snap["sim.slots.skipped"])
-		}
-	}
-}
-
-// TestTelemetryCompactPathCounters: a clean compact run must report the
-// fast path as taken and a non-trivial skipped-slot count at low duty.
-func TestTelemetryCompactPathCounters(t *testing.T) {
 	reg := telemetry.New()
-	cfg := telTestConfig(true)
-	cfg.Faults = nil // static world: the fast path applies
+	cfg := telTestConfig()
 	cfg.Telemetry = reg
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if snap["sim.path.compact"] != 1 || snap["sim.path.slots"] != 0 {
-		t.Fatalf("path counters (compact=%d slots=%d), want compact hit",
-			snap["sim.path.compact"], snap["sim.path.slots"])
+	want := map[string]int64{
+		"sim.runs.started":      1,
+		"sim.runs.completed":    1,
+		"sim.tx.attempts":       int64(res.Transmissions),
+		"sim.tx.success":        int64(res.Transmissions - res.Failures()),
+		"sim.tx.loss":           int64(res.LossFailures),
+		"sim.tx.collision":      int64(res.CollisionFailures),
+		"sim.tx.busy":           int64(res.BusyFailures),
+		"sim.tx.sync_miss":      int64(res.SyncFailures),
+		"sim.tx.jammed":         int64(res.JamFailures),
+		"sim.tx.captured":       int64(res.Captures),
+		"sim.overheard":         int64(res.Overheard),
+		"sim.packets.injected":  int64(res.M),
+		"sim.packets.covered":   int64(res.M),
+		"fault.crashes":         int64(res.Crashes),
+		"fault.reboots":         int64(res.Reboots),
+		"fault.packets_dropped": int64(res.CrashDropped),
 	}
+	for k, v := range want {
+		if snap[k] != v {
+			t.Errorf("%s = %d, want %d", k, snap[k], v)
+		}
+	}
+	if res.Crashes != 1 || res.Reboots != 1 {
+		t.Fatalf("fault scenario did not fire (crashes=%d reboots=%d)", res.Crashes, res.Reboots)
+	}
+	if snap["fault.chain_flips"] <= 0 {
+		t.Errorf("fault.chain_flips = %d, want > 0", snap["fault.chain_flips"])
+	}
+	if got := snap["sim.slots.visited"] + snap["sim.slots.skipped"]; got != res.TotalSlots {
+		t.Errorf("visited(%d) + skipped(%d) = %d, want TotalSlots %d",
+			snap["sim.slots.visited"], snap["sim.slots.skipped"], got, res.TotalSlots)
+	}
+}
+
+// TestTelemetryCompactPathCounters: a clean run at low duty must skip
+// slots, account for the whole horizon in visited + skipped, and split the
+// two exactly as a hand count of the empty-offset skip predicts.
+func TestTelemetryCompactPathCounters(t *testing.T) {
+	reg := telemetry.New()
+	cfg := telTestConfig()
+	cfg.Faults = nil
+	cfg.Telemetry = reg
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
 	if snap["sim.slots.skipped"] == 0 {
-		t.Fatal("compact run at 10% duty skipped no slots")
+		t.Fatal("clean run at 10% duty skipped no slots")
 	}
 	if got := snap["sim.slots.visited"] + snap["sim.slots.skipped"]; got != res.TotalSlots {
 		t.Fatalf("visited + skipped = %d, want %d", got, res.TotalSlots)
 	}
-	// The same run on the reference path must agree on every drained
-	// accumulator (only the visited/skipped split may differ).
-	reg2 := telemetry.New()
-	cfg2 := cfg
-	cfg2.CompactTime = false
-	cfg2.Telemetry = reg2
-	if _, err := Run(cfg2); err != nil {
-		t.Fatal(err)
-	}
-	snap2 := reg2.Snapshot()
-	for _, k := range []string{
-		"sim.tx.attempts", "sim.tx.success", "sim.tx.loss", "sim.tx.collision",
-		"sim.tx.busy", "sim.tx.sync_miss", "sim.tx.jammed", "sim.overheard",
-		"sim.packets.injected", "sim.packets.covered",
+	for k, v := range map[string]int64{
+		"sim.tx.attempts":      int64(res.Transmissions),
+		"sim.tx.success":       int64(res.Transmissions - res.Failures()),
+		"sim.tx.loss":          int64(res.LossFailures),
+		"sim.tx.collision":     int64(res.CollisionFailures),
+		"sim.overheard":        int64(res.Overheard),
+		"sim.packets.injected": int64(res.M),
+		"sim.packets.covered":  int64(res.M),
 	} {
-		if snap[k] != snap2[k] {
-			t.Errorf("%s: compact %d vs reference %d", k, snap[k], snap2[k])
+		if snap[k] != v {
+			t.Errorf("%s = %d, want %d", k, snap[k], v)
 		}
 	}
-	if snap2["sim.slots.skipped"] != 0 {
-		t.Errorf("reference path skipped %d slots", snap2["sim.slots.skipped"])
+
+	// A hand-built table with hyperperiod 6 on a reliable 3-node line:
+	// node 0 wakes at offset 0, node 1 at 2, node 2 at 2 and 5, so offsets
+	// 1, 3 and 4 are empty. Packets enter at slots 0 and 4. Node 1 takes
+	// p0 at slot 2, node 2 takes p0 at 5, node 1 takes p1 at 8 and node 2
+	// takes p1 at 11, completing the flood: TotalSlots 12. Visited are the
+	// slots with an awake node (0 2 5 6 8 11) or an injection (4): 7;
+	// skipped are 1 3 7 9 10: 5.
+	reg = telemetry.New()
+	res, err = Run(Config{
+		Graph: topology.Line(3, 1),
+		Schedules: []*schedule.Schedule{
+			schedule.NewSingleSlot(6, 0),
+			schedule.NewSingleSlot(6, 2),
+			schedule.NewSingleSlot(3, 2),
+		},
+		Protocol:       cfg.Protocol,
+		M:              2,
+		InjectInterval: 4,
+		Coverage:       1,
+		Telemetry:      reg,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap2["sim.slots.visited"] != res.TotalSlots {
-		t.Errorf("reference path visited %d slots, want %d", snap2["sim.slots.visited"], res.TotalSlots)
+	snap = reg.Snapshot()
+	if res.TotalSlots != 12 || !res.Completed {
+		t.Fatalf("TotalSlots = %d (completed %v), want 12 by the hand count", res.TotalSlots, res.Completed)
+	}
+	if snap["sim.slots.visited"] != 7 || snap["sim.slots.skipped"] != 5 {
+		t.Errorf("visited %d, skipped %d; want 7 and 5 by the hand count",
+			snap["sim.slots.visited"], snap["sim.slots.skipped"])
+	}
+	if want := []int64{2, 2, 4}; !reflect.DeepEqual(res.AwakeSlotsPerNode, want) {
+		t.Errorf("AwakeSlotsPerNode = %v, want %v", res.AwakeSlotsPerNode, want)
 	}
 }
 
@@ -188,7 +197,7 @@ func TestTelemetryShardedCounters(t *testing.T) {
 	// pool (the same hook the stress and fuzz suites use).
 	restore := setMinChunk(1)
 	defer restore()
-	cfg := telTestConfig(false)
+	cfg := telTestConfig()
 	cfg.Workers = 4
 
 	plain, err := Run(cfg)
@@ -229,7 +238,7 @@ func TestTelemetryShardedCounters(t *testing.T) {
 	// not move with the worker count (the batch/chunk split legitimately
 	// does).
 	reg2 := telemetry.New()
-	cfg2 := telTestConfig(false)
+	cfg2 := telTestConfig()
 	cfg2.Workers = 2
 	cfg2.Telemetry = reg2
 	if _, err := Run(cfg2); err != nil {
@@ -246,7 +255,7 @@ func TestTelemetryShardedCounters(t *testing.T) {
 	// Workers 0 runs the same discipline inline: it reports one worker and
 	// the same deterministic merge tallies.
 	reg3 := telemetry.New()
-	cfg3 := telTestConfig(false)
+	cfg3 := telTestConfig()
 	cfg3.Telemetry = reg3
 	if _, err := Run(cfg3); err != nil {
 		t.Fatal(err)

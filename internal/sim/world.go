@@ -49,11 +49,6 @@ type World struct {
 	awakeList    []int
 	transmitting []bool
 
-	// onDeliver, when non-nil, observes every successful delivery
-	// (injection, unicast or overheard). The compact-time fast path hooks
-	// it to maintain its relevant-slot bookkeeping incrementally.
-	onDeliver func(p, node int)
-
 	// protoSlot is the slot's keyed protocol-planning stream, re-derived
 	// by the engine every slot; inline is PlanIntents' scratch, allocated
 	// on first use.
@@ -124,8 +119,7 @@ func (w *World) OldestNeeded(sender, receiver int) int {
 // lacks — equivalent to OldestNeeded(sender, receiver) >= 0 but without
 // finding the FCFS minimum, a handful of word operations. Protocols use it
 // as the cheap candidate-admission test, deferring the OldestNeeded scan to
-// the senders that actually fire; the compact-time fast path uses it to
-// track which nodes can still receive something.
+// the senders that actually fire.
 func (w *World) AnyNeeded(sender, receiver int) bool {
 	if w.pwords == 1 {
 		return w.has[sender]&^w.has[receiver] != 0
@@ -182,9 +176,6 @@ func (w *World) deliver(p, node int, t int64) bool {
 	w.recvTime[node*w.M+p] = t
 	w.count[p]++
 	w.heldCount[node]++
-	if w.onDeliver != nil {
-		w.onDeliver(p, node)
-	}
 	return true
 }
 
@@ -318,6 +309,15 @@ func (f *FuncProtocol) Overhears() bool { return f.Overhearing }
 var _ Protocol = (*FuncProtocol)(nil)
 
 // Config parameterizes one simulation run.
+//
+// The engine works on the paper's compact time scale (Section III): with
+// static schedules (no Adapt) whose hyperperiod is small enough to bucket,
+// it steps over slots at which no node is scheduled awake, so it calls the
+// protocol only on slots where some node is awake or a packet is injected,
+// and it polls Interrupt only on those visited slots. Results are the
+// same as visiting every slot for any protocol that draws no randomness
+// and keeps no per-call state on a slot with nobody awake; every protocol
+// in internal/flood does so. Skipped slots still count in TotalSlots.
 type Config struct {
 	Graph     *topology.Graph
 	Schedules []*schedule.Schedule
@@ -364,20 +364,17 @@ type Config struct {
 	// crash/reboot churn, and transient jamming outages, all compiled
 	// against the run seed's dedicated "fault" RNG stream so attaching a
 	// schedule never perturbs the loss/sync/protocol streams — an empty
-	// schedule reproduces the unfaulted run bit-for-bit. Dynamic schedules
-	// (churn, jams, moving chains) force the slot-by-slot reference path;
-	// static link degradation (the paper's k-class loss) keeps the
-	// compact-time fast path. See docs/FAULTS.md.
+	// schedule reproduces the unfaulted run bit-for-bit. See
+	// docs/FAULTS.md.
 	Faults *fault.Schedule
 	// Interrupt, when non-nil, is polled once at the top of every slot.
 	// Returning true aborts the run immediately with an error wrapping
 	// ErrInterrupted. The hook runs on the engine's hot path and must be
 	// cheap; the batch runner (internal/runner) uses it to impose
 	// wall-clock timeouts, slot budgets, and context cancellation without
-	// leaking a runaway simulation goroutine. Under CompactTime the hook
-	// is polled only at the slots the fast path visits, so an interrupt
-	// that would have fired during a skipped dormant stretch is delivered
-	// at the next visited slot instead.
+	// leaking a runaway simulation goroutine. The hook is polled only on
+	// visited slots (see below), so an interrupt raised during a skipped
+	// stretch is delivered at the next visited slot.
 	Interrupt func(slot int64) bool
 	// Telemetry, when non-nil, receives cheap always-on counters from the
 	// run: slots visited/skipped, execution-path selection, transmission
@@ -404,30 +401,6 @@ type Config struct {
 	// equivalence suites in internal/flood and shard_test.go). Negative
 	// values are rejected.
 	Workers int
-	// CompactTime enables the compact-time-scale fast path (the paper's
-	// Section III modeling move: analyze dissemination over active slots
-	// only). The engine precomputes each schedule's periodic active-slot
-	// structure, maintains the awake set incrementally, and steps directly
-	// from one relevant slot to the next — slots on which no transmission,
-	// reception, protocol decision or injection can occur are accounted
-	// into AwakeSlotsPerNode and TotalSlots arithmetically, never
-	// iterated. Results are bit-for-bit identical to the default path for
-	// every shipped protocol (see the equivalence suite in
-	// compact_test.go).
-	//
-	// The fast path silently falls back to the slot-by-slot path when it
-	// cannot be applied: when Adapt is set (schedules mutate mid-run), or
-	// when the schedules' hyperperiod (lcm of all periods) exceeds an
-	// internal bound, making offset bucketing impractical.
-	//
-	// Contract for custom protocols: the engine only invokes the protocol
-	// on relevant slots — slots where some awake node has a neighbor
-	// holding a packet it lacks, or where two adjacent nodes are awake
-	// while any node still misses a packet. A Protocol whose Intents
-	// consults World.ProtoRNG (or other state) outside those situations
-	// will observe a different random stream than under the default path;
-	// all protocols in internal/flood satisfy the contract.
-	CompactTime bool
 }
 
 func (c *Config) validate() error {

@@ -19,7 +19,7 @@ import (
 
 // goldenTrace runs one real flood and returns its text trace — the same
 // golden event streams the byte-identity suites certify elsewhere.
-func goldenTrace(t *testing.T, protocol string, seed uint64, compact bool, workers int) []byte {
+func goldenTrace(t *testing.T, protocol string, seed uint64, workers int) []byte {
 	t.Helper()
 	g := topology.Grid(6, 6, 0.8)
 	p, err := flood.New(protocol)
@@ -36,7 +36,6 @@ func goldenTrace(t *testing.T, protocol string, seed uint64, compact bool, worke
 		Coverage:       0.99,
 		Seed:           seed,
 		SyncErrorProb:  0.02,
-		CompactTime:    compact,
 		Workers:        workers,
 		Observer:       logger,
 		InjectInterval: 3,
@@ -80,7 +79,7 @@ func textOf(t *testing.T, events []tracelog.Event) []byte {
 // text bytes, and the decoded events must match exactly.
 func TestGoldenRoundTrip(t *testing.T) {
 	for _, protocol := range append(flood.Names(), "flash") {
-		text := goldenTrace(t, protocol, 42, false, 0)
+		text := goldenTrace(t, protocol, 42, 0)
 		events, err := tracelog.Parse(bytes.NewReader(text))
 		if err != nil {
 			t.Fatalf("%s: %v", protocol, err)
@@ -111,9 +110,9 @@ func TestGoldenRoundTrip(t *testing.T) {
 // TestEngineEmitMatchesConversion certifies that attaching a tracebin
 // Writer directly to the engine produces exactly the bytes of converting
 // the text trace — the two capture paths are interchangeable — and that
-// the binary bytes are invariant across worker counts and time paths.
+// the binary bytes are invariant across worker counts.
 func TestEngineEmitMatchesConversion(t *testing.T) {
-	runBin := func(workers int, compact bool) []byte {
+	runBin := func(workers int) []byte {
 		g := topology.Grid(6, 6, 0.8)
 		p, err := flood.New("dbao")
 		if err != nil {
@@ -129,7 +128,6 @@ func TestEngineEmitMatchesConversion(t *testing.T) {
 			Coverage:       0.99,
 			Seed:           42,
 			SyncErrorProb:  0.02,
-			CompactTime:    compact,
 			Workers:        workers,
 			Observer:       w,
 			InjectInterval: 3,
@@ -143,7 +141,7 @@ func TestEngineEmitMatchesConversion(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	text := goldenTrace(t, "dbao", 42, false, 0)
+	text := goldenTrace(t, "dbao", 42, 0)
 	events, err := tracelog.Parse(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
@@ -152,17 +150,14 @@ func TestEngineEmitMatchesConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := runBin(0, false)
+	direct := runBin(0)
 	if !bytes.Equal(direct, converted) {
 		t.Fatal("engine-attached Writer diverged from text-trace conversion")
 	}
-	// Every worker count and both time paths must be byte-identical.
-	for _, mode := range []struct {
-		workers int
-		compact bool
-	}{{0, true}, {1, false}, {4, false}, {8, false}, {1, true}, {4, true}} {
-		if got := runBin(mode.workers, mode.compact); !bytes.Equal(got, direct) {
-			t.Errorf("binary trace diverged at workers=%d compact=%v", mode.workers, mode.compact)
+	// Every worker count must be byte-identical.
+	for _, workers := range []int{1, 4, 8} {
+		if got := runBin(workers); !bytes.Equal(got, direct) {
+			t.Errorf("binary trace diverged at workers=%d", workers)
 		}
 	}
 }
@@ -224,7 +219,7 @@ func TestRandomRoundTrip(t *testing.T) {
 // must never error, must flag every mid-record cut as torn, and must
 // return exactly the records that were fully written.
 func TestTornTail(t *testing.T) {
-	text := goldenTrace(t, "opt", 1, false, 0)
+	text := goldenTrace(t, "opt", 1, 0)
 	events, err := tracelog.Parse(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
