@@ -7,7 +7,9 @@ package flood
 // schedule offsets are empty and the slot loop skips them) runs every
 // protocol unfaulted and under crash-reboot; the permanent crash at slot
 // 100 makes full coverage unreachable there, so those runs end with a jump
-// to the horizon. The table pins the keyed engine's output, so a refactor
+// to the horizon. Rows at M = 80 (two 64-bit packet words per node) pin
+// DFlood and OF on multi-word possession masks, unfaulted and under
+// crash-reboot, where a crash clears both words. The table pins the keyed engine's output, so a refactor
 // of its worker pool, phase structure, slot loop or scratch layout must
 // leave every result and trace byte unchanged. If a change intentionally
 // alters keyed-path behaviour, the failure message prints the full
@@ -23,13 +25,14 @@ import (
 	"strings"
 	"testing"
 
+	"ldcflood/internal/fault"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
 	"ldcflood/internal/tracebin"
 )
 
-// keyedGolden maps protocol/fault (period 20) and
-// protocol/fault/period-200 to the first 16 hex digits of
+// keyedGolden maps protocol/fault (period 20, M = 3),
+// protocol/fault/period-200 and protocol/fault/m-80 to the first 16 hex digits of
 // sha256(json(Result) || tracebin bytes).
 var keyedGolden = map[string]string{
 	"dbao/crash-reboot":               "8f801f6296bc3f41",
@@ -42,11 +45,13 @@ var keyedGolden = map[string]string{
 	"dbao/static-class":               "184768449f0e3321",
 	"dbao/static-random-subset":       "0f7cb646f81297d2",
 	"dflood/crash-reboot":             "933b3272662438ac",
+	"dflood/crash-reboot/m-80":        "f2c93d15769bc17a",
 	"dflood/crash-reboot/period-200":  "7ee33255b6e9fde9",
 	"dflood/gilbert-elliott":          "8d573ef1b85ab875",
 	"dflood/jam-disc":                 "b6c6a0ddaef36ff9",
 	"dflood/mixed":                    "008c4d5805220dcd",
 	"dflood/none":                     "b6c6a0ddaef36ff9",
+	"dflood/none/m-80":                "9a69f91390e78073",
 	"dflood/none/period-200":          "992954afff61ba65",
 	"dflood/static-class":             "b6c6a0ddaef36ff9",
 	"dflood/static-random-subset":     "ccd41dcbcba5636d",
@@ -69,11 +74,13 @@ var keyedGolden = map[string]string{
 	"naive/static-class":              "850da4a82a788ce2",
 	"naive/static-random-subset":      "63eaa96ec2463593",
 	"of/crash-reboot":                 "98d6be242ce46e11",
+	"of/crash-reboot/m-80":            "b24a53c85c5a1c99",
 	"of/crash-reboot/period-200":      "baa9c82d5ede4053",
 	"of/gilbert-elliott":              "5a014690264b635b",
 	"of/jam-disc":                     "704d4006994b3126",
 	"of/mixed":                        "abc7b8fad88f08b0",
 	"of/none":                         "405a9e87172f656a",
+	"of/none/m-80":                    "e31ce590e91f684c",
 	"of/none/period-200":              "ab512fe960c69590",
 	"of/static-class":                 "405a9e87172f656a",
 	"of/static-random-subset":         "bc5976fe51b13769",
@@ -134,11 +141,26 @@ func TestKeyedDisciplineGolden(t *testing.T) {
 			digest(cfg, protocol, protocol+"/"+name)
 		}
 	}
+	// At M = 80 a flood takes about 3000 slots, so the crash-reboot row
+	// crashes late enough that each crashing node holds packets in both
+	// words (node 7 drops 77, node 20 drops 74 or more).
+	wideSchedules := map[string]*fault.Schedule{
+		"none": nil,
+		"crash-reboot": {Crashes: []fault.Crash{
+			{Node: 7, At: 2000, RebootAt: 2600},
+			{Node: 20, At: 2400, RebootAt: -1},
+		}},
+	}
 	for _, name := range []string{"none", "crash-reboot"} {
 		cfg := shardCfg(g, schedules[name], 1234)
 		cfg.Schedules = uniform(g.N(), 200, 42)
 		for _, protocol := range allProtocols() {
 			digest(cfg, protocol, protocol+"/"+name+"/period-200")
+		}
+		cfg = shardCfg(g, wideSchedules[name], 1234)
+		cfg.M = 80
+		for _, protocol := range []string{"dflood", "of"} {
+			digest(cfg, protocol, protocol+"/"+name+"/m-80")
 		}
 	}
 	keys := make([]string, 0, len(got))
