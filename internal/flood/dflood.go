@@ -1,6 +1,9 @@
 package flood
 
 import (
+	"math"
+	"math/bits"
+
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/telemetry"
@@ -29,12 +32,18 @@ import (
 // Like Trickle, every timing quantity is a pure function of the pre-slot
 // world state and a keyed stream captured at Reset (jitter is keyed by
 // (node, packet, attempt)); the attempt counters advance only at emit
-// time in the serial selection pass. No engine hook is needed and the
-// schedule is bit-identical across worker counts and unaffected by the
-// slots the engine skips.
+// time in the serial selection pass, which is also where the cached
+// per-(node, packet) delay is redrawn. The duplicate count comes from the
+// engine's opt-in neighbour-holder count (sim.World.TrackNeighborHolders,
+// turned on at Reset unless the penalty is disabled), so every
+// forwarding-slot query is O(1). The schedule is bit-identical across
+// worker counts and unaffected by the slots the engine skips.
 type DFlood struct {
-	// Tmin and Tmax bound the per-packet forwarding delay in slots. Zero
-	// selects the exemplar defaults (5 and 65).
+	// Tmin and Tmax bound the per-packet forwarding delay in slots: the
+	// first attempt fires in [Tmin, Tmax) slots after reception. A Tmin of
+	// zero selects the exemplar default (5); a Tmax at or below Tmin
+	// selects the default 65, or Tmin+60 (the exemplar's jitter span) when
+	// Tmin is 65 or more.
 	Tmin, Tmax int64
 	// Ndupl is the duplicate threshold: with at least Ndupl neighboring
 	// holders, each additional holder delays the forwarding slot by Tmax.
@@ -42,7 +51,8 @@ type DFlood struct {
 	Ndupl int
 	// MaxDoublings caps the per-attempt backoff doubling; past it the
 	// backoff grows linearly at Tmin << MaxDoublings per attempt. Zero
-	// selects the default (6).
+	// selects the default (6). Reset clamps it so Tmin << MaxDoublings
+	// stays within maxBackoff; the accumulated backoff saturates there.
 	MaxDoublings int
 	// DisableOverhearing restricts DFlood to pure unicast receptions
 	// (used by the exact-optimum oracle tests).
@@ -53,6 +63,7 @@ type DFlood struct {
 	timer    rngutil.Stream
 	assigned []bool
 	attempts []int32 // attempts[s*m+p]: transmissions of p by s so far
+	wait     []int64 // wait[s*m+p]: delay(s*m+p, attempts[s*m+p]), redrawn where attempts advances
 	sel      selScratch
 	supp     suppCounters
 }
@@ -71,6 +82,9 @@ func (d *DFlood) Reset(w *sim.World) {
 	}
 	if d.Tmax <= d.Tmin {
 		d.Tmax = 65
+		if d.Tmax <= d.Tmin {
+			d.Tmax = d.Tmin + 60 // the exemplar's jitter span
+		}
 	}
 	if d.Ndupl == 0 {
 		d.Ndupl = 2
@@ -78,12 +92,21 @@ func (d *DFlood) Reset(w *sim.World) {
 	if d.MaxDoublings <= 0 {
 		d.MaxDoublings = 6
 	}
+	d.MaxDoublings = min(d.MaxDoublings, max(0, bits.Len64(maxBackoff)-bits.Len64(uint64(d.Tmin))))
+	if d.Ndupl >= 0 {
+		w.TrackNeighborHolders()
+	}
+	n := w.Graph.N()
 	d.m = w.M
 	d.csr = w.Graph.CSR()
 	d.timer = *w.ProtoRNG.SubName("dflood.timer")
-	d.assigned = make([]bool, w.Graph.N())
-	d.attempts = make([]int32, w.Graph.N()*w.M)
-	d.supp.reset(w.Graph.N())
+	d.assigned = make([]bool, n)
+	d.attempts = make([]int32, n*w.M)
+	d.wait = make([]int64, n*w.M)
+	for i := range d.wait {
+		d.wait[i] = d.delay(i, 0)
+	}
+	d.supp.reset(n)
 }
 
 // CollisionsApply implements sim.Protocol.
@@ -110,9 +133,14 @@ func (d *DFlood) FloodCounters() (messages, suppressed int64) {
 // slice is owned by the protocol; do not modify.
 func (d *DFlood) SuppressedPerNode() []int64 { return d.supp.perNode }
 
+// maxBackoff is where the accumulated backoff saturates: far beyond any
+// simulated horizon, with headroom for the reception slot, Tmax and the
+// duplicate penalty to be added without overflowing int64.
+const maxBackoff = math.MaxInt64 >> 2
+
 // backoff returns the deterministic backoff accumulated over a prior
 // attempts: Tmin doubling per attempt, capped at Tmin << MaxDoublings,
-// in closed form.
+// in closed form, saturating at maxBackoff.
 func (d *DFlood) backoff(a int32) int64 {
 	if a <= 0 {
 		return 0
@@ -122,27 +150,31 @@ func (d *DFlood) backoff(a int32) int64 {
 	if da <= cap64 {
 		return d.Tmin * ((1 << da) - 1)
 	}
-	return d.Tmin * (((1 << cap64) - 1) + (da-cap64)<<cap64)
+	step := d.Tmin << cap64
+	if da-cap64 > (maxBackoff-step)/step {
+		return maxBackoff
+	}
+	return step - d.Tmin + (da-cap64)*step
+}
+
+// delay returns the forwarding delay of table entry i = s*m+p at attempt
+// a: Tmin, plus the uniform jitter in [0, Tmax-Tmin) keyed by (i, a),
+// plus the attempt backoff.
+func (d *DFlood) delay(i int, a int32) int64 {
+	u := d.timer.PairFloat64(uint64(i), uint64(a))
+	return d.Tmin + int64(u*float64(d.Tmax-d.Tmin)) + d.backoff(a)
 }
 
 // fireSlots returns the base and penalized forwarding slots for packet p
-// at node s: reception slot + Tmin + keyed jitter + attempt backoff, and
-// the same plus the duplicate penalty (one Tmax per neighboring holder
-// at or past the Ndupl threshold). Pure; callers guarantee s holds p.
+// at node s: reception slot + the cached delay, and the same plus the
+// duplicate penalty (one Tmax per neighboring holder at or past the Ndupl
+// threshold, read from the world's neighbour-holder count). O(1) and
+// pure; callers guarantee s holds p.
 func (d *DFlood) fireSlots(w *sim.World, s, p int) (base, required int64) {
-	a := d.attempts[s*d.m+p]
-	u := d.timer.PairFloat64(uint64(s)*uint64(d.m)+uint64(p), uint64(a))
-	base = w.RecvTime(p, s) + d.Tmin + int64(u*float64(d.Tmax-d.Tmin)) + d.backoff(a)
+	base = w.RecvTime(p, s) + d.wait[s*d.m+p]
 	required = base
 	if d.Ndupl >= 0 {
-		holders := 0
-		row, _ := d.csr.Row(s)
-		for _, n32 := range row {
-			if w.Has(p, int(n32)) {
-				holders++
-			}
-		}
-		if holders >= d.Ndupl {
+		if holders := w.NeighborsHolding(p, s); holders >= d.Ndupl {
 			required += int64(holders-d.Ndupl+1) * d.Tmax
 		}
 	}
@@ -153,27 +185,29 @@ func (d *DFlood) fireSlots(w *sim.World, s, p int) (base, required int64) {
 // the packets s holds and r lacks whose base forwarding slot has passed,
 // the one with the smallest penalized slot (ties to the smaller packet
 // index) if that slot has passed too — otherwise the pair is
-// duplicate-blocked. It returns the packet (-1 when nothing is due), the
-// penalized slot of the choice, and whether the pair is blocked.
+// duplicate-blocked. The candidate packets are the set bits of the
+// sender-holds, receiver-lacks word masks, walked in ascending order. It
+// returns the packet (-1 when nothing is due), the penalized slot of the
+// choice, and whether the pair is blocked.
 func (d *DFlood) pairChoice(w *sim.World, s, r int, now int64) (pkt int, required int64, blocked bool) {
 	pkt = -1
 	blockedPkt := -1
-	for p := 0; p < w.Injected(); p++ {
-		if !w.Has(p, s) || w.Has(p, r) {
-			continue
-		}
-		base, req := d.fireSlots(w, s, p)
-		if now < base {
-			continue // not yet due at all
-		}
-		if now < req {
-			if blockedPkt < 0 {
-				blockedPkt = p
+	for i := 0; i < w.PacketWords(); i++ {
+		for need := w.NeededWord(s, r, i); need != 0; need &= need - 1 {
+			p := i<<6 + bits.TrailingZeros64(need)
+			base, req := d.fireSlots(w, s, p)
+			if now < base {
+				continue // not yet due at all
 			}
-			continue // due, but duplicate-penalty-blocked
-		}
-		if pkt < 0 || req < required {
-			pkt, required = p, req
+			if now < req {
+				if blockedPkt < 0 {
+					blockedPkt = p
+				}
+				continue // due, but duplicate-penalty-blocked
+			}
+			if pkt < 0 || req < required {
+				pkt, required = p, req
+			}
 		}
 	}
 	if pkt < 0 && blockedPkt >= 0 {

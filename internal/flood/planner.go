@@ -522,8 +522,9 @@ func (t *Trickle) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in s
 // PlanReceiver implements sim.ShardPlanner: every due neighbor with its
 // chosen packet and penalized forwarding slot (stashed in U — exact below
 // 2^53), duplicate-blocked pairs planned with candSuppressed for the
-// serial tally. The attempt counters it reads advance only in the serial
-// SelectIntents pass.
+// serial tally. The attempt counters and cached delays it reads change
+// only in the serial SelectIntents pass, and the neighbour-holder counts
+// only in the engine's serial delivery phases.
 func (d *DFlood) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
 	if !w.NeedsAnything(r) {
 		return buf
@@ -532,9 +533,6 @@ func (d *DFlood) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []s
 	row, prrs := d.csr.Row(r)
 	for i, s32 := range row {
 		s := int(s32)
-		if !w.AnyNeeded(s, r) {
-			continue
-		}
 		pkt, req, blocked := d.pairChoice(w, s, r, now)
 		if pkt < 0 {
 			continue
@@ -552,8 +550,9 @@ func (d *DFlood) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []s
 
 // SelectIntents implements sim.ShardPlanner: per receiver, the
 // unassigned, undeferred candidate with the smallest penalized forwarding
-// slot (ties to the first in row order) transmits and its attempt counter
-// advances; duplicate-blocked candidates are tallied.
+// slot (ties to the first in row order) transmits, its attempt counter
+// advances and its cached delay is redrawn for the new attempt;
+// duplicate-blocked candidates are tallied.
 func (d *DFlood) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := d.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {
@@ -578,7 +577,9 @@ func (d *DFlood) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in si
 		}
 		c := cands[wi]
 		d.assigned[c.Node] = true
-		d.attempts[int(c.Node)*d.m+int(c.Packet)]++
+		i := int(c.Node)*d.m + int(c.Packet)
+		d.attempts[i]++
+		d.wait[i] = d.delay(i, d.attempts[i])
 		sel = append(sel, c.Node)
 		d.supp.message()
 		emit(sim.Intent{From: int(c.Node), To: r, Packet: int(c.Packet)}, c.PRR)

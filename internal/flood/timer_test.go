@@ -6,6 +6,7 @@ package flood
 // worker counts (0 and 1 inline, more on the pool) and both time paths.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -81,6 +82,71 @@ func TestDFloodBackoffClosedForm(t *testing.T) {
 	for a := int32(0); a < 40; a++ {
 		if got, want := d.backoff(a), iterative(a); got != want {
 			t.Fatalf("backoff(%d) = %d, want %d", a, got, want)
+		}
+	}
+}
+
+// resetDFlood runs d's Reset through a one-slot run on a small grid, so
+// its defaults are applied and its delay table drawn with every attempt
+// counter still zero.
+func resetDFlood(t *testing.T, d *DFlood) {
+	t.Helper()
+	g := topology.Grid(3, 3, 0.8)
+	if _, err := sim.Run(sim.Config{
+		Graph: g, Schedules: uniform(g.N(), 4, 1), Protocol: d,
+		M: 3, Coverage: 1, Seed: 1, MaxSlots: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDFloodDefaultTmaxRespectsTmin pins the documented [Tmin, Tmax)
+// bound on the first forwarding delay when Tmax is left to its default:
+// the exemplar's 65 while Tmin is below it, Tmin+60 otherwise.
+func TestDFloodDefaultTmaxRespectsTmin(t *testing.T) {
+	for _, c := range []struct{ tmin, tmax, want int64 }{
+		{0, 0, 65}, {5, 0, 65}, {64, 0, 65}, {65, 0, 125}, {100, 0, 160}, {100, 90, 160}, {100, 101, 101},
+	} {
+		d := &DFlood{Tmin: c.tmin, Tmax: c.tmax}
+		resetDFlood(t, d)
+		if d.Tmax != c.want || d.Tmax <= d.Tmin {
+			t.Errorf("Tmin %d, Tmax %d: defaulted to Tmin %d, Tmax %d, want Tmax %d", c.tmin, c.tmax, d.Tmin, d.Tmax, c.want)
+		}
+		for i, wait := range d.wait {
+			if wait < d.Tmin || wait >= d.Tmax {
+				t.Fatalf("Tmin %d, Tmax %d: first delay %d of entry %d outside [%d, %d)", c.tmin, c.tmax, wait, i, d.Tmin, d.Tmax)
+			}
+		}
+	}
+}
+
+// TestDFloodBackoffNoOverflow checks that an oversized MaxDoublings is
+// clamped so the capped step Tmin << MaxDoublings fits in int64, and that
+// the accumulated backoff stays non-negative and non-decreasing, up to
+// saturation, over the whole attempt-counter range.
+func TestDFloodBackoffNoOverflow(t *testing.T) {
+	for _, c := range []struct {
+		tmin      int64
+		doublings int
+	}{{5, 60}, {5, 63}, {5, 100}, {1, 62}, {1 << 20, 50}} {
+		d := &DFlood{Tmin: c.tmin, MaxDoublings: c.doublings}
+		resetDFlood(t, d)
+		if d.MaxDoublings > c.doublings {
+			t.Fatalf("MaxDoublings %d raised to %d", c.doublings, d.MaxDoublings)
+		}
+		if step := d.Tmin << d.MaxDoublings; step <= 0 || step > maxBackoff || step>>d.MaxDoublings != d.Tmin {
+			t.Fatalf("Tmin %d, MaxDoublings %d: capped step %d overflows", d.Tmin, d.MaxDoublings, step)
+		}
+		prev := int64(0)
+		for _, a := range []int32{0, 1, 2, 30, 59, 60, 61, 62, 63, 64, 100, 1000, 1 << 20, math.MaxInt32} {
+			b := d.backoff(a)
+			if b < prev || b > maxBackoff {
+				t.Fatalf("Tmin %d, MaxDoublings %d: backoff(%d) = %d after %d", d.Tmin, d.MaxDoublings, a, b, prev)
+			}
+			prev = b
+		}
+		if prev != maxBackoff {
+			t.Fatalf("Tmin %d, MaxDoublings %d: backoff(MaxInt32) = %d, want saturation at %d", d.Tmin, d.MaxDoublings, prev, int64(maxBackoff))
 		}
 	}
 }

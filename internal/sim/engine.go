@@ -301,7 +301,9 @@ func (e *engine) inject(t int64) {
 	for e.w.injected < e.cfg.M && t == int64(e.w.injected)*int64(e.interval) {
 		p := e.w.injected
 		e.w.injected++
-		e.w.deliver(p, 0, t)
+		if e.w.deliver(p, 0, t) && e.w.nbrHeld != nil {
+			e.w.addHolder(p, 0, 1)
+		}
 		e.res.InjectTime[p] = t
 		if e.cfg.Observer != nil {
 			e.cfg.Observer.OnInject(t, p)
@@ -503,7 +505,9 @@ func (e *engine) cleanupSlot() {
 // deliverNow records an in-slot reception: the packet is delivered and the
 // node is marked as having received this slot (blocking overhearing).
 func (e *engine) deliverNow(p, node int, t int64) {
-	e.w.deliver(p, node, t)
+	if e.w.deliver(p, node, t) && e.w.nbrHeld != nil {
+		e.w.addHolder(p, node, 1)
+	}
 	if !e.recvNow[node] {
 		e.recvNow[node] = true
 		e.recvTouched = append(e.recvTouched, node)

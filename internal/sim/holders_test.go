@@ -1,0 +1,134 @@
+package sim
+
+// Model-based test for the opt-in neighbour-holder count
+// (World.TrackNeighborHolders): the incrementally maintained count must
+// equal a brute-force count over the node's neighbour row at every visited
+// slot, across deliveries, overhearing, crashes that wipe a node's buffer
+// and reboots that re-disseminate to it, and on packet counts below, at
+// and just past each 64-packet word boundary.
+
+import (
+	"fmt"
+	"testing"
+
+	"ldcflood/internal/fault"
+	"ldcflood/internal/rngutil"
+	"ldcflood/internal/schedule"
+)
+
+// holderProbe drives chaosProtocol and checks the neighbour-holder count
+// against the brute-force model at the top of every visited slot. With
+// trackFrom > 0 it turns tracking on at the first visited slot at or past
+// trackFrom instead of at Reset, so the count must start from whatever the
+// network holds by then.
+type holderProbe struct {
+	chaosProtocol
+	t         *testing.T
+	label     string
+	trackFrom int64
+	w         *World
+	checks    int
+}
+
+func (h *holderProbe) Reset(w *World) {
+	h.w = w
+	if h.trackFrom == 0 {
+		w.TrackNeighborHolders()
+	}
+}
+
+func (h *holderProbe) Intents(w *World) []Intent {
+	if w.nbrHeld == nil && h.trackFrom > 0 && w.Now() >= h.trackFrom {
+		w.TrackNeighborHolders()
+	}
+	if w.nbrHeld != nil {
+		h.check(fmt.Sprintf("slot %d", w.Now()))
+	}
+	return h.chaosProtocol.Intents(w)
+}
+
+// check compares NeighborsHolding with a brute-force count over every
+// node's CSR row, for every packet.
+func (h *holderProbe) check(when string) {
+	h.t.Helper()
+	w := h.w
+	csr := w.Graph.CSR()
+	for p := 0; p < w.M; p++ {
+		for v := 0; v < w.Graph.N(); v++ {
+			want := 0
+			row, _ := csr.Row(v)
+			for _, u := range row {
+				if w.Has(p, int(u)) {
+					want++
+				}
+			}
+			if got := w.NeighborsHolding(p, v); got != want {
+				h.t.Fatalf("%s, %s: NeighborsHolding(%d, %d) = %d, brute force %d", h.label, when, p, v, got, want)
+			}
+		}
+	}
+	h.checks++
+}
+
+func TestNeighborHoldersModel(t *testing.T) {
+	dropped, late := 0, 0
+	for _, m := range []int{3, 64, 65, 130} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			r := rngutil.New(seed*1009 + uint64(m))
+			g := randomConnectedGraph(r)
+			n := g.N()
+			fs := &fault.Schedule{}
+			crashed := map[int]bool{}
+			for k := 1 + r.Intn(4); k > 0; k-- {
+				node := 1 + r.Intn(n-1)
+				if crashed[node] {
+					continue
+				}
+				crashed[node] = true
+				at := int64(r.Intn(400))
+				reboot := int64(-1)
+				if r.Bool(0.7) {
+					reboot = at + 1 + int64(r.Intn(300))
+				}
+				fs.Crashes = append(fs.Crashes, fault.Crash{Node: node, At: at, RebootAt: reboot})
+			}
+			probe := &holderProbe{
+				chaosProtocol: chaosProtocol{
+					rng:      r.SubName("chaos"),
+					density:  0.2 + 0.6*r.Float64(),
+					collide:  r.Bool(0.5),
+					overhear: r.Bool(0.7),
+				},
+				t:     t,
+				label: fmt.Sprintf("M=%d seed=%d", m, seed),
+			}
+			if seed%2 == 0 {
+				probe.trackFrom = int64(m) / 2
+				late++
+			}
+			res, err := Run(Config{
+				Graph:          g,
+				Schedules:      schedule.AssignUniform(n, 1+r.Intn(6), r.SubName("schedule")),
+				Protocol:       probe,
+				M:              m,
+				InjectInterval: 1 + r.Intn(2),
+				Coverage:       1,
+				Seed:           seed,
+				MaxSlots:       1500,
+				Faults:         fs,
+				Workers:        int(seed % 3),
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", probe.label, err)
+			}
+			probe.check("end of run")
+			if probe.checks < 2 {
+				t.Fatalf("%s: only %d checks ran", probe.label, probe.checks)
+			}
+			dropped += res.CrashDropped
+		}
+	}
+	if dropped == 0 || late == 0 {
+		t.Fatalf("grid never exercised a crash drop (%d) or late tracking (%d)", dropped, late)
+	}
+}

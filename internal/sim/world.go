@@ -19,7 +19,8 @@ import (
 )
 
 // World is the simulation state visible to protocols. Protocols must treat
-// it as read-only except through their returned intents.
+// it as read-only except through their returned intents and the opt-in
+// TrackNeighborHolders.
 type World struct {
 	Graph     *topology.Graph
 	Schedules []*schedule.Schedule
@@ -54,6 +55,13 @@ type World struct {
 	// on first use.
 	protoSlot rngutil.Stream
 	inline    *inlinePlanner
+
+	// nbrHeld is the opt-in neighbour-holder count (TrackNeighborHolders):
+	// nbrHeld[p*n+v] is how many of v's neighbours hold packet p. Nil
+	// unless a protocol asked for it; dropAll and the engine's delivery
+	// sites keep it current by walking the node's csr row.
+	nbrHeld []int32
+	csr     *topology.CSR
 }
 
 // Now returns the current slot.
@@ -68,6 +76,60 @@ func (w *World) InjectSlot(p int) int64 { return int64(p) * int64(w.InjectInterv
 // Has reports whether node holds packet p.
 func (w *World) Has(p, node int) bool {
 	return w.has[node*w.pwords+p>>6]&(1<<(uint(p)&63)) != 0
+}
+
+// PacketWords returns the number of 64-bit words in a node's possession
+// mask, ceil(M/64): the range of the word index NeededWord takes.
+func (w *World) PacketWords() int { return w.pwords }
+
+// NeededWord returns word i of the packets sender holds and receiver
+// lacks: bit j is set when sender holds packet i*64+j and receiver does
+// not. Walking the set bits of words 0..PacketWords()-1 visits those
+// packets in ascending order, a handful of word operations instead of a
+// per-packet Has probe.
+func (w *World) NeededWord(sender, receiver, i int) uint64 {
+	return w.has[sender*w.pwords+i] &^ w.has[receiver*w.pwords+i]
+}
+
+// TrackNeighborHolders turns on the neighbour-holder count read by
+// NeighborsHolding, initialised from the current possession state. A
+// protocol that needs the count calls it from Reset (or any other serial
+// hook); from then on every delivery and crash updates the count by
+// walking the node's neighbour row, in the engine's serial phases, so
+// concurrent PlanReceiver calls may read it. Protocols that never call it
+// pay one predictable branch per delivery and allocate nothing.
+func (w *World) TrackNeighborHolders() {
+	n := w.Graph.N()
+	w.csr = w.Graph.CSR()
+	w.nbrHeld = make([]int32, w.M*n)
+	for v := 0; v < n; v++ {
+		for i, word := range w.has[v*w.pwords : (v+1)*w.pwords] {
+			for word != 0 {
+				w.addHolder(i<<6+bits.TrailingZeros64(word), v, 1)
+				word &= word - 1
+			}
+		}
+	}
+}
+
+// NeighborsHolding returns how many of node's neighbours hold packet p.
+// It requires TrackNeighborHolders.
+func (w *World) NeighborsHolding(p, node int) int {
+	return int(w.nbrHeld[p*w.Graph.N()+node])
+}
+
+// addHolder adds d to packet p's holder count at every neighbour of node.
+// Callers guard it with a nil check on nbrHeld; it is kept out of line so
+// the guarded call adds little to the engine's inlined delivery paths.
+//
+//go:noinline
+func (w *World) addHolder(p, node int, d int32) {
+	n := w.Graph.N()
+	row, _ := w.csr.Row(node)
+	held := w.nbrHeld[p*n : (p+1)*n]
+	for _, u := range row {
+		held[u] += d
+	}
 }
 
 // RecvTime returns the slot at which node received packet p, or -1.
@@ -147,10 +209,11 @@ func (w *World) HoldersOf(receiver int) []topology.Link {
 }
 
 // dropAll clears node's entire packet buffer — the engine applies it when
-// a fault-schedule crash takes effect. Possession bits, reception times and
-// the per-packet holder counts are rolled back; latched Result fields
-// (CoverTime, Delay) are deliberately untouched, so coverage remains
-// monotone per packet. It returns the number of packet copies dropped.
+// a fault-schedule crash takes effect. Possession bits, reception times,
+// the per-packet holder counts and (when tracked) the neighbour-holder
+// counts are rolled back; latched Result fields (CoverTime, Delay) are
+// deliberately untouched, so coverage remains monotone per packet. It
+// returns the number of packet copies dropped.
 func (w *World) dropAll(node int) int {
 	dropped := 0
 	words := w.has[node*w.pwords : (node+1)*w.pwords]
@@ -160,6 +223,9 @@ func (w *World) dropAll(node int) int {
 			word &= word - 1
 			w.count[p]--
 			w.recvTime[node*w.M+p] = -1
+			if w.nbrHeld != nil {
+				w.addHolder(p, node, -1)
+			}
 			dropped++
 		}
 		words[i] = 0
@@ -168,6 +234,9 @@ func (w *World) dropAll(node int) int {
 	return dropped
 }
 
+// deliver records node's reception of packet p at slot t and reports
+// whether it was new. It leaves the neighbour-holder count to the caller
+// (addHolder when nbrHeld is non-nil), so it stays small enough to inline.
 func (w *World) deliver(p, node int, t int64) bool {
 	if w.Has(p, node) {
 		return false
