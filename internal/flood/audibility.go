@@ -33,12 +33,20 @@ func (a *audibility) has(u, v int) bool {
 }
 
 // carrierSenseRange is the physical carrier-sense radius: csFactor times
-// the longest usable link distance in the topology.
+// the longest usable link distance in the topology, read off the shared
+// CSR rows (each undirected link once, from its lower endpoint) without
+// materializing an edge list.
 func carrierSenseRange(g *topology.Graph, csFactor float64) float64 {
+	c := g.CSR()
 	maxLink := 0.0
-	for _, e := range g.Links() {
-		if d := g.Pos[e.U].Dist(g.Pos[e.V]); d > maxLink {
-			maxLink = d
+	for u := 0; u < c.N(); u++ {
+		row, _ := c.Row(u)
+		for _, v := range row {
+			if int(v) > u {
+				if d := g.Pos[u].Dist(g.Pos[v]); d > maxLink {
+					maxLink = d
+				}
+			}
 		}
 	}
 	return csFactor * maxLink

@@ -25,13 +25,16 @@ type OF struct {
 
 	tr       *tree.Tree
 	expDelay []float64
-	assigned []bool
-	csr      *topology.CSR
-	sel      selScratch
+	// parentPRR[v] is the PRR of v's link to its tree parent (0 at the
+	// root).
+	parentPRR []float64
+	assigned  []bool
+	csr       *topology.CSR
+	sel       selScratch
 
-	// treeGraph / treePeriod memoize the energy-optimal tree and its
-	// expected-delay distribution across runs over the same (immutable)
-	// topology and schedule period.
+	// treeGraph / treePeriod memoize the energy-optimal tree, its parent
+	// link PRRs and its expected-delay distribution across runs over the
+	// same (immutable) topology and schedule period.
 	treeGraph  *topology.Graph
 	treePeriod int
 }
@@ -51,13 +54,19 @@ func (o *OF) Reset(w *sim.World) {
 			period = s.Period()
 		}
 	}
+	o.csr = w.Graph.CSR()
 	if o.treeGraph != w.Graph || o.treePeriod != period {
 		o.tr = tree.EnergyOptimal(w.Graph, 0)
 		o.expDelay = o.tr.ExpectedDelay(w.Graph, period)
+		o.parentPRR = make([]float64, w.Graph.N())
+		for v, p := range o.tr.Parent {
+			if p >= 0 {
+				o.parentPRR[v] = o.csr.PRROf(v, p)
+			}
+		}
 		o.treeGraph, o.treePeriod = w.Graph, period
 	}
 	o.assigned = make([]bool, w.Graph.N())
-	o.csr = w.Graph.CSR()
 	if o.Aggressiveness <= 0 {
 		o.Aggressiveness = 0.25
 	}
@@ -99,6 +108,20 @@ func (o *OF) forwardProbability(w *sim.World, receiver, pkt int, prr float64, pa
 		// time the tree will deliver, so stand down proportionally.
 		q *= 0.25
 	}
+	if q > 1 {
+		q = 1
+	}
+	return q
+}
+
+// maxForwardProbability bounds forwardProbability over every packet age
+// and parent state: the overdue doubling without the parent stand-down,
+// evaluated in the same operation order. Rounding is monotone and the
+// stand-down only shrinks q, so forwardProbability(...) <= this bound
+// holds exactly in floating point, and a candidate whose stashed uniform
+// is at or above it cannot fire whichever packet it would send.
+func (o *OF) maxForwardProbability(prr float64, oppCands int) float64 {
+	q := o.Aggressiveness * prr / float64(oppCands) * 2
 	if q > 1 {
 		q = 1
 	}

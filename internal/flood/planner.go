@@ -38,6 +38,7 @@ import (
 
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/sim"
+	"ldcflood/internal/topology"
 )
 
 // deferProb is the defer-to-reception probability shared by every protocol
@@ -105,15 +106,13 @@ type selScratch struct {
 	hidden  []sim.Candidate
 }
 
-// ---- OPT ----
-
-// PlanReceiver implements sim.ShardPlanner: every neighbor holding a
-// packet r needs and not deferring is a candidate, in row order.
-func (o *OPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+// planHolders appends every neighbor of r in csr holding a packet r needs
+// and not deferring, in row order, with the FCFS sentinel.
+func planHolders(w *sim.World, csr *topology.CSR, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
 	if !w.NeedsAnything(r) {
 		return buf
 	}
-	row, prrs := o.csr.Row(r)
+	row, prrs := csr.Row(r)
 	for i, s32 := range row {
 		s := int(s32)
 		if w.AnyNeeded(s, r) && !deferKeyed(w, s, slot) {
@@ -121,6 +120,14 @@ func (o *OPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.
 		}
 	}
 	return buf
+}
+
+// ---- OPT ----
+
+// PlanReceiver implements sim.ShardPlanner: every neighbor holding a
+// packet r needs and not deferring is a candidate, in row order.
+func (o *OPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	return planHolders(w, o.csr, r, slot, buf)
 }
 
 // SelectIntents implements sim.ShardPlanner: per receiver in ascending
@@ -319,21 +326,24 @@ func (n *Naive) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim
 
 // PlanReceiver implements sim.ShardPlanner. The tree parent's candidate
 // (flagged candParent) is always first; opportunistic candidates follow in
-// row order. OF's packet choice feeds its delay comparison, so packets are
-// resolved at plan time rather than via the FCFS sentinel.
+// row order. Admission is the AnyNeeded word test and every candidate
+// carries the FCFS sentinel: the parent's packet is resolved by the
+// engine's post-selection pass, an opportunistic candidate's by
+// SelectIntents, and only where its delay comparison can fire it.
 func (o *OF) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	if !w.NeedsAnything(r) {
+		return buf
+	}
 	parent := o.tr.Parent[r]
-	if parent >= 0 {
-		if pkt := w.OldestNeeded(parent, r); pkt >= 0 {
-			flags := candParent
-			if deferKeyed(w, parent, slot) {
-				flags |= candDeferred
-			}
-			buf = append(buf, sim.Candidate{
-				Node: int32(parent), Packet: int32(pkt), Flags: flags,
-				PRR: o.csr.PRROf(r, parent),
-			})
+	if parent >= 0 && w.AnyNeeded(parent, r) {
+		flags := candParent
+		if deferKeyed(w, parent, slot) {
+			flags |= candDeferred
 		}
+		buf = append(buf, sim.Candidate{
+			Node: int32(parent), Packet: sim.PacketFCFS, Flags: flags,
+			PRR: o.parentPRR[r],
+		})
 	}
 	if o.DisableOpportunistic {
 		return buf
@@ -341,11 +351,7 @@ func (o *OF) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.C
 	row, prrs := o.csr.Row(r)
 	for i, s32 := range row {
 		s := int(s32)
-		if s == parent {
-			continue
-		}
-		pkt := w.OldestNeeded(s, r)
-		if pkt < 0 {
+		if s == parent || !w.AnyNeeded(s, r) {
 			continue
 		}
 		var flags uint8
@@ -353,7 +359,7 @@ func (o *OF) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.C
 			flags |= candDeferred
 		}
 		buf = append(buf, sim.Candidate{
-			Node: s32, Packet: int32(pkt), Flags: flags,
+			Node: s32, Packet: sim.PacketFCFS, Flags: flags,
 			PRR: prrs[i], U: pairU(slot, r, s),
 		})
 	}
@@ -363,7 +369,10 @@ func (o *OF) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.C
 // SelectIntents implements sim.ShardPlanner: the tree parent transmits if
 // free and not deferring; opportunistic candidates then fire independently
 // on their stashed uniforms against forwardProbability, whose density
-// divisor counts the still-unassigned opportunistic candidates.
+// divisor counts the still-unassigned opportunistic candidates. A
+// candidate's packet — whose age feeds forwardProbability — is resolved
+// only when its uniform falls below maxForwardProbability; above that
+// bound no packet age can fire it.
 func (o *OF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := o.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {
@@ -376,7 +385,7 @@ func (o *OF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.In
 			if !o.assigned[pc.Node] && pc.Flags&candDeferred == 0 {
 				o.assigned[pc.Node] = true
 				sel = append(sel, pc.Node)
-				emit(sim.Intent{From: int(pc.Node), To: r, Packet: int(pc.Packet)}, pc.PRR)
+				emit(sim.Intent{From: int(pc.Node), To: r, Packet: sim.PacketFCFS}, pc.PRR)
 				parentServes = true
 			}
 		}
@@ -394,14 +403,15 @@ func (o *OF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.In
 		}
 		for j := range cands {
 			c := &cands[j]
-			if o.assigned[c.Node] {
+			if o.assigned[c.Node] || c.Flags&candDeferred != 0 || c.U >= o.maxForwardProbability(c.PRR, oppCands) {
 				continue
 			}
-			q := o.forwardProbability(w, r, int(c.Packet), c.PRR, parentServes, oppCands)
-			if q > 0 && c.U < q && c.Flags&candDeferred == 0 {
+			pkt := w.OldestNeeded(int(c.Node), r)
+			q := o.forwardProbability(w, r, pkt, c.PRR, parentServes, oppCands)
+			if q > 0 && c.U < q {
 				o.assigned[c.Node] = true
 				sel = append(sel, c.Node)
-				emit(sim.Intent{From: int(c.Node), To: r, Packet: int(c.Packet)}, c.PRR)
+				emit(sim.Intent{From: int(c.Node), To: r, Packet: pkt}, c.PRR)
 			}
 		}
 	}
@@ -414,21 +424,9 @@ func (o *OF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.In
 // ---- Flash ----
 
 // PlanReceiver implements sim.ShardPlanner: every holder of a needed
-// packet that did not defer, packet resolved at plan time.
+// packet that did not defer, as OPT plans them.
 func (f *Flash) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	row, prrs := f.csr.Row(r)
-	for i, s32 := range row {
-		s := int(s32)
-		pkt := w.OldestNeeded(s, r)
-		if pkt < 0 {
-			continue
-		}
-		if deferKeyed(w, s, slot) {
-			continue
-		}
-		buf = append(buf, sim.Candidate{Node: s32, Packet: int32(pkt), PRR: prrs[i]})
-	}
-	return buf
+	return planHolders(w, f.csr, r, slot, buf)
 }
 
 // SelectIntents implements sim.ShardPlanner: every unassigned candidate
@@ -443,7 +441,7 @@ func (f *Flash) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim
 			}
 			f.assigned[c.Node] = true
 			sel = append(sel, c.Node)
-			emit(sim.Intent{From: int(c.Node), To: r, Packet: int(c.Packet)}, c.PRR)
+			emit(sim.Intent{From: int(c.Node), To: r, Packet: sim.PacketFCFS}, c.PRR)
 		}
 	}
 	for _, s := range sel {

@@ -50,6 +50,22 @@ func TestCarrierSenseBitsetPositionBased(t *testing.T) {
 	}
 }
 
+func TestCarrierSenseRangeMatchesLinkList(t *testing.T) {
+	// The CSR-row maximum must equal the maximum over the sorted edge
+	// list it replaced, bit for bit.
+	for _, g := range []*topology.Graph{topology.GreenOrbs(1), topology.GreenOrbs(9), topology.Testbed(3)} {
+		want := 0.0
+		for _, e := range g.Links() {
+			want = max(want, g.Pos[e.U].Dist(g.Pos[e.V]))
+		}
+		for _, f := range []float64{1, 1.5, 2.5} {
+			if got := carrierSenseRange(g, f); got != f*want {
+				t.Fatalf("%d nodes, factor %v: range %v, edge-list maximum gives %v", g.N(), f, got, f*want)
+			}
+		}
+	}
+}
+
 func TestCarrierSenseBitsetFallsBackToAdjacency(t *testing.T) {
 	g := topology.New(3)
 	g.AddLink(0, 1, 0.9)

@@ -450,15 +450,10 @@ func (s *Service) writeResult(j *Job, grid *Grid, rs runner.Results) error {
 func (j *Job) resultPath() string { return filepath.Join(j.dir, "result.csv") }
 
 // settle finalizes a job into a terminal state, persists status.json,
-// updates the service counters, and releases its queue slot.
+// updates the service counters, and releases its queue slot. The counters
+// move before the state does, so a client that observes the terminal
+// state also observes it counted.
 func (s *Service) settle(j *Job, state State, errText string) {
-	j.finish(state, errText, time.Now().UTC())
-	if err := writeJSON(filepath.Join(j.dir, "status.json"), j.Status()); err != nil {
-		s.logf("job %s: persisting status: %v", j.ID, err)
-	}
-	s.mu.Lock()
-	s.live--
-	s.mu.Unlock()
 	switch state {
 	case StateDone:
 		s.tel.completed.Inc()
@@ -467,6 +462,13 @@ func (s *Service) settle(j *Job, state State, errText string) {
 	case StateCanceled:
 		s.tel.canceled.Inc()
 	}
+	j.finish(state, errText, time.Now().UTC())
+	if err := writeJSON(filepath.Join(j.dir, "status.json"), j.Status()); err != nil {
+		s.logf("job %s: persisting status: %v", j.ID, err)
+	}
+	s.mu.Lock()
+	s.live--
+	s.mu.Unlock()
 	if errText == "" {
 		s.logf("job %s: %s", j.ID, state)
 	} else {

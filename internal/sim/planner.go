@@ -30,9 +30,12 @@ import (
 // PacketFCFS marks a planned candidate (or emitted intent) whose concrete
 // packet is the sender's oldest packet the receiver still needs. The
 // engine resolves it with a parallel OldestNeeded pass after selection,
-// keeping the bitset scans off the serial spine. Protocols whose packet
-// choice feeds the selection logic itself (OF's delay comparison) resolve
-// packets at plan time instead and never use the sentinel.
+// keeping the bitset scans off the serial spine, so planners admit
+// candidates with the AnyNeeded word test. A selection pass whose decision
+// depends on the packet may resolve it itself — OF does so for the
+// opportunistic candidates its bound cannot rule out — and emit the
+// concrete packet. Only DFlood, whose per-packet timers pick the packet,
+// resolves packets at plan time.
 const PacketFCFS = -1
 
 // protoStreamKey keys the slot's protocol-planning stream under the slot
