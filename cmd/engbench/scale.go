@@ -287,8 +287,9 @@ func guardScale(doc, base *scaleBaseline, tol float64) error {
 	return nil
 }
 
-// runScaleSmoke is the CI gate: a 10k-node random geometric graph, one
-// protocol, workers 1 versus 4 byte-equality, bounded by the CI step's
+// runScaleSmoke is the CI gate: a 10k-node random geometric graph, OPT
+// and DBAO (whose carrier sense reads node positions), each at workers 1,
+// 4 and extraWorkers with byte-equal Results, bounded by the CI step's
 // timeout. Exits through an error on any divergence.
 func runScaleSmoke(extraWorkers int) error {
 	const nodes = 10000
@@ -300,40 +301,35 @@ func runScaleSmoke(extraWorkers int) error {
 		return err
 	}
 	scheds := schedule.AssignUniform(g.N(), 100, rngutil.New(1).SubName("schedule"))
-	run := func(workers int) (*sim.Result, time.Duration, error) {
-		cfg, err := scaleConfig(g, scheds, "opt", workers)
-		if err != nil {
-			return nil, 0, err
-		}
-		start := time.Now()
-		res, err := sim.Run(cfg)
-		return res, time.Since(start), err
-	}
-	res1, d1, err := run(1)
-	if err != nil {
-		return err
-	}
-	res4, d4, err := run(4)
-	if err != nil {
-		return err
-	}
-	if !res1.Completed {
-		return fmt.Errorf("smoke run did not complete")
-	}
-	if !reflect.DeepEqual(res1, res4) {
-		return fmt.Errorf("workers 1 and workers 4 results diverge")
-	}
+	workers := []int{1, 4}
 	if extraWorkers > 1 && extraWorkers != 4 {
-		resN, dN, err := run(extraWorkers)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(res1, resN) {
-			return fmt.Errorf("workers 1 and workers %d results diverge", extraWorkers)
-		}
-		fmt.Printf("scale smoke: workers%d=%s, identical\n", extraWorkers, dN.Round(time.Millisecond))
+		workers = append(workers, extraWorkers)
 	}
-	fmt.Printf("scale smoke ok: %d nodes, %d links, %d slots, workers1=%s workers4=%s, identical\n",
-		g.N(), g.NumLinks(), res1.TotalSlots, d1.Round(time.Millisecond), d4.Round(time.Millisecond))
+	for _, protocol := range []string{"opt", "dbao"} {
+		var ref *sim.Result
+		var times []string
+		for _, w := range workers {
+			cfg, err := scaleConfig(g, scheds, protocol, w)
+			if err != nil {
+				return err
+			}
+			start := time.Now()
+			res, err := sim.Run(cfg)
+			if err != nil {
+				return fmt.Errorf("%s workers %d: %w", protocol, w, err)
+			}
+			times = append(times, fmt.Sprintf("workers%d=%s", w, time.Since(start).Round(time.Millisecond)))
+			if ref == nil {
+				if !res.Completed {
+					return fmt.Errorf("%s smoke run did not complete", protocol)
+				}
+				ref = res
+			} else if !reflect.DeepEqual(ref, res) {
+				return fmt.Errorf("%s: workers 1 and workers %d results diverge", protocol, w)
+			}
+		}
+		fmt.Printf("scale smoke ok: %s, %d nodes, %d links, %d slots, %s, identical\n",
+			protocol, g.N(), g.NumLinks(), ref.TotalSlots, strings.Join(times, " "))
+	}
 	return nil
 }

@@ -35,15 +35,9 @@ type DBAO struct {
 	DisableOverhearing bool
 
 	assigned []bool
-	audible  *audibility // carrier-sense audibility structure
+	audible  audibility // carrier-sense relation
 	csr      *topology.CSR
 	sel      selScratch
-
-	// csGraph / csFactor memoize the audibility structure: graphs are
-	// immutable by convention, so repeated runs over the same topology
-	// (sweeps, the batch runner) skip the rebuild.
-	csGraph  *topology.Graph
-	csFactor float64
 }
 
 // NewDBAO returns a fresh DBAO instance with default parameters.
@@ -56,49 +50,13 @@ func (d *DBAO) Name() string { return "DBAO" }
 func (d *DBAO) Reset(w *sim.World) {
 	d.assigned = make([]bool, w.Graph.N())
 	if d.CSRangeFactor <= 0 {
-		d.CSRangeFactor = 1.2
+		d.CSRangeFactor = defaultCSRangeFactor
 	}
 	if d.HiddenFireProb <= 0 {
 		d.HiddenFireProb = 0.5
 	}
-	if d.csGraph != w.Graph || d.csFactor != d.CSRangeFactor {
-		d.audible = buildAudibility(w.Graph, d.CSRangeFactor)
-		d.csGraph, d.csFactor = w.Graph, d.CSRangeFactor
-	}
+	d.audible = newAudibility(w.Graph, d.CSRangeFactor)
 	d.csr = w.Graph.CSR()
-}
-
-// carrierSenseBitset returns the dense audibility matrix: with positions,
-// nodes within csFactor × (longest link distance) of each other; without
-// positions, the communication adjacency itself. The O(n²) pair loop
-// compares squared distances to avoid a Hypot per pair via audiblePair's
-// banded predicate; buildAudibility holds the size cutoff above which the
-// sparse spatial-hash form replaces this matrix.
-func carrierSenseBitset(g *topology.Graph, csFactor float64) [][]uint64 {
-	if g.Pos == nil {
-		return g.AdjacencyBitset()
-	}
-	csRange := carrierSenseRange(g, csFactor)
-	cs2 := csRange * csRange
-	lo := cs2 * (1 - 1e-9)
-	hi := cs2 * (1 + 1e-9)
-	n := g.N()
-	words := (n + 63) / 64
-	b := make([][]uint64, n)
-	backing := make([]uint64, n*words)
-	for u := range b {
-		b[u] = backing[u*words : (u+1)*words]
-	}
-	for u := 0; u < n; u++ {
-		pu := g.Pos[u]
-		for v := u + 1; v < n; v++ {
-			if audiblePair(pu, g.Pos[v], lo, hi, csRange) {
-				b[u][v/64] |= 1 << (uint(v) % 64)
-				b[v][u/64] |= 1 << (uint(u) % 64)
-			}
-		}
-	}
-	return b
 }
 
 // CollisionsApply implements sim.Protocol: hidden terminals collide.

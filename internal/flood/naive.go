@@ -17,13 +17,9 @@ type Naive struct {
 	HiddenFireProb float64
 
 	assigned []bool
-	audible  *audibility
+	audible  audibility
 	csr      *topology.CSR
 	sel      selScratch
-
-	// csGraph memoizes the audibility structure across runs over the same
-	// (immutable) topology.
-	csGraph *topology.Graph
 }
 
 // NewNaive returns a fresh Naive instance.
@@ -38,10 +34,7 @@ func (n *Naive) Reset(w *sim.World) {
 	if n.HiddenFireProb <= 0 {
 		n.HiddenFireProb = 0.5
 	}
-	if n.csGraph != w.Graph {
-		n.audible = buildAudibility(w.Graph, 1.2)
-		n.csGraph = w.Graph
-	}
+	n.audible = newAudibility(w.Graph, defaultCSRangeFactor)
 	n.csr = w.Graph.CSR()
 }
 

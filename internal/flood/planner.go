@@ -60,18 +60,12 @@ const (
 	// always places first so selection can handle it before the
 	// opportunistic density count.
 	candParent uint8 = 1 << 1
-	// candAudibleTop marks a DBAO candidate audible to the receiver's
-	// top-ranked candidate, which DBAO plans first. When the top candidate
-	// is unassigned at selection time it is the back-off winner and the
-	// hidden-terminal test is this precomputed (parallel) bit instead of a
-	// serial audibility search.
-	candAudibleTop uint8 = 1 << 2
 	// candSuppressed marks a Trickle/DFlood candidate whose firing is
 	// suppressed this slot (redundancy rule / duplicate penalty).
 	// Selection never emits it — it is planned only so the serial
 	// selection pass can tally the suppression (PlanReceiver itself must
 	// stay mutation-free).
-	candSuppressed uint8 = 1 << 3
+	candSuppressed uint8 = 1 << 2
 )
 
 // deferKeyed reports whether a prospective sender stays silent this slot
@@ -118,6 +112,17 @@ func planHolders(w *sim.World, csr *topology.CSR, r int, slot *rngutil.Stream, b
 		if w.AnyNeeded(s, r) && !deferKeyed(w, s, slot) {
 			buf = append(buf, sim.Candidate{Node: s32, Packet: sim.PacketFCFS, PRR: prrs[i]})
 		}
+	}
+	return buf
+}
+
+// planContenders is planHolders with each candidate's keyed hidden-fire
+// uniform stashed in U: the carrier-sense protocols' (DBAO, Naive) plan.
+func planContenders(w *sim.World, csr *topology.CSR, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	start := len(buf)
+	buf = planHolders(w, csr, r, slot, buf)
+	for i := start; i < len(buf); i++ {
+		buf[i].U = pairU(slot, r, int(buf[i].Node))
 	}
 	return buf
 }
@@ -173,48 +178,16 @@ func dbaoRank(a, b sim.Candidate) int {
 }
 
 // PlanReceiver implements sim.ShardPlanner: the back-off candidate set
-// (needed holders that did not defer) with pre-drawn hidden-fire uniforms.
-// The top-ranked candidate is found by a linear max and swapped to the
-// front, and every other candidate's audibility to it is precomputed
-// (candAudibleTop) — the audibility searches are the expensive part of
-// DBAO's selection rule, so doing them here puts them on the worker pool.
-// The rest of the list stays in row order: only the hidden candidates'
-// rank order is observable, and SelectIntents sorts just those.
+// (needed holders that did not defer) in row order, with pre-drawn
+// hidden-fire uniforms.
 func (d *DBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	if !w.NeedsAnything(r) {
-		return buf
-	}
-	row, prrs := d.csr.Row(r)
-	for i, s32 := range row {
-		s := int(s32)
-		if w.AnyNeeded(s, r) && !deferKeyed(w, s, slot) {
-			buf = append(buf, sim.Candidate{Node: s32, Packet: sim.PacketFCFS, PRR: prrs[i], U: pairU(slot, r, s)})
-		}
-	}
-	if len(buf) > 1 {
-		top := 0
-		for j := 1; j < len(buf); j++ {
-			if dbaoRank(buf[j], buf[top]) < 0 {
-				top = j
-			}
-		}
-		buf[0], buf[top] = buf[top], buf[0]
-		for j := 1; j < len(buf); j++ {
-			if d.audible.has(int(buf[j].Node), int(buf[0].Node)) {
-				buf[j].Flags |= candAudibleTop
-			}
-		}
-	}
-	return buf
+	return planContenders(w, d.csr, r, slot, buf)
 }
 
 // SelectIntents implements sim.ShardPlanner: the deterministic back-off
-// winner — the best-ranked unassigned candidate — plus the hidden
-// candidates firing on their stashed uniforms, emitted in rank order. The
-// winner is the plan's top candidate unless an earlier receiver already
-// took it, in which case a linear scan finds the best unassigned one and
-// the hidden-terminal test falls back to the audibility search against
-// it. Only the firing hidden candidates are sorted.
+// winner — the best-ranked unassigned candidate — plus the candidates
+// hidden from it (carrier sense) firing on their stashed uniforms,
+// emitted in rank order. Only the firing hidden candidates are sorted.
 func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
 	sel := d.sel.emitted[:0]
 	for i := 0; i < plan.Len(); i++ {
@@ -224,9 +197,6 @@ func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.
 		for j := range cands {
 			if !d.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
 				wi = j
-				if j == 0 {
-					break // the top candidate outranks every other
-				}
 			}
 		}
 		if wi < 0 {
@@ -238,14 +208,7 @@ func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.
 		emit(sim.Intent{From: int(winner), To: r, Packet: sim.PacketFCFS}, cands[wi].PRR)
 		firing := d.sel.hidden[:0]
 		for j, c := range cands {
-			if j == wi || d.assigned[c.Node] || c.U >= d.HiddenFireProb {
-				continue
-			}
-			if wi == 0 {
-				if c.Flags&candAudibleTop != 0 {
-					continue
-				}
-			} else if d.audible.has(int(c.Node), int(winner)) {
+			if j == wi || d.assigned[c.Node] || c.U >= d.HiddenFireProb || d.audible.has(int(c.Node), int(winner)) {
 				continue
 			}
 			firing = append(firing, c)
@@ -266,19 +229,9 @@ func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.
 
 // ---- Naive ----
 
-// PlanReceiver implements sim.ShardPlanner.
+// PlanReceiver implements sim.ShardPlanner: DBAO's candidate set.
 func (n *Naive) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	if !w.NeedsAnything(r) {
-		return buf
-	}
-	row, prrs := n.csr.Row(r)
-	for i, s32 := range row {
-		s := int(s32)
-		if w.AnyNeeded(s, r) && !deferKeyed(w, s, slot) {
-			buf = append(buf, sim.Candidate{Node: s32, Packet: sim.PacketFCFS, PRR: prrs[i], U: pairU(slot, r, s)})
-		}
-	}
-	return buf
+	return planContenders(w, n.csr, r, slot, buf)
 }
 
 // SelectIntents implements sim.ShardPlanner: among the unassigned

@@ -7,11 +7,13 @@ package flood
 // its trace in BOTH encodings — text (tracelog) and binary (tracebin) —
 // and the byte-identity guarantees are asserted on each independently,
 // plus a round-trip check that the two encodings carry identical events.
-// Also certifies the sparse (spatial-hash) carrier-sense audibility
-// against the dense matrix, membership-exact and end to end.
+// Also certifies the carrier-sense relation against a brute-force
+// distance reference.
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -180,21 +182,19 @@ func TestShardEquivalenceGrid(t *testing.T) {
 	}
 }
 
-// TestAudibilitySparseMatchesDense certifies the spatial-hash sparse
-// audibility structure membership-identical to the dense matrix, on a
-// positioned forest topology and on the position-free fallback.
-func TestAudibilitySparseMatchesDense(t *testing.T) {
-	check := func(g *topology.Graph, csFactor float64) {
+// TestAudibilityMatchesDistance certifies the carrier-sense relation
+// against a brute-force reference over every ordered pair: with positions,
+// pu.Dist(pv) <= csRange; without, the communication adjacency. The
+// hand-placed graph puts pairs exactly at csRange and one ulp either side,
+// along an axis and along a diagonal, where the squared-distance fast path
+// must defer to the correctly-rounded distance.
+func TestAudibilityMatchesDistance(t *testing.T) {
+	check := func(name string, g *topology.Graph, csFactor float64) {
 		t.Helper()
-		dense := buildAudibility(g, csFactor)
-		if dense.bits == nil {
-			t.Fatal("expected dense structure below the cutoff")
-		}
-		restore := setAudibilityDenseLimit(1)
-		sparse := buildAudibility(g, csFactor)
-		restore()
-		if sparse.rows == nil {
-			t.Fatal("expected sparse structure with the cutoff forced")
+		a := newAudibility(g, csFactor)
+		var csRange float64
+		if g.Pos != nil {
+			csRange = carrierSenseRange(g, csFactor)
 		}
 		n := g.N()
 		for u := 0; u < n; u++ {
@@ -202,43 +202,48 @@ func TestAudibilitySparseMatchesDense(t *testing.T) {
 				if u == v {
 					continue
 				}
-				if dense.has(u, v) != sparse.has(u, v) {
-					t.Fatalf("audibility(%d, %d): dense %v, sparse %v",
-						u, v, dense.has(u, v), sparse.has(u, v))
+				want := g.HasLink(u, v)
+				if g.Pos != nil {
+					want = g.Pos[u].Dist(g.Pos[v]) <= csRange
+				}
+				if got := a.has(u, v); got != want {
+					t.Fatalf("%s, factor %v: has(%d, %d) = %v, reference %v", name, csFactor, u, v, got, want)
 				}
 			}
 		}
 	}
-	g := topology.GreenOrbs(1)
-	check(g, 1.2)
-	check(g, 2.0)
-	posFree := g.Clone()
-	posFree.Pos = nil
-	check(posFree, 1.2)
-}
-
-// TestSparseAudibilityEndToEnd runs the carrier-sense protocols with the
-// sparse audibility structure forced and requires bit-identical results and
-// traces versus the dense matrix.
-func TestSparseAudibilityEndToEnd(t *testing.T) {
-	g := topology.GreenOrbs(1)
-	cfg := sim.Config{
-		Graph:            g,
-		Schedules:        uniform(g.N(), 20, 42),
-		M:                3,
-		Coverage:         0.99,
-		Seed:             7,
-		MaxSlots:         200000,
-		RecordReceptions: true,
+	factors := []float64{1, 1.2, 2, 2.5}
+	graphs := map[string]*topology.Graph{"testbed 3": topology.Testbed(3)}
+	for _, seed := range []uint64{1, 2, 3, 9} {
+		graphs[fmt.Sprintf("greenorbs %d", seed)] = topology.GreenOrbs(seed)
 	}
-	for _, protocol := range []string{"dbao", "naive"} {
-		dense, denseTrace := runSharded(t, cfg, protocol, 0)
-		restore := setAudibilityDenseLimit(1)
-		sparse, sparseTrace := runSharded(t, cfg, protocol, 0)
-		restore()
-		if !reflect.DeepEqual(dense, sparse) {
-			t.Errorf("%s: sparse audibility changed the run", protocol)
+	posFree := topology.GreenOrbs(1).Clone()
+	posFree.Pos = nil
+	graphs["position-free greenorbs 1"] = posFree
+	for name, g := range graphs {
+		for _, f := range factors {
+			check(name, g, f)
 		}
-		equalTraces(t, denseTrace, sparseTrace, protocol+" sparse vs dense audibility")
+	}
+
+	// One 3-4-5 link fixes csRange = 5f; nodes 2..7 sit at csRange from
+	// node 0 and one ulp inside and outside it.
+	for _, f := range factors {
+		g := topology.New(8)
+		g.AddLink(0, 1, 0.9)
+		g.SortNeighbors()
+		g.Pos = make([]topology.Point, 8)
+		g.Pos[1] = topology.Point{X: 3, Y: 4}
+		r := carrierSenseRange(g, f)
+		for i, d := range []float64{r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1))} {
+			g.Pos[2+i] = topology.Point{X: d}
+			g.Pos[5+i] = topology.Point{X: 0.6 * r, Y: math.Sqrt(d*d - 0.36*r*r)}
+		}
+		a := newAudibility(g, f)
+		if !a.has(0, 2) || !a.has(0, 3) || a.has(0, 4) {
+			t.Fatalf("factor %v: axis pairs at csRange, -1 ulp, +1 ulp: %v %v %v, want true true false",
+				f, a.has(0, 2), a.has(0, 3), a.has(0, 4))
+		}
+		check(fmt.Sprintf("hand-placed, factor %v", f), g, f)
 	}
 }

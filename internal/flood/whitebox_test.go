@@ -37,15 +37,15 @@ func TestCarrierSenseBitsetPositionBased(t *testing.T) {
 	g.AddLink(0, 1, 0.9)
 	g.AddLink(1, 2, 0.9)
 	g.SortNeighbors()
-	tight := carrierSenseBitset(g, 1.0)
-	if topology.BitsetHas(tight[0], 2) {
+	tight := newAudibility(g, 1.0)
+	if tight.has(0, 2) || tight.has(2, 0) {
 		t.Fatal("factor 1.0: ends should be hidden")
 	}
-	if !topology.BitsetHas(tight[0], 1) || !topology.BitsetHas(tight[1], 2) {
+	if !tight.has(0, 1) || !tight.has(1, 2) {
 		t.Fatal("factor 1.0: adjacent nodes must be audible")
 	}
-	wide := carrierSenseBitset(g, 2.5)
-	if !topology.BitsetHas(wide[0], 2) {
+	wide := newAudibility(g, 2.5)
+	if !wide.has(0, 2) || !wide.has(2, 0) {
 		t.Fatal("factor 2.5: ends should be audible")
 	}
 }
@@ -72,8 +72,8 @@ func TestCarrierSenseBitsetFallsBackToAdjacency(t *testing.T) {
 	g.AddLink(1, 2, 0.9)
 	g.SortNeighbors()
 	// No positions: audibility == adjacency.
-	b := carrierSenseBitset(g, 1.0)
-	if !topology.BitsetHas(b[0], 1) || topology.BitsetHas(b[0], 2) {
+	a := newAudibility(g, 1.0)
+	if !a.has(0, 1) || !a.has(1, 0) || a.has(0, 2) || a.has(2, 0) {
 		t.Fatal("fallback adjacency wrong")
 	}
 }

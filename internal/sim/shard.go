@@ -46,7 +46,8 @@ package sim
 //
 // Whether the pool pays is a wall-clock question, answered by cmd/engbench
 // -scale (BENCH_scale.json): on a 2-vCPU host inline execution (Workers:
-// 1) is faster at 10k nodes, while two workers win at 100k nodes.
+// 1) is faster at 10k nodes, and at 100k nodes two workers no longer beat
+// it by more than the run-to-run spread, for OPT or DBAO.
 
 import (
 	"math"

@@ -173,27 +173,6 @@ func (g *Graph) BestNeighbor(u int) (v int, prr float64, ok bool) {
 	return v, prr, ok
 }
 
-// AdjacencyBitset returns a bit matrix b where b[u] has bit v set iff u and
-// v are linked; b[u][v/64]>>(v%64)&1. Protocols snapshot this in Reset for
-// O(1) carrier-sense audibility checks during simulation.
-func (g *Graph) AdjacencyBitset() [][]uint64 {
-	words := (g.N() + 63) / 64
-	b := make([][]uint64, g.N())
-	backing := make([]uint64, g.N()*words)
-	for u := range b {
-		b[u] = backing[u*words : (u+1)*words]
-		for _, l := range g.adj[u] {
-			b[u][l.To/64] |= 1 << (uint(l.To) % 64)
-		}
-	}
-	return b
-}
-
-// BitsetHas reports whether bit v is set in row (a row of AdjacencyBitset).
-func BitsetHas(row []uint64, v int) bool {
-	return row[v/64]>>(uint(v)%64)&1 == 1
-}
-
 // MeanLinkPRR returns the mean PRR over all undirected links, or 0 for a
 // graph with no links. The link-loss analysis (Section IV-B) uses this to
 // derive the network-wide expected transmission count k = 1/PRR.

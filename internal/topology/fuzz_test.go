@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -47,8 +48,8 @@ func checkCSR(t *testing.T, g *Graph) {
 }
 
 // FuzzReadText asserts the trace parser never panics, and that anything it
-// accepts builds a consistent CSR projection and round-trips through
-// WriteText to an equivalent graph.
+// accepts has finite positions, builds a consistent CSR projection and
+// round-trips through WriteText to an equivalent graph.
 func FuzzReadText(f *testing.F) {
 	f.Add("graph g 3\nlink 0 1 0.5\nlink 1 2 0.9\n")
 	f.Add("graph g 2\nnode 0 1.5 2.5\nnode 1 0 0\nlink 0 1 1\n")
@@ -57,6 +58,7 @@ func FuzzReadText(f *testing.F) {
 	f.Add("graph g -1")
 	f.Add("graph g 2\nlink 0 1 2.0\n")
 	f.Add("graph g 2\nnode 9 0 0\n")
+	f.Add("graph g 2\nnode 0 Inf 0\nnode 1 0 NaN\nlink 0 1 1\n")
 	// Degenerate CSR shapes: empty graph, single node, linkless multi-node,
 	// unsorted duplicate-free rows, and a maximum-degree star (the 50k-leaf
 	// production shape is exercised in csr_test.go; the seed stays small so
@@ -73,6 +75,11 @@ func FuzzReadText(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
+		}
+		for u, p := range g.Pos {
+			if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+				t.Fatalf("accepted node %d at non-finite position %v", u, p)
+			}
 		}
 		checkCSR(t, g)
 		var buf bytes.Buffer

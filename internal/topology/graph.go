@@ -198,15 +198,20 @@ type Edge struct {
 	PRR  float64
 }
 
-// Validate checks internal consistency: symmetric adjacency, matching PRRs,
-// in-range endpoints, no self-loops, PRRs in (0,1]. It returns the first
-// problem found, or nil.
+// Validate checks internal consistency: finite positions, symmetric
+// adjacency, matching PRRs, in-range endpoints, no self-loops, PRRs in
+// (0,1]. It returns the first problem found, or nil.
 func (g *Graph) Validate() error {
 	if len(g.adj) == 0 {
 		return fmt.Errorf("topology: empty graph")
 	}
 	if g.Pos != nil && len(g.Pos) != len(g.adj) {
 		return fmt.Errorf("topology: %d positions for %d nodes", len(g.Pos), len(g.adj))
+	}
+	for u, p := range g.Pos {
+		if !finite(p.X) || !finite(p.Y) {
+			return fmt.Errorf("topology: node %d has non-finite position (%v, %v)", u, p.X, p.Y)
+		}
 	}
 	// One CSR build turns the symmetry back-check into binary searches,
 	// O(m log d) overall on sorted graphs instead of the quadratic
@@ -251,6 +256,8 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func (g *Graph) check(u int) {
 	if u < 0 || u >= len(g.adj) {

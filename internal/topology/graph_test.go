@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +145,24 @@ func TestValidateCatchesPosMismatch(t *testing.T) {
 	g.Pos = make([]Point, 2)
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed position/node mismatch")
+	}
+}
+
+func TestValidateRejectsNonFinitePositions(t *testing.T) {
+	for _, bad := range []Point{{X: math.Inf(1)}, {Y: math.Inf(-1)}, {X: math.NaN()}, {Y: math.NaN()}} {
+		g := New(3)
+		g.AddLink(0, 1, 0.5)
+		g.Pos = []Point{{}, {X: 1}, bad}
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), "node 2") {
+			t.Fatalf("position %v: Validate returned %v, want an error naming node 2", bad, err)
+		}
+	}
+	for _, text := range []string{"Inf 0", "0 -Inf", "NaN 0"} {
+		in := "graph g 2\nnode 0 0 0\nnode 1 " + text + "\nlink 0 1 0.5\n"
+		if _, err := ReadText(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "node 1") {
+			t.Fatalf("ReadText accepted node 1 at %q: %v", text, err)
+		}
 	}
 }
 
