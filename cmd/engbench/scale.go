@@ -10,7 +10,11 @@ package main
 //   - keyed-nproc: the engine on its worker pool, Workers =
 //     runtime.NumCPU() (recorded in the row).
 //
-// Every number is measured wall clock. Each row runs -scale-reps times;
+// Every number is measured wall clock. Each node count's topology is
+// built -scale-reps times first, and every row of that size records the
+// builds' median and quartiles (build_ns, build_q1_ns, build_q3_ns): for a
+// 100k-node flood the build is a cost the user waits for too. Each row
+// then runs -scale-reps times;
 // the configurations of a cell alternate run by run (in reverse order on
 // odd reps), so a slow period on a shared host lands on all of them
 // rather than on one, and a row records the median and quartiles of its
@@ -45,6 +49,12 @@ type scaleRow struct {
 	Protocol string `json:"protocol"`
 	Nodes    int    `json:"nodes"`
 	Links    int    `json:"links"`
+	// BuildNS, BuildQ1NS and BuildQ3NS summarize the wall clock of
+	// building the row's topology (GenerateGreenOrbs), shared by every
+	// row of the same node count.
+	BuildNS   int64 `json:"build_ns,omitempty"`
+	BuildQ1NS int64 `json:"build_q1_ns,omitempty"`
+	BuildQ3NS int64 `json:"build_q3_ns,omitempty"`
 	// Engine is keyed1 or keyed-nproc; Workers is the sim.Config.Workers
 	// value it ran with.
 	Engine  string `json:"engine"`
@@ -104,8 +114,17 @@ func runScale(out, against string, tol float64, reps int) error {
 		Period:    scalePeriod,
 	}
 	fmt.Printf("host: %s, nproc %d, GOMAXPROCS %d\n", doc.Host.CPU, doc.Host.NProc, doc.Host.GOMAXPROCS)
+	builds := make(map[int]*scaleBuild)
 	for _, cell := range scaleGrid {
-		rows, err := measureScaleCell(cell.nodes, cell.protocol, reps)
+		b := builds[cell.nodes]
+		if b == nil {
+			var err error
+			if b, err = buildScaleTopology(cell.nodes, reps); err != nil {
+				return fmt.Errorf("build %d: %w", cell.nodes, err)
+			}
+			builds[cell.nodes] = b
+		}
+		rows, err := measureScaleCell(b, cell.protocol, reps)
 		if err != nil {
 			return fmt.Errorf("%s/%d: %w", cell.protocol, cell.nodes, err)
 		}
@@ -173,14 +192,43 @@ func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string
 	}, nil
 }
 
-// measureScaleCell builds the topology and times the cell's engine
-// configurations, alternating between them run by run.
-func measureScaleCell(nodes int, protocol string, reps int) ([]scaleRow, error) {
+// scaleBuild is one node count's topology and the wall clock of building
+// it: median and quartiles over the builds.
+type scaleBuild struct {
+	g              *topology.Graph
+	median, q1, q3 int64
+}
+
+// buildScaleTopology builds the nodes-node ScaledGreenOrbs instance reps
+// times (at least once), timing each build from a collected heap.
+func buildScaleTopology(nodes, reps int) (*scaleBuild, error) {
 	fmt.Printf("building scaled-greenorbs %d...\n", nodes)
-	g, err := topology.GenerateGreenOrbs(topology.ScaledGreenOrbsConfig(nodes), 1)
-	if err != nil {
-		return nil, err
+	b := &scaleBuild{}
+	var times []float64
+	for r := 0; r < max(reps, 1); r++ {
+		runtime.GC()
+		start := time.Now()
+		g, err := topology.GenerateGreenOrbs(topology.ScaledGreenOrbsConfig(nodes), 1)
+		d := time.Since(start)
+		if err != nil {
+			return nil, err
+		}
+		times = append(times, float64(d.Nanoseconds()))
+		b.g = g
 	}
+	b.median = int64(stats.Percentile(times, 50))
+	b.q1 = int64(stats.Percentile(times, 25))
+	b.q3 = int64(stats.Percentile(times, 75))
+	fmt.Printf("scaled-greenorbs %d: %d links, build median=%.1fms IQR=%.1fms\n",
+		nodes, b.g.NumLinks(), float64(b.median)/1e6, float64(b.q3-b.q1)/1e6)
+	return b, nil
+}
+
+// measureScaleCell times the cell's engine configurations on the built
+// topology, alternating between them run by run.
+func measureScaleCell(b *scaleBuild, protocol string, reps int) ([]scaleRow, error) {
+	g := b.g
+	var err error
 	scheds := schedule.AssignUniform(g.N(), scalePeriod, rngutil.New(1).SubName("schedule"))
 	type engine struct {
 		name    string
@@ -196,13 +244,16 @@ func measureScaleCell(nodes int, protocol string, reps int) ([]scaleRow, error) 
 			return nil, err
 		}
 		rows[i] = scaleRow{
-			Name:     fmt.Sprintf("%s/%d/%s", protocol, g.N(), en.name),
-			Protocol: protocol,
-			Nodes:    g.N(),
-			Links:    g.NumLinks(),
-			Engine:   en.name,
-			Workers:  en.workers,
-			Reps:     reps,
+			Name:      fmt.Sprintf("%s/%d/%s", protocol, g.N(), en.name),
+			Protocol:  protocol,
+			Nodes:     g.N(),
+			Links:     g.NumLinks(),
+			BuildNS:   b.median,
+			BuildQ1NS: b.q1,
+			BuildQ3NS: b.q3,
+			Engine:    en.name,
+			Workers:   en.workers,
+			Reps:      reps,
 		}
 	}
 
@@ -262,7 +313,8 @@ func measureScaleCell(nodes int, protocol string, reps int) ([]scaleRow, error) 
 // guardScale compares a fresh scale measurement against a baseline. The
 // two must hold the same rows; slot horizons must match exactly (they are
 // deterministic, so drift means engine behavior changed), and each row's
-// median wall clock may exceed the baseline's by at most tol.
+// median wall clock, and its median build time where the baseline has
+// one, may exceed the baseline's by at most tol.
 func guardScale(doc, base *scaleBaseline, tol float64) error {
 	for _, b := range base.Rows {
 		if !slices.ContainsFunc(doc.Rows, func(r scaleRow) bool { return r.Name == b.Name }) {
@@ -282,6 +334,10 @@ func guardScale(doc, base *scaleBaseline, tol float64) error {
 		if lim := float64(b.MedianNS) * (1 + tol); float64(r.MedianNS) > lim {
 			return fmt.Errorf("%s: median %.1fms regressed past baseline %.1fms +%.0f%%",
 				r.Name, float64(r.MedianNS)/1e6, float64(b.MedianNS)/1e6, tol*100)
+		}
+		if lim := float64(b.BuildNS) * (1 + tol); b.BuildNS > 0 && float64(r.BuildNS) > lim {
+			return fmt.Errorf("%s: build median %.1fms regressed past baseline %.1fms +%.0f%%",
+				r.Name, float64(r.BuildNS)/1e6, float64(b.BuildNS)/1e6, tol*100)
 		}
 	}
 	return nil

@@ -47,3 +47,24 @@ func TestGuardScaleSlotDriftFails(t *testing.T) {
 		t.Fatal("slot horizon drift passed the guard")
 	}
 }
+
+func TestGuardScaleSlowBuildFails(t *testing.T) {
+	base := scaleDoc(50e6, 80e6)
+	cur := scaleDoc(50e6, 80e6)
+	for i := range base.Rows {
+		base.Rows[i].BuildNS = 100e6
+		cur.Rows[i].BuildNS = 140e6
+	}
+	if err := guardScale(cur, base, 0.5); err != nil {
+		t.Fatalf("build within tolerance failed the guard: %v", err)
+	}
+	cur.Rows[1].BuildNS = 160e6
+	err := guardScale(cur, base, 0.5)
+	if err == nil || !strings.Contains(err.Error(), "opt/10000/keyed-nproc: build") {
+		t.Fatalf("slow build passed the guard or was misnamed: %v", err)
+	}
+	// A baseline recorded before builds were timed guards no build.
+	if err := guardScale(cur, scaleDoc(50e6, 80e6), 0.5); err != nil {
+		t.Fatalf("baseline without build times failed the guard: %v", err)
+	}
+}

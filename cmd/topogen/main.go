@@ -11,8 +11,11 @@
 //
 // For greenorbs, passing -nodes scales the calibrated 298-node deployment
 // to the requested size at constant node density (topology.
-// ScaledGreenOrbsConfig); link generation is spatial-hashed, so 100k-node
-// instances build in O(n).
+// ScaledGreenOrbsConfig). Link generation is spatial-hashed at every size
+// and rejects most out-of-reach pairs before the PRR computation, so a
+// 100k-node instance builds in O(n). From 512 nodes up, components are
+// stitched by a grid search bounded by the occupied extent, which stays
+// fast on sparse fields too (-type rgg -nodes 520 -field 200000).
 package main
 
 import (

@@ -52,8 +52,10 @@ func DefaultGreenOrbsConfig() GreenOrbsConfig {
 // radius stay fixed — so per-node degree statistics match the 298-node
 // trace and only the network's extent (hop diameter, flooding depth)
 // grows. This is the scale-workload generator behind cmd/topogen -nodes
-// and cmd/engbench -scale (10k–100k nodes); link generation uses the
-// spatial hash, so building a 100k-node instance is O(n).
+// and cmd/engbench -scale (10k–100k nodes). Link generation uses the
+// spatial hash at every size and the connectivity stitcher switches to
+// its grid search from spatialHashMinNodes up, so building a 100k-node
+// instance is O(n).
 func ScaledGreenOrbsConfig(nodes int) GreenOrbsConfig {
 	cfg := DefaultGreenOrbsConfig()
 	if nodes <= 0 {
@@ -140,14 +142,14 @@ func GenerateGreenOrbs(cfg GreenOrbsConfig, seed uint64) (*Graph, error) {
 	return g, nil
 }
 
-// spatialHashMinNodes is the node count above which linkByDistance and the
-// large-graph connectivity stitcher switch from O(n²) pair scans to the
-// spatial hash. linkByDistance produces byte-identical graphs either way
-// (the hash only prunes pairs the distance cutoff would skip), so for it
-// the threshold is purely a constant-factor tradeoff; the connectivity
-// stitcher's bridge links may differ between the two regimes. A variable,
-// not a const, so the equivalence tests can pin both strategies against
-// each other on the same topology.
+// spatialHashMinNodes is the node count from which ensureConnected
+// switches from the exact global closest-pair stitcher (O(passes × n²))
+// to the grid stitcher, ensureConnectedGrid. The two may choose different
+// bridge links, so the threshold is part of the output contract: the
+// committed small presets (GreenOrbs, Testbed) stay on the exact path.
+// Link generation does not consult it — linkByDistance uses the spatial
+// hash at every size. A variable, not a const, so the equivalence tests
+// can pin both stitchers against each other on the same topology.
 var spatialHashMinNodes = 512
 
 // spatialGrid buckets node indices by ⌊pos/cell⌋ for O(1) neighborhood
@@ -158,8 +160,12 @@ type spatialGrid struct {
 	cells map[[2]int32][]int32
 }
 
-// newSpatialGrid builds a grid over pos with the given cell size (> 0).
+// newSpatialGrid builds a grid over pos with the given cell size. A cell
+// that is not a positive finite number puts every node in one cell.
 func newSpatialGrid(pos []Point, cell float64) *spatialGrid {
+	if !(cell > 0) || math.IsInf(cell, 0) {
+		cell = math.Inf(1)
+	}
 	sg := &spatialGrid{cell: cell, cells: make(map[[2]int32][]int32, len(pos)/4+1)}
 	for i, p := range pos {
 		k := sg.key(p)
@@ -172,60 +178,58 @@ func (sg *spatialGrid) key(p Point) [2]int32 {
 	return [2]int32{int32(math.Floor(p.X / sg.cell)), int32(math.Floor(p.Y / sg.cell))}
 }
 
-// linkByDistance adds every link whose shadowed PRR clears minPRR, clamped
-// to maxPRR when positive. Each unordered pair draws its shadowing from a
-// sub-stream keyed by the pair, so the result does not depend on iteration
-// order. Pairs farther than the distance where even a very lucky (-3σ)
-// shadow draw cannot reach minPRR are skipped without consuming
-// randomness; above spatialHashMinNodes that cutoff also drives a spatial
-// hash (cell size = the cutoff, so a 3×3 neighborhood covers every
-// in-range pair) that enumerates exactly the same candidate pairs in the
-// same order as the quadratic scan — the generated graph is identical,
-// the cost drops from O(n²) to O(n) for constant-density fields.
+// linkByDistance links a graph that has positions but no links yet: it
+// adds every link whose shadowed PRR clears minPRR, clamped to maxPRR
+// when positive. Each unordered pair draws its shadowing from a
+// sub-stream keyed by the pair, so the result does not depend on
+// iteration order. Pairs farther than maxDist, where even a very lucky (-3σ) shadow
+// draw cannot reach minPRR, are skipped without consuming randomness.
+//
+// A spatial hash with cell size maxDist enumerates the candidates: the
+// 3×3 neighborhood of u's cell covers every in-range pair, so the cost is
+// O(n) at constant density. Every unordered pair is visited once, so
+// links are appended without AddLink's duplicate search; Validate, which
+// every generator runs last, still rejects duplicates and asymmetry.
+//
+// The adjacency lists come out byte-identical to a plain u<v pair scan's
+// (spatial_test.go keeps that scan as the reference): u's row holds its
+// links to lower ids, appended in ascending order by the outer loop, then
+// its links to higher ids, appended here in cell order and sorted
+// before the loop moves on.
 func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngutil.Stream) {
 	maxDist := radio.ConnectedRange(minPRR) * math.Pow(10, 3*radio.ShadowStd/(10*radio.Exponent))
-	n := g.N()
-	if n < spatialHashMinNodes || g.Pos == nil || !(maxDist > 0) || math.IsInf(maxDist, 0) {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				tryLink(g, radio, minPRR, maxPRR, shadowRNG, u, v, maxDist)
-			}
-		}
-		return
-	}
+	snrCut := radio.snrCut(minPRR)
 	sg := newSpatialGrid(g.Pos, maxDist)
-	var cands []int32
-	for u := 0; u < n; u++ {
-		ck := sg.key(g.Pos[u])
-		cands = cands[:0]
+	for u, pu := range g.Pos {
+		ck := sg.key(pu)
+		lower := len(g.adj[u])
 		for dy := int32(-1); dy <= 1; dy++ {
 			for dx := int32(-1); dx <= 1; dx++ {
 				for _, v := range sg.cells[[2]int32{ck[0] + dx, ck[1] + dy}] {
-					if int(v) > u {
-						cands = append(cands, v)
+					if int(v) <= u {
+						continue
+					}
+					if d := pu.Dist(g.Pos[v]); !(d > maxDist) {
+						tryLink(g, radio, minPRR, maxPRR, snrCut, shadowRNG, u, int(v), d)
 					}
 				}
 			}
 		}
-		// Ascending v reproduces the quadratic scan's insertion order, so
-		// adjacency lists come out byte-identical, not just set-equal.
-		slices.Sort(cands)
-		for _, v := range cands {
-			tryLink(g, radio, minPRR, maxPRR, shadowRNG, u, int(v), maxDist)
-		}
+		slices.SortFunc(g.adj[u][lower:], func(a, b Link) int { return a.To - b.To })
 	}
+	g.csr = nil
 }
 
-// tryLink is linkByDistance's per-pair body: skip beyond the cutoff, draw
-// the pair-keyed shadow, link if the PRR clears minPRR.
-func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngutil.Stream, u, v int, maxDist float64) {
-	d := g.Pos[u].Dist(g.Pos[v])
-	if d > maxDist {
+// tryLink is linkByDistance's per-pair body for a pair at distance d:
+// draw the pair-keyed shadow, reject at once below the SNR cut, else link
+// if the exact PRR clears minPRR.
+func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR, snrCut float64, shadowRNG *rngutil.Stream, u, v int, d float64) {
+	pairRNG := shadowRNG.SubValue(uint64(u)<<32 | uint64(v))
+	snr := radio.SNR(d, pairRNG.NormMeanStd(0, radio.ShadowStd))
+	if snr < snrCut {
 		return
 	}
-	pairRNG := shadowRNG.Sub(uint64(u)<<32 | uint64(v))
-	shadow := pairRNG.NormMeanStd(0, radio.ShadowStd)
-	prr := radio.PRR(d, shadow)
+	prr := radio.prrFromSNR(snr)
 	if prr >= minPRR {
 		if prr > 1 {
 			prr = 1
@@ -233,7 +237,8 @@ func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngu
 		if maxPRR > 0 && prr > maxPRR {
 			prr = maxPRR
 		}
-		g.AddLink(u, v, prr)
+		g.adj[u] = append(g.adj[u], Link{To: v, PRR: prr})
+		g.adj[v] = append(g.adj[v], Link{To: u, PRR: prr})
 	}
 }
 
@@ -321,7 +326,7 @@ func ensureConnectedGrid(g *Graph, radio RadioModel, minPRR float64) {
 	if !(cell > 0) || math.IsInf(cell, 0) {
 		cell = 1
 	}
-	sg := newSpatialGrid(g.Pos, cell)
+	rg := newRingGrid(g.Pos, cell)
 	for {
 		comps := g.Components()
 		if len(comps) <= 1 {
@@ -345,7 +350,7 @@ func ensureConnectedGrid(g *Graph, radio RadioModel, minPRR float64) {
 			}
 			bestU, bestV, bestD := -1, -1, math.Inf(1)
 			for _, u := range comp {
-				sg.nearestOutside(g.Pos, compOf, int32(ci), u, &bestU, &bestV, &bestD)
+				rg.nearestOutside(g.Pos, compOf, int32(ci), u, &bestU, &bestV, &bestD)
 			}
 			if bestU >= 0 {
 				g.AddLink(bestU, bestV, clamp(radio.PRR(bestD, 0), minPRR, 0.95))
@@ -354,34 +359,99 @@ func ensureConnectedGrid(g *Graph, radio RadioModel, minPRR float64) {
 	}
 }
 
+// ringGrid is a spatialGrid indexed for ring walks: the occupied cells of
+// every row and every column in ascending order, and the occupied extent.
+// A ring walk steps from one occupied cell of the ring to the next, so its
+// cost follows the occupied cells, not the ring's area, and it stops at
+// the extent instead of a guess — on a sparse field the nearest node
+// outside a component can lie thousands of cells away.
+type ringGrid struct {
+	*spatialGrid
+	rows, cols map[int32][]int32 // row y → occupied xs; column x → occupied ys
+	lo, hi     [2]int32          // occupied extent, inclusive
+}
+
+// newRingGrid builds a ringGrid over pos with the given cell size.
+func newRingGrid(pos []Point, cell float64) *ringGrid {
+	rg := &ringGrid{
+		spatialGrid: newSpatialGrid(pos, cell),
+		rows:        make(map[int32][]int32),
+		cols:        make(map[int32][]int32),
+		lo:          [2]int32{math.MaxInt32, math.MaxInt32},
+		hi:          [2]int32{math.MinInt32, math.MinInt32},
+	}
+	for k := range rg.cells {
+		rg.rows[k[1]] = append(rg.rows[k[1]], k[0])
+		rg.cols[k[0]] = append(rg.cols[k[0]], k[1])
+		for i := range k {
+			rg.lo[i] = min(rg.lo[i], k[i])
+			rg.hi[i] = max(rg.hi[i], k[i])
+		}
+	}
+	for _, line := range rg.rows {
+		slices.Sort(line)
+	}
+	for _, line := range rg.cols {
+		slices.Sort(line)
+	}
+	return rg
+}
+
+// span returns the part of an ascending line within [lo, hi].
+func span(line []int32, lo, hi int32) []int32 {
+	i, _ := slices.BinarySearch(line, lo)
+	j, found := slices.BinarySearch(line, hi)
+	if found {
+		j++
+	}
+	return line[i:j]
+}
+
 // nearestOutside updates (bestU, bestV, bestD) with the closest node to u
 // whose component differs from ci, searching grid rings outward until the
-// ring's minimum possible distance exceeds the incumbent.
-func (sg *spatialGrid) nearestOutside(pos []Point, compOf []int32, ci int32, u int, bestU, bestV *int, bestD *float64) {
-	ck := sg.key(pos[u])
-	for r := int32(0); ; r++ {
-		// Ring r's closest possible point is (r-1) cells away, so once an
-		// incumbent beats that bound no farther ring can improve on it.
-		if *bestV >= 0 && float64(r-1)*sg.cell > *bestD {
-			return
-		}
-		for dy := -r; dy <= r; dy++ {
-			for dx := -r; dx <= r; dx++ {
-				if dx > -r && dx < r && dy > -r && dy < r {
-					continue // interior cells were covered by smaller rings
-				}
-				for _, v := range sg.cells[[2]int32{ck[0] + dx, ck[1] + dy}] {
-					if compOf[v] == ci {
-						continue
-					}
-					if d := pos[u].Dist(pos[int(v)]); d < *bestD {
-						*bestU, *bestV, *bestD = u, int(v), d
-					}
-				}
+// ring's minimum possible distance exceeds the incumbent. Ring r is
+// walked row by row — its top row in full, then the left and right edge
+// cells of each row between, then its bottom row — and each cell's
+// occupants in id order.
+func (rg *ringGrid) nearestOutside(pos []Point, compOf []int32, ci int32, u int, bestU, bestV *int, bestD *float64) {
+	ck := rg.key(pos[u])
+	visit := func(x, y int32) {
+		for _, v := range rg.cells[[2]int32{x, y}] {
+			if compOf[v] == ci {
+				continue
+			}
+			if d := pos[u].Dist(pos[int(v)]); d < *bestD {
+				*bestU, *bestV, *bestD = u, int(v), d
 			}
 		}
-		if r > int32(len(compOf))+2 { // unreachable safety bound
+	}
+	// Rings beyond the farthest occupied row or column are empty.
+	maxR := max(ck[0]-rg.lo[0], rg.hi[0]-ck[0], ck[1]-rg.lo[1], rg.hi[1]-ck[1])
+	for r := int32(0); r <= maxR; r++ {
+		// Ring r's closest possible point is (r-1) cells away, so once an
+		// incumbent beats that bound no farther ring can improve on it.
+		if *bestV >= 0 && float64(r-1)*rg.cell > *bestD {
 			return
+		}
+		x0, x1, y0, y1 := ck[0]-r, ck[0]+r, ck[1]-r, ck[1]+r
+		for _, x := range span(rg.rows[y0], x0, x1) {
+			visit(x, y0)
+		}
+		if r == 0 {
+			continue
+		}
+		left, right := span(rg.cols[x0], y0+1, y1-1), span(rg.cols[x1], y0+1, y1-1)
+		for len(left) > 0 || len(right) > 0 {
+			if len(right) == 0 || len(left) > 0 && left[0] <= right[0] {
+				visit(x0, left[0])
+				left = left[1:]
+			} else {
+				visit(x1, right[0])
+				right = right[1:]
+			}
+		}
+		for _, x := range span(rg.rows[y1], x0, x1) {
+			visit(x, y1)
 		}
 	}
 }
@@ -405,9 +475,6 @@ const TestbedNodes = 139
 // complements the GreenOrbs forest preset for experiments that want a
 // second, structurally different deployment.
 func Testbed(seed uint64) *Graph {
-	radio := OpenFieldRadio()
-	radio.Exponent = 2.8 // indoor multipath
-	radio.ShadowStd = 5.0
 	cfg := GreenOrbsConfig{
 		Nodes:    TestbedNodes,
 		FieldX:   60,
@@ -415,7 +482,7 @@ func Testbed(seed uint64) *Graph {
 		Clusters: 3, // three floors' worth of clusters
 		ClusterR: 12,
 		Uniform:  0.5,
-		Radio:    radio,
+		Radio:    testbedRadio(),
 		MinPRR:   0.10,
 		MaxPRR:   0.95,
 	}
@@ -425,6 +492,15 @@ func Testbed(seed uint64) *Graph {
 	}
 	g.Name = fmt.Sprintf("testbed-synthetic(seed=%d)", seed)
 	return g
+}
+
+// testbedRadio is the Testbed preset's radio: the open-field model with
+// indoor multipath (exponent 2.8) and heavy shadowing from walls.
+func testbedRadio() RadioModel {
+	radio := OpenFieldRadio()
+	radio.Exponent = 2.8
+	radio.ShadowStd = 5.0
+	return radio
 }
 
 // RandomGeometric places n nodes uniformly in a fieldX × fieldY area and

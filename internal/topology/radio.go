@@ -97,6 +97,30 @@ func (m RadioModel) prrFromSNR(snrDB float64) float64 {
 	return prr
 }
 
+// snrCut returns an SNR in dB below which prrFromSNR is certainly under
+// minPRR: prrFromSNR inverted in closed form,
+//
+//	Pb      = 1 − minPRR^(1/bits)
+//	SNR_lin = −2·BandwidthRatio·ln(2·Pb)
+//
+// less a 1e-6 dB margin that dwarfs the rounding of either direction
+// (the computed inverse sits within 1e-13 dB of the forward chain's true
+// threshold for minPRR from 0.01 to 0.99). The link builder rejects a
+// pair whose SNR is below the cut without evaluating the PRR chain and
+// runs the exact test on everything else, so the cut changes cost, never
+// output. For minPRR in (0, 1); the cut is −Inf or NaN, and cuts
+// nothing, when no SNR can push the PRR under minPRR or the radio is
+// degenerate.
+func (m RadioModel) snrCut(minPRR float64) float64 {
+	const margin = 1e-6
+	bits := float64(8 * 2 * m.FrameBytes)
+	pb := -math.Expm1(math.Log(minPRR) / bits)
+	if !(pb < 0.5) {
+		return math.Inf(-1)
+	}
+	return 10*math.Log10(-2*m.BandwidthRatio*math.Log(2*pb)) - margin
+}
+
 // ConnectedRange returns the largest distance at which the shadowing-free
 // PRR still exceeds the threshold. It brackets by doubling and then
 // bisects; the result is accurate to ~1 cm.
