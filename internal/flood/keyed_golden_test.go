@@ -20,9 +20,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"ldcflood/internal/fault"
@@ -114,26 +111,8 @@ func TestKeyedDisciplineGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bin bytes.Buffer
-		obs := tracebin.NewWriter(&bin)
-		cfg.Protocol = p
-		cfg.Observer = obs
 		cfg.Workers = 1
-		res, err := sim.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		if err := obs.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		h.Write(js)
-		h.Write(bin.Bytes())
-		got[key] = hex.EncodeToString(h.Sum(nil))[:16]
+		_, got[key] = runDigest(t, cfg, p)
 	}
 	for name, fs := range schedules {
 		cfg := shardCfg(g, fs, 1234)
@@ -163,26 +142,31 @@ func TestKeyedDisciplineGolden(t *testing.T) {
 			digest(cfg, protocol, protocol+"/"+name+"/m-80")
 		}
 	}
-	keys := make([]string, 0, len(got))
-	for k := range got {
-		keys = append(keys, k)
+	checkGolden(t, keyedGolden, got)
+}
+
+// runDigest runs cfg with protocol p, recording a binary trace, and
+// returns the result with the first 16 hex digits of
+// sha256(json(Result) || tracebin bytes).
+func runDigest(t *testing.T, cfg sim.Config, p sim.Protocol) (*sim.Result, string) {
+	t.Helper()
+	var bin bytes.Buffer
+	obs := tracebin.NewWriter(&bin)
+	cfg.Protocol = p
+	cfg.Observer = obs
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name(), err)
 	}
-	sort.Strings(keys)
-	bad := 0
-	for _, k := range keys {
-		if want, ok := keyedGolden[k]; !ok || want != got[k] {
-			bad++
-			t.Errorf("%s: digest %s, golden %q", k, got[k], keyedGolden[k])
-		}
+	if err := obs.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if len(keyedGolden) != len(got) {
-		t.Errorf("golden has %d entries, grid has %d", len(keyedGolden), len(got))
+	js, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bad > 0 || len(keyedGolden) != len(got) {
-		var b strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&b, "\t%q: %q,\n", k, got[k])
-		}
-		t.Logf("replacement table:\n%s", b.String())
-	}
+	h := sha256.New()
+	h.Write(js)
+	h.Write(bin.Bytes())
+	return res, hex.EncodeToString(h.Sum(nil))[:16]
 }
