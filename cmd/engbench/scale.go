@@ -3,8 +3,11 @@ package main
 // The -scale mode: large-topology wall-clock baseline BENCH_scale.json.
 //
 // Where BENCH_engine.json times the paper-scale 298-node grid, the scale
-// grid times the engine on 10k- and 100k-node ScaledGreenOrbs instances at
-// 1% duty, in two configurations per cell:
+// grid times the engine on 10k- and 100k-node ScaledGreenOrbs instances,
+// each cell at its own duty cycle and packet count: OPT and DBAO flood
+// M = 4 at 1% duty, and the timer protocols Trickle and DFlood flood the
+// single packet of `figures -fig scale` at 5% duty. Every cell runs in two
+// configurations:
 //
 //   - keyed1: the engine inline (Workers: 1).
 //   - keyed-nproc: the engine on its worker pool, Workers =
@@ -49,6 +52,10 @@ type scaleRow struct {
 	Protocol string `json:"protocol"`
 	Nodes    int    `json:"nodes"`
 	Links    int    `json:"links"`
+	// Period is the cell's schedule period (duty 1/Period) and M its
+	// packet count.
+	Period int `json:"period"`
+	M      int `json:"m"`
 	// BuildNS, BuildQ1NS and BuildQ3NS summarize the wall clock of
 	// building the row's topology (GenerateGreenOrbs), shared by every
 	// row of the same node count.
@@ -83,35 +90,42 @@ type scaleHost struct {
 type scaleBaseline struct {
 	Generator string     `json:"generator"`
 	Host      scaleHost  `json:"host"`
-	M         int        `json:"m"`
 	Coverage  float64    `json:"coverage"`
 	Seed      int64      `json:"seed"`
-	Period    int        `json:"period"`
 	Rows      []scaleRow `json:"rows"`
 }
 
-// scaleGrid defines the measured cells. Period 100 ≈ 1% duty, the paper's
-// hardest regime and the one where the awake-set bucketing matters most.
-var scaleGrid = []struct {
+// scaleCell is one measured cell: a protocol on a node count, at a
+// schedule period and packet count.
+type scaleCell struct {
 	nodes    int
 	protocol string
-}{
-	{10000, "opt"},
-	{10000, "dbao"},
-	{100000, "opt"},
-	{100000, "dbao"},
+	period   int
+	m        int
 }
 
-const scalePeriod = 100
+// scaleGrid defines the measured cells. Period 100 ≈ 1% duty, the paper's
+// hardest regime and the one where the awake-set bucketing matters most,
+// for OPT and DBAO; period 20 (5% duty) and a single packet for Trickle
+// and DFlood, the configuration of `figures -fig scale`, whose cost they
+// dominate.
+var scaleGrid = []scaleCell{
+	{10000, "opt", 100, 4},
+	{10000, "dbao", 100, 4},
+	{100000, "opt", 100, 4},
+	{100000, "dbao", 100, 4},
+	{10000, "dflood", 20, 1},
+	{10000, "trickle", 20, 1},
+	{100000, "dflood", 20, 1},
+	{100000, "trickle", 20, 1},
+}
 
 func runScale(out, against string, tol float64, reps int) error {
 	doc := &scaleBaseline{
 		Generator: "cmd/engbench -scale",
 		Host:      hostInfo(),
-		M:         4,
 		Coverage:  0.99,
 		Seed:      1,
-		Period:    scalePeriod,
 	}
 	fmt.Printf("host: %s, nproc %d, GOMAXPROCS %d\n", doc.Host.CPU, doc.Host.NProc, doc.Host.GOMAXPROCS)
 	builds := make(map[int]*scaleBuild)
@@ -124,7 +138,7 @@ func runScale(out, against string, tol float64, reps int) error {
 			}
 			builds[cell.nodes] = b
 		}
-		rows, err := measureScaleCell(b, cell.protocol, reps)
+		rows, err := measureScaleCell(b, cell, reps)
 		if err != nil {
 			return fmt.Errorf("%s/%d: %w", cell.protocol, cell.nodes, err)
 		}
@@ -175,7 +189,7 @@ func hostInfo() scaleHost {
 }
 
 // scaleConfig assembles the simulation config for one cell.
-func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string, workers int) (sim.Config, error) {
+func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string, m, workers int) (sim.Config, error) {
 	p, err := flood.New(protocol)
 	if err != nil {
 		return sim.Config{}, err
@@ -184,7 +198,7 @@ func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string
 		Graph:     g,
 		Schedules: scheds,
 		Protocol:  p,
-		M:         4,
+		M:         m,
 		Coverage:  0.99,
 		Seed:      1,
 		MaxSlots:  2000000,
@@ -226,10 +240,10 @@ func buildScaleTopology(nodes, reps int) (*scaleBuild, error) {
 
 // measureScaleCell times the cell's engine configurations on the built
 // topology, alternating between them run by run.
-func measureScaleCell(b *scaleBuild, protocol string, reps int) ([]scaleRow, error) {
-	g := b.g
+func measureScaleCell(b *scaleBuild, cell scaleCell, reps int) ([]scaleRow, error) {
+	g, protocol := b.g, cell.protocol
 	var err error
-	scheds := schedule.AssignUniform(g.N(), scalePeriod, rngutil.New(1).SubName("schedule"))
+	scheds := schedule.AssignUniform(g.N(), cell.period, rngutil.New(1).SubName("schedule"))
 	type engine struct {
 		name    string
 		workers int
@@ -240,7 +254,7 @@ func measureScaleCell(b *scaleBuild, protocol string, reps int) ([]scaleRow, err
 	results := make([]*sim.Result, len(engines))
 	times := make([][]float64, len(engines))
 	for i, en := range engines {
-		if cfgs[i], err = scaleConfig(g, scheds, protocol, en.workers); err != nil {
+		if cfgs[i], err = scaleConfig(g, scheds, protocol, cell.m, en.workers); err != nil {
 			return nil, err
 		}
 		rows[i] = scaleRow{
@@ -248,6 +262,8 @@ func measureScaleCell(b *scaleBuild, protocol string, reps int) ([]scaleRow, err
 			Protocol:  protocol,
 			Nodes:     g.N(),
 			Links:     g.NumLinks(),
+			Period:    cell.period,
+			M:         cell.m,
 			BuildNS:   b.median,
 			BuildQ1NS: b.q1,
 			BuildQ3NS: b.q3,
@@ -365,7 +381,7 @@ func runScaleSmoke(extraWorkers int) error {
 		var ref *sim.Result
 		var times []string
 		for _, w := range workers {
-			cfg, err := scaleConfig(g, scheds, protocol, w)
+			cfg, err := scaleConfig(g, scheds, protocol, 4, w)
 			if err != nil {
 				return err
 			}

@@ -5,7 +5,9 @@ package sim
 // equal a brute-force count over the node's neighbour row at every visited
 // slot, across deliveries, overhearing, crashes that wipe a node's buffer
 // and reboots that re-disseminate to it, and on packet counts below, at
-// and just past each 64-packet word boundary.
+// and just past each 64-packet word boundary. The same probe replays the
+// possession journal (TakeHolderChanges) into a model of who holds what
+// and requires it to match the world at every visited slot.
 
 import (
 	"fmt"
@@ -28,6 +30,8 @@ type holderProbe struct {
 	trackFrom int64
 	w         *World
 	checks    int
+	// held replays the journal: held[p*n+v] is whether v holds p.
+	held []bool
 }
 
 func (h *holderProbe) Reset(w *World) {
@@ -42,9 +46,36 @@ func (h *holderProbe) Intents(w *World) []Intent {
 		w.TrackNeighborHolders()
 	}
 	if w.nbrHeld != nil {
+		h.replay(fmt.Sprintf("slot %d", w.Now()))
 		h.check(fmt.Sprintf("slot %d", w.Now()))
 	}
 	return h.chaosProtocol.Intents(w)
+}
+
+// replay drains the possession journal into h.held, checking that every
+// entry flips a bit the model holds the other way, and then that the
+// model equals the world's possession bits.
+func (h *holderProbe) replay(when string) {
+	h.t.Helper()
+	w := h.w
+	n := w.Graph.N()
+	if h.held == nil {
+		h.held = make([]bool, w.M*n)
+	}
+	for _, c := range w.TakeHolderChanges() {
+		i := int(c.Packet)*n + int(c.Node)
+		if h.held[i] != (c.Delta < 0) || (c.Delta != 1 && c.Delta != -1) {
+			h.t.Fatalf("%s, %s: journal entry %+v against model holding %v", h.label, when, c, h.held[i])
+		}
+		h.held[i] = c.Delta > 0
+	}
+	for p := 0; p < w.M; p++ {
+		for v := 0; v < n; v++ {
+			if h.held[p*n+v] != w.Has(p, v) {
+				h.t.Fatalf("%s, %s: journal replay says node %d holds packet %d: %v, world %v", h.label, when, v, p, h.held[p*n+v], w.Has(p, v))
+			}
+		}
+	}
 }
 
 // check compares NeighborsHolding with a brute-force count over every
@@ -121,6 +152,7 @@ func TestNeighborHoldersModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", probe.label, err)
 			}
+			probe.replay("end of run")
 			probe.check("end of run")
 			if probe.checks < 2 {
 				t.Fatalf("%s: only %d checks ran", probe.label, probe.checks)
