@@ -183,7 +183,10 @@ func run(o options) error {
 		res.Failures(), res.LossFailures, res.CollisionFailures, res.BusyFailures)
 	fmt.Printf("overheard:      %d\n", res.Overheard)
 	if messages, suppressed, ok := metrics.ProtocolCounters(p); ok {
-		fmt.Printf("suppressed:     %d (of %d timer firings considered)\n",
+		// Trickle suppresses firings per (slot, sender), DFlood postpones
+		// timers per (node, packet, attempt); either way, messages plus
+		// suppressions are the timer events the protocol acted on.
+		fmt.Printf("suppressed:     %d (of %d timer events: messages plus suppressed)\n",
 			suppressed, messages+suppressed)
 		if summary, ok := metrics.SuppressionSummary(p); ok {
 			fmt.Printf("supp. per node: mean %.1f, median %.0f, max %.0f\n",
