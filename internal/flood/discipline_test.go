@@ -8,9 +8,11 @@ package flood
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ldcflood/internal/fault"
+	"ldcflood/internal/rngutil"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
 )
@@ -62,4 +64,74 @@ func TestDecoratorHidingPlannerMatches(t *testing.T) {
 			equalTraces(t, wantTrace, gotTrace, context+" decorated vs undecorated")
 		}
 	}
+}
+
+// plannerShaped has the shape of a timing decorator that keeps the
+// planner visible (floodbench's timedPlanner): it embeds sim.Protocol and
+// forwards PlanReceiver and SelectIntents, and nothing else the wrapped
+// protocol implements.
+type plannerShaped struct {
+	sim.Protocol
+	sp sim.ShardPlanner
+}
+
+func (p plannerShaped) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	return p.sp.PlanReceiver(w, r, slot, buf)
+}
+
+func (p plannerShaped) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+	p.sp.SelectIntents(w, plan, emit)
+}
+
+// TestPlannerForwardingDecoratorMatches wraps every protocol in a
+// decorator that forwards only the planner methods and requires the
+// decorated run to reproduce the undecorated one — Result and both trace
+// encodings — unfaulted and under the mixed fault schedule, inline and on
+// the pool. DFlood's calendar is brought up to each slot by the hook its
+// Reset registers with the World, which the decorator forwards.
+func TestPlannerForwardingDecoratorMatches(t *testing.T) {
+	g := topology.Grid(6, 6, 0.8)
+	for name, fs := range map[string]*fault.Schedule{"none": nil, "mixed": faultSchedules()["mixed"]} {
+		cfg := shardCfg(g, fs, 1234)
+		for _, protocol := range allProtocols() {
+			for _, workers := range []int{0, 2} {
+				want, wantTrace := runSharded(t, cfg, protocol, workers)
+				inner, err := New(protocol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotTrace := runWith(t, cfg, plannerShaped{Protocol: inner, sp: inner.(sim.ShardPlanner)}, workers)
+				context := protocol + "/" + name
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s workers=%d: decorated run diverged from the undecorated one", context, workers)
+				}
+				equalTraces(t, wantTrace, gotTrace, context+" planner-forwarding decorator")
+			}
+		}
+	}
+}
+
+// hookDropped loses the OnPlanSlot hook its protocol registers at Reset.
+type hookDropped struct{ sim.Protocol }
+
+func (h hookDropped) Reset(w *sim.World) {
+	h.Protocol.Reset(w)
+	w.OnPlanSlot(nil)
+}
+
+// TestDFloodPanicsWithoutPlanSlotHook checks that DFlood refuses to
+// select a slot its calendar was not prepared for, rather than planning
+// from a stale ready set.
+func TestDFloodPanicsWithoutPlanSlotHook(t *testing.T) {
+	g := topology.Grid(6, 6, 0.8)
+	cfg := shardCfg(g, nil, 1234)
+	cfg.Protocol = hookDropped{NewDFlood()}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "calendar was last prepared") {
+			t.Fatalf("recovered %v, want DFlood's unprepared-calendar panic", r)
+		}
+	}()
+	sim.Run(cfg)
+	t.Fatal("DFlood ran without its plan-slot hook")
 }
