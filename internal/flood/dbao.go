@@ -36,7 +36,7 @@ type DBAO struct {
 
 	assigned []bool
 	audible  audibility // carrier-sense relation
-	csr      *topology.CSR
+	rank     *topology.RankView
 	sel      selScratch
 }
 
@@ -56,7 +56,7 @@ func (d *DBAO) Reset(w *sim.World) {
 		d.HiddenFireProb = 0.5
 	}
 	d.audible = newAudibility(w.Graph, d.CSRangeFactor)
-	d.csr = w.Graph.CSR()
+	d.rank = w.Graph.CSR().Ranked()
 }
 
 // CollisionsApply implements sim.Protocol: hidden terminals collide.

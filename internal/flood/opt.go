@@ -18,7 +18,7 @@ type OPT struct {
 	DisableOverhearing bool
 
 	assigned []bool
-	csr      *topology.CSR
+	rank     *topology.RankView
 	sel      selScratch
 }
 
@@ -31,7 +31,7 @@ func (o *OPT) Name() string { return "OPT" }
 // Reset implements sim.Protocol.
 func (o *OPT) Reset(w *sim.World) {
 	o.assigned = make([]bool, w.Graph.N())
-	o.csr = w.Graph.CSR()
+	o.rank = w.Graph.CSR().Ranked()
 }
 
 // CollisionsApply implements sim.Protocol: the oracle never collides.
@@ -44,6 +44,6 @@ func (o *OPT) CollisionsApply() bool { return false }
 func (o *OPT) Overhears() bool { return !o.DisableOverhearing }
 
 // Intents implements sim.Protocol through the planner (sim.PlanIntents):
-// for each awake receiver, its highest-PRR neighbor holding a needed packet
-// transmits the FCFS packet.
+// for each awake receiver, its highest-PRR free neighbor holding a needed
+// packet transmits the FCFS packet.
 func (o *OPT) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, o) }

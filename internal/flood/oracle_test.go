@@ -70,7 +70,20 @@ func degenerateDiamond() (*topology.Graph, []*schedule.Schedule) {
 	return g, []*schedule.Schedule{schedule.AlwaysOn(), schedule.AlwaysOn(), schedule.AlwaysOn(), schedule.NewSingleSlot(4, 3)}
 }
 
-// Hand-derived traces (M=2 on the line, M=1 on the diamond).
+// degenerateTie is degenerateDiamond with both links into node 3 at PRR
+// 1: nodes 1 and 2 tie on link quality, so only the rank's id tie-break
+// separates them.
+func degenerateTie() (*topology.Graph, []*schedule.Schedule) {
+	g := topology.New(4)
+	g.AddLink(0, 1, 1)
+	g.AddLink(0, 2, 1)
+	g.AddLink(1, 3, 1)
+	g.AddLink(2, 3, 1)
+	g.SortNeighbors()
+	return g, []*schedule.Schedule{schedule.AlwaysOn(), schedule.AlwaysOn(), schedule.AlwaysOn(), schedule.NewSingleSlot(4, 3)}
+}
+
+// Hand-derived traces (M=2 on the line, M=1 on the diamond and the tie).
 var (
 	// Receiver-initiated FCFS forwarding down the line. Slot 1: node 1 is
 	// both a receiver (of p1 from 0) and the only holder node 2 can use
@@ -120,6 +133,22 @@ var (
 		"7 2>3 p0 collision", "7 1>3 p0 collision",
 		"11 2>3 p0 collision", "11 1>3 p0 collision",
 	}
+	// Nodes 1 and 2 reach node 3 at equal PRR; the lower id, node 1, ranks
+	// first and serves it.
+	tieLowerID = []string{
+		"0 0>1 p0 success",
+		"1 0>2 p0 success",
+		"3 1>3 p0 success", "3 cover p0",
+	}
+	// Node 1 wins the tie; hidden node 2 fires after it (probability 1)
+	// and they collide at every wake-up of node 3.
+	tieCollide = []string{
+		"0 0>1 p0 success",
+		"1 0>2 p0 success",
+		"3 1>3 p0 collision", "3 2>3 p0 collision",
+		"7 1>3 p0 collision", "7 2>3 p0 collision",
+		"11 1>3 p0 collision", "11 2>3 p0 collision",
+	}
 )
 
 // TestDeterministicSubspaceHandDerived runs every protocol on the
@@ -128,7 +157,7 @@ var (
 func TestDeterministicSubspaceHandDerived(t *testing.T) {
 	defer setDeferProb(0)()
 	const never = 1e-300 // a fire probability no stored uniform undercuts
-	line, diamond := "line", "diamond"
+	line, diamond, tie := "line", "diamond", "tie"
 	cases := []struct {
 		name  string
 		topo  string
@@ -161,13 +190,21 @@ func TestDeterministicSubspaceHandDerived(t *testing.T) {
 		// opportunistically, colliding with the tree parent.
 		{"of-tree-only", diamond, func() sim.Protocol { return &OF{DisableOpportunistic: true} }, diamondClean},
 		{"of-max-aggressive", diamond, func() sim.Protocol { return &OF{Aggressiveness: 1e12} }, diamondCollide},
+		// Equal link quality: the lower id wins OPT's and DBAO's rank.
+		{"opt", tie, func() sim.Protocol { return &OPT{DisableOverhearing: true} }, tieLowerID},
+		{"dbao-hidden-silent", tie, func() sim.Protocol { return &DBAO{DisableOverhearing: true, HiddenFireProb: never} }, tieLowerID},
+		{"dbao-hidden-fire", tie, func() sim.Protocol { return &DBAO{DisableOverhearing: true, HiddenFireProb: 1} }, tieCollide},
 	}
 	for _, tc := range cases {
 		t.Run(tc.topo+"/"+tc.name, func(t *testing.T) {
 			g, scheds := degenerateLine()
 			m := 2
-			if tc.topo == diamond {
+			switch tc.topo {
+			case diamond:
 				g, scheds = degenerateDiamond()
+				m = 1
+			case tie:
+				g, scheds = degenerateTie()
 				m = 1
 			}
 			last := tc.trace[len(tc.trace)-1]

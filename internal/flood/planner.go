@@ -7,9 +7,12 @@ package flood
 // pure function of (seed, slot, pre-slot world state) regardless of worker
 // count or scan order. The cheap cross-receiver contention state (a sender
 // serves one receiver per slot; OF's density divisor) stays in the serial
-// SelectIntents pass. Each protocol's Intents runs the same pair inline
-// through sim.PlanIntents, so a decorator that hides the planner methods
-// from the engine floods byte-identically.
+// SelectIntents pass. OPT and DBAO plan nothing: their decision is a walk
+// down each awake receiver's rank row (topology.CSR.Ranked) that stops at
+// the first free sender, so SelectIntents makes it serially, drawing the
+// same keyed values from World.ProtoStream. Each protocol's Intents runs
+// the same pair inline through sim.PlanIntents, so a decorator that hides
+// the planner methods from the engine floods byte-identically.
 //
 // Keying scheme (all under the slot's protocol stream, which the engine
 // derives at sim's protoStreamKey — disjoint from the engine's own node
@@ -31,11 +34,12 @@ package flood
 // PlanReceiver bodies are concurrency-clean: they read the World, the CSR
 // and immutable protocol config, and append only to the engine-provided
 // buffer. All mutable protocol scratch (assigned, selScratch) is touched
-// only in SelectIntents, which the engine runs serially.
+// only in SelectIntents, which the engine runs serially. Every draw is
+// keyed by (slot, node), so a draw skipped by an earlier test — OPT's and
+// DBAO's walks stop early — moves no other.
 
 import (
 	"fmt"
-	"slices"
 
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/sim"
@@ -95,11 +99,10 @@ func pairU(slot *rngutil.Stream, r, s int) float64 {
 
 // selScratch is the per-protocol SelectIntents scratch: the senders
 // assigned this slot (for a sparse reset of assigned, proportional to the
-// slot's transmissions) and candidate filter/sort buffers.
+// slot's transmissions) and a candidate filter buffer.
 type selScratch struct {
 	emitted []int32
 	cands   []sim.Candidate
-	hidden  []sim.Candidate
 }
 
 // planHolders appends every neighbor of r in csr holding a packet r needs
@@ -119,7 +122,7 @@ func planHolders(w *sim.World, csr *topology.CSR, r int, slot *rngutil.Stream, b
 }
 
 // planContenders is planHolders with each candidate's keyed hidden-fire
-// uniform stashed in U: the carrier-sense protocols' (DBAO, Naive) plan.
+// uniform stashed in U: Naive's carrier-sense plan.
 func planContenders(w *sim.World, csr *topology.CSR, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
 	start := len(buf)
 	buf = planHolders(w, csr, r, slot, buf)
@@ -131,33 +134,49 @@ func planContenders(w *sim.World, csr *topology.CSR, r int, slot *rngutil.Stream
 
 // ---- OPT ----
 
-// PlanReceiver implements sim.ShardPlanner: every neighbor holding a
-// packet r needs and not deferring is a candidate, in row order.
-func (o *OPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	return planHolders(w, o.csr, r, slot, buf)
+// firstFree returns the index in r's rank row of the first neighbor that
+// is unassigned this slot, holds a packet r needs and does not defer: the
+// best-ranked free holder (highest PRR, lowest node id among ties). It
+// returns -1 when there is none. The cheap tests run before the keyed
+// defer draw; every draw is keyed by (slot, node), so a skipped draw
+// moves no other.
+func firstFree(w *sim.World, assigned []bool, row []int32, r int, slot *rngutil.Stream) int {
+	for i, s32 := range row {
+		s := int(s32)
+		if !assigned[s] && w.AnyNeeded(s, r) && !deferKeyed(w, s, slot) {
+			return i
+		}
+	}
+	return -1
 }
 
-// SelectIntents implements sim.ShardPlanner: per receiver in ascending
-// order, the best-ranked unassigned candidate (highest PRR, lowest node id
-// among ties) transmits. A sender serves one receiver per slot
-// (semi-duplex); a contended receiver falls back to its next-best holder.
-func (o *OPT) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+// PlanReceiver implements sim.ShardPlanner: OPT plans nothing. Its whole
+// decision is a short walk down a rank row, made in SelectIntents.
+func (o *OPT) PlanReceiver(_ *sim.World, _ int, _ *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	return buf
+}
+
+// SelectIntents implements sim.ShardPlanner: per awake receiver in
+// ascending order, the first entry of its rank row that is unassigned,
+// holds a needed packet and does not defer transmits. A sender serves one
+// receiver per slot (semi-duplex); a contended receiver falls back to its
+// next-best holder.
+func (o *OPT) SelectIntents(w *sim.World, _ *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+	slot := w.ProtoStream()
 	sel := o.sel.emitted[:0]
-	for i := 0; i < plan.Len(); i++ {
-		cands := plan.Candidates(i)
-		wi := -1
-		for j := range cands {
-			if !o.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
-				wi = j
-			}
+	for _, r := range w.AwakeList() {
+		if !w.NeedsAnything(r) {
+			continue
 		}
+		row, prrs := o.rank.Row(r)
+		wi := firstFree(w, o.assigned, row, r, &slot)
 		if wi < 0 {
 			continue
 		}
-		s := cands[wi].Node
+		s := row[wi]
 		o.assigned[s] = true
 		sel = append(sel, s)
-		emit(sim.Intent{From: int(s), To: plan.Receiver(i), Packet: sim.PacketFCFS}, cands[wi].PRR)
+		emit(sim.Intent{From: int(s), To: r, Packet: sim.PacketFCFS}, prrs[wi])
 	}
 	for _, s := range sel {
 		o.assigned[s] = false
@@ -167,61 +186,47 @@ func (o *OPT) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.I
 
 // ---- DBAO ----
 
-// dbaoRank orders candidates by the deterministic back-off rank: best link
-// quality first, node id breaking ties.
-func dbaoRank(a, b sim.Candidate) int {
-	if a.PRR != b.PRR {
-		if a.PRR > b.PRR {
-			return -1
-		}
-		return 1
-	}
-	return int(a.Node - b.Node)
+// PlanReceiver implements sim.ShardPlanner: DBAO plans nothing. Its
+// back-off is a walk down a rank row, made in SelectIntents.
+func (d *DBAO) PlanReceiver(_ *sim.World, _ int, _ *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	return buf
 }
 
-// PlanReceiver implements sim.ShardPlanner: the back-off candidate set
-// (needed holders that did not defer) in row order, with pre-drawn
-// hidden-fire uniforms.
-func (d *DBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	return planContenders(w, d.csr, r, slot, buf)
-}
-
-// SelectIntents implements sim.ShardPlanner: the deterministic back-off
-// winner — the best-ranked unassigned candidate — plus the candidates
-// hidden from it (carrier sense) firing on their stashed uniforms,
-// emitted in rank order. Only the firing hidden candidates are sorted.
-func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+// SelectIntents implements sim.ShardPlanner: per awake receiver in
+// ascending order, the deterministic back-off winner is the first entry
+// of its rank row that is unassigned, holds a needed packet and does not
+// defer. Every entry ranked above the winner is then either no candidate
+// or already assigned, so only the rest of the row can hold hidden
+// candidates: an unassigned needed holder that cannot hear the winner
+// fires when its keyed uniform falls below HiddenFireProb and it does not
+// defer, emitted in rank order. The cheap tests run before the two keyed
+// draws.
+func (d *DBAO) SelectIntents(w *sim.World, _ *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+	slot := w.ProtoStream()
 	sel := d.sel.emitted[:0]
-	for i := 0; i < plan.Len(); i++ {
-		r := plan.Receiver(i)
-		cands := plan.Candidates(i)
-		wi := -1
-		for j := range cands {
-			if !d.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
-				wi = j
-			}
+	for _, r := range w.AwakeList() {
+		if !w.NeedsAnything(r) {
+			continue
 		}
+		row, prrs := d.rank.Row(r)
+		wi := firstFree(w, d.assigned, row, r, &slot)
 		if wi < 0 {
 			continue
 		}
-		winner := cands[wi].Node
+		winner := int(row[wi])
 		d.assigned[winner] = true
-		sel = append(sel, winner)
-		emit(sim.Intent{From: int(winner), To: r, Packet: sim.PacketFCFS}, cands[wi].PRR)
-		firing := d.sel.hidden[:0]
-		for j, c := range cands {
-			if j == wi || d.assigned[c.Node] || c.U >= d.HiddenFireProb || d.audible.has(int(c.Node), int(winner)) {
+		sel = append(sel, row[wi])
+		emit(sim.Intent{From: winner, To: r, Packet: sim.PacketFCFS}, prrs[wi])
+		for j := wi + 1; j < len(row); j++ {
+			s := int(row[j])
+			if d.assigned[s] || !w.AnyNeeded(s, r) || d.audible.has(s, winner) ||
+				pairU(&slot, r, s) >= d.HiddenFireProb || deferKeyed(w, s, &slot) {
 				continue
 			}
-			firing = append(firing, c)
+			d.assigned[s] = true
+			sel = append(sel, row[j])
+			emit(sim.Intent{From: s, To: r, Packet: sim.PacketFCFS}, prrs[j])
 		}
-		slices.SortFunc(firing, dbaoRank)
-		for _, c := range firing {
-			d.assigned[c.Node] = true
-			sel = append(sel, c.Node)
-			emit(sim.Intent{From: int(c.Node), To: r, Packet: sim.PacketFCFS}, c.PRR)
-		}
-		d.sel.hidden = firing
 	}
 	for _, s := range sel {
 		d.assigned[s] = false
@@ -231,7 +236,8 @@ func (d *DBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.
 
 // ---- Naive ----
 
-// PlanReceiver implements sim.ShardPlanner: DBAO's candidate set.
+// PlanReceiver implements sim.ShardPlanner: every needed holder that did
+// not defer, in row order, with its keyed hidden-fire uniform.
 func (n *Naive) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
 	return planContenders(w, n.csr, r, slot, buf)
 }
@@ -379,7 +385,7 @@ func (o *OF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.In
 // ---- Flash ----
 
 // PlanReceiver implements sim.ShardPlanner: every holder of a needed
-// packet that did not defer, as OPT plans them.
+// packet that did not defer, in row order.
 func (f *Flash) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
 	return planHolders(w, f.csr, r, slot, buf)
 }

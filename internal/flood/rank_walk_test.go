@@ -1,0 +1,266 @@
+package flood
+
+// OPT and DBAO decide by walking rank-ordered neighbor rows in
+// SelectIntents and plan no candidates. This file keeps the candidate-list
+// planners they replaced — every needed holder planned with its keyed
+// draws, a linear max for the winner and a sorted hidden set — as a
+// reference, and requires the rank walk to flood byte-identically.
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"ldcflood/internal/fault"
+	"ldcflood/internal/rngutil"
+	"ldcflood/internal/schedule"
+	"ldcflood/internal/sim"
+	"ldcflood/internal/topology"
+)
+
+// dbaoRank orders candidates by the deterministic back-off rank: best link
+// quality first, node id breaking ties.
+func dbaoRank(a, b sim.Candidate) int {
+	if a.PRR != b.PRR {
+		if a.PRR > b.PRR {
+			return -1
+		}
+		return 1
+	}
+	return int(a.Node - b.Node)
+}
+
+// listOPT is the candidate-list OPT reference: every neighbor holding a
+// needed packet and not deferring is planned in row order, and the
+// best-ranked unassigned candidate wins.
+type listOPT struct {
+	*OPT
+	csr *topology.CSR
+}
+
+func (l *listOPT) Reset(w *sim.World) {
+	l.OPT.Reset(w)
+	l.csr = w.Graph.CSR()
+}
+
+func (l *listOPT) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, l) }
+
+func (l *listOPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	return planHolders(w, l.csr, r, slot, buf)
+}
+
+func (l *listOPT) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+	o := l.OPT
+	var sel []int32
+	for i := 0; i < plan.Len(); i++ {
+		cands := plan.Candidates(i)
+		wi := -1
+		for j := range cands {
+			if !o.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
+				wi = j
+			}
+		}
+		if wi < 0 {
+			continue
+		}
+		s := cands[wi].Node
+		o.assigned[s] = true
+		sel = append(sel, s)
+		emit(sim.Intent{From: int(s), To: plan.Receiver(i), Packet: sim.PacketFCFS}, cands[wi].PRR)
+	}
+	for _, s := range sel {
+		o.assigned[s] = false
+	}
+}
+
+// listDBAO is the candidate-list DBAO reference: the contenders are
+// planned with their hidden-fire uniforms, the best-ranked unassigned one
+// wins, and the unassigned candidates hidden from it whose uniform falls
+// below HiddenFireProb fire, sorted into rank order.
+type listDBAO struct {
+	*DBAO
+	csr *topology.CSR
+}
+
+func (l *listDBAO) Reset(w *sim.World) {
+	l.DBAO.Reset(w)
+	l.csr = w.Graph.CSR()
+}
+
+func (l *listDBAO) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, l) }
+
+func (l *listDBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+	return planContenders(w, l.csr, r, slot, buf)
+}
+
+func (l *listDBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+	d := l.DBAO
+	var sel []int32
+	for i := 0; i < plan.Len(); i++ {
+		r := plan.Receiver(i)
+		cands := plan.Candidates(i)
+		wi := -1
+		for j := range cands {
+			if !d.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
+				wi = j
+			}
+		}
+		if wi < 0 {
+			continue
+		}
+		winner := cands[wi].Node
+		d.assigned[winner] = true
+		sel = append(sel, winner)
+		emit(sim.Intent{From: int(winner), To: r, Packet: sim.PacketFCFS}, cands[wi].PRR)
+		var firing []sim.Candidate
+		for j, c := range cands {
+			if j == wi || d.assigned[c.Node] || c.U >= d.HiddenFireProb || d.audible.has(int(c.Node), int(winner)) {
+				continue
+			}
+			firing = append(firing, c)
+		}
+		slices.SortFunc(firing, dbaoRank)
+		for _, c := range firing {
+			d.assigned[c.Node] = true
+			sel = append(sel, c.Node)
+			emit(sim.Intent{From: int(c.Node), To: r, Packet: sim.PacketFCFS}, c.PRR)
+		}
+	}
+	for _, s := range sel {
+		d.assigned[s] = false
+	}
+}
+
+// tiedPRRs are the only link qualities tiedGraph draws, so equal-PRR
+// neighbors — ranked by id — are common.
+var tiedPRRs = []float64{0.25, 0.5, 0.75, 1}
+
+// tiedGraph is a connected random graph with PRRs from tiedPRRs. With
+// positions, nodes sit in a 100×100 field, each linked to its nearest
+// lower-id node and, with probability 0.7, to every node within 35, so
+// carrier sense is distance-based; without, it is a random spanning tree
+// plus up to 2n extra links, and audibility falls back to adjacency.
+func tiedGraph(r *rngutil.Stream, positioned bool) *topology.Graph {
+	n := 4 + r.Intn(30)
+	g := topology.New(n)
+	prr := func() float64 { return tiedPRRs[r.Intn(len(tiedPRRs))] }
+	if !positioned {
+		for v := 1; v < n; v++ {
+			g.AddLink(v, r.Intn(v), prr())
+		}
+		for i := r.Intn(2 * n); i > 0; i-- {
+			u, v := r.Intn(n), r.Intn(n)
+			if u != v && !g.HasLink(u, v) {
+				g.AddLink(u, v, prr())
+			}
+		}
+		g.SortNeighbors()
+		return g
+	}
+	g.Pos = make([]topology.Point, n)
+	for i := range g.Pos {
+		g.Pos[i] = topology.Point{X: 100 * r.Float64(), Y: 100 * r.Float64()}
+	}
+	for v := 1; v < n; v++ {
+		near := 0
+		for u := 1; u < v; u++ {
+			if g.Pos[v].Dist(g.Pos[u]) < g.Pos[v].Dist(g.Pos[near]) {
+				near = u
+			}
+		}
+		g.AddLink(v, near, prr())
+		for u := 0; u < v; u++ {
+			if u != near && g.Pos[v].Dist(g.Pos[u]) <= 35 && r.Bool(0.7) {
+				g.AddLink(u, v, prr())
+			}
+		}
+	}
+	g.SortNeighbors()
+	return g
+}
+
+// TestRankWalkMatchesCandidateList runs OPT and DBAO against their
+// candidate-list references on tied-PRR random graphs with and without
+// positions, M ∈ {1, 64, 65, 130}, no faults, crash-reboot and
+// Gilbert–Elliott links, every (HiddenFireProb, CSRangeFactor) pair of
+// {1e-9, 0.5, 1} × {1, 1.2, 2.5} and overhearing on and off, at workers 0
+// and 2, and requires identical results and byte-identical traces. The
+// graphs must give some receiver two equal-PRR neighbors, so the id
+// tie-break decides real contentions.
+func TestRankWalkMatchesCandidateList(t *testing.T) {
+	hfps := []float64{1e-9, 0.5, 1}
+	csfs := []float64{1, 1.2, 2.5}
+	faultKinds := []string{"none", "crash-reboot", "gilbert-elliott"}
+	cell, ties := 0, 0
+	for _, m := range []int{1, 64, 65, 130} {
+		for fi, fk := range faultKinds {
+			for _, positioned := range []bool{true, false} {
+				cell++
+				seed := uint64(cell)
+				r := rngutil.New(seed*104729 + uint64(m))
+				g := tiedGraph(r, positioned)
+				n := g.N()
+				for u := 0; u < n; u++ {
+					_, prrs := g.CSR().Ranked().Row(u)
+					for i := 1; i < len(prrs); i++ {
+						if prrs[i] == prrs[i-1] {
+							ties++
+						}
+					}
+				}
+				var fs *fault.Schedule
+				switch fk {
+				case "crash-reboot":
+					fs = &fault.Schedule{}
+					crashed := map[int]bool{}
+					for k := 1 + r.Intn(3); k > 0; k-- {
+						node := 1 + r.Intn(n-1)
+						if crashed[node] {
+							continue
+						}
+						crashed[node] = true
+						at := int64(r.Intn(2 * m))
+						reboot := int64(-1)
+						if r.Bool(0.7) {
+							reboot = at + 1 + int64(r.Intn(300))
+						}
+						fs.Crashes = append(fs.Crashes, fault.Crash{Node: node, At: at, RebootAt: reboot})
+					}
+				case "gilbert-elliott":
+					fs = &fault.Schedule{Links: []fault.LinkRule{{PGB: 0.05, PBG: 0.2, BadScale: 0.3}}}
+				}
+				cfg := sim.Config{
+					Graph:          g,
+					Schedules:      schedule.AssignUniform(n, 1+r.Intn(8), r.SubName("schedule")),
+					M:              m,
+					InjectInterval: 1 + r.Intn(2),
+					Coverage:       1,
+					Seed:           seed,
+					MaxSlots:       1500,
+					Faults:         fs,
+				}
+				hfp, csf := hfps[cell%3], csfs[(cell/3+fi)%3]
+				noOverhear := (cell/2)%3 == 0
+				for workers := 0; workers <= 2; workers += 2 {
+					label := fmt.Sprintf("M=%d faults=%s positioned=%v workers=%d", m, fk, positioned, workers)
+					rankRes, rankTr := runWith(t, cfg, &OPT{DisableOverhearing: noOverhear}, workers)
+					listRes, listTr := runWith(t, cfg, &listOPT{OPT: &OPT{DisableOverhearing: noOverhear}}, workers)
+					equalResults(t, rankRes, listRes, "OPT "+label)
+					equalTraces(t, rankTr, listTr, "OPT "+label)
+
+					mk := func() *DBAO {
+						return &DBAO{HiddenFireProb: hfp, CSRangeFactor: csf, DisableOverhearing: noOverhear}
+					}
+					label = fmt.Sprintf("%s hfp=%v cs=%v overhear=%v", label, hfp, csf, !noOverhear)
+					rankRes, rankTr = runWith(t, cfg, mk(), workers)
+					listRes, listTr = runWith(t, cfg, &listDBAO{DBAO: mk()}, workers)
+					equalResults(t, rankRes, listRes, "DBAO "+label)
+					equalTraces(t, rankTr, listTr, "DBAO "+label)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no receiver in the grid has two equal-PRR neighbors")
+	}
+}

@@ -60,7 +60,11 @@ type Candidate struct {
 
 // ShardPlanner is the optional Protocol extension that moves the
 // per-receiver intent scan onto the worker pool. See the file comment for
-// the exact split and the concurrency contract.
+// the exact split and the concurrency contract. A planner whose
+// per-receiver decision is cheaper than materialising its candidates —
+// internal/flood's OPT and DBAO, which stop at the first free sender of a
+// rank-ordered row — may plan nothing and decide in SelectIntents over
+// World.AwakeList, drawing the same keyed values from World.ProtoStream.
 type ShardPlanner interface {
 	Protocol
 

@@ -184,6 +184,13 @@ func (w *World) IsAwake(node int) bool { return w.awake[node] }
 // owned by the engine; do not modify or retain it.
 func (w *World) AwakeList() []int { return w.awakeList }
 
+// ProtoStream returns a copy of the slot's keyed protocol-planning
+// stream, the stream the engine passes to every PlanReceiver call this
+// slot. A planner whose serial SelectIntents makes the per-receiver
+// decision itself draws the same (slot, node)-keyed values from it;
+// keyed draws (PairFloat64, SubValue2) never advance it.
+func (w *World) ProtoStream() rngutil.Stream { return w.protoSlot }
+
 // IsTransmitting reports whether node has already been assigned a
 // transmission this slot.
 func (w *World) IsTransmitting(node int) bool { return w.transmitting[node] }

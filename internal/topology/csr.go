@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -34,6 +36,10 @@ type CSR struct {
 	// binary-search lookups. Graphs built by this package's generators and
 	// decoders are always sorted.
 	Sorted bool
+
+	// ranked caches the rank view (see Ranked); nil until first
+	// requested. Guarded by the package-level rankMu.
+	ranked *RankView
 }
 
 // maxCSREdges caps the directed-edge count at what int32 offsets address.
@@ -146,4 +152,72 @@ func (g *Graph) CSR() *CSR {
 		g.csr = NewCSR(g)
 	}
 	return g.csr
+}
+
+// RankView is a CSR's rows reordered by link quality: row u holds the
+// same neighbors and PRRs as the CSR's row u, ordered by PRR descending
+// with node id ascending breaking ties. A receiver-driven protocol that
+// wants "the best-linked neighbor that can serve" walks a rank row and
+// stops at the first match, instead of scanning and ranking the whole
+// adjacency row. Like the CSR it is immutable and safe for concurrent
+// readers.
+type RankView struct {
+	offsets []int32 // shared with the CSR
+	targets []int32
+	prrs    []float64
+}
+
+// Row returns u's neighbor ids and matching PRRs in rank order. The
+// slices alias the view's backing arrays and must not be modified.
+func (r *RankView) Row(u int) ([]int32, []float64) {
+	lo, hi := r.offsets[u], r.offsets[u+1]
+	return r.targets[lo:hi], r.prrs[lo:hi]
+}
+
+// rankMu guards every CSR's cached rank view, as csrMu guards the CSR.
+var rankMu sync.Mutex
+
+// Ranked returns the CSR's rank view, building it on first call and
+// caching it on the CSR, so a graph mutation — which drops the graph's
+// CSR — drops the view with it. Concurrent calls are safe; the first
+// one sorts every row (O(E log degree)), the rest return the cached view.
+func (c *CSR) Ranked() *RankView {
+	rankMu.Lock()
+	defer rankMu.Unlock()
+	if c.ranked == nil {
+		c.ranked = newRankView(c)
+	}
+	return c.ranked
+}
+
+// rankEntry is one neighbor of a row being ranked.
+type rankEntry struct {
+	prr float64
+	to  int32
+}
+
+// newRankView sorts each of c's rows by (PRR descending, id ascending).
+func newRankView(c *CSR) *RankView {
+	r := &RankView{
+		offsets: c.Offsets,
+		targets: make([]int32, len(c.Targets)),
+		prrs:    make([]float64, len(c.PRRs)),
+	}
+	var buf []rankEntry
+	for u := 0; u < c.N(); u++ {
+		ts, ps := c.Row(u)
+		buf = buf[:0]
+		for i, v := range ts {
+			buf = append(buf, rankEntry{prr: ps[i], to: v})
+		}
+		slices.SortFunc(buf, func(a, b rankEntry) int {
+			return cmp.Or(cmp.Compare(b.prr, a.prr), cmp.Compare(a.to, b.to))
+		})
+		lo := c.Offsets[u]
+		for i, e := range buf {
+			r.targets[lo+int32(i)] = e.to
+			r.prrs[lo+int32(i)] = e.prr
+		}
+	}
+	return r
 }

@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -169,4 +170,101 @@ func TestCSRRandomGraphs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rankMatchesCSR asserts every rank row is a permutation of the CSR row
+// (same neighbors, same PRRs) ordered by PRR descending, id ascending.
+func rankMatchesCSR(t *testing.T, c *CSR) {
+	t.Helper()
+	r := c.Ranked()
+	for u := 0; u < c.N(); u++ {
+		ts, ps := c.Row(u)
+		rts, rps := r.Row(u)
+		if len(rts) != len(ts) || len(rps) != len(ps) {
+			t.Fatalf("node %d: rank row length %d, CSR row %d", u, len(rts), len(ts))
+		}
+		want := map[int32]float64{}
+		for i, v := range ts {
+			want[v] = ps[i]
+		}
+		for i, v := range rts {
+			prr, ok := want[v]
+			if !ok || prr != rps[i] {
+				t.Fatalf("node %d: rank entry (%d, %v) not in the CSR row", u, v, rps[i])
+			}
+			delete(want, v)
+			if i > 0 && (rps[i-1] < rps[i] || rps[i-1] == rps[i] && rts[i-1] >= v) {
+				t.Fatalf("node %d: rank entries %d (%d, %v) and %d (%d, %v) out of order",
+					u, i-1, rts[i-1], rps[i-1], i, v, rps[i])
+			}
+		}
+		if len(want) != 0 {
+			t.Fatalf("node %d: rank row misses %d CSR entries", u, len(want))
+		}
+	}
+}
+
+// TestRankViewOrder checks the rank rows on the fixed topologies, on
+// random graphs whose PRRs take four values (ties everywhere) in sorted
+// and unsorted adjacency order, and on the degenerate extremes.
+func TestRankViewOrder(t *testing.T) {
+	for _, g := range []*Graph{GreenOrbs(1), Grid(8, 9, 0.8), Star(40, 0.5), New(1), New(4)} {
+		rankMatchesCSR(t, g.CSR())
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(40)
+		g := New(n)
+		for e := 0; e < 3*n; e++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				g.AddLink(u, v, float64(1+rng.Intn(4))/4)
+			}
+		}
+		if trial%2 == 0 {
+			g.SortNeighbors()
+		}
+		rankMatchesCSR(t, g.CSR())
+	}
+}
+
+// TestRankViewCache pins the memoisation: repeated calls share one view,
+// concurrent first calls (run under -race in CI) agree, and a graph
+// mutation drops the view together with the CSR.
+func TestRankViewCache(t *testing.T) {
+	g := Grid(6, 6, 0.7)
+	c := g.CSR()
+	const callers = 8
+	views := make(chan *RankView, callers)
+	for i := 0; i < callers; i++ {
+		go func() { views <- c.Ranked() }()
+	}
+	first := <-views
+	for i := 1; i < callers; i++ {
+		if v := <-views; v != first {
+			t.Fatal("concurrent first calls built more than one rank view")
+		}
+	}
+	if c.Ranked() != first {
+		t.Fatal("second Ranked call rebuilt the view")
+	}
+
+	g.AddLink(0, 35, 1)
+	added := g.CSR().Ranked()
+	if added == first {
+		t.Fatal("AddLink did not invalidate the rank view")
+	}
+	if row, _ := added.Row(0); row[0] != 35 {
+		t.Fatalf("node 0's best-ranked neighbor is %d, want the new PRR-1 link to 35", row[0])
+	}
+	rankMatchesCSR(t, g.CSR())
+	g.RemoveLink(0, 35)
+	removed := g.CSR().Ranked()
+	if removed == added {
+		t.Fatal("RemoveLink did not invalidate the rank view")
+	}
+	if row, _ := removed.Row(0); slices.Contains(row, 35) {
+		t.Fatal("rank view after RemoveLink still lists the removed link")
+	}
+	rankMatchesCSR(t, g.CSR())
 }
