@@ -1,13 +1,12 @@
 package flood
 
-// Equivalence and behavior suite for fault injection (internal/fault):
-// under every fault schedule, skipping empty schedule offsets must stay
-// byte-identical to visiting every slot, and an empty schedule must
-// reproduce the unfaulted run exactly.
+// Behavior suite for fault injection (internal/fault) with the real
+// protocols: churn re-dissemination, jamming outages, and validation. The
+// fault tables here also drive the shard, discipline and keyed-golden
+// suites. The equivalence of the empty-offset skip with the every-slot
+// loop under every fault family lives in internal/sim/skip_equiv_test.go.
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"ldcflood/internal/fault"
@@ -53,92 +52,6 @@ func faultCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 		MaxSlots:         200000,
 		RecordReceptions: true,
 		Faults:           faults,
-	}
-}
-
-// faultGridProtocols is the protocol list every fault-equivalence grid
-// iterates: the full registry evaluation set, so a newly registered
-// protocol cannot silently skip fault certification.
-func faultGridProtocols() []string { return Names() }
-
-// TestFaultEquivalence is the acceptance-criteria suite: for every fault
-// family and every registered protocol, the loop that skips empty schedule
-// offsets and the loop that visits every slot must produce identical
-// results and byte-identical trace logs — static and dynamic schedules
-// alike, since churn and link chains catch up at the next visited slot.
-func TestFaultEquivalence(t *testing.T) {
-	for name, fs := range faultSchedules() {
-		fs := fs
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			g := topology.Grid(6, 6, 0.8)
-			cfg := faultCfg(g, fs, 1234)
-			for _, protocol := range faultGridProtocols() {
-				slow, fast, slowTrace, fastTrace := runBoth(t, cfg, protocol)
-				if !reflect.DeepEqual(slow, fast) {
-					t.Errorf("%s: results diverge:\nslow %+v\nfast %+v", protocol, slow, fast)
-				}
-				if !bytes.Equal(slowTrace, fastTrace) {
-					t.Errorf("%s: trace logs diverge: slow %d bytes, fast %d bytes",
-						protocol, len(slowTrace), len(fastTrace))
-				}
-			}
-		})
-	}
-}
-
-// TestFaultEquivalenceAllProtocols sweeps every shipped protocol under the
-// mixed schedule, the hardest case for the lazy catch-up.
-func TestFaultEquivalenceAllProtocols(t *testing.T) {
-	g := topology.Grid(6, 6, 0.8)
-	cfg := faultCfg(g, faultSchedules()["mixed"], 77)
-	for _, protocol := range faultGridProtocols() {
-		slow, fast, slowTrace, fastTrace := runBoth(t, cfg, protocol)
-		if !reflect.DeepEqual(slow, fast) {
-			t.Errorf("%s: results diverge:\nslow %+v\nfast %+v", protocol, slow, fast)
-		}
-		if !bytes.Equal(slowTrace, fastTrace) {
-			t.Errorf("%s: trace logs diverge", protocol)
-		}
-	}
-}
-
-// TestEmptyScheduleMatchesNil pins the zero-perturbation guarantee: an
-// empty fault schedule must reproduce the unfaulted run bit for bit (the
-// fault RNG stream is derived, never drawn from).
-func TestEmptyScheduleMatchesNil(t *testing.T) {
-	g := topology.Grid(6, 6, 0.8)
-	base := faultCfg(g, nil, 5)
-	faulted := base
-	faulted.Faults = &fault.Schedule{}
-	for _, protocol := range []string{"opt", "of"} {
-		runOne := func(cfg sim.Config) (*sim.Result, []byte) {
-			_, res, _, trace := runBoth(t, cfg, protocol)
-			return res, trace
-		}
-		a, ta := runOne(base)
-		b, tb := runOne(faulted)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: empty schedule perturbed the run", protocol)
-		}
-		if !bytes.Equal(ta, tb) {
-			t.Errorf("%s: empty schedule perturbed the trace", protocol)
-		}
-	}
-}
-
-// TestFaultDeterminism pins same seed + same schedule ⇒ identical results
-// on repeated runs.
-func TestFaultDeterminism(t *testing.T) {
-	g := topology.Grid(6, 6, 0.8)
-	cfg := faultCfg(g, faultSchedules()["mixed"], 2024)
-	a, _, ta, _ := runBoth(t, cfg, "dbao")
-	b, _, tb, _ := runBoth(t, cfg, "dbao")
-	if !reflect.DeepEqual(a, b) {
-		t.Error("re-run with identical seed and schedule diverged")
-	}
-	if !bytes.Equal(ta, tb) {
-		t.Error("re-run trace diverged")
 	}
 }
 
