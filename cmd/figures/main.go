@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		figFlag  = flag.String("fig", "all", "comma-separated figure ids (fig3, table1, fig5-fig11, gw, halfduplex, crosslayer, granularity, nodecdf, syncerr, hetero, backlog, robustness, adaptive, faults, scale), 'all' (paper figures) or 'extensions'")
+		figFlag  = flag.String("fig", "all", "comma-separated figure ids (fig3, table1, fig5-fig11, gw, halfduplex, crosslayer, granularity, nodecdf, syncerr, hetero, backlog, robustness, faults, scale), 'all' (paper figures) or 'extensions'")
 		quick    = flag.Bool("quick", false, "cut-down simulation effort (M=20, 4 duty points)")
 		m        = flag.Int("m", 0, "packets per flood (default: 100, or 20 with -quick)")
 		runs     = flag.Int("runs", 1, "independent runs to average per configuration")
@@ -152,9 +152,6 @@ func one(id string, opts experiments.SimOptions) (*experiments.FigureData, error
 	case "gw":
 		// Lemma 1 illustrated: normalized branching-process sample paths.
 		return experiments.GaltonWatson()
-	case "adaptive":
-		// DutyCon-style dynamic duty control vs static configuration.
-		return experiments.Adaptive(opts)
 	case "faults":
 		// Resilience under scripted fault injection (internal/fault).
 		return experiments.Faults(opts)
@@ -164,6 +161,6 @@ func one(id string, opts experiments.SimOptions) (*experiments.FigureData, error
 		// constant-per-node Trickle prediction.
 		return experiments.TrickleScalability(opts)
 	default:
-		return nil, fmt.Errorf("unknown figure %q (fig3, table1, fig5-fig11, gw, halfduplex, crosslayer, granularity, nodecdf, syncerr, hetero, backlog, robustness, adaptive, faults, scale)", id)
+		return nil, fmt.Errorf("unknown figure %q (fig3, table1, fig5-fig11, gw, halfduplex, crosslayer, granularity, nodecdf, syncerr, hetero, backlog, robustness, faults, scale)", id)
 	}
 }

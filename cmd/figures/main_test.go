@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ldcflood/internal/experiments"
@@ -44,8 +45,12 @@ func TestOneSimulationFigures(t *testing.T) {
 }
 
 func TestOneUnknownID(t *testing.T) {
-	if _, err := one("fig99", testOpts()); err == nil {
-		t.Fatal("unknown id accepted")
+	// "adaptive" named a figure that has been removed.
+	for _, id := range []string{"fig99", "adaptive"} {
+		_, err := one(id, testOpts())
+		if err == nil || !strings.Contains(err.Error(), "unknown figure") {
+			t.Fatalf("one(%q) error = %v, want an unknown-figure error", id, err)
+		}
 	}
 }
 
@@ -74,15 +79,28 @@ func TestRunWritesFiles(t *testing.T) {
 	}
 }
 
+// TestRunExtensionIDs resolves every id AllExtensions emits through
+// the -fig switch, so the CLI and the registry cannot drift apart, and
+// checks that both render the same figure from the same options.
 func TestRunExtensionIDs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every extension figure twice")
+	}
 	opts := testOpts()
-	for _, id := range []string{"halfduplex"} {
-		fd, err := one(id, opts)
+	figs, err := experiments.AllExtensions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range figs {
+		fd, err := one(want.ID, opts)
 		if err != nil {
-			t.Fatalf("one(%q): %v", id, err)
+			t.Fatalf("one(%q): %v", want.ID, err)
 		}
-		if fd.ID != id {
-			t.Fatalf("id mismatch: %q", fd.ID)
+		if fd.ID != want.ID {
+			t.Fatalf("one(%q) returned figure %q", want.ID, fd.ID)
+		}
+		if fd.Render() != want.Render() {
+			t.Fatalf("one(%q) renders differently from AllExtensions", want.ID)
 		}
 	}
 }

@@ -25,7 +25,6 @@
 //	Heterogeneity       link-diversity gain at fixed mean PRR
 //	Backlog             source-queue stability (Section IV-B breakdown)
 //	Robustness          conclusions on a second deployment (testbed)
-//	Adaptive            DutyCon-style dynamic duty control vs static
 //	Faults              resilience under scripted fault injection
 //	TrickleScalability  timer-protocol message load vs network size
 //

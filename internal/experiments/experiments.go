@@ -170,7 +170,8 @@ func All(opts SimOptions) ([]*FigureData, error) {
 // CDF, synchronization-error sensitivity, the heterogeneous-link study,
 // the source-backlog stability probe, the cross-deployment robustness
 // check, the fault-injection resilience study, and the timer-protocol
-// scalability study.
+// scalability study. cmd/figures resolves each emitted FigureData.ID as
+// a -fig id.
 func AllExtensions(opts SimOptions) ([]*FigureData, error) {
 	var out []*FigureData
 	steps := []func() (*FigureData, error){
@@ -183,7 +184,6 @@ func AllExtensions(opts SimOptions) ([]*FigureData, error) {
 		func() (*FigureData, error) { return Heterogeneity(opts) },
 		func() (*FigureData, error) { return Backlog(opts) },
 		func() (*FigureData, error) { return Robustness(opts) },
-		func() (*FigureData, error) { return Adaptive(opts) },
 		func() (*FigureData, error) { return Faults(opts) },
 		func() (*FigureData, error) { return TrickleScalability(opts) },
 	}

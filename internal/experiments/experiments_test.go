@@ -294,7 +294,7 @@ func TestAllExtensionsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"gw", "halfduplex", "crosslayer", "granularity", "nodecdf", "syncerr", "hetero", "backlog", "robustness", "adaptive", "faults", "scale"}
+	want := []string{"gw", "halfduplex", "crosslayer", "granularity", "nodecdf", "syncerr", "hetero", "backlog", "robustness", "faults", "scale"}
 	if len(figs) != len(want) {
 		t.Fatalf("got %d extension figures, want %d", len(figs), len(want))
 	}

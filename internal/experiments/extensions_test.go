@@ -33,29 +33,6 @@ func TestNodeDelayCDF(t *testing.T) {
 	}
 }
 
-func TestAdaptiveExperiment(t *testing.T) {
-	opts := tinyOpts()
-	fd, err := Adaptive(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static := fd.SeriesByName("static duty")
-	adaptive := fd.SeriesByName("adaptive (DutyCon-style)")
-	if static == nil || adaptive == nil || len(static.Y) != 3 || len(adaptive.Y) != 1 {
-		t.Fatalf("bad series: %+v", fd.Series)
-	}
-	// The controller must beat the laziest static configuration on delay
-	// while spending far less energy than the tightest one.
-	lazyDelay := static.Y[2]  // T=100
-	tightAwake := static.X[0] // T=5
-	if adaptive.Y[0] >= lazyDelay {
-		t.Fatalf("adaptive delay %.0f not below lazy static %.0f", adaptive.Y[0], lazyDelay)
-	}
-	if adaptive.X[0] >= tightAwake {
-		t.Fatalf("adaptive awake %.3f not below tight static %.3f", adaptive.X[0], tightAwake)
-	}
-}
-
 func TestRobustnessExperiment(t *testing.T) {
 	opts := tinyOpts()
 	fd, err := Robustness(opts)
