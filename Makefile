@@ -35,8 +35,8 @@ bench-engine:
 	$(GO) run ./cmd/engbench -o BENCH_engine.json
 
 # Refresh the committed large-topology baseline (10k/100k-node GreenOrbs
-# grid: the engine inline and on nproc workers; median and quartiles of 5
-# alternating reps per row, plus host metadata).
+# grid, one inline row per cell, and the `figures -fig scale` wall clock;
+# median and quartiles of 5 reps each, plus host metadata).
 bench-scale:
 	$(GO) run ./cmd/engbench -scale -o BENCH_scale.json
 
@@ -95,8 +95,8 @@ protocol-smoke:
 fuzz-faults:
 	$(GO) test -fuzz FuzzFaultSchedule -fuzztime 30s ./internal/flood
 
-# Randomized chunk sizes / worker counts / fault schedules vs the sharded
-# merge path's byte-identity contracts; CI runs a 10s smoke of this.
+# Randomized line lengths and schedule periods: the planner path must
+# match the plain Intents scan byte for byte; CI runs a 10s smoke of this.
 fuzz-shard:
 	$(GO) test -fuzz FuzzShardMerge -fuzztime 30s ./internal/sim
 

@@ -99,13 +99,12 @@ func main() {
 	against := flag.String("against", "", "committed baseline to guard against (empty skips the check)")
 	tolerance := flag.Float64("tolerance", 0.5, "allowed fractional wall-clock regression vs -against")
 	scale := flag.Bool("scale", false, "run the large-topology wall-clock grid (BENCH_scale.json) instead of the engine grid")
-	scaleReps := flag.Int("scale-reps", 5, "repetitions per -scale row, alternating between a cell's engines; the median and quartiles are reported")
-	smoke := flag.Bool("scale-smoke", false, "run the CI scale smoke (10k-node rgg, OPT and DBAO, workers 1 vs 4 byte-equality) and exit")
-	smokeWorkers := flag.Int("smoke-workers", 8, "additional worker count the -scale-smoke gate checks beyond 1 and 4")
+	scaleReps := flag.Int("scale-reps", 5, "repetitions per -scale row and of the -fig scale timing; the median and quartiles are reported")
+	smoke := flag.Bool("scale-smoke", false, "run the CI scale smoke (10k-node rgg, OPT and DBAO must complete at their recorded slot horizons) and exit")
 	flag.Parse()
 
 	if *smoke {
-		if err := runScaleSmoke(*smokeWorkers); err != nil {
+		if err := runScaleSmoke(); err != nil {
 			fmt.Fprintln(os.Stderr, "engbench:", err)
 			os.Exit(1)
 		}

@@ -6,12 +6,8 @@ package main
 // grid times the engine on 10k- and 100k-node ScaledGreenOrbs instances,
 // each cell at its own duty cycle and packet count: OPT and DBAO flood
 // M = 4 at 1% duty, and the timer protocols Trickle and DFlood flood the
-// single packet of `figures -fig scale` at 5% duty. Every cell runs in two
-// configurations:
-//
-//   - keyed1: the engine inline (Workers: 1).
-//   - keyed-nproc: the engine on its worker pool, Workers =
-//     runtime.NumCPU() (recorded in the row).
+// single packet of `figures -fig scale` at 5% duty. Every cell is one
+// row, the engine run inline, the only way it runs.
 //
 // Every number is measured wall clock. Each node count's topology is
 // built -scale-reps times first, and every row of that size records the
@@ -20,15 +16,17 @@ package main
 // of as many rank-view builds (CSR.Ranked, OPT's and DBAO's one-time
 // cost per graph) is recorded beside it as rank_ns, and the graph's view
 // is built then, so no row's measurement depends on the grid order. Each
-// row then runs -scale-reps times;
-// the configurations of a cell alternate run by run (in reverse order on
-// odd reps), so a slow period on a shared host lands on all of them
-// rather than on one, and a row records the median and quartiles of its
-// runs. The document records the host (CPU model, nproc, GOMAXPROCS),
-// without which a worker-count comparison means nothing.
+// row then runs -scale-reps times and records the median and quartiles of
+// its runs; every run must reproduce the first one's Result, or the
+// command fails.
 //
-// The two rows of a cell must produce identical Results; the command
-// fails otherwise.
+// After the grid, the whole `figures -fig scale` computation
+// (experiments.TrickleScalability at its defaults: topology builds plus
+// twelve floods on the batch runner) runs -scale-reps times, and its
+// median and quartiles are recorded as the document's figure_scale entry.
+// It is the wall clock a user of the figure waits for, recorded but not
+// guarded. The document records the host (CPU model, nproc, GOMAXPROCS),
+// without which none of these numbers means much.
 
 import (
 	"encoding/json"
@@ -40,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"ldcflood/internal/experiments"
 	"ldcflood/internal/flood"
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/schedule"
@@ -70,20 +69,25 @@ type scaleRow struct {
 	// use. The view is built before any row runs, so neither the timed
 	// runs nor BytesPerNode include it. Recorded, not guarded.
 	RankNS int64 `json:"rank_ns,omitempty"`
-	// Engine is keyed1 or keyed-nproc; Workers is the sim.Config.Workers
-	// value it ran with.
-	Engine  string `json:"engine"`
-	Workers int    `json:"workers"`
-	Reps    int    `json:"reps"`
+	Reps   int   `json:"reps"`
 	// MedianNS, Q1NS and Q3NS summarize the row's per-run wall clock.
 	MedianNS int64 `json:"median_ns"`
 	Q1NS     int64 `json:"q1_ns"`
 	Q3NS     int64 `json:"q3_ns"`
 	// Slots is the run's simulated-slot horizon, deterministic per row.
 	Slots int64 `json:"slots"`
-	// BytesPerNode is the heap one keyed1 run allocates divided by the
-	// node count — the O(n+m)-memory evidence. Keyed1 rows only.
+	// BytesPerNode is the heap one run allocates divided by the node
+	// count — the O(n+m)-memory evidence.
 	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
+}
+
+// scaleTiming summarizes repeated wall-clock measurements of one
+// computation.
+type scaleTiming struct {
+	Reps     int   `json:"reps"`
+	MedianNS int64 `json:"median_ns"`
+	Q1NS     int64 `json:"q1_ns"`
+	Q3NS     int64 `json:"q3_ns"`
 }
 
 // scaleHost describes the machine a baseline was measured on.
@@ -101,6 +105,9 @@ type scaleBaseline struct {
 	Coverage  float64    `json:"coverage"`
 	Seed      int64      `json:"seed"`
 	Rows      []scaleRow `json:"rows"`
+	// FigureScale times `figures -fig scale` end to end in-process.
+	// Recorded, not guarded.
+	FigureScale *scaleTiming `json:"figure_scale,omitempty"`
 }
 
 // scaleCell is one measured cell: a protocol on a node count, at a
@@ -146,12 +153,18 @@ func runScale(out, against string, tol float64, reps int) error {
 			}
 			builds[cell.nodes] = b
 		}
-		rows, err := measureScaleCell(b, cell, reps)
+		row, err := measureScaleCell(b, cell, reps)
 		if err != nil {
 			return fmt.Errorf("%s/%d: %w", cell.protocol, cell.nodes, err)
 		}
-		doc.Rows = append(doc.Rows, rows...)
+		doc.Rows = append(doc.Rows, row)
 	}
+	builds = nil // the figure builds its own graphs; let these go
+	fig, err := measureFigureScale(reps)
+	if err != nil {
+		return fmt.Errorf("figure scale: %w", err)
+	}
+	doc.FigureScale = fig
 	if against != "" {
 		data, err := os.ReadFile(against)
 		if err != nil {
@@ -197,7 +210,7 @@ func hostInfo() scaleHost {
 }
 
 // scaleConfig assembles the simulation config for one cell.
-func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string, m, workers int) (sim.Config, error) {
+func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string, m int) (sim.Config, error) {
 	p, err := flood.New(protocol)
 	if err != nil {
 		return sim.Config{}, err
@@ -210,7 +223,6 @@ func scaleConfig(g *topology.Graph, scheds []*schedule.Schedule, protocol string
 		Coverage:  0.99,
 		Seed:      1,
 		MaxSlots:  2000000,
-		Workers:   workers,
 	}, nil
 }
 
@@ -259,93 +271,90 @@ func buildScaleTopology(nodes, reps int) (*scaleBuild, error) {
 	return b, nil
 }
 
-// measureScaleCell times the cell's engine configurations on the built
-// topology, alternating between them run by run.
-func measureScaleCell(b *scaleBuild, cell scaleCell, reps int) ([]scaleRow, error) {
+// measureScaleCell times the cell on the built topology.
+func measureScaleCell(b *scaleBuild, cell scaleCell, reps int) (scaleRow, error) {
 	g, protocol := b.g, cell.protocol
-	var err error
 	scheds := schedule.AssignUniform(g.N(), cell.period, rngutil.New(1).SubName("schedule"))
-	type engine struct {
-		name    string
-		workers int
+	cfg, err := scaleConfig(g, scheds, protocol, cell.m)
+	if err != nil {
+		return scaleRow{}, err
 	}
-	engines := []engine{{"keyed1", 1}, {"keyed-nproc", runtime.NumCPU()}}
-	rows := make([]scaleRow, len(engines))
-	cfgs := make([]sim.Config, len(engines))
-	results := make([]*sim.Result, len(engines))
-	times := make([][]float64, len(engines))
-	for i, en := range engines {
-		if cfgs[i], err = scaleConfig(g, scheds, protocol, cell.m, en.workers); err != nil {
-			return nil, err
-		}
-		rows[i] = scaleRow{
-			Name:      fmt.Sprintf("%s/%d/%s", protocol, g.N(), en.name),
-			Protocol:  protocol,
-			Nodes:     g.N(),
-			Links:     g.NumLinks(),
-			Period:    cell.period,
-			M:         cell.m,
-			BuildNS:   b.median,
-			BuildQ1NS: b.q1,
-			BuildQ3NS: b.q3,
-			RankNS:    b.rank,
-			Engine:    en.name,
-			Workers:   en.workers,
-			Reps:      reps,
-		}
+	row := scaleRow{
+		Name:      fmt.Sprintf("%s/%d", protocol, g.N()),
+		Protocol:  protocol,
+		Nodes:     g.N(),
+		Links:     g.NumLinks(),
+		Period:    cell.period,
+		M:         cell.m,
+		BuildNS:   b.median,
+		BuildQ1NS: b.q1,
+		BuildQ3NS: b.q3,
+		RankNS:    b.rank,
+		Reps:      reps,
 	}
 
-	// Heap cost of one inline run, measured before any timing so the
-	// allocation profile is cold-start-representative.
-	const keyed1 = 0
+	// Heap cost of one run, measured before any timing so the allocation
+	// profile is cold-start-representative.
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := sim.Run(cfgs[keyed1]); err != nil {
-		return nil, err
+	ref, err := sim.Run(cfg)
+	if err != nil {
+		return row, err
 	}
 	runtime.ReadMemStats(&after)
-	rows[keyed1].BytesPerNode = float64(after.TotalAlloc-before.TotalAlloc) / float64(g.N())
+	row.BytesPerNode = float64(after.TotalAlloc-before.TotalAlloc) / float64(g.N())
+	if !ref.Completed {
+		return row, fmt.Errorf("%s did not complete within %d slots", row.Name, cfg.MaxSlots)
+	}
+	row.Slots = ref.TotalSlots
 
+	var times []float64
 	for r := 0; r < reps; r++ {
-		for k := range cfgs {
-			i := k
-			if r%2 == 1 {
-				i = len(cfgs) - 1 - k
-			}
-			// A fresh protocol per run keeps memoized state from crossing runs.
-			p, err := flood.New(protocol)
-			if err != nil {
-				return nil, err
-			}
-			cfgs[i].Protocol = p
-			runtime.GC()
-			start := time.Now()
-			res, err := sim.Run(cfgs[i])
-			d := time.Since(start)
-			if err != nil {
-				return nil, err
-			}
-			if !res.Completed {
-				return nil, fmt.Errorf("%s did not complete within %d slots", rows[i].Name, cfgs[i].MaxSlots)
-			}
-			times[i] = append(times[i], float64(d.Nanoseconds()))
-			results[i] = res
+		// A fresh protocol per run keeps memoized state from crossing runs.
+		if cfg.Protocol, err = flood.New(protocol); err != nil {
+			return row, err
 		}
-	}
-	for i := range rows {
-		rows[i].MedianNS = int64(stats.Percentile(times[i], 50))
-		rows[i].Q1NS = int64(stats.Percentile(times[i], 25))
-		rows[i].Q3NS = int64(stats.Percentile(times[i], 75))
-		rows[i].Slots = results[i].TotalSlots
-		if !reflect.DeepEqual(results[i], results[keyed1]) {
-			return nil, fmt.Errorf("%s and %s results diverge", rows[i].Name, rows[keyed1].Name)
+		runtime.GC()
+		start := time.Now()
+		res, err := sim.Run(cfg)
+		d := time.Since(start)
+		if err != nil {
+			return row, err
 		}
-		fmt.Printf("%-24s workers=%-2d median=%9.1fms  IQR=%7.1fms  slots=%d\n",
-			rows[i].Name, rows[i].Workers, float64(rows[i].MedianNS)/1e6,
-			float64(rows[i].Q3NS-rows[i].Q1NS)/1e6, rows[i].Slots)
+		if !reflect.DeepEqual(res, ref) {
+			return row, fmt.Errorf("%s: run %d diverged from the first run", row.Name, r)
+		}
+		times = append(times, float64(d.Nanoseconds()))
 	}
-	return rows, nil
+	row.MedianNS = int64(stats.Percentile(times, 50))
+	row.Q1NS = int64(stats.Percentile(times, 25))
+	row.Q3NS = int64(stats.Percentile(times, 75))
+	fmt.Printf("%-16s median=%9.1fms  IQR=%7.1fms  slots=%d\n",
+		row.Name, float64(row.MedianNS)/1e6, float64(row.Q3NS-row.Q1NS)/1e6, row.Slots)
+	return row, nil
+}
+
+// measureFigureScale times experiments.TrickleScalability at the options
+// `figures -fig scale` passes by default, reps times (at least once).
+func measureFigureScale(reps int) (*scaleTiming, error) {
+	var times []float64
+	for r := 0; r < max(reps, 1); r++ {
+		runtime.GC()
+		start := time.Now()
+		if _, err := experiments.TrickleScalability(experiments.PaperSimOptions()); err != nil {
+			return nil, err
+		}
+		times = append(times, float64(time.Since(start).Nanoseconds()))
+	}
+	t := &scaleTiming{
+		Reps:     len(times),
+		MedianNS: int64(stats.Percentile(times, 50)),
+		Q1NS:     int64(stats.Percentile(times, 25)),
+		Q3NS:     int64(stats.Percentile(times, 75)),
+	}
+	fmt.Printf("figures -fig scale: median=%.2fs  IQR=%.2fs\n", float64(t.MedianNS)/1e9, float64(t.Q3NS-t.Q1NS)/1e9)
+	return t, nil
 }
 
 // guardScale compares a fresh scale measurement against a baseline. The
@@ -381,11 +390,15 @@ func guardScale(doc, base *scaleBaseline, tol float64) error {
 	return nil
 }
 
+// scaleSmokeSlots are the slot horizons of the -scale-smoke floods,
+// deterministic for the fixed graph, schedules and seed.
+var scaleSmokeSlots = map[string]int64{"opt": 1496, "dbao": 1499}
+
 // runScaleSmoke is the CI gate: a 10k-node random geometric graph, OPT
-// and DBAO (whose carrier sense reads node positions), each at workers 1,
-// 4 and extraWorkers with byte-equal Results, bounded by the CI step's
-// timeout. Exits through an error on any divergence.
-func runScaleSmoke(extraWorkers int) error {
+// and DBAO (whose carrier sense reads node positions), each of which must
+// complete with its recorded slot horizon, bounded by the CI step's
+// timeout. Exits through an error on any mismatch.
+func runScaleSmoke() error {
 	const nodes = 10000
 	// Field side chosen to keep GreenOrbs-like density at 10k nodes.
 	field := 130 * 5.8
@@ -395,35 +408,22 @@ func runScaleSmoke(extraWorkers int) error {
 		return err
 	}
 	scheds := schedule.AssignUniform(g.N(), 100, rngutil.New(1).SubName("schedule"))
-	workers := []int{1, 4}
-	if extraWorkers > 1 && extraWorkers != 4 {
-		workers = append(workers, extraWorkers)
-	}
 	for _, protocol := range []string{"opt", "dbao"} {
-		var ref *sim.Result
-		var times []string
-		for _, w := range workers {
-			cfg, err := scaleConfig(g, scheds, protocol, 4, w)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			res, err := sim.Run(cfg)
-			if err != nil {
-				return fmt.Errorf("%s workers %d: %w", protocol, w, err)
-			}
-			times = append(times, fmt.Sprintf("workers%d=%s", w, time.Since(start).Round(time.Millisecond)))
-			if ref == nil {
-				if !res.Completed {
-					return fmt.Errorf("%s smoke run did not complete", protocol)
-				}
-				ref = res
-			} else if !reflect.DeepEqual(ref, res) {
-				return fmt.Errorf("%s: workers 1 and workers %d results diverge", protocol, w)
-			}
+		cfg, err := scaleConfig(g, scheds, protocol, 4)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("scale smoke ok: %s, %d nodes, %d links, %d slots, %s, identical\n",
-			protocol, g.N(), g.NumLinks(), ref.TotalSlots, strings.Join(times, " "))
+		start := time.Now()
+		res, err := sim.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", protocol, err)
+		}
+		if !res.Completed || res.TotalSlots != scaleSmokeSlots[protocol] {
+			return fmt.Errorf("%s: completed %v after %d slots, want completion after %d",
+				protocol, res.Completed, res.TotalSlots, scaleSmokeSlots[protocol])
+		}
+		fmt.Printf("scale smoke ok: %s, %d nodes, %d links, %d slots, %s\n",
+			protocol, g.N(), g.NumLinks(), res.TotalSlots, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

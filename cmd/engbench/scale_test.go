@@ -6,10 +6,10 @@ import (
 )
 
 // scaleDoc builds a two-row scale document with the given medians.
-func scaleDoc(keyed1, keyedN int64) *scaleBaseline {
+func scaleDoc(opt, dbao int64) *scaleBaseline {
 	return &scaleBaseline{Rows: []scaleRow{
-		{Name: "opt/10000/keyed1", Workers: 1, MedianNS: keyed1, Slots: 1628},
-		{Name: "opt/10000/keyed-nproc", Workers: 2, MedianNS: keyedN, Slots: 1628},
+		{Name: "opt/10000", MedianNS: opt, Slots: 1628},
+		{Name: "dbao/10000", MedianNS: dbao, Slots: 1634},
 	}}
 }
 
@@ -26,7 +26,7 @@ func TestGuardScaleSlowRowFails(t *testing.T) {
 		t.Fatalf("row within tolerance failed the guard: %v", err)
 	}
 	err := guardScale(scaleDoc(76e6, 80e6), scaleDoc(50e6, 80e6), 0.5)
-	if err == nil || !strings.Contains(err.Error(), "opt/10000/keyed1") {
+	if err == nil || !strings.Contains(err.Error(), "opt/10000") {
 		t.Fatalf("slow row passed the guard or was misnamed: %v", err)
 	}
 }
@@ -35,7 +35,7 @@ func TestGuardScaleMissingRowIsError(t *testing.T) {
 	cur := scaleDoc(50e6, 80e6)
 	cur.Rows = cur.Rows[:1]
 	err := guardScale(cur, scaleDoc(50e6, 80e6), 0.5)
-	if err == nil || !strings.Contains(err.Error(), "opt/10000/keyed-nproc") {
+	if err == nil || !strings.Contains(err.Error(), "dbao/10000") {
 		t.Fatalf("baseline row missing from the new run was not an error: %v", err)
 	}
 }
@@ -60,7 +60,7 @@ func TestGuardScaleSlowBuildFails(t *testing.T) {
 	}
 	cur.Rows[1].BuildNS = 160e6
 	err := guardScale(cur, base, 0.5)
-	if err == nil || !strings.Contains(err.Error(), "opt/10000/keyed-nproc: build") {
+	if err == nil || !strings.Contains(err.Error(), "dbao/10000: build") {
 		t.Fatalf("slow build passed the guard or was misnamed: %v", err)
 	}
 	// A baseline recorded before builds were timed guards no build.

@@ -30,8 +30,7 @@
 // the encoding (default text). Binary traces are several times smaller
 // and convert losslessly with cmd/tracecat — see docs/TRACE.md. Tracing
 // observes the simulation without affecting it: the CSV stays
-// byte-identical, and so do the trace bytes for every -parallel and
-// -workers value within the same engine family.
+// byte-identical, and so do the trace bytes for every -parallel value.
 //
 // -faults applies a JSON fault schedule (see internal/fault) to every
 // cell. -journal checkpoints
@@ -81,7 +80,6 @@ func main() {
 		backoff   = flag.Duration("backoff", time.Second, "base delay before the first retry, doubling per attempt")
 		out       = flag.String("out", "", "output CSV path (default stdout)")
 		parallel  = flag.Int("parallel", 0, "batch-runner workers (0 = GOMAXPROCS); the CSV is identical for every value")
-		workers   = flag.Int("workers", 0, "per-run slot workers: 0 or 1 = inline, n > 1 = a pool of n, -1 = auto-split the machine between batch and shard workers; results are identical for every value")
 		timeout   = flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); an overrunning cell fails with a typed timeout error")
 		progress  = flag.Bool("progress", false, "print live batch progress to stderr")
 		traceDir  = flag.String("trace-dir", "", "write one event trace per cell into this directory (created if missing)")
@@ -115,7 +113,6 @@ func main() {
 		retries:      *retries,
 		backoff:      *backoff,
 		parallel:     *parallel,
-		workers:      *workers,
 		timeout:      *timeout,
 		traceDir:     *traceDir,
 		traceFormat:  *traceFmt,
@@ -147,7 +144,6 @@ type sweepConfig struct {
 	retries      int
 	backoff      time.Duration
 	parallel     int
-	workers      int // sim.Config.Workers; -1 = auto-split with the batch runner
 	timeout      time.Duration
 	traceDir     string    // "" disables per-cell trace files
 	traceFormat  string    // "text" or "bin"; only read when traceDir is set
@@ -170,7 +166,6 @@ func (sc sweepConfig) spec() (service.Spec, error) {
 		Coverage:  sc.coverage,
 		TopoSeed:  sc.topoSeed,
 		SyncErr:   sc.syncErr,
-		Workers:   sc.workers,
 		Parallel:  sc.parallel,
 		Timeout:   service.Duration(sc.timeout),
 		Retries:   sc.retries,

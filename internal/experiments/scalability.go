@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ldcflood/internal/flood"
 	"ldcflood/internal/metrics"
 	"ldcflood/internal/rngutil"
+	"ldcflood/internal/runner"
 	"ldcflood/internal/schedule"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
@@ -52,11 +54,13 @@ func TrickleScalability(opts SimOptions) (*FigureData, error) {
 	fd.TableHeaders = []string{"nodes", "protocol", "messages", "msgs/node", "suppressed/node", "cover slots"}
 	protocols := []string{"trickle", "dflood"}
 	fd.Series = make([]Series, len(protocols))
-	series := make(map[string]*Series, len(protocols))
 	for i, name := range protocols {
 		fd.Series[i] = Series{Name: name}
-		series[name] = &fd.Series[i]
 	}
+	// Every cell — a protocol on a size — is one job for the batch
+	// runner, which runs them in parallel, as sweeps do. Each job keeps
+	// its own protocol instance, read afterwards for its counters.
+	var jobs []sim.Config
 	for _, n := range sizes {
 		g, err := topology.GenerateGreenOrbs(topology.ScaledGreenOrbsConfig(n), opts.TopoSeed)
 		if err != nil {
@@ -69,7 +73,7 @@ func TrickleScalability(opts SimOptions) (*FigureData, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := sim.Run(sim.Config{
+			jobs = append(jobs, sim.Config{
 				Graph:     g,
 				Schedules: scheds,
 				Protocol:  p,
@@ -77,30 +81,32 @@ func TrickleScalability(opts SimOptions) (*FigureData, error) {
 				Coverage:  opts.Coverage,
 				Seed:      opts.Seed,
 				MaxSlots:  maxSlots,
-				// Results are certified identical for every worker count,
-				// so this is purely a speed choice.
-				Workers: 8,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: scale: %s at %d nodes: %w", name, n, err)
-			}
-			if !res.Completed {
-				return nil, fmt.Errorf("experiments: scale: %s at %d nodes did not complete in %d slots", name, n, maxSlots)
-			}
-			perNode := float64(res.Transmissions) / float64(g.N())
-			_, suppressed, _ := metrics.ProtocolCounters(p)
-			s := series[name]
-			s.X = append(s.X, float64(g.N()))
-			s.Y = append(s.Y, perNode)
-			fd.TableRows = append(fd.TableRows, []string{
-				fmt.Sprintf("%d", g.N()),
-				name,
-				fmt.Sprintf("%d", res.Transmissions),
-				fmt.Sprintf("%.2f", perNode),
-				fmt.Sprintf("%.2f", float64(suppressed)/float64(g.N())),
-				fmt.Sprintf("%d", res.CoverTime[0]),
 			})
 		}
+	}
+	rs, _ := runner.Run(context.Background(), jobs, opts.runnerOptions())
+	for i, job := range jobs {
+		name, n := protocols[i%len(protocols)], job.Graph.N()
+		res, err := rs[i].Res, rs[i].Err
+		if err != nil {
+			return nil, fmt.Errorf("experiments: scale: %s at %d nodes: %w", name, n, err)
+		}
+		if !res.Completed {
+			return nil, fmt.Errorf("experiments: scale: %s at %d nodes did not complete in %d slots", name, n, maxSlots)
+		}
+		perNode := float64(res.Transmissions) / float64(n)
+		_, suppressed, _ := metrics.ProtocolCounters(job.Protocol)
+		s := &fd.Series[i%len(protocols)]
+		s.X = append(s.X, float64(n))
+		s.Y = append(s.Y, perNode)
+		fd.TableRows = append(fd.TableRows, []string{
+			fmt.Sprintf("%d", n),
+			name,
+			fmt.Sprintf("%d", res.Transmissions),
+			fmt.Sprintf("%.2f", perNode),
+			fmt.Sprintf("%.2f", float64(suppressed)/float64(n)),
+			fmt.Sprintf("%d", res.CoverTime[0]),
+		})
 	}
 	fd.Notes = append(fd.Notes,
 		"Meyfroyt et al. predict constant per-node Trickle load at fixed density: total messages Θ(N), per-node series flat",

@@ -4,11 +4,12 @@ import "ldcflood/internal/telemetry"
 
 // suppCounters is the message/suppression accounting shared by the
 // timer-driven protocols (Trickle, DFlood). Counts are mutated only in
-// serial steps (SelectIntents, and DFlood's OnPlanSlot hook), so they are
-// safe on the worker pool, and every counted event is a pure function of
-// the pre-slot world state — the values are identical across worker counts
-// (certified by TestProtocolCountersModeInvariant). Attaching a telemetry registry never
-// affects simulation results; it only mirrors the counts live.
+// SelectIntents and DFlood's OnPlanSlot hook, never in PlanReceiver, and
+// every counted event is a pure function of the pre-slot world state — the
+// values are identical whether the engine plans through the planner
+// methods or through Intents (certified by
+// TestProtocolCountersModeInvariant). Attaching a telemetry registry
+// never affects simulation results; it only mirrors the counts live.
 type suppCounters struct {
 	messages   int64
 	suppressed int64

@@ -53,9 +53,8 @@ import (
 // redrawn. The duplicate count comes from the engine's opt-in
 // neighbour-holder count (sim.World.TrackNeighborHolders, turned on at
 // Reset), so every forwarding-slot query is O(1). The calendar changes
-// only in the serial prepareSlot and SelectIntents steps; the schedule is
-// bit-identical across worker counts and unaffected by the slots the
-// engine skips.
+// only in the prepareSlot and SelectIntents steps; the schedule is
+// unaffected by the slots the engine skips.
 type DFlood struct {
 	// Tmin and Tmax bound the per-packet forwarding delay in slots: the
 	// first attempt fires in [Tmin, Tmax) slots after reception. A Tmin of

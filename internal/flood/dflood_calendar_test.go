@@ -105,7 +105,7 @@ func (c *checkedDFlood) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, 
 
 // TestDFloodCalendarMatchesFullScan runs DFlood on random graphs and
 // schedules, M ∈ {1, 8, 80}, the penalty at Ndupl 1, 2 and off, with and
-// without crash/reboot churn, at workers 0 and 2, and compares every
+// without crash/reboot churn, and compares every
 // planned slot's candidates with the full scan: a skipped receiver would
 // have planned nothing, and a planned receiver's list is the full scan's
 // in row order, packet, flags and U.
@@ -145,15 +145,13 @@ func TestDFloodCalendarMatchesFullScan(t *testing.T) {
 				Faults:         fs,
 			}
 			ndupl := []int{2, 1, -1}[seed%3]
-			for _, workers := range []int{0, 2} {
-				label := fmt.Sprintf("M=%d seed=%d Ndupl=%d workers=%d", m, seed, ndupl, workers)
-				c := &checkedDFlood{DFlood: &DFlood{Ndupl: ndupl}, t: t, label: label}
-				ref, _ := runWith(t, cfg, &DFlood{Ndupl: ndupl}, workers)
-				res, _ := runWith(t, cfg, c, workers)
-				equalResults(t, res, ref, label)
-				skipped += c.skipped.Load()
-				planned += c.planned.Load()
-			}
+			label := fmt.Sprintf("M=%d seed=%d Ndupl=%d", m, seed, ndupl)
+			c := &checkedDFlood{DFlood: &DFlood{Ndupl: ndupl}, t: t, label: label}
+			ref, _ := runWith(t, cfg, &DFlood{Ndupl: ndupl})
+			res, _ := runWith(t, cfg, c)
+			equalResults(t, res, ref, label)
+			skipped += c.skipped.Load()
+			planned += c.planned.Load()
 		}
 	}
 	if skipped == 0 || planned == 0 {

@@ -3,8 +3,8 @@ package flood
 // A decorator that embeds sim.Protocol hides the planner methods, so the
 // engine admits the protocol's Intents like any plain protocol's; through
 // sim.PlanIntents it must still flood byte for byte like the protocol it
-// wraps. (That Config.Workers never changes a result — 0 and 1 inline,
-// more on the pool — is TestShardEquivalenceGrid's.)
+// wraps. (TestShardEquivalenceGrid runs the same comparison on every
+// fault family.)
 
 import (
 	"reflect"
@@ -44,7 +44,7 @@ func TestDecoratorHidingPlannerMatches(t *testing.T) {
 	for name, fs := range map[string]*fault.Schedule{"none": nil, "mixed": faultSchedules()["mixed"]} {
 		cfg := shardCfg(g, fs, 1234)
 		for _, protocol := range allProtocols() {
-			want, wantTrace := runSharded(t, cfg, protocol, 0)
+			want, wantTrace := runSharded(t, cfg, protocol)
 			inner, err := New(protocol)
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +53,7 @@ func TestDecoratorHidingPlannerMatches(t *testing.T) {
 			if _, ok := sim.Protocol(dec).(sim.ShardPlanner); ok {
 				t.Fatal("decorator exposes the planner; the test would not exercise Intents")
 			}
-			got, gotTrace := runWith(t, cfg, dec, 0)
+			got, gotTrace := runWith(t, cfg, dec)
 			if dec.resets != 1 || dec.calls == 0 {
 				t.Fatalf("%s: decorator saw %d resets and %d Intents calls", protocol, dec.resets, dec.calls)
 			}
@@ -86,27 +86,24 @@ func (p plannerShaped) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func
 // TestPlannerForwardingDecoratorMatches wraps every protocol in a
 // decorator that forwards only the planner methods and requires the
 // decorated run to reproduce the undecorated one — Result and both trace
-// encodings — unfaulted and under the mixed fault schedule, inline and on
-// the pool. DFlood's calendar is brought up to each slot by the hook its
+// encodings — unfaulted and under the mixed fault schedule. DFlood's calendar is brought up to each slot by the hook its
 // Reset registers with the World, which the decorator forwards.
 func TestPlannerForwardingDecoratorMatches(t *testing.T) {
 	g := topology.Grid(6, 6, 0.8)
 	for name, fs := range map[string]*fault.Schedule{"none": nil, "mixed": faultSchedules()["mixed"]} {
 		cfg := shardCfg(g, fs, 1234)
 		for _, protocol := range allProtocols() {
-			for _, workers := range []int{0, 2} {
-				want, wantTrace := runSharded(t, cfg, protocol, workers)
-				inner, err := New(protocol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotTrace := runWith(t, cfg, plannerShaped{Protocol: inner, sp: inner.(sim.ShardPlanner)}, workers)
-				context := protocol + "/" + name
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s workers=%d: decorated run diverged from the undecorated one", context, workers)
-				}
-				equalTraces(t, wantTrace, gotTrace, context+" planner-forwarding decorator")
+			want, wantTrace := runSharded(t, cfg, protocol)
+			inner, err := New(protocol)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, gotTrace := runWith(t, cfg, plannerShaped{Protocol: inner, sp: inner.(sim.ShardPlanner)})
+			context := protocol + "/" + name
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: decorated run diverged from the undecorated one", context)
+			}
+			equalTraces(t, wantTrace, gotTrace, context+" planner-forwarding decorator")
 		}
 	}
 }

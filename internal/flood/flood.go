@@ -31,9 +31,9 @@
 // Intents method runs that pair inline through sim.PlanIntents. Trickle
 // and DFlood derive all timer state from keyed RNG streams captured at
 // Reset plus world-state reads (DFlood also keeps its timers on a fire
-// calendar, changed only in its serial OnPlanSlot hook and SelectIntents
-// steps), so their schedules are bit-identical across worker counts and
-// whichever slots the engine visits; their
+// calendar, changed only in its OnPlanSlot hook and SelectIntents
+// steps), so their schedules are bit-identical whichever slots the engine
+// visits; their
 // suppression behavior is tuned for liveness under the
 // receiver-initiated engine (see the type docs for the exact backoff and
 // suppression preconditions).

@@ -1,7 +1,7 @@
 package flood
 
-// Golden pin for the keyed-stream discipline (sim.Config.Workers >= 1):
-// every protocol × fault family at Workers: 1 is reduced to a digest of
+// Golden pin for the keyed-stream discipline: every protocol × fault
+// family is reduced to a digest of
 // its Result (JSON) plus its binary trace bytes, and the digests are
 // compared with the table below. A sparse-duty row (period 200, where most
 // schedule offsets are empty and the slot loop skips them) runs every
@@ -111,7 +111,6 @@ func TestKeyedDisciplineGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Workers = 1
 		_, got[key] = runDigest(t, cfg, p)
 	}
 	for name, fs := range schedules {

@@ -212,10 +212,9 @@ func randomOFGraph(r *rngutil.Stream) *topology.Graph {
 
 // TestOFLazyMatchesEager runs OF and the eager reference on random graphs
 // and schedules, M ∈ {3, 64, 65, 130} (one to three packet words), with
-// and without a crash/reboot schedule, at workers 0, 1 and 2, and
-// requires identical results and byte-identical traces. A NaN
-// Aggressiveness must silence the opportunistic path on both: the run
-// equals the tree-only ablation.
+// and without a crash/reboot schedule, and requires identical results
+// and byte-identical traces. A NaN Aggressiveness must silence the
+// opportunistic path on both: the run equals the tree-only ablation.
 func TestOFLazyMatchesEager(t *testing.T) {
 	aggr := []float64{0.25, 1, 4, 1e12}
 	for _, m := range []int{3, 64, 65, 130} {
@@ -252,18 +251,16 @@ func TestOFLazyMatchesEager(t *testing.T) {
 				Faults:         fs,
 			}
 			a := aggr[(int(seed)+m)%len(aggr)]
-			for workers := 0; workers <= 2; workers++ {
-				label := fmt.Sprintf("M=%d seed=%d aggr=%v workers=%d", m, seed, a, workers)
-				lazyRes, lazyTr := runWith(t, cfg, &OF{Aggressiveness: a}, workers)
-				eagerRes, eagerTr := runWith(t, cfg, eagerOF{&OF{Aggressiveness: a}}, workers)
-				equalResults(t, lazyRes, eagerRes, label)
-				equalTraces(t, lazyTr, eagerTr, label)
-			}
+			label := fmt.Sprintf("M=%d seed=%d aggr=%v", m, seed, a)
+			lazyRes, lazyTr := runWith(t, cfg, &OF{Aggressiveness: a})
+			eagerRes, eagerTr := runWith(t, cfg, eagerOF{&OF{Aggressiveness: a}})
+			equalResults(t, lazyRes, eagerRes, label)
+			equalTraces(t, lazyTr, eagerTr, label)
 			if seed == 1 {
 				label := fmt.Sprintf("M=%d NaN aggressiveness", m)
-				treeRes, treeTr := runWith(t, cfg, &OF{DisableOpportunistic: true}, 1)
+				treeRes, treeTr := runWith(t, cfg, &OF{DisableOpportunistic: true})
 				for _, p := range []sim.Protocol{&OF{Aggressiveness: math.NaN()}, eagerOF{&OF{Aggressiveness: math.NaN()}}} {
-					res, tr := runWith(t, cfg, p, 1)
+					res, tr := runWith(t, cfg, p)
 					equalResults(t, res, treeRes, label)
 					equalTraces(t, tr, treeTr, label)
 				}

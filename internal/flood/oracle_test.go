@@ -209,22 +209,20 @@ func TestDeterministicSubspaceHandDerived(t *testing.T) {
 			}
 			last := tc.trace[len(tc.trace)-1]
 			wantDone := strings.HasSuffix(last, fmt.Sprintf("cover p%d", m-1))
-			for _, workers := range []int{0, 4} {
-				var log eventLog
-				res, err := sim.Run(sim.Config{
-					Graph: g, Schedules: scheds, Protocol: tc.mk(),
-					M: m, Coverage: 1, Seed: 5, MaxSlots: 12,
-					Observer: &log, Workers: workers,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual([]string(log), tc.trace) {
-					t.Fatalf("workers=%d: trace\n%q\nwant\n%q", workers, log, tc.trace)
-				}
-				if res.Completed != wantDone {
-					t.Fatalf("workers=%d: Completed = %v disagrees with the trace", workers, res.Completed)
-				}
+			var log eventLog
+			res, err := sim.Run(sim.Config{
+				Graph: g, Schedules: scheds, Protocol: tc.mk(),
+				M: m, Coverage: 1, Seed: 5, MaxSlots: 12,
+				Observer: &log,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual([]string(log), tc.trace) {
+				t.Fatalf("trace\n%q\nwant\n%q", log, tc.trace)
+			}
+			if res.Completed != wantDone {
+				t.Fatalf("Completed = %v disagrees with the trace", res.Completed)
 			}
 		})
 	}

@@ -1,18 +1,18 @@
 package flood
 
 // sim.ShardPlanner implementations for every protocol in the package —
-// each protocol's one decision implementation. The engine runs the
-// per-receiver candidate scan (PlanReceiver) on its worker pool, drawing
-// from (slot, node)-keyed sub-streams so every receiver's candidates are a
-// pure function of (seed, slot, pre-slot world state) regardless of worker
-// count or scan order. The cheap cross-receiver contention state (a sender
-// serves one receiver per slot; OF's density divisor) stays in the serial
-// SelectIntents pass. OPT and DBAO plan nothing: their decision is a walk
-// down each awake receiver's rank row (topology.CSR.Ranked) that stops at
-// the first free sender, so SelectIntents makes it serially, drawing the
-// same keyed values from World.ProtoStream. Each protocol's Intents runs
-// the same pair inline through sim.PlanIntents, so a decorator that hides
-// the planner methods from the engine floods byte-identically.
+// each protocol's one decision implementation. The per-receiver candidate
+// scan (PlanReceiver) draws from (slot, node)-keyed sub-streams, so every
+// receiver's candidates are a pure function of (seed, slot, pre-slot world
+// state) regardless of scan order. The cheap cross-receiver contention
+// state (a sender serves one receiver per slot; OF's density divisor)
+// stays in the SelectIntents pass. OPT and DBAO plan nothing: their
+// decision is a walk down each awake receiver's rank row
+// (topology.CSR.Ranked) that stops at the first free sender, so
+// SelectIntents makes it, drawing the same keyed values from
+// World.ProtoStream. Each protocol's Intents runs the same pair inline
+// through sim.PlanIntents, so a decorator that hides the planner methods
+// from the engine floods byte-identically.
 //
 // Keying scheme (all under the slot's protocol stream, which the engine
 // derives at sim's protoStreamKey — disjoint from the engine's own node
@@ -31,12 +31,12 @@ package flood
 // construction) — the deterministic subspace the hand-derived tests in
 // oracle_test.go pin.
 //
-// PlanReceiver bodies are concurrency-clean: they read the World, the CSR
-// and immutable protocol config, and append only to the engine-provided
+// PlanReceiver bodies are read-only: they read the World, the CSR and
+// immutable protocol config, and append only to the engine-provided
 // buffer. All mutable protocol scratch (assigned, selScratch) is touched
-// only in SelectIntents, which the engine runs serially. Every draw is
-// keyed by (slot, node), so a draw skipped by an earlier test — OPT's and
-// DBAO's walks stop early — moves no other.
+// only in SelectIntents. Every draw is keyed by (slot, node), so a draw
+// skipped by an earlier test — OPT's and DBAO's walks stop early — moves
+// no other.
 
 import (
 	"fmt"
@@ -418,9 +418,12 @@ func (f *Flash) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim
 // passed within the current interval), in row order.
 // Suppressed firings are planned with candSuppressed so the serial
 // selection pass can tally them; timer state is pure (keyed stream
-// captured at Reset), so the scan reads nothing mutable.
+// captured at Reset), so the scan reads nothing mutable. A receiver none
+// of whose neighbours holds a packet it lacks returns at once, read off
+// the neighbour-holder count: the row scan would admit no candidate and
+// draw nothing.
 func (t *Trickle) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	if !w.NeedsAnything(r) {
+	if !w.NeighborHoldsNeeded(r) {
 		return buf
 	}
 	now := w.Now()

@@ -183,8 +183,7 @@ func tiedGraph(r *rngutil.Stream, positioned bool) *topology.Graph {
 // candidate-list references on tied-PRR random graphs with and without
 // positions, M ∈ {1, 64, 65, 130}, no faults, crash-reboot and
 // Gilbert–Elliott links, every (HiddenFireProb, CSRangeFactor) pair of
-// {1e-9, 0.5, 1} × {1, 1.2, 2.5} and overhearing on and off, at workers 0
-// and 2, and requires identical results and byte-identical traces. The
+// {1e-9, 0.5, 1} × {1, 1.2, 2.5} and overhearing on and off, and requires identical results and byte-identical traces. The
 // graphs must give some receiver two equal-PRR neighbors, so the id
 // tie-break decides real contentions.
 func TestRankWalkMatchesCandidateList(t *testing.T) {
@@ -241,22 +240,20 @@ func TestRankWalkMatchesCandidateList(t *testing.T) {
 				}
 				hfp, csf := hfps[cell%3], csfs[(cell/3+fi)%3]
 				noOverhear := (cell/2)%3 == 0
-				for workers := 0; workers <= 2; workers += 2 {
-					label := fmt.Sprintf("M=%d faults=%s positioned=%v workers=%d", m, fk, positioned, workers)
-					rankRes, rankTr := runWith(t, cfg, &OPT{DisableOverhearing: noOverhear}, workers)
-					listRes, listTr := runWith(t, cfg, &listOPT{OPT: &OPT{DisableOverhearing: noOverhear}}, workers)
-					equalResults(t, rankRes, listRes, "OPT "+label)
-					equalTraces(t, rankTr, listTr, "OPT "+label)
+				label := fmt.Sprintf("M=%d faults=%s positioned=%v", m, fk, positioned)
+				rankRes, rankTr := runWith(t, cfg, &OPT{DisableOverhearing: noOverhear})
+				listRes, listTr := runWith(t, cfg, &listOPT{OPT: &OPT{DisableOverhearing: noOverhear}})
+				equalResults(t, rankRes, listRes, "OPT "+label)
+				equalTraces(t, rankTr, listTr, "OPT "+label)
 
-					mk := func() *DBAO {
-						return &DBAO{HiddenFireProb: hfp, CSRangeFactor: csf, DisableOverhearing: noOverhear}
-					}
-					label = fmt.Sprintf("%s hfp=%v cs=%v overhear=%v", label, hfp, csf, !noOverhear)
-					rankRes, rankTr = runWith(t, cfg, mk(), workers)
-					listRes, listTr = runWith(t, cfg, &listDBAO{DBAO: mk()}, workers)
-					equalResults(t, rankRes, listRes, "DBAO "+label)
-					equalTraces(t, rankTr, listTr, "DBAO "+label)
+				mk := func() *DBAO {
+					return &DBAO{HiddenFireProb: hfp, CSRangeFactor: csf, DisableOverhearing: noOverhear}
 				}
+				label = fmt.Sprintf("%s hfp=%v cs=%v overhear=%v", label, hfp, csf, !noOverhear)
+				rankRes, rankTr = runWith(t, cfg, mk())
+				listRes, listTr = runWith(t, cfg, &listDBAO{DBAO: mk()})
+				equalResults(t, rankRes, listRes, "DBAO "+label)
+				equalTraces(t, rankTr, listTr, "DBAO "+label)
 			}
 		}
 	}

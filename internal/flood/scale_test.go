@@ -41,7 +41,6 @@ func TestHundredThousandNodeFloodCompletes(t *testing.T) {
 		Coverage:  0.99,
 		Seed:      1,
 		MaxSlots:  2000000,
-		Workers:   4,
 	}
 
 	// TotalAlloc delta across the run bounds the engine's heap appetite.

@@ -1,14 +1,14 @@
 package flood
 
-// Equivalence suite for the worker pool (sim.Config.Workers > 1) with the
-// real protocols: worker counts must be interchangeable byte for byte
-// across every protocol × time path × fault family, and the two time paths
-// must agree at every worker count. Every run captures
-// its trace in BOTH encodings — text (tracelog) and binary (tracebin) —
-// and the byte-identity guarantees are asserted on each independently,
-// plus a round-trip check that the two encodings carry identical events.
-// Also certifies the carrier-sense relation against a brute-force
-// distance reference.
+// Equivalence suite for the planner path with the real protocols: the
+// engine's own planning phase and a planner-hiding decorator (whose
+// Intents plans through sim.PlanIntents) must flood byte for byte alike
+// across every protocol × fault family, and every run must reproduce
+// itself. Every run captures its trace in BOTH encodings — text
+// (tracelog) and binary (tracebin) — and the byte-identity guarantees are
+// asserted on each independently, plus a round-trip check that the two
+// encodings carry identical events. Also certifies the carrier-sense
+// relation against a brute-force distance reference.
 
 import (
 	"bytes"
@@ -56,31 +56,29 @@ type traces struct {
 	text, bin []byte
 }
 
-// runSharded executes one configuration with the given worker count,
-// returning the result and the trace bytes in both encodings.
-// A fresh protocol instance per run keeps memoized state from crossing
-// runs.
-func runSharded(t *testing.T, cfg sim.Config, protocol string, workers int) (*sim.Result, traces) {
+// runSharded executes one configuration, returning the result and the
+// trace bytes in both encodings. A fresh protocol instance per run keeps
+// memoized state from crossing runs.
+func runSharded(t *testing.T, cfg sim.Config, protocol string) (*sim.Result, traces) {
 	t.Helper()
 	p, err := New(protocol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return runWith(t, cfg, p, workers)
+	return runWith(t, cfg, p)
 }
 
 // runWith is runSharded for a given protocol instance.
-func runWith(t *testing.T, cfg sim.Config, p sim.Protocol, workers int) (*sim.Result, traces) {
+func runWith(t *testing.T, cfg sim.Config, p sim.Protocol) (*sim.Result, traces) {
 	t.Helper()
 	var tbuf, bbuf bytes.Buffer
 	obs := fanout{text: tracelog.NewLogger(&tbuf), bin: tracebin.NewWriter(&bbuf)}
 	c := cfg
 	c.Protocol = p
 	c.Observer = obs
-	c.Workers = workers
 	res, err := sim.Run(c)
 	if err != nil {
-		t.Fatalf("%s workers=%d: %v", p.Name(), workers, err)
+		t.Fatalf("%s: %v", p.Name(), err)
 	}
 	if err := obs.text.Flush(); err != nil {
 		t.Fatal(err)
@@ -138,7 +136,7 @@ func checkRoundTrip(t *testing.T, tr traces, context string) {
 func allProtocols() []string { return append(Names(), "flash") }
 
 // shardCfg is faultCfg with the engine's secondary RNG streams (sync
-// errors, capture) enabled, so the sharded discipline is exercised on every
+// errors, capture) enabled, so the keyed discipline is exercised on every
 // draw family at once.
 func shardCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config {
 	cfg := faultCfg(g, faults, seed)
@@ -147,36 +145,36 @@ func shardCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 	return cfg
 }
 
-// TestShardEquivalenceGrid is the worker-count acceptance grid: every
-// protocol × every fault family (plus the unfaulted case), workers 0 and 1
-// (inline), 2, 4 and 8 must produce identical results and byte-identical
-// traces.
+// TestShardEquivalenceGrid is the planner-path acceptance grid: for every
+// protocol × every fault family (plus the unfaulted case), a rerun, and a
+// run behind a decorator that hides the planner, must produce identical
+// results and byte-identical traces, and the two encodings of a run must
+// carry identical events.
 func TestShardEquivalenceGrid(t *testing.T) {
 	schedules := faultSchedules()
 	schedules["none"] = nil
 	for name, fs := range schedules {
-		fs := fs
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			g := topology.Grid(6, 6, 0.8)
 			cfg := shardCfg(g, fs, 1234)
 			for _, protocol := range allProtocols() {
-				ref1, refTrace1 := runSharded(t, cfg, protocol, 1)
-				ref4, refTrace4 := runSharded(t, cfg, protocol, 4)
-				for _, workers := range []int{0, 2, 8} {
-					refW, refTraceW := runSharded(t, cfg, protocol, workers)
-					if !reflect.DeepEqual(ref1, refW) {
-						t.Errorf("%s reference: workers %d diverged from workers 1", protocol, workers)
-					}
-					equalTraces(t, refTrace1, refTraceW,
-						protocol+" reference workers 1 vs more")
+				ref, refTrace := runSharded(t, cfg, protocol)
+				again, againTrace := runSharded(t, cfg, protocol)
+				if !reflect.DeepEqual(ref, again) {
+					t.Errorf("%s: rerun diverged", protocol)
 				}
-				if !reflect.DeepEqual(ref1, ref4) {
-					t.Errorf("%s reference: workers 4 diverged from workers 1", protocol)
+				equalTraces(t, refTrace, againTrace, protocol+" rerun")
+				inner, err := New(protocol)
+				if err != nil {
+					t.Fatal(err)
 				}
-				equalTraces(t, refTrace1, refTrace4, protocol+" reference workers 1 vs 4")
-				// The two encodings of one run must carry identical events.
-				checkRoundTrip(t, refTrace1, protocol+" reference workers 1")
+				dec, decTrace := runWith(t, cfg, &decorated{Protocol: inner})
+				if !reflect.DeepEqual(ref, dec) {
+					t.Errorf("%s: planner-hiding decorator diverged from the planner path", protocol)
+				}
+				equalTraces(t, refTrace, decTrace, protocol+" planner path vs decorator")
+				checkRoundTrip(t, refTrace, protocol)
 			}
 		})
 	}

@@ -210,24 +210,28 @@ func TestDFloodPenaltyDisabled(t *testing.T) {
 	}
 }
 
-// timerCounterRun executes one timer-protocol run and returns its result
+// timerCounterRun executes one timer-protocol run, behind a
+// planner-hiding decorator when decorate is set, and returns its result
 // plus counters.
-func timerCounterRun(t *testing.T, name string, workers int) (*sim.Result, int64, int64, []int64) {
+func timerCounterRun(t *testing.T, name string, decorate bool) (*sim.Result, int64, int64, []int64) {
 	t.Helper()
 	g := topology.Grid(6, 6, 0.8)
 	p, err := New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var proto sim.Protocol = p
+	if decorate {
+		proto = &decorated{Protocol: p}
+	}
 	res, err := sim.Run(sim.Config{
 		Graph:     g,
 		Schedules: uniform(g.N(), 20, 42),
-		Protocol:  p,
+		Protocol:  proto,
 		M:         3, Coverage: 0.99, Seed: 99, MaxSlots: 200000,
-		Workers: workers,
 	})
 	if err != nil {
-		t.Fatalf("%s workers=%d: %v", name, workers, err)
+		t.Fatalf("%s decorated=%v: %v", name, decorate, err)
 	}
 	type counted interface {
 		FloodCounters() (int64, int64)
@@ -239,22 +243,18 @@ func timerCounterRun(t *testing.T, name string, workers int) (*sim.Result, int64
 }
 
 // TestProtocolCountersModeInvariant pins the counter determinism claim in
-// counters.go: message and suppression counts are identical across worker
-// counts — inline (0, 1) and on the pool.
+// counters.go: message and suppression counts are identical across
+// reruns, and whether the engine plans through the protocol's planner
+// methods or through Intents behind a planner-hiding decorator.
 func TestProtocolCountersModeInvariant(t *testing.T) {
 	for _, name := range []string{"trickle", "dflood"} {
 		t.Run(name, func(t *testing.T) {
-			baseMsg, baseSupp := int64(-1), int64(-1)
-			var basePer []int64
-			for _, workers := range []int{0, 1, 2, 4} {
-				_, msg, supp, per := timerCounterRun(t, name, workers)
-				if baseMsg < 0 {
-					baseMsg, baseSupp, basePer = msg, supp, per
-					continue
-				}
+			_, baseMsg, baseSupp, basePer := timerCounterRun(t, name, false)
+			for _, decorate := range []bool{false, true} {
+				_, msg, supp, per := timerCounterRun(t, name, decorate)
 				if msg != baseMsg || supp != baseSupp || !reflect.DeepEqual(per, basePer) {
-					t.Errorf("workers=%d: counters (%d, %d) diverge from (%d, %d)",
-						workers, msg, supp, baseMsg, baseSupp)
+					t.Errorf("decorated=%v: counters (%d, %d) diverge from (%d, %d)",
+						decorate, msg, supp, baseMsg, baseSupp)
 				}
 			}
 		})

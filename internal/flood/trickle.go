@@ -26,8 +26,11 @@ import (
 //
 // Every timer quantity is a pure function of the pre-slot world state and
 // a keyed RNG stream captured at Reset: fire points are keyed by (node,
-// interval start), so they are bit-identical across worker counts and
-// unaffected by the slots the engine skips, with no engine hook.
+// interval start), so they are unaffected by the slots the engine skips.
+// A receiver plans only when some neighbour holds a packet it lacks, read
+// off the engine's neighbour-holder count (sim.World.TrackNeighborHolders,
+// turned on at Reset); the OnPlanSlot hook Reset registers drains the
+// count's journal, which Trickle does not read.
 type Trickle struct {
 	// Imin is the smallest Trickle interval in slots. Zero selects the
 	// default (16).
@@ -79,7 +82,14 @@ func (t *Trickle) Reset(w *sim.World) {
 	t.timer = *w.ProtoRNG.SubName("trickle.timer")
 	t.assigned = make([]bool, w.Graph.N())
 	t.supp.reset(w.Graph.N())
+	w.TrackNeighborHolders()
+	w.OnPlanSlot(drainHolderChanges)
 }
+
+// drainHolderChanges is Trickle's sim.World.OnPlanSlot hook. Trickle
+// reads only the neighbour-holder count, never the journal, so the hook
+// just empties it.
+func drainHolderChanges(w *sim.World) { w.TakeHolderChanges() }
 
 // CollisionsApply implements sim.Protocol: Trickle is a practical
 // protocol; concurrent transmissions in range collide.

@@ -229,7 +229,7 @@ func (s *Service) runJob(j *Job) {
 	}()
 	go func() {
 		defer wg.Done()
-		r.localExec(ctx, lo.LocalGrace, grid.BatchWorkers)
+		r.localExec(ctx, lo.LocalGrace, grid.Spec.Parallel)
 	}()
 
 	select {

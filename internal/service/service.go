@@ -4,9 +4,8 @@ package service
 // FIFO queue and a single scheduler goroutine: jobs execute one at a
 // time in submission order, each as leasable chunks (exec.go) that the
 // daemon's local executor and any remote floodworker pull, free to use
-// the whole machine (the spec's Parallel/Workers knobs, including the
-// Workers=-1 runner.SplitParallelism mode). Every job lives in its own
-// directory —
+// the whole machine (the spec's Parallel knob). Every job lives in its
+// own directory —
 //
 //	<dir>/<id>/spec.json      the submitted spec (+ id, creation time)
 //	<dir>/<id>/journal.jsonl  the runner journal, appended as chunks land

@@ -513,7 +513,6 @@ func TestServiceRejectsBadSpecs(t *testing.T) {
 		`{"duties":[1.5]}`,
 		`{"seeds":-1}`,
 		`{"m":-1}`,
-		`{"workers":-2}`,
 		`{"unknown_field":1}`,
 		`{"compact":true}`, // retired field: only persisted specs may carry it
 		`{"timeout":"not a duration"}`,

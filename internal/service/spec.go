@@ -2,8 +2,7 @@
 // job API: it accepts sweep specifications as JSON, validates them
 // against the same configuration surface cmd/sweep exposes as flags,
 // runs each job as leasable chunks that the daemon and any floodworker
-// pull (with runner.SplitParallelism dividing the machine between batch-
-// and shard-level workers), streams progress over server-sent events, and
+// pull, streams progress over server-sent events, and
 // persists every job to a journal-backed directory so a killed daemon
 // resumes byte-identically on restart.
 //
@@ -94,9 +93,9 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 // cmd/sweep's flags: protocols opt,dbao,of; duties 0.02,0.05,0.10,0.20;
 // 1 seed; m=100; coverage 0.99; toposeed 1 (Compile itself is strict —
 // cmd/sweep passes every field explicitly). The execution knobs
-// (Parallel, Workers, Timeout, Retries, Backoff) never change simulation
-// output — only wall-clock behavior — and are excluded from the journal
-// key.
+// (Parallel, Timeout, Retries, Backoff) never change simulation output —
+// only wall-clock behavior — and are excluded from the journal key, as is
+// the ignored Workers.
 type Spec struct {
 	// Protocols names the flood protocols to sweep (see flood.New).
 	Protocols []string `json:"protocols,omitempty"`
@@ -116,10 +115,9 @@ type Spec struct {
 	// cmd/sweep's -faults flag reads from a file; see internal/fault and
 	// docs/FAULTS.md). Empty means a clean sweep.
 	Faults json.RawMessage `json:"faults,omitempty"`
-	// Workers is each run's slot worker count (sim.Config.Workers): 0 or
-	// 1 = inline, n > 1 = a pool of n, -1 = auto-split the machine between
-	// batch and shard workers via runner.SplitParallelism. Results are
-	// identical for every value.
+	// Workers is ignored. It once set each run's slot worker count; it is
+	// still decoded so that stored and submitted specs carrying it load
+	// and resume.
 	Workers int `json:"workers,omitempty"`
 	// Parallel bounds the batch runner's worker pool (0 = GOMAXPROCS).
 	// The output is byte-identical for every value.
@@ -175,9 +173,8 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s at duty %v seed %d", c.Protocol, c.Duty, c.Seed)
 }
 
-// Grid is a compiled Spec: the validated cell list, one fully-specified
-// sim.Config per cell, and the resolved parallelism split. Compile is the
-// only constructor.
+// Grid is a compiled Spec: the validated cell list and one
+// fully-specified sim.Config per cell. Compile is the only constructor.
 type Grid struct {
 	// Spec is the (defaulted) specification the grid was compiled from.
 	Spec Spec
@@ -187,10 +184,6 @@ type Grid struct {
 	// Jobs holds one fully-specified engine config per cell, ready for
 	// runner.Run. Configs share the topology graph and fault schedule.
 	Jobs []sim.Config
-	// BatchWorkers is the resolved runner.Options.Workers value.
-	BatchWorkers int
-	// ShardWorkers is the resolved per-run sim.Config.Workers value.
-	ShardWorkers int
 
 	faultJSON []byte
 }
@@ -199,9 +192,7 @@ type Grid struct {
 // inline fault schedule against the topology) and builds the runnable
 // grid. Validation is strict — zero axes are rejected, not defaulted;
 // the Service applies Spec's documented defaults at submission, before
-// compiling. Workers == -1 resolves the batch/shard split with
-// runner.SplitParallelism; the split never changes output, only
-// wall-clock time.
+// compiling.
 func Compile(spec Spec) (*Grid, error) {
 	if len(spec.Protocols) == 0 {
 		return nil, fmt.Errorf("need at least one protocol")
@@ -229,9 +220,6 @@ func Compile(spec Spec) (*Grid, error) {
 	}
 	if spec.M < 1 {
 		return nil, fmt.Errorf("need m >= 1")
-	}
-	if spec.Workers < -1 {
-		return nil, fmt.Errorf("workers %d outside -1..n", spec.Workers)
 	}
 	if spec.Timeout < 0 || spec.Backoff < 0 {
 		return nil, fmt.Errorf("negative duration in spec")
@@ -269,15 +257,6 @@ func Compile(spec Spec) (*Grid, error) {
 			}
 		}
 	}
-	// Resolve the worker split before jobs are built: Workers == -1
-	// splits the machine budget between batch-level and shard-level
-	// parallelism (both layers are deterministic, so the CSV is identical
-	// for every split).
-	grid.BatchWorkers, grid.ShardWorkers = spec.Parallel, spec.Workers
-	if spec.Workers < 0 {
-		grid.BatchWorkers, grid.ShardWorkers = runner.SplitParallelism(spec.Parallel, len(grid.Cells))
-	}
-
 	grid.Jobs = make([]sim.Config, len(grid.Cells))
 	for i, c := range grid.Cells {
 		p, err := flood.New(c.Protocol)
@@ -294,7 +273,6 @@ func Compile(spec Spec) (*Grid, error) {
 			Seed:          c.Seed,
 			SyncErrorProb: spec.SyncErr,
 			Faults:        fs,
-			Workers:       grid.ShardWorkers,
 		}
 	}
 	return grid, nil
@@ -303,10 +281,10 @@ func Compile(spec Spec) (*Grid, error) {
 // JournalKey identifies the batch a journal belongs to: every parameter
 // that changes the simulation output, including the fault spec itself
 // (its compact JSON form hashed, so an edited spec invalidates old
-// checkpoints while re-indenting it does not). The worker counts and the
-// other execution knobs (Parallel, Timeout, Retries, Backoff) are not
-// keyed: they never change results, so a journal written at workers=1
-// resumes cleanly at workers=4. The "sweep/v3" prefix marks the key
+// checkpoints while re-indenting it does not). The execution knobs
+// (Parallel, Timeout, Retries, Backoff) and the ignored Workers are not
+// keyed: they never change results, so a journal written at parallel=1
+// resumes cleanly at parallel=4. The "sweep/v3" prefix marks the key
 // format of the one-loop engine; NormalizeJournalKey maps older formats
 // onto it.
 func (g *Grid) JournalKey() string {
@@ -410,7 +388,7 @@ func (g *Grid) OpenJournal(path string, resume bool) (*runner.Journal, error) {
 // Telemetry on top.
 func (g *Grid) Options() runner.Options {
 	return runner.Options{
-		Workers:      g.BatchWorkers,
+		Workers:      g.Spec.Parallel,
 		Timeout:      time.Duration(g.Spec.Timeout),
 		Retries:      g.Spec.Retries,
 		RetryBackoff: time.Duration(g.Spec.Backoff),

@@ -10,7 +10,7 @@ import (
 // FuzzSpec feeds arbitrary JSON to the spec surface. Compile must never
 // panic, and a compiled spec must survive the trip a restarted daemon
 // takes — marshal (indented, as spec.json is written), unmarshal,
-// compile — with its cells, parallelism split and journal key unchanged;
+// compile — with its cells and journal key unchanged;
 // a second trip must reproduce the first byte for byte.
 func FuzzSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -42,9 +42,6 @@ func FuzzSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if spec.Workers == -1 && g1.ShardWorkers < 1 {
-			t.Fatalf("workers -1 resolved to shard workers %d, want >= 1", g1.ShardWorkers)
-		}
 		trip := func(g *Grid) ([]byte, *Grid) {
 			t.Helper()
 			js, err := json.MarshalIndent(g.Spec, "", "  ")
@@ -69,34 +66,38 @@ func FuzzSpec(f *testing.F) {
 		if !reflect.DeepEqual(g1.Cells, g2.Cells) {
 			t.Fatalf("round trip changed the cells: %v vs %v", g1.Cells, g2.Cells)
 		}
-		if g1.BatchWorkers != g2.BatchWorkers || g1.ShardWorkers != g2.ShardWorkers {
-			t.Fatalf("round trip changed the split: %d/%d vs %d/%d",
-				g1.BatchWorkers, g1.ShardWorkers, g2.BatchWorkers, g2.ShardWorkers)
-		}
 		if k1, k2 := g1.JournalKey(), g2.JournalKey(); k1 != k2 {
 			t.Fatalf("round trip changed the journal key:\n%s\nvs\n%s", k1, k2)
 		}
 	})
 }
 
-// TestJournalKeyWorkersAuto pins the workers -1 resolution: it selects
-// the sharded discipline, so its journal key equals the workers 1 key and
-// a journal written at either resumes at the other.
+// TestJournalKeyWorkersAuto pins that the ignored Workers field, which
+// stored specs may carry at any value the old validation accepted (-1 for
+// the retired auto split), compiles to the same jobs and journal key as a
+// spec without it, so a journal written at any value resumes at another.
 func TestJournalKeyWorkersAuto(t *testing.T) {
-	spec := Spec{Protocols: []string{"opt"}, Duties: []float64{0.1}, Seeds: 2, M: 2, Coverage: 0.99, TopoSeed: 1, Parallel: 3, Workers: -1}
-	auto, err := Compile(spec)
+	spec := Spec{Protocols: []string{"opt"}, Duties: []float64{0.1}, Seeds: 2, M: 2, Coverage: 0.99, TopoSeed: 1, Parallel: 3}
+	ref, err := Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Workers = 1
-	one, err := Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.ShardWorkers < 1 {
-		t.Fatalf("workers -1 resolved to shard workers %d, want the sharded engine", auto.ShardWorkers)
-	}
-	if auto.JournalKey() != one.JournalKey() {
-		t.Fatalf("workers -1 key %q differs from workers 1 key %q", auto.JournalKey(), one.JournalKey())
+	for _, workers := range []int{-1, 1, 8} {
+		spec.Workers = workers
+		g, err := Compile(spec)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if g.JournalKey() != ref.JournalKey() {
+			t.Fatalf("workers %d key %q differs from the key without workers %q", workers, g.JournalKey(), ref.JournalKey())
+		}
+		if g.Options().Workers != ref.Options().Workers {
+			t.Fatalf("workers %d changed the runner's worker count: %d vs %d", workers, g.Options().Workers, ref.Options().Workers)
+		}
+		for i := range g.Jobs {
+			if g.Jobs[i].Workers != 0 {
+				t.Fatalf("workers %d reached job %d's engine config", workers, i)
+			}
+		}
 	}
 }

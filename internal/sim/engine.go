@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"ldcflood/internal/fault"
 	"ldcflood/internal/rngutil"
@@ -62,12 +61,9 @@ type engine struct {
 	// Shared, read-only.
 	csr *topology.CSR
 
-	// Keyed-stream slot resolution (see shard.go). workers is the resolved
-	// Config.Workers (at least 1); shardRoot seeds the per-slot stream
-	// tree; slotStream is re-derived serially at the top of every slot and
-	// only read by workers.
-	workers    int
-	pool       *shardPool
+	// Keyed-stream slot resolution (see shard.go). shardRoot seeds the
+	// per-slot stream tree; slotStream is re-derived at the top of every
+	// slot.
 	shardRoot  *rngutil.Stream
 	slotStream rngutil.Stream
 
@@ -94,32 +90,20 @@ type engine struct {
 	txTouched   []int // nodes whose transmitting flag was set this slot
 	recvTouched []int // nodes whose recvNow flag was set this slot
 
-	// Decision-phase scratch: rxRec[i] is the decision record for rxList[i],
-	// and senderSuccess maps a sender to its index in successes (-1
-	// otherwise), reset sparsely after every slot. ohRows/ohOff hold the
-	// slot's successful-sender neighbor rows and their prefix-sum offsets
-	// (the overhear batch's concatenated index space); ohSeen is the
-	// atomic claim flag ensuring each candidate node is decided once;
-	// ohHits the per-chunk hit/claim arenas the merge concatenates and
-	// resets. Workers write disjoint indices except the CAS claims.
-	rxRec         []rxRecord
+	// Overhearing scratch: senderSuccess maps a sender to its index in
+	// successes (-1 otherwise), reset sparsely after every slot; ohSeen
+	// flags each candidate node so it is decided once; ohClaimed lists the
+	// flagged nodes, to reset them, and ohHits the slot's overhear hits.
 	senderSuccess []int32
-	ohRows        [][]int32
-	ohOff         []int32
-	ohSeen        []atomic.Bool
-	ohHits        []ohChunk
-	ohAll         []ohHit
-
-	// decideFn and overhearFn are decideChunk and overhearChunk bound once
-	// at setup, so handing them to the pool allocates nothing per slot.
-	decideFn   func(worker, chunk, lo, hi int)
-	overhearFn func(worker, chunk, lo, hi int)
+	ohSeen        []bool
+	ohClaimed     []int32
+	ohHits        []ohHit
 
 	// Phase B state: the protocol as a planner (plain protocols wrapped in
-	// plainPlanner) and the plan/select machinery on the engine's pool
-	// (see planner.go). SelectIntents emits receiver groups contiguously
-	// in ascending order, so admitted survivors land in one flat arena,
-	// rxFlat, with rxOff[i] marking where rxList[i]'s group starts.
+	// plainPlanner) and the plan/select machinery (see planner.go).
+	// SelectIntents emits receiver groups contiguously in ascending order,
+	// so admitted survivors land in one flat arena, rxFlat, with rxOff[i]
+	// marking where rxList[i]'s group starts.
 	planner ShardPlanner
 	sp      slotPlanner
 	rxFlat  []groupedTx
@@ -138,7 +122,7 @@ type engine struct {
 
 // Run executes one simulation until every packet reaches the coverage
 // target or the slot horizon expires. Runs are bit-for-bit reproducible for
-// a given Config (including Seed) and independent of Config.Workers.
+// a given Config (including Seed); Config.Workers is ignored.
 func Run(cfg Config) (*Result, error) { return run(cfg, false) }
 
 func run(cfg Config, everySlot bool) (*Result, error) {
@@ -231,17 +215,12 @@ func run(cfg Config, everySlot bool) (*Result, error) {
 		e.events = e.inj.Events()
 	}
 	e.csr = cfg.Graph.CSR()
-	e.workers = max(cfg.Workers, 1)
 	e.shardRoot = root.SubName("shard")
 	e.senderSuccess = make([]int32, n)
 	for i := range e.senderSuccess {
 		e.senderSuccess[i] = -1
 	}
-	e.ohSeen = make([]atomic.Bool, n)
-	e.decideFn, e.overhearFn = e.decideChunk, e.overhearChunk
-	e.pool = newShardPool(e.workers)
-	defer e.pool.close()
-	e.sp = newSlotPlanner(e.pool)
+	e.ohSeen = make([]bool, n)
 	if p, ok := cfg.Protocol.(ShardPlanner); ok {
 		e.planner = p
 	} else {
@@ -249,7 +228,7 @@ func run(cfg Config, everySlot bool) (*Result, error) {
 	}
 
 	if cfg.Telemetry != nil {
-		e.tel = newSimTel(cfg.Telemetry, e.workers)
+		e.tel = newSimTel(cfg.Telemetry)
 	}
 	if err := e.runSlots(); err != nil {
 		return nil, err

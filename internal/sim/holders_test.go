@@ -147,7 +147,6 @@ func TestNeighborHoldersModel(t *testing.T) {
 				Seed:           seed,
 				MaxSlots:       1500,
 				Faults:         fs,
-				Workers:        int(seed % 3),
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", probe.label, err)

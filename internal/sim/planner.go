@@ -4,20 +4,19 @@ package sim
 // dominant cost of a slot: per awake receiver it scans a neighbor row,
 // probes packet bitsets, and draws contention randomness. ShardPlanner
 // splits that work the same way the engine splits its delivery draws: a
-// per-receiver candidate scan using (slot, node)-keyed streams, which the
-// worker pool can run in parallel, followed by a cheap serial selection
-// pass for the cross-receiver contention state (a sender serves one
-// receiver per slot). A planner's results are identical across every
-// worker count, and — through PlanIntents — identical whether the engine
-// sees the planner interface or only the plain Protocol it embeds.
+// per-receiver candidate scan using (slot, node)-keyed streams, followed
+// by a selection pass for the cross-receiver contention state (a sender
+// serves one receiver per slot). Through PlanIntents a planner's results
+// are identical whether the engine sees the planner interface or only the
+// plain Protocol it embeds.
 //
-// Concurrency contract for PlanReceiver: it runs on pool workers, so it
-// must only read the World and protocol state and append to the provided
-// buffer — no protocol-owned scratch, no ProtoRNG. All randomness must
-// come from slot-keyed derivations of the provided stream (by convention
-// SubValue2(node, tag) / SubValue2(receiver, sender)), so a receiver's
-// candidates are a pure function of (seed, slot, pre-slot world state).
-// SelectIntents runs serially and may use protocol scratch freely.
+// Contract for PlanReceiver: it must only read the World and protocol
+// state and append to the provided buffer — no protocol-owned scratch, no
+// ProtoRNG. All randomness must come from slot-keyed derivations of the
+// provided stream (by convention SubValue2(node, tag) /
+// SubValue2(receiver, sender)), so a receiver's candidates are a pure
+// function of (seed, slot, pre-slot world state), whichever receivers
+// were planned before it. SelectIntents may use protocol scratch freely.
 
 import (
 	"cmp"
@@ -29,9 +28,9 @@ import (
 
 // PacketFCFS marks a planned candidate (or emitted intent) whose concrete
 // packet is the sender's oldest packet the receiver still needs. The
-// engine resolves it with a parallel OldestNeeded pass after selection,
-// keeping the bitset scans off the serial spine, so planners admit
-// candidates with the AnyNeeded word test. A selection pass whose decision
+// engine resolves it with an OldestNeeded scan after selection, for the
+// selected transmissions only, so planners admit candidates with the
+// AnyNeeded word test. A selection pass whose decision
 // depends on the packet may resolve it itself — OF does so for the
 // opportunistic candidates its bound cannot rule out — and emit the
 // concrete packet. Only DFlood, whose per-packet timers pick the packet,
@@ -58,9 +57,9 @@ type Candidate struct {
 	U      float64
 }
 
-// ShardPlanner is the optional Protocol extension that moves the
-// per-receiver intent scan onto the worker pool. See the file comment for
-// the exact split and the concurrency contract. A planner whose
+// ShardPlanner is the optional Protocol extension that splits the intent
+// decision into a per-receiver candidate scan and a cross-receiver
+// selection. See the file comment for the exact split and the contract. A planner whose
 // per-receiver decision is cheaper than materialising its candidates —
 // internal/flood's OPT and DBAO, which stop at the first free sender of a
 // rank-ordered row — may plan nothing and decide in SelectIntents over
@@ -69,10 +68,11 @@ type ShardPlanner interface {
 	Protocol
 
 	// PlanReceiver appends awake receiver r's candidate senders to buf and
-	// returns it. Runs concurrently across receivers; read-only except buf.
+	// returns it. Read-only except buf, which may already hold other
+	// receivers' candidates.
 	PlanReceiver(w *World, r int, slot *rngutil.Stream, buf []Candidate) []Candidate
 
-	// SelectIntents runs the serial cross-receiver selection over the
+	// SelectIntents runs the cross-receiver selection over the
 	// slot's plan, emitting each chosen transmission with its stashed link
 	// PRR. Receivers appear in ascending node order, candidates in the
 	// order PlanReceiver produced them. Emissions must be grouped by
@@ -84,10 +84,12 @@ type ShardPlanner interface {
 }
 
 // SlotPlan is one slot's planned candidates: the receivers that admitted
-// at least one candidate, ascending, with their candidate lists.
+// at least one candidate, ascending, with their candidate lists, stored
+// back to back in cands (receiver i's run from off[i] to off[i+1]).
 type SlotPlan struct {
 	recvs []int32
-	cands [][]Candidate
+	off   []int32
+	cands []Candidate
 }
 
 // Len returns the number of receivers with candidates.
@@ -97,101 +99,49 @@ func (p *SlotPlan) Len() int { return len(p.recvs) }
 func (p *SlotPlan) Receiver(i int) int { return int(p.recvs[i]) }
 
 // Candidates returns the i-th receiver's candidate list.
-func (p *SlotPlan) Candidates(i int) []Candidate { return p.cands[i] }
-
-// planArena is one worker's candidate storage, padded so neighboring
-// workers' slice-header updates never share a cache line. store backs the
-// published rxPlan slices and is reset (not freed) every slot; scratch is
-// the PlanReceiver append buffer. A store realloc mid-slot leaves earlier
-// published slices on the old backing — stale capacity, valid data — and
-// the arena reaches a stable high-water size within a few slots.
-type planArena struct {
-	store   []Candidate
-	scratch []Candidate
-	_       [16]byte
-}
-
-// idxChunk is one plan-phase chunk's list of awake-list indices that
-// produced at least one candidate, padded against false sharing. The
-// serial compaction walks these lists in chunk order — O(planned
-// receivers) — instead of rescanning the whole awake bucket.
-type idxChunk struct {
-	idx []int32
-	_   [40]byte
-}
+func (p *SlotPlan) Candidates(i int) []Candidate { return p.cands[p.off[i]:p.off[i+1]] }
 
 // slotPlanner is the plan/select machinery shared by the engine's phase B
-// and PlanIntents: per-worker candidate arenas, the per-awake-index plan
-// slices, the compacted SlotPlan, the selected transmissions, and the
-// callbacks bound once on first use so the hot loop allocates nothing.
-// w and p are the slot being planned, for the chunk callbacks.
+// and PlanIntents: the slot's plan, the selected transmissions, and the
+// emit callback bound once on first use so the hot loop allocates
+// nothing.
 type slotPlanner struct {
-	pool    *shardPool
-	arenas  []planArena
-	rxPlan  [][]Candidate
-	idx     []idxChunk
 	plan    SlotPlan
 	planned []groupedTx
 	// cands tallies planned candidates for telemetry.
-	cands int64
-
-	w              *World
-	p              ShardPlanner
-	emitFn         func(in Intent, prr float64)
-	planFn, fcfsFn func(worker, chunk, lo, hi int)
+	cands  int64
+	emitFn func(in Intent, prr float64)
 }
 
-func newSlotPlanner(pool *shardPool) slotPlanner {
-	return slotPlanner{pool: pool, arenas: make([]planArena, pool.workers)}
-}
-
-// run plans and selects one slot for p: parallel per-receiver candidate
-// planning into per-worker arenas, serial compaction and selection, then a
-// parallel FCFS packet-resolution pass. The selected transmissions, with
-// their stashed link PRRs, are left in sp.planned in emission order.
+// run plans and selects one slot for p: every awake receiver's candidates
+// appended to one arena, then the selection, then the FCFS packet
+// resolution. The selected transmissions, with their stashed link PRRs,
+// are left in sp.planned in emission order.
 func (sp *slotPlanner) run(w *World, p ShardPlanner) {
 	if sp.emitFn == nil {
-		sp.emitFn, sp.planFn, sp.fcfsFn = sp.emit, sp.planChunk, sp.fcfsChunk
+		sp.emitFn = sp.emit
 	}
-	sp.w, sp.p = w, p
-	list := w.awakeList
-	if cap(sp.rxPlan) < len(list) {
-		sp.rxPlan = make([][]Candidate, len(list))
-	}
-	sp.rxPlan = sp.rxPlan[:len(list)]
-	for i := range sp.arenas {
-		sp.arenas[i].store = sp.arenas[i].store[:0]
-	}
-	_, nchunks := sp.pool.plan(len(list), planMinChunk)
-	for len(sp.idx) < nchunks {
-		sp.idx = append(sp.idx, idxChunk{})
-	}
-	planIdx := sp.idx[:nchunks]
-	sp.pool.runShards(len(list), planMinChunk, sp.planFn)
-
-	// Serial compaction: receivers with candidates, ascending — chunk
-	// index lists in chunk order enumerate exactly the awake-list indices
-	// that planned something, so this walk is O(planned receivers), not
-	// O(awake). Entries of rxPlan outside those lists are stale garbage
-	// from earlier slots and are never read.
-	sp.plan.recvs = sp.plan.recvs[:0]
-	sp.plan.cands = sp.plan.cands[:0]
-	for ci := range planIdx {
-		for _, k := range planIdx[ci].idx {
-			c := sp.rxPlan[k]
-			sp.plan.recvs = append(sp.plan.recvs, int32(list[k]))
-			sp.plan.cands = append(sp.plan.cands, c)
-			sp.cands += int64(len(c))
+	plan := &sp.plan
+	plan.recvs, plan.off, plan.cands = plan.recvs[:0], append(plan.off[:0], 0), plan.cands[:0]
+	for _, r := range w.awakeList {
+		plan.cands = p.PlanReceiver(w, r, &w.protoSlot, plan.cands)
+		if end := int32(len(plan.cands)); end > plan.off[len(plan.off)-1] {
+			plan.recvs = append(plan.recvs, int32(r))
+			plan.off = append(plan.off, end)
 		}
 	}
+	sp.cands += int64(len(plan.cands))
 
 	sp.planned = sp.planned[:0]
-	p.SelectIntents(w, &sp.plan, sp.emitFn)
+	p.SelectIntents(w, plan, sp.emitFn)
 
-	// Resolve FCFS sentinels in parallel: the world is frozen between
-	// planning and the merge, so OldestNeeded here equals an at-emission
-	// scan.
-	sp.pool.runShards(len(sp.planned), fcfsMinChunk, sp.fcfsFn)
+	// The world is frozen between planning and the merge, so OldestNeeded
+	// here equals an at-emission scan.
+	for i := range sp.planned {
+		if in := &sp.planned[i].in; in.Packet == PacketFCFS {
+			in.Packet = w.OldestNeeded(in.From, in.To)
+		}
+	}
 }
 
 // emit stages one selected transmission, with its stashed link PRR.
@@ -199,38 +149,9 @@ func (sp *slotPlanner) emit(in Intent, prr float64) {
 	sp.planned = append(sp.planned, groupedTx{in: in, prr: prr})
 }
 
-// planChunk plans the awake receivers list[lo:hi] into worker's arena and
-// records, in chunk c's index list, which of them planned a candidate.
-func (sp *slotPlanner) planChunk(worker, c, lo, hi int) {
-	w, list := sp.w, sp.w.awakeList
-	a := &sp.arenas[worker]
-	ic := sp.idx[c].idx[:0]
-	for k := lo; k < hi; k++ {
-		cands := sp.p.PlanReceiver(w, list[k], &w.protoSlot, a.scratch[:0])
-		a.scratch = cands
-		if len(cands) == 0 {
-			continue
-		}
-		start := len(a.store)
-		a.store = append(a.store, cands...)
-		sp.rxPlan[k] = a.store[start:len(a.store):len(a.store)]
-		ic = append(ic, int32(k))
-	}
-	sp.idx[c].idx = ic
-}
-
-// fcfsChunk resolves the PacketFCFS sentinels of planned[lo:hi].
-func (sp *slotPlanner) fcfsChunk(_, _, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if in := &sp.planned[i].in; in.Packet == PacketFCFS {
-			in.Packet = sp.w.OldestNeeded(in.From, in.To)
-		}
-	}
-}
-
-// PlanIntents runs p's PlanReceiver and SelectIntents inline over this
-// slot's awake receivers, on the slot's keyed protocol stream, and returns
-// the selected intents in emission order with PacketFCFS resolved. Every
+// PlanIntents runs p's PlanReceiver and SelectIntents over this slot's
+// awake receivers, on the slot's keyed protocol stream, and returns the
+// selected intents in emission order with PacketFCFS resolved. Every
 // planner in internal/flood implements Protocol.Intents with it, so a
 // decorator that embeds the Protocol interface — hiding the planner
 // methods from the engine, which then admits the protocol's Intents like
@@ -239,9 +160,7 @@ func (sp *slotPlanner) fcfsChunk(_, _, lo, hi int) {
 // only from Intents; the returned slice is reused by the next call.
 func PlanIntents(w *World, p ShardPlanner) []Intent {
 	if w.inline == nil {
-		// A one-worker pool runs every batch inline and starts no
-		// goroutine, so it needs no close.
-		w.inline = &inlinePlanner{sp: newSlotPlanner(newShardPool(1))}
+		w.inline = &inlinePlanner{}
 	}
 	ip := w.inline
 	ip.sp.run(w, p)
@@ -287,8 +206,8 @@ type inlinePlanner struct {
 	out []Intent
 }
 
-// planIntents is phase B: the protocol's OnPlanSlot hook, plan and select
-// on the engine's pool, then the serial admission (validation,
+// planIntents is phase B: the protocol's OnPlanSlot hook, plan and
+// select, then the admission (validation,
 // one-tx-per-sender, syncRNG draws, receiver grouping). The hook runs
 // here, not in slotPlanner.run, so it runs once per slot whether the
 // engine plans through the protocol's planner methods or a decorator

@@ -3,58 +3,39 @@ package sim
 // Keyed-stream slot resolution, the engine's one slot discipline. Every
 // random decision of a slot comes from a stream keyed by (run seed, slot,
 // node): each receiver (and each potential overhearer) derives a private
-// stream and consumes only it, so the per-node decisions are pure
-// functions of pre-slot state and can be evaluated concurrently by a
-// bounded worker pool, then merged in a fixed ascending-node order.
-// Results are bit-for-bit identical for every worker count; Config.Workers
-// 0 and 1 run every phase inline.
+// stream and consumes only it, so a node's decisions are pure functions
+// of pre-slot state, independent of the order in which nodes are
+// decided. Every phase runs inline on the caller's goroutine, and world
+// mutations are applied in ascending node order.
 //
 // A slot resolves in phases:
 //
-//	A (serial)   faults, injection, chain Sync, awake set — in the caller.
-//	B            protocol intents. Protocols implementing ShardPlanner
-//	             (see planner.go) plan per-receiver candidates in parallel
-//	             and select serially; plain protocols are adapted as
-//	             planners whose selection returns their Intents grouped by
-//	             receiver. Validation and the syncRNG draws are one
-//	             sequential stream in emission order.
-//	C (parallel) per-receiver delivery decisions into rxRec.
-//	D (serial)   merge rxRec in ascending receiver order: counters,
-//	             deliveries, Observer callbacks.
-//	E (parallel) overhearing: workers scan the successful senders'
-//	             concatenated neighbor rows, filter to awake, silent,
-//	             untargeted nodes, claim each survivor with an atomic
-//	             compare-and-swap (so a node adjacent to two successes is
-//	             decided exactly once), and decide the claimed nodes into
-//	             per-chunk hit lists.
-//	F (serial)   concatenate the hit lists and sort the hits into ascending
-//	             node order — O(delivered·log delivered), not O(row entries
-//	             scanned) — then shared coverage accounting and scratch
-//	             cleanup.
+//	A  faults, injection, chain Sync, awake set — in the caller.
+//	B  protocol intents. Protocols implementing ShardPlanner (see
+//	   planner.go) plan per-receiver candidates and select across
+//	   receivers; plain protocols are adapted as planners whose selection
+//	   returns their Intents grouped by receiver. Validation and the
+//	   syncRNG draws are one sequential stream in emission order.
+//	C  per-receiver delivery decisions, each made just before
+//	D  its application, in ascending receiver order: counters,
+//	   deliveries, Observer callbacks. A decision reads nothing an
+//	   earlier receiver's delivery writes.
+//	E  overhearing: scan the successful senders' neighbor rows, filter to
+//	   awake, silent, untargeted nodes, flag each survivor so a node
+//	   adjacent to two successes is decided exactly once, and decide the
+//	   flagged nodes into one hit list before any of them is delivered.
+//	F  sort the hits into ascending node order — O(delivered·log
+//	   delivered), not O(row entries scanned) — and deliver them, then
+//	   shared coverage accounting and scratch cleanup.
 //
-// Pool mechanics: workers are persistent goroutines; a batch publishes an
-// atomic claim counter over fixed-size chunks and every worker (plus the
-// submitting goroutine) steals the next unclaimed chunk until the batch
-// drains. Chunk size is count/(workers·chunksPerWorker) floored at a
-// per-phase minimum keyed to the per-item cost — for the plan and overhear
-// phases the count is exactly the slot's awake-bucket density, so dense
-// slots get many small chunks (fine-grained stealing) and sparse slots
-// collapse to a single inline call with no synchronization at all. Chunk
-// geometry never affects results — decisions are keyed per node, and the
-// only cross-chunk state (overhear hit lists) is merged and sorted into
-// ascending node order before any world mutation.
-//
-// Whether the pool pays is a wall-clock question, answered by cmd/engbench
-// -scale (BENCH_scale.json): on a 2-vCPU host inline execution (Workers:
-// 1) is faster at 10k nodes, and at 100k nodes two workers no longer beat
-// it by more than the run-to-run spread, for OPT or DBAO.
+// A run uses one core: on the 10k–100k-node grids of cmd/engbench -scale,
+// splitting a slot's phases over worker goroutines cost more than it
+// saved. Callers that want more cores run more simulations at once
+// (internal/runner).
 
 import (
 	"math"
 	"slices"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ldcflood/internal/schedule"
 )
@@ -70,8 +51,7 @@ const (
 	rxSeq       // sequential attempts; deliverIdx is the first success
 )
 
-// rxRecord is one receiver's delivery decision, produced by a worker in
-// phase C and applied serially in phase D.
+// rxRecord is one receiver's delivery decision.
 type rxRecord struct {
 	kind rxKind
 	// deliverIdx indexes the delivered intent within the receiver's intent
@@ -80,147 +60,11 @@ type rxRecord struct {
 }
 
 // ohHit is one overhearing delivery: node decoded the success at index
-// succ. Produced into per-chunk lists, concatenated and sorted by node id
-// before application, so deliveries land in ascending node order
-// regardless of which chunk claimed the node.
+// succ. Hits are collected in row-scan order and sorted by node id before
+// application, so deliveries land in ascending node order.
 type ohHit struct {
 	node int32
 	succ int32
-}
-
-// ohChunk is one chunk's overhear output, padded to a cache line so
-// workers appending to neighboring chunks never share one: the hits, and
-// the nodes this chunk claimed via ohSeen (walked to reset the flags and
-// tallied into the candidate telemetry).
-type ohChunk struct {
-	hits    []ohHit
-	claimed []int32
-	_       [16]byte
-}
-
-// Per-phase chunk-size floors. A chunk must amortize one atomic claim
-// (~tens of ns), so cheap per-item phases take coarser floors than the
-// row-scanning ones. The ceiling count/(workers·chunksPerWorker) dominates
-// on dense slots; these floors only matter near the single-chunk cutoff.
-const (
-	chunksPerWorker = 32
-	planMinChunk    = 2 // PlanReceiver: neighbor-row scan + keyed draws
-	rxMinChunk      = 4 // decideReceiver: a few draws per receiver
-	ohMinChunk      = 4 // decideOverhear: per-candidate filter + draws
-	fcfsMinChunk    = 8 // OldestNeeded bitset scan
-)
-
-// debugMinChunk caps every phase's chunk-size floor. The default is above
-// all per-phase floors and therefore inert; the adversarial stress and
-// fuzz suites lower it to force one-item chunks and maximal interleaving.
-// Chunk geometry never affects results — decisions are keyed per node.
-var debugMinChunk = 64
-
-// shardPool is a bounded set of persistent workers draining atomically
-// claimed chunks of index ranges. The submitting goroutine participates in
-// every batch, so a pool of w workers runs w-1 goroutines.
-type shardPool struct {
-	workers int
-	wake    []chan struct{} // one buffered slot per spawned worker
-	stop    chan struct{}
-
-	// Current batch, written by the submitter before the wake sends and
-	// read by workers after the receives (the channel orders the accesses).
-	fn    func(worker, chunk, lo, hi int)
-	count int
-	chunk int
-	next  atomic.Int64
-	wg    sync.WaitGroup
-
-	// Deterministic batch accounting, drained into telemetry by the
-	// engine. Submitter-only writes.
-	batches, chunks, items int64
-}
-
-func newShardPool(workers int) *shardPool {
-	p := &shardPool{workers: workers, stop: make(chan struct{})}
-	p.wake = make([]chan struct{}, workers-1)
-	for i := range p.wake {
-		p.wake[i] = make(chan struct{}, 1)
-		go p.work(i + 1)
-	}
-	return p
-}
-
-func (p *shardPool) work(id int) {
-	for {
-		select {
-		case <-p.wake[id-1]:
-		case <-p.stop:
-			return
-		}
-		p.drain(id)
-		p.wg.Done()
-	}
-}
-
-func (p *shardPool) close() { close(p.stop) }
-
-// drain claims and runs chunks until the batch is exhausted. Chunk indices
-// are lo/chunk, so fn can address per-chunk output slots without any
-// shared bookkeeping.
-func (p *shardPool) drain(worker int) {
-	count, chunk := p.count, p.chunk
-	for {
-		lo := int(p.next.Add(int64(chunk))) - chunk
-		if lo >= count {
-			return
-		}
-		hi := min(lo+chunk, count)
-		p.fn(worker, lo/chunk, lo, hi)
-	}
-}
-
-// plan returns the chunk geometry runShards will use for a batch of count
-// items with the given per-phase floor: size count/(workers·chunksPerWorker)
-// rounded up, floored at min(minChunk, debugMinChunk). Exposed separately
-// so callers can size per-chunk output arenas before submitting.
-func (p *shardPool) plan(count, minChunk int) (chunk, nchunks int) {
-	if minChunk > debugMinChunk {
-		minChunk = debugMinChunk
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	chunk = (count + p.workers*chunksPerWorker - 1) / (p.workers * chunksPerWorker)
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	nchunks = (count + chunk - 1) / chunk
-	return chunk, nchunks
-}
-
-// runShards partitions [0, count) into chunks and runs fn over them on
-// every pool member concurrently, returning when all are processed. fn
-// must write only to indices in its range (or to the chunk slot named by
-// its chunk argument). Single-chunk batches run inline on the submitter
-// with zero synchronization.
-func (p *shardPool) runShards(count, minChunk int, fn func(worker, chunk, lo, hi int)) {
-	if count <= 0 {
-		return
-	}
-	chunk, nchunks := p.plan(count, minChunk)
-	if p.workers == 1 || nchunks == 1 {
-		fn(0, 0, 0, count)
-		return
-	}
-	p.fn, p.count, p.chunk = fn, count, chunk
-	p.next.Store(0)
-	p.batches++
-	p.chunks += int64(nchunks)
-	p.items += int64(count)
-	p.wg.Add(len(p.wake))
-	for _, c := range p.wake {
-		c <- struct{}{}
-	}
-	p.drain(0)
-	p.wg.Wait()
-	p.fn = nil
 }
 
 // awakePlan precomputes per-offset awake buckets over the schedule
@@ -324,13 +168,12 @@ func (e *engine) skip(plan *awakePlan, t int64) int64 {
 func (e *engine) resolveSlotKeyed(t int64) error {
 	w, res, cfg := e.w, e.res, &e.cfg
 
-	// Phase A tail: advance every fault chain to t now, serially, so the
-	// workers' effPRR queries below are pure reads.
+	// Phase A tail: advance every fault chain to t now, so the effPRR
+	// queries below are pure reads.
 	if e.inj != nil {
 		e.inj.Sync(t)
 	}
 	// The slot's stream subtree root and its protocol-planning stream.
-	// Written here (serially), only read by workers.
 	e.slotStream = e.shardRoot.SubValue(uint64(t))
 	w.protoSlot = e.slotStream.SubValue(protoStreamKey)
 
@@ -340,16 +183,10 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 	}
 	e.statMergeRecv += int64(len(e.rxList))
 
-	// Phase C: every targeted receiver decides its outcome from its
-	// private (seed, slot, receiver) stream.
-	if cap(e.rxRec) < len(e.rxList) {
-		e.rxRec = make([]rxRecord, len(e.rxList))
-	}
-	e.rxRec = e.rxRec[:len(e.rxList)]
-	e.pool.runShards(len(e.rxList), rxMinChunk, e.decideFn)
-
-	// Phase D: apply the records in ascending receiver order, so counters,
-	// deliveries and Observer callbacks are deterministic.
+	// Phases C + D: every targeted receiver decides its outcome from its
+	// private (seed, slot, receiver) stream, and the outcomes are applied
+	// in ascending receiver order, so counters, deliveries and Observer
+	// callbacks are deterministic.
 	e.successes = e.successes[:0]
 	for i, r := range e.rxList {
 		txs := e.groupTxs(i)
@@ -358,7 +195,7 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 			res.TxPerNode[tx.in.From]++
 		}
 		e.targeted[r] = true
-		rec := e.rxRec[i]
+		rec := e.decideReceiver(i, t)
 		switch rec.kind {
 		case rxJam:
 			res.JamFailures += len(txs)
@@ -424,63 +261,44 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 		}
 	}
 
-	// Phases E + F: overhearing, entirely on the pool. The successful
-	// senders' (symmetric) neighbor rows are logically concatenated into
-	// one index space (ohOff is a prefix sum over row lengths); workers
-	// scan their index range, filter to awake, silent, untargeted nodes,
-	// claim each survivor with a compare-and-swap on its ohSeen flag —
-	// exactly one claimer decides any node — and decide the claimed node
-	// against the slot's
-	// successes. Which chunk claims a node contested between two rows is
-	// scheduling-dependent, but the decision is a pure function of
-	// (seed, slot, node), so the hit set is not; the merge sorts the hits
-	// into ascending node order before any delivery —
-	// O(delivered·log delivered), never O(row entries scanned).
+	// Phases E + F: overhearing. Each eligible neighbor of a successful
+	// sender is flagged in ohSeen on first sight, so it is decided once,
+	// against the slot's successes; the hits are then sorted into
+	// ascending node order before any of them is delivered.
 	if cfg.Protocol.Overhears() && len(e.successes) > 0 {
 		for si, s := range e.successes {
 			e.senderSuccess[s.from] = int32(si)
 		}
-		rows := e.ohRows[:0]
-		off := e.ohOff[:0]
-		total := 0
+		hits, claimed := e.ohHits[:0], e.ohClaimed[:0]
 		for _, s := range e.successes {
 			row, _ := e.csr.Row(s.from)
-			rows = append(rows, row)
-			off = append(off, int32(total))
-			total += len(row)
-		}
-		off = append(off, int32(total))
-		e.ohRows, e.ohOff = rows, off
-		if total > 0 {
-			_, nchunks := e.pool.plan(total, ohMinChunk)
-			for len(e.ohHits) < nchunks {
-				e.ohHits = append(e.ohHits, ohChunk{})
-			}
-			hits := e.ohHits[:nchunks]
-			e.pool.runShards(total, ohMinChunk, e.overhearFn)
-			all := e.ohAll[:0]
-			for c := range hits {
-				all = append(all, hits[c].hits...)
-				e.statOhCands += int64(len(hits[c].claimed))
-			}
-			e.ohAll = all
-			// Ascending node order. Node ids are unique within a slot's hits
-			// (the claim guarantees it).
-			slices.SortFunc(all, func(a, b ohHit) int { return int(a.node - b.node) })
-			for _, h := range all {
-				s := e.successes[h.succ]
-				e.deliverNow(s.packet, int(h.node), t)
-				res.Overheard++
-				if cfg.Observer != nil {
-					cfg.Observer.OnOverhear(t, s.from, int(h.node), s.packet)
+			for _, o32 := range row {
+				o := int(o32)
+				if !w.awake[o] || e.targeted[o] || w.transmitting[o] || e.recvNow[o] || e.ohSeen[o] {
+					continue
 				}
-			}
-			for c := range hits {
-				for _, o := range hits[c].claimed {
-					e.ohSeen[o].Store(false)
+				e.ohSeen[o] = true
+				claimed = append(claimed, o32)
+				if dsi := e.decideOverhear(o, t); dsi >= 0 {
+					hits = append(hits, ohHit{node: o32, succ: dsi})
 				}
 			}
 		}
+		e.statOhCands += int64(len(claimed))
+		// Node ids are unique within a slot's hits (the flag guarantees it).
+		slices.SortFunc(hits, func(a, b ohHit) int { return int(a.node - b.node) })
+		for _, h := range hits {
+			s := e.successes[h.succ]
+			e.deliverNow(s.packet, int(h.node), t)
+			res.Overheard++
+			if cfg.Observer != nil {
+				cfg.Observer.OnOverhear(t, s.from, int(h.node), s.packet)
+			}
+		}
+		for _, o := range claimed {
+			e.ohSeen[o] = false
+		}
+		e.ohHits, e.ohClaimed = hits, claimed
 		for _, s := range e.successes {
 			e.senderSuccess[s.from] = -1
 		}
@@ -491,46 +309,12 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 	return nil
 }
 
-// decideChunk is phase C over rxList[lo:hi].
-func (e *engine) decideChunk(_, _, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e.decideReceiver(i, e.w.now)
-	}
-}
-
-// overhearChunk is phase E over the index range [lo, hi) of the slot's
-// concatenated successful-sender rows (e.ohRows, offsets e.ohOff), writing
-// chunk c's hits and claims into e.ohHits[c].
-func (e *engine) overhearChunk(_, c, lo, hi int) {
-	w, rows, off := e.w, e.ohRows, e.ohOff
-	si := sort.Search(len(rows), func(j int) bool { return int(off[j+1]) > lo })
-	hs := e.ohHits[c].hits[:0]
-	cl := e.ohHits[c].claimed[:0]
-	for k := lo; k < hi; k++ {
-		for k >= int(off[si+1]) {
-			si++
-		}
-		o := int(rows[si][k-int(off[si])])
-		if !w.awake[o] || e.targeted[o] || w.transmitting[o] || e.recvNow[o] {
-			continue
-		}
-		if !e.ohSeen[o].CompareAndSwap(false, true) {
-			continue
-		}
-		cl = append(cl, int32(o))
-		if dsi := e.decideOverhear(o, w.now); dsi >= 0 {
-			hs = append(hs, ohHit{node: int32(o), succ: dsi})
-		}
-	}
-	e.ohHits[c].hits, e.ohHits[c].claimed = hs, cl
-}
-
-// decideReceiver computes rxRec[i]: the outcome at receiver rxList[i],
-// drawing only from the receiver's keyed stream. Pure with respect to
-// shared state — it reads pre-slot world state and writes one record. Link
-// PRRs come stashed in the intent group (admission recorded them), so no
-// adjacency lookup happens here.
-func (e *engine) decideReceiver(i int, t int64) {
+// decideReceiver returns the outcome at receiver rxList[i], drawing only
+// from the receiver's keyed stream. It reads pre-slot world state and the
+// slot's admissions, none of which a delivery changes. Link PRRs come
+// stashed in the intent group (admission recorded them), so no adjacency
+// lookup happens here.
+func (e *engine) decideReceiver(i int, t int64) rxRecord {
 	cfg := &e.cfg
 	r := e.rxList[i]
 	txs := e.groupTxs(i)
@@ -567,18 +351,18 @@ func (e *engine) decideReceiver(i int, t int64) {
 			}
 		}
 	}
-	e.rxRec[i] = rec
+	return rec
 }
 
 // decideOverhear decides which of this slot's successful senders (an
-// index into successes, -1 for none) claimed candidate node o decodes.
-// Draws come from the node's keyed stream; candidates walk their own
-// neighbor row in ascending id order and the first decode wins — a node
-// receives at most once per slot. The result
-// is a pure function of (seed, slot, o) — independent of which chunk
-// claimed o. Nodes outside the candidate set would never have reached a
-// draw — they have no successful-sender neighbor — so restricting the
-// scan to candidates changes no outcome.
+// index into successes, -1 for none) candidate node o decodes. Draws come
+// from the node's keyed stream; candidates walk their own neighbor row in
+// ascending id order and the first decode wins — a node receives at most
+// once per slot. The result is a pure function of (seed, slot, o),
+// independent of which sender's row reached o first. Nodes outside the
+// candidate set would never have reached a draw — they have no
+// successful-sender neighbor — so restricting the scan to candidates
+// changes no outcome.
 func (e *engine) decideOverhear(o int, t int64) int32 {
 	w := e.w
 	if e.inj != nil && e.inj.Jammed(t, o) {

@@ -1,15 +1,12 @@
 package sim
 
-// Edge-case certification for the pool and planner machinery: degenerate
-// worker/node ratios, single-candidate batches (the inline fast path), and
-// hyperperiods with empty awake buckets. Each case pins the full Result
-// against workers=1 on both time paths, plus against the RNG-free
-// protocol's own plain Intents scan run through the engine's plain-protocol
-// admission path.
+// Edge-case certification for the planner machinery: single-receiver
+// slots and hyperperiods with empty awake buckets. Each case pins the full
+// Result of the planner path against the RNG-free protocol's own plain
+// Intents scan run through the engine's plain-protocol admission path.
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"ldcflood/internal/rngutil"
@@ -105,21 +102,20 @@ func lineGraph(n int, prr float64) *topology.Graph {
 	return g
 }
 
-// edgeRun executes the greedy planner protocol on the given schedules with
-// the requested worker count.
-func edgeRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workers int) *Result {
+// edgeRun executes the greedy planner protocol on the given schedules.
+func edgeRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule) *Result {
 	t.Helper()
-	return greedyRun(t, g, scheds, &greedyPlanner{}, workers)
+	return greedyRun(t, g, scheds, &greedyPlanner{})
 }
 
 // edgeRunPlain is edgeRun with the planner hidden: the engine runs the
 // greedy protocol's plain Intents scan.
-func edgeRunPlain(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workers int) *Result {
+func edgeRunPlain(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule) *Result {
 	t.Helper()
-	return greedyRun(t, g, scheds, plainOnly{&greedyPlanner{}}, workers)
+	return greedyRun(t, g, scheds, plainOnly{&greedyPlanner{}})
 }
 
-func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p Protocol, workers int) *Result {
+func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p Protocol) *Result {
 	t.Helper()
 	res, err := Run(Config{
 		Graph:            g,
@@ -130,64 +126,30 @@ func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p P
 		Seed:             7,
 		MaxSlots:         50000,
 		RecordReceptions: true,
-		Workers:          workers,
 	})
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	return res
 }
 
-// checkEdgeCase pins every worker count in the list — plus the plain
-// Intents scan — against workers=1. The greedy planner
-// is RNG-free and the config draw-free (PRR 1, no sync errors, no
-// capture), so all of them must agree bit for bit.
-func checkEdgeCase(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, workerCounts []int) {
+// checkEdgeCase pins the planner path against the plain Intents scan. The
+// greedy planner is RNG-free and the config draw-free (PRR 1, no sync
+// errors, no capture), so the two must agree bit for bit.
+func checkEdgeCase(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule) {
 	t.Helper()
-	base := edgeRun(t, g, scheds, 1)
+	base := edgeRun(t, g, scheds)
 	if base.Transmissions == 0 {
 		t.Fatal("degenerate case: nothing happened, edge path not exercised")
 	}
-	if plain := edgeRunPlain(t, g, scheds, 0); !reflect.DeepEqual(plain, base) {
+	if plain := edgeRunPlain(t, g, scheds); !reflect.DeepEqual(plain, base) {
 		t.Error("plain Intents scan diverged from the planner path on the deterministic subspace")
-	}
-	for _, wk := range workerCounts {
-		if got := edgeRun(t, g, scheds, wk); !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d diverged from workers=1", wk)
-		}
-	}
-}
-
-// TestShardWorkersExceedNodes runs far more workers than nodes: every
-// batch has fewer items than pool slots, so most workers must park on
-// empty claim ranges without perturbing results.
-func TestShardWorkersExceedNodes(t *testing.T) {
-	g := lineGraph(4, 1)
-	checkEdgeCase(t, g, schedule.AssignStaggered(4, 2), []int{6, 32})
-}
-
-// TestShardNumCPUWorkers pins workers=runtime.NumCPU() — the value
-// production callers pass — against workers=1, alongside the chaos
-// configuration used by the invariance suite.
-func TestShardNumCPUWorkers(t *testing.T) {
-	ncpu := runtime.NumCPU()
-	if ncpu < 2 {
-		ncpu = 2
-	}
-	g := lineGraph(24, 1)
-	checkEdgeCase(t, g, schedule.AssignStaggered(24, 4), []int{ncpu})
-	for seed := uint64(0); seed < 4; seed++ {
-		base := chaosRun(t, seed, 1)
-		if got := chaosRun(t, seed, ncpu); !reflect.DeepEqual(got, base) {
-			t.Errorf("seed %d: workers=NumCPU(%d) diverged from workers=1", seed, ncpu)
-		}
 	}
 }
 
 // TestShardSingleAwakeNodeSlots gives every node its own exclusive slot
 // (period n, one node per phase): every awake bucket has exactly one
-// receiver, so every planner batch takes the single-chunk inline path and
-// the merge phase sees at most one success per slot.
+// receiver, and the merge phase sees at most one success per slot.
 func TestShardSingleAwakeNodeSlots(t *testing.T) {
 	const n = 10
 	g := lineGraph(n, 1)
@@ -195,7 +157,7 @@ func TestShardSingleAwakeNodeSlots(t *testing.T) {
 	for i := range scheds {
 		scheds[i] = schedule.NewSingleSlot(n, i)
 	}
-	checkEdgeCase(t, g, scheds, []int{4, 16})
+	checkEdgeCase(t, g, scheds)
 }
 
 // TestShardZeroAwakeGaps aligns every node on phase 0 of a period-8
@@ -208,7 +170,7 @@ func TestShardZeroAwakeGaps(t *testing.T) {
 	for i := range scheds {
 		scheds[i] = schedule.NewSingleSlot(8, 0)
 	}
-	checkEdgeCase(t, g, scheds, []int{4})
+	checkEdgeCase(t, g, scheds)
 }
 
 // preparingPlanner is greedyPlanner with an OnPlanSlot hook, registered
@@ -259,33 +221,31 @@ func (p plannerOnly) SelectIntents(w *World, plan *SlotPlan, emit func(in Intent
 }
 
 // TestPlanSlotHookOncePerPlannedSlot checks that the OnPlanSlot hook runs
-// once per planned slot, before the slot's first PlanReceiver call, at
-// every worker count: on the engine's planning phase, through PlanIntents
-// behind a planner-hiding decorator, and behind a decorator that forwards
-// only the planner methods; all three prepare the same slots.
+// once per planned slot, before the slot's first PlanReceiver call: on
+// the engine's planning phase, through PlanIntents behind a
+// planner-hiding decorator, and behind a decorator that forwards only the
+// planner methods; all three prepare the same slots.
 func TestPlanSlotHookOncePerPlannedSlot(t *testing.T) {
 	g := lineGraph(9, 1)
 	scheds := schedule.AssignUniform(g.N(), 5, rngutil.New(3).SubName("schedule"))
 	var ref []int64
-	for _, workers := range []int{0, 1, 2} {
-		for _, shape := range []string{"bare", "plain", "planner-only"} {
-			p := &preparingPlanner{t: t}
-			var proto Protocol = p
-			switch shape {
-			case "plain":
-				proto = plainOnly{p}
-			case "planner-only":
-				proto = plannerOnly{Protocol: p, sp: p}
-			}
-			res := greedyRun(t, g, scheds, proto, workers)
-			if !res.Completed || len(p.prepared) == 0 {
-				t.Fatalf("workers=%d %s: completed %v after %d prepared slots", workers, shape, res.Completed, len(p.prepared))
-			}
-			if ref == nil {
-				ref = p.prepared
-			} else if !reflect.DeepEqual(p.prepared, ref) {
-				t.Errorf("workers=%d %s: prepared %d slots, reference %d", workers, shape, len(p.prepared), len(ref))
-			}
+	for _, shape := range []string{"bare", "plain", "planner-only"} {
+		p := &preparingPlanner{t: t}
+		var proto Protocol = p
+		switch shape {
+		case "plain":
+			proto = plainOnly{p}
+		case "planner-only":
+			proto = plannerOnly{Protocol: p, sp: p}
+		}
+		res := greedyRun(t, g, scheds, proto)
+		if !res.Completed || len(p.prepared) == 0 {
+			t.Fatalf("%s: completed %v after %d prepared slots", shape, res.Completed, len(p.prepared))
+		}
+		if ref == nil {
+			ref = p.prepared
+		} else if !reflect.DeepEqual(p.prepared, ref) {
+			t.Errorf("%s: prepared %d slots, reference %d", shape, len(p.prepared), len(ref))
 		}
 	}
 }

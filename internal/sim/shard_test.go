@@ -1,12 +1,13 @@
 package sim
 
-// Certification of the keyed-stream slot discipline: worker-count
-// invariance, node-relabeling invariance on the RNG-free subspace, and an
-// adversarial stress shape for the race detector.
+// Certification of the keyed-stream slot discipline: node-relabeling
+// invariance on the RNG-free subspace, and that Config.Workers, accepted
+// for compatibility, never changes a result.
 
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ldcflood/internal/fault"
@@ -16,9 +17,9 @@ import (
 )
 
 // chaosRun builds a fresh randomized-but-valid configuration from seed and
-// runs it with the given worker count. Everything — graph,
+// runs it with the given Config.Workers value. Everything — graph,
 // schedules, protocol stream, fault schedule — is re-derived from the seed
-// so repeated calls are exact replicas differing only in the knobs.
+// so repeated calls are exact replicas differing only in that field.
 func chaosRun(t *testing.T, seed uint64, workers int) *Result {
 	t.Helper()
 	r := rngutil.New(seed)
@@ -65,16 +66,17 @@ func chaosRun(t *testing.T, seed uint64, workers int) *Result {
 	return res
 }
 
-// TestWorkerCountInvariance is the slot discipline's core determinism
-// property: for any valid configuration — chaotic protocol behaviour,
-// every fault-schedule family, capture, sync errors — the full Result is
-// bit-for-bit identical for every worker count.
+// TestWorkerCountInvariance checks that Config.Workers is ignored: for
+// any valid configuration — chaotic protocol behaviour, every
+// fault-schedule family, capture, sync errors — the full Result is
+// bit-for-bit identical whatever the field holds, negative values
+// included, and identical across reruns.
 func TestWorkerCountInvariance(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {
-		base := chaosRun(t, seed, 1)
-		for _, workers := range []int{2, 3, 8} {
+		base := chaosRun(t, seed, 0)
+		for _, workers := range []int{0, 1, runtime.NumCPU(), 32, -1} {
 			if got := chaosRun(t, seed, workers); !reflect.DeepEqual(got, base) {
-				t.Fatalf("seed %d: workers %d diverged from workers 1", seed, workers)
+				t.Fatalf("seed %d: Workers %d diverged from Workers 0", seed, workers)
 			}
 		}
 	}
@@ -132,8 +134,7 @@ func relabelProtocol() *FuncProtocol {
 // RNG-free subspace (PRR 1 everywhere, so no loss draw is ever consumed;
 // the protocol consumes none by construction): permuting node labels — with
 // the source fixed, since injection is defined at node 0 — must permute the
-// per-node results and leave every aggregate untouched, inline and on the
-// pool, on both time paths. This pins down that the (slot, node)-keyed
+// per-node results and leave every aggregate untouched. This pins down that the (slot, node)-keyed
 // streams never leak label-dependent randomness into an otherwise
 // deterministic run.
 func TestRelabelingInvariance(t *testing.T) {
@@ -150,7 +151,7 @@ func TestRelabelingInvariance(t *testing.T) {
 		}
 		return g, scheds
 	}
-	run := func(perm []int, workers int) *Result {
+	run := func(perm []int) *Result {
 		g, scheds := build(perm)
 		res, err := Run(Config{
 			Graph:            g,
@@ -161,7 +162,6 @@ func TestRelabelingInvariance(t *testing.T) {
 			Seed:             7,
 			MaxSlots:         20000,
 			RecordReceptions: true,
-			Workers:          workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestRelabelingInvariance(t *testing.T) {
 	for i := range id {
 		id[i] = i
 	}
-	base := run(id, 0)
+	base := run(id)
 
 	// The permutation fixes the source and scrambles everything else.
 	perm := make([]int, n)
@@ -186,38 +186,23 @@ func TestRelabelingInvariance(t *testing.T) {
 		perm[i+1] = v + 1
 	}
 
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"inline", 0},
-		{"pool-4", 4},
-	} {
-		got := run(perm, mode.workers)
-		// Aggregates are label-free.
-		if got.Transmissions != base.Transmissions || got.Overheard != base.Overheard ||
-			got.TotalSlots != base.TotalSlots || !reflect.DeepEqual(got.Delay, base.Delay) ||
-			!reflect.DeepEqual(got.CoverTime, base.CoverTime) {
-			t.Fatalf("%s: aggregates changed under relabeling", mode.name)
+	got := run(perm)
+	// Aggregates are label-free.
+	if got.Transmissions != base.Transmissions || got.Overheard != base.Overheard ||
+		got.TotalSlots != base.TotalSlots || !reflect.DeepEqual(got.Delay, base.Delay) ||
+		!reflect.DeepEqual(got.CoverTime, base.CoverTime) {
+		t.Fatal("aggregates changed under relabeling")
+	}
+	// Per-node vectors map through the permutation.
+	for i := 0; i < n; i++ {
+		if got.TxPerNode[perm[i]] != base.TxPerNode[i] {
+			t.Fatalf("TxPerNode[σ(%d)] = %d, want %d", i, got.TxPerNode[perm[i]], base.TxPerNode[i])
 		}
-		// Per-node vectors map through the permutation.
-		for i := 0; i < n; i++ {
-			if got.TxPerNode[perm[i]] != base.TxPerNode[i] {
-				t.Fatalf("%s: TxPerNode[σ(%d)] = %d, want %d",
-					mode.name, i, got.TxPerNode[perm[i]], base.TxPerNode[i])
-			}
-			if got.AwakeSlotsPerNode[perm[i]] != base.AwakeSlotsPerNode[i] {
-				t.Fatalf("%s: AwakeSlots[σ(%d)] mismatch", mode.name, i)
-			}
-			if got.NodeRecvTime[0][perm[i]] != base.NodeRecvTime[0][i] {
-				t.Fatalf("%s: NodeRecvTime[σ(%d)] = %d, want %d",
-					mode.name, i, got.NodeRecvTime[0][perm[i]], base.NodeRecvTime[0][i])
-			}
+		if got.AwakeSlotsPerNode[perm[i]] != base.AwakeSlotsPerNode[i] {
+			t.Fatalf("AwakeSlots[σ(%d)] mismatch", i)
 		}
-		// The identity labeling must also reproduce base exactly on every
-		// mode — the RNG-free subspace makes all paths coincide.
-		if gotID := run(id, mode.workers); !reflect.DeepEqual(gotID, base) {
-			t.Fatalf("%s: identity run differs from the base run", mode.name)
+		if got.NodeRecvTime[0][perm[i]] != base.NodeRecvTime[0][i] {
+			t.Fatalf("NodeRecvTime[σ(%d)] = %d, want %d", i, got.NodeRecvTime[0][perm[i]], base.NodeRecvTime[0][i])
 		}
 	}
 }
@@ -278,8 +263,7 @@ func keyedTimerProtocol(key func(int) int) *FuncProtocol {
 // TestRelabelingInvariance for timer-driven protocols: keyed stream
 // derivations are pure functions of (key, frame), so permuting the node
 // labels AND transporting the timer keys through the same permutation must
-// permute the outcome exactly — inline and on the pool, on both time
-// paths. This is the property that lets trickle and dflood keep
+// permute the outcome exactly. This is the property that lets trickle and dflood keep
 // bit-identical schedules across every engine mode without any engine-side
 // timer state.
 func TestKeyedTimerRelabelingInvariance(t *testing.T) {
@@ -296,7 +280,7 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 		}
 		return g, scheds
 	}
-	run := func(perm, role []int, workers int) *Result {
+	run := func(perm, role []int) *Result {
 		g, scheds := build(perm)
 		res, err := Run(Config{
 			Graph:            g,
@@ -307,7 +291,6 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 			Seed:             7,
 			MaxSlots:         40000,
 			RecordReceptions: true,
-			Workers:          workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -322,7 +305,7 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 	for i := range id {
 		id[i] = i
 	}
-	base := run(id, id, 0)
+	base := run(id, id)
 
 	// Fix the source (injection is defined at node 0), scramble the rest,
 	// and transport the timer identity: node perm[i] plays role i.
@@ -336,78 +319,18 @@ func TestKeyedTimerRelabelingInvariance(t *testing.T) {
 		role[v] = i
 	}
 
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{
-		{"inline", 0},
-		{"pool-4", 4},
-	} {
-		got := run(perm, role, mode.workers)
-		if got.Transmissions != base.Transmissions || got.TotalSlots != base.TotalSlots ||
-			!reflect.DeepEqual(got.Delay, base.Delay) ||
-			!reflect.DeepEqual(got.CoverTime, base.CoverTime) {
-			t.Fatalf("%s: aggregates changed under relabeling", mode.name)
-		}
-		for i := 0; i < n; i++ {
-			if got.TxPerNode[perm[i]] != base.TxPerNode[i] {
-				t.Fatalf("%s: TxPerNode[σ(%d)] = %d, want %d",
-					mode.name, i, got.TxPerNode[perm[i]], base.TxPerNode[i])
-			}
-			if got.NodeRecvTime[0][perm[i]] != base.NodeRecvTime[0][i] {
-				t.Fatalf("%s: NodeRecvTime[σ(%d)] = %d, want %d",
-					mode.name, i, got.NodeRecvTime[0][perm[i]], base.NodeRecvTime[0][i])
-			}
-		}
-		if gotID := run(id, id, mode.workers); !reflect.DeepEqual(gotID, base) {
-			t.Fatalf("%s: identity run differs from the base run", mode.name)
-		}
+	got := run(perm, role)
+	if got.Transmissions != base.Transmissions || got.TotalSlots != base.TotalSlots ||
+		!reflect.DeepEqual(got.Delay, base.Delay) ||
+		!reflect.DeepEqual(got.CoverTime, base.CoverTime) {
+		t.Fatal("aggregates changed under relabeling")
 	}
-}
-
-// TestShardedStressTinyChunks is the adversarial shape for `go test -race`:
-// one-node shards maximize worker interleaving over a dense, busy slot
-// structure (every node awake every other slot, heavy intent load, capture,
-// chains, jams, overhearing) for hundreds of slots, and the result must
-// still match the single-worker run exactly.
-func TestShardedStressTinyChunks(t *testing.T) {
-	defer setMinChunk(1)()
-	g := topology.Grid(8, 8, 0.6)
-	n := g.N()
-	scheds := make([]*schedule.Schedule, n)
-	for i := range scheds {
-		scheds[i] = schedule.NewSingleSlot(2, i%2)
-	}
-	run := func(workers int) *Result {
-		res, err := Run(Config{
-			Graph:     g,
-			Schedules: scheds,
-			Protocol: &chaosProtocol{
-				rng:      rngutil.New(123).SubName("chaos"),
-				density:  0.9,
-				collide:  true,
-				overhear: true,
-			},
-			M:                6,
-			Coverage:         1,
-			Seed:             123,
-			MaxSlots:         800,
-			CaptureProb:      0.5,
-			SyncErrorProb:    0.02,
-			RecordReceptions: true,
-			Faults: &fault.Schedule{
-				Links: []fault.LinkRule{{PGB: 0.1, PBG: 0.2, BadScale: 0.3}},
-				Jams:  []fault.Jam{{From: 100, Until: 200, Nodes: []int{5, 6, 7}}},
-			},
-			Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < n; i++ {
+		if got.TxPerNode[perm[i]] != base.TxPerNode[i] {
+			t.Fatalf("TxPerNode[σ(%d)] = %d, want %d", i, got.TxPerNode[perm[i]], base.TxPerNode[i])
 		}
-		return res
-	}
-	base := run(1)
-	if got := run(8); !reflect.DeepEqual(got, base) {
-		t.Fatal("8-worker stress run diverged from 1-worker run")
+		if got.NodeRecvTime[0][perm[i]] != base.NodeRecvTime[0][i] {
+			t.Fatalf("NodeRecvTime[σ(%d)] = %d, want %d", i, got.NodeRecvTime[0][perm[i]], base.NodeRecvTime[0][i])
+		}
 	}
 }

@@ -7,7 +7,9 @@ package sim_test
 // topology × protocol × duty-cycle combinations covering every shipped
 // protocol, and under every fault family. An empty fault schedule must
 // reproduce the unfaulted run exactly. The suite is an external test
-// package because package flood imports sim.
+// package because package flood imports sim. Every case must leave some
+// schedule offset empty, so that the skipping leg really skips: runBoth
+// fails a case whose sim.slots.skipped reads 0.
 
 import (
 	"bytes"
@@ -20,6 +22,7 @@ import (
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/schedule"
 	"ldcflood/internal/sim"
+	"ldcflood/internal/telemetry"
 	"ldcflood/internal/topology"
 	"ldcflood/internal/tracelog"
 )
@@ -28,27 +31,46 @@ func uniform(n, period int, seed uint64) []*schedule.Schedule {
 	return schedule.AssignUniform(n, period, rngutil.New(seed).SubName("schedule"))
 }
 
+// strided is uniform at period/stride with every offset multiplied by
+// stride: the duty cycle stays 1/period, and only every stride-th offset
+// of the period can be occupied, so the others are empty and the loop
+// steps over them.
+func strided(n, period, stride int, seed uint64) []*schedule.Schedule {
+	scheds := uniform(n, period/stride, seed)
+	for i, s := range scheds {
+		scheds[i] = schedule.NewSingleSlot(period, s.ActiveSlots()[0]*stride)
+	}
+	return scheds
+}
+
 // compactEquivCases spans the shipped protocols over distinct topologies
-// and duty cycles (period = 1/duty with a single active slot).
+// and duty cycles (period = 1/duty with a single active slot). With
+// stride 1 the offsets are uniform over the period; at the densities of
+// the two cases with stride 2, uniform offsets would occupy every offset
+// and leave the loop nothing to skip.
 var compactEquivCases = []struct {
 	name     string
 	graph    func() *topology.Graph
 	protocol string
 	period   int
+	stride   int
 	m        int
 	maxSlots int64
 }{
-	{"greenorbs-opt-1pct", func() *topology.Graph { return topology.GreenOrbs(1) }, "opt", 100, 3, 200000},
-	{"greenorbs-dbao-5pct", func() *topology.Graph { return topology.GreenOrbs(1) }, "dbao", 20, 3, 200000},
-	{"grid-of-5pct", func() *topology.Graph { return topology.Grid(7, 7, 0.8) }, "of", 20, 4, 100000},
-	{"ring-naive-10pct", func() *topology.Graph { return topology.Ring(24, 0.9) }, "naive", 10, 4, 100000},
+	{"greenorbs-opt-1pct", func() *topology.Graph { return topology.GreenOrbs(1) }, "opt", 100, 1, 3, 200000},
+	{"greenorbs-dbao-5pct", func() *topology.Graph { return topology.GreenOrbs(1) }, "dbao", 20, 2, 3, 200000},
+	{"grid-of-5pct", func() *topology.Graph { return topology.Grid(7, 7, 0.8) }, "of", 20, 1, 4, 100000},
+	{"ring-naive-10pct", func() *topology.Graph { return topology.Ring(24, 0.9) }, "naive", 10, 2, 4, 100000},
 }
 
 // runBoth executes one configuration on the every-slot loop
-// (sim.RunEverySlot) and on the default, skipping loop with a trace logger attached and returns (slow,
-// fast) results plus their trace bytes.
+// (sim.RunEverySlot) and on the default, skipping loop, each with a trace
+// logger attached, and returns (slow, fast) results plus their trace
+// bytes. It fails the test when the skipping leg skips no slot: such a
+// case would compare the loop with itself.
 func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Result, slowTrace, fastTrace []byte) {
 	t.Helper()
+	reg := telemetry.New()
 	run := func(everySlot bool) (*sim.Result, []byte) {
 		p, err := flood.New(protocol)
 		if err != nil {
@@ -61,6 +83,8 @@ func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Res
 		runFn := sim.Run
 		if everySlot {
 			runFn = sim.RunEverySlot
+		} else {
+			c.Telemetry = reg
 		}
 		res, err := runFn(c)
 		if err != nil {
@@ -73,6 +97,9 @@ func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Res
 	}
 	slow, slowTrace = run(true)
 	fast, fastTrace = run(false)
+	if reg.Snapshot()["sim.slots.skipped"] == 0 {
+		t.Errorf("%s: the skipping loop skipped no slot in %d; the case compares the loop with itself", protocol, fast.TotalSlots)
+	}
 	return slow, fast, slowTrace, fastTrace
 }
 
@@ -88,7 +115,7 @@ func TestCompactEquivalenceProtocols(t *testing.T) {
 			g := tc.graph()
 			cfg := sim.Config{
 				Graph:            g,
-				Schedules:        uniform(g.N(), tc.period, 42),
+				Schedules:        strided(g.N(), tc.period, tc.stride, 42),
 				M:                tc.m,
 				Coverage:         0.99,
 				Seed:             1234,
@@ -123,12 +150,13 @@ func TestCompactEquivalenceProtocols(t *testing.T) {
 
 // TestCompactEquivalenceSyncCapture re-runs one combo with the optional
 // sync-error and capture features enabled, exercising the engine's
-// secondary RNG streams under slot skipping.
+// secondary RNG streams under slot skipping. Uniform offsets would occupy
+// all twenty offsets of this grid's period, so the table is strided.
 func TestCompactEquivalenceSyncCapture(t *testing.T) {
 	g := topology.Grid(6, 6, 0.7)
 	cfg := sim.Config{
 		Graph:            g,
-		Schedules:        uniform(g.N(), 20, 7),
+		Schedules:        strided(g.N(), 20, 2, 7),
 		M:                3,
 		Coverage:         0.99,
 		Seed:             99,
@@ -232,6 +260,13 @@ func faultCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 // offsets and the loop that visits every slot must produce identical
 // results and byte-identical trace logs — static and dynamic schedules
 // alike, since churn and link chains catch up at the next visited slot.
+//
+// Under crash-reboot, node 20 crashes for good at slot 100, so no
+// protocol reaches 99% coverage of the 36 nodes and every run ends at the
+// horizon. That horizon is cut from faultCfg's 200000 slots to 4997: the
+// run still ends there, by a jump over the empty offset 16 (checked
+// below), so the jump's fault catch-up stays covered at a fortieth of the
+// slots.
 func TestFaultEquivalence(t *testing.T) {
 	for name, fs := range faultSchedules() {
 		fs := fs
@@ -239,6 +274,14 @@ func TestFaultEquivalence(t *testing.T) {
 			t.Parallel()
 			g := topology.Grid(6, 6, 0.8)
 			cfg := faultCfg(g, fs, 1234)
+			if name == "crash-reboot" {
+				cfg.MaxSlots = 4997
+				for i, s := range cfg.Schedules {
+					if s.IsActive(cfg.MaxSlots - 1) {
+						t.Fatalf("node %d is awake at slot %d: the run would not end with a jump to the horizon", i, cfg.MaxSlots-1)
+					}
+				}
+			}
 			for _, protocol := range flood.Names() {
 				slow, fast, slowTrace, fastTrace := runBoth(t, cfg, protocol)
 				if !reflect.DeepEqual(slow, fast) {
@@ -247,6 +290,10 @@ func TestFaultEquivalence(t *testing.T) {
 				if !bytes.Equal(slowTrace, fastTrace) {
 					t.Errorf("%s: trace logs diverge: slow %d bytes, fast %d bytes",
 						protocol, len(slowTrace), len(fastTrace))
+				}
+				if name == "crash-reboot" && (fast.Completed || fast.TotalSlots != cfg.MaxSlots) {
+					t.Errorf("%s: completed %v after %d slots; the run should end at the %d-slot horizon",
+						protocol, fast.Completed, fast.TotalSlots, cfg.MaxSlots)
 				}
 			}
 		})

@@ -45,14 +45,9 @@ type simTel struct {
 	dropped    *telemetry.Counter
 	chainFlips *telemetry.Counter
 
-	// Slot-discipline instruments. The batch/chunk counters drain the
-	// pool's claim accounting; the planner/merge counters drain the
-	// engine's deterministic per-slot tallies (their values are
-	// independent of worker count and of whether telemetry is attached —
-	// attaching a registry never changes results).
-	shardBatches *telemetry.Counter
-	shardChunks  *telemetry.Counter
-	shardItems   *telemetry.Counter
+	// Slot-discipline instruments, drained from the engine's
+	// deterministic per-slot tallies (attaching a registry never changes
+	// results).
 	planCands    *telemetry.Counter
 	mergeRecv    *telemetry.Counter
 	mergeOhCands *telemetry.Counter
@@ -68,16 +63,14 @@ type telPrev struct {
 	crashes, reboots, dropped                   int
 	flips                                       int64
 
-	shardBatches, shardChunks, shardItems int64
-	planCands, mergeRecv, mergeOhCands    int64
+	planCands, mergeRecv, mergeOhCands int64
 }
 
 // newSimTel resolves the sim counter set against reg and counts the run
-// start; workers is the run's resolved slot worker count.
-func newSimTel(reg *telemetry.Registry, workers int) *simTel {
+// start.
+func newSimTel(reg *telemetry.Registry) *simTel {
 	reg.Counter("sim.runs.started").Inc()
 	reg.Counter("sim.path.sharded").Inc()
-	reg.Gauge("sim.workers").Set(int64(workers))
 	return &simTel{
 		slotsVisited: reg.Counter("sim.slots.visited"),
 		slotsSkipped: reg.Counter("sim.slots.skipped"),
@@ -96,9 +89,6 @@ func newSimTel(reg *telemetry.Registry, workers int) *simTel {
 		reboots:      reg.Counter("fault.reboots"),
 		dropped:      reg.Counter("fault.packets_dropped"),
 		chainFlips:   reg.Counter("fault.chain_flips"),
-		shardBatches: reg.Counter("sim.shard.batches"),
-		shardChunks:  reg.Counter("sim.shard.chunks"),
-		shardItems:   reg.Counter("sim.shard.items"),
 		planCands:    reg.Counter("sim.shard.planner.candidates"),
 		mergeRecv:    reg.Counter("sim.shard.merge.receivers"),
 		mergeOhCands: reg.Counter("sim.shard.merge.overhear_cands"),
@@ -161,9 +151,6 @@ func (st *simTel) flush(e *engine) {
 			st.prev.flips = e.inj.ChainFlips()
 		}
 	}
-	addDelta64(st.shardBatches, e.pool.batches, &st.prev.shardBatches)
-	addDelta64(st.shardChunks, e.pool.chunks, &st.prev.shardChunks)
-	addDelta64(st.shardItems, e.pool.items, &st.prev.shardItems)
 	addDelta64(st.planCands, e.sp.cands, &st.prev.planCands)
 	addDelta64(st.mergeRecv, e.statMergeRecv, &st.prev.mergeRecv)
 	addDelta64(st.mergeOhCands, e.statOhCands, &st.prev.mergeOhCands)

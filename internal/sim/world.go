@@ -102,10 +102,10 @@ func (w *World) NeededWord(sender, receiver, i int) uint64 {
 	return w.has[sender*w.pwords+i] &^ w.has[receiver*w.pwords+i]
 }
 
-// OnPlanSlot registers f to run serially once per planned slot, before
-// the slot's planning: before its first PlanReceiver call, or before a
-// plain protocol's Intents. f may update protocol state that the
-// concurrent PlanReceiver calls then only read — for example from the
+// OnPlanSlot registers f to run once per planned slot, before the slot's
+// planning: before its first PlanReceiver call, or before a plain
+// protocol's Intents. f may update protocol state that the slot's
+// PlanReceiver calls then only read — for example from the
 // TakeHolderChanges journal. A protocol registers its hook from Reset, so
 // the hook reaches the engine through any decorator that forwards Reset,
 // whichever planner methods the decorator exposes. A later call replaces
@@ -113,15 +113,14 @@ func (w *World) NeededWord(sender, receiver, i int) uint64 {
 func (w *World) OnPlanSlot(f func(*World)) { w.planHook = f }
 
 // TrackNeighborHolders turns on the neighbour-holder count read by
-// NeighborsHolding, initialised from the current possession state. A
-// protocol that needs the count calls it from Reset (or any other serial
-// hook); from then on every delivery and crash updates the count by
-// walking the node's neighbour row, in the engine's serial phases, so
-// concurrent PlanReceiver calls may read it. Every update is also
-// journaled for TakeHolderChanges, starting with one +1 entry per packet
-// copy held at the call; a tracking protocol must drain the journal (from
-// a serial hook such as its OnPlanSlot hook), or it grows with every
-// delivery. Protocols that never call it pay one predictable branch per
+// NeighborsHolding and NeighborHoldsNeeded, initialised from the current
+// possession state. A protocol that needs the count calls it from Reset;
+// from then on every delivery and crash updates the count by walking the
+// node's neighbour row, outside planning, so PlanReceiver may read it.
+// Every update is also journaled for TakeHolderChanges, starting with one
+// +1 entry per packet copy held at the call; a tracking protocol must
+// drain the journal (from a hook such as its OnPlanSlot hook), or it
+// grows with every delivery. Protocols that never call it pay one predictable branch per
 // delivery and allocate nothing.
 func (w *World) TrackNeighborHolders() {
 	n := w.Graph.N()
@@ -143,10 +142,36 @@ func (w *World) NeighborsHolding(p, node int) int {
 	return int(w.nbrHeld[p*w.Graph.N()+node])
 }
 
+// NeighborHoldsNeeded reports whether some neighbour of node holds an
+// injected packet node lacks: one NeighborsHolding read per missing
+// packet, walked word by word. It requires TrackNeighborHolders.
+func (w *World) NeighborHoldsNeeded(node int) bool {
+	if w.heldCount[node] >= w.injected {
+		return false
+	}
+	n := w.Graph.N()
+	for i, word := range w.has[node*w.pwords : (node+1)*w.pwords] {
+		lo := i << 6
+		if lo >= w.injected {
+			break
+		}
+		miss := ^word
+		if w.injected-lo < 64 {
+			miss &= 1<<uint(w.injected-lo) - 1
+		}
+		for ; miss != 0; miss &= miss - 1 {
+			if w.nbrHeld[(lo+bits.TrailingZeros64(miss))*n+node] > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TakeHolderChanges returns the possession changes journaled since the
 // previous call, in the order they happened, and empties the journal. It
 // requires TrackNeighborHolders. The changes reflect the world up to the
-// call, so a protocol that drains the journal from a serial hook sees
+// call, so a protocol that drains the journal from its OnPlanSlot hook sees
 // every delivery, injection and crash before it plans. The slice is
 // reused: it is valid until the engine's next delivery or crash.
 func (w *World) TakeHolderChanges() []HolderChange {
@@ -494,19 +519,9 @@ type Config struct {
 	// fan-out); values then aggregate across runs. When nil (the default),
 	// the hot path pays exactly one predictable branch per slot.
 	Telemetry *telemetry.Registry
-	// Workers is how many goroutines resolve each slot. The engine has one
-	// slot discipline, the keyed-stream one (see shard.go): protocol
-	// planning, receiver-side delivery decisions and overhearing draws
-	// come from RNG streams keyed by (run seed, slot, node), so they are
-	// pure functions of pre-slot state that a bounded worker pool can
-	// evaluate concurrently and merge in a fixed order.
-	//
-	// 0 (the default) and 1 run every phase inline on the caller's
-	// goroutine; larger values add a pool of that many workers, which pays
-	// only on very large topologies (cmd/engbench -scale measures it).
-	// Results are bit-for-bit identical for every value (see the
-	// equivalence suites in internal/flood and shard_test.go). Negative
-	// values are rejected.
+	// Workers is ignored. Every slot phase runs inline on the caller's
+	// goroutine; the field once sized a per-run worker pool and is kept so
+	// that existing callers still compile. Results never depend on it.
 	Workers int
 }
 
@@ -539,9 +554,6 @@ func (c *Config) validate() error {
 	}
 	if c.CaptureProb < 0 || c.CaptureProb > 1 {
 		return fmt.Errorf("sim: capture probability %v outside [0,1]", c.CaptureProb)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: negative worker count %d", c.Workers)
 	}
 	if err := c.Faults.Validate(c.Graph); err != nil {
 		return err

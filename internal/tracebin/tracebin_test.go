@@ -19,7 +19,7 @@ import (
 
 // goldenTrace runs one real flood and returns its text trace — the same
 // golden event streams the byte-identity suites certify elsewhere.
-func goldenTrace(t *testing.T, protocol string, seed uint64, workers int) []byte {
+func goldenTrace(t *testing.T, protocol string, seed uint64) []byte {
 	t.Helper()
 	g := topology.Grid(6, 6, 0.8)
 	p, err := flood.New(protocol)
@@ -36,7 +36,6 @@ func goldenTrace(t *testing.T, protocol string, seed uint64, workers int) []byte
 		Coverage:       0.99,
 		Seed:           seed,
 		SyncErrorProb:  0.02,
-		Workers:        workers,
 		Observer:       logger,
 		InjectInterval: 3,
 	})
@@ -79,7 +78,7 @@ func textOf(t *testing.T, events []tracelog.Event) []byte {
 // text bytes, and the decoded events must match exactly.
 func TestGoldenRoundTrip(t *testing.T) {
 	for _, protocol := range append(flood.Names(), "flash") {
-		text := goldenTrace(t, protocol, 42, 0)
+		text := goldenTrace(t, protocol, 42)
 		events, err := tracelog.Parse(bytes.NewReader(text))
 		if err != nil {
 			t.Fatalf("%s: %v", protocol, err)
@@ -110,9 +109,9 @@ func TestGoldenRoundTrip(t *testing.T) {
 // TestEngineEmitMatchesConversion certifies that attaching a tracebin
 // Writer directly to the engine produces exactly the bytes of converting
 // the text trace — the two capture paths are interchangeable — and that
-// the binary bytes are invariant across worker counts.
+// a rerun reproduces the binary bytes.
 func TestEngineEmitMatchesConversion(t *testing.T) {
-	runBin := func(workers int) []byte {
+	runBin := func() []byte {
 		g := topology.Grid(6, 6, 0.8)
 		p, err := flood.New("dbao")
 		if err != nil {
@@ -128,7 +127,6 @@ func TestEngineEmitMatchesConversion(t *testing.T) {
 			Coverage:       0.99,
 			Seed:           42,
 			SyncErrorProb:  0.02,
-			Workers:        workers,
 			Observer:       w,
 			InjectInterval: 3,
 		})
@@ -141,7 +139,7 @@ func TestEngineEmitMatchesConversion(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	text := goldenTrace(t, "dbao", 42, 0)
+	text := goldenTrace(t, "dbao", 42)
 	events, err := tracelog.Parse(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
@@ -150,15 +148,12 @@ func TestEngineEmitMatchesConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := runBin(0)
+	direct := runBin()
 	if !bytes.Equal(direct, converted) {
 		t.Fatal("engine-attached Writer diverged from text-trace conversion")
 	}
-	// Every worker count must be byte-identical.
-	for _, workers := range []int{1, 4, 8} {
-		if got := runBin(workers); !bytes.Equal(got, direct) {
-			t.Errorf("binary trace diverged at workers=%d", workers)
-		}
+	if got := runBin(); !bytes.Equal(got, direct) {
+		t.Error("binary trace diverged on a rerun")
 	}
 }
 
@@ -219,7 +214,7 @@ func TestRandomRoundTrip(t *testing.T) {
 // must never error, must flag every mid-record cut as torn, and must
 // return exactly the records that were fully written.
 func TestTornTail(t *testing.T) {
-	text := goldenTrace(t, "opt", 1, 0)
+	text := goldenTrace(t, "opt", 1)
 	events, err := tracelog.Parse(bytes.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
