@@ -77,10 +77,11 @@ floodd-smoke:
 floodd-chaos:
 	sh scripts/floodd-chaos.sh
 
-# End-to-end exercise of the trace pipeline (docs/TRACE.md): emit both
-# encodings, certify lossless text <-> binary round trips byte-for-byte,
-# validate physical consistency, tolerate a torn tail, and check per-cell
-# sweep traces. Mirrored in CI.
+# End-to-end exercise of the trace pipeline (docs/TRACE.md): emit a
+# binary trace, validate physical consistency, render it as text the same
+# way twice, refuse a text rendering by its missing magic, tolerate a torn
+# tail, and check that per-cell sweep traces survive a resume
+# byte-identically. Mirrored in CI.
 trace-smoke:
 	sh scripts/trace-smoke.sh
 

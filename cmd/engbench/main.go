@@ -7,11 +7,10 @@
 // wall-clock per run — the least noisy estimator on a shared machine.
 //
 // Each case is also re-timed with a telemetry registry attached and with
-// a full event trace attached in both encodings (text tracelog vs binary
-// tracebin), recording each cost against the plain run and the
-// deterministic per-run trace byte counts — the committed baseline doubles
-// as the measured size-reduction record referenced by docs/TRACE.md and
-// EXPERIMENTS.md. The instrumented results are compared field-for-field
+// a full event trace (internal/tracebin) attached, recording each cost
+// against the plain run and the deterministic per-run trace byte count —
+// the committed baseline doubles as the trace-size record referenced by
+// docs/TRACE.md and EXPERIMENTS.md. The instrumented results are compared field-for-field
 // with the plain one; a mismatch fails the command, so a committed
 // baseline also certifies that instrumentation never steers the engine.
 //
@@ -46,7 +45,6 @@ import (
 	"ldcflood/internal/telemetry"
 	"ldcflood/internal/topology"
 	"ldcflood/internal/tracebin"
-	"ldcflood/internal/tracelog"
 )
 
 // benchCase is one grid cell of the committed baseline.
@@ -69,16 +67,12 @@ type benchCase struct {
 	// zero on a noisy machine).
 	TelemetryNS       int64   `json:"telemetry_ns"`
 	TelemetryOverhead float64 `json:"telemetry_overhead"`
-	// TraceTextNS / TraceBinNS are the run re-timed with a full event-trace
-	// observer attached — the text encoding (internal/tracelog) versus the
-	// binary one (internal/tracebin). TraceTextBytes / TraceBinBytes are
-	// the bytes one run emits in each encoding; they are deterministic, so
-	// guard demands exact equality, while the timings get the usual
-	// tolerance.
-	TraceTextNS    int64 `json:"trace_text_ns"`
-	TraceBinNS     int64 `json:"trace_bin_ns"`
-	TraceTextBytes int64 `json:"trace_text_bytes"`
-	TraceBinBytes  int64 `json:"trace_bin_bytes"`
+	// TraceBinNS is the run re-timed with a full event trace
+	// (internal/tracebin) attached, and TraceBinBytes the bytes one run
+	// emits; the byte count is deterministic, so guard demands exact
+	// equality, while the timing gets the usual tolerance.
+	TraceBinNS    int64 `json:"trace_bin_ns"`
+	TraceBinBytes int64 `json:"trace_bin_bytes"`
 }
 
 // baseline is the BENCH_engine.json document.
@@ -177,12 +171,8 @@ func guard(doc *baseline, path string, tol float64) error {
 			return fmt.Errorf("%s/%s: slot horizon %d differs from baseline %d — engine behavior changed",
 				c.Protocol, c.Duty, c.Slots, b.Slots)
 		}
-		if c.TraceTextBytes != b.TraceTextBytes {
-			return fmt.Errorf("%s/%s: text trace emits %d bytes, baseline %d — encoding changed",
-				c.Protocol, c.Duty, c.TraceTextBytes, b.TraceTextBytes)
-		}
 		if c.TraceBinBytes != b.TraceBinBytes {
-			return fmt.Errorf("%s/%s: binary trace emits %d bytes, baseline %d — encoding changed",
+			return fmt.Errorf("%s/%s: trace emits %d bytes, baseline %d — encoding changed",
 				c.Protocol, c.Duty, c.TraceBinBytes, b.TraceBinBytes)
 		}
 		for _, col := range []struct {
@@ -191,8 +181,7 @@ func guard(doc *baseline, path string, tol float64) error {
 		}{
 			{"plain run", c.NS, b.NS},
 			{"telemetry-attached run", c.TelemetryNS, b.TelemetryNS},
-			{"text-traced run", c.TraceTextNS, b.TraceTextNS},
-			{"binary-traced run", c.TraceBinNS, b.TraceBinNS},
+			{"traced run", c.TraceBinNS, b.TraceBinNS},
 		} {
 			if lim := float64(col.was) * (1 + tol); float64(col.got) > lim {
 				return fmt.Errorf("%s/%s: %s %.2fms regressed past baseline %.2fms +%.0f%%",
@@ -237,31 +226,26 @@ func measure(reps int) (*baseline, error) {
 				return nil, fmt.Errorf("%s/%s telemetry: %w", name, duty.name, err)
 			}
 			// Trace-emission cost: the same cell re-timed with a full event
-			// trace streaming to a byte-counting sink, once per encoding.
-			// Results must again stay bit-identical.
-			textNS, textBytes, textRes, err := timeTraced(g, scheds, name, "text", reps)
+			// trace streaming to a byte-counting sink. Results must again
+			// stay bit-identical.
+			binNS, binBytes, binRes, err := timeTraced(g, scheds, name, reps)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s text trace: %w", name, duty.name, err)
-			}
-			binNS, binBytes, binRes, err := timeTraced(g, scheds, name, "bin", reps)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s binary trace: %w", name, duty.name, err)
+				return nil, fmt.Errorf("%s/%s trace: %w", name, duty.name, err)
 			}
 			c.NS, c.TelemetryNS = ns, telNS
-			c.TraceTextNS, c.TraceBinNS = textNS, binNS
-			c.TraceTextBytes, c.TraceBinBytes = textBytes, binBytes
+			c.TraceBinNS, c.TraceBinBytes = binNS, binBytes
 			c.TelemetryOverhead = float64(telNS)/float64(ns) - 1
 			c.Slots = res.TotalSlots
 			if !reflect.DeepEqual(res, telRes) {
 				return nil, fmt.Errorf("%s/%s: attaching telemetry changed the result", name, duty.name)
 			}
-			if !reflect.DeepEqual(res, textRes) || !reflect.DeepEqual(res, binRes) {
+			if !reflect.DeepEqual(res, binRes) {
 				return nil, fmt.Errorf("%s/%s: attaching a trace observer changed the result", name, duty.name)
 			}
 			c.Identical = true
-			fmt.Printf("%-7s duty=%s  run=%8.2fms  telemetry=%+.1f%%  trace text=%6.2fms bin=%6.2fms (%.1fx smaller)\n",
+			fmt.Printf("%-7s duty=%s  run=%8.2fms  telemetry=%+.1f%%  trace=%6.2fms (%d B)\n",
 				name, duty.name, float64(ns)/1e6, c.TelemetryOverhead*100,
-				float64(textNS)/1e6, float64(binNS)/1e6, float64(textBytes)/float64(binBytes))
+				float64(binNS)/1e6, binBytes)
 			doc.Cases = append(doc.Cases, c)
 		}
 	}
@@ -314,28 +298,19 @@ type countWriter struct{ n int64 }
 
 func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
 
-// timeTraced re-times a cell with a full event-trace observer
-// attached in the given encoding ("text" or "bin"), streaming to a
-// byte-counting sink. It returns the minimum wall-clock per run, the
-// (deterministic) bytes one run emits, and the simulation result. Each
-// repetition gets a fresh writer — both encoders carry per-document state
-// (the binary one delta-encodes against previous records).
-func timeTraced(g *topology.Graph, scheds []*schedule.Schedule, name, format string, reps int) (int64, int64, *sim.Result, error) {
+// timeTraced re-times a cell with a full event-trace writer attached,
+// streaming to a byte-counting sink. It returns the minimum wall-clock
+// per run, the (deterministic) bytes one run emits, and the simulation
+// result. Each repetition gets a fresh writer — the encoder carries
+// per-document state (it delta-encodes against previous records).
+func timeTraced(g *topology.Graph, scheds []*schedule.Schedule, name string, reps int) (int64, int64, *sim.Result, error) {
 	p, err := flood.New(name)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	one := func() (*sim.Result, time.Duration, int64, error) {
 		cw := &countWriter{}
-		var obs sim.Observer
-		var flush func() error
-		if format == "text" {
-			l := tracelog.NewLogger(cw)
-			obs, flush = l, l.Flush
-		} else {
-			w := tracebin.NewWriter(cw)
-			obs, flush = w, w.Flush
-		}
+		w := tracebin.NewWriter(cw)
 		cfg := sim.Config{
 			Graph:     g,
 			Schedules: scheds,
@@ -343,13 +318,13 @@ func timeTraced(g *topology.Graph, scheds []*schedule.Schedule, name, format str
 			M:         10,
 			Coverage:  0.99,
 			Seed:      1,
-			Observer:  obs,
+			Observer:  w,
 		}
 		rs, st := runner.Run(context.Background(), []sim.Config{cfg}, runner.Options{Workers: 1})
 		if err := rs.Err(); err != nil {
 			return nil, 0, 0, err
 		}
-		if err := flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			return nil, 0, 0, err
 		}
 		return rs[0].Res, st.Wall, cw.n, nil
@@ -365,7 +340,7 @@ func timeTraced(g *topology.Graph, scheds []*schedule.Schedule, name, format str
 			return 0, 0, nil, err
 		}
 		if n != bytes {
-			return 0, 0, nil, fmt.Errorf("%s trace emitted %d bytes on one run and %d on another — nondeterministic", format, bytes, n)
+			return 0, 0, nil, fmt.Errorf("trace emitted %d bytes on one run and %d on another — nondeterministic", bytes, n)
 		}
 		if i == 0 || wall < best {
 			best = wall

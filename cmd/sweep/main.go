@@ -9,7 +9,7 @@
 //	      [-faults spec.json]
 //	      [-journal sweep.journal] [-resume] [-retries 0] [-backoff 1s]
 //	      [-out results.csv] [-parallel 0] [-timeout 0] [-progress]
-//	      [-trace-dir DIR] [-trace-format text|bin]
+//	      [-trace-dir DIR]
 //	      [-debug-addr :8080] [-stats]
 //
 // The grid executes on the internal/runner batch executor: -parallel
@@ -25,12 +25,14 @@
 // CSV stays byte-identical. See docs/OBSERVABILITY.md.
 //
 // -trace-dir writes one full event trace per cell into the directory
-// (created if missing), named <protocol>_duty<duty>_seed<seed> with a
-// .trace (text) or .tracebin (binary) extension; -trace-format selects
-// the encoding (default text). Binary traces are several times smaller
-// and convert losslessly with cmd/tracecat — see docs/TRACE.md. Tracing
-// observes the simulation without affecting it: the CSV stays
-// byte-identical, and so do the trace bytes for every -parallel value.
+// (created if missing), named <protocol>_duty<duty>_seed<seed>.tracebin,
+// in the binary format of docs/TRACE.md; print one with cmd/tracecat.
+// Tracing observes the simulation without affecting it: the CSV stays
+// byte-identical, and so do the trace bytes for every -parallel value. A
+// resumed sweep writes traces only for the cells it runs, leaving the
+// files of journaled cells as they are. -trace-dir cannot be combined
+// with -retries: a retried cell would append its retry's events to the
+// failed attempt's.
 //
 // -faults applies a JSON fault schedule (see internal/fault) to every
 // cell. -journal checkpoints
@@ -61,7 +63,6 @@ import (
 	"ldcflood/internal/service"
 	"ldcflood/internal/telemetry"
 	"ldcflood/internal/tracebin"
-	"ldcflood/internal/tracelog"
 )
 
 func main() {
@@ -83,7 +84,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none); an overrunning cell fails with a typed timeout error")
 		progress  = flag.Bool("progress", false, "print live batch progress to stderr")
 		traceDir  = flag.String("trace-dir", "", "write one event trace per cell into this directory (created if missing)")
-		traceFmt  = flag.String("trace-format", "text", "trace encoding for -trace-dir: 'text' (tracelog) or 'bin' (compact binary, docs/TRACE.md)")
 		debugAddr = flag.String("debug-addr", "", "serve live telemetry (/debug/vars) and pprof on this address during the sweep (e.g. :8080, :0 for an ephemeral port)")
 		statsFlag = flag.Bool("stats", false, "print the final telemetry counter table to stderr")
 	)
@@ -115,7 +115,6 @@ func main() {
 		parallel:     *parallel,
 		timeout:      *timeout,
 		traceDir:     *traceDir,
-		traceFormat:  *traceFmt,
 		debugAddr:    *debugAddr,
 	}
 	if *progress {
@@ -146,7 +145,6 @@ type sweepConfig struct {
 	parallel     int
 	timeout      time.Duration
 	traceDir     string    // "" disables per-cell trace files
-	traceFormat  string    // "text" or "bin"; only read when traceDir is set
 	progress     io.Writer // nil disables progress reporting
 	debugAddr    string    // "" disables the /debug/vars + pprof server
 	statsOut     io.Writer // nil disables the final telemetry table
@@ -209,7 +207,10 @@ func diagnoseResume(err error, path, want string) error {
 		"by replacing the \"key\" field on its first line with %q and resuming again", err, stored, want)
 }
 
-func run(w io.Writer, sc sweepConfig) error {
+func run(w io.Writer, sc sweepConfig) (err error) {
+	if sc.traceDir != "" && sc.retries > 0 {
+		return fmt.Errorf("-trace-dir cannot be combined with -retries: a retried cell would append the retry's events to the failed attempt's in the same trace file")
+	}
 	spec, err := sc.spec()
 	if err != nil {
 		return err
@@ -247,45 +248,6 @@ func run(w io.Writer, sc sweepConfig) error {
 			}()
 		}
 	}
-	var flushTraces []func() error
-	if sc.traceDir != "" {
-		var ext string
-		switch sc.traceFormat {
-		case "":
-			sc.traceFormat = "text"
-			fallthrough
-		case "text":
-			ext = "trace"
-		case "bin":
-			ext = "tracebin"
-		default:
-			return fmt.Errorf("unknown -trace-format %q (want 'text' or 'bin')", sc.traceFormat)
-		}
-		if err := os.MkdirAll(sc.traceDir, 0o755); err != nil {
-			return err
-		}
-		for i := range jobs {
-			c := grid.Cells[i]
-			name := fmt.Sprintf("%s_duty%.4f_seed%d.%s", c.Protocol, c.Duty, c.Seed, ext)
-			f, err := os.Create(filepath.Join(sc.traceDir, name))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if sc.traceFormat == "text" {
-				l := tracelog.NewLogger(f)
-				jobs[i].Observer = l
-				flushTraces = append(flushTraces, l.Flush)
-			} else {
-				bw := tracebin.NewWriter(f)
-				if reg != nil {
-					bw.Instrument(reg)
-				}
-				jobs[i].Observer = bw
-				flushTraces = append(flushTraces, bw.Flush)
-			}
-		}
-	}
 	if sc.journalPath != "" {
 		j, err := grid.OpenJournal(sc.journalPath, sc.resume)
 		if err != nil {
@@ -304,12 +266,50 @@ func run(w io.Writer, sc sweepConfig) error {
 	} else if sc.resume {
 		return fmt.Errorf("-resume needs -journal")
 	}
+	// traces holds one open trace per cell that will run; a cell the
+	// journal already holds is replayed, so its file is left untouched.
+	type trace struct {
+		f *os.File
+		w *tracebin.Writer
+	}
+	var traces []trace
+	defer func() {
+		for _, tr := range traces {
+			if cerr := tr.f.Close(); err == nil && cerr != nil {
+				err = fmt.Errorf("trace: %w", cerr)
+			}
+		}
+	}()
+	if sc.traceDir != "" {
+		if err := os.MkdirAll(sc.traceDir, 0o755); err != nil {
+			return err
+		}
+		for i := range jobs {
+			if ropts.Journal != nil {
+				if _, done := ropts.Journal.Done(i); done {
+					continue
+				}
+			}
+			c := grid.Cells[i]
+			name := fmt.Sprintf("%s_duty%.4f_seed%d.tracebin", c.Protocol, c.Duty, c.Seed)
+			f, err := os.Create(filepath.Join(sc.traceDir, name))
+			if err != nil {
+				return err
+			}
+			bw := tracebin.NewWriter(f)
+			if reg != nil {
+				bw.Instrument(reg)
+			}
+			jobs[i].Observer = bw
+			traces = append(traces, trace{f, bw})
+		}
+	}
 	if sc.progress != nil {
 		ropts.Progress = runner.ProgressPrinter(sc.progress, time.Second)
 	}
 	rs, _ := runner.Run(context.Background(), jobs, ropts)
-	for _, flush := range flushTraces {
-		if err := flush(); err != nil {
+	for _, tr := range traces {
+		if err := tr.w.Flush(); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 	}

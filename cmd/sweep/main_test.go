@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -154,6 +155,95 @@ func TestRunErrors(t *testing.T) {
 		sc.m = c.m
 		if err := run(&buf, sc); err == nil {
 			t.Fatalf("case %d accepted", i)
+		}
+	}
+
+	// A retried cell would append its retry's events to the failed
+	// attempt's trace, so -retries with -trace-dir is refused up front.
+	sc := testConfig()
+	sc.retries = 1
+	sc.traceDir = filepath.Join(t.TempDir(), "traces")
+	if err := run(&buf, sc); err == nil || !strings.Contains(err.Error(), "retried cell") {
+		t.Fatalf("-retries with -trace-dir: err = %v, want the reason", err)
+	}
+	if _, err := os.Stat(sc.traceDir); !os.IsNotExist(err) {
+		t.Fatalf("rejected sweep created the trace directory (stat err %v)", err)
+	}
+}
+
+// readTraces returns every file in dir by name.
+func readTraces(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// TestRunResumeKeepsTraces: a resumed sweep writes traces only for the
+// cells it runs. A fully journaled resume must leave every trace file
+// byte-identical, and a partial one must rewrite the missing cells' files
+// to the same bytes an uninterrupted sweep wrote.
+func TestRunResumeKeepsTraces(t *testing.T) {
+	sc := testConfig()
+	sc.dutiesCSV = "0.05"
+	sc.seeds = 2
+	sc.journalPath = filepath.Join(t.TempDir(), "sweep.journal")
+	sc.traceDir = filepath.Join(t.TempDir(), "traces")
+	var buf bytes.Buffer
+	if err := run(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	want := readTraces(t, sc.traceDir)
+	if len(want) != 2 {
+		t.Fatalf("sweep wrote %d trace files, want 2", len(want))
+	}
+	for name, data := range want {
+		if !strings.HasSuffix(name, ".tracebin") || len(data) <= 5 {
+			t.Fatalf("trace %s has %d bytes", name, len(data))
+		}
+	}
+
+	sc.resume = true
+	if err := run(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	if got := readTraces(t, sc.traceDir); !reflect.DeepEqual(got, want) {
+		t.Fatal("a fully journaled resume changed the trace files")
+	}
+
+	// Keep the header and the first record, as a kill would, and drop
+	// the traces: only the re-run cell gets its file back.
+	data, err := os.ReadFile(sc.journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if err := os.WriteFile(sc.journalPath, bytes.Join(lines[:2], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(sc.traceDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	got := readTraces(t, sc.traceDir)
+	if len(got) != 1 {
+		t.Fatalf("partial resume wrote %d trace files, want 1", len(got))
+	}
+	for name, data := range got {
+		if !bytes.Equal(data, want[name]) {
+			t.Fatalf("re-run cell's trace %s differs from the uninterrupted sweep's", name)
 		}
 	}
 }

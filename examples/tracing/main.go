@@ -1,7 +1,9 @@
-// Tracing: attach a tracelog.Logger to a simulation, then mine the event
-// log offline — per-node transmission load, outcome breakdown, and the
-// packet timeline. This is the workflow for debugging a protocol or
-// feeding the simulator's raw events into external analysis.
+// Tracing: attach a tracebin.Writer to a simulation, then decode the
+// trace and mine it offline — per-node transmission load, outcome
+// breakdown, and the packet timeline. This is the workflow for debugging
+// a protocol or feeding the simulator's raw events into external
+// analysis; written to a file, the same bytes print as text with
+// cmd/tracecat.
 package main
 
 import (
@@ -15,6 +17,7 @@ import (
 	"ldcflood/internal/schedule"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
+	"ldcflood/internal/tracebin"
 	"ldcflood/internal/tracelog"
 )
 
@@ -25,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var buf bytes.Buffer
-	logger := tracelog.NewLogger(&buf)
+	w := tracebin.NewWriter(&buf)
 	res, err := sim.Run(sim.Config{
 		Graph:     g,
 		Schedules: schedule.AssignUniform(g.N(), 20, rngutil.New(3).SubName("schedule")),
@@ -33,22 +36,23 @@ func main() {
 		M:         10,
 		Coverage:  0.99,
 		Seed:      3,
-		Observer:  logger,
+		Observer:  w,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := logger.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		log.Fatal(err)
 	}
+	size := buf.Len()
 
-	events, err := tracelog.Parse(&buf)
+	events, _, err := tracebin.ReadAll(&buf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	s := tracelog.Summarize(events)
 	fmt.Printf("trace: %d events over slots [%d, %d] (%.1f KiB)\n",
-		s.Events, s.FirstSlot, s.LastSlot, float64(buf.Len())/1024)
+		s.Events, s.FirstSlot, s.LastSlot, float64(size)/1024)
 	fmt.Printf("transmissions: %d  outcomes:", s.Transmissions)
 	for _, o := range []sim.TxOutcome{sim.TxSuccess, sim.TxLoss, sim.TxCollision, sim.TxBusy} {
 		fmt.Printf(" %s=%d", o, s.Outcomes[o])

@@ -4,11 +4,9 @@ package flood
 // engine's own planning phase and a planner-hiding decorator (whose
 // Intents plans through sim.PlanIntents) must flood byte for byte alike
 // across every protocol × fault family, and every run must reproduce
-// itself. Every run captures its trace in BOTH encodings — text
-// (tracelog) and binary (tracebin) — and the byte-identity guarantees are
-// asserted on each independently, plus a round-trip check that the two
-// encodings carry identical events. Also certifies the carrier-sense
-// relation against a brute-force distance reference.
+// itself. Every run captures its trace (tracebin), and the byte-identity
+// guarantees are asserted on the trace bytes. Also certifies the
+// carrier-sense relation against a brute-force distance reference.
 
 import (
 	"bytes"
@@ -21,45 +19,12 @@ import (
 	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
 	"ldcflood/internal/tracebin"
-	"ldcflood/internal/tracelog"
 )
 
-// fanout forwards every engine event to both trace encoders, so a single
-// run yields its text and binary traces from the same event stream.
-type fanout struct {
-	text *tracelog.Logger
-	bin  *tracebin.Writer
-}
-
-func (f fanout) OnInject(t int64, packet int) {
-	f.text.OnInject(t, packet)
-	f.bin.OnInject(t, packet)
-}
-
-func (f fanout) OnTransmit(t int64, from, to, packet int, outcome sim.TxOutcome) {
-	f.text.OnTransmit(t, from, to, packet, outcome)
-	f.bin.OnTransmit(t, from, to, packet, outcome)
-}
-
-func (f fanout) OnOverhear(t int64, from, node, packet int) {
-	f.text.OnOverhear(t, from, node, packet)
-	f.bin.OnOverhear(t, from, node, packet)
-}
-
-func (f fanout) OnCovered(t int64, packet int) {
-	f.text.OnCovered(t, packet)
-	f.bin.OnCovered(t, packet)
-}
-
-// traces bundles one run's trace bytes in both encodings.
-type traces struct {
-	text, bin []byte
-}
-
-// runSharded executes one configuration, returning the result and the
-// trace bytes in both encodings. A fresh protocol instance per run keeps
-// memoized state from crossing runs.
-func runSharded(t *testing.T, cfg sim.Config, protocol string) (*sim.Result, traces) {
+// runSharded executes one configuration, returning the result and its
+// trace bytes. A fresh protocol instance per run keeps memoized state from
+// crossing runs.
+func runSharded(t *testing.T, cfg sim.Config, protocol string) (*sim.Result, []byte) {
 	t.Helper()
 	p, err := New(protocol)
 	if err != nil {
@@ -69,65 +34,28 @@ func runSharded(t *testing.T, cfg sim.Config, protocol string) (*sim.Result, tra
 }
 
 // runWith is runSharded for a given protocol instance.
-func runWith(t *testing.T, cfg sim.Config, p sim.Protocol) (*sim.Result, traces) {
+func runWith(t *testing.T, cfg sim.Config, p sim.Protocol) (*sim.Result, []byte) {
 	t.Helper()
-	var tbuf, bbuf bytes.Buffer
-	obs := fanout{text: tracelog.NewLogger(&tbuf), bin: tracebin.NewWriter(&bbuf)}
+	var buf bytes.Buffer
+	w := tracebin.NewWriter(&buf)
 	c := cfg
 	c.Protocol = p
-	c.Observer = obs
+	c.Observer = w
 	res, err := sim.Run(c)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name(), err)
 	}
-	if err := obs.text.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.bin.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return res, traces{text: tbuf.Bytes(), bin: bbuf.Bytes()}
+	return res, buf.Bytes()
 }
 
-// equalTraces asserts byte-identity of two runs' traces in both encodings.
-func equalTraces(t *testing.T, a, b traces, context string) {
+// equalTraces asserts byte-identity of two runs' traces.
+func equalTraces(t *testing.T, a, b []byte, context string) {
 	t.Helper()
-	if !bytes.Equal(a.text, b.text) {
-		t.Errorf("%s: text traces diverge", context)
-	}
-	if !bytes.Equal(a.bin, b.bin) {
-		t.Errorf("%s: binary traces diverge", context)
-	}
-}
-
-// checkRoundTrip asserts the two encodings of one run carry identical
-// events: the binary trace decodes cleanly and re-renders to the exact
-// text bytes.
-func checkRoundTrip(t *testing.T, tr traces, context string) {
-	t.Helper()
-	events, torn, err := tracebin.ReadAll(bytes.NewReader(tr.bin))
-	if err != nil || torn {
-		t.Fatalf("%s: binary trace did not decode cleanly: torn=%v err=%v", context, torn, err)
-	}
-	var buf bytes.Buffer
-	l := tracelog.NewLogger(&buf)
-	for _, ev := range events {
-		switch ev.Kind {
-		case tracelog.KindInject:
-			l.OnInject(ev.T, ev.Packet)
-		case tracelog.KindTransmit:
-			l.OnTransmit(ev.T, ev.From, ev.To, ev.Packet, ev.Outcome)
-		case tracelog.KindOverhear:
-			l.OnOverhear(ev.T, ev.From, ev.To, ev.Packet)
-		case tracelog.KindCovered:
-			l.OnCovered(ev.T, ev.Packet)
-		}
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), tr.text) {
-		t.Errorf("%s: binary trace does not decode to the text trace's bytes", context)
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: traces diverge", context)
 	}
 }
 
@@ -148,8 +76,7 @@ func shardCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 // TestShardEquivalenceGrid is the planner-path acceptance grid: for every
 // protocol × every fault family (plus the unfaulted case), a rerun, and a
 // run behind a decorator that hides the planner, must produce identical
-// results and byte-identical traces, and the two encodings of a run must
-// carry identical events.
+// results and byte-identical traces.
 func TestShardEquivalenceGrid(t *testing.T) {
 	schedules := faultSchedules()
 	schedules["none"] = nil
@@ -174,7 +101,6 @@ func TestShardEquivalenceGrid(t *testing.T) {
 					t.Errorf("%s: planner-hiding decorator diverged from the planner path", protocol)
 				}
 				equalTraces(t, refTrace, decTrace, protocol+" planner path vs decorator")
-				checkRoundTrip(t, refTrace, protocol)
 			}
 		})
 	}

@@ -3,7 +3,7 @@ package sim_test
 // Equivalence suite for the compact time scale with the real protocols:
 // the slot loop's empty-offset skip must reproduce the loop that visits
 // every slot (sim.RunEverySlot) bit for bit — full sim.Result, aggregated
-// metrics.Aggregate, and the byte-exact tracelog event stream — across
+// metrics.Aggregate, and the byte-exact tracebin event stream — across
 // topology × protocol × duty-cycle combinations covering every shipped
 // protocol, and under every fault family. An empty fault schedule must
 // reproduce the unfaulted run exactly. The suite is an external test
@@ -24,7 +24,7 @@ import (
 	"ldcflood/internal/sim"
 	"ldcflood/internal/telemetry"
 	"ldcflood/internal/topology"
-	"ldcflood/internal/tracelog"
+	"ldcflood/internal/tracebin"
 )
 
 func uniform(n, period int, seed uint64) []*schedule.Schedule {
@@ -65,7 +65,7 @@ var compactEquivCases = []struct {
 
 // runBoth executes one configuration on the every-slot loop
 // (sim.RunEverySlot) and on the default, skipping loop, each with a trace
-// logger attached, and returns (slow, fast) results plus their trace
+// writer attached, and returns (slow, fast) results plus their trace
 // bytes. It fails the test when the skipping leg skips no slot: such a
 // case would compare the loop with itself.
 func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Result, slowTrace, fastTrace []byte) {
@@ -79,7 +79,8 @@ func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Res
 		var buf bytes.Buffer
 		c := cfg
 		c.Protocol = p
-		c.Observer = tracelog.NewLogger(&buf)
+		w := tracebin.NewWriter(&buf)
+		c.Observer = w
 		runFn := sim.Run
 		if everySlot {
 			runFn = sim.RunEverySlot
@@ -90,7 +91,7 @@ func runBoth(t *testing.T, cfg sim.Config, protocol string) (slow, fast *sim.Res
 		if err != nil {
 			t.Fatalf("%s every-slot=%v: %v", protocol, everySlot, err)
 		}
-		if err := c.Observer.(*tracelog.Logger).Flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return res, buf.Bytes()

@@ -29,7 +29,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(good[:headerLen])                                                                                                  // clean empty trace
 	f.Add(good[:headerLen-1])                                                                                                // torn header
 	f.Add([]byte{})                                                                                                          // empty file
-	f.Add([]byte("I 3 0\n"))                                                                                                 // a text trace (bad magic)
+	f.Add([]byte("I 3 0\n"))                                                                                                 // a text rendering (bad magic)
 	f.Add([]byte("LDCT\x02"))                                                                                                // newer version
 	f.Add(append(append([]byte(nil), good...), 0x7f))                                                                        // unknown kind
 	f.Add(append(append([]byte(nil), good...), RecInject, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)) // varint bomb

@@ -118,6 +118,11 @@ func (r *Reader) consume(n int) {
 	r.off += int64(n)
 }
 
+// badMagic is the corruption reason for input that does not open with
+// Magic; it names the expected bytes, since a file in any other format
+// (such as a text rendering saved from cmd/tracecat) fails here.
+var badMagic = fmt.Sprintf("bad magic: want %q", Magic)
+
 // header checks the magic and version once. A file shorter than the
 // header is a torn tail (a writer died before its first flush); wrong
 // magic or a newer version is corruption.
@@ -132,13 +137,13 @@ func (r *Reader) header() error {
 	b := r.window()
 	if n < headerLen {
 		if n > 0 && string(b[:min(n, len(Magic))]) != Magic[:min(n, len(Magic))] {
-			return &CorruptError{Offset: 0, Reason: "bad magic"}
+			return &CorruptError{Offset: 0, Reason: badMagic}
 		}
 		r.torn = true
 		return io.EOF
 	}
 	if string(b[:len(Magic)]) != Magic {
-		return &CorruptError{Offset: 0, Reason: "bad magic"}
+		return &CorruptError{Offset: 0, Reason: badMagic}
 	}
 	if v := b[len(Magic)]; v != Version {
 		return &CorruptError{

@@ -1,32 +1,27 @@
-// Package tracebin is the compact binary encoding of simulation traces —
-// the streaming, append-friendly counterpart to the line-oriented text
-// format in internal/tracelog. Both formats describe the same four event
-// kinds (injection, transmission attempt, overheard reception, coverage);
-// tracebin trades human readability for size and parse speed: records are
-// varint-encoded with per-field deltas, a GreenOrbs flood trace shrinks by
-// roughly 2.3-2.4x (the committed measurement lives in BENCH_engine.json's
-// trace_*_bytes columns), and the reader streams without allocating per
+// Package tracebin is the on-disk format of simulation traces: every
+// command that writes a trace file writes this format, and every command
+// that reads one reads it back. Records describe the four event kinds of
+// internal/tracelog (injection, transmission attempt, overheard
+// reception, coverage) and are varint-encoded with per-field deltas, so a
+// GreenOrbs flood trace costs a few bytes per event (BENCH_engine.json's
+// trace_bin_bytes column) and the reader streams without allocating per
 // record.
 //
-// The byte layout, torn-tail recovery semantics, determinism guarantees
-// and the text compatibility matrix are specified in docs/TRACE.md; this
-// package is the reference implementation of that document.
+// The byte layout, torn-tail recovery semantics and determinism
+// guarantees are specified in docs/TRACE.md; this package is the
+// reference implementation of that document.
 //
-// Writer implements sim.Observer, so a binary trace is captured exactly
-// like a text one:
+// Writer implements sim.Observer, so a trace is captured by attaching it
+// to a run:
 //
 //	w := tracebin.NewWriter(f)
 //	sim.Run(sim.Config{..., Observer: w})
 //	w.Flush()
 //
-// Conversion in either direction is lossless: Reader yields
-// tracelog.Event values, and Writer.WriteEvent accepts them, so
-//
-//	text --tracelog.Parse--> []Event --Writer--> binary
-//	binary --ReadAll--> []Event --tracelog.Logger--> text
-//
-// round-trips byte-identically (certified against the golden traces in
-// this package's tests and in internal/flood).
+// Reader and ReadAll decode a trace into tracelog.Event values, which
+// cmd/tracecat renders as text through tracelog.Logger. Writer.WriteEvent
+// and Encode accept the same values, so decoding and re-encoding a trace
+// reproduces its bytes.
 package tracebin
 
 import (
@@ -39,9 +34,9 @@ import (
 	"ldcflood/internal/tracelog"
 )
 
-// Magic is the 4-byte signature opening every binary trace file. The
-// bytes spell "LDCT" (low-duty-cycle trace) and never form valid UTF-8
-// trace-text, so format auto-detection (cmd/tracecat) is unambiguous.
+// Magic is the 4-byte signature opening every trace file. The bytes
+// spell "LDCT" (low-duty-cycle trace); input that does not start with
+// them is rejected at byte 0.
 const Magic = "LDCT"
 
 // Version is the format version byte written after the magic. Readers
@@ -49,10 +44,7 @@ const Magic = "LDCT"
 // rules for each version are frozen in docs/TRACE.md.
 const Version = 1
 
-// Record kind bytes, one per event kind. They deliberately differ from
-// the text format's ASCII tags ('I', 'T', ...) so that a text trace fed
-// to the binary reader fails loudly at byte 0 (bad magic) rather than
-// decoding garbage.
+// Record kind bytes, one per event kind.
 const (
 	// RecInject is an injection record: the source generated a packet.
 	RecInject = 0x01
@@ -69,13 +61,12 @@ const headerLen = len(Magic) + 1
 
 // Writer streams events to w in the binary trace format. It implements
 // sim.Observer, so it can be attached directly via sim.Config.Observer.
-// Like tracelog.Logger, errors are latched: the first write error stops
-// further output and is reported by Err and Flush.
+// Errors are latched: the first write error stops further output and is
+// reported by Err and Flush.
 //
 // The encoding is a pure function of the event sequence — two runs that
 // emit the same events produce byte-identical traces, which is what lets
-// the shard certification suite extend worker-count byte-invariance to
-// binary traces.
+// the equivalence suites compare runs by their trace bytes.
 type Writer struct {
 	w   *bufio.Writer
 	err error
@@ -159,9 +150,8 @@ func (w *Writer) packetDelta(packet int) int64 {
 	return d
 }
 
-// WriteEvent encodes one decoded event — the conversion entry point used
-// by cmd/tracecat. The event's kind must be one of the four tracelog
-// kinds; unknown kinds latch an error.
+// WriteEvent encodes one decoded event. The event's kind must be one of
+// the four tracelog kinds; unknown kinds latch an error.
 func (w *Writer) WriteEvent(ev tracelog.Event) error {
 	switch ev.Kind {
 	case tracelog.KindInject:
@@ -212,9 +202,8 @@ func (w *Writer) OnCovered(t int64, packet int) {
 
 var _ sim.Observer = (*Writer)(nil)
 
-// Encode renders a decoded trace as one binary document in memory — the
-// convenience wrapper tests and converters use when streaming is not
-// needed.
+// Encode renders a decoded trace as one binary document in memory, for
+// callers that do not need streaming.
 func Encode(events []tracelog.Event) ([]byte, error) {
 	var buf writerBuffer
 	w := NewWriter(&buf)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ldcflood/internal/flood"
@@ -17,17 +18,15 @@ import (
 	"ldcflood/internal/tracelog"
 )
 
-// goldenTrace runs one real flood and returns its text trace — the same
-// golden event streams the byte-identity suites certify elsewhere.
-func goldenTrace(t *testing.T, protocol string, seed uint64) []byte {
+// goldenRun runs one real flood with obs attached — the same golden event
+// streams the byte-identity suites certify elsewhere.
+func goldenRun(t *testing.T, protocol string, seed uint64, obs sim.Observer) {
 	t.Helper()
 	g := topology.Grid(6, 6, 0.8)
 	p, err := flood.New(protocol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	logger := tracelog.NewLogger(&buf)
 	_, err = sim.Run(sim.Config{
 		Graph:          g,
 		Schedules:      schedule.AssignUniform(g.N(), 20, rngutil.New(seed).SubName("schedule")),
@@ -36,61 +35,44 @@ func goldenTrace(t *testing.T, protocol string, seed uint64) []byte {
 		Coverage:       0.99,
 		Seed:           seed,
 		SyncErrorProb:  0.02,
-		Observer:       logger,
+		Observer:       obs,
 		InjectInterval: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := logger.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
-// textOf renders decoded events back to the text format.
-func textOf(t *testing.T, events []tracelog.Event) []byte {
+// goldenEvents records a golden run's events in memory.
+func goldenEvents(t *testing.T, protocol string, seed uint64) []tracelog.Event {
+	t.Helper()
+	rec := &tracelog.Recorder{}
+	goldenRun(t, protocol, seed, rec)
+	if len(rec.Events) == 0 {
+		t.Fatalf("%s: the run emitted no events", protocol)
+	}
+	return rec.Events
+}
+
+// goldenBytes returns the trace a Writer attached to a golden run emits.
+func goldenBytes(t *testing.T, protocol string, seed uint64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	logger := tracelog.NewLogger(&buf)
-	for _, ev := range events {
-		switch ev.Kind {
-		case tracelog.KindInject:
-			logger.OnInject(ev.T, ev.Packet)
-		case tracelog.KindTransmit:
-			logger.OnTransmit(ev.T, ev.From, ev.To, ev.Packet, ev.Outcome)
-		case tracelog.KindOverhear:
-			logger.OnOverhear(ev.T, ev.From, ev.To, ev.Packet)
-		case tracelog.KindCovered:
-			logger.OnCovered(ev.T, ev.Packet)
-		default:
-			t.Fatalf("unknown kind %q", ev.Kind)
-		}
-	}
-	if err := logger.Flush(); err != nil {
+	w := NewWriter(&buf)
+	goldenRun(t, protocol, seed, w)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestGoldenRoundTrip certifies the compatibility matrix on real traces:
-// text -> events -> binary -> events -> text must reproduce the original
-// text bytes, and the decoded events must match exactly.
+// TestGoldenRoundTrip certifies the decoder on real traces: reading back
+// the bytes an engine-attached Writer emitted yields exactly the events a
+// Recorder attached to the same run collected, with a clean end.
 func TestGoldenRoundTrip(t *testing.T) {
 	for _, protocol := range append(flood.Names(), "flash") {
-		text := goldenTrace(t, protocol, 42)
-		events, err := tracelog.Parse(bytes.NewReader(text))
-		if err != nil {
-			t.Fatalf("%s: %v", protocol, err)
-		}
-		bin, err := Encode(events)
-		if err != nil {
-			t.Fatalf("%s: %v", protocol, err)
-		}
-		if len(events) > 0 && len(bin) >= len(text) {
-			t.Errorf("%s: binary trace (%d B) not smaller than text (%d B)", protocol, len(bin), len(text))
-		}
-		back, torn, err := ReadAll(bytes.NewReader(bin))
+		events := goldenEvents(t, protocol, 42)
+		back, torn, err := ReadAll(bytes.NewReader(goldenBytes(t, protocol, 42)))
 		if err != nil {
 			t.Fatalf("%s: %v", protocol, err)
 		}
@@ -98,68 +80,34 @@ func TestGoldenRoundTrip(t *testing.T) {
 			t.Errorf("%s: clean trace reported torn", protocol)
 		}
 		if !reflect.DeepEqual(events, back) {
-			t.Fatalf("%s: events changed across the binary round trip", protocol)
-		}
-		if got := textOf(t, back); !bytes.Equal(got, text) {
-			t.Fatalf("%s: text -> bin -> text not byte-identical", protocol)
+			t.Fatalf("%s: decoded events differ from the recorded ones", protocol)
 		}
 	}
 }
 
-// TestEngineEmitMatchesConversion certifies that attaching a tracebin
-// Writer directly to the engine produces exactly the bytes of converting
-// the text trace — the two capture paths are interchangeable — and that
-// a rerun reproduces the binary bytes.
+// TestEngineEmitMatchesConversion certifies that attaching a Writer
+// directly to the engine produces exactly the bytes of encoding the
+// recorded events — the streaming and in-memory paths are
+// interchangeable — and that a rerun reproduces the bytes.
 func TestEngineEmitMatchesConversion(t *testing.T) {
-	runBin := func() []byte {
-		g := topology.Grid(6, 6, 0.8)
-		p, err := flood.New("dbao")
+	for _, protocol := range append(flood.Names(), "flash") {
+		encoded, err := Encode(goldenEvents(t, protocol, 42))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", protocol, err)
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		_, err = sim.Run(sim.Config{
-			Graph:          g,
-			Schedules:      schedule.AssignUniform(g.N(), 20, rngutil.New(42).SubName("schedule")),
-			Protocol:       p,
-			M:              5,
-			Coverage:       0.99,
-			Seed:           42,
-			SyncErrorProb:  0.02,
-			Observer:       w,
-			InjectInterval: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
+		direct := goldenBytes(t, protocol, 42)
+		if !bytes.Equal(direct, encoded) {
+			t.Fatalf("%s: engine-attached Writer diverged from Encode of the recorded events", protocol)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+		if again := goldenBytes(t, protocol, 42); !bytes.Equal(again, direct) {
+			t.Errorf("%s: trace diverged on a rerun", protocol)
 		}
-		return buf.Bytes()
-	}
-
-	text := goldenTrace(t, "dbao", 42)
-	events, err := tracelog.Parse(bytes.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	converted, err := Encode(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := runBin()
-	if !bytes.Equal(direct, converted) {
-		t.Fatal("engine-attached Writer diverged from text-trace conversion")
-	}
-	if got := runBin(); !bytes.Equal(got, direct) {
-		t.Error("binary trace diverged on a rerun")
 	}
 }
 
 // randomEvents builds an arbitrary (not physically meaningful) event
 // sequence: negative ids, huge time jumps, out-of-order times — the
-// encoder must be lossless for anything tracelog can represent.
+// encoder must be lossless for anything a tracelog.Event can represent.
 func randomEvents(rng *rand.Rand, n int) []tracelog.Event {
 	kinds := []tracelog.Kind{tracelog.KindInject, tracelog.KindTransmit, tracelog.KindOverhear, tracelog.KindCovered}
 	events := make([]tracelog.Event, n)
@@ -214,11 +162,7 @@ func TestRandomRoundTrip(t *testing.T) {
 // must never error, must flag every mid-record cut as torn, and must
 // return exactly the records that were fully written.
 func TestTornTail(t *testing.T) {
-	text := goldenTrace(t, "opt", 1)
-	events, err := tracelog.Parse(bytes.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := goldenEvents(t, "opt", 1)
 	bin, err := Encode(events)
 	if err != nil {
 		t.Fatal(err)
@@ -271,6 +215,9 @@ func TestCorruption(t *testing.T) {
 		var ce *CorruptError
 		if !errors.As(err, &ce) || ce.Offset != 0 {
 			t.Fatalf("want CorruptError at 0, got %v", err)
+		}
+		if !strings.Contains(err.Error(), `want "LDCT"`) {
+			t.Errorf("bad-magic error %q does not name the expected magic", err)
 		}
 	})
 	t.Run("newer version", func(t *testing.T) {

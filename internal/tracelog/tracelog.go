@@ -1,14 +1,18 @@
-// Package tracelog records simulation events as a compact, line-oriented
-// text log and reads them back for offline analysis. It implements
-// sim.Observer, so attach a Logger via sim.Config.Observer to capture the
-// full transmission history of a run:
+// Package tracelog defines the decoded form of a simulation trace and the
+// offline tools that work on it. A trace is stored on disk only in the
+// binary format of internal/tracebin; its reader yields the Event values
+// defined here. Logger renders events as one text line each, which is what
+// cmd/tracecat prints; Recorder collects them in memory; Validate and
+// Summarize check and aggregate a decoded trace.
 //
-//	var buf bytes.Buffer
-//	logger := tracelog.NewLogger(&buf)
-//	sim.Run(sim.Config{..., Observer: logger})
-//	events, _ := tracelog.Parse(&buf)
+// Logger, Recorder and tracebin.Writer all implement sim.Observer, so any
+// of them attaches to a run via sim.Config.Observer:
 //
-// The format, one event per line:
+//	rec := &tracelog.Recorder{}
+//	sim.Run(sim.Config{..., Observer: rec})
+//	err := tracelog.Validate(rec.Events)
+//
+// The text layout, one event per line:
 //
 //	I <t> <packet>                       injection
 //	T <t> <from> <to> <packet> <outcome> transmission attempt
@@ -20,8 +24,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"ldcflood/internal/sim"
 )
@@ -29,7 +31,7 @@ import (
 // Kind discriminates event types.
 type Kind byte
 
-// Event kinds, each also the line tag of the text encoding.
+// Event kinds, each also the line tag of the text rendering.
 const (
 	// KindInject marks a packet's injection at the source node.
 	KindInject Kind = 'I'
@@ -106,100 +108,33 @@ func (l *Logger) OnCovered(t int64, packet int) {
 
 var _ sim.Observer = (*Logger)(nil)
 
-// Parse decodes a trace written by Logger. Blank lines and lines starting
-// with '#' are skipped.
-//
-// Error contract: a malformed line stops the parse and returns a non-nil
-// error of the form
-//
-//	tracelog: line <n>: <what failed>: <the offending line>
-//
-// where <n> is the 1-based line number counted over ALL input lines
-// (including the skipped blanks and comments, so the number matches what
-// an editor shows) and the offending line is quoted verbatim, truncated if
-// very long. The returned events are always nil on error — Parse never
-// hands back a partial decode, so callers need no cleanup path. An I/O
-// failure from r is returned unwrapped (without the line prefix);
-// distinguish the two cases by unwrapping, not by string matching.
-func Parse(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		ev, err := parseEvent(fields)
-		if err != nil {
-			quoted := text
-			if len(quoted) > 120 {
-				quoted = quoted[:120] + "..."
-			}
-			return nil, fmt.Errorf("tracelog: line %d: %w: %q", line, err, quoted)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+// Recorder collects every event of a run in memory, in emission order. It
+// implements sim.Observer.
+type Recorder struct {
+	Events []Event
 }
 
-func parseEvent(fields []string) (Event, error) {
-	if len(fields) == 0 || len(fields[0]) != 1 {
-		return Event{}, fmt.Errorf("bad event tag")
-	}
-	ints := func(n int) ([]int64, error) {
-		if len(fields) != n+1 {
-			return nil, fmt.Errorf("want %d fields, got %d", n+1, len(fields))
-		}
-		out := make([]int64, n)
-		for i := 0; i < n; i++ {
-			v, err := strconv.ParseInt(fields[i+1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("field %d: %v", i+1, err)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	switch Kind(fields[0][0]) {
-	case KindInject:
-		v, err := ints(2)
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{Kind: KindInject, T: v[0], Packet: int(v[1])}, nil
-	case KindTransmit:
-		v, err := ints(5)
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{
-			Kind: KindTransmit, T: v[0],
-			From: int(v[1]), To: int(v[2]), Packet: int(v[3]),
-			Outcome: sim.TxOutcome(v[4]),
-		}, nil
-	case KindOverhear:
-		v, err := ints(4)
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{Kind: KindOverhear, T: v[0], From: int(v[1]), To: int(v[2]), Packet: int(v[3])}, nil
-	case KindCovered:
-		v, err := ints(2)
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{Kind: KindCovered, T: v[0], Packet: int(v[1])}, nil
-	default:
-		return Event{}, fmt.Errorf("unknown event tag %q", fields[0])
-	}
+// OnInject implements sim.Observer.
+func (r *Recorder) OnInject(t int64, packet int) {
+	r.Events = append(r.Events, Event{Kind: KindInject, T: t, Packet: packet})
 }
+
+// OnTransmit implements sim.Observer.
+func (r *Recorder) OnTransmit(t int64, from, to, packet int, outcome sim.TxOutcome) {
+	r.Events = append(r.Events, Event{Kind: KindTransmit, T: t, From: from, To: to, Packet: packet, Outcome: outcome})
+}
+
+// OnOverhear implements sim.Observer.
+func (r *Recorder) OnOverhear(t int64, from, node, packet int) {
+	r.Events = append(r.Events, Event{Kind: KindOverhear, T: t, From: from, To: node, Packet: packet})
+}
+
+// OnCovered implements sim.Observer.
+func (r *Recorder) OnCovered(t int64, packet int) {
+	r.Events = append(r.Events, Event{Kind: KindCovered, T: t, Packet: packet})
+}
+
+var _ sim.Observer = (*Recorder)(nil)
 
 // Validate replays a decoded trace against the physical rules of the
 // simulator and returns the first inconsistency found, or nil. It checks:

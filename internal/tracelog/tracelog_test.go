@@ -2,7 +2,8 @@ package tracelog
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,164 +14,36 @@ import (
 	"ldcflood/internal/topology"
 )
 
+// TestRoundTripSyntheticEvents feeds one event of each kind through the
+// sim.Observer interface: the Recorder must hand back the exact events, and
+// the Logger must render them in the documented text layout.
 func TestRoundTripSyntheticEvents(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf)
-	l.OnInject(0, 0)
-	l.OnTransmit(1, 2, 3, 0, sim.TxSuccess)
-	l.OnTransmit(2, 4, 5, 1, sim.TxCollision)
-	l.OnOverhear(3, 2, 7, 0)
-	l.OnCovered(9, 0)
+	rec := &Recorder{}
+	for _, obs := range []sim.Observer{l, rec} {
+		obs.OnInject(0, 0)
+		obs.OnTransmit(1, 2, 3, 0, sim.TxSuccess)
+		obs.OnTransmit(2, 4, 5, 1, sim.TxCollision)
+		obs.OnOverhear(3, 2, 7, 0)
+		obs.OnCovered(9, 0)
+	}
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
+	want := []Event{
+		{Kind: KindInject, T: 0, Packet: 0},
+		{Kind: KindTransmit, T: 1, From: 2, To: 3, Packet: 0, Outcome: sim.TxSuccess},
+		{Kind: KindTransmit, T: 2, From: 4, To: 5, Packet: 1, Outcome: sim.TxCollision},
+		{Kind: KindOverhear, T: 3, From: 2, To: 7, Packet: 0},
+		{Kind: KindCovered, T: 9, Packet: 0},
 	}
-	if len(events) != 5 {
-		t.Fatalf("events = %d", len(events))
+	if !reflect.DeepEqual(rec.Events, want) {
+		t.Fatalf("recorded %+v, want %+v", rec.Events, want)
 	}
-	if events[0].Kind != KindInject || events[0].T != 0 || events[0].Packet != 0 {
-		t.Fatalf("event 0 = %+v", events[0])
-	}
-	tx := events[1]
-	if tx.Kind != KindTransmit || tx.From != 2 || tx.To != 3 || tx.Outcome != sim.TxSuccess {
-		t.Fatalf("event 1 = %+v", tx)
-	}
-	if events[2].Outcome != sim.TxCollision {
-		t.Fatalf("event 2 = %+v", events[2])
-	}
-	oh := events[3]
-	if oh.Kind != KindOverhear || oh.From != 2 || oh.To != 7 {
-		t.Fatalf("event 3 = %+v", oh)
-	}
-	if events[4].Kind != KindCovered || events[4].T != 9 {
-		t.Fatalf("event 4 = %+v", events[4])
-	}
-}
-
-func TestParseRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"X 1 2\n",
-		"T 1 2\n",
-		"I one 2\n",
-		"T 1 2 3 4\n",
-		"O 1 2 3\n",
-		"C 1\n",
-		"TT 1 2\n",
-	}
-	for i, c := range cases {
-		if _, err := Parse(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d accepted: %q", i, c)
-		}
-	}
-}
-
-// TestParseErrorMessages pins down the error contract: malformed input
-// yields an error naming the 1-based line number and the specific defect,
-// so a corrupt multi-megabyte trace is debuggable from the message alone.
-func TestParseErrorMessages(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		want []string // substrings the error must contain
-	}{
-		{
-			name: "truncated transmission",
-			in:   "I 0 0\nT 4 1 2 0\n",
-			want: []string{"line 2", "want 6 fields, got 5", `"T 4 1 2 0"`},
-		},
-		{
-			name: "unknown kind byte",
-			in:   "I 0 0\nC 9 0\nZ 1 2\n",
-			want: []string{"line 3", `unknown event tag "Z"`},
-		},
-		{
-			name: "non-numeric field",
-			in:   "I zero 0\n",
-			want: []string{"line 1", "field 1", "invalid syntax"},
-		},
-		{
-			name: "multi-byte tag",
-			in:   "IC 0 0\n",
-			want: []string{"line 1", "bad event tag"},
-		},
-		{
-			name: "line number counts comments and blanks",
-			in:   "# header\n\nI 0 0\nT bad\n",
-			want: []string{"line 4"},
-		},
-		{
-			name: "overflowing slot number",
-			in:   "I 99999999999999999999999999 0\n",
-			want: []string{"line 1", "value out of range"},
-		},
-		{
-			name: "very long offending line is truncated in the message",
-			in:   "X " + strings.Repeat("9 ", 200) + "\n",
-			want: []string{"line 1", `unknown event tag "X"`, "..."},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.in))
-			if err == nil {
-				t.Fatalf("Parse accepted %q", tc.in)
-			}
-			for _, sub := range tc.want {
-				if !strings.Contains(err.Error(), sub) {
-					t.Errorf("error %q does not mention %q", err, sub)
-				}
-			}
-		})
-	}
-}
-
-// errReader fails after yielding its prefix, exercising Parse's
-// scanner-error path (as opposed to its malformed-line path).
-type errReader struct {
-	prefix string
-	err    error
-	done   bool
-}
-
-func (r *errReader) Read(p []byte) (int, error) {
-	if !r.done {
-		r.done = true
-		return copy(p, r.prefix), nil
-	}
-	return 0, r.err
-}
-
-func TestParseReaderError(t *testing.T) {
-	want := errors.New("disk on fire")
-	_, err := Parse(&errReader{prefix: "I 0 0\n", err: want})
-	if !errors.Is(err, want) {
-		t.Fatalf("Parse error = %v, want %v", err, want)
-	}
-}
-
-// TestParseStopsAtFirstBadLine checks no partial slice escapes alongside
-// an error: a trace is either fully decoded or rejected.
-func TestParseStopsAtFirstBadLine(t *testing.T) {
-	events, err := Parse(strings.NewReader("I 0 0\nbogus\nC 9 0\n"))
-	if err == nil {
-		t.Fatal("Parse accepted a bogus line")
-	}
-	if events != nil {
-		t.Fatalf("Parse returned %d events alongside the error", len(events))
-	}
-}
-
-func TestParseSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# header\n\nI 0 0\n  \nC 5 0\n"
-	events, err := Parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("events = %d", len(events))
+	wantText := fmt.Sprintf("I 0 0\nT 1 2 3 0 %d\nT 2 4 5 1 %d\nO 3 2 7 0\nC 9 0\n", int(sim.TxSuccess), int(sim.TxCollision))
+	if got := buf.String(); got != wantText {
+		t.Fatalf("text rendering:\n%s\nwant:\n%s", got, wantText)
 	}
 }
 
@@ -180,8 +53,7 @@ func TestLoggerAgainstRealSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	logger := NewLogger(&buf)
+	rec := &Recorder{}
 	res, err := sim.Run(sim.Config{
 		Graph:     g,
 		Schedules: schedule.AssignUniform(g.N(), 10, rngutil.New(5).SubName("schedule")),
@@ -189,19 +61,12 @@ func TestLoggerAgainstRealSimulation(t *testing.T) {
 		M:         5,
 		Coverage:  0.99,
 		Seed:      5,
-		Observer:  logger,
+		Observer:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := logger.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Summarize(events)
+	s := Summarize(rec.Events)
 	// The trace must agree with the engine's own accounting.
 	if s.Injections != res.M {
 		t.Fatalf("injections %d vs M %d", s.Injections, res.M)
@@ -240,8 +105,7 @@ func TestValidateAcceptsRealTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		logger := NewLogger(&buf)
+		rec := &Recorder{}
 		if _, err := sim.Run(sim.Config{
 			Graph:     g,
 			Schedules: schedule.AssignUniform(g.N(), 10, rngutil.New(9).SubName("schedule")),
@@ -249,18 +113,11 @@ func TestValidateAcceptsRealTraces(t *testing.T) {
 			M:         4,
 			Coverage:  0.99,
 			Seed:      9,
-			Observer:  logger,
+			Observer:  rec,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := logger.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		events, err := Parse(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Validate(events); err != nil {
+		if err := Validate(rec.Events); err != nil {
 			t.Fatalf("%s trace invalid: %v", name, err)
 		}
 	}
