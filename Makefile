@@ -86,8 +86,8 @@ trace-smoke:
 	sh scripts/trace-smoke.sh
 
 # Timer-protocol certification through the CLI: a small trickle+dflood
-# sweep built with -race, byte-identical CSVs at slot workers 0, 1 and 4,
-# and a deterministic rerun. Mirrored in CI.
+# sweep built with -race must reproduce its CSV byte for byte on a
+# same-seed rerun. Mirrored in CI.
 protocol-smoke:
 	sh scripts/protocol-smoke.sh
 
@@ -111,11 +111,14 @@ fuzz-trace:
 fuzz-spec:
 	$(GO) test -fuzz FuzzSpec -fuzztime 30s ./internal/service
 
-# Arbitrary bodies vs the lease completion endpoint of a live job: never a
+# Arbitrary bodies vs the lease completion endpoint of a live job (never a
 # panic, 4xx for a malformed body, and no cell outside the leased chunk
-# ever journaled; CI runs a 10s smoke.
+# ever journaled) and vs job submission (never a 5xx, 201 only for one
+# JSON document that compiles, no job admitted on a 4xx); CI runs a 10s
+# smoke of each.
 fuzz-service:
 	$(GO) test -fuzz FuzzCompleteBody -fuzztime 30s ./internal/service
+	$(GO) test -fuzz FuzzSubmitBody -fuzztime 30s ./internal/service
 
 examples:
 	$(GO) run ./examples/quickstart

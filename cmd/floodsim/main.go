@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	floodsim [-protocol opt|dbao|of|naive|trickle|dflood|flash] [-duty 0.05] [-m 100]
+//	floodsim [-protocol opt|dbao|of|naive|trickle|dflood] [-duty 0.05] [-m 100]
 //	         [-coverage 0.99] [-seed 1] [-topo greenorbs|<file>]
 //	         [-toposeed 1] [-inject 1] [-v]
 //	         [-trace FILE]
@@ -61,7 +61,7 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.protoName, "protocol", "opt", "flooding protocol: opt, dbao, of, naive, trickle, dflood, flash")
+	flag.StringVar(&o.protoName, "protocol", "opt", "flooding protocol: opt, dbao, of, naive, trickle, dflood")
 	flag.Float64Var(&o.duty, "duty", 0.05, "duty cycle in (0,1]")
 	flag.IntVar(&o.m, "m", 100, "number of packets to flood")
 	flag.Float64Var(&o.coverage, "coverage", 0.99, "delivery-ratio target for the delay metric")

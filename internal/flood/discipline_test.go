@@ -43,7 +43,7 @@ func TestDecoratorHidingPlannerMatches(t *testing.T) {
 	g := topology.Grid(6, 6, 0.8)
 	for name, fs := range map[string]*fault.Schedule{"none": nil, "mixed": faultSchedules()["mixed"]} {
 		cfg := shardCfg(g, fs, 1234)
-		for _, protocol := range allProtocols() {
+		for _, protocol := range Names() {
 			want, wantTrace := runSharded(t, cfg, protocol)
 			inner, err := New(protocol)
 			if err != nil {
@@ -92,7 +92,7 @@ func TestPlannerForwardingDecoratorMatches(t *testing.T) {
 	g := topology.Grid(6, 6, 0.8)
 	for name, fs := range map[string]*fault.Schedule{"none": nil, "mixed": faultSchedules()["mixed"]} {
 		cfg := shardCfg(g, fs, 1234)
-		for _, protocol := range allProtocols() {
+		for _, protocol := range Names() {
 			want, wantTrace := runSharded(t, cfg, protocol)
 			inner, err := New(protocol)
 			if err != nil {

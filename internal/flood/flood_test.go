@@ -231,64 +231,6 @@ func TestProtocolOrderingOnGreenOrbs(t *testing.T) {
 	}
 }
 
-func TestFlashNeedsCapture(t *testing.T) {
-	g := topology.GreenOrbs(3)
-	scheds := uniform(g.N(), 10, 31)
-	run := func(capture float64, maxSlots int64) *sim.Result {
-		res, err := sim.Run(sim.Config{
-			Graph: g, Schedules: scheds, Protocol: NewFlash(),
-			M: 3, Coverage: 0.99, Seed: 8, MaxSlots: maxSlots,
-			CaptureProb: capture,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	with := run(0.9, 1_000_000)
-	if !with.Completed {
-		t.Fatal("flash with capture incomplete")
-	}
-	if with.Captures == 0 {
-		t.Fatal("capture never fired for concurrent transmissions")
-	}
-	// Without capture the concurrent transmissions mostly collide; on a
-	// short horizon the flood must be visibly worse (fewer packets covered
-	// or much higher delay).
-	without := run(0, with.TotalSlots)
-	if without.Completed && without.MeanDelay() < with.MeanDelay() {
-		t.Fatalf("capture-less flash (%.1f) beat capture (%.1f)", without.MeanDelay(), with.MeanDelay())
-	}
-	if without.CollisionFailures <= with.CollisionFailures {
-		t.Fatal("capture should reduce collision losses")
-	}
-}
-
-func TestFlashRegisteredByName(t *testing.T) {
-	p, err := New("flash")
-	if err != nil || p.Name() != "Flash" {
-		t.Fatalf("flash not in registry: %v", err)
-	}
-	for _, n := range Names() {
-		if n == "flash" {
-			t.Fatal("flash should not be in the default evaluation set")
-		}
-	}
-}
-
-func TestCaptureValidation(t *testing.T) {
-	g := topology.Line(2, 1)
-	for _, cp := range []float64{-0.1, 1.1} {
-		_, err := sim.Run(sim.Config{
-			Graph: g, Schedules: alwaysOn(2), Protocol: NewFlash(),
-			M: 1, CaptureProb: cp,
-		})
-		if err == nil {
-			t.Fatalf("capture prob %v accepted", cp)
-		}
-	}
-}
-
 func TestProtocolGapIsStatisticallySignificant(t *testing.T) {
 	// The OF-vs-OPT delay gap is not seed noise: pool per-packet delays
 	// over several runs and require Mann-Whitney significance.

@@ -152,8 +152,7 @@ var (
 )
 
 // TestDeterministicSubspaceHandDerived runs every protocol on the
-// deterministic subspace and compares its trace with the derivation, on
-// both time paths, inline and on the worker pool.
+// deterministic subspace and compares its trace with the derivation.
 func TestDeterministicSubspaceHandDerived(t *testing.T) {
 	defer setDeferProb(0)()
 	const never = 1e-300 // a fire probability no stored uniform undercuts
@@ -168,7 +167,6 @@ func TestDeterministicSubspaceHandDerived(t *testing.T) {
 		{"dbao", line, func() sim.Protocol { return &DBAO{DisableOverhearing: true, HiddenFireProb: 1} }, lineEager},
 		{"naive", line, func() sim.Protocol { return &Naive{HiddenFireProb: 1} }, lineEager},
 		{"of-tree-only", line, func() sim.Protocol { return &OF{DisableOpportunistic: true} }, lineEager},
-		{"flash", line, func() sim.Protocol { return NewFlash() }, lineEager},
 		{"trickle", line, func() sim.Protocol {
 			return &Trickle{Imin: 1, MaxDoublings: 1, K: -1, DisableOverhearing: true}
 		}, lineTrickle},

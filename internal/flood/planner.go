@@ -382,35 +382,6 @@ func (o *OF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.In
 	o.sel.emitted = sel
 }
 
-// ---- Flash ----
-
-// PlanReceiver implements sim.ShardPlanner: every holder of a needed
-// packet that did not defer, in row order.
-func (f *Flash) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	return planHolders(w, f.csr, r, slot, buf)
-}
-
-// SelectIntents implements sim.ShardPlanner: every unassigned candidate
-// transmits — concurrency is the point.
-func (f *Flash) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
-	sel := f.sel.emitted[:0]
-	for i := 0; i < plan.Len(); i++ {
-		r := plan.Receiver(i)
-		for _, c := range plan.Candidates(i) {
-			if f.assigned[c.Node] {
-				continue
-			}
-			f.assigned[c.Node] = true
-			sel = append(sel, c.Node)
-			emit(sim.Intent{From: int(c.Node), To: r, Packet: sim.PacketFCFS}, c.PRR)
-		}
-	}
-	for _, s := range sel {
-		f.assigned[s] = false
-	}
-	f.sel.emitted = sel
-}
-
 // ---- Trickle ----
 
 // PlanReceiver implements sim.ShardPlanner: every neighbor holding a
@@ -561,7 +532,6 @@ var (
 	_ sim.ShardPlanner = (*DBAO)(nil)
 	_ sim.ShardPlanner = (*Naive)(nil)
 	_ sim.ShardPlanner = (*OF)(nil)
-	_ sim.ShardPlanner = (*Flash)(nil)
 	_ sim.ShardPlanner = (*Trickle)(nil)
 	_ sim.ShardPlanner = (*DFlood)(nil)
 )

@@ -3,7 +3,8 @@ package flood
 // Behavior and counter suite for the timer-driven protocols (Trickle,
 // DFlood): timer arithmetic, suppression semantics, and the
 // mode-invariance of the message/suppression counters — identical across
-// worker counts (0 and 1 inline, more on the pool) and both time paths.
+// reruns and whether the engine plans through the planner methods or
+// through Intents.
 
 import (
 	"math"

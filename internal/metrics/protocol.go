@@ -23,7 +23,7 @@ type perNodeSuppressed interface {
 
 // ProtocolCounters extracts the message/suppression counters from a
 // protocol instance after a run. ok is false for protocols that do not
-// keep counters (OPT, DBAO, OF, Naive, Flash).
+// keep counters (OPT, DBAO, OF, Naive).
 func ProtocolCounters(p sim.Protocol) (messages, suppressed int64, ok bool) {
 	c, ok := p.(floodCounted)
 	if !ok {

@@ -89,7 +89,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeOne(dec, &spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -289,7 +289,12 @@ func (s *Service) liveRun(w http.ResponseWriter, r *http.Request) (*jobRun, bool
 // decodeBody decodes the request body — at most limit bytes — as exactly
 // one JSON document into v; trailing data is an error.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	return decodeOne(json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)), v)
+}
+
+// decodeOne decodes exactly one JSON document from dec into v; trailing
+// data is an error.
+func decodeOne(dec *json.Decoder, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}

@@ -518,6 +518,7 @@ func TestServiceRejectsBadSpecs(t *testing.T) {
 		`{"timeout":"not a duration"}`,
 		`{"faults":{"crashes":[{"node":99999,"at":1}]}}`,
 		`not json`,
+		`{"protocols":["opt"],"duties":[0.1],"seeds":1,"m":2} {"protocols":["bogus"]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

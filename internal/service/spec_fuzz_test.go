@@ -21,7 +21,7 @@ func FuzzSpec(f *testing.F) {
 		`{"protocols":[" trickle "],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"workers":1,"parallel":3}`,
 		`{"protocols":["dflood"],"duties":[1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"workers":8,"timeout":"1m","retries":2,"backoff":"10ms"}`,
 		`{"protocols":["opt"],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"workers":-1,"parallel":3,"faults":{"crashes":[{"node":5,"at":10,"reboot_at":50}]}}`,
-		`{"protocols":["flash"],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"faults":{ "links": [ {"pgb": 0.01, "pbg": 0.1, "bad_scale": 0.5} ] }}`,
+		`{"protocols":["naive"],"duties":[0.1],"seeds":1,"m":2,"coverage":0.99,"toposeed":1,"faults":{ "links": [ {"pgb": 0.01, "pbg": 0.1, "bad_scale": 0.5} ] }}`,
 		`{"protocols":["opt"],"duties":[0],"seeds":1,"m":2}`,
 		`{"workers":-2}`,
 		`[]`,

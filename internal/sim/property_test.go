@@ -86,9 +86,8 @@ func TestQuickEngineAccounting(t *testing.T) {
 			Coverage:  1,
 			Seed:      seed,
 			MaxSlots:  20000,
-			// Exercise the optional features too.
+			// Exercise the optional sync-error stream too.
 			SyncErrorProb:    0.1 * r.Float64(),
-			CaptureProb:      r.Float64(),
 			RecordReceptions: true,
 		})
 		if err != nil {

@@ -46,8 +46,7 @@ type rxKind uint8
 const (
 	rxJam rxKind = iota
 	rxBusy
-	rxCollision // collision with no capture
-	rxCapture   // capture effect salvaged deliverIdx
+	rxCollision // concurrent frames all lost
 	rxSeq       // sequential attempts; deliverIdx is the first success
 )
 
@@ -218,21 +217,6 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 					cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxCollision)
 				}
 			}
-		case rxCapture:
-			best := txs[rec.deliverIdx]
-			res.Captures++
-			e.deliverNow(best.in.Packet, r, t)
-			e.successes = append(e.successes, success{best.in.From, r, best.in.Packet})
-			res.CollisionFailures += len(txs) - 1
-			if cfg.Observer != nil {
-				for j, tx := range txs {
-					outcome := TxCollision
-					if j == int(rec.deliverIdx) {
-						outcome = TxSuccess
-					}
-					cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, outcome)
-				}
-			}
 		case rxSeq:
 			if rec.deliverIdx < 0 {
 				res.LossFailures += len(txs)
@@ -326,21 +310,6 @@ func (e *engine) decideReceiver(i int, t int64) rxRecord {
 		rec.kind = rxBusy
 	case len(txs) > 1 && cfg.Protocol.CollisionsApply():
 		rec.kind = rxCollision
-		if cfg.CaptureProb > 0 {
-			rng := e.slotStream.SubValue(uint64(r) * 2)
-			if rng.Bool(cfg.CaptureProb) {
-				best := 0
-				for j := 1; j < len(txs); j++ {
-					if e.scaledPRR(&txs[j], t) > e.scaledPRR(&txs[best], t) {
-						best = j
-					}
-				}
-				if rng.Bool(e.scaledPRR(&txs[best], t)) {
-					rec.kind = rxCapture
-					rec.deliverIdx = int32(best)
-				}
-			}
-		}
 	default:
 		rec.kind = rxSeq
 		rng := e.slotStream.SubValue(uint64(r) * 2)

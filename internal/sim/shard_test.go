@@ -55,7 +55,6 @@ func chaosRun(t *testing.T, seed uint64, workers int) *Result {
 		Seed:             seed,
 		MaxSlots:         20000,
 		SyncErrorProb:    0.05,
-		CaptureProb:      0.4,
 		RecordReceptions: true,
 		Faults:           faults,
 		Workers:          workers,
@@ -68,7 +67,7 @@ func chaosRun(t *testing.T, seed uint64, workers int) *Result {
 
 // TestWorkerCountInvariance checks that Config.Workers is ignored: for
 // any valid configuration — chaotic protocol behaviour, every
-// fault-schedule family, capture, sync errors — the full Result is
+// fault-schedule family, sync errors — the full Result is
 // bit-for-bit identical whatever the field holds, negative values
 // included, and identical across reruns.
 func TestWorkerCountInvariance(t *testing.T) {

@@ -149,11 +149,12 @@ func TestCompactEquivalenceProtocols(t *testing.T) {
 	}
 }
 
-// TestCompactEquivalenceSyncCapture re-runs one combo with the optional
-// sync-error and capture features enabled, exercising the engine's
-// secondary RNG streams under slot skipping. Uniform offsets would occupy
-// all twenty offsets of this grid's period, so the table is strided.
-func TestCompactEquivalenceSyncCapture(t *testing.T) {
+// TestCompactEquivalenceSyncError re-runs one combo with sync errors
+// enabled, exercising the engine's sync-error stream under slot skipping,
+// for a carrier-sensing and a colliding protocol. Uniform offsets would
+// occupy all twenty offsets of this grid's period, so the table is
+// strided.
+func TestCompactEquivalenceSyncError(t *testing.T) {
 	g := topology.Grid(6, 6, 0.7)
 	cfg := sim.Config{
 		Graph:            g,
@@ -164,10 +165,12 @@ func TestCompactEquivalenceSyncCapture(t *testing.T) {
 		MaxSlots:         100000,
 		RecordReceptions: true,
 		SyncErrorProb:    0.05,
-		CaptureProb:      0.4,
 	}
-	for _, protocol := range []string{"dbao", "flash"} {
+	for _, protocol := range []string{"dbao", "naive"} {
 		slow, fast, slowTrace, fastTrace := runBoth(t, cfg, protocol)
+		if slow.SyncFailures == 0 {
+			t.Errorf("%s: no sync error fired; the case does not exercise the stream", protocol)
+		}
 		if !reflect.DeepEqual(slow, fast) {
 			t.Errorf("%s: results diverge:\nslow %+v\nfast %+v", protocol, slow, fast)
 		}

@@ -214,7 +214,6 @@ func TestQuickCompactEquivalence(t *testing.T) {
 			Seed:             seed,
 			MaxSlots:         20000,
 			SyncErrorProb:    0.1 * r.Float64(),
-			CaptureProb:      r.Float64(),
 			RecordReceptions: true,
 			InjectInterval:   1 + r.Intn(3),
 		}

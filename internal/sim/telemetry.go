@@ -34,7 +34,6 @@ type simTel struct {
 	txBusy      *telemetry.Counter
 	txSync      *telemetry.Counter
 	txJammed    *telemetry.Counter
-	txCaptured  *telemetry.Counter
 	overheard   *telemetry.Counter
 
 	pktInjected *telemetry.Counter
@@ -58,10 +57,10 @@ type simTel struct {
 
 // telPrev is the last-flushed snapshot of the drained accumulators.
 type telPrev struct {
-	tx, loss, coll, busy, sync, jam, capt, over int
-	injected, covered                           int
-	crashes, reboots, dropped                   int
-	flips                                       int64
+	tx, loss, coll, busy, sync, jam, over int
+	injected, covered                     int
+	crashes, reboots, dropped             int
+	flips                                 int64
 
 	planCands, mergeRecv, mergeOhCands int64
 }
@@ -81,7 +80,6 @@ func newSimTel(reg *telemetry.Registry) *simTel {
 		txBusy:       reg.Counter("sim.tx.busy"),
 		txSync:       reg.Counter("sim.tx.sync_miss"),
 		txJammed:     reg.Counter("sim.tx.jammed"),
-		txCaptured:   reg.Counter("sim.tx.captured"),
 		overheard:    reg.Counter("sim.overheard"),
 		pktInjected:  reg.Counter("sim.packets.injected"),
 		pktCovered:   reg.Counter("sim.packets.covered"),
@@ -138,7 +136,6 @@ func (st *simTel) flush(e *engine) {
 	addDelta(st.txBusy, res.BusyFailures, &st.prev.busy)
 	addDelta(st.txSync, res.SyncFailures, &st.prev.sync)
 	addDelta(st.txJammed, res.JamFailures, &st.prev.jam)
-	addDelta(st.txCaptured, res.Captures, &st.prev.capt)
 	addDelta(st.overheard, res.Overheard, &st.prev.over)
 	addDelta(st.pktInjected, e.w.injected, &st.prev.injected)
 	addDelta(st.pktCovered, e.covered, &st.prev.covered)

@@ -91,7 +91,6 @@ func TestTelemetryCountersMatchResult(t *testing.T) {
 		"sim.tx.busy":           int64(res.BusyFailures),
 		"sim.tx.sync_miss":      int64(res.SyncFailures),
 		"sim.tx.jammed":         int64(res.JamFailures),
-		"sim.tx.captured":       int64(res.Captures),
 		"sim.overheard":         int64(res.Overheard),
 		"sim.packets.injected":  int64(res.M),
 		"sim.packets.covered":   int64(res.M),

@@ -485,12 +485,6 @@ type Config struct {
 	// fired at a mis-estimated wake slot and reaches nobody, wasting the
 	// sender's slot. Must be in [0, 1).
 	SyncErrorProb float64
-	// CaptureProb models the capture effect (Lu & Whitehouse, INFOCOM'09,
-	// the paper's reference [17]): when several transmissions collide at a
-	// receiver, the strongest one (highest PRR as the signal-strength
-	// proxy) is decoded anyway with this probability instead of everything
-	// being destroyed. 0 (default) disables capture; must be in [0, 1].
-	CaptureProb float64
 	// Faults, when non-nil, is a deterministic fault-injection schedule
 	// (package fault): Gilbert–Elliott bursty link degradation, node
 	// crash/reboot churn, and transient jamming outages, all compiled
@@ -552,9 +546,6 @@ func (c *Config) validate() error {
 	if c.SyncErrorProb < 0 || c.SyncErrorProb >= 1 {
 		return fmt.Errorf("sim: sync error probability %v outside [0,1)", c.SyncErrorProb)
 	}
-	if c.CaptureProb < 0 || c.CaptureProb > 1 {
-		return fmt.Errorf("sim: capture probability %v outside [0,1]", c.CaptureProb)
-	}
 	if err := c.Faults.Validate(c.Graph); err != nil {
 		return err
 	}
@@ -595,7 +586,9 @@ type Result struct {
 	Crashes      int
 	Reboots      int
 	CrashDropped int
-	// Captures counts collisions salvaged by the capture effect.
+	// Captures is always 0. Colliding frames are all lost, as the paper
+	// models them; the field is kept so that existing callers and stored
+	// results still load.
 	Captures  int
 	TxPerNode []int
 	// AwakeSlotsPerNode counts each node's scheduled active slots over the

@@ -70,7 +70,7 @@ func goldenBytes(t *testing.T, protocol string, seed uint64) []byte {
 // the bytes an engine-attached Writer emitted yields exactly the events a
 // Recorder attached to the same run collected, with a clean end.
 func TestGoldenRoundTrip(t *testing.T) {
-	for _, protocol := range append(flood.Names(), "flash") {
+	for _, protocol := range flood.Names() {
 		events := goldenEvents(t, protocol, 42)
 		back, torn, err := ReadAll(bytes.NewReader(goldenBytes(t, protocol, 42)))
 		if err != nil {
@@ -90,7 +90,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 // recorded events — the streaming and in-memory paths are
 // interchangeable — and that a rerun reproduces the bytes.
 func TestEngineEmitMatchesConversion(t *testing.T) {
-	for _, protocol := range append(flood.Names(), "flash") {
+	for _, protocol := range flood.Names() {
 		encoded, err := Encode(goldenEvents(t, protocol, 42))
 		if err != nil {
 			t.Fatalf("%s: %v", protocol, err)
