@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race bench bench-engine bench-scale bench-guard docscheck figures figures-quick faults floodd-smoke floodd-chaos trace-smoke protocol-smoke fuzz-faults fuzz-shard fuzz-trace fuzz-spec fuzz-service examples clean
+.PHONY: all build vet test test-short test-race bench bench-engine bench-scale bench-guard docscheck figures figures-quick faults floodd-smoke floodd-chaos trace-smoke protocol-smoke fuzz-faults fuzz-trace fuzz-spec fuzz-service examples clean
 
 all: build vet test
 
@@ -95,11 +95,6 @@ protocol-smoke:
 # CI runs a 10s smoke of this.
 fuzz-faults:
 	$(GO) test -fuzz FuzzFaultSchedule -fuzztime 30s ./internal/flood
-
-# Randomized line lengths and schedule periods: the planner path must
-# match the plain Intents scan byte for byte; CI runs a 10s smoke of this.
-fuzz-shard:
-	$(GO) test -fuzz FuzzShardMerge -fuzztime 30s ./internal/sim
 
 # Random bytes vs the binary trace reader's crash-safety taxonomy (clean /
 # torn / corrupt, never a panic); CI runs a 10s smoke of this.

@@ -4,10 +4,8 @@ import "ldcflood/internal/telemetry"
 
 // suppCounters is the message/suppression accounting shared by the
 // timer-driven protocols (Trickle, DFlood). Counts are mutated only in
-// SelectIntents and DFlood's OnPlanSlot hook, never in PlanReceiver, and
-// every counted event is a pure function of the pre-slot world state — the
-// values are identical whether the engine plans through the planner
-// methods or through Intents (certified by
+// Intents, and every counted event is a pure function of the pre-slot
+// world state, so reruns count alike (certified by
 // TestProtocolCountersModeInvariant). Attaching a telemetry registry
 // never affects simulation results; it only mirrors the counts live.
 type suppCounters struct {
@@ -42,7 +40,7 @@ func (c *suppCounters) instrument(reg *telemetry.Registry, suppressedName string
 }
 
 // note records one suppressed firing opportunity for sender s, deduplicated
-// per slot. Serial phases only.
+// per slot.
 func (c *suppCounters) note(s int32) {
 	if c.mark[s] {
 		return
@@ -52,8 +50,7 @@ func (c *suppCounters) note(s int32) {
 	c.count(s)
 }
 
-// count records one suppression for node s, with no dedupe. Serial
-// phases only.
+// count records one suppression for node s, with no dedupe.
 func (c *suppCounters) count(s int32) {
 	c.suppressed++
 	c.perNode[s]++
@@ -62,7 +59,7 @@ func (c *suppCounters) count(s int32) {
 	}
 }
 
-// message records one emitted transmission intent. Serial phases only.
+// message records one emitted transmission intent.
 func (c *suppCounters) message() {
 	c.messages++
 	if c.telMessages != nil {

@@ -37,7 +37,7 @@ type DBAO struct {
 	assigned []bool
 	audible  audibility // carrier-sense relation
 	rank     *topology.RankView
-	sel      selScratch
+	out      []sim.Intent
 }
 
 // NewDBAO returns a fresh DBAO instance with default parameters.
@@ -65,5 +65,40 @@ func (d *DBAO) CollisionsApply() bool { return true }
 // Overhears implements sim.Protocol.
 func (d *DBAO) Overhears() bool { return !d.DisableOverhearing }
 
-// Intents implements sim.Protocol through the planner (sim.PlanIntents).
-func (d *DBAO) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, d) }
+// Intents implements sim.Protocol: per awake receiver in ascending order,
+// the deterministic back-off winner is the first entry of its rank row
+// that is unassigned, holds a needed packet and does not defer. Every
+// entry ranked above the winner is then either no candidate or already
+// assigned, so only the rest of the row can hold hidden candidates: an
+// unassigned needed holder that cannot hear the winner fires when its
+// keyed uniform falls below HiddenFireProb and it does not defer, in rank
+// order. The cheap tests run before the two keyed draws.
+func (d *DBAO) Intents(w *sim.World) []sim.Intent {
+	slot := w.ProtoStream()
+	out := d.out[:0]
+	for _, r := range w.AwakeList() {
+		if !w.NeedsAnything(r) {
+			continue
+		}
+		row, prrs := d.rank.Row(r)
+		wi := firstFree(w, d.assigned, row, r, &slot)
+		if wi < 0 {
+			continue
+		}
+		winner := int(row[wi])
+		d.assigned[winner] = true
+		out = append(out, sim.Intent{From: winner, To: r, Packet: sim.PacketFCFS, PRR: prrs[wi]})
+		for j := wi + 1; j < len(row); j++ {
+			s := int(row[j])
+			if d.assigned[s] || !w.AnyNeeded(s, r) || d.audible.has(s, winner) ||
+				pairU(&slot, r, s) >= d.HiddenFireProb || deferKeyed(w, s, &slot) {
+				continue
+			}
+			d.assigned[s] = true
+			out = append(out, sim.Intent{From: s, To: r, Packet: sim.PacketFCFS, PRR: prrs[j]})
+		}
+	}
+	release(d.assigned, out)
+	d.out = out
+	return out
+}

@@ -42,19 +42,22 @@ import (
 // passed joins the ready set, which it leaves on emission, when a rise in
 // its holder count postpones it again, or when every neighbour holds the
 // packet (parked until a neighbour's drop re-arms it). prepareSlot, the
-// hook Reset registers with sim.World.OnPlanSlot, drains the world's
-// possession journal and pops the due entries; a receiver with no ready
-// neighbour plans nothing, and pairChoice runs only for ready senders. Idle slots cost O(awake), however long the horizon.
+// first step of Intents, drains the world's possession journal and pops
+// the due entries; a receiver with no ready neighbour is skipped, and
+// pairChoice runs only for free ready senders. Idle slots cost O(awake),
+// however long the horizon.
 //
 // Every timing quantity is a pure function of the world state and a keyed
-// stream captured at Reset (jitter is keyed by (node, packet, attempt));
-// the attempt counters advance only at emit time in the serial selection
-// pass, which is also where the cached per-(node, packet) delay is
-// redrawn. The duplicate count comes from the engine's opt-in
-// neighbour-holder count (sim.World.TrackNeighborHolders, turned on at
-// Reset), so every forwarding-slot query is O(1). The calendar changes
-// only in the prepareSlot and SelectIntents steps; the schedule is
-// unaffected by the slots the engine skips.
+// stream captured at Reset (jitter is keyed by (node, packet, attempt)).
+// The attempt counters advance, the cached per-(node, packet) delay is
+// redrawn and the timer re-armed only for the slot's chosen timers, after
+// every receiver has been decided (commit), so each receiver reads the
+// calendar as it stood before the slot. The duplicate count comes from
+// the engine's opt-in neighbour-holder count
+// (sim.World.TrackNeighborHolders, turned on at Reset), so every
+// forwarding-slot query is O(1). The calendar changes only in the
+// prepareSlot and commit steps; the schedule is unaffected by the slots
+// the engine skips.
 type DFlood struct {
 	// Tmin and Tmax bound the per-packet forwarding delay in slots: the
 	// first attempt fires in [Tmin, Tmax) slots after reception. A Tmin of
@@ -81,7 +84,7 @@ type DFlood struct {
 	assigned []bool
 	attempts []int32 // attempts[s*m+p]: transmissions of p by s so far
 	wait     []int64 // wait[s*m+p]: delay(s*m+p, attempts[s*m+p]), redrawn where attempts advances
-	sel      selScratch
+	out      []sim.Intent
 	supp     suppCounters
 
 	// The fire calendar, indexed like attempts. key[i] is entry i's
@@ -95,12 +98,8 @@ type DFlood struct {
 	cal       calendar
 	readyPkts []int32
 	readyNbr  []int32
-	// prepared is the slot prepareSlot last ran for; SelectIntents
-	// refuses to select a slot the calendar was not brought up to.
-	prepared int64
 	// work, when non-nil, tallies calendar pops and pairChoice calls for
-	// white-box tests; PlanReceiver writes it, so set it on inline runs
-	// only.
+	// white-box tests.
 	work *dfloodWork
 }
 
@@ -162,8 +161,6 @@ func (d *DFlood) Reset(w *sim.World) {
 	d.cal = d.cal[:0]
 	d.readyPkts = make([]int32, n)
 	d.readyNbr = make([]int32, n)
-	d.prepared = -1
-	w.OnPlanSlot(d.prepareSlot)
 }
 
 // CollisionsApply implements sim.Protocol.
@@ -264,15 +261,14 @@ func (d *DFlood) pairChoice(w *sim.World, s, r int) (pkt int, required int64) {
 	return pkt, required
 }
 
-// prepareSlot is DFlood's sim.World.OnPlanSlot hook: it applies the
-// possession changes since the previous planned slot to the calendar,
-// then pops every entry due by now and evaluates it. Afterwards an entry
-// is ready exactly when its node holds the packet, some neighbour lacks
-// it and its penalized forwarding slot has passed — the entries a full
-// scan of every receiver's neighbours would offer.
+// prepareSlot brings the calendar up to the slot: it applies the
+// possession changes since the previous visited slot, then pops every
+// entry due by now and evaluates it. Afterwards an entry is ready exactly
+// when its node holds the packet, some neighbour lacks it and its
+// penalized forwarding slot has passed — the entries a full scan of every
+// receiver's neighbours would offer.
 func (d *DFlood) prepareSlot(w *sim.World) {
 	now := w.Now()
-	d.prepared = now
 	for _, c := range w.TakeHolderChanges() {
 		d.holderChanged(w, int(c.Node), int(c.Packet), c.Delta, now)
 	}
@@ -444,7 +440,62 @@ func (c *calendar) pop() calEvent {
 	return top
 }
 
-// Intents implements sim.Protocol through the planner (sim.PlanIntents):
-// for each awake receiver, the ready neighbor with the earliest forwarding
-// slot (ties to the first in row order) transmits its chosen packet.
-func (d *DFlood) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, d) }
+// Intents implements sim.Protocol: it brings the calendar up to the slot
+// (prepareSlot), then per awake receiver in ascending order the free,
+// undeferred ready neighbor with the earliest penalized forwarding slot
+// (ties to the first in row order) transmits its chosen packet (serve),
+// and finally the chosen timers advance (commit).
+func (d *DFlood) Intents(w *sim.World) []sim.Intent {
+	d.prepareSlot(w)
+	slot := w.ProtoStream()
+	out := d.out[:0]
+	for _, r := range w.AwakeList() {
+		if in, ok := d.serve(w, r, &slot); ok {
+			d.assigned[in.From] = true
+			out = append(out, in)
+		}
+	}
+	d.commit(w, out)
+	d.out = out
+	return out
+}
+
+// serve returns the intent that serves receiver r this slot, if any:
+// among r's unassigned neighbours with a ready timer for a packet r lacks
+// (pairChoice), the one with the smallest penalized forwarding slot, ties
+// to the first in row order, that does not defer. It reads the calendar
+// and timers only; a receiver with no ready neighbour returns at once.
+func (d *DFlood) serve(w *sim.World, r int, slot *rngutil.Stream) (in sim.Intent, ok bool) {
+	if d.readyNbr[r] == 0 || !w.NeedsAnything(r) {
+		return in, false
+	}
+	var best int64
+	row, prrs := d.csr.Row(r)
+	for i, s32 := range row {
+		s := int(s32)
+		if d.readyPkts[s] == 0 || d.assigned[s] {
+			continue
+		}
+		pkt, req := d.pairChoice(w, s, r)
+		if pkt < 0 || (ok && req >= best) || deferKeyed(w, s, slot) {
+			continue
+		}
+		in, ok, best = sim.Intent{From: s, To: r, Packet: pkt, PRR: prrs[i]}, true, req
+	}
+	return in, ok
+}
+
+// commit applies the slot's chosen timers in emission order: each
+// sender's attempt counter for its packet advances, its cached delay is
+// redrawn for the new attempt and its timer goes back on the calendar.
+// It also releases the senders.
+func (d *DFlood) commit(w *sim.World, out []sim.Intent) {
+	for _, in := range out {
+		d.assigned[in.From] = false
+		i := in.From*d.m + in.Packet
+		d.attempts[i]++
+		d.wait[i] = d.delay(i, d.attempts[i])
+		d.arm(w, i)
+		d.supp.message()
+	}
+}

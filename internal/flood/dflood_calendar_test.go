@@ -1,16 +1,15 @@
 package flood
 
-// DFlood plans from a fire calendar: a receiver with no ready neighbour
-// plans nothing, and pairChoice runs only for ready senders. These tests
-// certify that against a full-scan reference planner, bound the
-// calendar's work on a run whose coverage is unreachable, and pin the
-// suppression count's unit on a hand-derived case.
+// DFlood decides from a fire calendar: a receiver with no ready neighbour
+// is skipped, and pairChoice runs only for free ready senders. These
+// tests certify that against a full-scan reference, bound the calendar's
+// work on a run whose coverage is unreachable, and pin the suppression
+// count's unit on a hand-derived case.
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"ldcflood/internal/fault"
@@ -46,71 +45,81 @@ func fullScanChoice(d *DFlood, w *sim.World, s, r int, now int64) (pkt int, requ
 	return pkt, required, blocked && pkt < 0
 }
 
-// fullScanPlan is the full-scan reference PlanReceiver: every neighbour of
-// r in row order with an unblocked due packet r needs. Selection never
-// emits a duplicate-blocked pair, so the reference omits them.
-func fullScanPlan(d *DFlood, w *sim.World, r int, slot *rngutil.Stream) []sim.Candidate {
+// fullScanDFlood is the full-scan reference for DFlood.serve: among r's
+// unassigned neighbours with an unblocked due packet r needs, the one with
+// the smallest penalized slot, ties to the first in row order, that does
+// not defer. It also returns how many neighbours offer such a packet,
+// assigned or not.
+func fullScanDFlood(d *DFlood, w *sim.World, r int, slot *rngutil.Stream) (in sim.Intent, ok bool, offers int) {
 	if !w.NeedsAnything(r) {
-		return nil
+		return in, false, 0
 	}
-	var out []sim.Candidate
+	var best int64
 	row, prrs := d.csr.Row(r)
 	for i, s32 := range row {
 		s := int(s32)
-		pkt, req, blocked := fullScanChoice(d, w, s, r, w.Now())
-		if pkt < 0 || blocked {
+		pkt, req, _ := fullScanChoice(d, w, s, r, w.Now())
+		if pkt < 0 {
 			continue
 		}
-		var flags uint8
-		if deferKeyed(w, s, slot) {
-			flags = candDeferred
+		offers++
+		if d.assigned[s] || (ok && req >= best) || deferKeyed(w, s, slot) {
+			continue
 		}
-		out = append(out, sim.Candidate{Node: s32, Packet: int32(pkt), Flags: flags, PRR: prrs[i], U: float64(req)})
+		in, ok, best = sim.Intent{From: s, To: r, Packet: pkt, PRR: prrs[i]}, true, req
 	}
-	return out
+	return in, ok, offers
 }
 
-// checkedDFlood plans with the calendar and compares every awake
-// receiver's candidate list with the full scan's, on the same world.
+// checkedDFlood is DFlood.Intents comparing every awake receiver's
+// decision with the full scan's, on the same world.
 type checkedDFlood struct {
 	*DFlood
 	t     *testing.T
 	label string
 	// skipped counts needy receivers the calendar skipped (no ready
-	// neighbour); planned counts receivers that planned a candidate.
-	skipped, planned atomic.Int64
+	// neighbour); offered counts receivers some neighbour offered a
+	// packet.
+	skipped, offered int
 }
 
-func (c *checkedDFlood) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, c) }
-
-func (c *checkedDFlood) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	start := len(buf)
-	buf = c.DFlood.PlanReceiver(w, r, slot, buf)
-	got := buf[start:]
-	want := fullScanPlan(c.DFlood, w, r, slot)
-	if c.readyNbr[r] == 0 && w.NeedsAnything(r) {
-		c.skipped.Add(1)
-		if len(want) > 0 {
-			c.t.Errorf("%s, slot %d: receiver %d skipped, full scan plans %v", c.label, w.Now(), r, want)
+func (c *checkedDFlood) Intents(w *sim.World) []sim.Intent {
+	d := c.DFlood
+	d.prepareSlot(w)
+	slot := w.ProtoStream()
+	var out []sim.Intent
+	for _, r := range w.AwakeList() {
+		got, ok := d.serve(w, r, &slot)
+		want, wantOK, offers := fullScanDFlood(d, w, r, &slot)
+		if d.readyNbr[r] == 0 && w.NeedsAnything(r) {
+			c.skipped++
+			if offers > 0 {
+				c.t.Errorf("%s, slot %d: receiver %d skipped, full scan finds %d offers", c.label, w.Now(), r, offers)
+			}
+		}
+		if offers > 0 {
+			c.offered++
+		}
+		if got != want || ok != wantOK {
+			c.t.Errorf("%s, slot %d: receiver %d served by %+v (%v), full scan %+v (%v)", c.label, w.Now(), r, got, ok, want, wantOK)
+		}
+		if ok {
+			d.assigned[got.From] = true
+			out = append(out, got)
 		}
 	}
-	if len(got) > 0 {
-		c.planned.Add(1)
-	}
-	if !slices.Equal(got, want) {
-		c.t.Errorf("%s, slot %d: receiver %d plans %v, full scan %v", c.label, w.Now(), r, got, want)
-	}
-	return buf
+	d.commit(w, out)
+	return out
 }
 
 // TestDFloodCalendarMatchesFullScan runs DFlood on random graphs and
 // schedules, M ∈ {1, 8, 80}, the penalty at Ndupl 1, 2 and off, with and
-// without crash/reboot churn, and compares every
-// planned slot's candidates with the full scan: a skipped receiver would
-// have planned nothing, and a planned receiver's list is the full scan's
-// in row order, packet, flags and U.
+// without crash/reboot churn, and compares every awake receiver's
+// decision with the full scan's: a skipped receiver has no neighbour
+// offering a packet, and every receiver is served by the full scan's
+// sender with its packet. The whole run must equal DFlood's own.
 func TestDFloodCalendarMatchesFullScan(t *testing.T) {
-	var skipped, planned int64
+	var skipped, offered int
 	for _, m := range []int{1, 8, 80} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			r := rngutil.New(seed*6007 + uint64(m))
@@ -150,12 +159,12 @@ func TestDFloodCalendarMatchesFullScan(t *testing.T) {
 			ref, _ := runWith(t, cfg, &DFlood{Ndupl: ndupl})
 			res, _ := runWith(t, cfg, c)
 			equalResults(t, res, ref, label)
-			skipped += c.skipped.Load()
-			planned += c.planned.Load()
+			skipped += c.skipped
+			offered += c.offered
 		}
 	}
-	if skipped == 0 || planned == 0 {
-		t.Fatalf("grid skipped %d needy receivers and planned %d: the skip rule went unexercised", skipped, planned)
+	if skipped == 0 || offered == 0 {
+		t.Fatalf("grid skipped %d needy receivers and saw %d offered to: the skip rule went unexercised", skipped, offered)
 	}
 }
 

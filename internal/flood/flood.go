@@ -20,17 +20,19 @@
 //     bounded delay so floods always complete. Postponed timers are
 //     tallied per node, once per (node, packet, attempt).
 //
-// Every protocol decides through one implementation, the
-// sim.ShardPlanner pair PlanReceiver + SelectIntents (planner.go); its
-// Intents method runs that pair inline through sim.PlanIntents. Trickle
-// and DFlood derive all timer state from keyed RNG streams captured at
-// Reset plus world-state reads (DFlood also keeps its timers on a fire
-// calendar, changed only in its OnPlanSlot hook and SelectIntents
-// steps), so their schedules are bit-identical whichever slots the engine
-// visits; their
-// suppression behavior is tuned for liveness under the
-// receiver-initiated engine (see the type docs for the exact backoff and
-// suppression preconditions).
+// Every protocol decides a slot in its Intents method, the engine's one
+// per-slot call: one ascending pass over the awake receivers, each decided
+// right after its neighbor row is scanned, with keyed draws from the
+// slot's protocol stream (keyed.go). The intents come out grouped by
+// ascending receiver, each with its link PRR, so the engine admits them
+// without a sort or a link lookup. Trickle and DFlood derive all timer
+// state from keyed RNG streams captured at Reset plus world-state reads
+// (DFlood also keeps its timers on a fire calendar, brought up to the
+// slot at the top of its Intents and advanced for the chosen timers at
+// the end), so their schedules are bit-identical whichever slots the
+// engine visits; their suppression behavior is tuned for liveness under
+// the receiver-initiated engine (see the type docs for the exact backoff
+// and suppression preconditions).
 package flood
 
 import (

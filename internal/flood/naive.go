@@ -19,7 +19,9 @@ type Naive struct {
 	assigned []bool
 	audible  audibility
 	csr      *topology.CSR
-	sel      selScratch
+	out      []sim.Intent
+	// cands holds one receiver's free contenders, as indices into its row.
+	cands []int32
 }
 
 // NewNaive returns a fresh Naive instance.
@@ -44,5 +46,45 @@ func (n *Naive) CollisionsApply() bool { return true }
 // Overhears implements sim.Protocol.
 func (n *Naive) Overhears() bool { return false }
 
-// Intents implements sim.Protocol through the planner (sim.PlanIntents).
-func (n *Naive) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, n) }
+// Intents implements sim.Protocol: per awake receiver in ascending order,
+// its contenders are the unassigned neighbors holding a needed packet that
+// do not defer, in ascending id order (rows are ascending). The rank
+// origin rotates by slot — no quality knowledge, just a deterministic
+// TDMA-ish rotation every node can compute — to pick the winner;
+// contenders hidden from it (carrier sense) fire on their keyed uniforms.
+func (n *Naive) Intents(w *sim.World) []sim.Intent {
+	slot := w.ProtoStream()
+	out := n.out[:0]
+	for _, r := range w.AwakeList() {
+		if !w.NeedsAnything(r) {
+			continue
+		}
+		row, prrs := n.csr.Row(r)
+		cands := n.cands[:0]
+		for i, s32 := range row {
+			if s := int(s32); !n.assigned[s] && w.AnyNeeded(s, r) && !deferKeyed(w, s, &slot) {
+				cands = append(cands, int32(i))
+			}
+		}
+		n.cands = cands
+		if len(cands) == 0 {
+			continue
+		}
+		rot := int(w.Now()) % len(cands)
+		wi := cands[rot]
+		winner := int(row[wi])
+		n.assigned[winner] = true
+		out = append(out, sim.Intent{From: winner, To: r, Packet: sim.PacketFCFS, PRR: prrs[wi]})
+		for j, i := range cands {
+			s := int(row[i])
+			if j == rot || n.audible.has(s, winner) || pairU(&slot, r, s) >= n.HiddenFireProb {
+				continue
+			}
+			n.assigned[s] = true
+			out = append(out, sim.Intent{From: s, To: r, Packet: sim.PacketFCFS, PRR: prrs[i]})
+		}
+	}
+	release(n.assigned, out)
+	n.out = out
+	return out
+}

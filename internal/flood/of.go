@@ -30,7 +30,10 @@ type OF struct {
 	parentPRR []float64
 	assigned  []bool
 	csr       *topology.CSR
-	sel       selScratch
+	out       []sim.Intent
+	// cands holds one receiver's free opportunistic candidates, as
+	// indices into its row.
+	cands []int32
 
 	// treeGraph / treePeriod memoize the energy-optimal tree, its parent
 	// link PRRs and its expected-delay distribution across runs over the
@@ -79,15 +82,59 @@ func (o *OF) CollisionsApply() bool { return true }
 // through overhearing.
 func (o *OF) Overhears() bool { return false }
 
-// Intents implements sim.Protocol through the planner (sim.PlanIntents):
-// the tree parent serves its child when free; opportunistic senders
-// (non-parent neighbors holding a needed packet) decide independently and
-// cannot know whether the parent is about to transmit, so collisions with
-// it are possible. Each normalizes its forwarding probability by the local
-// candidate density (part of OF's p-value computation), so the expected
-// number of opportunistic transmissions per wake-up stays
-// O(Aggressiveness) rather than O(degree).
-func (o *OF) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, o) }
+// Intents implements sim.Protocol: per awake receiver in ascending order,
+// the tree parent serves its child when free, holding a needed packet and
+// not deferring; opportunistic senders (the other free neighbors holding
+// a needed packet) then decide independently and cannot know whether the
+// parent is about to transmit, so collisions with it are possible. Each
+// fires on its keyed uniform against forwardProbability, normalized by the
+// count of free opportunistic candidates (part of OF's p-value
+// computation), so the expected number of opportunistic transmissions per
+// wake-up stays O(Aggressiveness) rather than O(degree). A candidate's
+// packet — whose age feeds forwardProbability — is resolved only when its
+// uniform falls below maxForwardProbability; above that bound no packet
+// age can fire it. The parent's packet is left to the engine (FCFS).
+func (o *OF) Intents(w *sim.World) []sim.Intent {
+	slot := w.ProtoStream()
+	out := o.out[:0]
+	for _, r := range w.AwakeList() {
+		if !w.NeedsAnything(r) {
+			continue
+		}
+		parent := o.tr.Parent[r]
+		parentServes := parent >= 0 && !o.assigned[parent] && w.AnyNeeded(parent, r) && !deferKeyed(w, parent, &slot)
+		if parentServes {
+			o.assigned[parent] = true
+			out = append(out, sim.Intent{From: parent, To: r, Packet: sim.PacketFCFS, PRR: o.parentPRR[r]})
+		}
+		if o.DisableOpportunistic {
+			continue
+		}
+		row, prrs := o.csr.Row(r)
+		cands := o.cands[:0]
+		for i, s32 := range row {
+			if s := int(s32); s != parent && !o.assigned[s] && w.AnyNeeded(s, r) {
+				cands = append(cands, int32(i))
+			}
+		}
+		o.cands = cands
+		for _, i := range cands {
+			s, prr := int(row[i]), prrs[i]
+			u := pairU(&slot, r, s)
+			if u >= o.maxForwardProbability(prr, len(cands)) || deferKeyed(w, s, &slot) {
+				continue
+			}
+			pkt := w.OldestNeeded(s, r)
+			if q := o.forwardProbability(w, r, pkt, prr, parentServes, len(cands)); q > 0 && u < q {
+				o.assigned[s] = true
+				out = append(out, sim.Intent{From: s, To: r, Packet: pkt, PRR: prr})
+			}
+		}
+	}
+	release(o.assigned, out)
+	o.out = out
+	return out
+}
 
 // forwardProbability is the opportunistic forwarding decision: compare the
 // packet's age against its expected tree-path arrival at the receiver. A

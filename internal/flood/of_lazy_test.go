@@ -1,12 +1,12 @@
 package flood
 
-// OF resolves an opportunistic candidate's packet in SelectIntents, and
-// only when the candidate's stashed uniform falls below
-// maxForwardProbability. These tests certify the two halves of that
-// claim: the bound holds exactly in floating point for every input, so
-// the gate can never hide a firing candidate, and a run with the lazy
-// selection is byte-identical to one with an eager reference that
-// resolves every candidate's packet at plan time.
+// OF resolves an opportunistic candidate's packet only when the
+// candidate's keyed uniform falls below maxForwardProbability. These tests
+// certify the two halves of that claim: the bound holds exactly in
+// floating point for every input, so the gate can never hide a firing
+// candidate, and a run with the lazy decision is byte-identical to one
+// with an eager reference that resolves every candidate's packet up
+// front.
 
 import (
 	"encoding/json"
@@ -100,96 +100,66 @@ func TestOFForwardProbabilityBound(t *testing.T) {
 	}
 }
 
-// eagerOF is the reference OF planner: it resolves every candidate's FCFS
-// packet at plan time, admits candidates on that scan and looks up the
+// eagerOF is the reference OF decider: it resolves every candidate's
+// FCFS packet up front, admits candidates on that scan and looks up the
 // parent link's PRR per receiver, then compares every unassigned,
 // undeferred opportunistic candidate against forwardProbability. It
 // shares Reset, the tree and forwardProbability with OF, so it differs
 // from OF only in where packets are resolved.
 type eagerOF struct{ *OF }
 
-func (e eagerOF) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, e) }
-
-func (e eagerOF) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+func (e eagerOF) Intents(w *sim.World) []sim.Intent {
+	type cand struct {
+		node, pkt int
+		prr, u    float64
+		deferred  bool
+	}
 	o := e.OF
-	parent := o.tr.Parent[r]
-	if parent >= 0 {
-		if pkt := w.OldestNeeded(parent, r); pkt >= 0 {
-			flags := candParent
-			if deferKeyed(w, parent, slot) {
-				flags |= candDeferred
-			}
-			buf = append(buf, sim.Candidate{
-				Node: int32(parent), Packet: int32(pkt), Flags: flags,
-				PRR: o.csr.PRROf(r, parent),
-			})
-		}
-	}
-	if o.DisableOpportunistic {
-		return buf
-	}
-	row, prrs := o.csr.Row(r)
-	for i, s32 := range row {
-		s := int(s32)
-		if s == parent {
-			continue
-		}
-		pkt := w.OldestNeeded(s, r)
-		if pkt < 0 {
-			continue
-		}
-		var flags uint8
-		if deferKeyed(w, s, slot) {
-			flags |= candDeferred
-		}
-		buf = append(buf, sim.Candidate{
-			Node: s32, Packet: int32(pkt), Flags: flags,
-			PRR: prrs[i], U: pairU(slot, r, s),
-		})
-	}
-	return buf
-}
-
-func (e eagerOF) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
-	o := e.OF
-	sel := o.sel.emitted[:0]
-	for i := 0; i < plan.Len(); i++ {
-		r := plan.Receiver(i)
-		cands := plan.Candidates(i)
+	slot := w.ProtoStream()
+	var out []sim.Intent
+	for _, r := range w.AwakeList() {
+		parent := o.tr.Parent[r]
 		parentServes := false
-		if len(cands) > 0 && cands[0].Flags&candParent != 0 {
-			pc := cands[0]
-			cands = cands[1:]
-			if !o.assigned[pc.Node] && pc.Flags&candDeferred == 0 {
-				o.assigned[pc.Node] = true
-				sel = append(sel, pc.Node)
-				emit(sim.Intent{From: int(pc.Node), To: r, Packet: int(pc.Packet)}, pc.PRR)
+		if parent >= 0 {
+			if pkt := w.OldestNeeded(parent, r); pkt >= 0 && !o.assigned[parent] && !deferKeyed(w, parent, &slot) {
+				o.assigned[parent] = true
+				out = append(out, sim.Intent{From: parent, To: r, Packet: pkt, PRR: o.csr.PRROf(r, parent)})
 				parentServes = true
 			}
 		}
+		if o.DisableOpportunistic {
+			continue
+		}
+		var cands []cand
+		row, prrs := o.csr.Row(r)
+		for i, s32 := range row {
+			s := int(s32)
+			if s == parent {
+				continue
+			}
+			if pkt := w.OldestNeeded(s, r); pkt >= 0 {
+				cands = append(cands, cand{node: s, pkt: pkt, prr: prrs[i], u: pairU(&slot, r, s), deferred: deferKeyed(w, s, &slot)})
+			}
+		}
 		oppCands := 0
-		for j := range cands {
-			if !o.assigned[cands[j].Node] {
+		for _, c := range cands {
+			if !o.assigned[c.node] {
 				oppCands++
 			}
 		}
-		for j := range cands {
-			c := &cands[j]
-			if o.assigned[c.Node] {
+		for _, c := range cands {
+			if o.assigned[c.node] {
 				continue
 			}
-			q := o.forwardProbability(w, r, int(c.Packet), c.PRR, parentServes, oppCands)
-			if q > 0 && c.U < q && c.Flags&candDeferred == 0 {
-				o.assigned[c.Node] = true
-				sel = append(sel, c.Node)
-				emit(sim.Intent{From: int(c.Node), To: r, Packet: int(c.Packet)}, c.PRR)
+			q := o.forwardProbability(w, r, c.pkt, c.prr, parentServes, oppCands)
+			if q > 0 && c.u < q && !c.deferred {
+				o.assigned[c.node] = true
+				out = append(out, sim.Intent{From: c.node, To: r, Packet: c.pkt, PRR: c.prr})
 			}
 		}
 	}
-	for _, s := range sel {
-		o.assigned[s] = false
-	}
-	o.sel.emitted = sel
+	release(o.assigned, out)
+	return out
 }
 
 // randomOFGraph is a connected random graph: a random spanning tree plus

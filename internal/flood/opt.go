@@ -19,7 +19,7 @@ type OPT struct {
 
 	assigned []bool
 	rank     *topology.RankView
-	sel      selScratch
+	out      []sim.Intent
 }
 
 // NewOPT returns a fresh OPT instance.
@@ -43,7 +43,27 @@ func (o *OPT) CollisionsApply() bool { return false }
 // scheme, contradicting its definition.
 func (o *OPT) Overhears() bool { return !o.DisableOverhearing }
 
-// Intents implements sim.Protocol through the planner (sim.PlanIntents):
-// for each awake receiver, its highest-PRR free neighbor holding a needed
-// packet transmits the FCFS packet.
-func (o *OPT) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, o) }
+// Intents implements sim.Protocol: per awake receiver in ascending order,
+// the first entry of its rank row (topology.CSR.Ranked: PRR descending,
+// id ascending) that is unassigned, holds a needed packet and does not
+// defer transmits the FCFS packet. A sender serves one receiver per slot
+// (semi-duplex); a contended receiver falls back to its next-best holder.
+func (o *OPT) Intents(w *sim.World) []sim.Intent {
+	slot := w.ProtoStream()
+	out := o.out[:0]
+	for _, r := range w.AwakeList() {
+		if !w.NeedsAnything(r) {
+			continue
+		}
+		row, prrs := o.rank.Row(r)
+		wi := firstFree(w, o.assigned, row, r, &slot)
+		if wi < 0 {
+			continue
+		}
+		o.assigned[row[wi]] = true
+		out = append(out, sim.Intent{From: int(row[wi]), To: r, Packet: sim.PacketFCFS, PRR: prrs[wi]})
+	}
+	release(o.assigned, out)
+	o.out = out
+	return out
+}

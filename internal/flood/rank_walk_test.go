@@ -1,10 +1,10 @@
 package flood
 
-// OPT and DBAO decide by walking rank-ordered neighbor rows in
-// SelectIntents and plan no candidates. This file keeps the candidate-list
-// planners they replaced — every needed holder planned with its keyed
-// draws, a linear max for the winner and a sorted hidden set — as a
-// reference, and requires the rank walk to flood byte-identically.
+// OPT and DBAO decide by walking rank-ordered neighbor rows. This file
+// keeps the candidate-list deciders they replaced — every needed holder
+// listed with its keyed draws, a linear max for the winner and a sorted
+// hidden set — as a reference, and requires the rank walk to flood
+// byte-identically.
 
 import (
 	"fmt"
@@ -18,20 +18,57 @@ import (
 	"ldcflood/internal/topology"
 )
 
+// listCand is one listed candidate sender: its node, its link PRR and
+// its keyed hidden-fire uniform.
+type listCand struct {
+	node int
+	prr  float64
+	u    float64
+}
+
+// listHolders lists every neighbor of r holding a packet r needs and not
+// deferring, in row order, with its keyed hidden-fire uniform.
+func listHolders(w *sim.World, csr *topology.CSR, r int, slot *rngutil.Stream) []listCand {
+	if !w.NeedsAnything(r) {
+		return nil
+	}
+	var out []listCand
+	row, prrs := csr.Row(r)
+	for i, s32 := range row {
+		s := int(s32)
+		if w.AnyNeeded(s, r) && !deferKeyed(w, s, slot) {
+			out = append(out, listCand{node: s, prr: prrs[i], u: pairU(slot, r, s)})
+		}
+	}
+	return out
+}
+
 // dbaoRank orders candidates by the deterministic back-off rank: best link
 // quality first, node id breaking ties.
-func dbaoRank(a, b sim.Candidate) int {
-	if a.PRR != b.PRR {
-		if a.PRR > b.PRR {
+func dbaoRank(a, b listCand) int {
+	if a.prr != b.prr {
+		if a.prr > b.prr {
 			return -1
 		}
 		return 1
 	}
-	return int(a.Node - b.Node)
+	return a.node - b.node
+}
+
+// bestFree returns the index of the best-ranked unassigned candidate, or
+// -1.
+func bestFree(assigned []bool, cands []listCand) int {
+	wi := -1
+	for j := range cands {
+		if !assigned[cands[j].node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
+			wi = j
+		}
+	}
+	return wi
 }
 
 // listOPT is the candidate-list OPT reference: every neighbor holding a
-// needed packet and not deferring is planned in row order, and the
+// needed packet and not deferring is listed in row order, and the
 // best-ranked unassigned candidate wins.
 type listOPT struct {
 	*OPT
@@ -43,38 +80,23 @@ func (l *listOPT) Reset(w *sim.World) {
 	l.csr = w.Graph.CSR()
 }
 
-func (l *listOPT) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, l) }
-
-func (l *listOPT) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	return planHolders(w, l.csr, r, slot, buf)
-}
-
-func (l *listOPT) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+func (l *listOPT) Intents(w *sim.World) []sim.Intent {
 	o := l.OPT
-	var sel []int32
-	for i := 0; i < plan.Len(); i++ {
-		cands := plan.Candidates(i)
-		wi := -1
-		for j := range cands {
-			if !o.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
-				wi = j
-			}
+	slot := w.ProtoStream()
+	var out []sim.Intent
+	for _, r := range w.AwakeList() {
+		cands := listHolders(w, l.csr, r, &slot)
+		if wi := bestFree(o.assigned, cands); wi >= 0 {
+			o.assigned[cands[wi].node] = true
+			out = append(out, sim.Intent{From: cands[wi].node, To: r, Packet: sim.PacketFCFS, PRR: cands[wi].prr})
 		}
-		if wi < 0 {
-			continue
-		}
-		s := cands[wi].Node
-		o.assigned[s] = true
-		sel = append(sel, s)
-		emit(sim.Intent{From: int(s), To: plan.Receiver(i), Packet: sim.PacketFCFS}, cands[wi].PRR)
 	}
-	for _, s := range sel {
-		o.assigned[s] = false
-	}
+	release(o.assigned, out)
+	return out
 }
 
 // listDBAO is the candidate-list DBAO reference: the contenders are
-// planned with their hidden-fire uniforms, the best-ranked unassigned one
+// listed with their hidden-fire uniforms, the best-ranked unassigned one
 // wins, and the unassigned candidates hidden from it whose uniform falls
 // below HiddenFireProb fire, sorted into rank order.
 type listDBAO struct {
@@ -87,48 +109,34 @@ func (l *listDBAO) Reset(w *sim.World) {
 	l.csr = w.Graph.CSR()
 }
 
-func (l *listDBAO) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, l) }
-
-func (l *listDBAO) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	return planContenders(w, l.csr, r, slot, buf)
-}
-
-func (l *listDBAO) SelectIntents(w *sim.World, plan *sim.SlotPlan, emit func(in sim.Intent, prr float64)) {
+func (l *listDBAO) Intents(w *sim.World) []sim.Intent {
 	d := l.DBAO
-	var sel []int32
-	for i := 0; i < plan.Len(); i++ {
-		r := plan.Receiver(i)
-		cands := plan.Candidates(i)
-		wi := -1
-		for j := range cands {
-			if !d.assigned[cands[j].Node] && (wi < 0 || dbaoRank(cands[j], cands[wi]) < 0) {
-				wi = j
-			}
-		}
+	slot := w.ProtoStream()
+	var out []sim.Intent
+	for _, r := range w.AwakeList() {
+		cands := listHolders(w, l.csr, r, &slot)
+		wi := bestFree(d.assigned, cands)
 		if wi < 0 {
 			continue
 		}
-		winner := cands[wi].Node
+		winner := cands[wi].node
 		d.assigned[winner] = true
-		sel = append(sel, winner)
-		emit(sim.Intent{From: int(winner), To: r, Packet: sim.PacketFCFS}, cands[wi].PRR)
-		var firing []sim.Candidate
+		out = append(out, sim.Intent{From: winner, To: r, Packet: sim.PacketFCFS, PRR: cands[wi].prr})
+		var firing []listCand
 		for j, c := range cands {
-			if j == wi || d.assigned[c.Node] || c.U >= d.HiddenFireProb || d.audible.has(int(c.Node), int(winner)) {
+			if j == wi || d.assigned[c.node] || c.u >= d.HiddenFireProb || d.audible.has(c.node, winner) {
 				continue
 			}
 			firing = append(firing, c)
 		}
 		slices.SortFunc(firing, dbaoRank)
 		for _, c := range firing {
-			d.assigned[c.Node] = true
-			sel = append(sel, c.Node)
-			emit(sim.Intent{From: int(c.Node), To: r, Packet: sim.PacketFCFS}, c.PRR)
+			d.assigned[c.node] = true
+			out = append(out, sim.Intent{From: c.node, To: r, Packet: sim.PacketFCFS, PRR: c.prr})
 		}
 	}
-	for _, s := range sel {
-		d.assigned[s] = false
-	}
+	release(d.assigned, out)
+	return out
 }
 
 // tiedPRRs are the only link qualities tiedGraph draws, so equal-PRR

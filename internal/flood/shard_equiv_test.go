@@ -1,12 +1,10 @@
 package flood
 
-// Equivalence suite for the planner path with the real protocols: the
-// engine's own planning phase and a planner-hiding decorator (whose
-// Intents plans through sim.PlanIntents) must flood byte for byte alike
-// across every protocol × fault family, and every run must reproduce
-// itself. Every run captures its trace (tracebin), and the byte-identity
-// guarantees are asserted on the trace bytes. Also certifies the
-// carrier-sense relation against a brute-force distance reference.
+// Rerun determinism with the real protocols: every run must reproduce
+// itself across every protocol × fault family. Every run captures its
+// trace (tracebin), and the byte-identity guarantee is asserted on the
+// trace bytes. Also certifies the carrier-sense relation against a
+// brute-force distance reference.
 
 import (
 	"bytes"
@@ -67,10 +65,9 @@ func shardCfg(g *topology.Graph, faults *fault.Schedule, seed uint64) sim.Config
 	return cfg
 }
 
-// TestShardEquivalenceGrid is the planner-path acceptance grid: for every
-// protocol × every fault family (plus the unfaulted case), a rerun, and a
-// run behind a decorator that hides the planner, must produce identical
-// results and byte-identical traces.
+// TestShardEquivalenceGrid is the rerun acceptance grid: for every
+// protocol × every fault family (plus the unfaulted case), a rerun must
+// produce an identical result and a byte-identical trace.
 func TestShardEquivalenceGrid(t *testing.T) {
 	schedules := faultSchedules()
 	schedules["none"] = nil
@@ -86,15 +83,6 @@ func TestShardEquivalenceGrid(t *testing.T) {
 					t.Errorf("%s: rerun diverged", protocol)
 				}
 				equalTraces(t, refTrace, againTrace, protocol+" rerun")
-				inner, err := New(protocol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dec, decTrace := runWith(t, cfg, &decorated{Protocol: inner})
-				if !reflect.DeepEqual(ref, dec) {
-					t.Errorf("%s: planner-hiding decorator diverged from the planner path", protocol)
-				}
-				equalTraces(t, refTrace, decTrace, protocol+" planner path vs decorator")
 			}
 		})
 	}

@@ -211,28 +211,23 @@ func TestDFloodPenaltyDisabled(t *testing.T) {
 	}
 }
 
-// timerCounterRun executes one timer-protocol run, behind a
-// planner-hiding decorator when decorate is set, and returns its result
+// timerCounterRun executes one timer-protocol run and returns its result
 // plus counters.
-func timerCounterRun(t *testing.T, name string, decorate bool) (*sim.Result, int64, int64, []int64) {
+func timerCounterRun(t *testing.T, name string) (*sim.Result, int64, int64, []int64) {
 	t.Helper()
 	g := topology.Grid(6, 6, 0.8)
 	p, err := New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var proto sim.Protocol = p
-	if decorate {
-		proto = &decorated{Protocol: p}
-	}
 	res, err := sim.Run(sim.Config{
 		Graph:     g,
 		Schedules: uniform(g.N(), 20, 42),
-		Protocol:  proto,
+		Protocol:  p,
 		M:         3, Coverage: 0.99, Seed: 99, MaxSlots: 200000,
 	})
 	if err != nil {
-		t.Fatalf("%s decorated=%v: %v", name, decorate, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	type counted interface {
 		FloodCounters() (int64, int64)
@@ -245,18 +240,14 @@ func timerCounterRun(t *testing.T, name string, decorate bool) (*sim.Result, int
 
 // TestProtocolCountersModeInvariant pins the counter determinism claim in
 // counters.go: message and suppression counts are identical across
-// reruns, and whether the engine plans through the protocol's planner
-// methods or through Intents behind a planner-hiding decorator.
+// reruns.
 func TestProtocolCountersModeInvariant(t *testing.T) {
 	for _, name := range []string{"trickle", "dflood"} {
 		t.Run(name, func(t *testing.T) {
-			_, baseMsg, baseSupp, basePer := timerCounterRun(t, name, false)
-			for _, decorate := range []bool{false, true} {
-				_, msg, supp, per := timerCounterRun(t, name, decorate)
-				if msg != baseMsg || supp != baseSupp || !reflect.DeepEqual(per, basePer) {
-					t.Errorf("decorated=%v: counters (%d, %d) diverge from (%d, %d)",
-						decorate, msg, supp, baseMsg, baseSupp)
-				}
+			_, baseMsg, baseSupp, basePer := timerCounterRun(t, name)
+			_, msg, supp, per := timerCounterRun(t, name)
+			if msg != baseMsg || supp != baseSupp || !reflect.DeepEqual(per, basePer) {
+				t.Errorf("rerun: counters (%d, %d) diverge from (%d, %d)", msg, supp, baseMsg, baseSupp)
 			}
 		})
 	}

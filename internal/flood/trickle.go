@@ -27,10 +27,10 @@ import (
 // Every timer quantity is a pure function of the pre-slot world state and
 // a keyed RNG stream captured at Reset: fire points are keyed by (node,
 // interval start), so they are unaffected by the slots the engine skips.
-// A receiver plans only when some neighbour holds a packet it lacks, read
-// off the engine's neighbour-holder count (sim.World.TrackNeighborHolders,
-// turned on at Reset); the OnPlanSlot hook Reset registers drains the
-// count's journal, which Trickle does not read.
+// A receiver scans its row only when some neighbour holds a packet it
+// lacks, read off the engine's neighbour-holder count
+// (sim.World.TrackNeighborHolders, turned on at Reset); Intents drains the
+// count's journal, which Trickle does not read, before it decides.
 type Trickle struct {
 	// Imin is the smallest Trickle interval in slots. Zero selects the
 	// default (16).
@@ -54,7 +54,7 @@ type Trickle struct {
 	csr      *topology.CSR
 	timer    rngutil.Stream
 	assigned []bool
-	sel      selScratch
+	out      []sim.Intent
 	supp     suppCounters
 }
 
@@ -83,13 +83,7 @@ func (t *Trickle) Reset(w *sim.World) {
 	t.assigned = make([]bool, w.Graph.N())
 	t.supp.reset(w.Graph.N())
 	w.TrackNeighborHolders()
-	w.OnPlanSlot(drainHolderChanges)
 }
-
-// drainHolderChanges is Trickle's sim.World.OnPlanSlot hook. Trickle
-// reads only the neighbour-holder count, never the journal, so the hook
-// just empties it.
-func drainHolderChanges(w *sim.World) { w.TakeHolderChanges() }
 
 // CollisionsApply implements sim.Protocol: Trickle is a practical
 // protocol; concurrent transmissions in range collide.
@@ -185,8 +179,60 @@ func (t *Trickle) suppressedAt(w *sim.World, s int, startS int64) bool {
 	return false
 }
 
-// Intents implements sim.Protocol through the planner (sim.PlanIntents):
-// for each awake receiver, the first neighbor in row order whose Trickle
-// timer is armed this slot, is not suppressed, and does not defer
-// transmits its FCFS packet.
-func (t *Trickle) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, t) }
+// Intents implements sim.Protocol: per awake receiver in ascending order,
+// the first unassigned neighbor in row order whose Trickle timer is armed
+// this slot, is not suppressed, and does not defer transmits its FCFS
+// packet (serve). Trickle reads the neighbour-holder count, never its
+// journal, so Intents first just empties the journal.
+func (t *Trickle) Intents(w *sim.World) []sim.Intent {
+	w.TakeHolderChanges()
+	slot := w.ProtoStream()
+	out := t.out[:0]
+	for _, r := range w.AwakeList() {
+		if in, ok := t.serve(w, r, &slot); ok {
+			t.assigned[in.From] = true
+			t.supp.message()
+			out = append(out, in)
+		}
+	}
+	release(t.assigned, out)
+	t.supp.endSlot()
+	t.out = out
+	return out
+}
+
+// serve returns the intent that serves receiver r this slot, if any: the
+// first neighbor in row order holding a packet r needs whose timer is
+// armed (fire point passed within the current interval), whose firing is
+// not suppressed, that is unassigned and does not defer. Every armed
+// neighbor whose firing is suppressed is tallied, once per sender per
+// slot. Timer state is pure (keyed stream captured at Reset). A receiver
+// none of whose neighbours holds a packet it lacks returns at once, read
+// off the neighbour-holder count: the row scan would find no armed
+// neighbor and draw nothing.
+func (t *Trickle) serve(w *sim.World, r int, slot *rngutil.Stream) (in sim.Intent, ok bool) {
+	if !w.NeighborHoldsNeeded(r) {
+		return in, false
+	}
+	now := w.Now()
+	row, prrs := t.csr.Row(r)
+	for i, s32 := range row {
+		s := int(s32)
+		if !w.AnyNeeded(s, r) {
+			continue
+		}
+		start, length := t.intervalAt(lastResetOf(w, s), now)
+		if t.firePoint(s, start, length) > now {
+			continue
+		}
+		if t.suppressedAt(w, s, start) {
+			t.supp.note(s32)
+			continue
+		}
+		if ok || t.assigned[s] || deferKeyed(w, s, slot) {
+			continue
+		}
+		in, ok = sim.Intent{From: s, To: r, Packet: sim.PacketFCFS, PRR: prrs[i]}, true
+	}
+	return in, ok
+}

@@ -3,11 +3,10 @@ package flood
 // Trickle skips a receiver none of whose neighbours holds a packet it
 // lacks, read off the engine's neighbour-holder count. This test
 // certifies the skip against the full row scan it replaced, on every
-// planned slot and over whole runs.
+// awake receiver and over whole runs.
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"ldcflood/internal/fault"
@@ -16,11 +15,12 @@ import (
 	"ldcflood/internal/sim"
 )
 
-// fullScanTrickle is the full-scan reference for Trickle.PlanReceiver:
-// every needy receiver scans its whole row for armed holders.
-func fullScanTrickle(t *Trickle, w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
+// fullScanTrickle is the full-scan reference for Trickle.serve: every
+// needy receiver scans its whole row for armed holders. It also returns
+// how many armed holders it saw.
+func fullScanTrickle(t *Trickle, w *sim.World, r int, slot *rngutil.Stream) (in sim.Intent, ok bool, armed int) {
 	if !w.NeedsAnything(r) {
-		return buf
+		return in, false, 0
 	}
 	now := w.Now()
 	row, prrs := t.csr.Row(r)
@@ -33,68 +33,86 @@ func fullScanTrickle(t *Trickle, w *sim.World, r int, slot *rngutil.Stream, buf 
 		if t.firePoint(s, start, length) > now {
 			continue
 		}
-		var flags uint8
+		armed++
 		if t.suppressedAt(w, s, start) {
-			flags = candSuppressed
-		} else if deferKeyed(w, s, slot) {
-			flags = candDeferred
+			t.supp.note(s32)
+			continue
 		}
-		buf = append(buf, sim.Candidate{Node: s32, Packet: sim.PacketFCFS, Flags: flags, PRR: prrs[i]})
+		if ok || t.assigned[s] || deferKeyed(w, s, slot) {
+			continue
+		}
+		in, ok = sim.Intent{From: s, To: r, Packet: sim.PacketFCFS, PRR: prrs[i]}, true
 	}
-	return buf
+	return in, ok, armed
 }
 
-// scanTrickle is Trickle planning every receiver with the full scan.
+// trickleSlot is Trickle.Intents with serve as the per-receiver decision.
+func trickleSlot(t *Trickle, w *sim.World, serve func(r int, slot *rngutil.Stream) (sim.Intent, bool)) []sim.Intent {
+	w.TakeHolderChanges()
+	slot := w.ProtoStream()
+	var out []sim.Intent
+	for _, r := range w.AwakeList() {
+		if in, ok := serve(r, &slot); ok {
+			t.assigned[in.From] = true
+			t.supp.message()
+			out = append(out, in)
+		}
+	}
+	release(t.assigned, out)
+	t.supp.endSlot()
+	return out
+}
+
+// scanTrickle is Trickle deciding every receiver with the full scan.
 type scanTrickle struct{ *Trickle }
 
-func (s scanTrickle) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, s) }
-
-func (s scanTrickle) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	return fullScanTrickle(s.Trickle, w, r, slot, buf)
+func (s scanTrickle) Intents(w *sim.World) []sim.Intent {
+	return trickleSlot(s.Trickle, w, func(r int, slot *rngutil.Stream) (sim.Intent, bool) {
+		in, ok, _ := fullScanTrickle(s.Trickle, w, r, slot)
+		return in, ok
+	})
 }
 
-// checkedTrickle plans with the skip and compares every awake receiver's
-// candidate list with the full scan's, on the same world.
+// checkedTrickle decides with the skip and compares every awake
+// receiver's decision with the full scan's, on the same world.
 type checkedTrickle struct {
 	*Trickle
 	t     *testing.T
 	label string
-	// skipped counts needy receivers the skip left out; planned counts
-	// receivers that planned a candidate.
-	skipped, planned int
+	// skipped counts needy receivers the skip left out; armed counts
+	// receivers with an armed holder neighbour.
+	skipped, armed int
 }
 
-func (c *checkedTrickle) Intents(w *sim.World) []sim.Intent { return sim.PlanIntents(w, c) }
-
-func (c *checkedTrickle) PlanReceiver(w *sim.World, r int, slot *rngutil.Stream, buf []sim.Candidate) []sim.Candidate {
-	start := len(buf)
-	buf = c.Trickle.PlanReceiver(w, r, slot, buf)
-	got := buf[start:]
-	want := fullScanTrickle(c.Trickle, w, r, slot, nil)
-	if !w.NeighborHoldsNeeded(r) && w.NeedsAnything(r) {
-		c.skipped++
-		if len(want) > 0 {
-			c.t.Errorf("%s, slot %d: receiver %d skipped, full scan plans %v", c.label, w.Now(), r, want)
+func (c *checkedTrickle) Intents(w *sim.World) []sim.Intent {
+	return trickleSlot(c.Trickle, w, func(r int, slot *rngutil.Stream) (sim.Intent, bool) {
+		got, ok := c.serve(w, r, slot)
+		want, wantOK, armed := fullScanTrickle(c.Trickle, w, r, slot)
+		if !w.NeighborHoldsNeeded(r) && w.NeedsAnything(r) {
+			c.skipped++
+			if armed > 0 {
+				c.t.Errorf("%s, slot %d: receiver %d skipped, full scan sees %d armed holders", c.label, w.Now(), r, armed)
+			}
 		}
-	}
-	if len(got) > 0 {
-		c.planned++
-	}
-	if !slices.Equal(got, want) {
-		c.t.Errorf("%s, slot %d: receiver %d plans %v, full scan %v", c.label, w.Now(), r, got, want)
-	}
-	return buf
+		if armed > 0 {
+			c.armed++
+		}
+		if got != want || ok != wantOK {
+			c.t.Errorf("%s, slot %d: receiver %d served by %+v (%v), full scan %+v (%v)", c.label, w.Now(), r, got, ok, want, wantOK)
+		}
+		return got, ok
+	})
 }
 
 // TestTrickleSkipMatchesFullScan runs Trickle on random graphs and
 // schedules, M ∈ {1, 64, 65}, with overhearing on and off, with and
 // without crash/reboot churn (a crash lowers its neighbours' holder
 // counts), and requires that every receiver the skip leaves out is one
-// the full scan plans no candidate for, that every planned receiver's
-// list equals the full scan's, and that the whole run — Result and both
-// trace encodings — equals a run planned by the full scan.
+// the full scan sees no armed holder for, that every receiver's decision
+// equals the full scan's, and that the whole run — Result and trace —
+// equals a run decided by the full scan.
 func TestTrickleSkipMatchesFullScan(t *testing.T) {
-	var skipped, planned, dropped int
+	var skipped, armed, dropped int
 	for _, m := range []int{1, 64, 65} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			r := rngutil.New(seed*7717 + uint64(m))
@@ -136,15 +154,15 @@ func TestTrickleSkipMatchesFullScan(t *testing.T) {
 			equalResults(t, res, ref, label)
 			equalTraces(t, tr, refTr, label)
 			skip, skipTr := runWith(t, cfg, &Trickle{DisableOverhearing: noOverhear})
-			equalResults(t, skip, ref, label+" (engine planner)")
-			equalTraces(t, skipTr, refTr, label+" (engine planner)")
+			equalResults(t, skip, ref, label+" (Trickle.Intents)")
+			equalTraces(t, skipTr, refTr, label+" (Trickle.Intents)")
 			skipped += c.skipped
-			planned += c.planned
+			armed += c.armed
 			dropped += ref.CrashDropped
 		}
 	}
-	if skipped == 0 || planned == 0 || dropped == 0 {
-		t.Fatalf("grid skipped %d needy receivers, planned %d and dropped %d packet copies in crashes: the skip went unexercised", skipped, planned, dropped)
+	if skipped == 0 || armed == 0 || dropped == 0 {
+		t.Fatalf("grid skipped %d needy receivers, saw %d with armed holders and dropped %d packet copies in crashes: the skip went unexercised", skipped, armed, dropped)
 	}
-	t.Logf("skipped %d needy receivers, planned %d, %d packet copies dropped in crashes", skipped, planned, dropped)
+	t.Logf("skipped %d needy receivers, %d with armed holders, %d packet copies dropped in crashes", skipped, armed, dropped)
 }

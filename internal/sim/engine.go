@@ -33,14 +33,6 @@ func coverTarget(coverage float64, n int) int {
 // fans out from successful senders after all receptions resolve.
 type success struct{ from, to, packet int }
 
-// groupedTx is one surviving intent grouped under its receiver, with the
-// static link PRR stashed at admission time so the decision phases never
-// repeat the adjacency lookup — a CSR binary search per draw.
-type groupedTx struct {
-	in  Intent
-	prr float64
-}
-
 // engine bundles one run's mutable state: configuration, world, result
 // accumulators, RNG streams, and the per-slot scratch buffers. All scratch
 // is allocated once at setup so the slot loop runs allocation-free in the
@@ -56,8 +48,8 @@ type engine struct {
 	maxSlots   int64
 	covered    int
 
-	// csr is the graph's flat adjacency view: link lookups for plain
-	// protocols' intents and the overhearing phase's neighbor rows.
+	// csr is the graph's flat adjacency view: link lookups for intents
+	// with an unknown PRR and the overhearing phase's neighbor rows.
 	// Shared, read-only.
 	csr *topology.CSR
 
@@ -99,19 +91,17 @@ type engine struct {
 	ohClaimed     []int32
 	ohHits        []ohHit
 
-	// Phase B state: the protocol as a planner (plain protocols wrapped in
-	// plainPlanner) and the plan/select machinery (see planner.go).
-	// SelectIntents emits receiver groups contiguously in ascending order,
-	// so admitted survivors land in one flat arena, rxFlat, with rxOff[i]
-	// marking where rxList[i]'s group starts.
-	planner ShardPlanner
-	sp      slotPlanner
-	rxFlat  []groupedTx
-	rxOff   []int32
+	// Phase B state. Admitted intents, ascending by receiver, land in one
+	// flat arena, rxFlat, with rxOff[i] marking where rxList[i]'s group
+	// starts; each carries its link PRR, so the decision phases never
+	// repeat the adjacency lookup. sorted holds a protocol's intents when
+	// they arrive out of receiver order.
+	rxFlat []Intent
+	rxOff  []int32
+	sorted []Intent
 
 	// Deterministic accounting drained into telemetry: receiver groups
-	// merged in phase D and overhear candidates decided in phase E (the
-	// planned-candidate tally lives in sp).
+	// merged in phase D and overhear candidates decided in phase E.
 	statMergeRecv int64
 	statOhCands   int64
 
@@ -221,11 +211,6 @@ func run(cfg Config, everySlot bool) (*Result, error) {
 		e.senderSuccess[i] = -1
 	}
 	e.ohSeen = make([]bool, n)
-	if p, ok := cfg.Protocol.(ShardPlanner); ok {
-		e.planner = p
-	} else {
-		e.planner = &plainPlanner{Protocol: cfg.Protocol}
-	}
 
 	if cfg.Telemetry != nil {
 		e.tel = newSimTel(cfg.Telemetry)
@@ -373,38 +358,43 @@ func (e *engine) runSlots() error {
 	return nil
 }
 
-// vetIntent is admission without the grouping: validation, the
-// one-transmission-per-sender rule, and the synchronization-miss draw.
-// It returns the resolved link PRR and whether the intent survives to a
-// receiver group. A negative prr means unknown — look it up; planners
-// pass the PRR stashed at plan time, which keeps the CSR binary search
-// off the slot's serial spine (links always have PRR > 0, so the
-// link-existence check is the same either way).
-func (e *engine) vetIntent(in Intent, prr float64, t int64) (float64, bool, error) {
+// vetIntent is admission without the grouping: PacketFCFS resolution,
+// validation, the one-transmission-per-sender rule, and the
+// synchronization-miss draw. It fills in in's packet and link PRR and
+// reports whether the intent survives to a receiver group. A zero PRR is
+// looked up; a protocol that read it off a CSR row passes it on, which
+// keeps the binary search off the slot's spine (links always have PRR >
+// 0, so the link-existence check is the same either way).
+func (e *engine) vetIntent(in *Intent, t int64) (bool, error) {
 	w, res, cfg := e.w, e.res, &e.cfg
 	if in.From < 0 || in.From >= e.n || in.To < 0 || in.To >= e.n || in.From == in.To {
-		return 0, false, fmt.Errorf("sim: protocol %s produced invalid intent %+v", cfg.Protocol.Name(), in)
+		return false, fmt.Errorf("sim: protocol %s produced invalid intent %+v", cfg.Protocol.Name(), *in)
+	}
+	if in.Packet == PacketFCFS {
+		// The world is frozen until phase D, so this equals the scan
+		// the protocol would have made while deciding.
+		in.Packet = w.OldestNeeded(in.From, in.To)
 	}
 	if in.Packet < 0 || in.Packet >= w.injected {
-		return 0, false, fmt.Errorf("sim: intent for uninjected packet %d", in.Packet)
+		return false, fmt.Errorf("sim: intent for uninjected packet %d", in.Packet)
 	}
 	if !w.Has(in.Packet, in.From) {
-		return 0, false, fmt.Errorf("sim: node %d does not hold packet %d", in.From, in.Packet)
+		return false, fmt.Errorf("sim: node %d does not hold packet %d", in.From, in.Packet)
 	}
-	if prr < 0 {
-		prr = e.csr.PRROf(in.From, in.To)
+	if in.PRR == 0 {
+		in.PRR = e.csr.PRROf(in.From, in.To)
 	}
-	if prr <= 0 {
-		return 0, false, fmt.Errorf("sim: intent over non-link %d-%d", in.From, in.To)
+	if in.PRR <= 0 {
+		return false, fmt.Errorf("sim: intent over non-link %d-%d", in.From, in.To)
 	}
 	if !w.awake[in.To] {
-		return 0, false, fmt.Errorf("sim: intent to dormant node %d", in.To)
+		return false, fmt.Errorf("sim: intent to dormant node %d", in.To)
 	}
 	if w.transmitting[in.From] {
-		return 0, false, nil // one transmission per sender per slot
+		return false, nil // one transmission per sender per slot
 	}
 	if w.Has(in.Packet, in.To) {
-		return 0, false, nil // receiver already has it; drop silently
+		return false, nil // receiver already has it; drop silently
 	}
 	w.transmitting[in.From] = true
 	e.txTouched = append(e.txTouched, in.From)
@@ -417,17 +407,17 @@ func (e *engine) vetIntent(in Intent, prr float64, t int64) (float64, bool, erro
 		if cfg.Observer != nil {
 			cfg.Observer.OnTransmit(t, in.From, in.To, in.Packet, TxSync)
 		}
-		return 0, false, nil
+		return false, nil
 	}
-	return prr, true, nil
+	return true, nil
 }
 
-// scaledPRR returns tx's stashed link PRR after any fault-schedule
-// degradation at slot t.
-func (e *engine) scaledPRR(tx *groupedTx, t int64) float64 {
-	p := tx.prr
+// scaledPRR returns tx's link PRR after any fault-schedule degradation at
+// slot t.
+func (e *engine) scaledPRR(tx *Intent, t int64) float64 {
+	p := tx.PRR
 	if e.inj != nil && p > 0 {
-		p *= e.inj.LinkScale(t, tx.in.From, tx.in.To)
+		p *= e.inj.LinkScale(t, tx.From, tx.To)
 	}
 	return p
 }
@@ -453,7 +443,7 @@ func (e *engine) accountCoverage(t int64) {
 
 // groupTxs returns receiver rxList[i]'s intent group, a slice of the
 // flat arena.
-func (e *engine) groupTxs(i int) []groupedTx {
+func (e *engine) groupTxs(i int) []Intent {
 	return e.rxFlat[e.rxOff[i]:e.rxOff[i+1]]
 }
 

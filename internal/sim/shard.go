@@ -11,11 +11,12 @@ package sim
 // A slot resolves in phases:
 //
 //	A  faults, injection, chain Sync, awake set — in the caller.
-//	B  protocol intents. Protocols implementing ShardPlanner (see
-//	   planner.go) plan per-receiver candidates and select across
-//	   receivers; plain protocols are adapted as planners whose selection
-//	   returns their Intents grouped by receiver. Validation and the
-//	   syncRNG draws are one sequential stream in emission order.
+//	B  protocol intents: one Protocol.Intents call. The intents are
+//	   stably sorted by receiver unless they already ascend (every
+//	   protocol in internal/flood decides in one ascending pass over the
+//	   awake receivers, so its intents do), then admitted in that order:
+//	   PacketFCFS resolution, validation, one transmission per sender and
+//	   the syncRNG draws, one sequential stream.
 //	C  per-receiver delivery decisions, each made just before
 //	D  its application, in ascending receiver order: counters,
 //	   deliveries, Observer callbacks. A decision reads nothing an
@@ -34,11 +35,19 @@ package sim
 // (internal/runner).
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
 	"ldcflood/internal/schedule"
 )
+
+// protoStreamKey keys the slot's protocol stream (World.ProtoStream) under
+// the slot stream. Engine decision phases key receivers at node*2 and
+// overhearers at node*2+1; this constant must stay clear of both — and,
+// because Stream.SubValue's effective keyspace is 63 bits, distinct from
+// every node key modulo 2^63. 2^62 satisfies both for any n < 2^61.
+const protoStreamKey = 1 << 62
 
 // rxKind classifies a receiver's slot outcome.
 type rxKind uint8
@@ -172,12 +181,12 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 	if e.inj != nil {
 		e.inj.Sync(t)
 	}
-	// The slot's stream subtree root and its protocol-planning stream.
+	// The slot's stream subtree root and its protocol stream.
 	e.slotStream = e.shardRoot.SubValue(uint64(t))
 	w.protoSlot = e.slotStream.SubValue(protoStreamKey)
 
 	// Phase B.
-	if err := e.planIntents(t); err != nil {
+	if err := e.admitIntents(t); err != nil {
 		return err
 	}
 	e.statMergeRecv += int64(len(e.rxList))
@@ -191,7 +200,7 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 		txs := e.groupTxs(i)
 		res.Transmissions += len(txs)
 		for _, tx := range txs {
-			res.TxPerNode[tx.in.From]++
+			res.TxPerNode[tx.From]++
 		}
 		e.targeted[r] = true
 		rec := e.decideReceiver(i, t)
@@ -200,21 +209,21 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 			res.JamFailures += len(txs)
 			if cfg.Observer != nil {
 				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxJammed)
+					cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxJammed)
 				}
 			}
 		case rxBusy:
 			res.BusyFailures += len(txs)
 			if cfg.Observer != nil {
 				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxBusy)
+					cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxBusy)
 				}
 			}
 		case rxCollision:
 			res.CollisionFailures += len(txs)
 			if cfg.Observer != nil {
 				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxCollision)
+					cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxCollision)
 				}
 			}
 		case rxSeq:
@@ -222,14 +231,14 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 				res.LossFailures += len(txs)
 				if cfg.Observer != nil {
 					for _, tx := range txs {
-						cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, TxLoss)
+						cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxLoss)
 					}
 				}
 			} else {
 				got := txs[rec.deliverIdx]
 				res.LossFailures += len(txs) - 1
-				e.deliverNow(got.in.Packet, r, t)
-				e.successes = append(e.successes, success{got.in.From, r, got.in.Packet})
+				e.deliverNow(got.Packet, r, t)
+				e.successes = append(e.successes, success{got.From, r, got.Packet})
 				if cfg.Observer != nil {
 					for j, tx := range txs {
 						outcome := TxSuccess
@@ -238,7 +247,7 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 						} else if j > int(rec.deliverIdx) {
 							outcome = TxRedundant
 						}
-						cfg.Observer.OnTransmit(t, tx.in.From, r, tx.in.Packet, outcome)
+						cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, outcome)
 					}
 				}
 			}
@@ -293,11 +302,48 @@ func (e *engine) resolveSlotKeyed(t int64) error {
 	return nil
 }
 
+// byReceiver orders intents by receiver.
+func byReceiver(a, b Intent) int { return cmp.Compare(a.To, b.To) }
+
+// admitIntents is phase B: the protocol's Intents, grouped by ascending
+// receiver, then admitted (vetIntent) into the flat receiver-group arena.
+// A stable sort keeps each receiver's intents in the protocol's order; a
+// protocol whose intents already ascend is admitted without a copy.
+func (e *engine) admitIntents(t int64) error {
+	ins := e.cfg.Protocol.Intents(e.w)
+	if !slices.IsSortedFunc(ins, byReceiver) {
+		e.sorted = append(e.sorted[:0], ins...)
+		slices.SortStableFunc(e.sorted, byReceiver)
+		ins = e.sorted
+	}
+	e.rxList = e.rxList[:0]
+	e.rxFlat = e.rxFlat[:0]
+	e.rxOff = e.rxOff[:0]
+	lastTo := -1
+	for _, in := range ins {
+		ok, err := e.vetIntent(&in, t)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if in.To != lastTo {
+			e.rxList = append(e.rxList, in.To)
+			e.rxOff = append(e.rxOff, int32(len(e.rxFlat)))
+			lastTo = in.To
+		}
+		e.rxFlat = append(e.rxFlat, in)
+	}
+	e.rxOff = append(e.rxOff, int32(len(e.rxFlat)))
+	return nil
+}
+
 // decideReceiver returns the outcome at receiver rxList[i], drawing only
 // from the receiver's keyed stream. It reads pre-slot world state and the
 // slot's admissions, none of which a delivery changes. Link PRRs come
-// stashed in the intent group (admission recorded them), so no adjacency
-// lookup happens here.
+// with the intent group (admission filled in unknown ones), so no
+// adjacency lookup happens here.
 func (e *engine) decideReceiver(i int, t int64) rxRecord {
 	cfg := &e.cfg
 	r := e.rxList[i]

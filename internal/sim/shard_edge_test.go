@@ -1,42 +1,35 @@
 package sim
 
-// Edge-case certification for the planner machinery: single-receiver
-// slots and hyperperiods with empty awake buckets. Each case pins the full
-// Result of the planner path against the RNG-free protocol's own plain
-// Intents scan run through the engine's plain-protocol admission path.
+// Edge-case certification for the slot loop: single-receiver slots and
+// hyperperiods with empty awake buckets. Each case pins the Result of an
+// RNG-free protocol on a draw-free configuration to figures derived by
+// hand.
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
-	"ldcflood/internal/rngutil"
 	"ldcflood/internal/schedule"
 	"ldcflood/internal/topology"
 )
 
-// greedyPlanner is a deterministic, RNG-free protocol implemented both as
-// a plain Intents scan and as a ShardPlanner: each awake receiver is
-// served by its lowest-id unassigned neighbor holding a packet it needs.
-// The two implementations make identical decisions, so a run through the
-// planner path and a run whose engine sees only the plain protocol (see
-// plainOnly) must agree bit for bit wherever the engine's own draws are
-// degenerate (PRR 1, no sync errors) — giving the sim package a
-// planner-path oracle that does not depend on the flood protocols.
-type greedyPlanner struct {
+// greedyProtocol is a deterministic, RNG-free protocol: each awake
+// receiver is served by its lowest-id unassigned neighbor holding a packet
+// it needs, which sends its FCFS packet.
+type greedyProtocol struct {
 	assigned []bool
-	emitted  []int32
 	buf      []Intent
 }
 
-func (p *greedyPlanner) Name() string          { return "greedy-planner" }
-func (p *greedyPlanner) CollisionsApply() bool { return true }
-func (p *greedyPlanner) Overhears() bool       { return false }
+func (p *greedyProtocol) Name() string          { return "greedy" }
+func (p *greedyProtocol) CollisionsApply() bool { return true }
+func (p *greedyProtocol) Overhears() bool       { return false }
 
-func (p *greedyPlanner) Reset(w *World) {
+func (p *greedyProtocol) Reset(w *World) {
 	p.assigned = make([]bool, w.Graph.N())
 }
 
-func (p *greedyPlanner) Intents(w *World) []Intent {
+func (p *greedyProtocol) Intents(w *World) []Intent {
 	out := p.buf[:0]
 	for _, r := range w.AwakeList() {
 		for _, l := range w.Graph.Neighbors(r) {
@@ -57,41 +50,6 @@ func (p *greedyPlanner) Intents(w *World) []Intent {
 	return out
 }
 
-func (p *greedyPlanner) PlanReceiver(w *World, r int, slot *rngutil.Stream, buf []Candidate) []Candidate {
-	for _, l := range w.Graph.Neighbors(r) {
-		if pkt := w.OldestNeeded(l.To, r); pkt >= 0 {
-			buf = append(buf, Candidate{Node: int32(l.To), Packet: int32(pkt), PRR: l.PRR})
-		}
-	}
-	return buf
-}
-
-func (p *greedyPlanner) SelectIntents(w *World, plan *SlotPlan, emit func(in Intent, prr float64)) {
-	sel := p.emitted[:0]
-	for i := 0; i < plan.Len(); i++ {
-		r := plan.Receiver(i)
-		for _, c := range plan.Candidates(i) {
-			if p.assigned[c.Node] {
-				continue
-			}
-			p.assigned[c.Node] = true
-			sel = append(sel, c.Node)
-			emit(Intent{From: int(c.Node), To: r, Packet: int(c.Packet)}, c.PRR)
-			break
-		}
-	}
-	for _, s := range sel {
-		p.assigned[s] = false
-	}
-	p.emitted = sel
-}
-
-var _ ShardPlanner = (*greedyPlanner)(nil)
-
-// plainOnly hides a protocol's planner methods from the engine, which then
-// admits the protocol's own Intents.
-type plainOnly struct{ Protocol }
-
 // lineGraph builds an n-node path with uniform link quality.
 func lineGraph(n int, prr float64) *topology.Graph {
 	g := topology.New(n)
@@ -102,25 +60,14 @@ func lineGraph(n int, prr float64) *topology.Graph {
 	return g
 }
 
-// edgeRun executes the greedy planner protocol on the given schedules.
-func edgeRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule) *Result {
-	t.Helper()
-	return greedyRun(t, g, scheds, &greedyPlanner{})
-}
-
-// edgeRunPlain is edgeRun with the planner hidden: the engine runs the
-// greedy protocol's plain Intents scan.
-func edgeRunPlain(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule) *Result {
-	t.Helper()
-	return greedyRun(t, g, scheds, plainOnly{&greedyPlanner{}})
-}
-
-func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p Protocol) *Result {
+// greedyRun floods two packets, injected at slots 0 and 1, to full
+// coverage with the greedy protocol.
+func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule) *Result {
 	t.Helper()
 	res, err := Run(Config{
 		Graph:            g,
 		Schedules:        scheds,
-		Protocol:         p,
+		Protocol:         &greedyProtocol{},
 		M:                2,
 		Coverage:         1,
 		Seed:             7,
@@ -133,23 +80,35 @@ func greedyRun(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule, p P
 	return res
 }
 
-// checkEdgeCase pins the planner path against the plain Intents scan. The
-// greedy planner is RNG-free and the config draw-free (PRR 1, no sync
-// errors, no capture), so the two must agree bit for bit.
-func checkEdgeCase(t *testing.T, g *topology.Graph, scheds []*schedule.Schedule) {
+// edgeWant is the hand-derived part of an edge case's Result.
+type edgeWant struct {
+	slots                  int64
+	transmissions, busy    int
+	cover, delay, firstHop []int64
+}
+
+// checkEdge compares res with the hand-derived figures; PRR 1 and no sync
+// errors leave the engine no draw that could change them.
+func checkEdge(t *testing.T, res *Result, want edgeWant) {
 	t.Helper()
-	base := edgeRun(t, g, scheds)
-	if base.Transmissions == 0 {
-		t.Fatal("degenerate case: nothing happened, edge path not exercised")
+	if !res.Completed || res.TotalSlots != want.slots || res.Transmissions != want.transmissions ||
+		res.BusyFailures != want.busy || res.Failures() != want.busy {
+		t.Errorf("completed %v in %d slots, %d transmissions, %d busy of %d failures; want true, %d, %d, %d of %d",
+			res.Completed, res.TotalSlots, res.Transmissions, res.BusyFailures, res.Failures(),
+			want.slots, want.transmissions, want.busy, want.busy)
 	}
-	if plain := edgeRunPlain(t, g, scheds); !reflect.DeepEqual(plain, base) {
-		t.Error("plain Intents scan diverged from the planner path on the deterministic subspace")
+	if !slices.Equal(res.CoverTime, want.cover) || !slices.Equal(res.Delay, want.delay) ||
+		!slices.Equal(res.FirstHopDelay, want.firstHop) {
+		t.Errorf("cover %v, delay %v, first hop %v; want %v, %v, %v",
+			res.CoverTime, res.Delay, res.FirstHopDelay, want.cover, want.delay, want.firstHop)
 	}
 }
 
-// TestShardSingleAwakeNodeSlots gives every node its own exclusive slot
-// (period n, one node per phase): every awake bucket has exactly one
-// receiver, and the merge phase sees at most one success per slot.
+// TestShardSingleAwakeNodeSlots gives every node of a 10-node line its
+// own exclusive slot (node i wakes at phase i of period 10): every awake
+// bucket has exactly one receiver, and the merge phase sees at most one
+// success per slot. Node i pulls packet 0 from node i-1 at slot i, and
+// packet 1 one period later, at slot 10+i.
 func TestShardSingleAwakeNodeSlots(t *testing.T) {
 	const n = 10
 	g := lineGraph(n, 1)
@@ -157,12 +116,27 @@ func TestShardSingleAwakeNodeSlots(t *testing.T) {
 	for i := range scheds {
 		scheds[i] = schedule.NewSingleSlot(n, i)
 	}
-	checkEdgeCase(t, g, scheds)
+	res := greedyRun(t, g, scheds)
+	checkEdge(t, res, edgeWant{
+		slots: 20, transmissions: 18,
+		cover: []int64{9, 19}, delay: []int64{9, 18}, firstHop: []int64{1, 10},
+	})
+	for i := 1; i < n; i++ {
+		if got := [2]int64{res.NodeRecvTime[0][i], res.NodeRecvTime[1][i]}; got != [2]int64{int64(i), int64(10 + i)} {
+			t.Errorf("node %d received at %v, want [%d %d]", i, got, i, 10+i)
+		}
+	}
 }
 
-// TestShardZeroAwakeGaps aligns every node on phase 0 of a period-8
-// schedule: seven of every eight slots have an empty awake bucket, so the
-// loop steps over the gaps, visiting only the injection slots and phase 0.
+// TestShardZeroAwakeGaps aligns every node of a 12-node line on phase 0
+// of a period-8 schedule: seven of every eight slots have an empty awake
+// bucket, so the loop steps over the gaps, visiting only the injection
+// slots and phase 0. At slot 0 node 1 pulls packet 0. At slot 8 node 1
+// pulls packet 1 from node 0 while serving packet 0 to node 2, so its own
+// reception is lost as busy. From slot 16 on, each period moves packet 0
+// one hop (node k+1 at slot 8k) and packet 1 one hop behind it two nodes
+// back (node k-1): packet 0 covers at slot 80 and packet 1 at slot 96,
+// after 1 + 2 + 9×2 + 1 + 1 = 23 transmissions.
 func TestShardZeroAwakeGaps(t *testing.T) {
 	const n = 12
 	g := lineGraph(n, 1)
@@ -170,82 +144,8 @@ func TestShardZeroAwakeGaps(t *testing.T) {
 	for i := range scheds {
 		scheds[i] = schedule.NewSingleSlot(8, 0)
 	}
-	checkEdgeCase(t, g, scheds)
-}
-
-// preparingPlanner is greedyPlanner with an OnPlanSlot hook, registered
-// at Reset, that records the slots it prepared; its Intents plans through
-// PlanIntents, so hiding its planner methods behind plainOnly exercises
-// the decorator path.
-type preparingPlanner struct {
-	greedyPlanner
-	t        *testing.T
-	prepared []int64
-}
-
-func (p *preparingPlanner) Reset(w *World) {
-	p.greedyPlanner.Reset(w)
-	w.OnPlanSlot(p.prepare)
-}
-
-func (p *preparingPlanner) Intents(w *World) []Intent { return PlanIntents(w, p) }
-
-func (p *preparingPlanner) prepare(w *World) {
-	if n := len(p.prepared); n > 0 && p.prepared[n-1] >= w.Now() {
-		p.t.Errorf("slot %d prepared after slot %d", w.Now(), p.prepared[n-1])
-	}
-	p.prepared = append(p.prepared, w.Now())
-}
-
-func (p *preparingPlanner) PlanReceiver(w *World, r int, slot *rngutil.Stream, buf []Candidate) []Candidate {
-	if n := len(p.prepared); n == 0 || p.prepared[n-1] != w.Now() {
-		p.t.Errorf("slot %d planned receiver %d before its hook ran", w.Now(), r)
-	}
-	return p.greedyPlanner.PlanReceiver(w, r, slot, buf)
-}
-
-// plannerOnly has the shape of a timing decorator that exposes the
-// planner: it embeds the Protocol and forwards PlanReceiver and
-// SelectIntents, and nothing else the wrapped planner might implement.
-type plannerOnly struct {
-	Protocol
-	sp ShardPlanner
-}
-
-func (p plannerOnly) PlanReceiver(w *World, r int, slot *rngutil.Stream, buf []Candidate) []Candidate {
-	return p.sp.PlanReceiver(w, r, slot, buf)
-}
-
-func (p plannerOnly) SelectIntents(w *World, plan *SlotPlan, emit func(in Intent, prr float64)) {
-	p.sp.SelectIntents(w, plan, emit)
-}
-
-// TestPlanSlotHookOncePerPlannedSlot checks that the OnPlanSlot hook runs
-// once per planned slot, before the slot's first PlanReceiver call: on
-// the engine's planning phase, through PlanIntents behind a
-// planner-hiding decorator, and behind a decorator that forwards only the
-// planner methods; all three prepare the same slots.
-func TestPlanSlotHookOncePerPlannedSlot(t *testing.T) {
-	g := lineGraph(9, 1)
-	scheds := schedule.AssignUniform(g.N(), 5, rngutil.New(3).SubName("schedule"))
-	var ref []int64
-	for _, shape := range []string{"bare", "plain", "planner-only"} {
-		p := &preparingPlanner{t: t}
-		var proto Protocol = p
-		switch shape {
-		case "plain":
-			proto = plainOnly{p}
-		case "planner-only":
-			proto = plannerOnly{Protocol: p, sp: p}
-		}
-		res := greedyRun(t, g, scheds, proto)
-		if !res.Completed || len(p.prepared) == 0 {
-			t.Fatalf("%s: completed %v after %d prepared slots", shape, res.Completed, len(p.prepared))
-		}
-		if ref == nil {
-			ref = p.prepared
-		} else if !reflect.DeepEqual(p.prepared, ref) {
-			t.Errorf("%s: prepared %d slots, reference %d", shape, len(p.prepared), len(ref))
-		}
-	}
+	checkEdge(t, greedyRun(t, g, scheds), edgeWant{
+		slots: 97, transmissions: 23, busy: 1,
+		cover: []int64{80, 96}, delay: []int64{80, 95}, firstHop: []int64{0, 15},
+	})
 }

@@ -47,7 +47,6 @@ type simTel struct {
 	// Slot-discipline instruments, drained from the engine's
 	// deterministic per-slot tallies (attaching a registry never changes
 	// results).
-	planCands    *telemetry.Counter
 	mergeRecv    *telemetry.Counter
 	mergeOhCands *telemetry.Counter
 
@@ -62,7 +61,7 @@ type telPrev struct {
 	crashes, reboots, dropped             int
 	flips                                 int64
 
-	planCands, mergeRecv, mergeOhCands int64
+	mergeRecv, mergeOhCands int64
 }
 
 // newSimTel resolves the sim counter set against reg and counts the run
@@ -87,7 +86,6 @@ func newSimTel(reg *telemetry.Registry) *simTel {
 		reboots:      reg.Counter("fault.reboots"),
 		dropped:      reg.Counter("fault.packets_dropped"),
 		chainFlips:   reg.Counter("fault.chain_flips"),
-		planCands:    reg.Counter("sim.shard.planner.candidates"),
 		mergeRecv:    reg.Counter("sim.shard.merge.receivers"),
 		mergeOhCands: reg.Counter("sim.shard.merge.overhear_cands"),
 	}
@@ -148,7 +146,6 @@ func (st *simTel) flush(e *engine) {
 			st.prev.flips = e.inj.ChainFlips()
 		}
 	}
-	addDelta64(st.planCands, e.sp.cands, &st.prev.planCands)
 	addDelta64(st.mergeRecv, e.statMergeRecv, &st.prev.mergeRecv)
 	addDelta64(st.mergeOhCands, e.statOhCands, &st.prev.mergeOhCands)
 }

@@ -213,14 +213,10 @@ func TestTelemetryShardedCounters(t *testing.T) {
 	if snap["sim.shard.merge.receivers"] <= 0 {
 		t.Errorf("sim.shard.merge.receivers = %d, want > 0", snap["sim.shard.merge.receivers"])
 	}
-	for _, name := range []string{"sim.workers", "sim.shard.batches", "sim.shard.chunks", "sim.shard.items"} {
+	for _, name := range []string{"sim.workers", "sim.shard.batches", "sim.shard.chunks", "sim.shard.items", "sim.shard.planner.candidates"} {
 		if _, ok := snap[name]; ok {
-			t.Errorf("%s is registered; the engine has no worker pool", name)
+			t.Errorf("%s is registered; the engine has no worker pool and plans no candidates", name)
 		}
-	}
-	// FuncProtocol has no planner, so phase B plans nothing.
-	if got := snap["sim.shard.planner.candidates"]; got != 0 {
-		t.Errorf("sim.shard.planner.candidates = %d, want 0 for a non-planner protocol", got)
 	}
 
 	reg2 := telemetry.New()
@@ -238,8 +234,8 @@ func TestTelemetryShardedCounters(t *testing.T) {
 	}
 }
 
-// TestTelemetryPlannerCounters runs a ShardPlanner protocol and checks the
-// planner-phase instruments move and repeat exactly across runs.
+// TestTelemetryPlannerCounters runs the greedy protocol and checks that
+// the merge-phase instruments move and repeat exactly across runs.
 func TestTelemetryPlannerCounters(t *testing.T) {
 	run := func() (map[string]int64, *Result) {
 		reg := telemetry.New()
@@ -247,7 +243,7 @@ func TestTelemetryPlannerCounters(t *testing.T) {
 		res, err := Run(Config{
 			Graph:     g,
 			Schedules: schedule.AssignStaggered(16, 4),
-			Protocol:  &greedyPlanner{},
+			Protocol:  &greedyProtocol{},
 			M:         3,
 			Coverage:  1,
 			Seed:      11,
@@ -260,17 +256,14 @@ func TestTelemetryPlannerCounters(t *testing.T) {
 		return reg.Snapshot(), res
 	}
 	snap1, res1 := run()
-	if got := snap1["sim.shard.planner.candidates"]; got <= 0 {
-		t.Errorf("sim.shard.planner.candidates = %d, want > 0 for a planner protocol", got)
-	}
 	if got, want := snap1["sim.shard.merge.receivers"], int64(res1.Transmissions); got != want {
 		t.Errorf("sim.shard.merge.receivers = %d, want %d (every admitted transmission)", got, want)
 	}
 	snap2, res2 := run()
 	if !reflect.DeepEqual(res1, res2) {
-		t.Fatal("the planner run's result changed between runs")
+		t.Fatal("the greedy run's result changed between runs")
 	}
-	for _, name := range []string{"sim.shard.planner.candidates", "sim.shard.merge.receivers", "sim.shard.merge.overhear_cands"} {
+	for _, name := range []string{"sim.shard.merge.receivers", "sim.shard.merge.overhear_cands"} {
 		if snap1[name] != snap2[name] {
 			t.Errorf("%s moved between runs: %d, then %d", name, snap1[name], snap2[name])
 		}

@@ -29,9 +29,9 @@ type World struct {
 	// InjectInterval is the number of slots between injections.
 	InjectInterval int
 	// ProtoRNG is a sequential random stream for protocol-internal
-	// decisions, split from the run seed. Plain protocols draw from it in
-	// Intents; planners draw from the slot's keyed stream instead (see
-	// ShardPlanner) and may derive keyed streams from ProtoRNG at Reset.
+	// decisions, split from the run seed. A protocol may draw from it in
+	// Intents, or derive keyed streams from it at Reset; the protocols in
+	// internal/flood make every per-slot draw from ProtoStream instead.
 	ProtoRNG *rngutil.Stream
 
 	// has is the node-major possession bitset: bit p%64 of word
@@ -50,12 +50,9 @@ type World struct {
 	awakeList    []int
 	transmitting []bool
 
-	// protoSlot is the slot's keyed protocol-planning stream, re-derived
-	// by the engine every slot; inline is PlanIntents' scratch, allocated
-	// on first use; planHook is the protocol's OnPlanSlot hook, or nil.
+	// protoSlot is the slot's keyed protocol stream, re-derived by the
+	// engine every slot.
 	protoSlot rngutil.Stream
-	inline    *inlinePlanner
-	planHook  func(*World)
 
 	// nbrHeld is the opt-in neighbour-holder count (TrackNeighborHolders):
 	// nbrHeld[p*n+v] is how many of v's neighbours hold packet p. Nil
@@ -102,26 +99,17 @@ func (w *World) NeededWord(sender, receiver, i int) uint64 {
 	return w.has[sender*w.pwords+i] &^ w.has[receiver*w.pwords+i]
 }
 
-// OnPlanSlot registers f to run once per planned slot, before the slot's
-// planning: before its first PlanReceiver call, or before a plain
-// protocol's Intents. f may update protocol state that the slot's
-// PlanReceiver calls then only read — for example from the
-// TakeHolderChanges journal. A protocol registers its hook from Reset, so
-// the hook reaches the engine through any decorator that forwards Reset,
-// whichever planner methods the decorator exposes. A later call replaces
-// the hook.
-func (w *World) OnPlanSlot(f func(*World)) { w.planHook = f }
-
 // TrackNeighborHolders turns on the neighbour-holder count read by
 // NeighborsHolding and NeighborHoldsNeeded, initialised from the current
 // possession state. A protocol that needs the count calls it from Reset;
 // from then on every delivery and crash updates the count by walking the
-// node's neighbour row, outside planning, so PlanReceiver may read it.
-// Every update is also journaled for TakeHolderChanges, starting with one
-// +1 entry per packet copy held at the call; a tracking protocol must
-// drain the journal (from a hook such as its OnPlanSlot hook), or it
-// grows with every delivery. Protocols that never call it pay one predictable branch per
-// delivery and allocate nothing.
+// node's neighbour row, outside Intents, so the count Intents reads is the
+// slot's pre-slot state. Every update is also journaled for
+// TakeHolderChanges, starting with one +1 entry per packet copy held at
+// the call; a tracking protocol must drain the journal (by convention at
+// the top of its Intents), or it grows with every delivery. Protocols
+// that never call it pay one predictable branch per delivery and allocate
+// nothing.
 func (w *World) TrackNeighborHolders() {
 	n := w.Graph.N()
 	w.csr = w.Graph.CSR()
@@ -171,9 +159,9 @@ func (w *World) NeighborHoldsNeeded(node int) bool {
 // TakeHolderChanges returns the possession changes journaled since the
 // previous call, in the order they happened, and empties the journal. It
 // requires TrackNeighborHolders. The changes reflect the world up to the
-// call, so a protocol that drains the journal from its OnPlanSlot hook sees
-// every delivery, injection and crash before it plans. The slice is
-// reused: it is valid until the engine's next delivery or crash.
+// call, so a protocol that drains the journal at the top of its Intents
+// sees every delivery, injection and crash before it decides. The slice
+// is reused: it is valid until the engine's next delivery or crash.
 func (w *World) TakeHolderChanges() []HolderChange {
 	out := w.holderLog
 	w.holderLog = w.holderLog[:0]
@@ -209,16 +197,12 @@ func (w *World) IsAwake(node int) bool { return w.awake[node] }
 // owned by the engine; do not modify or retain it.
 func (w *World) AwakeList() []int { return w.awakeList }
 
-// ProtoStream returns a copy of the slot's keyed protocol-planning
-// stream, the stream the engine passes to every PlanReceiver call this
-// slot. A planner whose serial SelectIntents makes the per-receiver
-// decision itself draws the same (slot, node)-keyed values from it;
-// keyed draws (PairFloat64, SubValue2) never advance it.
+// ProtoStream returns a copy of the slot's keyed protocol stream, derived
+// from the run seed and the slot alone. A protocol draws (slot, node)-keyed
+// values from it in Intents; keyed draws (PairFloat64, SubValue2) never
+// advance it, so each is a pure function of (seed, slot, keys), whichever
+// receivers were decided before it.
 func (w *World) ProtoStream() rngutil.Stream { return w.protoSlot }
-
-// IsTransmitting reports whether node has already been assigned a
-// transmission this slot.
-func (w *World) IsTransmitting(node int) bool { return w.transmitting[node] }
 
 // NeedsAnything reports whether node is missing any injected packet.
 func (w *World) NeedsAnything(node int) bool {
@@ -267,18 +251,6 @@ func (w *World) AnyNeeded(sender, receiver int) bool {
 	return false
 }
 
-// HoldersOf returns receiver's neighbors currently holding at least one
-// packet receiver lacks, in adjacency order.
-func (w *World) HoldersOf(receiver int) []topology.Link {
-	var out []topology.Link
-	for _, l := range w.Graph.Neighbors(receiver) {
-		if w.AnyNeeded(l.To, receiver) {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // dropAll clears node's entire packet buffer — the engine applies it when
 // a fault-schedule crash takes effect. Possession bits, reception times,
 // the per-packet holder counts and (when tracked) the neighbour-holder
@@ -322,7 +294,19 @@ func (w *World) deliver(p, node int, t int64) bool {
 // Intent is a protocol's request that From unicast Packet to To this slot.
 type Intent struct {
 	From, To, Packet int
+	// PRR is the From–To link's packet reception ratio, which a protocol
+	// that has just read it off a CSR row passes on so admission skips the
+	// lookup. 0 means unknown: admission looks it up.
+	PRR float64
 }
+
+// PacketFCFS, as an Intent's Packet, stands for the sender's oldest packet
+// the receiver still needs (World.OldestNeeded). The engine resolves it at
+// admission, for the intents a protocol returns only, so a protocol can
+// test candidates with the cheap AnyNeeded word test. A protocol whose
+// decision depends on the packet — OF's opportunistic forwarding, DFlood's
+// per-packet timers — resolves it itself and returns the concrete packet.
+const PacketFCFS = -1
 
 // Protocol is a flooding strategy plugged into the engine.
 type Protocol interface {
@@ -330,9 +314,14 @@ type Protocol interface {
 	Name() string
 	// Reset prepares protocol state for a fresh run over the given world.
 	Reset(w *World)
-	// Intents returns this slot's transmission requests. The engine
-	// validates them (sender holds the packet, link exists, receiver is
-	// awake and lacks the packet) and enforces one transmission per sender.
+	// Intents returns this slot's transmission requests; it is the
+	// engine's one per-slot call into the protocol. The engine sorts the
+	// intents by receiver, stably, unless they already ascend; resolves
+	// PacketFCFS; validates them (sender holds the packet, link exists,
+	// receiver is awake and lacks the packet) and enforces one
+	// transmission per sender, in that order. A zero PRR is looked up; a
+	// non-zero one is trusted and must be the link's. The engine reads the
+	// slice before the next call and never modifies it.
 	Intents(w *World) []Intent
 	// CollisionsApply reports whether simultaneous transmissions to one
 	// receiver destroy each other. The OPT oracle returns false.
