@@ -27,25 +27,27 @@ test-race:
 bench: bench-engine
 	$(GO) test -bench=. -benchmem ./...
 
-# Refresh the committed engine-throughput baseline (one wall-clock column
-# per case on the BenchmarkEngine grid, plus the telemetry- and
-# trace-attached runs measured against it); fails if attaching either
+# Refresh the committed engine baselines, one format for both: per row
+# the median and quartiles of the plain, telemetry- and trace-attached
+# runs (back to back in each rep), the topology build and rank view, the
+# exact slot horizon and trace bytes, and the host. BENCH_engine.json is
+# the 298-node BenchmarkEngine grid (21 reps, a few seconds);
+# BENCH_scale.json the 10k/100k-node grid plus the `figures -fig scale`
+# wall clock (9 reps, several minutes). Either fails if attaching an
 # instrument ever changes a result.
 bench-engine:
-	$(GO) run ./cmd/engbench -o BENCH_engine.json
+	$(GO) run ./cmd/engbench -reps 21 -o BENCH_engine.json
 
-# Refresh the committed large-topology baseline (10k/100k-node GreenOrbs
-# grid, one inline row per cell, and the `figures -fig scale` wall clock;
-# median and quartiles of 5 reps each, plus host metadata).
 bench-scale:
-	$(GO) run ./cmd/engbench -scale -o BENCH_scale.json
+	$(GO) run ./cmd/engbench -scale -reps 9 -o BENCH_scale.json
 
 # Assert the clean (no-fault) engine has not regressed against the
-# committed baselines: slot horizons exactly, measured wall clock within
-# 50% (minimum per case for BENCH_engine, median per row for BENCH_scale).
+# committed baselines: slot horizons and trace bytes exactly on any host;
+# on the baseline's host, each build and run median within the bound
+# derived from the committed quartiles (EXPERIMENTS.md).
 bench-guard:
-	$(GO) run ./cmd/engbench -against BENCH_engine.json -tolerance 0.5 -o ""
-	$(GO) run ./cmd/engbench -scale -against BENCH_scale.json -tolerance 0.5 -o ""
+	$(GO) run ./cmd/engbench -reps 21 -against BENCH_engine.json -o ""
+	$(GO) run ./cmd/engbench -scale -against BENCH_scale.json -o ""
 
 # Documentation lints (mirrored in CI): godoc coverage + markdown links.
 docscheck:

@@ -29,8 +29,7 @@ import (
 // interval start), so they are unaffected by the slots the engine skips.
 // A receiver scans its row only when some neighbour holds a packet it
 // lacks, read off the engine's neighbour-holder count
-// (sim.World.TrackNeighborHolders, turned on at Reset); Intents drains the
-// count's journal, which Trickle does not read, before it decides.
+// (sim.World.TrackNeighborHolders, turned on at Reset).
 type Trickle struct {
 	// Imin is the smallest Trickle interval in slots. Zero selects the
 	// default (16).
@@ -182,10 +181,8 @@ func (t *Trickle) suppressedAt(w *sim.World, s int, startS int64) bool {
 // Intents implements sim.Protocol: per awake receiver in ascending order,
 // the first unassigned neighbor in row order whose Trickle timer is armed
 // this slot, is not suppressed, and does not defer transmits its FCFS
-// packet (serve). Trickle reads the neighbour-holder count, never its
-// journal, so Intents first just empties the journal.
+// packet (serve).
 func (t *Trickle) Intents(w *sim.World) []sim.Intent {
-	w.TakeHolderChanges()
 	slot := w.ProtoStream()
 	out := t.out[:0]
 	for _, r := range w.AwakeList() {

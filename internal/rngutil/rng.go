@@ -97,9 +97,8 @@ func (r *Stream) SubValue(key uint64) Stream {
 
 // SubValue2 derives a stream keyed by an ordered pair of integers in a
 // single mixing pass, equivalent in spirit to r.SubValue(k1).SubValue(k2)
-// at half the cost. Hot paths that key one draw per entity pair — the
-// sharded engine's per-(slot, receiver, sender) protocol draws — batch
-// their derivation through this instead of chaining two splits. The pair
+// at half the cost. It is the full-stream definition of PairFloat64,
+// which the engine's protocols call, and its tests' reference. The pair
 // is ordered: SubValue2(a, b) and SubValue2(b, a) are independent streams.
 // Like SubValue it only reads r's state, so concurrent calls on a shared
 // parent are safe.
@@ -182,14 +181,6 @@ func (r *Stream) Uint64n(n uint64) uint64 {
 		}
 	}
 	return hi
-}
-
-// IntRange returns a uniform int in [lo, hi]. It panics if hi < lo.
-func (r *Stream) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rngutil: IntRange with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
 }
 
 // Bool returns true with probability p. Out-of-range p is clamped to [0,1].
@@ -278,73 +269,4 @@ func (r *Stream) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Zipf samples ranks 1..n with probability proportional to 1/rank^s. It
-// precomputes the CDF at construction, so sampling is O(log n). Use it for
-// skewed workload generation (popular packets, hot spots).
-type Zipf struct {
-	cdf []float64
-	rng *Stream
-}
-
-// NewZipf builds a Zipf sampler over ranks 1..n with exponent s >= 0
-// (s = 0 is uniform). It panics if n <= 0 or s < 0.
-func (r *Stream) NewZipf(s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("rngutil: Zipf needs n > 0")
-	}
-	if s < 0 || math.IsNaN(s) {
-		panic("rngutil: Zipf needs s >= 0")
-	}
-	cdf := make([]float64, n)
-	acc := 0.0
-	for i := 1; i <= n; i++ {
-		acc += math.Pow(float64(i), -s)
-		cdf[i-1] = acc
-	}
-	for i := range cdf {
-		cdf[i] /= acc
-	}
-	return &Zipf{cdf: cdf, rng: r}
-}
-
-// Rank draws a rank in [1, n].
-func (z *Zipf) Rank() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
-// Choose returns a uniformly random element index of a slice of length n
-// weighted by weights (len(weights) == n, all non-negative, not all zero).
-// It panics on invalid input.
-func (r *Stream) Choose(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rngutil: Choose with negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rngutil: Choose with zero total weight")
-	}
-	x := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if x < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -119,19 +119,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestIntRange(t *testing.T) {
-	r := New(19)
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(-3, 3)
-		if v < -3 || v > 3 {
-			t.Fatalf("IntRange out of range: %d", v)
-		}
-	}
-	if got := r.IntRange(5, 5); got != 5 {
-		t.Fatalf("IntRange(5,5) = %d", got)
-	}
-}
-
 func TestUint64nUniformity(t *testing.T) {
 	r := New(23)
 	counts := make([]int, 8)
@@ -268,89 +255,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 		if math.Abs(frac-0.2) > 0.015 {
 			t.Fatalf("Perm(5)[0]==%d frequency %v", i, frac)
 		}
-	}
-}
-
-func TestChoose(t *testing.T) {
-	r := New(59)
-	counts := make([]int, 3)
-	w := []float64{1, 2, 7}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[r.Choose(w)]++
-	}
-	for i, want := range []float64{0.1, 0.2, 0.7} {
-		frac := float64(counts[i]) / n
-		if math.Abs(frac-want) > 0.01 {
-			t.Fatalf("Choose weight %d frequency %v want %v", i, frac, want)
-		}
-	}
-}
-
-func TestChoosePanics(t *testing.T) {
-	cases := [][]float64{{0, 0}, {-1, 2}, {}}
-	for _, w := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Choose(%v) did not panic", w)
-				}
-			}()
-			New(1).Choose(w)
-		}()
-	}
-}
-
-func TestZipf(t *testing.T) {
-	r := New(71)
-	z := r.NewZipf(1.0, 10)
-	counts := make([]int, 11)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		rank := z.Rank()
-		if rank < 1 || rank > 10 {
-			t.Fatalf("rank %d out of range", rank)
-		}
-		counts[rank]++
-	}
-	// Monotone decreasing frequency, and rank 1 ≈ 2x rank 2 for s=1.
-	for i := 2; i <= 10; i++ {
-		if counts[i] > counts[i-1]+n/100 {
-			t.Fatalf("rank %d (%d) more popular than rank %d (%d)", i, counts[i], i-1, counts[i-1])
-		}
-	}
-	ratio := float64(counts[1]) / float64(counts[2])
-	if math.Abs(ratio-2) > 0.2 {
-		t.Fatalf("rank1/rank2 = %v, want ~2 for s=1", ratio)
-	}
-	// s=0 is uniform.
-	u := New(73).NewZipf(0, 4)
-	uc := make([]int, 5)
-	for i := 0; i < 40000; i++ {
-		uc[u.Rank()]++
-	}
-	for rank := 1; rank <= 4; rank++ {
-		if math.Abs(float64(uc[rank])/10000-1) > 0.05 {
-			t.Fatalf("s=0 rank %d frequency %d not uniform", rank, uc[rank])
-		}
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	r := New(1)
-	for i, f := range []func(){
-		func() { r.NewZipf(1, 0) },
-		func() { r.NewZipf(-1, 5) },
-		func() { r.NewZipf(math.NaN(), 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -17,8 +17,6 @@ const (
 	KindPanic
 	// KindTimeout: the job exceeded Options.Timeout.
 	KindTimeout
-	// KindSlotLimit: the job exceeded Options.SlotLimit.
-	KindSlotLimit
 	// KindCanceled: the batch context was cancelled before or while the
 	// job ran.
 	KindCanceled
@@ -39,8 +37,6 @@ const (
 //     deterministic panic simply fails again and exhausts its budget.
 //   - KindSim: no — engine errors are validation or protocol-contract
 //     failures, deterministic in the Config.
-//   - KindSlotLimit: no — simulated time is deterministic; the job would
-//     hit the same limit again.
 //   - KindCanceled, KindShutdown: no — the batch is being torn down.
 func (k Kind) Retryable() bool {
 	return k == KindTimeout || k == KindPanic
@@ -55,8 +51,6 @@ func (k Kind) String() string {
 		return "panic"
 	case KindTimeout:
 		return "timeout"
-	case KindSlotLimit:
-		return "slot limit"
 	case KindCanceled:
 		return "canceled"
 	case KindShutdown:
@@ -73,9 +67,6 @@ var (
 	// ErrTimeout matches KindTimeout: the job overran its per-run
 	// wall-clock budget.
 	ErrTimeout = errors.New("runner: job exceeded wall-clock timeout")
-	// ErrSlotLimit matches KindSlotLimit: the simulation hit MaxSlots
-	// before completing.
-	ErrSlotLimit = errors.New("runner: job exceeded slot limit")
 	// ErrCanceled matches KindCanceled: the batch context was canceled
 	// for a reason other than a drain.
 	ErrCanceled = errors.New("runner: batch canceled")
@@ -93,10 +84,10 @@ var (
 // errors.Is(err, runner.ErrTimeout), errors.Is(err, context.Canceled)).
 //
 // Unwrap contract: the cause chain carries exactly the failure's own
-// classification. A runner-imposed abort (timeout, slot limit,
-// cancellation) does NOT unwrap to sim.ErrInterrupted — that sentinel is
-// reserved for caller-supplied sim.Config.Interrupt hooks, whose firing is
-// an ordinary engine outcome of kind KindSim. Use Kind (or the per-kind
+// classification. A runner-imposed abort (timeout or cancellation) does
+// NOT unwrap to sim.ErrInterrupted — that sentinel is reserved for
+// caller-supplied sim.Config.Interrupt hooks, whose firing is an ordinary
+// engine outcome of kind KindSim. Use Kind (or the per-kind
 // sentinels) to classify, and Kind.Retryable to decide whether a retry can
 // help.
 type JobError struct {
@@ -124,8 +115,6 @@ func (e *JobError) Unwrap() []error {
 		out = append(out, ErrPanic)
 	case KindTimeout:
 		out = append(out, ErrTimeout)
-	case KindSlotLimit:
-		out = append(out, ErrSlotLimit)
 	case KindCanceled:
 		out = append(out, ErrCanceled)
 	case KindShutdown:

@@ -20,11 +20,10 @@ import (
 
 func TestKindRetryable(t *testing.T) {
 	want := map[runner.Kind]bool{
-		runner.KindSim:       false,
-		runner.KindPanic:     true,
-		runner.KindTimeout:   true,
-		runner.KindSlotLimit: false,
-		runner.KindCanceled:  false,
+		runner.KindSim:      false,
+		runner.KindPanic:    true,
+		runner.KindTimeout:  true,
+		runner.KindCanceled: false,
 	}
 	for k, w := range want {
 		if got := k.Retryable(); got != w {
@@ -87,27 +86,24 @@ func TestRetryBudgetExhausted(t *testing.T) {
 }
 
 func TestNoRetryForNonRetryableKind(t *testing.T) {
+	// An intent to an out-of-range receiver is a protocol contract
+	// violation: deterministic in the Config, so KindSim and never retried.
 	attempts := 0
-	cfg := stuckJob(3)
-	prev := cfg.Interrupt
-	cfg.Interrupt = func(slot int64) bool {
-		if slot == 0 {
-			attempts++
-		}
-		if prev != nil {
-			return prev(slot)
-		}
-		return false
-	}
+	cfg := quickJob(3)
+	n := cfg.Graph.N()
+	cfg.Protocol = &sim.FuncProtocol{IntentsFunc: func(*sim.World) []sim.Intent {
+		attempts++
+		return []sim.Intent{{From: 0, To: n}}
+	}}
 	rs, _ := runner.Run(context.Background(), []sim.Config{cfg}, runner.Options{
-		SlotLimit: 100,
-		Retries:   3,
+		Retries: 3,
 	})
-	if !errors.Is(rs[0].Err, runner.ErrSlotLimit) {
-		t.Fatalf("error = %v, want ErrSlotLimit", rs[0].Err)
+	var je *runner.JobError
+	if !errors.As(rs[0].Err, &je) || je.Kind != runner.KindSim {
+		t.Fatalf("error = %v, want a KindSim *JobError", rs[0].Err)
 	}
 	if attempts != 1 {
-		t.Fatalf("deterministic slot-limit failure ran %d times, want 1", attempts)
+		t.Fatalf("deterministic engine failure ran %d times, want 1", attempts)
 	}
 }
 

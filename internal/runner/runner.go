@@ -14,8 +14,8 @@
 //     so a batch's output is a pure function of its job slice — identical
 //     for workers=1 and workers=N. Seeds derives decorrelated per-job
 //     seeds from one base seed to keep it that way.
-//   - Fault isolation. A job that panics, exceeds its wall-clock or slot
-//     budget, or is overtaken by context cancellation becomes a typed
+//   - Fault isolation. A job that panics, exceeds its wall-clock budget,
+//     or is overtaken by context cancellation becomes a typed
 //     *JobError in its result slot; the rest of the batch completes.
 //   - Observability. Options.Progress streams per-job completion
 //     snapshots (jobs done, failures, slots simulated, elapsed time, ETA,
@@ -42,7 +42,7 @@ import (
 )
 
 // Options configures a batch run. The zero value is valid: GOMAXPROCS
-// workers, no timeout, no slot limit, no progress hook.
+// workers, no timeout, no progress hook.
 type Options struct {
 	// Workers bounds how many jobs simulate concurrently; <= 0 uses
 	// runtime.GOMAXPROCS(0). The worker count affects wall-clock time
@@ -54,12 +54,6 @@ type Options struct {
 	// clocks depend on machine load, leave Timeout zero when byte-identical
 	// batch output matters more than bounded latency.
 	Timeout time.Duration
-	// SlotLimit is the per-job simulated-slot budget. Unlike
-	// sim.Config.MaxSlots — which ends a run gracefully with
-	// Completed=false — exceeding SlotLimit fails the job with a *JobError
-	// of kind KindSlotLimit. Being measured in simulated time, it is
-	// deterministic, unlike Timeout. 0 means no limit.
-	SlotLimit int64
 	// Progress, when non-nil, is called after every job finishes (success
 	// or failure). Calls are serialized by the runner, so the hook need
 	// not be safe for concurrent use; it runs on worker goroutines and
@@ -159,7 +153,7 @@ func (rs Results) Sims() ([]*sim.Result, error) {
 // results by input index. Options.Timeout is the one escape hatch: it
 // trades that guarantee for bounded latency.
 //
-// Fault isolation: a job that panics, exceeds Timeout or SlotLimit, or is
+// Fault isolation: a job that panics, exceeds Timeout, or is
 // overtaken by ctx cancellation yields a *JobError in its slot; other jobs
 // are unaffected. Once ctx is cancelled, running jobs are interrupted at
 // their next poll and jobs not yet started fail immediately without
@@ -375,10 +369,6 @@ func runJob(ctx context.Context, index int, cfg sim.Config, opts Options) (res *
 		if prev != nil && prev(slot) {
 			return true
 		}
-		if opts.SlotLimit > 0 && slot >= opts.SlotLimit {
-			kind = KindSlotLimit
-			return true
-		}
 		if polls++; polls%pollEvery != 0 {
 			return false
 		}
@@ -397,13 +387,11 @@ func runJob(ctx context.Context, index int, cfg sim.Config, opts Options) (res *
 	if err != nil {
 		// When the abort came from the runner's own hook, replace the
 		// engine's interrupt error as the cause: a runner-imposed timeout or
-		// budget is not a sim.ErrInterrupted condition (that sentinel is for
+		// cancellation is not a sim.ErrInterrupted condition (that sentinel is for
 		// caller-supplied Interrupt hooks — see the JobError contract).
 		switch kind {
 		case KindTimeout:
 			err = fmt.Errorf("exceeded wall-clock budget %v", opts.Timeout)
-		case KindSlotLimit:
-			err = fmt.Errorf("exceeded slot budget %d", opts.SlotLimit)
 		case KindCanceled, KindShutdown:
 			err = cancelCause(ctx)
 		}

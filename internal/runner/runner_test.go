@@ -152,24 +152,6 @@ func TestTimeoutBecomesJobError(t *testing.T) {
 	}
 }
 
-func TestSlotLimitBecomesJobError(t *testing.T) {
-	jobs := []sim.Config{quickJob(1), stuckJob(2)}
-	rs, _ := runner.Run(context.Background(), jobs, runner.Options{
-		Workers:   2,
-		SlotLimit: 5000,
-	})
-	if rs[0].Err != nil {
-		t.Fatalf("quick job tripped the slot limit: %v", rs[0].Err)
-	}
-	var je *runner.JobError
-	if !errors.As(rs[1].Err, &je) || je.Kind != runner.KindSlotLimit {
-		t.Fatalf("stuck job error = %v, want KindSlotLimit", rs[1].Err)
-	}
-	if !errors.Is(rs[1].Err, runner.ErrSlotLimit) {
-		t.Fatal("errors.Is(err, ErrSlotLimit) = false")
-	}
-}
-
 func TestCancelInterruptsRunningJob(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

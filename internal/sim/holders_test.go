@@ -163,3 +163,78 @@ func TestNeighborHoldersModel(t *testing.T) {
 		t.Fatalf("grid never exercised a crash drop (%d) or late tracking (%d)", dropped, late)
 	}
 }
+
+// journalProbe turns the neighbour-holder count on at Reset and never
+// takes the possession journal.
+type journalProbe struct {
+	chaosProtocol
+	t *testing.T
+	w *World
+	// held is how many packet copies the network held at the previous
+	// Intents call; busy counts the calls whose journal was non-empty.
+	held, busy int
+}
+
+func (j *journalProbe) Reset(w *World) {
+	j.w = w
+	w.TrackNeighborHolders()
+	j.held = totalHeld(w)
+}
+
+func (j *journalProbe) Intents(w *World) []Intent {
+	j.check(fmt.Sprintf("slot %d", w.Now()))
+	return j.chaosProtocol.Intents(w)
+}
+
+// check requires the journal to hold exactly the possession changes since
+// the previous Intents call. With no faults every change is a gain, so
+// that is the growth of the network's packet copies.
+func (j *journalProbe) check(when string) {
+	j.t.Helper()
+	now := totalHeld(j.w)
+	if got, want := len(j.w.holderLog), now-j.held; got != want {
+		j.t.Fatalf("%s: journal holds %d changes, want the %d since the previous Intents call", when, got, want)
+	}
+	if now > j.held {
+		j.busy++
+	}
+	j.held = now
+}
+
+func totalHeld(w *World) int {
+	sum := 0
+	for _, c := range w.heldCount {
+		sum += c
+	}
+	return sum
+}
+
+// TestHolderJournalEmptiedAfterIntents runs a tracking protocol that never
+// drains the possession journal: the engine must empty it after every
+// Intents call, so it never holds more than one slot's changes.
+func TestHolderJournalEmptiedAfterIntents(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rngutil.New(seed)
+		g := randomConnectedGraph(r)
+		probe := &journalProbe{
+			chaosProtocol: chaosProtocol{rng: r.SubName("chaos"), density: 0.5, overhear: seed%2 == 0},
+			t:             t,
+		}
+		_, err := Run(Config{
+			Graph:     g,
+			Schedules: schedule.AssignUniform(g.N(), 3, r.SubName("schedule")),
+			Protocol:  probe,
+			M:         4,
+			Coverage:  1,
+			Seed:      seed,
+			MaxSlots:  2000,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		probe.check("end of run")
+		if probe.busy < 2 {
+			t.Fatalf("seed %d: possession changed before only %d Intents calls", seed, probe.busy)
+		}
+	}
+}

@@ -307,10 +307,14 @@ func byReceiver(a, b Intent) int { return cmp.Compare(a.To, b.To) }
 
 // admitIntents is phase B: the protocol's Intents, grouped by ascending
 // receiver, then admitted (vetIntent) into the flat receiver-group arena.
+// The possession journal is emptied as soon as Intents returns.
 // A stable sort keeps each receiver's intents in the protocol's order; a
 // protocol whose intents already ascend is admitted without a copy.
 func (e *engine) admitIntents(t int64) error {
 	ins := e.cfg.Protocol.Intents(e.w)
+	// The possession journal holds the changes since the previous Intents
+	// call; whatever this one did not take has been passed by.
+	e.w.holderLog = e.w.holderLog[:0]
 	if !slices.IsSortedFunc(ins, byReceiver) {
 		e.sorted = append(e.sorted[:0], ins...)
 		slices.SortStableFunc(e.sorted, byReceiver)

@@ -68,7 +68,6 @@ type telPrev struct {
 // start.
 func newSimTel(reg *telemetry.Registry) *simTel {
 	reg.Counter("sim.runs.started").Inc()
-	reg.Counter("sim.path.sharded").Inc()
 	return &simTel{
 		slotsVisited: reg.Counter("sim.slots.visited"),
 		slotsSkipped: reg.Counter("sim.slots.skipped"),

@@ -186,8 +186,8 @@ func TestTelemetryCompactPathCounters(t *testing.T) {
 }
 
 // TestTelemetryShardedCounters certifies the slot-discipline instrument
-// set: attaching a registry is invisible to results, the path counter
-// reports the run, the pool's instruments are gone, and the merge
+// set: attaching a registry is invisible to results, the pool's and the
+// retired path counter's instruments are gone, and the merge
 // counters are deterministic — identical across repeated runs and
 // whatever Config.Workers holds.
 func TestTelemetryShardedCounters(t *testing.T) {
@@ -207,15 +207,12 @@ func TestTelemetryShardedCounters(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap["sim.path.sharded"]; got != 1 {
-		t.Errorf("sim.path.sharded = %d, want 1", got)
-	}
 	if snap["sim.shard.merge.receivers"] <= 0 {
 		t.Errorf("sim.shard.merge.receivers = %d, want > 0", snap["sim.shard.merge.receivers"])
 	}
-	for _, name := range []string{"sim.workers", "sim.shard.batches", "sim.shard.chunks", "sim.shard.items", "sim.shard.planner.candidates"} {
+	for _, name := range []string{"sim.path.sharded", "sim.workers", "sim.shard.batches", "sim.shard.chunks", "sim.shard.items", "sim.shard.planner.candidates"} {
 		if _, ok := snap[name]; ok {
-			t.Errorf("%s is registered; the engine has no worker pool and plans no candidates", name)
+			t.Errorf("%s is registered; the engine has one slot path, no worker pool, and plans no candidates", name)
 		}
 	}
 

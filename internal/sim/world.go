@@ -58,8 +58,8 @@ type World struct {
 	// nbrHeld[p*n+v] is how many of v's neighbours hold packet p. Nil
 	// unless a protocol asked for it; dropAll and the engine's delivery
 	// sites keep it current by walking the node's csr row. holderLog
-	// journals every change to it, one entry per possession change, until
-	// TakeHolderChanges drains it.
+	// journals every change to it, one entry per possession change; the
+	// engine empties it after every Protocol.Intents call.
 	nbrHeld   []int32
 	holderLog []HolderChange
 	csr       *topology.CSR
@@ -106,8 +106,8 @@ func (w *World) NeededWord(sender, receiver, i int) uint64 {
 // node's neighbour row, outside Intents, so the count Intents reads is the
 // slot's pre-slot state. Every update is also journaled for
 // TakeHolderChanges, starting with one +1 entry per packet copy held at
-// the call; a tracking protocol must drain the journal (by convention at
-// the top of its Intents), or it grows with every delivery. Protocols
+// the call; the engine empties the journal after every Intents call, so
+// it never holds more than the changes since the previous one. Protocols
 // that never call it pay one predictable branch per delivery and allocate
 // nothing.
 func (w *World) TrackNeighborHolders() {
@@ -156,12 +156,13 @@ func (w *World) NeighborHoldsNeeded(node int) bool {
 	return false
 }
 
-// TakeHolderChanges returns the possession changes journaled since the
-// previous call, in the order they happened, and empties the journal. It
+// TakeHolderChanges returns the possession changes since the previous
+// Intents call, in the order they happened, and empties the journal. It
 // requires TrackNeighborHolders. The changes reflect the world up to the
-// call, so a protocol that drains the journal at the top of its Intents
-// sees every delivery, injection and crash before it decides. The slice
-// is reused: it is valid until the engine's next delivery or crash.
+// call, so a protocol that takes them in its Intents sees every delivery,
+// injection and crash before it decides; changes it does not take are
+// dropped when Intents returns. The slice is reused: it is valid until
+// the engine's next delivery or crash.
 func (w *World) TakeHolderChanges() []HolderChange {
 	out := w.holderLog
 	w.holderLog = w.holderLog[:0]
@@ -199,9 +200,9 @@ func (w *World) AwakeList() []int { return w.awakeList }
 
 // ProtoStream returns a copy of the slot's keyed protocol stream, derived
 // from the run seed and the slot alone. A protocol draws (slot, node)-keyed
-// values from it in Intents; keyed draws (PairFloat64, SubValue2) never
-// advance it, so each is a pure function of (seed, slot, keys), whichever
-// receivers were decided before it.
+// values from it in Intents with PairFloat64, which never advances it, so
+// each draw is a pure function of (seed, slot, keys), whichever receivers
+// were decided before it.
 func (w *World) ProtoStream() rngutil.Stream { return w.protoSlot }
 
 // NeedsAnything reports whether node is missing any injected packet.
