@@ -177,6 +177,27 @@ func TestGuardScaleSlowBuildFails(t *testing.T) {
 	}
 }
 
+func TestGuardSlowSharedBuildFailsOnce(t *testing.T) {
+	// Four rows of one node count share its build, as measure writes
+	// them; one slow build is one failure, named under the first row.
+	doc := func(build int64) *document {
+		d := &document{Host: testHost, Reps: 5}
+		for _, p := range []string{"opt", "dbao", "dflood", "trickle"} {
+			d.Rows = append(d.Rows, row{Name: p + "/100000/100", Nodes: 100000,
+				Build: spread(build), Rank: spread(50), Plain: spread(50), Telemetry: spread(50), Traced: spread(50)})
+		}
+		return d
+	}
+	if err := guard(io.Discard, doc(2807), doc(2800)); err != nil {
+		t.Fatalf("build within the bound failed the guard: %v", err)
+	}
+	err := guard(io.Discard, doc(2808), doc(2800))
+	if err == nil || !strings.Contains(err.Error(), "1 failure(s)") ||
+		strings.Count(err.Error(), "build median") != 1 || !strings.Contains(err.Error(), "opt/100000/100: build median") {
+		t.Fatalf("one slow shared build was not reported exactly once under the first row: %v", err)
+	}
+}
+
 func TestLoadRefusesOldFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.json")
 	old := `{"generator": "cmd/engbench", "reps": 5, "cases": [{"protocol": "opt", "duty": "1pct", "ns": 1695697, "slots": 1503}]}`

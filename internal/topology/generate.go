@@ -182,14 +182,26 @@ func (sg *spatialGrid) key(p Point) [2]int32 {
 // adds every link whose shadowed PRR clears minPRR, clamped to maxPRR
 // when positive. Each unordered pair draws its shadowing from a
 // sub-stream keyed by the pair, so the result does not depend on
-// iteration order. Pairs farther than maxDist, where even a very lucky (-3σ) shadow
-// draw cannot reach minPRR, are skipped without consuming randomness.
+// iteration order. Pairs farther than maxDist, where even a very lucky
+// (-3σ) shadow draw cannot reach minPRR, are skipped without consuming
+// randomness.
 //
 // A spatial hash with cell size maxDist enumerates the candidates: the
 // 3×3 neighborhood of u's cell covers every in-range pair, so the cost is
-// O(n) at constant density. Every unordered pair is visited once, so
-// links are appended without AddLink's duplicate search; Validate, which
-// every generator runs last, still rejects duplicates and asymmetry.
+// O(n) at constant density. Most candidates are then settled without the
+// exact PRR chain, and without changing which pairs link:
+//
+//   - A pair whose squared distance exceeds maxDist²·(1+1e-9) is beyond
+//     maxDist whatever Hypot's rounding, so it is skipped before Hypot;
+//     the survivors still meet the exact !(d > maxDist) test.
+//   - tryLink rejects a pair whose shadow draw certainly leaves its SNR
+//     under the cut (see shadowFilter) before Box–Muller's Log, Sqrt and
+//     Cos and PathLoss's Log10 are paid for; everything else runs the
+//     exact chain.
+//
+// Every unordered pair is visited once, so links are appended without
+// AddLink's duplicate search; Validate, which every generator runs last,
+// still rejects duplicates and asymmetry.
 //
 // The adjacency lists come out byte-identical to a plain u<v pair scan's
 // (spatial_test.go keeps that scan as the reference): u's row holds its
@@ -198,7 +210,9 @@ func (sg *spatialGrid) key(p Point) [2]int32 {
 // before the loop moves on.
 func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngutil.Stream) {
 	maxDist := radio.ConnectedRange(minPRR) * math.Pow(10, 3*radio.ShadowStd/(10*radio.Exponent))
+	maxDist2 := maxDist * maxDist * (1 + 1e-9)
 	snrCut := radio.snrCut(minPRR)
+	filter := newShadowFilter(radio, maxDist, snrCut)
 	sg := newSpatialGrid(g.Pos, maxDist)
 	for u, pu := range g.Pos {
 		ck := sg.key(pu)
@@ -209,8 +223,12 @@ func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRN
 					if int(v) <= u {
 						continue
 					}
-					if d := pu.Dist(g.Pos[v]); !(d > maxDist) {
-						tryLink(g, radio, minPRR, maxPRR, snrCut, shadowRNG, u, int(v), d)
+					pv := g.Pos[v]
+					if ex, ey := pu.X-pv.X, pu.Y-pv.Y; ex*ex+ey*ey > maxDist2 {
+						continue
+					}
+					if d := pu.Dist(pv); !(d > maxDist) {
+						tryLink(g, radio, minPRR, maxPRR, snrCut, &filter, shadowRNG, u, int(v), d)
 					}
 				}
 			}
@@ -221,10 +239,19 @@ func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRN
 }
 
 // tryLink is linkByDistance's per-pair body for a pair at distance d:
-// draw the pair-keyed shadow, reject at once below the SNR cut, else link
-// if the exact PRR clears minPRR.
-func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR, snrCut float64, shadowRNG *rngutil.Stream, u, v int, d float64) {
+// derive the pair-keyed shadow stream once, reject at once when the
+// filter proves the draw misses the SNR cut, else run the exact chain on
+// that stream — draw the shadow, reject below the cut, link if the PRR
+// clears minPRR. The filter reads a copy of the stream, so the exact
+// chain draws the same variates it would without the filter.
+func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR, snrCut float64, filter *shadowFilter, shadowRNG *rngutil.Stream, u, v int, d float64) {
 	pairRNG := shadowRNG.SubValue(uint64(u)<<32 | uint64(v))
+	if cut := filter.cut(d); cut < 1 {
+		draw := pairRNG
+		if rejectDraw(cut, draw.Float64(), draw.Float64()) {
+			return
+		}
+	}
 	snr := radio.SNR(d, pairRNG.NormMeanStd(0, radio.ShadowStd))
 	if snr < snrCut {
 		return
@@ -240,6 +267,85 @@ func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR, snrCut float64, shadowR
 		g.adj[u] = append(g.adj[u], Link{To: v, PRR: prr})
 		g.adj[v] = append(g.adj[v], Link{To: u, PRR: prr})
 	}
+}
+
+// shadowBands is the number of distance bands of width maxDist/shadowBands
+// a shadowFilter divides [0, maxDist] into. More bands tighten each band's
+// threshold toward its pairs' own; the table costs O(shadowBands) per
+// build whatever the node count.
+const shadowBands = 64
+
+// shadowFilter proves, from a pair's distance and the first two uniforms
+// (u, v) of its shadow stream, that the exact chain would reject it. The
+// exact chain draws z = √(−2 ln u)·cos(2πv) (rngutil.Stream.Norm, which
+// redraws u when it is 0), shadow s = ShadowStd·z, and rejects when
+// SNR(d, s) = SNR(d, 0) − s < snrCut. A pair beyond the zero-shadow
+// reach, SNR(d, 0) < snrCut, links only if s < −need(d), need(d) =
+// snrCut − SNR(d, 0) > 0, so two tests settle most such pairs:
+//
+//   - Magnitude: |z| ≤ √(−2 ln u), so u > exp(−a²/2) with a =
+//     need/ShadowStd gives s > −need. The table holds exp(−a²/2) per band,
+//     with need taken at whichever band edge has the least, so it holds
+//     for every d in the band.
+//   - Sign: cos(2πv) > 0, so s ≥ 0, whenever v lies in [0, 1/4) or
+//     (3/4, 1); the shadow can then only lower the SNR. Rounding cannot
+//     flip the sign, or make SNR(d, s) exceed SNR(d, 0), since floating
+//     subtraction is monotone.
+//
+// Margins keep both tests conservative: band edges overlap their
+// neighbors by 1% of a band, so a band index rounded up still gets a
+// sound threshold; need is shrunk by 1e-9 relative plus 1e-6 dB before a
+// is formed, and the threshold is rounded up an ulp, which absorbs the
+// rounding of Log, Sqrt, Cos, Log10 and the SNR sum (all below 1e-12 dB);
+// v must clear 1/4 and 3/4 by 1e-9. A pair the tests do not settle runs
+// the exact chain, so the filter changes cost, never output. It is off
+// (cut returns 1) when ShadowStd is not positive (NormMeanStd then draws
+// nothing), or when snrCut or maxDist is not finite.
+type shadowFilter struct {
+	scale float64   // bands per meter: d lies in band ⌊d·scale⌋
+	uCut  []float64 // per band, u above this rejects; 1 within reach
+}
+
+// newShadowFilter builds the band table for a radio, the link builder's
+// maxDist and its SNR cut.
+func newShadowFilter(radio RadioModel, maxDist, snrCut float64) shadowFilter {
+	if !(radio.ShadowStd > 0) || math.IsInf(snrCut, 0) || math.IsNaN(snrCut) ||
+		!(maxDist > 0) || math.IsInf(maxDist, 0) {
+		return shadowFilter{}
+	}
+	w := maxDist / shadowBands
+	f := shadowFilter{scale: shadowBands / maxDist, uCut: make([]float64, shadowBands+1)}
+	for i := range f.uCut {
+		lo, hi := max(0, float64(i)-0.01)*w, (float64(i)+1.01)*w
+		// SNR(d, 0) is monotone in d (or NaN), so its band maximum is at
+		// an edge; max propagates NaN, which disables the band.
+		need := snrCut - max(radio.SNR(lo, 0), radio.SNR(hi, 0))
+		f.uCut[i] = 1
+		if a := (need*(1-1e-9) - 1e-6) / radio.ShadowStd; a > 0 {
+			f.uCut[i] = math.Nextafter(math.Exp(-a*a/2), 1)
+		}
+	}
+	return f
+}
+
+// cut returns the u threshold for a pair at distance d: 1, which nothing
+// exceeds, when d is within the zero-shadow reach, outside the table, or
+// the filter is off.
+func (f *shadowFilter) cut(d float64) float64 {
+	x := d * f.scale
+	if !(x < float64(len(f.uCut))) {
+		return 1
+	}
+	return f.uCut[int(x)]
+}
+
+// rejectDraw reports whether the first two uniforms (u, v) of a pair's
+// shadow stream certainly put it under the SNR cut, given its band's
+// threshold cut < 1 (see shadowFilter). A u of 0 is never settled:
+// Norm draws a fresh u then.
+func rejectDraw(cut, u, v float64) bool {
+	const edge = 1e-9
+	return u > cut || u > 0 && (v < 0.25-edge || v > 0.75+edge)
 }
 
 // capDegree trims each node's adjacency to the maxDegree best links by PRR,

@@ -302,6 +302,18 @@ func BenchmarkGreenOrbsGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkScaledGreenOrbs10k times the 10k-node scaled GreenOrbs build,
+// floodbench's opt-10k set-up, where link generation dominates.
+func BenchmarkScaledGreenOrbs10k(b *testing.B) {
+	cfg := ScaledGreenOrbsConfig(10000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateGreenOrbs(cfg, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAnalyze(b *testing.B) {
 	g := GreenOrbs(1)
 	b.ReportAllocs()

@@ -45,12 +45,57 @@ func bruteLinkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, sha
 	}
 }
 
+// linkFieldPositions places n nodes uniformly on a field×field square,
+// then stacks every 10th node on its predecessor and puts every 10th+5
+// node half a meter from its predecessor: coincident pairs (d = 0) and
+// pairs inside D0, where PathLoss clamps.
+func linkFieldPositions(n int, field float64, seed uint64) []Point {
+	posRNG := rngutil.New(seed).SubName("positions")
+	pos := make([]Point, n)
+	for i := range pos {
+		pos[i] = Point{X: field * posRNG.Float64(), Y: field * posRNG.Float64()}
+		switch {
+		case i > 0 && i%10 == 0:
+			pos[i] = pos[i-1]
+		case i%10 == 5:
+			pos[i] = Point{X: pos[i-1].X + 0.3, Y: pos[i-1].Y + 0.4}
+		}
+	}
+	return pos
+}
+
+// checkLinkMatchesBrute links pos with linkByDistance and with the
+// brute-force reference and requires byte-identical adjacency.
+func checkLinkMatchesBrute(t *testing.T, pos []Point, radio RadioModel, minPRR, maxPRR float64, seed uint64) *Graph {
+	t.Helper()
+	build := func(link func(*Graph, RadioModel, float64, float64, *rngutil.Stream)) *Graph {
+		g := New(len(pos))
+		g.Pos = pos
+		link(g, radio, minPRR, maxPRR, rngutil.New(seed).SubName("shadowing"))
+		return g
+	}
+	brute := build(bruteLinkByDistance)
+	spatial := build(linkByDistance)
+	if !reflect.DeepEqual(brute.adj, spatial.adj) {
+		t.Fatalf("radio %+v, minPRR %v, maxPRR %v, seed %d: spatial-hash adjacency differs from brute force",
+			radio, minPRR, maxPRR, seed)
+	}
+	return spatial
+}
+
 // TestLinkByDistanceSpatialMatchesBrute pins the central claim of the
 // link builder: it links exactly the pairs of the quadratic full-PRR scan,
 // with the same PRR bits, and appends them in the scan's order, so the
 // adjacency built is byte-identical (same links, same PRRs, same per-node
-// list order), not just set-equal.
+// list order), not just set-equal. The cases cover the shadow filter's
+// edges: no shadowing (the filter is off), a mild exponent that puts the
+// whole field in range, thresholds near both ends, and coincident and
+// sub-D0 pairs.
 func TestLinkByDistanceSpatialMatchesBrute(t *testing.T) {
+	exponent2 := ForestRadio()
+	exponent2.Exponent = 2.0
+	noShadow := ForestRadio()
+	noShadow.ShadowStd = 0
 	for _, tc := range []struct {
 		name   string
 		radio  RadioModel
@@ -59,33 +104,132 @@ func TestLinkByDistanceSpatialMatchesBrute(t *testing.T) {
 	}{
 		{"forest", ForestRadio(), 0.10, 0.95},
 		{"forest-min0.5", ForestRadio(), 0.5, 0},
+		{"forest-shadow0", noShadow, 0.10, 0.95},
+		{"exponent2", exponent2, 0.10, 0.95},
 		{"openfield", OpenFieldRadio(), 0.10, 0.95},
 		{"testbed-min0.05", testbedRadio(), 0.05, 0.95},
+		{"testbed-min0.01", testbedRadio(), 0.01, 0.95},
+		{"testbed-min0.9", testbedRadio(), 0.9, 0},
 	} {
 		for _, seed := range []uint64{1, 7, 42} {
-			n := 700
-			posRNG := rngutil.New(seed).SubName("positions")
-			pos := make([]Point, n)
-			for i := range pos {
-				pos[i] = Point{X: 260 * posRNG.Float64(), Y: 260 * posRNG.Float64()}
-			}
-			build := func(link func(*Graph, RadioModel, float64, float64, *rngutil.Stream)) *Graph {
-				g := New(n)
-				g.Pos = pos
-				link(g, tc.radio, tc.minPRR, tc.maxPRR, rngutil.New(seed).SubName("shadowing"))
-				return g
-			}
-			brute := build(bruteLinkByDistance)
-			spatial := build(linkByDistance)
-			if brute.NumLinks() == 0 {
+			spatial := checkLinkMatchesBrute(t, linkFieldPositions(700, 260, seed), tc.radio, tc.minPRR, tc.maxPRR, seed)
+			if spatial.NumLinks() == 0 {
 				t.Fatalf("%s seed %d: degenerate test, no links generated", tc.name, seed)
-			}
-			if !reflect.DeepEqual(brute.adj, spatial.adj) {
-				t.Fatalf("%s seed %d: spatial-hash adjacency differs from brute force", tc.name, seed)
 			}
 			if err := spatial.Validate(); err != nil {
 				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 			}
+		}
+	}
+}
+
+// FuzzLinkByDistance holds linkByDistance to the brute-force scan for
+// arbitrary path-loss exponents, shadowing, PRR bounds and seeds on 150
+// nodes. The field is four times the link builder's reach where that is
+// finite, so candidates fall on both sides of it.
+func FuzzLinkByDistance(f *testing.F) {
+	f.Add(3.5, 4.0, 0.10, 0.95, uint64(1))
+	f.Add(2.4, 2.0, 0.10, 0.95, uint64(2))
+	f.Add(2.8, 5.0, 0.05, 0.95, uint64(3))
+	f.Add(2.0, 4.0, 0.01, 0.0, uint64(4))
+	f.Add(3.5, 0.0, 0.9, 0.0, uint64(5))
+	f.Add(3.5, 12.0, 0.5, 0.0, uint64(6))
+	f.Add(-1.0, 4.0, 0.10, 0.95, uint64(7))
+	f.Fuzz(func(t *testing.T, exponent, shadowStd, minPRR, maxPRR float64, seed uint64) {
+		if !(minPRR > 0 && minPRR < 1) {
+			return // ConnectedRange's domain; the generators reject the rest
+		}
+		radio := ForestRadio()
+		radio.Exponent, radio.ShadowStd = exponent, shadowStd
+		field := 260.0
+		if r := radio.ConnectedRange(minPRR) * math.Pow(10, 3*shadowStd/(10*exponent)); r > 0 && r < 1e6 {
+			field = 4 * r
+		}
+		checkLinkMatchesBrute(t, linkFieldPositions(150, field, seed), radio, minPRR, maxPRR, seed)
+	})
+}
+
+// TestShadowFilterRejectsOnlyExactRejections checks the filter's reject
+// predicate draw by draw: for 10^5 (d, u, v) per radio, uniform over the
+// reach's disk and adversarial at band edges, threshold ulps and the
+// sign test's quarter points, every rejection must also be one of the
+// exact chain (Box–Muller as rngutil.Stream.Norm draws it, SNR, the cut).
+// It also requires the filter to settle most of the exact chain's
+// rejections among the uniform draws; a filter that never fires fails.
+func TestShadowFilterRejectsOnlyExactRejections(t *testing.T) {
+	// The predicate's Box–Muller is Norm's: the first two uniforms of the
+	// stream, in order.
+	for k := uint64(0); k < 100; k++ {
+		s := rngutil.New(k)
+		draw := *s
+		u, v := draw.Float64(), draw.Float64()
+		if z := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v); z != s.Norm() {
+			t.Fatalf("stream %d: Norm does not draw √(−2 ln u)·cos(2πv) from its first two uniforms", k)
+		}
+	}
+	exponent2 := ForestRadio()
+	exponent2.Exponent = 2.0
+	for _, tc := range []struct {
+		name   string
+		radio  RadioModel
+		minPRR float64
+	}{
+		{"forest", ForestRadio(), 0.10},
+		{"openfield", OpenFieldRadio(), 0.10},
+		{"testbed-min0.01", testbedRadio(), 0.01},
+		{"testbed-min0.9", testbedRadio(), 0.9},
+		{"exponent2", exponent2, 0.10},
+	} {
+		radio := tc.radio
+		maxDist := radio.ConnectedRange(tc.minPRR) * math.Pow(10, 3*radio.ShadowStd/(10*radio.Exponent))
+		snrCut := radio.snrCut(tc.minPRR)
+		f := newShadowFilter(radio, maxDist, snrCut)
+		rng := rngutil.New(1)
+		// ulps steps x by k units in the last place, up for k > 0.
+		ulps := func(x float64, k int) float64 {
+			for ; k > 0; k-- {
+				x = math.Nextafter(x, math.Inf(1))
+			}
+			for ; k < 0; k++ {
+				x = math.Nextafter(x, math.Inf(-1))
+			}
+			return x
+		}
+		exactRejects, fired := 0, 0
+		for i := 0; i < 100000; i++ {
+			d := maxDist * math.Sqrt(rng.Float64())
+			u, v := rng.Float64(), rng.Float64()
+			adversarial := i%2 == 1
+			if adversarial {
+				// A band edge, a u within ulps of the band's threshold,
+				// and a v within ulps of a sign-test bound or of 1/2,
+				// where the shadow is −√(−2 ln u)·ShadowStd.
+				d = ulps(float64(rng.Intn(shadowBands+1))/f.scale, rng.Intn(9)-4)
+				u = ulps(f.cut(d), rng.Intn(9)-4)
+				v = ulps([]float64{0.25 - 1e-9, 0.75 + 1e-9, 0.25, 0.75, 0.5}[rng.Intn(5)], rng.Intn(9)-4)
+			}
+			if !(u > 0 && u < 1) {
+				continue // Norm redraws a u of 0; the stream never yields 1
+			}
+			shadow := 0 + radio.ShadowStd*(math.Sqrt(-2*math.Log(u))*math.Cos(2*math.Pi*v))
+			exact := radio.SNR(d, shadow) < snrCut
+			cut := f.cut(d)
+			reject := cut < 1 && rejectDraw(cut, u, v)
+			if reject && !exact {
+				t.Fatalf("%s: filter rejects d=%v u=%v v=%v (cut %v) but the exact SNR %v clears the cut %v",
+					tc.name, d, u, v, cut, radio.SNR(d, shadow), snrCut)
+			}
+			if !adversarial && exact {
+				exactRejects++
+				if reject {
+					fired++
+				}
+			}
+		}
+		share := float64(fired) / float64(exactRejects)
+		t.Logf("%s: filter settles %d of %d exact rejections (%.1f%%)", tc.name, fired, exactRejects, 100*share)
+		if share < 0.5 {
+			t.Errorf("%s: filter settles %.1f%% of the exact rejections, want most", tc.name, 100*share)
 		}
 	}
 }
