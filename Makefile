@@ -116,6 +116,7 @@ fuzz-spec:
 fuzz-service:
 	$(GO) test -fuzz FuzzCompleteBody -fuzztime 30s ./internal/service
 	$(GO) test -fuzz FuzzSubmitBody -fuzztime 30s ./internal/service
+	$(GO) test -fuzz FuzzLeaseBody -fuzztime 30s ./internal/service
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -49,6 +49,7 @@ func TestGuardExactColumnsFailOnAnyHost(t *testing.T) {
 		}{
 			{"slots", func(r *row) { r.Slots++ }, "dbao/10000/100: slot horizon"},
 			{"trace bytes", func(r *row) { r.TraceBinBytes-- }, "dbao/10000/100: trace emits"},
+			{"links", func(r *row) { r.Links++ }, "dbao/10000/100: topology has"},
 		} {
 			cur := testDoc(1)
 			if !sameHost {

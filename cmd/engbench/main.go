@@ -458,9 +458,9 @@ func bound(t timing) int64 { return t.Q3NS + fenceFactor*(t.Q3NS-t.Q1NS) }
 
 // guard compares a fresh document with a committed baseline and returns
 // every failure, joined. The two must hold the same rows, and each row's
-// slot horizon and trace byte count must match exactly: they are
-// deterministic, so drift means the engine's behavior or an encoding
-// changed, whatever the host. Wall clock is compared only when both were
+// slot horizon, link count and trace byte count must match exactly: they
+// are deterministic, so drift means the engine's behavior, the topology
+// generator or an encoding changed, whatever the host. Wall clock is compared only when both were
 // measured on the same host and doc has at least minGuardReps reps; then
 // a row's build, plain, telemetry or traced median fails past bound of the
 // baseline's column. measure copies a node count's one topology build
@@ -492,6 +492,9 @@ func guard(w io.Writer, doc, base *document) error {
 		}
 		if r.TraceBinBytes != b.TraceBinBytes {
 			fail("%s: trace emits %d bytes, baseline %d: encoding changed", r.Name, r.TraceBinBytes, b.TraceBinBytes)
+		}
+		if r.Links != b.Links {
+			fail("%s: topology has %d links, baseline %d: generator changed", r.Name, r.Links, b.Links)
 		}
 		if !wall {
 			continue
@@ -525,11 +528,11 @@ func guard(w io.Writer, doc, base *document) error {
 	}
 	switch {
 	case wall:
-		fmt.Fprintf(w, "guard: slots, trace bytes and wall clock (bound Q3 + %d×IQR) checked\n", fenceFactor)
+		fmt.Fprintf(w, "guard: slots, links, trace bytes and wall clock (bound Q3 + %d×IQR) checked\n", fenceFactor)
 	case doc.Host != base.Host:
-		fmt.Fprintf(w, "guard: slots and trace bytes checked; wall clock not compared: host %+v differs from the baseline's %+v\n", doc.Host, base.Host)
+		fmt.Fprintf(w, "guard: slots, links and trace bytes checked; wall clock not compared: host %+v differs from the baseline's %+v\n", doc.Host, base.Host)
 	default:
-		fmt.Fprintf(w, "guard: slots and trace bytes checked; wall clock not compared: %d reps, fewer than %d\n", doc.Reps, minGuardReps)
+		fmt.Fprintf(w, "guard: slots, links and trace bytes checked; wall clock not compared: %d reps, fewer than %d\n", doc.Reps, minGuardReps)
 	}
 	if len(errs) > 0 {
 		return fmt.Errorf("%d failure(s):\n  %s", len(errs), strings.Join(errs, "\n  "))

@@ -1,18 +1,22 @@
-// Command figures regenerates the tables and figures of the paper's
-// evaluation (Table I and Figures 3, 5, 6, 7, 8, 9, 10, 11) as text charts
-// and data tables.
+// Command figures regenerates the paper's evaluation (Table I and Figures
+// 3 and 5-11) and the repository's extension studies as text charts and
+// data tables. The figure IDs, their aliases and the split between paper
+// figures and extensions come from one table, experiments.Figures; -h
+// lists the IDs.
 //
 // Usage:
 //
-//	figures [-fig all|fig3,table1,fig5,...] [-quick] [-m 100] [-runs 1]
-//	        [-toposeed 1] [-seed 1] [-workers 0] [-progress]
+//	figures [-fig all|extensions|fig3,table1,...] [-quick] [-m 100] [-runs 1]
+//	        [-toposeed 1] [-seed 1] [-workers 0] [-progress] [-out DIR]
 //
-// Analytic figures are exact; simulation figures (8-11) run the simulator
-// on the synthetic GreenOrbs topology. -quick cuts the simulated workload
-// (M=20, four duty points) while preserving every qualitative shape. The
-// simulation sweeps execute on the internal/runner batch executor:
-// -workers bounds the pool (results never depend on it) and -progress
-// prints a throttled jobs/ETA/throughput line to stderr.
+// Analytic figures are exact; simulation figures run the simulator on
+// synthetic topologies. -quick cuts the simulated workload (M=20, four
+// duty points) while preserving every qualitative shape. Each simulation
+// figure runs all of its floods as one internal/runner batch: -workers
+// bounds the pool (results never depend on it) and -progress prints a
+// throttled jobs/ETA/throughput line to stderr. Figures are emitted in the
+// order asked, and a table entry that emits several (fig10 and fig11)
+// runs once however many of them are asked for.
 package main
 
 import (
@@ -20,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,15 +34,15 @@ import (
 
 func main() {
 	var (
-		figFlag  = flag.String("fig", "all", "comma-separated figure ids (fig3, table1, fig5-fig11, gw, halfduplex, crosslayer, granularity, nodecdf, syncerr, hetero, backlog, robustness, faults, scale), 'all' (paper figures) or 'extensions'")
+		figFlag  = flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(figureIDs(), ", ")+"), 'all' (paper figures) or 'extensions'")
 		quick    = flag.Bool("quick", false, "cut-down simulation effort (M=20, 4 duty points)")
 		m        = flag.Int("m", 0, "packets per flood (default: 100, or 20 with -quick)")
-		runs     = flag.Int("runs", 1, "independent runs to average per configuration")
+		runs     = flag.Int("runs", 1, "independent runs to average per configuration (nodecdf, syncerr, backlog and scale run once, hetero three times)")
 		topoSeed = flag.Uint64("toposeed", 1, "synthetic GreenOrbs topology seed")
 		seed     = flag.Uint64("seed", 1, "simulation seed (schedules + link loss)")
 		outDir   = flag.String("out", "", "write each figure to <dir>/<id>.txt instead of stdout")
-		workers  = flag.Int("workers", 0, "batch-runner workers for simulation sweeps (0 = GOMAXPROCS); results never depend on it")
-		progress = flag.Bool("progress", false, "print live batch progress to stderr during simulation sweeps")
+		workers  = flag.Int("workers", 0, "batch-runner workers for each simulation figure (0 = GOMAXPROCS); results never depend on it")
+		progress = flag.Bool("progress", false, "print live batch progress to stderr while simulation figures run")
 	)
 	flag.Parse()
 
@@ -63,104 +68,86 @@ func main() {
 }
 
 func run(figFlag string, opts experiments.SimOptions, outDir string) error {
-	emit := func(fd *experiments.FigureData) error {
+	picks, err := resolve(figFlag)
+	if err != nil {
+		return err
+	}
+	done := make(map[int][]*experiments.FigureData)
+	for _, p := range picks {
+		figs, ok := done[p.entry]
+		if !ok {
+			if figs, err = experiments.Figures[p.entry].Run(opts); err != nil {
+				return err
+			}
+			done[p.entry] = figs
+		}
+		fd := figs[slices.Index(experiments.Figures[p.entry].IDs, p.id)]
 		if outDir == "" {
 			fmt.Println(fd.Render())
-			return nil
+			continue
 		}
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(outDir, fd.ID+".txt"), []byte(fd.Render()), 0o644)
-	}
-	switch figFlag {
-	case "all":
-		figs, err := experiments.All(opts)
-		for _, fd := range figs {
-			if e := emit(fd); e != nil {
-				return e
-			}
-		}
-		return err
-	case "extensions":
-		figs, err := experiments.AllExtensions(opts)
-		for _, fd := range figs {
-			if e := emit(fd); e != nil {
-				return e
-			}
-		}
-		return err
-	}
-	for _, id := range strings.Split(figFlag, ",") {
-		fd, err := one(strings.TrimSpace(strings.ToLower(id)), opts)
-		if err != nil {
-			return err
-		}
-		if err := emit(fd); err != nil {
+		if err := os.WriteFile(filepath.Join(outDir, fd.ID+".txt"), []byte(fd.Render()), 0o644); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func one(id string, opts experiments.SimOptions) (*experiments.FigureData, error) {
-	switch id {
-	case "fig3", "3":
-		return experiments.Fig3()
-	case "table1", "tablei", "t1":
-		return experiments.TableI()
-	case "fig5", "5":
-		return experiments.Fig5()
-	case "fig6", "6":
-		return experiments.Fig6()
-	case "fig7", "7":
-		return experiments.Fig7()
-	case "fig8", "8":
-		return experiments.Fig8(opts.TopoSeed)
-	case "fig9", "9":
-		return experiments.Fig9(opts)
-	case "fig10", "10":
-		f10, _, err := experiments.Fig10And11(opts)
-		return f10, err
-	case "fig11", "11":
-		_, f11, err := experiments.Fig10And11(opts)
-		return f11, err
-	case "crosslayer":
-		// Beyond the paper: the Section VI cross-layer future-work sweep.
-		return experiments.CrossLayer(opts)
-	case "granularity":
-		// Beyond the paper: schedule granularity at fixed duty ratio.
-		return experiments.ScheduleGranularity(opts)
-	case "nodecdf":
-		// Beyond the paper: per-node reception-delay distribution.
-		return experiments.NodeDelayCDF(opts)
-	case "syncerr":
-		// Beyond the paper: local-synchronization sensitivity.
-		return experiments.SyncError(opts)
-	case "halfduplex":
-		// Section IV-A2: the cost of splitting type-2 slots.
-		return experiments.HalfDuplex()
-	case "hetero":
-		// Section IV-B: the heterogeneous-link case, by simulation.
-		return experiments.Heterogeneity(opts)
-	case "backlog":
-		// Section IV-B/V: the source-queue blow-up under saturation.
-		return experiments.Backlog(opts)
-	case "robustness":
-		// Beyond the paper: the conclusions on a second deployment.
-		return experiments.Robustness(opts)
-	case "gw":
-		// Lemma 1 illustrated: normalized branching-process sample paths.
-		return experiments.GaltonWatson()
-	case "faults":
-		// Resilience under scripted fault injection (internal/fault).
-		return experiments.Faults(opts)
-	case "scale":
-		// Timer-protocol message load vs network size (300 → 100k nodes,
-		// density-preserving scaled GreenOrbs) against the Meyfroyt et al.
-		// constant-per-node Trickle prediction.
-		return experiments.TrickleScalability(opts)
-	default:
-		return nil, fmt.Errorf("unknown figure %q (fig3, table1, fig5-fig11, gw, halfduplex, crosslayer, granularity, nodecdf, syncerr, hetero, backlog, robustness, faults, scale)", id)
+// pick is one requested figure: an ID and the index of the table entry
+// that emits it.
+type pick struct {
+	entry int
+	id    string
+}
+
+// resolve maps a -fig value to the figures it asks for, in the order
+// asked: "all" is every paper figure and "extensions" every extension
+// study, in table order; otherwise each comma-separated name is an ID or
+// an alias of one.
+func resolve(figFlag string) ([]pick, error) {
+	var picks []pick
+	if figFlag == "all" || figFlag == "extensions" {
+		for i, e := range experiments.Figures {
+			if e.Extension == (figFlag == "extensions") {
+				for _, id := range e.IDs {
+					picks = append(picks, pick{i, id})
+				}
+			}
+		}
+		return picks, nil
 	}
+	for _, name := range strings.Split(figFlag, ",") {
+		p, ok := lookup(strings.TrimSpace(strings.ToLower(name)))
+		if !ok {
+			return nil, fmt.Errorf("unknown figure %q (want all, extensions or a comma list of %s)", name, strings.Join(figureIDs(), ", "))
+		}
+		picks = append(picks, p)
+	}
+	return picks, nil
+}
+
+// lookup finds the table entry that emits the figure an ID or alias names.
+func lookup(name string) (pick, bool) {
+	for i, e := range experiments.Figures {
+		id, ok := e.Aliases[name]
+		if !ok && slices.Contains(e.IDs, name) {
+			id, ok = name, true
+		}
+		if ok {
+			return pick{i, id}, true
+		}
+	}
+	return pick{}, false
+}
+
+// figureIDs lists every figure ID in table order.
+func figureIDs() []string {
+	var ids []string
+	for _, e := range experiments.Figures {
+		ids = append(ids, e.IDs...)
+	}
+	return ids
 }

@@ -3,10 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"ldcflood/internal/experiments"
+	"ldcflood/internal/runner"
 )
 
 func testOpts() experiments.SimOptions {
@@ -14,6 +16,20 @@ func testOpts() experiments.SimOptions {
 	o.M = 5
 	o.Duties = []float64{0.10, 0.20}
 	return o
+}
+
+// one computes the figure a single -fig name selects.
+func one(name string, opts experiments.SimOptions) (*experiments.FigureData, error) {
+	picks, err := resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	e := experiments.Figures[picks[0].entry]
+	figs, err := e.Run(opts)
+	if err != nil {
+		return nil, err
+	}
+	return figs[slices.Index(e.IDs, picks[0].id)], nil
 }
 
 func TestOneResolvesAllIDs(t *testing.T) {
@@ -79,28 +95,64 @@ func TestRunWritesFiles(t *testing.T) {
 	}
 }
 
-// TestRunExtensionIDs resolves every id AllExtensions emits through
-// the -fig switch, so the CLI and the registry cannot drift apart, and
-// checks that both render the same figure from the same options.
-func TestRunExtensionIDs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every extension figure twice")
+// TestFigureTableResolves checks the figure table as the CLI reads it:
+// IDs and aliases share one namespace without duplicates, every one
+// resolves to the entry that emits it, all and extensions split the IDs
+// between them, and a list naming two figures of one entry runs that
+// entry's batch once.
+func TestFigureTableResolves(t *testing.T) {
+	seen := map[string]bool{}
+	for i, e := range experiments.Figures {
+		check := func(name, id string) {
+			if seen[name] {
+				t.Errorf("name %q appears twice in the table", name)
+			}
+			seen[name] = true
+			if p, ok := lookup(name); !ok || p != (pick{i, id}) {
+				t.Errorf("lookup(%q) = %+v, %v; want entry %d, %q", name, p, ok, i, id)
+			}
+		}
+		for _, id := range e.IDs {
+			check(id, id)
+		}
+		for alias, id := range e.Aliases {
+			if !slices.Contains(e.IDs, id) {
+				t.Errorf("alias %q names %q, which entry %v does not emit", alias, id, e.IDs)
+			}
+			check(alias, id)
+		}
 	}
+	var split []string
+	for _, set := range []string{"all", "extensions"} {
+		picks, err := resolve(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range picks {
+			split = append(split, p.id)
+		}
+	}
+	if !slices.Equal(split, figureIDs()) {
+		t.Errorf("all then extensions = %v, want every ID once: %v", split, figureIDs())
+	}
+
 	opts := testOpts()
-	figs, err := experiments.AllExtensions(opts)
-	if err != nil {
+	batches := 0
+	opts.Progress = func(p runner.Progress) {
+		if p.Done == p.Total {
+			batches++
+		}
+	}
+	dir := t.TempDir()
+	if err := run("fig10,fig11", opts, dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range figs {
-		fd, err := one(want.ID, opts)
-		if err != nil {
-			t.Fatalf("one(%q): %v", want.ID, err)
-		}
-		if fd.ID != want.ID {
-			t.Fatalf("one(%q) returned figure %q", want.ID, fd.ID)
-		}
-		if fd.Render() != want.Render() {
-			t.Fatalf("one(%q) renders differently from AllExtensions", want.ID)
+	if batches != 1 {
+		t.Errorf("fig10,fig11 ran %d batches, want 1", batches)
+	}
+	for _, id := range []string{"fig10", "fig11"} {
+		if _, err := os.Stat(filepath.Join(dir, id+".txt")); err != nil {
+			t.Error(err)
 		}
 	}
 }

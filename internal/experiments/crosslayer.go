@@ -34,17 +34,27 @@ func CrossLayer(opts SimOptions) (*FigureData, error) {
 		gain     float64
 		delay    float64
 	}
+	var b batch
+	for _, name := range opts.Protocols {
+		for _, duty := range opts.Duties {
+			b.protocol(g, name, schedule.PeriodForDuty(duty), opts)
+		}
+	}
+	sims, err := b.run("crosslayer", opts)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := combineRuns(sims, opts.Runs)
+	if err != nil {
+		return nil, err
+	}
 	var overall best
 	fd.TableHeaders = []string{"protocol", "best duty", "delay/slots", "lifetime/days", "gain"}
-	for _, name := range opts.Protocols {
+	for pi, name := range opts.Protocols {
 		var xs, ys []float64
 		var rowBest best
-		for _, duty := range opts.Duties {
-			period := schedule.PeriodForDuty(duty)
-			agg, err := runProtocol(g, name, period, opts)
-			if err != nil {
-				return nil, err
-			}
+		for di, duty := range opts.Duties {
+			agg := aggs[pi*len(opts.Duties)+di]
 			if agg.CoveredFraction < 1 || math.IsNaN(agg.Delay.Mean) {
 				continue // configuration failed its coverage target
 			}
@@ -114,7 +124,13 @@ func SimDelayFunc(protocol string, opts SimOptions) optimize.DelayFunc {
 		if v, ok := cache[period]; ok {
 			return v, nil
 		}
-		agg, err := runProtocol(g, protocol, period, opts)
+		var b batch
+		b.protocol(g, protocol, period, opts)
+		sims, err := b.run(fmt.Sprintf("%s at T=%d", protocol, period), opts)
+		if err != nil {
+			return 0, err
+		}
+		agg, err := metrics.Combine(sims)
 		if err != nil {
 			return 0, err
 		}

@@ -1,8 +1,11 @@
 // Package experiments regenerates the paper's evaluation and the
 // repository's extension studies. Each driver returns a FigureData whose
-// Render method draws the figure as a text chart plus data table.
+// Render method draws the figure as a text chart plus data table. The
+// Figures table lists every driver with the figure IDs it emits; each
+// simulation driver builds all of its configs first and runs them as one
+// internal/runner batch.
 //
-// Paper figures (DESIGN.md §4; run all with All or `cmd/figures -fig all`):
+// Paper figures (DESIGN.md §4; run all with `cmd/figures -fig all`):
 //
 //	Fig3        Algorithm 1 worked example (N=4, M=2)
 //	TableI      per-packet waitings, analytic vs simulated
@@ -13,8 +16,7 @@
 //	Fig9        per-packet delay vs index (OPT/DBAO/OF + tx-delay split)
 //	Fig10And11  delay and failures vs duty cycle (+ analytic bound)
 //
-// Extension studies (run all with AllExtensions or
-// `cmd/figures -fig extensions`):
+// Extension studies (run all with `cmd/figures -fig extensions`):
 //
 //	GaltonWatson        Lemma 1 sample-path convergence
 //	HalfDuplex          Section IV-A2 type-2 slot cost

@@ -50,20 +50,27 @@ func Fig8(topoSeed uint64) (*FigureData, error) {
 	return fd, nil
 }
 
-// protocolJobs builds the opts.Runs simulation configs of one protocol at
-// one duty-cycle period. Run r keeps the historical opts.Seed + r*1000
-// seed derivation so golden results stay stable; every config is fully
-// determined here, before any job is dispatched, which is what makes the
-// batch output independent of runner worker count.
-func protocolJobs(g *topology.Graph, name string, period int, opts SimOptions) ([]sim.Config, error) {
-	jobs := make([]sim.Config, opts.Runs)
-	for run := range jobs {
+// batch collects a figure's simulation configs, so that the figure runs
+// all of them as one runner batch. The first error met while building a
+// config sticks, and run returns it without simulating anything.
+type batch struct {
+	jobs []sim.Config
+	err  error
+}
+
+// protocol appends the opts.Runs configs of one protocol at one
+// duty-cycle period and returns them, for the caller to adjust. Run r
+// keeps the historical opts.Seed + r*1000 seed derivation so golden
+// results stay stable.
+func (b *batch) protocol(g *topology.Graph, name string, period int, opts SimOptions) []sim.Config {
+	n := len(b.jobs)
+	for run := 0; run < opts.Runs; run++ {
 		p, err := flood.New(name)
-		if err != nil {
-			return nil, err
+		if err != nil && b.err == nil {
+			b.err = err
 		}
 		seed := opts.Seed + uint64(run)*1000
-		jobs[run] = sim.Config{
+		b.jobs = append(b.jobs, sim.Config{
 			Graph: g,
 			Schedules: schedule.AssignUniform(g.N(), period,
 				rngutil.New(seed).SubName("schedule")),
@@ -72,24 +79,39 @@ func protocolJobs(g *topology.Graph, name string, period int, opts SimOptions) (
 			Coverage: opts.Coverage,
 			Seed:     seed,
 			MaxSlots: opts.MaxSlots,
-		}
+		})
 	}
-	return jobs, nil
+	return b.jobs[n:]
 }
 
-// runProtocol executes opts.Runs simulations of one protocol at one duty
-// cycle on the batch runner and aggregates them.
-func runProtocol(g *topology.Graph, name string, period int, opts SimOptions) (*metrics.Aggregate, error) {
-	jobs, err := protocolJobs(g, name, period, opts)
-	if err != nil {
-		return nil, err
+// run runs the collected configs as one runner batch and returns their
+// results in input order. Every config is fully built before the batch
+// starts, so the results, and the figure assembled from them, do not
+// depend on opts.Workers.
+func (b *batch) run(id string, opts SimOptions) ([]*sim.Result, error) {
+	if b.err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", id, b.err)
 	}
-	rs, _ := runner.Run(context.Background(), jobs, opts.runnerOptions())
-	results, err := rs.Sims()
+	rs, _ := runner.Run(context.Background(), b.jobs, runner.Options{Workers: opts.Workers, Progress: opts.Progress})
+	sims, err := rs.Sims()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s at T=%d: %w", name, period, err)
+		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
-	return metrics.Combine(results)
+	return sims, nil
+}
+
+// combineRuns aggregates a batch's results in consecutive cells of runs
+// results each, as batch.protocol lays them out.
+func combineRuns(sims []*sim.Result, runs int) ([]*metrics.Aggregate, error) {
+	aggs := make([]*metrics.Aggregate, 0, len(sims)/runs)
+	for i := 0; i < len(sims); i += runs {
+		agg, err := metrics.Combine(sims[i : i+runs])
+		if err != nil {
+			return nil, err
+		}
+		aggs = append(aggs, agg)
+	}
+	return aggs, nil
 }
 
 // Fig9 reproduces Fig. 9: per-packet flooding delay versus packet index for
@@ -106,11 +128,19 @@ func Fig9(opts SimOptions) (*FigureData, error) {
 		XLabel: "index of each packet",
 		YLabel: "flooding delay / time slots",
 	}
+	var b batch
 	for _, name := range opts.Protocols {
-		agg, err := runProtocol(g, name, period, opts)
-		if err != nil {
-			return nil, err
-		}
+		b.protocol(g, name, period, opts)
+	}
+	sims, err := b.run("fig9", opts)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := combineRuns(sims, opts.Runs)
+	if err != nil {
+		return nil, err
+	}
+	for _, agg := range aggs {
 		var xs, ys, hs []float64
 		for p, d := range agg.MeanDelayPerPacket {
 			if d == d { // skip NaN (uncovered)
@@ -161,41 +191,28 @@ func Fig10And11(opts SimOptions) (*FigureData, *FigureData, error) {
 		YLabel: "number of transmission failures",
 	}
 
-	// Every (duty, protocol, run) cell of the sweep is an independent
-	// simulation. Flatten the whole grid into one batch so the runner
-	// bounds parallelism, recovers per-job panics, and returns results in
-	// input order — the output is identical for any worker count.
-	nproto := len(opts.Protocols)
-	var jobs []sim.Config
+	var b batch
 	for _, duty := range opts.Duties {
-		period := schedule.PeriodForDuty(duty)
 		for _, name := range opts.Protocols {
-			cell, err := protocolJobs(g, name, period, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			jobs = append(jobs, cell...)
+			b.protocol(g, name, schedule.PeriodForDuty(duty), opts)
 		}
 	}
-	rs, _ := runner.Run(context.Background(), jobs, opts.runnerOptions())
+	sims, err := b.run("fig10", opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	aggs, err := combineRuns(sims, opts.Runs)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	delays := make(map[string][]float64)
 	fails := make(map[string][]float64)
 	var xs, predicted []float64
 	for di, duty := range opts.Duties {
-		period := schedule.PeriodForDuty(duty)
 		xs = append(xs, duty*100)
-		predicted = append(predicted, analysis.PredictedDelay(g.N()-1, opts.Coverage, k, period))
-		for pi, name := range opts.Protocols {
-			base := (di*nproto + pi) * opts.Runs
-			sims, err := rs[base : base+opts.Runs].Sims()
-			if err != nil {
-				return nil, nil, fmt.Errorf("experiments: %s at T=%d: %w", name, period, err)
-			}
-			agg, err := metrics.Combine(sims)
-			if err != nil {
-				return nil, nil, err
-			}
+		predicted = append(predicted, analysis.PredictedDelay(g.N()-1, opts.Coverage, k, schedule.PeriodForDuty(duty)))
+		for _, agg := range aggs[di*len(opts.Protocols) : (di+1)*len(opts.Protocols)] {
 			delays[agg.Protocol] = append(delays[agg.Protocol], agg.Delay.Mean)
 			fails[agg.Protocol] = append(fails[agg.Protocol], agg.Failures)
 		}

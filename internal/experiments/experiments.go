@@ -69,6 +69,8 @@ type SimOptions struct {
 	// M is the number of packets flooded (paper: 100).
 	M int
 	// Runs averages this many independent runs per configuration.
+	// NodeDelayCDF, SyncError, Backlog and TrickleScalability ignore it
+	// and run each configuration once; Heterogeneity always runs three.
 	Runs int
 	// Coverage is the delivery-ratio target (paper: 0.99).
 	Coverage float64
@@ -83,17 +85,14 @@ type SimOptions struct {
 	// (default 300 → 100k; see TrickleScalability).
 	ScaleSizes []int
 	// Workers bounds how many simulations the batch runner executes
-	// concurrently in the sweep figures (0 = GOMAXPROCS). Results never
-	// depend on it; see internal/runner.
+	// concurrently (0 = GOMAXPROCS). Every simulation figure runs all of
+	// its floods as one batch, so each honors it; results never depend on
+	// it (see internal/runner).
 	Workers int
 	// Progress, when non-nil, receives batch-runner progress snapshots
-	// while the simulation sweeps run.
+	// while a simulation figure runs: one batch per figure, so Total is
+	// that figure's flood count (SimDelayFunc runs one batch per call).
 	Progress func(runner.Progress)
-}
-
-// runnerOptions maps the experiment options onto batch-runner options.
-func (o *SimOptions) runnerOptions() runner.Options {
-	return runner.Options{Workers: o.Workers, Progress: o.Progress}
 }
 
 // PaperSimOptions reproduces the paper's evaluation parameters in full:
@@ -137,62 +136,65 @@ func (o *SimOptions) normalize() {
 	}
 }
 
-// All regenerates every figure and table. Analytic figures always run in
-// full; simulation figures honor opts.
-func All(opts SimOptions) ([]*FigureData, error) {
-	var out []*FigureData
-	steps := []func() (*FigureData, error){
-		Fig3,
-		TableI,
-		Fig5,
-		Fig6,
-		Fig7,
-		func() (*FigureData, error) { return Fig8(opts.TopoSeed) },
-		func() (*FigureData, error) { return Fig9(opts) },
-	}
-	for _, step := range steps {
-		fd, err := step()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, fd)
-	}
-	f10, f11, err := Fig10And11(opts)
-	if err != nil {
-		return out, err
-	}
-	return append(out, f10, f11), nil
+// Figure is one entry of the figure table.
+type Figure struct {
+	// IDs are the FigureData.IDs Run returns, in order; each is also a
+	// -fig name and an output file name.
+	IDs []string
+	// Aliases maps each further -fig name to the ID it selects.
+	Aliases map[string]string
+	// Extension marks a beyond-the-paper study: `-fig extensions` runs
+	// these entries, `-fig all` the others.
+	Extension bool
+	// Run computes the entry's figures. A simulation figure runs all of
+	// its floods as one runner batch (see batch).
+	Run func(SimOptions) ([]*FigureData, error)
 }
 
-// AllExtensions regenerates every beyond-the-paper experiment: the
-// Lemma 1 illustration, the Section IV-A2 half-duplex accounting, the
-// Section VI cross-layer sweep, schedule granularity, the per-node delay
-// CDF, synchronization-error sensitivity, the heterogeneous-link study,
-// the source-backlog stability probe, the cross-deployment robustness
-// check, the fault-injection resilience study, and the timer-protocol
-// scalability study. cmd/figures resolves each emitted FigureData.ID as
-// a -fig id.
-func AllExtensions(opts SimOptions) ([]*FigureData, error) {
-	var out []*FigureData
-	steps := []func() (*FigureData, error){
-		GaltonWatson,
-		HalfDuplex,
-		func() (*FigureData, error) { return CrossLayer(opts) },
-		func() (*FigureData, error) { return ScheduleGranularity(opts) },
-		func() (*FigureData, error) { return NodeDelayCDF(opts) },
-		func() (*FigureData, error) { return SyncError(opts) },
-		func() (*FigureData, error) { return Heterogeneity(opts) },
-		func() (*FigureData, error) { return Backlog(opts) },
-		func() (*FigureData, error) { return Robustness(opts) },
-		func() (*FigureData, error) { return Faults(opts) },
-		func() (*FigureData, error) { return TrickleScalability(opts) },
-	}
-	for _, step := range steps {
-		fd, err := step()
+// Figures is the figure table, the one list of figure IDs: the paper's
+// figures in paper order, then the extension studies. cmd/figures
+// resolves every -fig name against it and runs each entry it needs once.
+var Figures = []Figure{
+	{IDs: []string{"fig3"}, Aliases: map[string]string{"3": "fig3"}, Run: analytic(Fig3)},
+	{IDs: []string{"table1"}, Aliases: map[string]string{"tablei": "table1", "t1": "table1"}, Run: analytic(TableI)},
+	{IDs: []string{"fig5"}, Aliases: map[string]string{"5": "fig5"}, Run: analytic(Fig5)},
+	{IDs: []string{"fig6"}, Aliases: map[string]string{"6": "fig6"}, Run: analytic(Fig6)},
+	{IDs: []string{"fig7"}, Aliases: map[string]string{"7": "fig7"}, Run: analytic(Fig7)},
+	{IDs: []string{"fig8"}, Aliases: map[string]string{"8": "fig8"}, Run: func(o SimOptions) ([]*FigureData, error) {
+		return single(Fig8(o.TopoSeed))
+	}},
+	{IDs: []string{"fig9"}, Aliases: map[string]string{"9": "fig9"}, Run: simulated(Fig9)},
+	{IDs: []string{"fig10", "fig11"}, Aliases: map[string]string{"10": "fig10", "11": "fig11"}, Run: func(o SimOptions) ([]*FigureData, error) {
+		f10, f11, err := Fig10And11(o)
 		if err != nil {
-			return out, err
+			return nil, err
 		}
-		out = append(out, fd)
+		return []*FigureData{f10, f11}, nil
+	}},
+	{IDs: []string{"gw"}, Extension: true, Run: analytic(GaltonWatson)},
+	{IDs: []string{"halfduplex"}, Extension: true, Run: analytic(HalfDuplex)},
+	{IDs: []string{"crosslayer"}, Extension: true, Run: simulated(CrossLayer)},
+	{IDs: []string{"granularity"}, Extension: true, Run: simulated(ScheduleGranularity)},
+	{IDs: []string{"nodecdf"}, Extension: true, Run: simulated(NodeDelayCDF)},
+	{IDs: []string{"syncerr"}, Extension: true, Run: simulated(SyncError)},
+	{IDs: []string{"hetero"}, Extension: true, Run: simulated(Heterogeneity)},
+	{IDs: []string{"backlog"}, Extension: true, Run: simulated(Backlog)},
+	{IDs: []string{"robustness"}, Extension: true, Run: simulated(Robustness)},
+	{IDs: []string{"faults"}, Extension: true, Run: simulated(Faults)},
+	{IDs: []string{"scale"}, Extension: true, Run: simulated(TrickleScalability)},
+}
+
+func single(fd *FigureData, err error) ([]*FigureData, error) {
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return []*FigureData{fd}, nil
+}
+
+func analytic(f func() (*FigureData, error)) func(SimOptions) ([]*FigureData, error) {
+	return func(SimOptions) ([]*FigureData, error) { return single(f()) }
+}
+
+func simulated(f func(SimOptions) (*FigureData, error)) func(SimOptions) ([]*FigureData, error) {
+	return func(o SimOptions) ([]*FigureData, error) { return single(f(o)) }
 }

@@ -265,11 +265,26 @@ func TestGaltonWatsonFigure(t *testing.T) {
 	}
 }
 
-func TestRenderAllQuick(t *testing.T) {
-	figs, err := All(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
+// runTable runs every entry of the figure table whose Extension flag is
+// extension, in table order.
+func runTable(t *testing.T, opts SimOptions, extension bool) []*FigureData {
+	t.Helper()
+	var figs []*FigureData
+	for _, e := range Figures {
+		if e.Extension != extension {
+			continue
+		}
+		out, err := e.Run(opts)
+		if err != nil {
+			t.Fatalf("%v: %v", e.IDs, err)
+		}
+		figs = append(figs, out...)
 	}
+	return figs
+}
+
+func TestRenderAllQuick(t *testing.T) {
+	figs := runTable(t, tinyOpts(), false)
 	if len(figs) != 9 {
 		t.Fatalf("got %d figures, want 9", len(figs))
 	}
@@ -290,10 +305,7 @@ func TestRenderAllQuick(t *testing.T) {
 func TestAllExtensionsQuick(t *testing.T) {
 	opts := tinyOpts()
 	opts.M = 10
-	figs, err := AllExtensions(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	figs := runTable(t, opts, true)
 	want := []string{"gw", "halfduplex", "crosslayer", "granularity", "nodecdf", "syncerr", "hetero", "backlog", "robustness", "faults", "scale"}
 	if len(figs) != len(want) {
 		t.Fatalf("got %d extension figures, want %d", len(figs), len(want))

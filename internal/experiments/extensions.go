@@ -30,26 +30,19 @@ func NodeDelayCDF(opts SimOptions) (*FigureData, error) {
 		YLabel: "fraction of sensors",
 	}
 	fd.TableHeaders = []string{"protocol", "p50", "p90", "p99", "max", "reached"}
+	// One packet, run to full coverage (or the horizon) for the tail.
+	one := opts
+	one.M, one.Coverage, one.Runs = 1, 1, 1
+	var b batch
 	for _, name := range opts.Protocols {
-		p, err := flood.New(name)
-		if err != nil {
-			return nil, err
-		}
-		scheds := schedule.AssignUniform(g.N(), period,
-			rngutil.New(opts.Seed).SubName("schedule"))
-		res, err := sim.Run(sim.Config{
-			Graph:            g,
-			Schedules:        scheds,
-			Protocol:         p,
-			M:                1,
-			Coverage:         1, // run to full coverage (or horizon) for the tail
-			Seed:             opts.Seed,
-			MaxSlots:         opts.MaxSlots,
-			RecordReceptions: true,
-		})
-		if err != nil {
-			return nil, err
-		}
+		b.protocol(g, name, period, one)[0].RecordReceptions = true
+	}
+	sims, err := b.run("nodecdf", opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range sims {
+		name := opts.Protocols[i]
 		raw := res.NodeDelays(0)
 		if len(raw) < 2 {
 			return nil, fmt.Errorf("experiments: nodecdf: %s reached %d nodes", name, len(raw))
@@ -113,45 +106,53 @@ func Heterogeneity(opts SimOptions) (*FigureData, error) {
 	k := analysis.KClass(meanPRR)
 	pred := analysis.PredictedDelay(n-1, opts.Coverage, k, period)
 	stds := []float64{0, 0.1, 0.2, 0.3}
-	measure := func(g *topology.Graph, mk func() sim.Protocol) (float64, error) {
-		var acc stats.Running
-		for run := 0; run < 3; run++ {
-			seed := opts.Seed + uint64(run)*100
-			scheds := schedule.AssignUniform(n, period, rngutil.New(seed).SubName("schedule"))
-			res, err := sim.Run(sim.Config{
-				Graph:     g,
-				Schedules: scheds,
-				Protocol:  mk(),
-				M:         opts.M,
-				Coverage:  opts.Coverage,
-				Seed:      seed,
-				MaxSlots:  opts.MaxSlots,
-			})
-			if err != nil {
-				return 0, err
+	const runs = 3
+	// Per std: runs of the best-link oracle, then runs of quality-blind
+	// Naive, each run on its own seed and schedules.
+	graphs := make([]*topology.Graph, len(stds))
+	var b batch
+	for i, std := range stds {
+		graphs[i] = topology.CompleteHetero(n, meanPRR, std, opts.TopoSeed)
+		for _, mk := range []func() sim.Protocol{
+			func() sim.Protocol { return &flood.OPT{DisableOverhearing: true} },
+			func() sim.Protocol { return flood.NewNaive() },
+		} {
+			for run := 0; run < runs; run++ {
+				seed := opts.Seed + uint64(run)*100
+				b.jobs = append(b.jobs, sim.Config{
+					Graph:     graphs[i],
+					Schedules: schedule.AssignUniform(n, period, rngutil.New(seed).SubName("schedule")),
+					Protocol:  mk(),
+					M:         opts.M,
+					Coverage:  opts.Coverage,
+					Seed:      seed,
+					MaxSlots:  opts.MaxSlots,
+				})
 			}
+		}
+	}
+	sims, err := b.run("hetero", opts)
+	if err != nil {
+		return nil, err
+	}
+	meanDelay := func(cell []*sim.Result) float64 {
+		var acc stats.Running
+		for _, res := range cell {
 			acc.Add(res.MeanDelay())
 		}
-		return acc.Mean(), nil
+		return acc.Mean()
 	}
 	var xs, best, blind, flat []float64
-	for _, std := range stds {
-		g := topology.CompleteHetero(n, meanPRR, std, opts.TopoSeed)
-		b, err := measure(g, func() sim.Protocol { return &flood.OPT{DisableOverhearing: true} })
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hetero std=%v: %w", std, err)
-		}
-		q, err := measure(g, func() sim.Protocol { return flood.NewNaive() })
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hetero std=%v: %w", std, err)
-		}
+	for i, std := range stds {
+		cell := sims[i*2*runs:]
+		b, q := meanDelay(cell[:runs]), meanDelay(cell[runs:2*runs])
 		xs = append(xs, std)
 		best = append(best, b)
 		blind = append(blind, q)
 		flat = append(flat, pred)
 		fd.TableRows = append(fd.TableRows, []string{
 			fmt.Sprintf("%.2f", std),
-			fmt.Sprintf("%.3f", g.MeanLinkPRR()),
+			fmt.Sprintf("%.3f", graphs[i].MeanLinkPRR()),
 			fmt.Sprintf("%.1f", b),
 			fmt.Sprintf("%.1f", q),
 			fmt.Sprintf("%.1f", pred),
@@ -190,17 +191,29 @@ func Robustness(opts SimOptions) (*FigureData, error) {
 		{"testbed", topology.Testbed(opts.TopoSeed)},
 	}
 	duties := []float64{opts.Duties[0], opts.Duties[len(opts.Duties)-1]}
+	var b batch
+	for _, dep := range deployments {
+		for _, name := range opts.Protocols {
+			for _, duty := range duties {
+				b.protocol(dep.g, name, schedule.PeriodForDuty(duty), opts)
+			}
+		}
+	}
+	sims, err := b.run("robustness", opts)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := combineRuns(sims, opts.Runs)
+	if err != nil {
+		return nil, err
+	}
 	for _, dep := range deployments {
 		for _, name := range opts.Protocols {
 			var xs, ys []float64
 			for _, duty := range duties {
-				period := schedule.PeriodForDuty(duty)
-				agg, err := runProtocol(dep.g, name, period, opts)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: robustness %s/%s: %w", dep.name, name, err)
-				}
 				xs = append(xs, duty*100)
-				ys = append(ys, agg.Delay.Mean)
+				ys = append(ys, aggs[0].Delay.Mean)
+				aggs = aggs[1:]
 			}
 			fd.Series = append(fd.Series, Series{
 				Name: dep.name + " " + protoDisplayName(name),
@@ -243,26 +256,19 @@ func Backlog(opts SimOptions) (*FigureData, error) {
 	// Back-to-back injection saturates (kT/2 >> 1); spacing injections by
 	// ~kT covers the service time.
 	stableInterval := int(k*float64(period) + 0.5)
-	for _, interval := range []int{1, stableInterval} {
-		p, err := flood.New("dbao")
-		if err != nil {
-			return nil, err
-		}
-		scheds := schedule.AssignUniform(g.N(), period,
-			rngutil.New(opts.Seed).SubName("schedule"))
-		res, err := sim.Run(sim.Config{
-			Graph:          g,
-			Schedules:      scheds,
-			Protocol:       p,
-			M:              opts.M,
-			InjectInterval: interval,
-			Coverage:       opts.Coverage,
-			Seed:           opts.Seed,
-			MaxSlots:       opts.MaxSlots,
-		})
-		if err != nil {
-			return nil, err
-		}
+	intervals := []int{1, stableInterval}
+	one := opts
+	one.Runs = 1
+	var b batch
+	for _, interval := range intervals {
+		b.protocol(g, "dbao", period, one)[0].InjectInterval = interval
+	}
+	sims, err := b.run("backlog", opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, res := range sims {
+		interval := intervals[i]
 		xs, ys, maxBacklog := backlogSeries(res)
 		fd.Series = append(fd.Series, Series{
 			Name: fmt.Sprintf("inject every %d slot(s)", interval),
@@ -333,30 +339,24 @@ func SyncError(opts SimOptions) (*FigureData, error) {
 	}
 	epsilons := []float64{0, 0.05, 0.10, 0.20, 0.40}
 	fd.TableHeaders = []string{"protocol", "eps=0", "eps=0.1", "eps=0.4", "degradation@0.4"}
+	one := opts
+	one.Runs = 1
+	var b batch
+	for _, name := range opts.Protocols {
+		for _, eps := range epsilons {
+			b.protocol(g, name, period, one)[0].SyncErrorProb = eps
+		}
+	}
+	sims, err := b.run("syncerr", opts)
+	if err != nil {
+		return nil, err
+	}
 	for _, name := range opts.Protocols {
 		var xs, ys []float64
 		for _, eps := range epsilons {
-			p, err := flood.New(name)
-			if err != nil {
-				return nil, err
-			}
-			scheds := schedule.AssignUniform(g.N(), period,
-				rngutil.New(opts.Seed).SubName("schedule"))
-			res, err := sim.Run(sim.Config{
-				Graph:         g,
-				Schedules:     scheds,
-				Protocol:      p,
-				M:             opts.M,
-				Coverage:      opts.Coverage,
-				Seed:          opts.Seed,
-				MaxSlots:      opts.MaxSlots,
-				SyncErrorProb: eps,
-			})
-			if err != nil {
-				return nil, err
-			}
 			xs = append(xs, eps*100)
-			ys = append(ys, res.MeanDelay())
+			ys = append(ys, sims[0].MeanDelay())
+			sims = sims[1:]
 		}
 		fd.Series = append(fd.Series, Series{Name: protoDisplayName(name), X: xs, Y: ys})
 		fd.TableRows = append(fd.TableRows, []string{

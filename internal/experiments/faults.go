@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"ldcflood/internal/analysis"
 	"ldcflood/internal/fault"
 	"ldcflood/internal/metrics"
-	"ldcflood/internal/runner"
 	"ldcflood/internal/schedule"
-	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
 )
 
@@ -57,21 +54,6 @@ func faultSchedule(g *topology.Graph) *fault.Schedule {
 	return s
 }
 
-// faultJobs mirrors protocolJobs but attaches the fault schedule (nil for
-// the clean baseline) and records per-node receptions, which the recovery
-// metrics need.
-func faultJobs(g *topology.Graph, name string, period int, spec *fault.Schedule, opts SimOptions) ([]sim.Config, error) {
-	jobs, err := protocolJobs(g, name, period, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i := range jobs {
-		jobs[i].Faults = spec
-		jobs[i].RecordReceptions = true
-	}
-	return jobs, nil
-}
-
 // Faults stresses the protocols beyond the paper's static loss model: the
 // same flood runs clean and under a scripted fault scenario (bursty links,
 // node churn, a jamming outage — see internal/fault), and the resilience
@@ -101,23 +83,25 @@ func Faults(opts SimOptions) (*FigureData, error) {
 		"protocol", "clean delay", "faulted delay", "inflation",
 		"clean covered", "faulted covered", "mean recovery", "unrecovered",
 	}
-	runBatch := func(name string, withFaults *fault.Schedule) ([]*sim.Result, error) {
-		jobs, err := faultJobs(g, name, period, withFaults, opts)
-		if err != nil {
-			return nil, err
+	// Per protocol: the clean runs, then the faulted runs. Both record
+	// per-node receptions, which the recovery metrics need.
+	var b batch
+	for _, name := range opts.Protocols {
+		for _, faults := range []*fault.Schedule{nil, spec} {
+			jobs := b.protocol(g, name, period, opts)
+			for i := range jobs {
+				jobs[i].Faults = faults
+				jobs[i].RecordReceptions = true
+			}
 		}
-		rs, _ := runner.Run(context.Background(), jobs, opts.runnerOptions())
-		return rs.Sims()
+	}
+	sims, err := b.run("faults", opts)
+	if err != nil {
+		return nil, err
 	}
 	for _, name := range opts.Protocols {
-		clean, err := runBatch(name, nil)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: faults %s clean: %w", name, err)
-		}
-		faulted, err := runBatch(name, spec)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: faults %s faulted: %w", name, err)
-		}
+		clean, faulted := sims[:opts.Runs], sims[opts.Runs:2*opts.Runs]
+		sims = sims[2*opts.Runs:]
 		r, err := metrics.ComputeResilience(clean, faulted, spec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: faults %s: %w", name, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ldcflood/internal/flood"
-	"ldcflood/internal/metrics"
 	"ldcflood/internal/rngutil"
 	"ldcflood/internal/schedule"
 	"ldcflood/internal/sim"
@@ -32,36 +31,34 @@ func ScheduleGranularity(opts SimOptions) (*FigureData, error) {
 		YLabel: "mean flooding delay / time slots",
 	}
 	fd.TableHeaders = []string{"k", "period", "mean delay", "failures", "covered"}
-	var xs, ys []float64
-	for _, k := range []int{1, 2, 3, 5} {
-		period := baseT * k
-		var results []*sim.Result
+	ks := []int{1, 2, 3, 5}
+	var b batch
+	for _, k := range ks {
 		for run := 0; run < opts.Runs; run++ {
-			p, err := flood.New("opt")
-			if err != nil {
-				return nil, err
-			}
 			seed := opts.Seed + uint64(run)*1000 + uint64(k)
-			scheds := schedule.AssignUniformMulti(g.N(), period, k,
-				rngutil.New(seed).SubName("schedule"))
-			res, err := sim.Run(sim.Config{
-				Graph:     g,
-				Schedules: scheds,
-				Protocol:  p,
-				M:         opts.M,
-				Coverage:  opts.Coverage,
-				Seed:      seed,
-				MaxSlots:  opts.MaxSlots,
+			b.jobs = append(b.jobs, sim.Config{
+				Graph: g,
+				Schedules: schedule.AssignUniformMulti(g.N(), baseT*k, k,
+					rngutil.New(seed).SubName("schedule")),
+				Protocol: flood.NewOPT(),
+				M:        opts.M,
+				Coverage: opts.Coverage,
+				Seed:     seed,
+				MaxSlots: opts.MaxSlots,
 			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: granularity k=%d: %w", k, err)
-			}
-			results = append(results, res)
 		}
-		agg, err := metrics.Combine(results)
-		if err != nil {
-			return nil, err
-		}
+	}
+	sims, err := b.run("granularity", opts)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := combineRuns(sims, opts.Runs)
+	if err != nil {
+		return nil, err
+	}
+	var xs, ys []float64
+	for i, k := range ks {
+		period, agg := baseT*k, aggs[i]
 		xs = append(xs, float64(k))
 		ys = append(ys, agg.Delay.Mean)
 		fd.TableRows = append(fd.TableRows, []string{

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"ldcflood/internal/flood"
 	"ldcflood/internal/metrics"
-	"ldcflood/internal/rngutil"
-	"ldcflood/internal/runner"
 	"ldcflood/internal/schedule"
-	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
 )
 
@@ -40,9 +35,10 @@ func TrickleScalability(opts SimOptions) (*FigureData, error) {
 	if len(sizes) == 0 {
 		sizes = scaleDefaultSizes
 	}
-	maxSlots := opts.MaxSlots
-	if maxSlots <= 0 {
-		maxSlots = 4_000_000
+	one := opts
+	one.M, one.Runs = 1, 1
+	if one.MaxSlots <= 0 {
+		one.MaxSlots = 4_000_000
 	}
 	period := schedule.PeriodForDuty(0.05)
 	fd := &FigureData{
@@ -57,42 +53,27 @@ func TrickleScalability(opts SimOptions) (*FigureData, error) {
 	for i, name := range protocols {
 		fd.Series[i] = Series{Name: name}
 	}
-	// Every cell — a protocol on a size — is one job for the batch
-	// runner, which runs them in parallel, as sweeps do. Each job keeps
-	// its own protocol instance, read afterwards for its counters.
-	var jobs []sim.Config
+	// Every cell, a protocol on a size, is one job of the figure's batch.
+	// Each job keeps its own protocol instance, read afterwards for its
+	// counters.
+	var b batch
 	for _, n := range sizes {
 		g, err := topology.GenerateGreenOrbs(topology.ScaledGreenOrbsConfig(n), opts.TopoSeed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale: %d nodes: %w", n, err)
 		}
-		scheds := schedule.AssignUniform(g.N(), period,
-			rngutil.New(opts.Seed).SubName("schedule"))
 		for _, name := range protocols {
-			p, err := flood.New(name)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, sim.Config{
-				Graph:     g,
-				Schedules: scheds,
-				Protocol:  p,
-				M:         1,
-				Coverage:  opts.Coverage,
-				Seed:      opts.Seed,
-				MaxSlots:  maxSlots,
-			})
+			b.protocol(g, name, period, one)
 		}
 	}
-	rs, _ := runner.Run(context.Background(), jobs, opts.runnerOptions())
-	for i, job := range jobs {
-		name, n := protocols[i%len(protocols)], job.Graph.N()
-		res, err := rs[i].Res, rs[i].Err
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scale: %s at %d nodes: %w", name, n, err)
-		}
+	sims, err := b.run("scale", opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, job := range b.jobs {
+		name, n, res := protocols[i%len(protocols)], job.Graph.N(), sims[i]
 		if !res.Completed {
-			return nil, fmt.Errorf("experiments: scale: %s at %d nodes did not complete in %d slots", name, n, maxSlots)
+			return nil, fmt.Errorf("experiments: scale: %s at %d nodes did not complete in %d slots", name, n, one.MaxSlots)
 		}
 		perNode := float64(res.Transmissions) / float64(n)
 		_, suppressed, _ := metrics.ProtocolCounters(job.Protocol)
