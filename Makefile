@@ -96,17 +96,17 @@ protocol-smoke:
 # Randomized fault schedules vs engine invariants and seed determinism;
 # CI runs a 10s smoke of this.
 fuzz-faults:
-	$(GO) test -fuzz FuzzFaultSchedule -fuzztime 30s ./internal/flood
+	$(GO) test -fuzz FuzzFaultSchedule -fuzztime 30s -fuzzminimizetime 1s ./internal/flood
 
 # Random bytes vs the binary trace reader's crash-safety taxonomy (clean /
 # torn / corrupt, never a panic); CI runs a 10s smoke of this.
 fuzz-trace:
-	$(GO) test -fuzz FuzzReader -fuzztime 30s ./internal/tracebin
+	$(GO) test -fuzz FuzzReader -fuzztime 30s -fuzzminimizetime 1s ./internal/tracebin
 
 # Arbitrary JSON vs service.Compile: never a panic, and compile -> JSON ->
 # compile keeps cells, worker split and journal key; CI runs a 10s smoke.
 fuzz-spec:
-	$(GO) test -fuzz FuzzSpec -fuzztime 30s ./internal/service
+	$(GO) test -fuzz FuzzSpec -fuzztime 30s -fuzzminimizetime 1s ./internal/service
 
 # Arbitrary bodies vs the lease completion endpoint of a live job (never a
 # panic, 4xx for a malformed body, and no cell outside the leased chunk
@@ -114,9 +114,9 @@ fuzz-spec:
 # JSON document that compiles, no job admitted on a 4xx); CI runs a 10s
 # smoke of each.
 fuzz-service:
-	$(GO) test -fuzz FuzzCompleteBody -fuzztime 30s ./internal/service
-	$(GO) test -fuzz FuzzSubmitBody -fuzztime 30s ./internal/service
-	$(GO) test -fuzz FuzzLeaseBody -fuzztime 30s ./internal/service
+	$(GO) test -fuzz FuzzCompleteBody -fuzztime 30s -fuzzminimizetime 1s ./internal/service
+	$(GO) test -fuzz FuzzSubmitBody -fuzztime 30s -fuzzminimizetime 1s ./internal/service
+	$(GO) test -fuzz FuzzLeaseBody -fuzztime 30s -fuzzminimizetime 1s ./internal/service
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -297,20 +297,24 @@ func BenchmarkAblationExpiry(b *testing.B) {
 }
 
 // BenchmarkAblationPacketChoice compares most-recent-first against FIFO
-// packet selection in the general compact-time scheduler: FIFO destroys
-// pipelining.
+// packet selection in Algorithm 1: under FIFO only the first packet
+// completes and the rest livelock.
 func BenchmarkAblationPacketChoice(b *testing.B) {
+	const cap = 100000
 	run := func(b *testing.B, policy matrixflood.Policy) {
 		b.ReportAllocs()
-		total := 0
+		total, livelocks := 0, 0
 		for i := 0; i < b.N; i++ {
-			res, err := matrixflood.RunGeneral(matrixflood.Config{N: 298, M: 12, Policy: policy})
+			res, err := matrixflood.Run(matrixflood.Config{N: 256, M: 12, Policy: policy, MaxSlots: cap})
 			if err != nil {
-				b.Fatal(err)
+				total += cap
+				livelocks++
+				continue
 			}
 			total += res.TotalSlots
 		}
 		b.ReportMetric(float64(total)/float64(b.N), "compact-slots")
+		b.ReportMetric(float64(livelocks)/float64(b.N), "livelock-fraction")
 	}
 	b.Run("most-recent-first", func(b *testing.B) { run(b, matrixflood.MostRecentFirst) })
 	b.Run("fifo", func(b *testing.B) { run(b, matrixflood.FIFOPacket) })

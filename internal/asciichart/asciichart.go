@@ -1,5 +1,5 @@
-// Package asciichart renders dependency-free line and bar charts in plain
-// text so cmd/figures can draw every figure of the paper in a terminal.
+// Package asciichart renders dependency-free line charts and tables in
+// plain text so cmd/figures can draw every figure of the paper in a terminal.
 package asciichart
 
 import (
@@ -170,40 +170,4 @@ func Table(headers []string, rows [][]string) string {
 		writeRow(row)
 	}
 	return sb.String()
-}
-
-// Bar renders a horizontal bar chart of labeled values.
-func Bar(title string, labels []string, values []float64, width int) (string, error) {
-	if len(labels) != len(values) {
-		return "", fmt.Errorf("asciichart: %d labels vs %d values", len(labels), len(values))
-	}
-	if width <= 0 {
-		width = 50
-	}
-	maxV := 0.0
-	maxLabel := 0
-	for i, v := range values {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return "", fmt.Errorf("asciichart: bar value %v at %d", v, i)
-		}
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	var sb strings.Builder
-	if title != "" {
-		sb.WriteString(title)
-		sb.WriteByte('\n')
-	}
-	for i, v := range values {
-		n := int(v / maxV * float64(width))
-		sb.WriteString(fmt.Sprintf("%-*s |%s %.1f\n", maxLabel, labels[i], strings.Repeat("=", n), v))
-	}
-	return sb.String(), nil
 }

@@ -91,22 +91,3 @@ func TestTable(t *testing.T) {
 		t.Fatalf("misaligned table:\n%s", out)
 	}
 }
-
-func TestBar(t *testing.T) {
-	out, err := Bar("title", []string{"x", "yy"}, []float64{1, 2}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "title") || !strings.Contains(out, "==========") {
-		t.Fatalf("bad bar chart:\n%s", out)
-	}
-	if _, err := Bar("", []string{"x"}, []float64{1, 2}, 10); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := Bar("", []string{"x"}, []float64{-1}, 10); err == nil {
-		t.Fatal("negative value accepted")
-	}
-	if out, err := Bar("", []string{"z"}, []float64{0}, 10); err != nil || !strings.Contains(out, "z") {
-		t.Fatal("all-zero bars should render")
-	}
-}

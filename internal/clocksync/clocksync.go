@@ -133,23 +133,3 @@ func (r *Result) MissProbability(slotSeconds float64) float64 {
 	}
 	return float64(miss) / float64(len(r.samples))
 }
-
-// RequiredSyncInterval returns the longest beacon interval (seconds) that
-// keeps the worst-case drift-induced error within half a slot for a pair
-// with relative drift 2×DriftPPMStd (a conservative two-sigma pair),
-// ignoring beacon noise. This is the provisioning rule of thumb the
-// substrate offers protocol designers.
-func RequiredSyncInterval(cfg Config, slotSeconds float64) float64 {
-	if slotSeconds <= 0 {
-		panic("clocksync: slot duration must be positive")
-	}
-	relDrift := 2 * cfg.DriftPPMStd * 1e-6
-	if relDrift == 0 {
-		return math.Inf(1)
-	}
-	budget := slotSeconds/2 - cfg.BeaconNoiseStd
-	if budget <= 0 {
-		return 0
-	}
-	return budget / relDrift
-}

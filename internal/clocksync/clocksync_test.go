@@ -1,7 +1,6 @@
 package clocksync
 
 import (
-	"math"
 	"testing"
 
 	"ldcflood/internal/topology"
@@ -122,45 +121,6 @@ func TestMissProbabilityEmpty(t *testing.T) {
 	if r.MissProbability(1) != 0 {
 		t.Fatal("empty result should report 0")
 	}
-}
-
-func TestRequiredSyncInterval(t *testing.T) {
-	cfg := DefaultConfig()
-	// 10ms slots, 30ppm two-sigma drift, 1ms noise:
-	// budget = 5ms - 1ms = 4ms; relDrift = 60e-6 → ~66.7s.
-	iv := RequiredSyncInterval(cfg, 0.010)
-	if math.Abs(iv-4e-3/60e-6) > 1 {
-		t.Fatalf("RequiredSyncInterval = %v, want ~%v", iv, 4e-3/60e-6)
-	}
-	// The rule of thumb is self-consistent: simulating at that interval
-	// keeps the miss probability low.
-	check := cfg
-	check.SyncInterval = iv
-	check.Horizon = 10 * iv
-	res, err := Simulate(topology.GreenOrbs(1), check, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.MissProbability(0.010); p > 0.12 {
-		t.Fatalf("provisioned interval still misses %v of the time", p)
-	}
-	// Degenerate cases.
-	zero := cfg
-	zero.DriftPPMStd = 0
-	if !math.IsInf(RequiredSyncInterval(zero, 0.01), 1) {
-		t.Fatal("zero drift should need no resync")
-	}
-	noisy := cfg
-	noisy.BeaconNoiseStd = 1
-	if RequiredSyncInterval(noisy, 0.01) != 0 {
-		t.Fatal("noise above half a slot should return 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive slot accepted")
-		}
-	}()
-	RequiredSyncInterval(cfg, 0)
 }
 
 func BenchmarkSimulate(b *testing.B) {

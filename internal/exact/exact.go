@@ -12,10 +12,7 @@
 // networks.
 package exact
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Config bounds the instance. The state space is 2^((N+1)·M), so N·M must
 // stay small (the package enforces (N+1)·M <= 24 by default).
@@ -40,7 +37,8 @@ type Result struct {
 // packet p.
 type state uint64
 
-// OptimalSlots runs the BFS and returns the minimum completion time.
+// OptimalSlots runs the breadth-first search and returns the minimum
+// completion time.
 func OptimalSlots(cfg Config) (Result, error) {
 	if cfg.N < 1 {
 		return Result{}, fmt.Errorf("exact: N = %d must be >= 1", cfg.N)
@@ -66,8 +64,8 @@ func OptimalSlots(cfg Config) (Result, error) {
 	}
 	canon := canonicalizer(nodes, cfg.M)
 
-	// BFS layers over (state, slot); injections depend on the slot number,
-	// so the frontier is advanced slot by slot.
+	// Breadth-first layers over (state, slot); injections depend on the slot
+	// number, so the frontier is advanced slot by slot.
 	type key struct {
 		s    state
 		slot int
@@ -79,8 +77,8 @@ func OptimalSlots(cfg Config) (Result, error) {
 	// An upper bound on useful depth: Algorithm 1's Table I bound plus
 	// injection time, padded.
 	maxDepth := 4*(cfg.M+cfg.N+4) + 16
-	// next, seen and succBuf are reused across BFS layers (cleared, not
-	// reallocated) — the per-layer map churn dominated the profile.
+	// next, seen and succBuf are reused across breadth-first layers (cleared,
+	// not reallocated) — the per-layer map churn dominated the profile.
 	next := make(map[state]bool)
 	seen := make(map[state]bool)
 	var succBuf []state
@@ -165,7 +163,7 @@ func canonicalizer(nodes, m int) func(state) state {
 // once. To keep the branching factor manageable the enumeration is a
 // recursive assignment over senders (each sender idles or picks a
 // packet+receiver), deduplicated by the resulting state. seen is caller
-// scratch (cleared here) so the hot BFS loop allocates nothing per call.
+// scratch (cleared here) so the hot search loop allocates nothing per call.
 func appendSuccessors(dst []state, seen map[state]bool, s state, nodes, m int) []state {
 	clear(seen)
 	var rec func(sender int, cur state, rxBusy, txBusy uint32)
@@ -201,7 +199,3 @@ func appendSuccessors(dst []state, seen map[state]bool, s state, nodes, m int) [
 	}
 	return dst
 }
-
-// PopCount returns the number of (packet, node) possession bits set —
-// exported for tests asserting monotone progress.
-func PopCount(s uint64) int { return bits.OnesCount64(s) }

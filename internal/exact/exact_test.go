@@ -96,12 +96,6 @@ func TestOptimumWithinTableI(t *testing.T) {
 	}
 }
 
-func TestPopCount(t *testing.T) {
-	if PopCount(0) != 0 || PopCount(0b1011) != 3 {
-		t.Fatal("PopCount broken")
-	}
-}
-
 func BenchmarkExactSearch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

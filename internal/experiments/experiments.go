@@ -109,12 +109,14 @@ func PaperSimOptions() SimOptions {
 	}
 }
 
-// QuickSimOptions is a cut-down configuration (fewer packets and duty
-// points) for benchmarks and smoke tests; the shapes survive.
+// QuickSimOptions is a cut-down configuration (fewer packets, duty
+// points and scalability sizes) for benchmarks and smoke tests; the
+// shapes survive.
 func QuickSimOptions() SimOptions {
 	o := PaperSimOptions()
 	o.M = 20
 	o.Duties = []float64{0.02, 0.05, 0.10, 0.20}
+	o.ScaleSizes = []int{300, 1000, 3000}
 	return o
 }
 

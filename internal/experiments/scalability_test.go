@@ -43,3 +43,17 @@ func TestTrickleScalabilityQuick(t *testing.T) {
 		t.Fatal("render too small")
 	}
 }
+
+// TestQuickScaleLadder keeps `figures -quick` off the full 300→100k
+// scalability ladder: an empty ScaleSizes would fall back to it.
+func TestQuickScaleLadder(t *testing.T) {
+	sizes := QuickSimOptions().ScaleSizes
+	if len(sizes) == 0 {
+		t.Fatal("QuickSimOptions leaves ScaleSizes empty (full default ladder)")
+	}
+	for _, n := range sizes {
+		if n >= 10000 {
+			t.Fatalf("quick ladder %v reaches %d nodes", sizes, n)
+		}
+	}
+}

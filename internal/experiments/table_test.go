@@ -8,21 +8,18 @@ import (
 	"ldcflood/internal/runner"
 )
 
-// TestFiguresIndependentOfWorkers runs every entry of the figure table
-// but scale (whose default ladder reaches 100k nodes) at one and at three
-// workers. The renderings must be identical, each entry must emit exactly
-// its IDs, and every simulation entry must run its floods as one runner
-// batch: its progress snapshots share one Total and count Done up to it
-// once. Under -race this also catches two jobs sharing a Protocol.
+// TestFiguresIndependentOfWorkers runs every entry of the figure table at
+// one and at three workers. The renderings must be identical, each entry
+// must emit exactly its IDs, and every simulation entry must run its
+// floods as one runner batch: its progress snapshots share one Total and
+// count Done up to it once. Under -race this also catches two jobs
+// sharing a Protocol.
 func TestFiguresIndependentOfWorkers(t *testing.T) {
 	analytic := map[string]bool{
 		"fig3": true, "table1": true, "fig5": true, "fig6": true,
 		"fig7": true, "fig8": true, "gw": true, "halfduplex": true,
 	}
 	for _, e := range Figures {
-		if e.IDs[0] == "scale" {
-			continue
-		}
 		t.Run(e.IDs[0], func(t *testing.T) {
 			var renders []string
 			for _, workers := range []int{1, 3} {

@@ -76,9 +76,6 @@ type Event struct {
 // concurrent use; compile a fresh Injector per run.
 type Injector struct {
 	chains map[uint64]*linkChain
-	// static caches Schedule.Dynamic() == false: no events, no jams, and
-	// every chain frozen, so link scales are time-invariant.
-	static bool
 	events []Event
 	jams   []compiledJam
 	// flips counts Gilbert–Elliott state transitions taken by every
@@ -111,7 +108,7 @@ func linkKey(u, v int) uint64 {
 // the run seed) so fault randomness never aliases other simulation
 // streams.
 func (s *Schedule) Compile(g *topology.Graph, rng *rngutil.Stream) *Injector {
-	inj := &Injector{static: !s.Dynamic()}
+	inj := &Injector{}
 	// Link chains: iterate links in canonical order so initial-state draws
 	// are independent of adjacency layout; each link draws from its own
 	// sub-stream, so the draw order is immaterial anyway.
@@ -197,10 +194,6 @@ func less(a, b Event) bool {
 	}
 	return !a.Up && b.Up
 }
-
-// Static reports whether the compiled schedule is time-invariant: no
-// churn, no jams, and no link chain that can move.
-func (in *Injector) Static() bool { return in.static }
 
 // Events returns the compiled churn timeline in slot order. The engine
 // applies each event at the top of its slot. The slice is owned by the

@@ -79,10 +79,6 @@ type LinkRule struct {
 	StartBad float64 `json:"start_bad,omitempty"`
 }
 
-// static reports whether the rule's chain never moves after its initial
-// state draw.
-func (r *LinkRule) static() bool { return r.PGB == 0 && r.PBG == 0 }
-
 // maxPRR returns the selector's upper PRR bound with the 0-means-1 default
 // applied.
 func (r *LinkRule) maxPRR() float64 {
@@ -137,24 +133,6 @@ type Jam struct {
 	Radius float64 `json:"radius,omitempty"`
 	// Nodes lists explicitly jammed nodes, unioned with the disc.
 	Nodes []int `json:"nodes,omitempty"`
-}
-
-// Dynamic reports whether the schedule mutates mid-run: any crash, any
-// jam, or any link rule whose chain can move. A static schedule is a pure
-// per-link PRR scaling.
-func (s *Schedule) Dynamic() bool {
-	if s == nil {
-		return false
-	}
-	if len(s.Crashes) > 0 || len(s.Jams) > 0 {
-		return true
-	}
-	for i := range s.Links {
-		if !s.Links[i].static() {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate checks the schedule against a topology. It returns the first

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 )
 
 // Parse decodes a JSON fault spec. The document mirrors Schedule's JSON
@@ -64,13 +63,4 @@ func (c *Crash) UnmarshalJSON(data []byte) error {
 		c.RebootAt = -1
 	}
 	return nil
-}
-
-// Load reads and parses a JSON fault spec from a file.
-func Load(path string) (*Schedule, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fault: %w", err)
-	}
-	return Parse(data)
 }

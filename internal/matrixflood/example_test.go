@@ -23,17 +23,3 @@ func ExampleRun() {
 	// waitings: [3 3]
 	// type-2 slots: 2
 }
-
-// The general-N scheduler serves the Theorem 2 regime (no power-of-two
-// assumption): a single packet still completes in exactly ⌈log2(1+N)⌉
-// compact slots.
-func ExampleRunGeneral() {
-	res, err := matrixflood.RunGeneral(matrixflood.Config{N: 298, M: 1})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("slots:", res.TotalSlots)
-	// Output:
-	// slots: 9
-}

@@ -101,16 +101,16 @@ func IsPowerOfTwo(n int) bool {
 }
 
 // Run executes Algorithm 1 and returns its Result. N must be a power of two
-// (Assumption II); for arbitrary N use RunGeneral, the constructive
-// scheduler for the Theorem 2 regime. Run returns an error for invalid
-// configuration or if the run exceeds MaxSlots without completing (which
-// indicates either an ablation-induced livelock or too small a cap).
+// (Assumption II), the only regime for which the paper gives the
+// algorithm. Run returns an error for invalid configuration or if the run
+// exceeds MaxSlots without completing (which indicates either an
+// ablation-induced livelock or too small a cap).
 func Run(cfg Config) (Result, error) {
 	if cfg.N < 1 {
 		return Result{}, fmt.Errorf("matrixflood: N = %d must be >= 1", cfg.N)
 	}
 	if !IsPowerOfTwo(cfg.N) {
-		return Result{}, fmt.Errorf("matrixflood: Algorithm 1 requires N = 2^n (got %d); use RunGeneral", cfg.N)
+		return Result{}, fmt.Errorf("matrixflood: Algorithm 1 requires N = 2^n (got %d)", cfg.N)
 	}
 	if cfg.M < 1 {
 		return Result{}, fmt.Errorf("matrixflood: M = %d must be >= 1", cfg.M)
@@ -348,17 +348,4 @@ func RunTrace(cfg Config) (Trace, error) {
 		}
 	}
 	return tr, nil
-}
-
-// ExpectedOriginalDelay converts a compact-time waiting count into the
-// expected original-time delay under the uniform waiting distribution of
-// Theorem 1's proof: E[FDL | FWL] = T/2 × FWL.
-func ExpectedOriginalDelay(compactWaitings int, period int) float64 {
-	if period < 1 {
-		panic("matrixflood: period must be >= 1")
-	}
-	if compactWaitings < 0 {
-		panic("matrixflood: negative waiting count")
-	}
-	return float64(period) / 2 * float64(compactWaitings)
 }

@@ -117,17 +117,13 @@ func TestExpiryAblation(t *testing.T) {
 }
 
 func TestFIFOPolicy(t *testing.T) {
-	// FIFO must still complete and respect the theory floor; the paper's
-	// most-recent-first choice should not be slower.
+	// The paper's most-recent-first choice must beat FIFO, which either
+	// finishes later or livelocks with packets still incomplete.
 	n, m := 64, 16
 	mrf := mustRun(t, Config{N: n, M: m})
 	fifo, err := Run(Config{N: n, M: m, Policy: FIFOPacket, MaxSlots: 100000})
-	if err != nil {
-		t.Logf("FIFO failed to complete: %v", err)
-		return
-	}
-	if mrf.TotalSlots > fifo.TotalSlots {
-		t.Fatalf("most-recent-first (%d slots) slower than FIFO (%d slots)", mrf.TotalSlots, fifo.TotalSlots)
+	if err == nil && fifo.TotalSlots <= mrf.TotalSlots {
+		t.Fatalf("FIFO (%d slots) not slower than most-recent-first (%d slots)", fifo.TotalSlots, mrf.TotalSlots)
 	}
 }
 
@@ -193,94 +189,6 @@ func TestTransmissionCounts(t *testing.T) {
 	}
 }
 
-func TestGeneralSchedulerArbitraryN(t *testing.T) {
-	// Theorem 2 regime: arbitrary N completes within ~2x the theorem's
-	// compact-slot envelope 2(2m + M) — the measured performance of the
-	// heuristic (the paper gives no constructive algorithm here).
-	for _, n := range []int{3, 5, 7, 12, 100, 298, 1000} {
-		for _, m := range []int{1, 6, 20} {
-			res, err := RunGeneral(Config{N: n, M: m})
-			if err != nil {
-				t.Fatalf("N=%d M=%d: %v", n, m, err)
-			}
-			budget := 2*(2*analysis.FWLFloor(n)+m) + 4
-			if res.TotalSlots > budget {
-				t.Fatalf("N=%d M=%d: %d slots exceeds 2x Theorem 2 envelope %d", n, m, res.TotalSlots, budget)
-			}
-		}
-	}
-}
-
-func TestGeneralSchedulerSinglePacketOptimal(t *testing.T) {
-	// The greedy matcher doubles coverage each slot, so one packet takes
-	// exactly m = ⌈log2(1+N)⌉ compact slots for any N.
-	for _, n := range []int{2, 3, 7, 8, 100, 298, 1024} {
-		res, err := RunGeneral(Config{N: n, M: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := analysis.FWLFloor(n); res.CompletionSlot[0] != want {
-			t.Fatalf("N=%d: completion %d, want m=%d", n, res.CompletionSlot[0], want)
-		}
-	}
-}
-
-func TestGeneralVsAlgorithm1OnPowersOfTwo(t *testing.T) {
-	// On N = 2^n Algorithm 1 achieves the exact limit; the general matcher
-	// must complete and stay within 2x of Algorithm 1's total.
-	for _, n := range []int{8, 32, 128} {
-		m := 10
-		alg1 := mustRun(t, Config{N: n, M: m})
-		gen, err := RunGeneral(Config{N: n, M: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gen.TotalSlots > 2*alg1.TotalSlots+2 {
-			t.Fatalf("N=%d: general %d slots vs Algorithm 1 %d — heuristic regressed", n, gen.TotalSlots, alg1.TotalSlots)
-		}
-	}
-}
-
-func TestGeneralFIFOSerializes(t *testing.T) {
-	// The ablation insight: per-node FIFO packet choice destroys
-	// pipelining — each packet costs ~m slots — while most-recent-first
-	// pipelines. This is the paper's motivation for the recency rule.
-	n, m := 100, 6
-	mrf, err := RunGeneral(Config{N: n, M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fifo, err := RunGeneral(Config{N: n, M: m, Policy: FIFOPacket, MaxSlots: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fifo.TotalSlots <= mrf.TotalSlots {
-		t.Fatalf("FIFO (%d) should be slower than most-recent-first (%d)", fifo.TotalSlots, mrf.TotalSlots)
-	}
-}
-
-func TestGeneralSchedulerValidation(t *testing.T) {
-	for i, cfg := range []Config{
-		{N: 0, M: 1},
-		{N: 4, M: 0},
-		{N: 4, M: 1, Policy: Policy(3)},
-	} {
-		if _, err := RunGeneral(cfg); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-}
-
-func TestGeneralSchedulerFIFO(t *testing.T) {
-	res, err := RunGeneral(Config{N: 50, M: 8, Policy: FIFOPacket, MaxSlots: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("FIFO general run incomplete")
-	}
-}
-
 func TestRunTraceMatchesRun(t *testing.T) {
 	cfg := Config{N: 4, M: 2}
 	tr, err := RunTrace(cfg)
@@ -340,28 +248,6 @@ func TestRunTraceFig3Checkpoints(t *testing.T) {
 		if c1p1[i] != want1[i] {
 			t.Fatalf("c=1 packet 1 possession[%d] = %v, want %v", i, c1p1[i], want1[i])
 		}
-	}
-}
-
-func TestExpectedOriginalDelay(t *testing.T) {
-	if got := ExpectedOriginalDelay(10, 20); got != 100 {
-		t.Fatalf("ExpectedOriginalDelay = %v, want 100", got)
-	}
-	if got := ExpectedOriginalDelay(0, 5); got != 0 {
-		t.Fatalf("zero waitings delay = %v", got)
-	}
-	for i, f := range []func(){
-		func() { ExpectedOriginalDelay(1, 0) },
-		func() { ExpectedOriginalDelay(-1, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

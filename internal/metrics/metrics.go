@@ -126,24 +126,6 @@ func (e EnergyModel) LifetimeSeconds(duty, txPerSecond float64) float64 {
 	return e.BatteryJoules / power
 }
 
-// EnergyPerNode returns each node's energy consumption over a finished run
-// in joules: radio-on time (scheduled awake slots) plus per-transmission
-// energy. The receiver-side consumption is determined by the working
-// schedule and transmission counts, exactly the decomposition Section V-C2
-// uses to argue energy ∝ duty ratio.
-func (e EnergyModel) EnergyPerNode(res *sim.Result) []float64 {
-	out := make([]float64, len(res.TxPerNode))
-	for i := range out {
-		awake := float64(res.AwakeSlotsPerNode[i]) * e.SlotSeconds
-		sleep := float64(res.TotalSlots)*e.SlotSeconds - awake
-		if sleep < 0 {
-			sleep = 0
-		}
-		out[i] = awake*e.ActiveWatts + sleep*e.SleepWatts + float64(res.TxPerNode[i])*e.TxJoules
-	}
-	return out
-}
-
 // NetworkingGain is the paper's closing trade-off: the product view of
 // what a duty cycle buys. It returns lifetime (seconds), flooding delay
 // (seconds), and their ratio gain = lifetime / delay — the "networking

@@ -142,34 +142,6 @@ func TestNetworkingGainPeaks(t *testing.T) {
 	}
 }
 
-func TestEnergyPerNode(t *testing.T) {
-	e := DefaultEnergyModel()
-	res := &sim.Result{
-		TotalSlots:        100,
-		TxPerNode:         []int{10, 0},
-		AwakeSlotsPerNode: []int64{100, 5},
-	}
-	energy := e.EnergyPerNode(res)
-	if len(energy) != 2 {
-		t.Fatalf("len = %d", len(energy))
-	}
-	// Node 0: 1s awake at 60mW + 10 tx.
-	want0 := 1.0*e.ActiveWatts + 10*e.TxJoules
-	if math.Abs(energy[0]-want0) > 1e-9 {
-		t.Fatalf("node 0 energy %v, want %v", energy[0], want0)
-	}
-	// Node 1: 0.05s awake + 0.95s asleep, no tx — far below node 0.
-	if energy[1] >= energy[0]/10 {
-		t.Fatalf("duty-cycled node energy %v not ~20x below %v", energy[1], energy[0])
-	}
-	// Energy ∝ duty ratio (Section V-C2): doubling awake time ~doubles energy.
-	res2 := &sim.Result{TotalSlots: 100, TxPerNode: []int{0, 0}, AwakeSlotsPerNode: []int64{10, 20}}
-	e2 := e.EnergyPerNode(res2)
-	if ratio := e2[1] / e2[0]; math.Abs(ratio-2) > 0.01 {
-		t.Fatalf("energy not linear in awake time: ratio %v", ratio)
-	}
-}
-
 func TestNetworkingGainDegenerate(t *testing.T) {
 	e := DefaultEnergyModel()
 	_, _, gain := e.NetworkingGain(0.1, 0, 0)

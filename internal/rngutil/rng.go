@@ -81,7 +81,7 @@ func (r *Stream) Sub(key uint64) *Stream {
 // so SubValue(k) == SubValue(k ^ 1<<63) for every k. Callers must keep
 // their keys distinct modulo 2^63 (all in-tree callers use small
 // enumeration keys). The constant cannot change without invalidating
-// every committed sharded-run baseline; SubValue2 avoids the aliasing.
+// every committed sharded-run baseline; PairFloat64 avoids the aliasing.
 func (r *Stream) SubValue(key uint64) Stream {
 	st := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ (key * 0x9e3779b97f4a7c15)
 	st ^= key + 0x6a09e667f3bcc909
@@ -95,45 +95,24 @@ func (r *Stream) SubValue(key uint64) Stream {
 	return out
 }
 
-// SubValue2 derives a stream keyed by an ordered pair of integers in a
-// single mixing pass, equivalent in spirit to r.SubValue(k1).SubValue(k2)
-// at half the cost. It is the full-stream definition of PairFloat64,
-// which the engine's protocols call, and its tests' reference. The pair
-// is ordered: SubValue2(a, b) and SubValue2(b, a) are independent streams.
-// Like SubValue it only reads r's state, so concurrent calls on a shared
-// parent are safe.
-//
-// Unlike SubValue, each key is passed through a full SplitMix64 avalanche
-// before entering the state, so there is no structural aliasing anywhere
-// in the 128-bit pair space.
-func (r *Stream) SubValue2(k1, k2 uint64) Stream {
-	h1, h2 := k1, ^k2
-	st := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ splitMix64(&h1)
-	st += splitMix64(&h2)
-	var out Stream
-	for i := range out.s {
-		out.s[i] = splitMix64(&st)
-	}
-	if out.s[0]|out.s[1]|out.s[2]|out.s[3] == 0 {
-		out.s[0] = 0x41c64e6d
-	}
-	return out
-}
-
-// PairFloat64 returns the single uniform float64 in [0, 1) keyed by an
-// ordered integer pair under this stream — exactly the first Float64 of
-// the SubValue2(k1, k2) sub-stream, without materializing it. The
-// xoshiro256** output function reads only the state's second word, so the
-// derivation needs two SplitMix64 rounds of the mixed key state instead
-// of four plus a state update. Hot paths that consume exactly one variate
-// per entity pair (the sharded planners' per-(receiver, sender)
-// contention draws and per-sender defer decisions) use this; consumers
-// needing more than one draw must take the full SubValue2 stream.
+// PairFloat64 returns a uniform float64 in [0, 1) keyed by an ordered
+// integer pair under this stream: PairFloat64(a, b) and PairFloat64(b, a)
+// are independent draws. Each key passes through a full SplitMix64
+// avalanche before entering the state, so unlike SubValue there is no
+// structural aliasing anywhere in the 128-bit pair space. The value is
+// the first Float64 of the stream whose four state words are the next
+// SplitMix64 outputs of the mixed key state; the xoshiro256** output
+// function reads only the second word, so the derivation needs two
+// SplitMix64 rounds instead of four plus a state update. Hot paths that
+// consume exactly one variate per entity pair (the planners' per-(receiver,
+// sender) contention draws and per-sender defer decisions) use this. Like
+// SubValue it only reads r's state, so concurrent calls on a shared parent
+// are safe.
 func (r *Stream) PairFloat64(k1, k2 uint64) float64 {
 	h1, h2 := k1, ^k2
 	st := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ splitMix64(&h1)
 	st += splitMix64(&h2)
-	_ = splitMix64(&st) // out.s[0]; the output function never reads it
+	_ = splitMix64(&st) // state word 0; the output function never reads it
 	s1 := splitMix64(&st)
 	return float64(bits.RotateLeft64(s1*5, 7)*9>>11) / (1 << 53)
 }
@@ -215,20 +194,6 @@ func (r *Stream) NormMeanStd(mean, std float64) float64 {
 		return mean
 	}
 	return mean + std*r.Norm()
-}
-
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-// It panics if rate <= 0.
-func (r *Stream) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rngutil: Exp with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
 }
 
 // Geometric returns the number of Bernoulli(p) failures before the first

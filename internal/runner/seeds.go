@@ -1,9 +1,6 @@
 package runner
 
-import (
-	"ldcflood/internal/rngutil"
-	"ldcflood/internal/sim"
-)
+import "ldcflood/internal/rngutil"
 
 // Seeds derives n decorrelated job seeds from one base seed. Seed i is a
 // pure function of (base, i) — independent of worker count and execution
@@ -16,14 +13,4 @@ func Seeds(base uint64, n int) []uint64 {
 		out[i] = root.Sub(uint64(i)).Uint64()
 	}
 	return out
-}
-
-// SeedJobs stamps every job's Seed from Seeds(base, len(jobs)) — one batch,
-// one seed policy — and returns the slice for chaining. Any Seed already
-// set on a job is overwritten.
-func SeedJobs(jobs []sim.Config, base uint64) []sim.Config {
-	for i, s := range Seeds(base, len(jobs)) {
-		jobs[i].Seed = s
-	}
-	return jobs
 }

@@ -98,13 +98,6 @@ func (s *Schedule) NextActive(t int64) int64 {
 	return t + int64(s.period-phase+s.slots[0])
 }
 
-// NextActiveAfter returns the smallest absolute slot strictly greater than
-// t at which the sensor is awake — the retransmission opportunity after a
-// failed attempt at slot t (the paper's sleep latency).
-func (s *Schedule) NextActiveAfter(t int64) int64 {
-	return s.NextActive(t + 1)
-}
-
 // SleepLatency returns NextActive(t) - t: how long a sender must wait from
 // slot t until this schedule's owner can receive.
 func (s *Schedule) SleepLatency(t int64) int64 {
@@ -181,19 +174,6 @@ func AssignStaggered(n, period int) []*Schedule {
 	out := make([]*Schedule, n)
 	for i := range out {
 		out[i] = NewSingleSlot(period, i%period)
-	}
-	return out
-}
-
-// AssignAligned puts every node on the same active slot — the worst case
-// for receiver contention, used in ablation experiments.
-func AssignAligned(n, period, slot int) []*Schedule {
-	if n <= 0 {
-		panic("schedule: AssignAligned needs n > 0")
-	}
-	out := make([]*Schedule, n)
-	for i := range out {
-		out[i] = NewSingleSlot(period, slot)
 	}
 	return out
 }

@@ -100,11 +100,8 @@ func TestNextActiveMultiSlot(t *testing.T) {
 	}
 }
 
-func TestNextActiveAfterAndSleepLatency(t *testing.T) {
+func TestSleepLatency(t *testing.T) {
 	s := NewSingleSlot(5, 0)
-	if got := s.NextActiveAfter(0); got != 5 {
-		t.Fatalf("NextActiveAfter(0) = %d", got)
-	}
 	if got := s.SleepLatency(1); got != 4 {
 		t.Fatalf("SleepLatency(1) = %d", got)
 	}
@@ -191,20 +188,10 @@ func TestAssignStaggered(t *testing.T) {
 	}
 }
 
-func TestAssignAligned(t *testing.T) {
-	scheds := AssignAligned(5, 10, 4)
-	for _, s := range scheds {
-		if s.ActiveSlots()[0] != 4 {
-			t.Fatal("aligned assignment broke")
-		}
-	}
-}
-
 func TestAssignPanics(t *testing.T) {
 	cases := []func(){
 		func() { AssignUniform(0, 5, rngutil.New(1)) },
 		func() { AssignStaggered(0, 5) },
-		func() { AssignAligned(0, 5, 0) },
 	}
 	for i, f := range cases {
 		func() {

@@ -31,7 +31,7 @@ func coverTarget(coverage float64, n int) int {
 
 // success records one decoded unicast of the current slot; overhearing
 // fans out from successful senders after all receptions resolve.
-type success struct{ from, to, packet int }
+type success struct{ from, packet int }
 
 // engine bundles one run's mutable state: configuration, world, result
 // accumulators, RNG streams, and the per-slot scratch buffers. All scratch
@@ -53,10 +53,10 @@ type engine struct {
 	// Shared, read-only.
 	csr *topology.CSR
 
-	// Keyed-stream slot resolution (see shard.go). shardRoot seeds the
+	// Keyed-stream slot resolution (see slot.go). slotRoot seeds the
 	// per-slot stream tree; slotStream is re-derived at the top of every
 	// slot.
-	shardRoot  *rngutil.Stream
+	slotRoot   *rngutil.Stream
 	slotStream rngutil.Stream
 
 	// Fault injection (nil/empty when Config.Faults is unset, in which
@@ -101,9 +101,9 @@ type engine struct {
 	sorted []Intent
 
 	// Deterministic accounting drained into telemetry: receiver groups
-	// merged in phase D and overhear candidates decided in phase E.
-	statMergeRecv int64
-	statOhCands   int64
+	// admitted in phase B and overhear candidates decided in phase E.
+	statSlotRecv int64
+	statOhCands  int64
 
 	// everySlot disables the awake plan, so runSlots scans every schedule
 	// on every slot: the reference loop the skip is tested against.
@@ -205,7 +205,8 @@ func run(cfg Config, everySlot bool) (*Result, error) {
 		e.events = e.inj.Events()
 	}
 	e.csr = cfg.Graph.CSR()
-	e.shardRoot = root.SubName("shard")
+	// The stream keeps its old name: renaming it would change every result.
+	e.slotRoot = root.SubName("shard")
 	e.senderSuccess = make([]int32, n)
 	for i := range e.senderSuccess {
 		e.senderSuccess[i] = -1
@@ -342,7 +343,7 @@ func (e *engine) runSlots() error {
 				}
 			}
 		}
-		if err := e.resolveSlotKeyed(t); err != nil {
+		if err := e.resolveSlot(t); err != nil {
 			return err
 		}
 		res.TotalSlots = t + 1

@@ -47,8 +47,8 @@ type simTel struct {
 	// Slot-discipline instruments, drained from the engine's
 	// deterministic per-slot tallies (attaching a registry never changes
 	// results).
-	mergeRecv    *telemetry.Counter
-	mergeOhCands *telemetry.Counter
+	slotRecv    *telemetry.Counter
+	slotOhCands *telemetry.Counter
 
 	visited int64 // slots this run has visited (== slot loop iterations)
 	prev    telPrev
@@ -61,7 +61,7 @@ type telPrev struct {
 	crashes, reboots, dropped             int
 	flips                                 int64
 
-	mergeRecv, mergeOhCands int64
+	slotRecv, slotOhCands int64
 }
 
 // newSimTel resolves the sim counter set against reg and counts the run
@@ -85,8 +85,8 @@ func newSimTel(reg *telemetry.Registry) *simTel {
 		reboots:      reg.Counter("fault.reboots"),
 		dropped:      reg.Counter("fault.packets_dropped"),
 		chainFlips:   reg.Counter("fault.chain_flips"),
-		mergeRecv:    reg.Counter("sim.shard.merge.receivers"),
-		mergeOhCands: reg.Counter("sim.shard.merge.overhear_cands"),
+		slotRecv:     reg.Counter("sim.slot.receivers"),
+		slotOhCands:  reg.Counter("sim.slot.overhear_cands"),
 	}
 }
 
@@ -145,8 +145,8 @@ func (st *simTel) flush(e *engine) {
 			st.prev.flips = e.inj.ChainFlips()
 		}
 	}
-	addDelta64(st.mergeRecv, e.statMergeRecv, &st.prev.mergeRecv)
-	addDelta64(st.mergeOhCands, e.statOhCands, &st.prev.mergeOhCands)
+	addDelta64(st.slotRecv, e.statSlotRecv, &st.prev.slotRecv)
+	addDelta64(st.slotOhCands, e.statOhCands, &st.prev.slotOhCands)
 }
 
 // finish performs the run-end drain: the final accumulator flush, the

@@ -207,10 +207,10 @@ func TestTelemetryShardedCounters(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if snap["sim.shard.merge.receivers"] <= 0 {
-		t.Errorf("sim.shard.merge.receivers = %d, want > 0", snap["sim.shard.merge.receivers"])
+	if snap["sim.slot.receivers"] <= 0 {
+		t.Errorf("sim.slot.receivers = %d, want > 0", snap["sim.slot.receivers"])
 	}
-	for _, name := range []string{"sim.path.sharded", "sim.workers", "sim.shard.batches", "sim.shard.chunks", "sim.shard.items", "sim.shard.planner.candidates"} {
+	for _, name := range []string{"sim.path.sharded", "sim.workers", "sim.shard.batches", "sim.shard.chunks", "sim.shard.items", "sim.shard.planner.candidates", "sim.shard.merge.receivers", "sim.shard.merge.overhear_cands"} {
 		if _, ok := snap[name]; ok {
 			t.Errorf("%s is registered; the engine has one slot path, no worker pool, and plans no candidates", name)
 		}
@@ -224,7 +224,7 @@ func TestTelemetryShardedCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap2 := reg2.Snapshot()
-	for _, name := range []string{"sim.shard.merge.receivers", "sim.shard.merge.overhear_cands"} {
+	for _, name := range []string{"sim.slot.receivers", "sim.slot.overhear_cands"} {
 		if snap[name] != snap2[name] {
 			t.Errorf("%s moved between runs: %d, then %d", name, snap[name], snap2[name])
 		}
@@ -253,14 +253,14 @@ func TestTelemetryPlannerCounters(t *testing.T) {
 		return reg.Snapshot(), res
 	}
 	snap1, res1 := run()
-	if got, want := snap1["sim.shard.merge.receivers"], int64(res1.Transmissions); got != want {
-		t.Errorf("sim.shard.merge.receivers = %d, want %d (every admitted transmission)", got, want)
+	if got, want := snap1["sim.slot.receivers"], int64(res1.Transmissions); got != want {
+		t.Errorf("sim.slot.receivers = %d, want %d (every admitted transmission)", got, want)
 	}
 	snap2, res2 := run()
 	if !reflect.DeepEqual(res1, res2) {
 		t.Fatal("the greedy run's result changed between runs")
 	}
-	for _, name := range []string{"sim.shard.merge.receivers", "sim.shard.merge.overhear_cands"} {
+	for _, name := range []string{"sim.slot.receivers", "sim.slot.overhear_cands"} {
 		if snap1[name] != snap2[name] {
 			t.Errorf("%s moved between runs: %d, then %d", name, snap1[name], snap2[name])
 		}

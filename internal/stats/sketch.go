@@ -348,19 +348,3 @@ func (d *Digest) CDF() (values []float64, cumCounts []int64) {
 	}
 	return values, cumCounts
 }
-
-// Merge folds another histogram with the identical bin layout into h;
-// mismatched layouts panic (a wiring bug — histograms are only mergeable
-// when they describe the same bins).
-func (h *Histogram) Merge(o *Histogram) {
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Counts) != len(o.Counts) {
-		panic(fmt.Sprintf("stats: merging histograms with different layouts ([%v,%v)x%d vs [%v,%v)x%d)",
-			h.Lo, h.Hi, len(h.Counts), o.Lo, o.Hi, len(o.Counts)))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	h.total += o.total
-}

@@ -258,34 +258,6 @@ func TestDigestEmpty(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge: merged histograms must equal the histogram of the
-// pooled sample, and layout mismatches must panic.
-func TestHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pooled := NewHistogram(0, 100, 20)
-	a := NewHistogram(0, 100, 20)
-	b := NewHistogram(0, 100, 20)
-	for i := 0; i < 5000; i++ {
-		x := rng.Float64()*120 - 10 // includes under/overflow
-		pooled.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if !reflect.DeepEqual(a, pooled) {
-		t.Fatalf("merged histogram differs from pooled:\n%+v\n%+v", a, pooled)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("layout mismatch did not panic")
-		}
-	}()
-	a.Merge(NewHistogram(0, 50, 20))
-}
-
 // TestQuantileSketchEpsMismatch: merging sketches with different accuracy
 // targets is a wiring bug and must panic.
 func TestQuantileSketchEpsMismatch(t *testing.T) {

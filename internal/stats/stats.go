@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
 // simulator, the analysis package and the experiment harness: summary
-// statistics, percentiles, running (Welford) accumulators, histograms,
-// simple linear regression and bootstrap confidence intervals.
+// statistics, percentiles, running (Welford) accumulators, mergeable
+// quantile sketches and the Mann-Whitney U test.
 package stats
 
 import (
@@ -34,21 +34,6 @@ func Variance(xs []float64) float64 {
 		acc += d * d
 	}
 	return acc / float64(len(xs))
-}
-
-// SampleVariance returns the unbiased sample variance (divisor n-1), or NaN
-// when len(xs) < 2.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	acc := 0.0
-	for _, x := range xs {
-		d := x - m
-		acc += d * d
-	}
-	return acc / float64(len(xs)-1)
 }
 
 // StdDev returns the population standard deviation of xs.
@@ -84,15 +69,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns NaN for an empty slice and
 // panics for p outside [0, 100].
@@ -121,11 +97,6 @@ func percentileSorted(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return xs[lo]*(1-frac) + xs[hi]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
 }
 
 // Summary captures the five-number summary plus mean and stddev of a sample.
@@ -256,120 +227,4 @@ func (r *Running) Merge(o *Running) {
 		r.max = o.max
 	}
 	r.n, r.mean, r.m2 = n, mean, m2
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the range
-// are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs bins > 0")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // float round-off guard
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations added, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Mode returns the index of the fullest bin (first one on ties).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// LinearFit returns the least-squares slope and intercept of y on x.
-// It panics if the lengths differ or fewer than two points are given, and
-// returns slope NaN for degenerate (zero-variance) x.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) {
-		panic("stats: LinearFit length mismatch")
-	}
-	if len(x) < 2 {
-		panic("stats: LinearFit needs >= 2 points")
-	}
-	mx, my := Mean(x), Mean(y)
-	num, den := 0.0, 0.0
-	for i := range x {
-		num += (x[i] - mx) * (y[i] - my)
-		den += (x[i] - mx) * (x[i] - mx)
-	}
-	if den == 0 {
-		return math.NaN(), math.NaN()
-	}
-	slope = num / den
-	return slope, my - slope*mx
-}
-
-// RandSource is the minimal random interface needed by Bootstrap; it is
-// satisfied by *rngutil.Stream.
-type RandSource interface {
-	// Intn returns a uniform draw from [0, n); it panics if n <= 0.
-	Intn(n int) int
-}
-
-// BootstrapMeanCI returns a (lo, hi) percentile bootstrap confidence
-// interval for the mean of xs at the given confidence level (e.g. 0.95),
-// using the provided number of resamples. It panics on an empty sample,
-// level outside (0,1), or resamples <= 0.
-func BootstrapMeanCI(xs []float64, level float64, resamples int, r RandSource) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: bootstrap of empty sample")
-	}
-	if level <= 0 || level >= 1 {
-		panic("stats: bootstrap level must be in (0,1)")
-	}
-	if resamples <= 0 {
-		panic("stats: bootstrap needs resamples > 0")
-	}
-	means := make([]float64, resamples)
-	for i := range means {
-		sum := 0.0
-		for j := 0; j < len(xs); j++ {
-			sum += xs[r.Intn(len(xs))]
-		}
-		means[i] = sum / float64(len(xs))
-	}
-	sort.Float64s(means)
-	alpha := (1 - level) / 2
-	return percentileSorted(means, alpha*100), percentileSorted(means, (1-alpha)*100)
 }

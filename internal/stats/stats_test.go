@@ -41,26 +41,13 @@ func TestVariance(t *testing.T) {
 	}
 }
 
-func TestSampleVariance(t *testing.T) {
-	if !math.IsNaN(SampleVariance([]float64{1})) {
-		t.Fatal("SampleVariance of single value should be NaN")
-	}
-	// Sample var of {1,2,3,4} = 5/3
-	if got := SampleVariance([]float64{1, 2, 3, 4}); !almostEq(got, 5.0/3.0, 1e-12) {
-		t.Fatalf("SampleVariance = %v", got)
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 11 {
-		t.Fatalf("min/max/sum wrong: %v %v %v", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Fatalf("min/max wrong: %v %v", Min(xs), Max(xs))
 	}
 	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
 		t.Fatal("Min/Max of empty should be NaN")
-	}
-	if Sum(nil) != 0 {
-		t.Fatal("Sum(nil) should be 0")
 	}
 }
 
@@ -96,15 +83,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Fatalf("Median = %v", got)
-	}
-	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("Median = %v", got)
 	}
 }
 
@@ -177,116 +155,6 @@ func TestRunningMerge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %v", got)
-	}
-	if h.Mode() != 0 {
-		t.Fatalf("Mode = %d", h.Mode())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept := LinearFit(x, y)
-	if !almostEq(slope, 2, 1e-9) || !almostEq(intercept, 1, 1e-9) {
-		t.Fatalf("fit = %v, %v", slope, intercept)
-	}
-	s, _ := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
-	if !math.IsNaN(s) {
-		t.Fatal("degenerate x should give NaN slope")
-	}
-}
-
-func TestLinearFitPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { LinearFit([]float64{1}, []float64{1, 2}) },
-		func() { LinearFit([]float64{1}, []float64{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	r := rngutil.New(99)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = r.NormMeanStd(10, 2)
-	}
-	lo, hi := BootstrapMeanCI(xs, 0.95, 500, r)
-	if lo >= hi {
-		t.Fatalf("degenerate CI [%v, %v]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("CI [%v, %v] excludes true mean 10", lo, hi)
-	}
-	if hi-lo > 2 {
-		t.Fatalf("CI [%v, %v] implausibly wide", lo, hi)
-	}
-}
-
-func TestBootstrapPanics(t *testing.T) {
-	r := rngutil.New(1)
-	for _, f := range []func(){
-		func() { BootstrapMeanCI(nil, 0.95, 10, r) },
-		func() { BootstrapMeanCI([]float64{1}, 0, 10, r) },
-		func() { BootstrapMeanCI([]float64{1}, 1.5, 10, r) },
-		func() { BootstrapMeanCI([]float64{1}, 0.95, 0, r) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // Property: percentile is monotone in p.
 func TestQuickPercentileMonotone(t *testing.T) {
 	r := rngutil.New(5)
@@ -351,29 +219,6 @@ func TestQuickRunningAgreesWithBatch(t *testing.T) {
 		scale := math.Max(1, math.Abs(Mean(xs)))
 		return almostEq(r.Mean(), Mean(xs), 1e-6*scale) &&
 			almostEq(r.Variance(), Variance(xs), 1e-4*math.Max(1, Variance(xs)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram conserves count.
-func TestQuickHistogramConservation(t *testing.T) {
-	f := func(raw []float64) bool {
-		h := NewHistogram(-100, 100, 16)
-		n := 0
-		for _, x := range raw {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(x)
-			n++
-		}
-		inBins := 0
-		for _, c := range h.Counts {
-			inBins += c
-		}
-		return h.Total() == n && inBins+h.Under+h.Over == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@
 //     Timer.Observe are single atomic operations on pre-allocated cells —
 //     safe on any goroutine, never taking a lock, never allocating.
 //   - Snapshots are cheap and safe anywhere. Snapshot copies every value
-//     with atomic loads while updates continue; WriteJSON emits the copy
-//     with sorted keys, so equal states serialize identically.
+//     with atomic loads while updates continue; WriteTable renders the
+//     copy with sorted keys, so equal states render identically.
 //
 // Instrument names are dot-separated paths ("sim.slots.visited",
 // "runner.jobs.done"). The full catalog of names used by this repository,
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,16 +82,6 @@ func (t *Timer) Count() int64 { return t.n.Load() }
 
 // Total returns the accumulated duration.
 func (t *Timer) Total() time.Duration { return time.Duration(t.ns.Load()) }
-
-// Mean returns the average observed interval, or 0 before the first
-// observation.
-func (t *Timer) Mean() time.Duration {
-	n := t.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(t.ns.Load() / n)
-}
 
 // Registry is a namespace of instruments. Instruments are created on first
 // lookup and live for the registry's lifetime, so instrumented code
@@ -232,29 +221,6 @@ func (s Snapshot) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// WriteJSON emits the snapshot as one JSON object with sorted keys, so two
-// equal snapshots serialize byte-identically. The output shape matches one
-// var of an expvar page: {"sim.slots.visited": 12034, ...}.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	var err error
-	write := func(str string) {
-		if err == nil {
-			_, err = io.WriteString(w, str)
-		}
-	}
-	write("{")
-	for i, k := range s.Keys() {
-		if i > 0 {
-			write(",")
-		}
-		write(strconv.Quote(k))
-		write(": ")
-		write(strconv.FormatInt(s[k], 10))
-	}
-	write("}")
-	return err
 }
 
 // WriteTable renders the snapshot as an aligned two-column text table with

@@ -40,8 +40,8 @@ func (g *Graph) IsConnected() bool {
 	return len(g.Components()) == 1
 }
 
-// HopDistances returns the BFS hop count from src to every node; unreachable
-// nodes get -1.
+// HopDistances returns the breadth-first hop count from src to every
+// node; unreachable nodes get -1.
 func (g *Graph) HopDistances(src int) []int {
 	g.check(src)
 	dist := make([]int, g.N())
@@ -142,21 +142,6 @@ func (g *Graph) Analyze() Stats {
 	s.Diameter = g.Diameter()
 	s.SourceEcc = g.Eccentricity(0)
 	return s
-}
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() []int {
-	maxDeg := 0
-	for u := 0; u < g.N(); u++ {
-		if d := g.Degree(u); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for u := 0; u < g.N(); u++ {
-		counts[g.Degree(u)]++
-	}
-	return counts
 }
 
 // BestNeighbor returns u's neighbor with the highest PRR (lowest id wins

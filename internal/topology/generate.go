@@ -762,23 +762,3 @@ func Ring(n int, prr float64) *Graph {
 	g.SortNeighbors()
 	return g
 }
-
-// BinaryTree builds a complete-ish binary tree on n nodes rooted at node 0
-// (node i's children are 2i+1 and 2i+2) with uniform PRR.
-func BinaryTree(n int, prr float64) *Graph {
-	if n < 2 {
-		panic("topology: BinaryTree needs n >= 2")
-	}
-	g := New(n)
-	g.Name = fmt.Sprintf("btree(%d)", n)
-	for i := 0; i < n; i++ {
-		if c := 2*i + 1; c < n {
-			g.AddLink(i, c, prr)
-		}
-		if c := 2*i + 2; c < n {
-			g.AddLink(i, c, prr)
-		}
-	}
-	g.SortNeighbors()
-	return g
-}

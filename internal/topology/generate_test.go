@@ -255,22 +255,6 @@ func TestRing(t *testing.T) {
 	}
 }
 
-func TestBinaryTree(t *testing.T) {
-	g := BinaryTree(7, 0.9)
-	if g.NumLinks() != 6 {
-		t.Fatalf("links = %d", g.NumLinks())
-	}
-	if g.Degree(0) != 2 || g.Degree(1) != 3 || g.Degree(6) != 1 {
-		t.Fatalf("degrees wrong: %d %d %d", g.Degree(0), g.Degree(1), g.Degree(6))
-	}
-	if !g.IsConnected() {
-		t.Fatal("tree disconnected")
-	}
-	if g.Diameter() != 4 { // leaf 3 .. leaf 6 via root
-		t.Fatalf("diameter = %d", g.Diameter())
-	}
-}
-
 func TestGeneratorPanics(t *testing.T) {
 	cases := []func(){
 		func() { Grid(0, 3, 1) },
@@ -281,7 +265,6 @@ func TestGeneratorPanics(t *testing.T) {
 		func() { CompleteHetero(5, 0, 0.1, 1) },
 		func() { CompleteHetero(5, 0.5, -1, 1) },
 		func() { Ring(2, 0.5) },
-		func() { BinaryTree(1, 0.5) },
 	}
 	for i, f := range cases {
 		func() {

@@ -259,14 +259,6 @@ func TestStarAndComplete(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := Star(4, 0.9) // hub degree 3, leaves degree 1
-	h := g.DegreeHistogram()
-	if h[1] != 3 || h[3] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestMeanLinkPRR(t *testing.T) {
 	g := New(3)
 	if g.MeanLinkPRR() != 0 {

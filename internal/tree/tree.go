@@ -1,7 +1,6 @@
 // Package tree builds the routing substrates the flooding protocols need:
 // the energy-optimal (minimum expected-transmission-count) tree that
-// Opportunistic Flooding forwards along, plain BFS hop trees, and the
-// per-node delay-distribution estimates OF uses for its probabilistic
+// Opportunistic Flooding forwards along, and the per-node delay-distribution estimates OF uses for its probabilistic
 // forwarding decisions.
 package tree
 
@@ -39,17 +38,6 @@ func linkETX(prr float64) float64 {
 // per-link expected transmission counts — the "optimal energy tree" of the
 // Opportunistic Flooding design. It panics for an out-of-range root.
 func EnergyOptimal(g *topology.Graph, root int) *Tree {
-	return dijkstra(g, root, func(l topology.Link) float64 { return linkETX(l.PRR) })
-}
-
-// MinDelayProxy builds a tree minimizing the sum of 1/PRR weighted hops —
-// identical metric to EnergyOptimal today but kept as a separate
-// constructor so experiments can diverge the metrics.
-func MinDelayProxy(g *topology.Graph, root int) *Tree {
-	return dijkstra(g, root, func(l topology.Link) float64 { return linkETX(l.PRR) })
-}
-
-func dijkstra(g *topology.Graph, root int, weight func(topology.Link) float64) *Tree {
 	n := g.N()
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("tree: root %d out of range [0,%d)", root, n))
@@ -78,7 +66,7 @@ func dijkstra(g *topology.Graph, root int, weight func(topology.Link) float64) *
 		}
 		visited[u] = true
 		for _, l := range g.Neighbors(u) {
-			w := weight(l)
+			w := linkETX(l.PRR)
 			if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
 				continue
 			}
@@ -97,83 +85,6 @@ func dijkstra(g *topology.Graph, root int, weight func(topology.Link) float64) *
 		}
 	}
 	return t
-}
-
-// BFS builds the minimum-hop tree rooted at root.
-func BFS(g *topology.Graph, root int) *Tree {
-	n := g.N()
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("tree: root %d out of range [0,%d)", root, n))
-	}
-	t := &Tree{
-		Root:     root,
-		Parent:   make([]int, n),
-		Cost:     make([]float64, n),
-		Depth:    make([]int, n),
-		Children: make([][]int, n),
-	}
-	for i := range t.Parent {
-		t.Parent[i] = -1
-		t.Cost[i] = math.Inf(1)
-		t.Depth[i] = -1
-	}
-	t.Cost[root] = 0
-	t.Depth[root] = 0
-	queue := []int{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, l := range g.Neighbors(u) {
-			if t.Depth[l.To] == -1 {
-				t.Depth[l.To] = t.Depth[u] + 1
-				t.Cost[l.To] = float64(t.Depth[l.To])
-				t.Parent[l.To] = u
-				t.Children[u] = append(t.Children[u], l.To)
-				queue = append(queue, l.To)
-			}
-		}
-	}
-	return t
-}
-
-// Reaches reports whether every node is reachable from the root.
-func (t *Tree) Reaches() bool {
-	for v, d := range t.Depth {
-		if d == -1 && v != t.Root {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxDepth returns the deepest reachable node's depth.
-func (t *Tree) MaxDepth() int {
-	maxD := 0
-	for _, d := range t.Depth {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
-// PathTo returns the node sequence from the root to v (inclusive), or nil
-// if v is unreachable.
-func (t *Tree) PathTo(v int) []int {
-	if v < 0 || v >= len(t.Parent) {
-		panic(fmt.Sprintf("tree: node %d out of range", v))
-	}
-	if t.Depth[v] == -1 {
-		return nil
-	}
-	path := make([]int, 0, t.Depth[v]+1)
-	for u := v; u != -1; u = t.Parent[u] {
-		path = append(path, u)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }
 
 // Validate checks structural invariants: parents are linked neighbors in g,

@@ -44,55 +44,18 @@ func TestEnergyOptimalPrefersGoodLinks(t *testing.T) {
 	}
 }
 
-func TestBFSPrefersFewHops(t *testing.T) {
-	// Same triangle: BFS must connect 1 directly.
-	g := topology.New(3)
-	g.AddLink(0, 1, 0.3)
-	g.AddLink(0, 2, 0.9)
-	g.AddLink(2, 1, 0.9)
-	tr := BFS(g, 0)
-	if tr.Parent[1] != 0 {
-		t.Fatalf("BFS parent[1] = %d, want 0", tr.Parent[1])
-	}
-	if tr.MaxDepth() != 1 {
-		t.Fatalf("BFS depth = %d", tr.MaxDepth())
-	}
-}
-
 func TestUnreachableNodes(t *testing.T) {
 	g := topology.New(4)
 	g.AddLink(0, 1, 0.8)
 	// 2, 3 isolated.
 	tr := EnergyOptimal(g, 0)
-	if tr.Reaches() {
-		t.Fatal("tree claims to reach isolated nodes")
-	}
-	if tr.Parent[2] != -1 || tr.Depth[2] != -1 || !math.IsInf(tr.Cost[2], 1) {
-		t.Fatal("isolated node not marked unreachable")
-	}
-	if tr.PathTo(2) != nil {
-		t.Fatal("PathTo isolated node should be nil")
+	for _, v := range []int{2, 3} {
+		if tr.Parent[v] != -1 || tr.Depth[v] != -1 || !math.IsInf(tr.Cost[v], 1) {
+			t.Fatalf("isolated node %d not marked unreachable", v)
+		}
 	}
 	if err := tr.Validate(g); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPathTo(t *testing.T) {
-	g := topology.Line(4, 0.9)
-	tr := EnergyOptimal(g, 0)
-	path := tr.PathTo(3)
-	want := []int{0, 1, 2, 3}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if p := tr.PathTo(0); len(p) != 1 || p[0] != 0 {
-		t.Fatalf("PathTo(root) = %v", p)
 	}
 }
 
@@ -115,8 +78,10 @@ func TestChildrenConsistent(t *testing.T) {
 	if count != g.N()-1 {
 		t.Fatalf("tree has %d edges for %d nodes", count, g.N())
 	}
-	if !tr.Reaches() {
-		t.Fatal("GreenOrbs tree must span")
+	for v, d := range tr.Depth {
+		if d == -1 {
+			t.Fatalf("GreenOrbs tree must span: node %d unreachable", v)
+		}
 	}
 }
 
@@ -145,7 +110,7 @@ func TestExpectedDelayShape(t *testing.T) {
 
 func TestExpectedDelayPanics(t *testing.T) {
 	g := topology.Line(3, 0.9)
-	tr := BFS(g, 0)
+	tr := EnergyOptimal(g, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("period 0 did not panic")
@@ -159,7 +124,6 @@ func TestRootOutOfRangePanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { EnergyOptimal(g, -1) },
 		func() { EnergyOptimal(g, 3) },
-		func() { BFS(g, 5) },
 	} {
 		func() {
 			defer func() {
@@ -210,8 +174,10 @@ func TestQuickDijkstraInvariants(t *testing.T) {
 		if err := tr.Validate(g); err != nil {
 			return false
 		}
-		if !tr.Reaches() {
-			return false
+		for _, d := range tr.Depth {
+			if d == -1 {
+				return false
+			}
 		}
 		for v := 1; v < n; v++ {
 			if tr.Cost[v] <= tr.Cost[tr.Parent[v]] {
