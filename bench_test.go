@@ -271,10 +271,23 @@ func BenchmarkEngine(b *testing.B) {
 
 // --- Ablation benchmarks (DESIGN.md §5) ---
 
+// livelockCap returns the slot cap for an ablation pair whose ablated leg
+// livelocks: 10× the horizon of the healthy configuration cfg. It runs
+// once, before the timed loops, so a livelocked op stops there instead of
+// at a fixed cap far beyond any healthy flood.
+func livelockCap(b *testing.B, cfg matrixflood.Config) int {
+	b.Helper()
+	res, err := matrixflood.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return 10 * res.TotalSlots
+}
+
 // BenchmarkAblationExpiry compares Algorithm 1 with and without the
 // expired-time rule: disabling it lets stale packets crowd out fresh ones.
 func BenchmarkAblationExpiry(b *testing.B) {
-	const cap = 100000
+	cap := livelockCap(b, matrixflood.Config{N: 64, M: 16})
 	run := func(b *testing.B, disable bool) {
 		b.ReportAllocs()
 		total, livelocks := 0, 0
@@ -300,7 +313,7 @@ func BenchmarkAblationExpiry(b *testing.B) {
 // packet selection in Algorithm 1: under FIFO only the first packet
 // completes and the rest livelock.
 func BenchmarkAblationPacketChoice(b *testing.B) {
-	const cap = 100000
+	cap := livelockCap(b, matrixflood.Config{N: 256, M: 12, Policy: matrixflood.MostRecentFirst})
 	run := func(b *testing.B, policy matrixflood.Policy) {
 		b.ReportAllocs()
 		total, livelocks := 0, 0

@@ -45,7 +45,10 @@ import (
 // first step of Intents, drains the world's possession journal and pops
 // the due entries; a receiver with no ready neighbour is skipped, and
 // pairChoice runs only for free ready senders. Idle slots cost O(awake),
-// however long the horizon.
+// however long the horizon. The calendar is a monotone radix heap keyed by
+// slot: a push is O(1), a slot with nothing due costs one comparison with
+// the cached minimum, and an event moves between buckets at most once per
+// bit of its slot.
 //
 // Every timing quantity is a pure function of the world state and a keyed
 // stream captured at Reset (jitter is keyed by (node, packet, attempt)).
@@ -88,7 +91,7 @@ type DFlood struct {
 	supp     suppCounters
 
 	// The fire calendar, indexed like attempts. key[i] is entry i's
-	// calendar slot, keyIdle (not held, or parked) or keyReady; a heap
+	// calendar slot, keyIdle (not held, or parked) or keyReady; a calendar
 	// event whose slot no longer equals key[i] is stale. counted[i] is
 	// attempts[i]+1 once the current attempt was counted suppressed.
 	// readyPkts[s] counts s's ready entries and readyNbr[r] the neighbours
@@ -158,7 +161,7 @@ func (d *DFlood) Reset(w *sim.World) {
 		d.key[i] = keyIdle
 	}
 	d.counted = make([]int32, n*w.M)
-	d.cal = d.cal[:0]
+	d.cal.reset()
 	d.readyPkts = make([]int32, n)
 	d.readyNbr = make([]int32, n)
 }
@@ -263,7 +266,8 @@ func (d *DFlood) pairChoice(w *sim.World, s, r int) (pkt int, required int64) {
 
 // prepareSlot brings the calendar up to the slot: it applies the
 // possession changes since the previous visited slot, then pops every
-// entry due by now and evaluates it. Afterwards an entry is ready exactly
+// entry due by now and evaluates it. An entry re-armed at a base slot
+// that has passed is due at once. Afterwards an entry is ready exactly
 // when its node holds the packet, some neighbour lacks it and its
 // penalized forwarding slot has passed — the entries a full scan of every
 // receiver's neighbours would offer.
@@ -272,7 +276,7 @@ func (d *DFlood) prepareSlot(w *sim.World) {
 	for _, c := range w.TakeHolderChanges() {
 		d.holderChanged(w, int(c.Node), int(c.Packet), c.Delta, now)
 	}
-	for len(d.cal) > 0 && d.cal[0].at <= now {
+	for d.cal.due(now) {
 		e := d.cal.pop()
 		if d.work != nil {
 			d.work.pops++
@@ -399,45 +403,86 @@ type calEvent struct {
 	entry int32
 }
 
-// calendar is a binary min-heap of events by slot. Events due at the same
-// slot pop in no particular order; evaluating them is order-independent.
-type calendar []calEvent
-
-func (c *calendar) push(e calEvent) {
-	h := append(*c, e)
-	for k := len(h) - 1; k > 0; {
-		parent := (k - 1) / 2
-		if h[parent].at <= h[k].at {
-			break
-		}
-		h[parent], h[k] = h[k], h[parent]
-		k = parent
-	}
-	*c = h
+// calendar is a monotone radix heap of events by slot. last is the slot
+// most recently moved to the front. Bucket 0 holds the events at or before
+// last, all of them due; bucket b > 0 holds the events after last whose
+// slot first differs from last in bit b-1, so every event in bucket b
+// comes before every event in a higher bucket. A push is O(1), and an
+// event keyed at or before last (an arm re-keyed to a base slot that has
+// passed) goes straight to bucket 0. min[b] is bucket b's earliest slot
+// (math.MaxInt64 while it is empty) and occupied has bit b set while
+// bucket b > 0 holds events, so the calendar's minimum is cached: a slot
+// with nothing due costs O(1). When the minimum falls due, due moves the
+// first non-empty bucket down to it as the new last; each event moves
+// down at most once per bit, and last never passes the current slot.
+// Events in bucket 0 pop in no particular order; evaluating them is
+// order-independent. reset readies a calendar for use.
+type calendar struct {
+	last     int64
+	occupied uint64
+	min      [64]int64
+	buckets  [64][]calEvent
 }
 
-func (c *calendar) pop() calEvent {
-	h := *c
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for k := 0; ; {
-		small, l := k, 2*k+1
-		if l < len(h) && h[l].at < h[small].at {
-			small = l
-		}
-		if r := l + 1; r < len(h) && h[r].at < h[small].at {
-			small = r
-		}
-		if small == k {
-			break
-		}
-		h[k], h[small] = h[small], h[k]
-		k = small
+// reset empties the calendar, keeping the buckets' storage.
+func (c *calendar) reset() {
+	for b := range c.buckets {
+		c.buckets[b] = c.buckets[b][:0]
+		c.min[b] = math.MaxInt64
 	}
-	*c = h
-	return top
+	c.last, c.occupied = 0, 0
+}
+
+// push adds an event. Slots are never negative, so bit 63 never differs
+// and bucket 63 is the last one used.
+func (c *calendar) push(e calEvent) {
+	if e.at <= c.last {
+		c.buckets[0] = append(c.buckets[0], e)
+		return
+	}
+	b := bits.Len64(uint64(e.at ^ c.last))
+	c.occupied |= 1 << b
+	c.min[b] = min(c.min[b], e.at)
+	c.buckets[b] = append(c.buckets[b], e)
+}
+
+// due reports whether an event at or before now is in the calendar,
+// leaving bucket 0 non-empty when one is. Calls must not decrease now.
+func (c *calendar) due(now int64) bool {
+	if len(c.buckets[0]) > 0 {
+		return true
+	}
+	if c.occupied == 0 {
+		return false
+	}
+	b := bits.TrailingZeros64(c.occupied)
+	if c.min[b] > now {
+		return false
+	}
+	c.last = c.min[b]
+	c.occupied &^= 1 << b
+	events := c.buckets[b]
+	for _, e := range events {
+		// Every event here is at or after the new last, so its bucket is
+		// the bit length alone: 0 for the events at last.
+		k := bits.Len64(uint64(e.at ^ c.last))
+		c.occupied |= 1 << k
+		c.min[k] = min(c.min[k], e.at)
+		c.buckets[k] = append(c.buckets[k], e)
+	}
+	c.occupied &^= 1
+	c.min[b] = math.MaxInt64
+	c.buckets[b] = events[:0]
+	return true
+}
+
+// pop removes and returns an event from bucket 0; due must have reported
+// one.
+func (c *calendar) pop() calEvent {
+	b0 := c.buckets[0]
+	e := b0[len(b0)-1]
+	c.buckets[0] = b0[:len(b0)-1]
+	return e
 }
 
 // Intents implements sim.Protocol: it brings the calendar up to the slot

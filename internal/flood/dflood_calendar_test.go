@@ -2,11 +2,13 @@ package flood
 
 // DFlood decides from a fire calendar: a receiver with no ready neighbour
 // is skipped, and pairChoice runs only for free ready senders. These
-// tests certify that against a full-scan reference, bound the calendar's
-// work on a run whose coverage is unreachable, and pin the suppression
-// count's unit on a hand-derived case.
+// tests certify that against a full-scan reference, hold the calendar
+// itself to a sorted reference, bound the calendar's work on a run whose
+// coverage is unreachable, and pin the suppression count's unit on a
+// hand-derived case.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -252,4 +254,114 @@ func TestDFloodSuppressionCountHandDerived(t *testing.T) {
 	if per := d.SuppressedPerNode(); !slices.Equal(per, []int64{1, 1, 1, 0}) {
 		t.Fatalf("suppressed per node %v, want [1 1 1 0]", per)
 	}
+}
+
+// calendarModel drives a calendar and a sorted reference slice through
+// steps rounds drawn from r. Each round pushes a few events before, at and
+// after the calendar's last slot and past the current slot (spread over
+// span slots, now and then 2^40 ahead), advances now by one slot or jumps
+// it ahead as the engine's empty-offset skip does, and drains the
+// calendar, sometimes pushing more events mid-drain as evaluate does. The
+// events popped at each now must be exactly the reference's events at or
+// before it, and the calendar must hold as many events as the reference
+// after every round.
+func calendarModel(t *testing.T, r *rngutil.Stream, steps int, span int64) {
+	t.Helper()
+	var c calendar
+	c.reset()
+	var ref []calEvent
+	var entry int32
+	byKey := func(a, b calEvent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.entry, b.entry))
+	}
+	push := func(at int64) {
+		e := calEvent{at: at, entry: entry}
+		entry++
+		c.push(e)
+		k, _ := slices.BinarySearchFunc(ref, e, byKey)
+		ref = slices.Insert(ref, k, e)
+	}
+	// draw returns a slot relative to the calendar's last slot and now.
+	draw := func(now int64) int64 {
+		switch r.Intn(6) {
+		case 0:
+			return int64(r.Uint64n(uint64(c.last) + 1)) // at or before last
+		case 1:
+			return c.last
+		case 2:
+			return c.last + int64(r.Uint64n(uint64(now-c.last)+1)) // after last, not after now
+		case 3:
+			return now + 1 + int64(r.Uint64n(1<<40))
+		default:
+			return now + 1 + int64(r.Uint64n(uint64(span)))
+		}
+	}
+	var now int64
+	for step := 0; step < steps; step++ {
+		for k := r.Intn(5); k > 0; k-- {
+			push(draw(now))
+		}
+		switch r.Intn(4) {
+		case 0:
+			now += 1 + int64(r.Uint64n(uint64(4*span))) // a skip past several events
+		case 1:
+			if len(ref) > 0 && ref[0].at > now {
+				now = ref[0].at // a skip to the next due event
+				break
+			}
+			fallthrough
+		default:
+			now++
+		}
+		var popped []calEvent
+		for c.due(now) {
+			e := c.pop()
+			if e.at > now {
+				t.Fatalf("step %d, now %d: popped %+v, not yet due", step, now, e)
+			}
+			popped = append(popped, e)
+			if r.Bool(0.2) {
+				push(draw(now))
+			}
+		}
+		slices.SortFunc(popped, byKey)
+		due, _ := slices.BinarySearchFunc(ref, calEvent{at: now + 1}, byKey)
+		if !slices.Equal(popped, ref[:due]) {
+			t.Fatalf("step %d, now %d: popped %v, the reference has %v due", step, now, popped, ref[:due])
+		}
+		ref = ref[due:]
+		held := 0
+		for _, b := range c.buckets {
+			held += len(b)
+		}
+		if held != len(ref) {
+			t.Fatalf("step %d, now %d: calendar holds %d events, the reference %d", step, now, held, len(ref))
+		}
+	}
+}
+
+// TestCalendarMatchesSortedReference holds DFlood's radix calendar to a
+// sorted slice over spans from one slot, where most events share their
+// slot, to 2^20 slots, where events sit deep in the high buckets.
+func TestCalendarMatchesSortedReference(t *testing.T) {
+	for _, span := range []int64{1, 7, 64, 1000, 1 << 20} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("span=%d/seed=%d", span, seed), func(t *testing.T) {
+				calendarModel(t, rngutil.New(seed).Sub(uint64(span)), 3000, span)
+			})
+		}
+	}
+}
+
+// FuzzCalendar runs calendarModel from arbitrary seeds and spans; explore
+// with
+//
+//	go test -run '^$' -fuzz FuzzCalendar -fuzztime 30s ./internal/flood
+func FuzzCalendar(f *testing.F) {
+	f.Add(uint64(1), uint32(1))
+	f.Add(uint64(2), uint32(65))
+	f.Add(uint64(3), uint32(1<<16))
+	f.Fuzz(func(t *testing.T, seed uint64, span uint32) {
+		calendarModel(t, rngutil.New(seed), 500, int64(span%(1<<24))+1)
+	})
 }

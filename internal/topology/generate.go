@@ -199,24 +199,26 @@ func (sg *spatialGrid) key(p Point) [2]int32 {
 //     Cos and PathLoss's Log10 are paid for; everything else runs the
 //     exact chain.
 //
-// Every unordered pair is visited once, so links are appended without
+// Every unordered pair is visited once, so links are collected without
 // AddLink's duplicate search; Validate, which every generator runs last,
-// still rejects duplicates and asymmetry.
+// still rejects duplicates and asymmetry. The accepted links go into one
+// flat buffer, u's links to higher ids sorted before the loop moves on,
+// and each row is then cut to its exact size from one backing array.
 //
 // The adjacency lists come out byte-identical to a plain u<v pair scan's
 // (spatial_test.go keeps that scan as the reference): u's row holds its
-// links to lower ids, appended in ascending order by the outer loop, then
-// its links to higher ids, appended here in cell order and sorted
-// before the loop moves on.
+// links to lower ids in ascending order, then its links to higher ids in
+// ascending order.
 func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRNG *rngutil.Stream) {
 	maxDist := radio.ConnectedRange(minPRR) * math.Pow(10, 3*radio.ShadowStd/(10*radio.Exponent))
 	maxDist2 := maxDist * maxDist * (1 + 1e-9)
 	snrCut := radio.snrCut(minPRR)
 	filter := newShadowFilter(radio, maxDist, snrCut)
 	sg := newSpatialGrid(g.Pos, maxDist)
+	var pairs []linkedPair
 	for u, pu := range g.Pos {
 		ck := sg.key(pu)
-		lower := len(g.adj[u])
+		first := len(pairs)
 		for dy := int32(-1); dy <= 1; dy++ {
 			for dx := int32(-1); dx <= 1; dx++ {
 				for _, v := range sg.cells[[2]int32{ck[0] + dx, ck[1] + dy}] {
@@ -228,45 +230,76 @@ func linkByDistance(g *Graph, radio RadioModel, minPRR, maxPRR float64, shadowRN
 						continue
 					}
 					if d := pu.Dist(pv); !(d > maxDist) {
-						tryLink(g, radio, minPRR, maxPRR, snrCut, &filter, shadowRNG, u, int(v), d)
+						if prr, ok := tryLink(radio, minPRR, maxPRR, snrCut, &filter, shadowRNG, u, int(v), d); ok {
+							pairs = append(pairs, linkedPair{u: int32(u), v: v, prr: prr})
+						}
 					}
 				}
 			}
 		}
-		slices.SortFunc(g.adj[u][lower:], func(a, b Link) int { return a.To - b.To })
+		slices.SortFunc(pairs[first:], func(a, b linkedPair) int { return int(a.v - b.v) })
+	}
+	// pairs now ascends by (u, v). Cut each row to its exact degree from
+	// one backing array; the full slice expression caps every row at its
+	// end, so a later AddLink reallocates the row instead of writing into
+	// its neighbour's.
+	deg := make([]int, g.N())
+	for _, p := range pairs {
+		deg[p.u]++
+		deg[p.v]++
+	}
+	backing := make([]Link, 2*len(pairs))
+	off := 0
+	for u, k := range deg {
+		if k > 0 { // an isolated node keeps its nil row
+			g.adj[u] = backing[off : off : off+k]
+			off += k
+		}
+	}
+	for _, p := range pairs {
+		g.adj[p.u] = append(g.adj[p.u], Link{To: int(p.v), PRR: p.prr})
+		g.adj[p.v] = append(g.adj[p.v], Link{To: int(p.u), PRR: p.prr})
 	}
 	g.csr = nil
+}
+
+// linkedPair is a link linkByDistance accepted between nodes u < v.
+type linkedPair struct {
+	u, v int32
+	prr  float64
 }
 
 // tryLink is linkByDistance's per-pair body for a pair at distance d:
 // derive the pair-keyed shadow stream once, reject at once when the
 // filter proves the draw misses the SNR cut, else run the exact chain on
 // that stream — draw the shadow, reject below the cut, link if the PRR
-// clears minPRR. The filter reads a copy of the stream, so the exact
-// chain draws the same variates it would without the filter.
-func tryLink(g *Graph, radio RadioModel, minPRR, maxPRR, snrCut float64, filter *shadowFilter, shadowRNG *rngutil.Stream, u, v int, d float64) {
+// clears minPRR. It returns the link's PRR, clamped to maxPRR when
+// positive, and whether the pair links. The filter reads a copy of the
+// stream, so the exact chain draws the same variates it would without the
+// filter.
+func tryLink(radio RadioModel, minPRR, maxPRR, snrCut float64, filter *shadowFilter, shadowRNG *rngutil.Stream, u, v int, d float64) (float64, bool) {
 	pairRNG := shadowRNG.SubValue(uint64(u)<<32 | uint64(v))
 	if cut := filter.cut(d); cut < 1 {
 		draw := pairRNG
 		if rejectDraw(cut, draw.Float64(), draw.Float64()) {
-			return
+			return 0, false
 		}
 	}
 	snr := radio.SNR(d, pairRNG.NormMeanStd(0, radio.ShadowStd))
 	if snr < snrCut {
-		return
+		return 0, false
 	}
 	prr := radio.prrFromSNR(snr)
-	if prr >= minPRR {
-		if prr > 1 {
-			prr = 1
-		}
-		if maxPRR > 0 && prr > maxPRR {
-			prr = maxPRR
-		}
-		g.adj[u] = append(g.adj[u], Link{To: v, PRR: prr})
-		g.adj[v] = append(g.adj[v], Link{To: u, PRR: prr})
+	if !(prr >= minPRR) {
+		return 0, false
 	}
+	if prr > 1 {
+		prr = 1
+	}
+	if maxPRR > 0 && prr > maxPRR {
+		prr = maxPRR
+	}
+	return prr, true
 }
 
 // shadowBands is the number of distance bands of width maxDist/shadowBands
