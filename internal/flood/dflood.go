@@ -495,6 +495,9 @@ func (d *DFlood) Intents(w *sim.World) []sim.Intent {
 	slot := w.ProtoStream()
 	out := d.out[:0]
 	for _, r := range w.AwakeList() {
+		if d.readyNbr[r] == 0 {
+			continue // nothing to serve; saves the out-of-line call
+		}
 		if in, ok := d.serve(w, r, &slot); ok {
 			d.assigned[in.From] = true
 			out = append(out, in)

@@ -95,6 +95,22 @@ func (r *Stream) SubValue(key uint64) Stream {
 	return out
 }
 
+// SubFloat64 returns SubValue(key).Float64(), the first uniform of the
+// keyed sub-stream, for hot paths that draw exactly once per key (the
+// engine's single-intent receivers). The xoshiro256** output function
+// reads only state word 1, so only that word is derived: word 0's
+// SplitMix64 round reduces to its state increment, and words 2 and 3 are
+// never computed. SubValue's all-zero fix-up cannot change the result: it
+// fires only when every word, word 1 included, is zero, and it rewrites
+// word 0 alone. The key aliasing of SubValue carries over unchanged.
+func (r *Stream) SubFloat64(key uint64) float64 {
+	st := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ (key * 0x9e3779b97f4a7c15)
+	st ^= key + 0x6a09e667f3bcc909
+	st += 0x9e3779b97f4a7c15 // state word 0, which the output never reads
+	s1 := splitMix64(&st)
+	return float64(bits.RotateLeft64(s1*5, 7)*9>>11) / (1 << 53)
+}
+
 // PairFloat64 returns a uniform float64 in [0, 1) keyed by an ordered
 // integer pair under this stream: PairFloat64(a, b) and PairFloat64(b, a)
 // are independent draws. Each key passes through a full SplitMix64

@@ -375,6 +375,31 @@ func TestPairFloat64MatchesPairStream(t *testing.T) {
 	}
 }
 
+// TestSubFloat64MatchesSubValue pins SubFloat64 to its definition, the
+// first Float64 of SubValue(key), over random parents and keys — keys with
+// the top bit set included, so the two keep the same aliasing. The
+// engine's single-draw receivers depend on the shortcut never diverging.
+func TestSubFloat64MatchesSubValue(t *testing.T) {
+	gen := New(77)
+	for i := 0; i < 2000; i++ {
+		root := New(gen.Uint64())
+		key := gen.Uint64()
+		switch i % 4 {
+		case 0:
+			key >>= 40 // small enumeration keys, as the engine uses
+		case 1:
+			key |= 1 << 63
+		}
+		sub := root.SubValue(key)
+		if got, want := root.SubFloat64(key), sub.Float64(); got != want {
+			t.Fatalf("SubFloat64(%#x) = %v, want SubValue's first draw %v", key, got, want)
+		}
+		if root.SubFloat64(key) != root.SubFloat64(key^1<<63) {
+			t.Fatalf("SubFloat64(%#x) lost SubValue's top-bit aliasing", key)
+		}
+	}
+}
+
 // TestPairFloat64DoesNotConsumeParent mirrors the SubValue guarantee.
 func TestPairFloat64DoesNotConsumeParent(t *testing.T) {
 	a := New(5)

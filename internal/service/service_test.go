@@ -400,7 +400,7 @@ func TestSmallJobRunsCellsConcurrently(t *testing.T) {
 		Protocols: []string{"dbao"},
 		Duties:    []float64{0.01},
 		Seeds:     2,
-		M:         1500, // well over a second per cell
+		M:         12000, // well over a second per cell
 		Coverage:  0.99,
 		TopoSeed:  1,
 		Parallel:  2,

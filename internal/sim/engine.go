@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ldcflood/internal/fault"
 	"ldcflood/internal/rngutil"
@@ -81,6 +82,10 @@ type engine struct {
 	recvNow     []bool
 	txTouched   []int // nodes whose transmitting flag was set this slot
 	recvTouched []int // nodes whose recvNow flag was set this slot
+
+	// milestones lists the packets whose holder count a delivery brought
+	// to 2 or to coverNodes this slot, for accountCoverage.
+	milestones []int32
 
 	// Overhearing scratch: senderSuccess maps a sender to its index in
 	// successes (-1 otherwise), reset sparsely after every slot; ohSeen
@@ -267,9 +272,7 @@ func (e *engine) inject(t int64) {
 	for e.w.injected < e.cfg.M && t == int64(e.w.injected)*int64(e.interval) {
 		p := e.w.injected
 		e.w.injected++
-		if e.w.deliver(p, 0, t) && e.w.nbrHeld != nil {
-			e.w.addHolder(p, 0, 1)
-		}
+		e.deliver(p, 0, t)
 		e.res.InjectTime[p] = t
 		if e.cfg.Observer != nil {
 			e.cfg.Observer.OnInject(t, p)
@@ -423,12 +426,20 @@ func (e *engine) scaledPRR(tx *Intent, t int64) float64 {
 	return p
 }
 
-// accountCoverage latches per-packet coverage and first-hop milestones
-// reached by this slot's deliveries.
+// accountCoverage latches the per-packet coverage and first-hop
+// milestones this slot's deliveries reached, in ascending packet order.
+// Holder counts only grow within a slot (crashes drop packets before
+// injection), so a packet first reaches 2 or coverNodes holders exactly
+// when a delivery brings it there, and deliver lists it then.
 func (e *engine) accountCoverage(t int64) {
-	w, res, cfg := e.w, e.res, &e.cfg
-	for p := 0; p < w.injected; p++ {
-		if res.CoverTime[p] == -1 && w.count[p] >= e.coverNodes {
+	if len(e.milestones) == 0 {
+		return
+	}
+	res, cfg := e.res, &e.cfg
+	slices.Sort(e.milestones)
+	for _, p32 := range slices.Compact(e.milestones) {
+		p := int(p32)
+		if res.CoverTime[p] == -1 && e.w.count[p] >= e.coverNodes {
 			res.CoverTime[p] = t
 			res.Delay[p] = t - res.InjectTime[p]
 			e.covered++
@@ -436,10 +447,11 @@ func (e *engine) accountCoverage(t int64) {
 				cfg.Observer.OnCovered(t, p)
 			}
 		}
-		if res.FirstHopDelay[p] == -1 && w.count[p] >= 2 {
+		if res.FirstHopDelay[p] == -1 && e.w.count[p] >= 2 {
 			res.FirstHopDelay[p] = t - res.InjectTime[p]
 		}
 	}
+	e.milestones = e.milestones[:0]
 }
 
 // groupTxs returns receiver rxList[i]'s intent group, a slice of the
@@ -468,11 +480,24 @@ func (e *engine) cleanupSlot() {
 // deliverNow records an in-slot reception: the packet is delivered and the
 // node is marked as having received this slot (blocking overhearing).
 func (e *engine) deliverNow(p, node int, t int64) {
-	if e.w.deliver(p, node, t) && e.w.nbrHeld != nil {
-		e.w.addHolder(p, node, 1)
-	}
+	e.deliver(p, node, t)
 	if !e.recvNow[node] {
 		e.recvNow[node] = true
 		e.recvTouched = append(e.recvTouched, node)
+	}
+}
+
+// deliver records node's reception of packet p at slot t, keeps the
+// neighbour-holder count current, and lists p for accountCoverage when
+// the reception brings its holder count to 2 or to coverNodes.
+func (e *engine) deliver(p, node int, t int64) {
+	if !e.w.deliver(p, node, t) {
+		return
+	}
+	if e.w.nbrHeld != nil {
+		e.w.addHolder(p, node, 1)
+	}
+	if c := e.w.count[p]; c == 2 || c == e.coverNodes {
+		e.milestones = append(e.milestones, int32(p))
 	}
 }

@@ -27,7 +27,11 @@ package sim
 //	   flagged nodes into one hit list before any of them is delivered.
 //	F  sort the hits into ascending node order — O(delivered·log
 //	   delivered), not O(row entries scanned) — and deliver them, then
-//	   shared coverage accounting and scratch cleanup.
+//	   coverage accounting and scratch cleanup. Coverage is accounted
+//	   per delivery: every delivery of the slot (injection included)
+//	   that brought a packet's holder count to 2 or to the coverage
+//	   target listed the packet, and only the listed packets are
+//	   latched, in ascending packet order.
 //
 // A run uses one core: on the 10k–100k-node grids of cmd/engbench -scale,
 // splitting a slot's phases over worker goroutines cost more than it
@@ -360,6 +364,13 @@ func (e *engine) decideReceiver(i int, t int64) rxRecord {
 		rec.kind = rxBusy
 	case len(txs) > 1 && cfg.Protocol.CollisionsApply():
 		rec.kind = rxCollision
+	case len(txs) == 1:
+		// One attempt draws at most once, so only the keyed stream's
+		// first uniform is derived; Bool's clamps are kept.
+		rec.kind = rxSeq
+		if p := e.scaledPRR(&txs[0], t); p >= 1 || p > 0 && e.slotStream.SubFloat64(uint64(r)*2) < p {
+			rec.deliverIdx = 0
+		}
 	default:
 		rec.kind = rxSeq
 		rng := e.slotStream.SubValue(uint64(r) * 2)
