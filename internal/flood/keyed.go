@@ -20,7 +20,9 @@ package flood
 //     sender per slot, shared by every receiver that sees the sender as a
 //     candidate.
 //   - per-pair fire draws (DBAO/Naive hidden terminals, OF opportunistic
-//     forwarding): PairFloat64(receiver, sender). Receiver != sender on
+//     forwarding): PairFloat64(receiver, sender). OF draws a receiver's
+//     candidates through PairRow(receiver).Float64(sender), the same
+//     values with the receiver's key mixed once. Receiver != sender on
 //     every link and deferTag exceeds any node id, so the two key
 //     families never collide.
 //

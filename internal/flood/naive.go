@@ -60,13 +60,16 @@ func (n *Naive) Intents(w *sim.World) []sim.Intent {
 			continue
 		}
 		row, prrs := n.csr.Row(r)
-		cands := n.cands[:0]
-		for i, s32 := range row {
-			if s := int(s32); !n.assigned[s] && w.AnyNeeded(s, r) && !deferKeyed(w, s, &slot) {
-				cands = append(cands, int32(i))
+		cands := w.FreeHolders(n.cands, r, row, n.assigned)
+		n.cands = cands
+		k := 0
+		for _, i := range cands {
+			if !deferKeyed(w, int(row[i]), &slot) {
+				cands[k] = i
+				k++
 			}
 		}
-		n.cands = cands
+		cands = cands[:k]
 		if len(cands) == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"ldcflood/internal/rngutil"
 	"ldcflood/internal/sim"
 	"ldcflood/internal/topology"
 	"ldcflood/internal/tree"
@@ -32,8 +33,10 @@ type OF struct {
 	csr       *topology.CSR
 	out       []sim.Intent
 	// cands holds one receiver's free opportunistic candidates, as
-	// indices into its row.
+	// indices into its row, and us the keyed uniforms of those that
+	// survive drawFilter.
 	cands []int32
+	us    []float64
 
 	// treeGraph / treePeriod memoize the energy-optimal tree, its parent
 	// link PRRs and its expected-delay distribution across runs over the
@@ -111,21 +114,25 @@ func (o *OF) Intents(w *sim.World) []sim.Intent {
 			continue
 		}
 		row, prrs := o.csr.Row(r)
-		cands := o.cands[:0]
-		for i, s32 := range row {
-			if s := int(s32); s != parent && !o.assigned[s] && w.AnyNeeded(s, r) {
-				cands = append(cands, int32(i))
-			}
+		// The parent is busy for the scan: it is never an opportunistic
+		// candidate of its own child.
+		if parent >= 0 {
+			held := o.assigned[parent]
+			o.assigned[parent] = true
+			o.cands = w.FreeHolders(o.cands, r, row, o.assigned)
+			o.assigned[parent] = held
+		} else {
+			o.cands = w.FreeHolders(o.cands, r, row, o.assigned)
 		}
-		o.cands = cands
-		for _, i := range cands {
+		n := len(o.cands)
+		live, us := o.drawFilter(slot.PairRow(uint64(r)), row, prrs, o.cands)
+		for j, i := range live {
 			s, prr := int(row[i]), prrs[i]
-			u := pairU(&slot, r, s)
-			if u >= o.maxForwardProbability(prr, len(cands)) || deferKeyed(w, s, &slot) {
+			if deferKeyed(w, s, &slot) {
 				continue
 			}
 			pkt := w.OldestNeeded(s, r)
-			if q := o.forwardProbability(w, r, pkt, prr, parentServes, len(cands)); q > 0 && u < q {
+			if q := o.forwardProbability(w, r, pkt, prr, parentServes, n); q > 0 && us[j] < q {
 				o.assigned[s] = true
 				out = append(out, sim.Intent{From: s, To: r, Packet: pkt, PRR: prr})
 			}
@@ -134,6 +141,31 @@ func (o *OF) Intents(w *sim.World) []sim.Intent {
 	release(o.assigned, out)
 	o.out = out
 	return out
+}
+
+// drawFilter draws the keyed uniform of each of a receiver's free
+// candidates (indices into its row) from the receiver's pair row and
+// keeps, in order, those whose uniform falls below maxForwardProbability:
+// above it no packet age can fire the candidate. It compacts cands in
+// place, without a branch on the comparison, and returns the survivors
+// with their uniforms.
+func (o *OF) drawFilter(pr rngutil.PairRow, row []int32, prrs []float64, cands []int32) ([]int32, []float64) {
+	n := len(cands)
+	if cap(o.us) < n {
+		o.us = make([]float64, n)
+	}
+	us := o.us[:n]
+	k := 0
+	for _, i := range cands {
+		u := pr.Float64(uint64(row[i]))
+		cands[k], us[k] = i, u
+		keep := 0
+		if u < o.maxForwardProbability(prrs[i], n) {
+			keep = 1
+		}
+		k += keep
+	}
+	return cands[:k], us[:k]
 }
 
 // forwardProbability is the opportunistic forwarding decision: compare the

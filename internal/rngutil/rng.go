@@ -24,8 +24,16 @@ type Stream struct {
 // It is used to seed xoshiro state and to mix split keys, per the
 // recommendation of the xoshiro authors.
 func splitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+	*state += golden
+	return avalanche(*state)
+}
+
+// golden is SplitMix64's state increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// avalanche is SplitMix64's output function: it maps a state to the
+// round's output.
+func avalanche(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -123,13 +131,35 @@ func (r *Stream) SubFloat64(key uint64) float64 {
 // consume exactly one variate per entity pair (the planners' per-(receiver,
 // sender) contention draws and per-sender defer decisions) use this. Like
 // SubValue it only reads r's state, so concurrent calls on a shared parent
-// are safe.
+// are safe. It is PairRow(k1).Float64(k2), the one derivation.
 func (r *Stream) PairFloat64(k1, k2 uint64) float64 {
-	h1, h2 := k1, ^k2
-	st := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ splitMix64(&h1)
-	st += splitMix64(&h2)
-	_ = splitMix64(&st) // state word 0; the output function never reads it
-	s1 := splitMix64(&st)
+	return r.PairRow(k1).Float64(k2)
+}
+
+// PairRow is the pair-draw state with its first key mixed in: the parent
+// words and k1's SplitMix64 avalanche, folded once. A caller drawing for
+// many second keys under one first key (a receiver's contention draws
+// over its candidates) derives the row once and pays, per draw, only the
+// second key's avalanche and one SplitMix64 round.
+type PairRow struct {
+	// st is the mixed state before k2's avalanche is added, advanced by
+	// the two SplitMix64 increments that precede the output round: the
+	// first round's (state word 0, which the output never reads) and the
+	// output round's own.
+	st uint64
+}
+
+// PairRow returns the row of pair draws keyed by k1 under this stream.
+// Like PairFloat64 it only reads r's state.
+func (r *Stream) PairRow(k1 uint64) PairRow {
+	st := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ avalanche(k1+golden)
+	return PairRow{st: st + golden + golden}
+}
+
+// Float64 returns PairFloat64(k1, k2) for the row's k1: the first Float64
+// of the derived stream, whose output function reads state word 1 alone.
+func (p PairRow) Float64(k2 uint64) float64 {
+	s1 := avalanche(p.st + avalanche(^k2+golden))
 	return float64(bits.RotateLeft64(s1*5, 7)*9>>11) / (1 << 53)
 }
 

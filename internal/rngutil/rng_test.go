@@ -360,14 +360,7 @@ func TestPairFloat64MatchesPairStream(t *testing.T) {
 	keys := []uint64{0, 1, 2, 63, 1 << 32, 1 << 62, 1 << 63, ^uint64(0)}
 	for _, k1 := range keys {
 		for _, k2 := range keys {
-			h1, h2 := k1, ^k2
-			st := root.s[0] ^ bits.RotateLeft64(root.s[1], 13) ^ splitMix64(&h1)
-			st += splitMix64(&h2)
-			var sub Stream
-			for i := range sub.s {
-				sub.s[i] = splitMix64(&st)
-			}
-			want := sub.Float64()
+			want := pairFloat64Ref(root, k1, k2)
 			if got := root.PairFloat64(k1, k2); got != want {
 				t.Fatalf("PairFloat64(%d, %d) = %v, want pair stream's first draw %v", k1, k2, got, want)
 			}
@@ -396,6 +389,53 @@ func TestSubFloat64MatchesSubValue(t *testing.T) {
 		}
 		if root.SubFloat64(key) != root.SubFloat64(key^1<<63) {
 			t.Fatalf("SubFloat64(%#x) lost SubValue's top-bit aliasing", key)
+		}
+	}
+}
+
+// pairFloat64Ref is the pair draw written out as its definition: the
+// stream whose four state words are successive SplitMix64 outputs of the
+// parent words mixed with both keys' avalanches, read through its first
+// Float64.
+func pairFloat64Ref(r *Stream, k1, k2 uint64) float64 {
+	h1, h2 := k1, ^k2
+	st := r.s[0] ^ bits.RotateLeft64(r.s[1], 13) ^ splitMix64(&h1)
+	st += splitMix64(&h2)
+	var out Stream
+	for i := range out.s {
+		out.s[i] = splitMix64(&st)
+	}
+	return out.Float64()
+}
+
+// TestPairRowMatchesPairFloat64 pins the receiver-hoisted row draw and
+// PairFloat64 to the pair draw's definition over random parents and key
+// pairs: keys with the top bit set, equal keys, and the flood package's
+// defer key (1 << 62) as the second key. OF's contention pass draws every
+// candidate through a PairRow and the other protocols through
+// PairFloat64, so the two must never diverge.
+func TestPairRowMatchesPairFloat64(t *testing.T) {
+	gen := New(78)
+	for i := 0; i < 2000; i++ {
+		root := New(gen.Uint64())
+		k1, k2 := gen.Uint64(), gen.Uint64()
+		switch i % 5 {
+		case 0:
+			k1, k2 = k1>>48, k2>>48 // small node ids, as the protocols use
+		case 1:
+			k1 |= 1 << 63
+			k2 |= 1 << 63
+		case 2:
+			k2 = k1
+		case 3:
+			k1, k2 = k1>>48, 1<<62
+		}
+		want := pairFloat64Ref(root, k1, k2)
+		if got := root.PairRow(k1).Float64(k2); got != want {
+			t.Fatalf("PairRow(%#x).Float64(%#x) = %v, want %v", k1, k2, got, want)
+		}
+		if got := root.PairFloat64(k1, k2); got != want {
+			t.Fatalf("PairFloat64(%#x, %#x) = %v, want %v", k1, k2, got, want)
 		}
 	}
 }

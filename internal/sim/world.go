@@ -252,6 +252,52 @@ func (w *World) AnyNeeded(sender, receiver int) bool {
 	return false
 }
 
+// FreeHolders returns, in dst's storage, the indices into row — receiver's
+// CSR row — of the neighbours that are not busy and hold a packet receiver
+// lacks, ascending: the row entries for which !busy[s] && AnyNeeded(s,
+// receiver) holds. It is the candidate scan of the contention protocols,
+// which pass their per-slot assigned flags as busy. With one packet word
+// it loads receiver's word once and counts without a branch: every index
+// is written and the count advances only past a free holder, so the
+// possession test feeds no branch to mispredict.
+func (w *World) FreeHolders(dst []int32, receiver int, row []int32, busy []bool) []int32 {
+	if cap(dst) < len(row) {
+		dst = make([]int32, len(row))
+	}
+	dst = dst[:len(row)]
+	k := 0
+	if w.pwords == 1 {
+		has, lacks := w.has, ^w.has[receiver]
+		for i, s := range row {
+			dst[k] = int32(i)
+			free := 0
+			if has[s]&lacks != 0 {
+				free = 1
+			}
+			if busy[s] {
+				free = 0
+			}
+			k += free
+		}
+		return dst[:k]
+	}
+	rb := w.has[receiver*w.pwords : (receiver+1)*w.pwords]
+	for i, s := range row {
+		if busy[s] {
+			continue
+		}
+		sb := w.has[int(s)*w.pwords:][:len(rb)]
+		for j, sw := range sb {
+			if sw&^rb[j] != 0 {
+				dst[k] = int32(i)
+				k++
+				break
+			}
+		}
+	}
+	return dst[:k]
+}
+
 // dropAll clears node's entire packet buffer — the engine applies it when
 // a fault-schedule crash takes effect. Possession bits, reception times,
 // the per-packet holder counts and (when tracked) the neighbour-holder

@@ -56,7 +56,7 @@ type Event struct {
 
 // Logger streams events to an io.Writer. It implements sim.Observer.
 // Errors are latched: the first write error stops further output and is
-// reported by Err.
+// returned by every later Flush.
 type Logger struct {
 	w   *bufio.Writer
 	err error
@@ -66,9 +66,6 @@ type Logger struct {
 func NewLogger(w io.Writer) *Logger {
 	return &Logger{w: bufio.NewWriter(w)}
 }
-
-// Err returns the first write error encountered, if any.
-func (l *Logger) Err() error { return l.err }
 
 // Flush drains buffered output and returns any write error.
 func (l *Logger) Flush() error {

@@ -185,11 +185,12 @@ func TestLoggerLatchesWriteError(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		l.OnInject(int64(i), i)
 	}
-	if l.Flush() == nil {
+	err := l.Flush()
+	if err == nil {
 		t.Fatal("write error not surfaced")
 	}
-	if l.Err() == nil {
-		t.Fatal("Err not latched")
+	if again := l.Flush(); again != err {
+		t.Fatalf("second Flush = %v, want the latched %v", again, err)
 	}
 }
 
