@@ -84,22 +84,20 @@ func (d *DBAO) CollisionsApply() bool { return true }
 // Overhears implements sim.Protocol.
 func (d *DBAO) Overhears() bool { return !d.DisableOverhearing }
 
-// Intents implements sim.Protocol: per awake receiver in ascending order,
-// the deterministic back-off winner is the first entry of its rank row
-// that is unassigned, holds a needed packet and does not defer. Every
-// entry ranked above the winner is then either no candidate or already
-// assigned, so only the rest of the row can hold hidden candidates: an
-// unassigned needed holder that cannot hear the winner fires when its
-// keyed uniform falls below HiddenFireProb and it does not defer, in rank
-// order. Only the winner's memoized hidden list is walked (hiddenOf), and
-// the cheap tests run before the two keyed draws.
+// Intents implements sim.Protocol: per frontier receiver
+// (sim.World.Frontier) in ascending order, the deterministic back-off
+// winner is the first entry of its rank row that is unassigned, holds a
+// needed packet and does not defer. Every entry ranked above the winner is
+// then either no candidate or already assigned, so only the rest of the
+// row can hold hidden candidates: an unassigned needed holder that cannot
+// hear the winner fires when its keyed uniform falls below HiddenFireProb
+// and it does not defer, in rank order. Only the winner's memoized hidden
+// list is walked (hiddenOf), and the cheap tests run before the two keyed
+// draws.
 func (d *DBAO) Intents(w *sim.World) []sim.Intent {
 	slot := w.ProtoStream()
 	out := d.out[:0]
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			continue
-		}
+	for _, r := range w.Frontier() {
 		row, prrs := d.rank.Row(r)
 		wi := firstFree(w, d.assigned, row, r, &slot)
 		if wi < 0 {

@@ -486,17 +486,20 @@ func (c *calendar) pop() calEvent {
 }
 
 // Intents implements sim.Protocol: it brings the calendar up to the slot
-// (prepareSlot), then per awake receiver in ascending order the free,
-// undeferred ready neighbor with the earliest penalized forwarding slot
-// (ties to the first in row order) transmits its chosen packet (serve),
-// and finally the chosen timers advance (commit).
+// (prepareSlot), then per frontier receiver (sim.World.Frontier) with a
+// ready neighbour, in ascending order, the free, undeferred ready neighbor
+// with the earliest penalized forwarding slot (ties to the first in row
+// order) transmits its chosen packet (serve), and finally the chosen
+// timers advance (commit).
 func (d *DFlood) Intents(w *sim.World) []sim.Intent {
 	d.prepareSlot(w)
 	slot := w.ProtoStream()
 	out := d.out[:0]
-	for _, r := range w.AwakeList() {
+	for _, r := range w.Frontier() {
+		// A ready neighbour holds a packet, so this is the stronger
+		// filter; it also saves the out-of-line call.
 		if d.readyNbr[r] == 0 {
-			continue // nothing to serve; saves the out-of-line call
+			continue
 		}
 		if in, ok := d.serve(w, r, &slot); ok {
 			d.assigned[in.From] = true
@@ -512,11 +515,8 @@ func (d *DFlood) Intents(w *sim.World) []sim.Intent {
 // among r's unassigned neighbours with a ready timer for a packet r lacks
 // (pairChoice), the one with the smallest penalized forwarding slot, ties
 // to the first in row order, that does not defer. It reads the calendar
-// and timers only; a receiver with no ready neighbour returns at once.
+// and timers only.
 func (d *DFlood) serve(w *sim.World, r int, slot *rngutil.Stream) (in sim.Intent, ok bool) {
-	if d.readyNbr[r] == 0 || !w.NeedsAnything(r) {
-		return in, false
-	}
 	var best int64
 	row, prrs := d.csr.Row(r)
 	for i, s32 := range row {

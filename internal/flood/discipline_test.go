@@ -2,9 +2,13 @@ package flood
 
 // The Protocol.Intents contract that lets the engine admit a protocol's
 // intents without a sort or a link lookup: each slot's intents ascend by
-// receiver, and every non-zero PRR is the link's.
+// receiver, and every non-zero PRR is the link's. Every receiver is also
+// in the slot's frontier (sim.World.Frontier), the only receivers the
+// protocols decide.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ldcflood/internal/sim"
@@ -55,6 +59,50 @@ func TestIntentsContract(t *testing.T) {
 			c := &contractChecked{Protocol: p, t: t, label: protocol + "/" + name, csr: g.CSR()}
 			if res, _ := runWith(t, cfg, c); res.Transmissions == 0 || c.intents == 0 {
 				t.Errorf("%s: %d intents, %d transmissions: the contract went unexercised", c.label, c.intents, res.Transmissions)
+			}
+		}
+	}
+}
+
+// frontierChecked wraps a protocol and fails on any intent whose receiver
+// is outside the slot's frontier.
+type frontierChecked struct {
+	sim.Protocol
+	t       *testing.T
+	label   string
+	intents int
+}
+
+func (c *frontierChecked) Intents(w *sim.World) []sim.Intent {
+	out := c.Protocol.Intents(w)
+	for _, in := range out {
+		if _, ok := slices.BinarySearch(w.Frontier(), in.To); !ok {
+			c.t.Errorf("%s, slot %d: intent %+v to a receiver outside the frontier %v", c.label, w.Now(), in, w.Frontier())
+		}
+	}
+	c.intents += len(out)
+	return out
+}
+
+// TestIntentsStayInFrontier runs every protocol × every fault family
+// (plus the unfaulted case) at M 1, 3 and 65 behind the frontier check.
+func TestIntentsStayInFrontier(t *testing.T) {
+	schedules := faultSchedules()
+	schedules["none"] = nil
+	g := topology.Grid(6, 6, 0.8)
+	for name, fs := range schedules {
+		for _, m := range []int{1, 3, 65} {
+			cfg := shardCfg(g, fs, 1234)
+			cfg.M = m
+			for _, protocol := range Names() {
+				p, err := New(protocol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := &frontierChecked{Protocol: p, t: t, label: fmt.Sprintf("%s/%s/M=%d", protocol, name, m)}
+				if res, _ := runWith(t, cfg, c); res.Transmissions == 0 || c.intents == 0 {
+					t.Errorf("%s: %d intents, %d transmissions: the check went unexercised", c.label, c.intents, res.Transmissions)
+				}
 			}
 		}
 	}

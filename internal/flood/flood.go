@@ -21,12 +21,15 @@
 //     tallied per node, once per (node, packet, attempt).
 //
 // Every protocol decides a slot in its Intents method, the engine's one
-// per-slot call: one ascending pass over the awake receivers, each decided
-// right after its neighbor row is scanned, with keyed draws from the
-// slot's protocol stream (keyed.go). The intents come out grouped by
-// ascending receiver, each with its link PRR, so the engine admits them
-// without a sort or a link lookup. Trickle and DFlood derive all timer
-// state from keyed RNG streams captured at Reset plus world-state reads
+// per-slot call: one ascending pass over the slot's frontier
+// (sim.World.Frontier: the awake receivers that lack a packet and have a
+// neighbor holding one, built by the engine), each decided right after
+// its neighbor row is scanned, with keyed draws from the slot's protocol
+// stream (keyed.go). No protocol re-tests whether a receiver is needy.
+// The intents come out grouped by ascending receiver, each with its link
+// PRR, so the engine admits them without a sort or a link lookup. Trickle
+// and DFlood derive all timer state from keyed RNG streams captured at
+// Reset plus world-state reads
 // (DFlood also keeps its timers on a fire calendar, brought up to the
 // slot at the top of its Intents and advanced for the chosen timers at
 // the end), so their schedules are bit-identical whichever slots the

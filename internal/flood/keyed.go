@@ -1,12 +1,14 @@
 package flood
 
 // The keyed draws every protocol in the package decides with. Each
-// protocol's Intents is one ascending pass over World.AwakeList that
-// decides each receiver right after scanning its row, drawing from
-// World.ProtoStream, the slot's keyed protocol stream. Every draw is keyed
-// by (slot, node), so it is a pure function of (seed, slot, pre-slot world
-// state): a draw skipped by an earlier test — OPT's and DBAO's walks stop
-// early, OF draws only for free candidates — moves no other, and no
+// protocol's Intents is one ascending pass over World.Frontier (the awake
+// receivers that lack a packet and have a holder neighbour; the engine
+// owns that test) that decides each receiver right after scanning its
+// row, drawing from World.ProtoStream, the slot's keyed protocol stream.
+// Every draw is keyed by (slot, node), so it is a pure function of (seed,
+// slot, pre-slot world state): a draw skipped by an earlier test — a
+// receiver left off the frontier, OPT's and DBAO's walks stopping early,
+// OF drawing only for free candidates — moves no other, and no
 // receiver's draws depend on the receivers decided before it. The one
 // cross-receiver state is contention: a sender serves one receiver per
 // slot (the assigned flags), and OF's density divisor counts the senders

@@ -46,19 +46,17 @@ func (n *Naive) CollisionsApply() bool { return true }
 // Overhears implements sim.Protocol.
 func (n *Naive) Overhears() bool { return false }
 
-// Intents implements sim.Protocol: per awake receiver in ascending order,
-// its contenders are the unassigned neighbors holding a needed packet that
-// do not defer, in ascending id order (rows are ascending). The rank
-// origin rotates by slot — no quality knowledge, just a deterministic
-// TDMA-ish rotation every node can compute — to pick the winner;
-// contenders hidden from it (carrier sense) fire on their keyed uniforms.
+// Intents implements sim.Protocol: per frontier receiver
+// (sim.World.Frontier) in ascending order, its contenders are the
+// unassigned neighbors holding a needed packet that do not defer, in
+// ascending id order (rows are ascending). The rank origin rotates by slot
+// — no quality knowledge, just a deterministic TDMA-ish rotation every
+// node can compute — to pick the winner; contenders hidden from it
+// (carrier sense) fire on their keyed uniforms.
 func (n *Naive) Intents(w *sim.World) []sim.Intent {
 	slot := w.ProtoStream()
 	out := n.out[:0]
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			continue
-		}
+	for _, r := range w.Frontier() {
 		row, prrs := n.csr.Row(r)
 		cands := w.FreeHolders(n.cands, r, row, n.assigned)
 		n.cands = cands

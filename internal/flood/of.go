@@ -85,25 +85,23 @@ func (o *OF) CollisionsApply() bool { return true }
 // through overhearing.
 func (o *OF) Overhears() bool { return false }
 
-// Intents implements sim.Protocol: per awake receiver in ascending order,
-// the tree parent serves its child when free, holding a needed packet and
-// not deferring; opportunistic senders (the other free neighbors holding
-// a needed packet) then decide independently and cannot know whether the
-// parent is about to transmit, so collisions with it are possible. Each
-// fires on its keyed uniform against forwardProbability, normalized by the
-// count of free opportunistic candidates (part of OF's p-value
-// computation), so the expected number of opportunistic transmissions per
-// wake-up stays O(Aggressiveness) rather than O(degree). A candidate's
-// packet — whose age feeds forwardProbability — is resolved only when its
-// uniform falls below maxForwardProbability; above that bound no packet
-// age can fire it. The parent's packet is left to the engine (FCFS).
+// Intents implements sim.Protocol: per frontier receiver
+// (sim.World.Frontier) in ascending order, the tree parent serves its
+// child when free, holding a needed packet and not deferring;
+// opportunistic senders (the other free neighbors holding a needed packet)
+// then decide independently and cannot know whether the parent is about to
+// transmit, so collisions with it are possible. Each fires on its keyed
+// uniform against forwardProbability, normalized by the count of free
+// opportunistic candidates (part of OF's p-value computation), so the
+// expected number of opportunistic transmissions per wake-up stays
+// O(Aggressiveness) rather than O(degree). A candidate's packet — whose
+// age feeds forwardProbability — is resolved only when its uniform falls
+// below maxForwardProbability; above that bound no packet age can fire it.
+// The parent's packet is left to the engine (FCFS).
 func (o *OF) Intents(w *sim.World) []sim.Intent {
 	slot := w.ProtoStream()
 	out := o.out[:0]
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			continue
-		}
+	for _, r := range w.Frontier() {
 		parent := o.tr.Parent[r]
 		parentServes := parent >= 0 && !o.assigned[parent] && w.AnyNeeded(parent, r) && !deferKeyed(w, parent, &slot)
 		if parentServes {

@@ -43,18 +43,16 @@ func (o *OPT) CollisionsApply() bool { return false }
 // scheme, contradicting its definition.
 func (o *OPT) Overhears() bool { return !o.DisableOverhearing }
 
-// Intents implements sim.Protocol: per awake receiver in ascending order,
-// the first entry of its rank row (topology.CSR.Ranked: PRR descending,
-// id ascending) that is unassigned, holds a needed packet and does not
-// defer transmits the FCFS packet. A sender serves one receiver per slot
-// (semi-duplex); a contended receiver falls back to its next-best holder.
+// Intents implements sim.Protocol: per frontier receiver
+// (sim.World.Frontier) in ascending order, the first entry of its rank row
+// (topology.CSR.Ranked: PRR descending, id ascending) that is unassigned,
+// holds a needed packet and does not defer transmits the FCFS packet. A
+// sender serves one receiver per slot (semi-duplex); a contended receiver
+// falls back to its next-best holder.
 func (o *OPT) Intents(w *sim.World) []sim.Intent {
 	slot := w.ProtoStream()
 	out := o.out[:0]
-	for _, r := range w.AwakeList() {
-		if !w.NeedsAnything(r) {
-			continue
-		}
+	for _, r := range w.Frontier() {
 		row, prrs := o.rank.Row(r)
 		wi := firstFree(w, o.assigned, row, r, &slot)
 		if wi < 0 {

@@ -27,9 +27,6 @@ import (
 // Every timer quantity is a pure function of the pre-slot world state and
 // a keyed RNG stream captured at Reset: fire points are keyed by (node,
 // interval start), so they are unaffected by the slots the engine skips.
-// A receiver scans its row only when some neighbour holds a packet it
-// lacks, read off the engine's neighbour-holder count
-// (sim.World.TrackNeighborHolders, turned on at Reset).
 type Trickle struct {
 	// Imin is the smallest Trickle interval in slots. Zero selects the
 	// default (16).
@@ -81,7 +78,6 @@ func (t *Trickle) Reset(w *sim.World) {
 	t.timer = *w.ProtoRNG.SubName("trickle.timer")
 	t.assigned = make([]bool, w.Graph.N())
 	t.supp.reset(w.Graph.N())
-	w.TrackNeighborHolders()
 }
 
 // CollisionsApply implements sim.Protocol: Trickle is a practical
@@ -178,14 +174,14 @@ func (t *Trickle) suppressedAt(w *sim.World, s int, startS int64) bool {
 	return false
 }
 
-// Intents implements sim.Protocol: per awake receiver in ascending order,
-// the first unassigned neighbor in row order whose Trickle timer is armed
-// this slot, is not suppressed, and does not defer transmits its FCFS
-// packet (serve).
+// Intents implements sim.Protocol: per frontier receiver
+// (sim.World.Frontier) in ascending order, the first unassigned neighbor
+// in row order whose Trickle timer is armed this slot, is not suppressed,
+// and does not defer transmits its FCFS packet (serve).
 func (t *Trickle) Intents(w *sim.World) []sim.Intent {
 	slot := w.ProtoStream()
 	out := t.out[:0]
-	for _, r := range w.AwakeList() {
+	for _, r := range w.Frontier() {
 		if in, ok := t.serve(w, r, &slot); ok {
 			t.assigned[in.From] = true
 			t.supp.message()
@@ -203,14 +199,8 @@ func (t *Trickle) Intents(w *sim.World) []sim.Intent {
 // armed (fire point passed within the current interval), whose firing is
 // not suppressed, that is unassigned and does not defer. Every armed
 // neighbor whose firing is suppressed is tallied, once per sender per
-// slot. Timer state is pure (keyed stream captured at Reset). A receiver
-// none of whose neighbours holds a packet it lacks returns at once, read
-// off the neighbour-holder count: the row scan would find no armed
-// neighbor and draw nothing.
+// slot. Timer state is pure (keyed stream captured at Reset).
 func (t *Trickle) serve(w *sim.World, r int, slot *rngutil.Stream) (in sim.Intent, ok bool) {
-	if !w.NeighborHoldsNeeded(r) {
-		return in, false
-	}
 	now := w.Now()
 	row, prrs := t.csr.Row(r)
 	for i, s32 := range row {

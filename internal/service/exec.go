@@ -115,6 +115,8 @@ type jobRun struct {
 	ttl   time.Duration
 	job   *Job
 	start time.Time
+	// cellStart is the service's worker hook (Service.cellStart).
+	cellStart func()
 
 	mu     sync.Mutex
 	slots  int64 // simulated slots accumulated (journaled + accepted)
@@ -166,6 +168,7 @@ func (s *Service) runJob(j *Job) {
 	r := &jobRun{
 		mgr: mgr, grid: grid, jrn: jrn, key: grid.JournalKey(),
 		ttl: ttl, job: j, start: time.Now(), slots: slots,
+		cellStart: s.cellStart,
 	}
 	chunks := mgr.Snapshot().Chunks
 
@@ -341,6 +344,9 @@ func (r *jobRun) localExec(ctx context.Context, grace time.Duration, parallel in
 			defer wg.Done()
 			for c := range cells {
 				idx := c.chunk.lease.Cells[c.pos]
+				if r.cellStart != nil {
+					r.cellStart()
+				}
 				outs, err := RunChunk(ctx, r.grid, []int{idx}, 1, r.job.Registry)
 				if err != nil {
 					outs = []CellOutcome{{Index: idx, Error: err.Error()}}

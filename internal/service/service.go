@@ -135,6 +135,9 @@ type Service struct {
 	nextID   int
 
 	schedDone chan struct{}
+	// cellStart, when non-nil, is called by every local worker just
+	// before it simulates a cell. Tests set it before the first Submit.
+	cellStart func()
 }
 
 // New opens (or creates) the job root at opts.Dir, re-queues any
@@ -256,10 +259,6 @@ func (s *Service) logf(format string, args ...any) {
 		s.opts.Logf(format, args...)
 	}
 }
-
-// Registry returns the service-level telemetry registry (the floodd.*
-// instruments).
-func (s *Service) Registry() *telemetry.Registry { return s.reg }
 
 // Submit applies Spec's documented defaults, validates the result by
 // compiling it, admits it into the bounded queue, persists it to its own

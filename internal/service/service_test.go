@@ -390,33 +390,42 @@ func TestServiceDrainKeepsFinishedCells(t *testing.T) {
 }
 
 // TestSmallJobRunsCellsConcurrently: a job of fewer cells than a chunk
-// still keeps its batch parallelism in flight. Both cells of the one
-// chunk overrun a wall-clock timeout; run side by side they fail
-// together after one timeout, where a chunk simulated one cell at a time
-// would take two.
+// still keeps its batch parallelism in flight. Each cell blocks in the
+// workers' start hook until both have started, so a chunk simulated one
+// cell at a time never starts its second cell and fails the deadline.
 func TestSmallJobRunsCellsConcurrently(t *testing.T) {
-	const timeout = 400 * time.Millisecond
 	spec := service.Spec{
 		Protocols: []string{"dbao"},
 		Duties:    []float64{0.01},
 		Seeds:     2,
-		M:         12000, // well over a second per cell
+		M:         5,
 		Coverage:  0.99,
 		TopoSeed:  1,
 		Parallel:  2,
-		Timeout:   service.Duration(timeout),
 	}
 	s := newService(t, t.TempDir(), service.Options{})
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	service.SetCellStartHook(s, func() {
+		started <- struct{}{}
+		<-release
+	})
 	j, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitState(t, s, j.ID, 60*time.Second); st != service.StateFailed {
-		t.Fatalf("job = %s, want failed on the timeout", st)
+	deadline := time.After(30 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-deadline:
+			close(release)
+			t.Fatalf("%d of 2 cells started: the cells ran one after the other", i)
+		}
 	}
-	st := j.Status()
-	if d := st.Finished.Sub(*st.Started); d >= 2*timeout-timeout/4 {
-		t.Fatalf("two %v timeouts took %v from start to failure: the cells ran one after the other", timeout, d)
+	close(release)
+	if st := waitState(t, s, j.ID, 60*time.Second); st != service.StateDone {
+		t.Fatalf("job = %s, want done", st)
 	}
 }
 
@@ -586,7 +595,7 @@ func TestServiceConcurrentSubmits(t *testing.T) {
 		}
 	}
 	// All eight ran to done; the counters agree.
-	snap := s.Registry().Snapshot()
+	snap := service.Registry(s).Snapshot()
 	if snap["floodd.jobs.submitted"] != n || snap["floodd.jobs.completed"] != n {
 		t.Fatalf("counters: submitted=%d completed=%d, want %d/%d",
 			snap["floodd.jobs.submitted"], snap["floodd.jobs.completed"], n, n)

@@ -8,7 +8,6 @@ import (
 
 	"ldcflood/internal/fault"
 	"ldcflood/internal/rngutil"
-	"ldcflood/internal/topology"
 )
 
 // ErrInterrupted is wrapped by the error Run returns when a
@@ -49,11 +48,6 @@ type engine struct {
 	maxSlots   int64
 	covered    int
 
-	// csr is the graph's flat adjacency view: link lookups for intents
-	// with an unknown PRR and the overhearing phase's neighbor rows.
-	// Shared, read-only.
-	csr *topology.CSR
-
 	// Keyed-stream slot resolution (see slot.go). slotRoot seeds the
 	// per-slot stream tree; slotStream is re-derived at the top of every
 	// slot.
@@ -63,11 +57,11 @@ type engine struct {
 	// Fault injection (nil/empty when Config.Faults is unset, in which
 	// case every hook below is a single nil or length check in the hot
 	// loop). events is the compiled churn timeline, consumed in slot order
-	// through eventCursor; crashed marks nodes that are currently down.
+	// through eventCursor; a node that is currently down carries
+	// flagCrashed.
 	inj         *fault.Injector
 	events      []fault.Event
 	eventCursor int
-	crashed     []bool
 
 	// tel is the resolved telemetry instrument set, nil when
 	// Config.Telemetry is unset — in which case every telemetry site in the
@@ -75,25 +69,22 @@ type engine struct {
 	tel *simTel
 
 	// Per-slot scratch, reused across slots. rxList is the receivers
-	// targeted this slot.
-	rxList      []int
-	successes   []success
-	targeted    []bool
-	recvNow     []bool
-	txTouched   []int // nodes whose transmitting flag was set this slot
-	recvTouched []int // nodes whose recvNow flag was set this slot
+	// targeted this slot. touched lists the nodes given one of slotFlags
+	// this slot, for cleanupSlot.
+	rxList    []int
+	successes []success
+	touched   []int32
+	// scan holds the nodes scheduled awake when there is no awake plan.
+	scan []int32
 
 	// milestones lists the packets whose holder count a delivery brought
 	// to 2 or to coverNodes this slot, for accountCoverage.
 	milestones []int32
 
 	// Overhearing scratch: senderSuccess maps a sender to its index in
-	// successes (-1 otherwise), reset sparsely after every slot; ohSeen
-	// flags each candidate node so it is decided once; ohClaimed lists the
-	// flagged nodes, to reset them, and ohHits the slot's overhear hits.
+	// successes (-1 otherwise), reset sparsely after every slot; ohHits
+	// lists the slot's overhear hits.
 	senderSuccess []int32
-	ohSeen        []bool
-	ohClaimed     []int32
 	ohHits        []ohHit
 
 	// Phase B state. Admitted intents, ascending by receiver, land in one
@@ -161,8 +152,9 @@ func run(cfg Config, everySlot bool) (*Result, error) {
 		heldCount:      make([]int, n),
 		recvTime:       make([]int64, n*cfg.M),
 		count:          make([]int, cfg.M),
-		awake:          make([]bool, n),
-		transmitting:   make([]bool, n),
+		holderNbrs:     make([]int32, n),
+		flags:          make([]uint8, n),
+		csr:            cfg.Graph.CSR(),
 	}
 	for i := range w.recvTime {
 		w.recvTime[i] = -1
@@ -197,9 +189,6 @@ func run(cfg Config, everySlot bool) (*Result, error) {
 		interval:   interval,
 		coverNodes: coverNodes,
 		maxSlots:   maxSlots,
-		targeted:   make([]bool, n),
-		recvNow:    make([]bool, n),
-		crashed:    make([]bool, n),
 		everySlot:  everySlot,
 	}
 	if cfg.Faults != nil {
@@ -209,14 +198,12 @@ func run(cfg Config, everySlot bool) (*Result, error) {
 		e.inj = cfg.Faults.Compile(cfg.Graph, root.SubName("fault"))
 		e.events = e.inj.Events()
 	}
-	e.csr = cfg.Graph.CSR()
 	// The stream keeps its old name: renaming it would change every result.
 	e.slotRoot = root.SubName("shard")
 	e.senderSuccess = make([]int32, n)
 	for i := range e.senderSuccess {
 		e.senderSuccess[i] = -1
 	}
-	e.ohSeen = make([]bool, n)
 
 	if cfg.Telemetry != nil {
 		e.tel = newSimTel(cfg.Telemetry)
@@ -250,10 +237,10 @@ func (e *engine) applyFaults(t int64) {
 		ev := e.events[e.eventCursor]
 		e.eventCursor++
 		if ev.Up {
-			e.crashed[ev.Node] = false
+			e.w.flags[ev.Node] &^= flagCrashed
 			e.res.Reboots++
 		} else {
-			e.crashed[ev.Node] = true
+			e.w.flags[ev.Node] |= flagCrashed
 			e.res.Crashes++
 			e.res.CrashDropped += e.w.dropAll(ev.Node)
 		}
@@ -272,6 +259,9 @@ func (e *engine) inject(t int64) {
 	for e.w.injected < e.cfg.M && t == int64(e.w.injected)*int64(e.interval) {
 		p := e.w.injected
 		e.w.injected++
+		for i := range e.w.flags {
+			e.w.flags[i] |= flagNeedy
+		}
 		e.deliver(p, 0, t)
 		e.res.InjectTime[p] = t
 		if e.cfg.Observer != nil {
@@ -319,33 +309,7 @@ func (e *engine) runSlots() error {
 		w.now = t
 		e.applyFaults(t)
 		e.inject(t)
-		// Awake set. Crashed nodes stay dormant regardless of schedule.
-		if plan != nil {
-			for _, i := range w.awakeList {
-				w.awake[i] = false
-			}
-			w.awakeList = w.awakeList[:0]
-			for _, i := range plan.buckets[t%plan.L] {
-				if e.crashed[i] {
-					continue
-				}
-				w.awake[i] = true
-				w.awakeList = append(w.awakeList, int(i))
-				if countAwake {
-					res.AwakeSlotsPerNode[i]++
-				}
-			}
-		} else {
-			w.awakeList = w.awakeList[:0]
-			for i := 0; i < e.n; i++ {
-				a := cfg.Schedules[i].IsActive(t) && !e.crashed[i]
-				w.awake[i] = a
-				if a {
-					w.awakeList = append(w.awakeList, i)
-					res.AwakeSlotsPerNode[i]++
-				}
-			}
-		}
+		e.wake(e.scheduled(plan, t), countAwake)
 		if err := e.resolveSlot(t); err != nil {
 			return err
 		}
@@ -360,6 +324,57 @@ func (e *engine) runSlots() error {
 		}
 	}
 	return nil
+}
+
+// scheduled returns the nodes scheduled awake at slot t, ascending: the
+// plan's bucket, or a scan of every schedule when there is no plan.
+func (e *engine) scheduled(plan *awakePlan, t int64) []int32 {
+	if plan != nil {
+		return plan.buckets[t%plan.L]
+	}
+	e.scan = e.scan[:0]
+	for i, s := range e.cfg.Schedules {
+		if s.IsActive(t) {
+			e.scan = append(e.scan, int32(i))
+		}
+	}
+	return e.scan
+}
+
+// wake builds the slot's awake set and frontier from the nodes scheduled
+// awake, ascending. Crashed nodes stay dormant regardless of schedule.
+// It runs after the slot's crashes and injections, so the frontier reads
+// the pre-slot state. Every awake node is written to the frontier and its
+// length advances only past a node whose byte has frontierFlags, so that
+// test feeds no branch.
+func (e *engine) wake(scheduled []int32, countAwake bool) {
+	w := e.w
+	for _, i := range w.awakeList {
+		w.flags[i] &^= flagAwake
+	}
+	if cap(w.frontier) < len(scheduled) {
+		w.frontier = make([]int, len(scheduled))
+	}
+	awake, fr := w.awakeList[:0], w.frontier[:len(scheduled)]
+	k := 0
+	for _, i := range scheduled {
+		f := w.flags[i]
+		if f&flagCrashed != 0 {
+			continue
+		}
+		w.flags[i] = f | flagAwake
+		awake = append(awake, int(i))
+		if countAwake {
+			e.res.AwakeSlotsPerNode[i]++
+		}
+		fr[k] = int(i)
+		in := 0
+		if f&frontierFlags == frontierFlags {
+			in = 1
+		}
+		k += in
+	}
+	w.awakeList, w.frontier = awake, fr[:k]
 }
 
 // vetIntent is admission without the grouping: PacketFCFS resolution,
@@ -386,22 +401,21 @@ func (e *engine) vetIntent(in *Intent, t int64) (bool, error) {
 		return false, fmt.Errorf("sim: node %d does not hold packet %d", in.From, in.Packet)
 	}
 	if in.PRR == 0 {
-		in.PRR = e.csr.PRROf(in.From, in.To)
+		in.PRR = w.csr.PRROf(in.From, in.To)
 	}
 	if in.PRR <= 0 {
 		return false, fmt.Errorf("sim: intent over non-link %d-%d", in.From, in.To)
 	}
-	if !w.awake[in.To] {
+	if w.flags[in.To]&flagAwake == 0 {
 		return false, fmt.Errorf("sim: intent to dormant node %d", in.To)
 	}
-	if w.transmitting[in.From] {
+	if w.flags[in.From]&flagTransmitting != 0 {
 		return false, nil // one transmission per sender per slot
 	}
 	if w.Has(in.Packet, in.To) {
 		return false, nil // receiver already has it; drop silently
 	}
-	w.transmitting[in.From] = true
-	e.txTouched = append(e.txTouched, in.From)
+	e.mark(in.From, flagTransmitting)
 	if cfg.SyncErrorProb > 0 && e.syncRNG.Bool(cfg.SyncErrorProb) {
 		// Local-synchronization miss: the sender fires at the
 		// wrong slot and nobody is listening.
@@ -460,44 +474,45 @@ func (e *engine) groupTxs(i int) []Intent {
 	return e.rxFlat[e.rxOff[i]:e.rxOff[i+1]]
 }
 
-// cleanupSlot resets exactly the scratch entries this slot touched, so
-// consecutive slots need no O(n) wipes.
-func (e *engine) cleanupSlot() {
-	w := e.w
-	for _, r := range e.rxList {
-		e.targeted[r] = false
+// mark sets slot flag f on node i, listing the node in touched the first
+// time it gets one of slotFlags.
+func (e *engine) mark(i int, f uint8) {
+	if e.w.flags[i]&slotFlags == 0 {
+		e.touched = append(e.touched, int32(i))
 	}
-	for _, i := range e.txTouched {
-		w.transmitting[i] = false
-	}
-	e.txTouched = e.txTouched[:0]
-	for _, i := range e.recvTouched {
-		e.recvNow[i] = false
-	}
-	e.recvTouched = e.recvTouched[:0]
+	e.w.flags[i] |= f
 }
 
-// deliverNow records an in-slot reception: the packet is delivered and the
-// node is marked as having received this slot (blocking overhearing).
-func (e *engine) deliverNow(p, node int, t int64) {
-	e.deliver(p, node, t)
-	if !e.recvNow[node] {
-		e.recvNow[node] = true
-		e.recvTouched = append(e.recvTouched, node)
+// cleanupSlot clears slotFlags from the nodes this slot touched, so
+// consecutive slots need no O(n) wipes. The awake flags stay until the
+// next visited slot rebuilds the awake set, so IsAwake agrees with
+// AwakeList between slots.
+func (e *engine) cleanupSlot() {
+	w := e.w
+	for _, i := range e.touched {
+		w.flags[i] &^= slotFlags
 	}
+	e.touched = e.touched[:0]
 }
 
 // deliver records node's reception of packet p at slot t, keeps the
-// neighbour-holder count current, and lists p for accountCoverage when
+// neighbours' holder counts current, and lists p for accountCoverage when
 // the reception brings its holder count to 2 or to coverNodes.
 func (e *engine) deliver(p, node int, t int64) {
-	if !e.w.deliver(p, node, t) {
+	w := e.w
+	if !w.deliver(p, node, t) {
 		return
 	}
-	if e.w.nbrHeld != nil {
-		e.w.addHolder(p, node, 1)
+	if w.heldCount[node] == 1 {
+		w.addHolderNbr(node, 1)
 	}
-	if c := e.w.count[p]; c == 2 || c == e.coverNodes {
+	if w.heldCount[node] == w.injected {
+		w.flags[node] &^= flagNeedy
+	}
+	if w.nbrHeld != nil {
+		w.addHolder(p, node, 1)
+	}
+	if c := w.count[p]; c == 2 || c == e.coverNodes {
 		e.milestones = append(e.milestones, int32(p))
 	}
 }

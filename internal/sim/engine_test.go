@@ -437,8 +437,8 @@ func TestWorldAccessors(t *testing.T) {
 				if w.RecvTime(0, 2) != -1 {
 					t.Errorf("unreceived RecvTime = %d", w.RecvTime(0, 2))
 				}
-				if w.Count(0) != 2 { // source + node 1 (delivered at t=0)
-					t.Errorf("Count(0) = %d", w.Count(0))
+				if w.count[0] != 2 { // source + node 1 (delivered at t=0)
+					t.Errorf("count[0] = %d", w.count[0])
 				}
 				if !w.NeedsAnything(2) || w.NeedsAnything(0) {
 					t.Error("NeedsAnything wrong")

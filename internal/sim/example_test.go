@@ -20,10 +20,9 @@ func ExampleFuncProtocol() {
 		ProtocolName: "hopper",
 		IntentsFunc: func(w *sim.World) []sim.Intent {
 			var out []sim.Intent
-			for _, r := range w.AwakeList() {
-				if r == 0 {
-					continue
-				}
+			// The frontier lists the awake nodes missing a packet
+			// that a neighbour holds; the source is never on it.
+			for _, r := range w.Frontier() {
 				if pkt := w.OldestNeeded(r-1, r); pkt >= 0 {
 					out = append(out, sim.Intent{From: r - 1, To: r, Packet: pkt})
 				}

@@ -85,6 +85,10 @@ func possessionWorld(g *topology.Graph, m int) *World {
 		recvTime:  make([]int64, n*m),
 		count:     make([]int, m),
 		injected:  m,
+		// dropAll updates the neighbours' holder counts and flags.
+		holderNbrs: make([]int32, n),
+		flags:      make([]uint8, n),
+		csr:        g.CSR(),
 	}
 	for i := range w.recvTime {
 		w.recvTime[i] = -1

@@ -10,21 +10,24 @@ package sim
 //
 // A slot resolves in phases:
 //
-//	A  faults, injection, chain Sync, awake set — in the caller.
+//	A  faults, injection, chain Sync, awake set and frontier — in the
+//	   caller.
 //	B  protocol intents: one Protocol.Intents call. The intents are
 //	   stably sorted by receiver unless they already ascend (every
 //	   protocol in internal/flood decides in one ascending pass over the
-//	   awake receivers, so its intents do), then admitted in that order:
+//	   frontier, so its intents do), then admitted in that order:
 //	   PacketFCFS resolution, validation, one transmission per sender and
 //	   the syncRNG draws, one sequential stream.
 //	C  per-receiver delivery decisions, each made just before
-//	D  its application, in ascending receiver order: counters,
-//	   deliveries, Observer callbacks. A decision reads nothing an
-//	   earlier receiver's delivery writes.
-//	E  overhearing: scan the successful senders' neighbor rows, filter to
-//	   awake, silent, untargeted nodes, flag each survivor so a node
-//	   adjacent to two successes is decided exactly once, and decide the
-//	   flagged nodes into one hit list before any of them is delivered.
+//	D  its application, in ascending receiver order: the delivery, then
+//	   one pass over the receiver's attempts for counters and Observer
+//	   callbacks. A decision reads nothing an earlier receiver's delivery
+//	   writes.
+//	E  overhearing: scan the successful senders' neighbor rows, keep the
+//	   awake nodes with none of slotFlags (silent, untargeted, not yet
+//	   decided), flag each so a node adjacent to two successes is
+//	   decided exactly once, and decide them into one hit list before any
+//	   of them is delivered.
 //	F  sort the hits into ascending node order — O(delivered·log
 //	   delivered), not O(row entries scanned) — and deliver them, then
 //	   coverage accounting and scratch cleanup. Coverage is accounted
@@ -53,22 +56,26 @@ import (
 // every node key modulo 2^63. 2^62 satisfies both for any n < 2^61.
 const protoStreamKey = 1 << 62
 
-// rxKind classifies a receiver's slot outcome.
-type rxKind uint8
-
-const (
-	rxJam rxKind = iota
-	rxBusy
-	rxCollision // concurrent frames all lost
-	rxSeq       // sequential attempts; deliverIdx is the first success
-)
-
-// rxRecord is one receiver's delivery decision.
+// rxRecord is one receiver's delivery decision over its intent group.
 type rxRecord struct {
-	kind rxKind
-	// deliverIdx indexes the delivered intent within the receiver's intent
-	// group, or -1 when nothing was decoded.
+	// fail is the outcome of every attempt before deliverIdx: TxJammed,
+	// TxBusy, TxCollision (concurrent frames all lost) or TxLoss.
+	fail TxOutcome
+	// deliverIdx indexes the delivered intent within the group, or -1
+	// when nothing was decoded. Attempts after it are redundant.
 	deliverIdx int32
+}
+
+// outcome returns the outcome of attempt j of the receiver's group.
+func (rec rxRecord) outcome(j int) TxOutcome {
+	switch d := int(rec.deliverIdx); {
+	case d < 0 || j < d:
+		return rec.fail
+	case j == d:
+		return TxSuccess
+	default:
+		return TxRedundant
+	}
 }
 
 // ohHit is one overhearing delivery: node decoded the success at index
@@ -198,104 +205,71 @@ func (e *engine) resolveSlot(t int64) error {
 	// Phases C + D: every targeted receiver decides its outcome from its
 	// private (seed, slot, receiver) stream, and the outcomes are applied
 	// in ascending receiver order, so counters, deliveries and Observer
-	// callbacks are deterministic.
+	// callbacks are deterministic. A redundant attempt counts as a loss.
 	e.successes = e.successes[:0]
 	for i, r := range e.rxList {
 		txs := e.groupTxs(i)
-		res.Transmissions += len(txs)
-		for _, tx := range txs {
-			res.TxPerNode[tx.From]++
-		}
-		e.targeted[r] = true
 		rec := e.decideReceiver(i, t)
-		switch rec.kind {
-		case rxJam:
-			res.JamFailures += len(txs)
-			if cfg.Observer != nil {
-				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxJammed)
-				}
+		if rec.deliverIdx >= 0 {
+			got := txs[rec.deliverIdx]
+			e.deliver(got.Packet, r, t)
+			e.successes = append(e.successes, success{got.From, got.Packet})
+		}
+		res.Transmissions += len(txs)
+		for j, tx := range txs {
+			res.TxPerNode[tx.From]++
+			outcome := rec.outcome(j)
+			switch outcome {
+			case TxJammed:
+				res.JamFailures++
+			case TxBusy:
+				res.BusyFailures++
+			case TxCollision:
+				res.CollisionFailures++
+			case TxLoss, TxRedundant:
+				res.LossFailures++
 			}
-		case rxBusy:
-			res.BusyFailures += len(txs)
 			if cfg.Observer != nil {
-				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxBusy)
-				}
-			}
-		case rxCollision:
-			res.CollisionFailures += len(txs)
-			if cfg.Observer != nil {
-				for _, tx := range txs {
-					cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxCollision)
-				}
-			}
-		case rxSeq:
-			if rec.deliverIdx < 0 {
-				res.LossFailures += len(txs)
-				if cfg.Observer != nil {
-					for _, tx := range txs {
-						cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, TxLoss)
-					}
-				}
-			} else {
-				got := txs[rec.deliverIdx]
-				res.LossFailures += len(txs) - 1
-				e.deliverNow(got.Packet, r, t)
-				e.successes = append(e.successes, success{got.From, got.Packet})
-				if cfg.Observer != nil {
-					for j, tx := range txs {
-						outcome := TxSuccess
-						if j < int(rec.deliverIdx) {
-							outcome = TxLoss
-						} else if j > int(rec.deliverIdx) {
-							outcome = TxRedundant
-						}
-						cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, outcome)
-					}
-				}
+				cfg.Observer.OnTransmit(t, tx.From, r, tx.Packet, outcome)
 			}
 		}
 	}
 
-	// Phases E + F: overhearing. Each eligible neighbor of a successful
-	// sender is flagged in ohSeen on first sight, so it is decided once,
-	// against the slot's successes; the hits are then sorted into
-	// ascending node order before any of them is delivered.
+	// Phases E + F: overhearing. An awake neighbor of a successful sender
+	// with none of slotFlags is flagged on first sight, so it is decided
+	// once, against the slot's successes; the hits are then sorted into
+	// ascending node order before any of them is delivered. A node that
+	// received in phase D was targeted, so the filter also keeps out
+	// every node that already decoded a packet this slot.
 	if cfg.Protocol.Overhears() && len(e.successes) > 0 {
 		for si, s := range e.successes {
 			e.senderSuccess[s.from] = int32(si)
 		}
-		hits, claimed := e.ohHits[:0], e.ohClaimed[:0]
+		hits := e.ohHits[:0]
 		for _, s := range e.successes {
-			row, _ := e.csr.Row(s.from)
+			row, _ := w.csr.Row(s.from)
 			for _, o32 := range row {
-				o := int(o32)
-				if !w.awake[o] || e.targeted[o] || w.transmitting[o] || e.recvNow[o] || e.ohSeen[o] {
+				if w.flags[o32]&(flagAwake|slotFlags) != flagAwake {
 					continue
 				}
-				e.ohSeen[o] = true
-				claimed = append(claimed, o32)
-				if dsi := e.decideOverhear(o, t); dsi >= 0 {
+				e.mark(int(o32), flagOverheard)
+				e.statOhCands++
+				if dsi := e.decideOverhear(int(o32), t); dsi >= 0 {
 					hits = append(hits, ohHit{node: o32, succ: dsi})
 				}
 			}
 		}
-		e.statOhCands += int64(len(claimed))
 		// Node ids are unique within a slot's hits (the flag guarantees it).
 		slices.SortFunc(hits, func(a, b ohHit) int { return int(a.node - b.node) })
 		for _, h := range hits {
 			s := e.successes[h.succ]
-			e.deliverNow(s.packet, int(h.node), t)
+			e.deliver(s.packet, int(h.node), t)
 			res.Overheard++
 			if cfg.Observer != nil {
 				cfg.Observer.OnOverhear(t, s.from, int(h.node), s.packet)
 			}
 		}
-		for _, o := range claimed {
-			e.ohSeen[o] = false
-		}
-		e.ohHits, e.ohClaimed = hits, claimed
+		e.ohHits = hits
 		for _, s := range e.successes {
 			e.senderSuccess[s.from] = -1
 		}
@@ -337,6 +311,7 @@ func (e *engine) admitIntents(t int64) error {
 			continue
 		}
 		if in.To != lastTo {
+			e.mark(in.To, flagTargeted)
 			e.rxList = append(e.rxList, in.To)
 			e.rxOff = append(e.rxOff, int32(len(e.rxFlat)))
 			lastTo = in.To
@@ -356,23 +331,21 @@ func (e *engine) decideReceiver(i int, t int64) rxRecord {
 	cfg := &e.cfg
 	r := e.rxList[i]
 	txs := e.groupTxs(i)
-	rec := rxRecord{deliverIdx: -1}
+	rec := rxRecord{fail: TxLoss, deliverIdx: -1}
 	switch {
 	case e.inj != nil && e.inj.Jammed(t, r):
-		rec.kind = rxJam
-	case e.w.transmitting[r]:
-		rec.kind = rxBusy
+		rec.fail = TxJammed
+	case e.w.flags[r]&flagTransmitting != 0:
+		rec.fail = TxBusy
 	case len(txs) > 1 && cfg.Protocol.CollisionsApply():
-		rec.kind = rxCollision
+		rec.fail = TxCollision
 	case len(txs) == 1:
 		// One attempt draws at most once, so only the keyed stream's
 		// first uniform is derived; Bool's clamps are kept.
-		rec.kind = rxSeq
 		if p := e.scaledPRR(&txs[0], t); p >= 1 || p > 0 && e.slotStream.SubFloat64(uint64(r)*2) < p {
 			rec.deliverIdx = 0
 		}
 	default:
-		rec.kind = rxSeq
 		rng := e.slotStream.SubValue(uint64(r) * 2)
 		for j := range txs {
 			if rng.Bool(e.scaledPRR(&txs[j], t)) {
@@ -398,7 +371,7 @@ func (e *engine) decideOverhear(o int, t int64) int32 {
 	if e.inj != nil && e.inj.Jammed(t, o) {
 		return -1
 	}
-	row, prrs := e.csr.Row(o)
+	row, prrs := w.csr.Row(o)
 	rng := e.slotStream.SubValue(uint64(o)*2 + 1)
 	for j, nb := range row {
 		si := e.senderSuccess[nb]

@@ -46,24 +46,50 @@ type World struct {
 	injected  int     // packets injected so far
 	now       int64
 
-	awake        []bool
-	awakeList    []int
-	transmitting []bool
+	// holderNbrs[v] is how many of v's neighbours hold at least one
+	// packet. The engine raises it along a node's row when the node gets
+	// its first packet and lowers it when a crash empties the node.
+	holderNbrs []int32
+	// flags holds one byte of marks per node: the slot's (flagAwake and
+	// slotFlags) and the persistent state the frontier and the awake set
+	// are built from, so building them loads one byte per node.
+	flags     []uint8
+	awakeList []int
+	frontier  []int
 
 	// protoSlot is the slot's keyed protocol stream, re-derived by the
 	// engine every slot.
 	protoSlot rngutil.Stream
 
-	// nbrHeld is the opt-in neighbour-holder count (TrackNeighborHolders):
-	// nbrHeld[p*n+v] is how many of v's neighbours hold packet p. Nil
-	// unless a protocol asked for it; dropAll and the engine's delivery
-	// sites keep it current by walking the node's csr row. holderLog
-	// journals every change to it, one entry per possession change; the
-	// engine empties it after every Protocol.Intents call.
+	// nbrHeld is the opt-in per-packet neighbour-holder count
+	// (TrackNeighborHolders): nbrHeld[p*n+v] is how many of v's neighbours
+	// hold packet p. Nil unless a protocol asked for it; dropAll and the
+	// engine's delivery sites keep it current by walking the node's csr
+	// row. holderLog journals every change to it, one entry per possession
+	// change; the engine empties it after every Protocol.Intents call.
 	nbrHeld   []int32
 	holderLog []HolderChange
-	csr       *topology.CSR
+	// csr is the graph's flat adjacency view, shared and read-only: the
+	// holder counts' row walks, link lookups for intents with an unknown
+	// PRR and the overhearing phase's neighbor rows.
+	csr *topology.CSR
 }
+
+// The per-node flags in World.flags. flagAwake lasts until the next
+// visited slot and slotFlags until the end of the slot; the rest mirror
+// the node's state and change only with it.
+const (
+	flagAwake        uint8 = 1 << iota // in its active slot and not crashed
+	flagTargeted                       // the receiver of an admitted intent
+	flagTransmitting                   // the sender of an admitted intent
+	flagOverheard                      // decided as an overhear candidate
+	flagCrashed                        // down from a crash until its reboot
+	flagNeedy                          // lacks an injected packet
+	flagHolderNbr                      // holderNbrs is non-zero
+
+	slotFlags     = flagTargeted | flagTransmitting | flagOverheard
+	frontierFlags = flagNeedy | flagHolderNbr
+)
 
 // HolderChange is one possession change journaled while the
 // neighbour-holder count is tracked: Node gained (Delta +1) or lost
@@ -99,9 +125,9 @@ func (w *World) NeededWord(sender, receiver, i int) uint64 {
 	return w.has[sender*w.pwords+i] &^ w.has[receiver*w.pwords+i]
 }
 
-// TrackNeighborHolders turns on the neighbour-holder count read by
-// NeighborsHolding and NeighborHoldsNeeded, initialised from the current
-// possession state. A protocol that needs the count calls it from Reset;
+// TrackNeighborHolders turns on the per-packet neighbour-holder count
+// read by NeighborsHolding, initialised from the current possession
+// state. A protocol that needs the count calls it from Reset;
 // from then on every delivery and crash updates the count by walking the
 // node's neighbour row, outside Intents, so the count Intents reads is the
 // slot's pre-slot state. Every update is also journaled for
@@ -112,7 +138,6 @@ func (w *World) NeededWord(sender, receiver, i int) uint64 {
 // nothing.
 func (w *World) TrackNeighborHolders() {
 	n := w.Graph.N()
-	w.csr = w.Graph.CSR()
 	w.nbrHeld = make([]int32, w.M*n)
 	for v := 0; v < n; v++ {
 		for i, word := range w.has[v*w.pwords : (v+1)*w.pwords] {
@@ -130,32 +155,6 @@ func (w *World) NeighborsHolding(p, node int) int {
 	return int(w.nbrHeld[p*w.Graph.N()+node])
 }
 
-// NeighborHoldsNeeded reports whether some neighbour of node holds an
-// injected packet node lacks: one NeighborsHolding read per missing
-// packet, walked word by word. It requires TrackNeighborHolders.
-func (w *World) NeighborHoldsNeeded(node int) bool {
-	if w.heldCount[node] >= w.injected {
-		return false
-	}
-	n := w.Graph.N()
-	for i, word := range w.has[node*w.pwords : (node+1)*w.pwords] {
-		lo := i << 6
-		if lo >= w.injected {
-			break
-		}
-		miss := ^word
-		if w.injected-lo < 64 {
-			miss &= 1<<uint(w.injected-lo) - 1
-		}
-		for ; miss != 0; miss &= miss - 1 {
-			if w.nbrHeld[(lo+bits.TrailingZeros64(miss))*n+node] > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TakeHolderChanges returns the possession changes since the previous
 // Intents call, in the order they happened, and empties the journal. It
 // requires TrackNeighborHolders. The changes reflect the world up to the
@@ -167,6 +166,20 @@ func (w *World) TakeHolderChanges() []HolderChange {
 	out := w.holderLog
 	w.holderLog = w.holderLog[:0]
 	return out
+}
+
+// addHolderNbr adds d to the holder count of every neighbour of node: the
+// node got its first packet (+1) or a crash emptied it (-1).
+func (w *World) addHolderNbr(node int, d int32) {
+	row, _ := w.csr.Row(node)
+	for _, u := range row {
+		w.holderNbrs[u] += d
+		if w.holderNbrs[u] == 0 {
+			w.flags[u] &^= flagHolderNbr
+		} else {
+			w.flags[u] |= flagHolderNbr
+		}
+	}
 }
 
 // addHolder adds d to packet p's holder count at every neighbour of node
@@ -188,15 +201,23 @@ func (w *World) addHolder(p, node int, d int32) {
 // RecvTime returns the slot at which node received packet p, or -1.
 func (w *World) RecvTime(p, node int) int64 { return w.recvTime[node*w.M+p] }
 
-// Count returns the number of nodes currently holding packet p.
-func (w *World) Count(p int) int { return w.count[p] }
-
 // IsAwake reports whether node is in its active slot right now.
-func (w *World) IsAwake(node int) bool { return w.awake[node] }
+func (w *World) IsAwake(node int) bool { return w.flags[node]&flagAwake != 0 }
 
 // AwakeList returns the nodes awake this slot, ascending. The slice is
 // owned by the engine; do not modify or retain it.
 func (w *World) AwakeList() []int { return w.awakeList }
+
+// Frontier returns the slot's possible receivers, ascending: the awake
+// nodes that lack an injected packet and have a neighbour holding at
+// least one packet. A packet only ever moves from a holder to an awake
+// neighbour that lacks it (the compact model's X(c+1) = X(c) + S(c)·I),
+// so a protocol decides only these. With one packet it is exactly the awake
+// nodes a neighbour can serve; with more, a node whose holder neighbours
+// hold only packets it has is listed too. The engine builds it once per
+// visited slot, before Intents. The slice is owned by the engine; do not
+// modify or retain it.
+func (w *World) Frontier() []int { return w.frontier }
 
 // ProtoStream returns a copy of the slot's keyed protocol stream, derived
 // from the run seed and the slot alone. A protocol draws (slot, node)-keyed
@@ -207,7 +228,7 @@ func (w *World) ProtoStream() rngutil.Stream { return w.protoSlot }
 
 // NeedsAnything reports whether node is missing any injected packet.
 func (w *World) NeedsAnything(node int) bool {
-	return w.heldCount[node] < w.injected
+	return w.flags[node]&flagNeedy != 0
 }
 
 // OldestNeeded returns the packet that sender should forward to receiver
@@ -300,10 +321,11 @@ func (w *World) FreeHolders(dst []int32, receiver int, row []int32, busy []bool)
 
 // dropAll clears node's entire packet buffer — the engine applies it when
 // a fault-schedule crash takes effect. Possession bits, reception times,
-// the per-packet holder counts and (when tracked) the neighbour-holder
-// counts are rolled back; latched Result fields (CoverTime, Delay) are
-// deliberately untouched, so coverage remains monotone per packet. It
-// returns the number of packet copies dropped.
+// the per-packet holder counts, the neighbours' holder counts and (when
+// tracked) the per-packet neighbour-holder counts are rolled back; latched
+// Result fields (CoverTime, Delay) are deliberately untouched, so coverage
+// remains monotone per packet. It returns the number of packet copies
+// dropped.
 func (w *World) dropAll(node int) int {
 	dropped := 0
 	words := w.has[node*w.pwords : (node+1)*w.pwords]
@@ -320,13 +342,18 @@ func (w *World) dropAll(node int) int {
 		}
 		words[i] = 0
 	}
+	if dropped > 0 {
+		w.addHolderNbr(node, -1)
+		w.flags[node] |= flagNeedy
+	}
 	w.heldCount[node] = 0
 	return dropped
 }
 
 // deliver records node's reception of packet p at slot t and reports
-// whether it was new. It leaves the neighbour-holder count to the caller
-// (addHolder when nbrHeld is non-nil), so it stays small enough to inline.
+// whether it was new. It leaves the neighbours' holder counts to the
+// caller (addHolderNbr on a first packet, addHolder when nbrHeld is
+// non-nil), so it stays small enough to inline.
 func (w *World) deliver(p, node int, t int64) bool {
 	if w.Has(p, node) {
 		return false

@@ -246,15 +246,6 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	return s.tuples[len(s.tuples)-1].v
 }
 
-// TupleCount reports the current summary size (diagnostics; O(1/eps) once
-// collapsed).
-func (s *QuantileSketch) TupleCount() int {
-	if s.tuples == nil {
-		return len(s.raw)
-	}
-	return len(s.tuples)
-}
-
 // Digest is the one-stop mergeable metric accumulator: streaming moments
 // plus a quantile sketch. It is what sweep-scale pipelines hold per
 // metric instead of a growing []float64 — O(1) memory past ExactCap

@@ -169,9 +169,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// N returns the number of observations added.
-func (r *Running) N() int { return r.n }
-
 // Mean returns the running mean, or NaN when empty.
 func (r *Running) Mean() float64 {
 	if r.n == 0 {

@@ -106,8 +106,8 @@ func TestRunningMatchesBatch(t *testing.T) {
 	for _, x := range xs {
 		r.Add(x)
 	}
-	if r.N() != len(xs) {
-		t.Fatalf("N = %d", r.N())
+	if r.n != len(xs) {
+		t.Fatalf("N = %d", r.n)
 	}
 	if !almostEq(r.Mean(), Mean(xs), 1e-9) {
 		t.Fatalf("running mean %v vs %v", r.Mean(), Mean(xs))
@@ -139,18 +139,18 @@ func TestRunningMerge(t *testing.T) {
 		whole.Add(x)
 	}
 	a.Merge(&b)
-	if a.N() != whole.N() || !almostEq(a.Mean(), whole.Mean(), 1e-9) || !almostEq(a.Variance(), whole.Variance(), 1e-9) {
+	if a.n != whole.n || !almostEq(a.Mean(), whole.Mean(), 1e-9) || !almostEq(a.Variance(), whole.Variance(), 1e-9) {
 		t.Fatalf("merge mismatch: %v/%v vs %v/%v", a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
 	}
 	var empty Running
 	empty.Merge(&whole)
-	if empty.N() != whole.N() {
+	if empty.n != whole.n {
 		t.Fatal("merge into empty failed")
 	}
-	n := whole.N()
+	n := whole.n
 	var empty2 Running
 	whole.Merge(&empty2)
-	if whole.N() != n {
+	if whole.n != n {
 		t.Fatal("merging empty changed accumulator")
 	}
 }
