@@ -55,12 +55,12 @@ import (
 // The attempt counters advance, the cached per-(node, packet) delay is
 // redrawn and the timer re-armed only for the slot's chosen timers, after
 // every receiver has been decided (commit), so each receiver reads the
-// calendar as it stood before the slot. The duplicate count comes from
-// the engine's opt-in neighbour-holder count
-// (sim.World.TrackNeighborHolders, turned on at Reset), so every
-// forwarding-slot query is O(1). The calendar changes only in the
-// prepareSlot and commit steps; the schedule is unaffected by the slots
-// the engine skips.
+// calendar as it stood before the slot. The duplicate count is DFlood's
+// own per-packet neighbour-holder count, kept from the world's
+// possession journal (sim.World.TakeHolderChanges) in prepareSlot, so
+// every forwarding-slot query is O(1). The calendar and the count change
+// only in the prepareSlot and commit steps; the schedule is unaffected by
+// the slots the engine skips.
 type DFlood struct {
 	// Tmin and Tmax bound the per-packet forwarding delay in slots: the
 	// first attempt fires in [Tmin, Tmax) slots after reception. A Tmin of
@@ -81,8 +81,9 @@ type DFlood struct {
 	// (used by the exact-optimum oracle tests).
 	DisableOverhearing bool
 
-	m        int // packets per run (w.M), fixed at Reset
+	n, m     int // nodes and packets per run, fixed at Reset
 	csr      *topology.CSR
+	held     []int32 // held[p*n+v]: how many of v's neighbours hold p
 	timer    rngutil.Stream
 	assigned []bool
 	attempts []int32 // attempts[s*m+p]: transmissions of p by s so far
@@ -142,11 +143,12 @@ func (d *DFlood) Reset(w *sim.World) {
 		d.MaxDoublings = 6
 	}
 	d.MaxDoublings = min(d.MaxDoublings, max(0, bits.Len64(maxBackoff)-bits.Len64(uint64(d.Tmin))))
-	// The holder count feeds the penalty, parking and, through its
-	// journal, the calendar, so it is tracked even with the penalty off.
-	w.TrackNeighborHolders()
 	n := w.Graph.N()
-	d.m = w.M
+	d.n, d.m = n, w.M
+	// The holder count feeds the penalty and parking, so it is kept even
+	// with the penalty off. Reset runs before the first injection, when
+	// nobody holds anything.
+	d.held = make([]int32, w.M*n)
 	d.csr = w.Graph.CSR()
 	d.timer = *w.ProtoRNG.SubName("dflood.timer")
 	d.assigned = make([]bool, n)
@@ -226,13 +228,13 @@ func (d *DFlood) delay(i int, a int32) int64 {
 // fireSlots returns the base and penalized forwarding slots for packet p
 // at node s: reception slot + the cached delay, and the same plus the
 // duplicate penalty (one Tmax per neighboring holder at or past the Ndupl
-// threshold, read from the world's neighbour-holder count). O(1) and
-// pure; callers guarantee s holds p.
+// threshold, read from the neighbour-holder count). O(1) and pure;
+// callers guarantee s holds p.
 func (d *DFlood) fireSlots(w *sim.World, s, p int) (base, required int64) {
 	base = w.RecvTime(p, s) + d.wait[s*d.m+p]
 	required = base
 	if d.Ndupl >= 0 {
-		if holders := w.NeighborsHolding(p, s); holders >= d.Ndupl {
+		if holders := int(d.held[p*d.n+s]); holders >= d.Ndupl {
 			required += int64(holders-d.Ndupl+1) * d.Tmax
 		}
 	}
@@ -264,16 +266,28 @@ func (d *DFlood) pairChoice(w *sim.World, s, r int) (pkt int, required int64) {
 	return pkt, required
 }
 
-// prepareSlot brings the calendar up to the slot: it applies the
-// possession changes since the previous visited slot, then pops every
-// entry due by now and evaluates it. An entry re-armed at a base slot
-// that has passed is due at once. Afterwards an entry is ready exactly
-// when its node holds the packet, some neighbour lacks it and its
+// prepareSlot brings the holder count and the calendar up to the slot:
+// it takes the possession changes since the previous visited slot, then
+// pops every entry due by now and evaluates it. An entry re-armed at a
+// base slot that has passed is due at once. Afterwards an entry is ready
+// exactly when its node holds the packet, some neighbour lacks it and its
 // penalized forwarding slot has passed — the entries a full scan of every
 // receiver's neighbours would offer.
+//
+// The changes take two passes: every delta moves the count along the
+// changed node's row before any change is handled, because handling one
+// reads counts that later changes of the same packet move.
 func (d *DFlood) prepareSlot(w *sim.World) {
 	now := w.Now()
-	for _, c := range w.TakeHolderChanges() {
+	changes := w.TakeHolderChanges()
+	for _, c := range changes {
+		held := d.held[int(c.Packet)*d.n:][:d.n]
+		row, _ := d.csr.Row(int(c.Node))
+		for _, u := range row {
+			held[u] += c.Delta
+		}
+	}
+	for _, c := range changes {
 		d.holderChanged(w, int(c.Node), int(c.Packet), c.Delta, now)
 	}
 	for d.cal.due(now) {
@@ -333,7 +347,7 @@ func (d *DFlood) evaluate(w *sim.World, i int, now int64) {
 		d.supp.count(int32(s))
 	}
 	switch {
-	case w.NeighborsHolding(p, s) == d.csr.Degree(s):
+	case int(d.held[p*d.n+s]) == d.csr.Degree(s):
 		d.stop(i)
 	case req > now:
 		d.schedule(i, req)

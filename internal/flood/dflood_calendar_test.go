@@ -90,7 +90,10 @@ func (c *checkedDFlood) Intents(w *sim.World) []sim.Intent {
 	d.prepareSlot(w)
 	slot := w.ProtoStream()
 	var out []sim.Intent
-	for _, r := range w.AwakeList() {
+	for r := range w.Graph.N() {
+		if !w.IsAwake(r) {
+			continue
+		}
 		got, ok := d.serve(w, r, &slot)
 		want, wantOK, offers := fullScanDFlood(d, w, r, &slot)
 		if d.readyNbr[r] == 0 && w.NeedsAnything(r) {
@@ -114,14 +117,10 @@ func (c *checkedDFlood) Intents(w *sim.World) []sim.Intent {
 	return out
 }
 
-// TestDFloodCalendarMatchesFullScan runs DFlood on random graphs and
-// schedules, M ∈ {1, 8, 80}, the penalty at Ndupl 1, 2 and off, with and
-// without crash/reboot churn, and compares every awake receiver's
-// decision with the full scan's: a skipped receiver has no neighbour
-// offering a packet, and every receiver is served by the full scan's
-// sender with its packet. The whole run must equal DFlood's own.
-func TestDFloodCalendarMatchesFullScan(t *testing.T) {
-	var skipped, offered int
+// dfloodGrid calls f for every case of the DFlood white-box grid: random
+// graphs and schedules, M ∈ {1, 8, 80}, the penalty at Ndupl 2, 1 and
+// off, and crash/reboot churn on two seeds of every three.
+func dfloodGrid(f func(cfg sim.Config, ndupl int, label string)) {
 	for _, m := range []int{1, 8, 80} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			r := rngutil.New(seed*6007 + uint64(m))
@@ -156,17 +155,83 @@ func TestDFloodCalendarMatchesFullScan(t *testing.T) {
 				Faults:         fs,
 			}
 			ndupl := []int{2, 1, -1}[seed%3]
-			label := fmt.Sprintf("M=%d seed=%d Ndupl=%d", m, seed, ndupl)
-			c := &checkedDFlood{DFlood: &DFlood{Ndupl: ndupl}, t: t, label: label}
-			ref, _ := runWith(t, cfg, &DFlood{Ndupl: ndupl})
-			res, _ := runWith(t, cfg, c)
-			equalResults(t, res, ref, label)
-			skipped += c.skipped
-			offered += c.offered
+			f(cfg, ndupl, fmt.Sprintf("M=%d seed=%d Ndupl=%d", m, seed, ndupl))
 		}
 	}
+}
+
+// TestDFloodCalendarMatchesFullScan runs DFlood over dfloodGrid and
+// compares every awake receiver's decision with the full scan's: a
+// skipped receiver has no neighbour offering a packet, and every receiver
+// is served by the full scan's sender with its packet. The whole run must
+// equal DFlood's own.
+func TestDFloodCalendarMatchesFullScan(t *testing.T) {
+	var skipped, offered int
+	dfloodGrid(func(cfg sim.Config, ndupl int, label string) {
+		c := &checkedDFlood{DFlood: &DFlood{Ndupl: ndupl}, t: t, label: label}
+		ref, _ := runWith(t, cfg, &DFlood{Ndupl: ndupl})
+		res, _ := runWith(t, cfg, c)
+		equalResults(t, res, ref, label)
+		skipped += c.skipped
+		offered += c.offered
+	})
 	if skipped == 0 || offered == 0 {
 		t.Fatalf("grid skipped %d needy receivers and saw %d offered to: the skip rule went unexercised", skipped, offered)
+	}
+}
+
+// heldDFlood is DFlood checking its neighbour-holder count against a
+// brute-force count over every node's CSR row, for every packet, after
+// prepareSlot at every visited slot. Intents runs prepareSlot again,
+// which then finds an empty journal and nothing due.
+type heldDFlood struct {
+	*DFlood
+	t      *testing.T
+	label  string
+	checks int
+}
+
+func (h *heldDFlood) Intents(w *sim.World) []sim.Intent {
+	d := h.DFlood
+	d.prepareSlot(w)
+	for p := 0; p < w.M; p++ {
+		for v := 0; v < d.n; v++ {
+			var want int32
+			row, _ := d.csr.Row(v)
+			for _, u := range row {
+				if w.Has(p, int(u)) {
+					want++
+				}
+			}
+			if got := d.held[p*d.n+v]; got != want {
+				h.t.Fatalf("%s, slot %d: held[%d][%d] = %d, brute force %d", h.label, w.Now(), p, v, got, want)
+			}
+		}
+	}
+	h.checks++
+	return d.Intents(w)
+}
+
+// TestDFloodHolderCountMatchesBruteForce holds DFlood's own per-packet
+// neighbour-holder count to its definition over dfloodGrid: at every
+// visited slot, after prepareSlot, held[p*n+v] is the number of v's
+// neighbours holding p. TestDFloodCalendarMatchesFullScan cannot catch a
+// wrong count, since its full scan reads the same count through
+// fireSlots.
+func TestDFloodHolderCountMatchesBruteForce(t *testing.T) {
+	dropped := 0
+	dfloodGrid(func(cfg sim.Config, ndupl int, label string) {
+		h := &heldDFlood{DFlood: &DFlood{Ndupl: ndupl}, t: t, label: label}
+		ref, _ := runWith(t, cfg, &DFlood{Ndupl: ndupl})
+		res, _ := runWith(t, cfg, h)
+		equalResults(t, res, ref, label)
+		if h.checks < 2 {
+			t.Fatalf("%s: only %d checks ran", label, h.checks)
+		}
+		dropped += res.CrashDropped
+	})
+	if dropped == 0 {
+		t.Fatal("grid never exercised a crash drop")
 	}
 }
 

@@ -117,7 +117,10 @@ func (e eagerOF) Intents(w *sim.World) []sim.Intent {
 	o := e.OF
 	slot := w.ProtoStream()
 	var out []sim.Intent
-	for _, r := range w.AwakeList() {
+	for r := range w.Graph.N() {
+		if !w.IsAwake(r) {
+			continue
+		}
 		parent := o.tr.Parent[r]
 		parentServes := false
 		if parent >= 0 {

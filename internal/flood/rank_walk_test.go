@@ -84,7 +84,10 @@ func (l *listOPT) Intents(w *sim.World) []sim.Intent {
 	o := l.OPT
 	slot := w.ProtoStream()
 	var out []sim.Intent
-	for _, r := range w.AwakeList() {
+	for r := range w.Graph.N() {
+		if !w.IsAwake(r) {
+			continue
+		}
 		cands := listHolders(w, l.csr, r, &slot)
 		if wi := bestFree(o.assigned, cands); wi >= 0 {
 			o.assigned[cands[wi].node] = true
@@ -113,7 +116,10 @@ func (l *listDBAO) Intents(w *sim.World) []sim.Intent {
 	d := l.DBAO
 	slot := w.ProtoStream()
 	var out []sim.Intent
-	for _, r := range w.AwakeList() {
+	for r := range w.Graph.N() {
+		if !w.IsAwake(r) {
+			continue
+		}
 		cands := listHolders(w, l.csr, r, &slot)
 		wi := bestFree(d.assigned, cands)
 		if wi < 0 {

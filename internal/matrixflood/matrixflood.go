@@ -105,7 +105,13 @@ func IsPowerOfTwo(n int) bool {
 // algorithm. Run returns an error for invalid configuration or if the run
 // exceeds MaxSlots without completing (which indicates either an
 // ablation-induced livelock or too small a cap).
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (Result, error) { return run(cfg, nil) }
+
+// run is Run with an optional snapshot hook, called with the possession
+// matrix has[p][node] at the beginning of every compact slot, after the
+// slot's injection, and once more after the last slot run. The matrix is
+// the live state: the hook must copy what it keeps.
+func run(cfg Config, snapshot func(has [][]bool)) (Result, error) {
 	if cfg.N < 1 {
 		return Result{}, fmt.Errorf("matrixflood: N = %d must be >= 1", cfg.N)
 	}
@@ -147,6 +153,9 @@ func Run(cfg Config) (Result, error) {
 		// Line 2-4: inject packet p = c at the source.
 		if c < cfg.M {
 			st.deliver(c, 0, c)
+		}
+		if snapshot != nil {
+			snapshot(st.has)
 		}
 		txs = txs[:0]
 		// Lines 5-9: each node 0..N-1 transmits f(i, c).
@@ -199,6 +208,9 @@ func Run(cfg Config) (Result, error) {
 				}
 			}
 		}
+	}
+	if snapshot != nil {
+		snapshot(st.has)
 	}
 	res.Completed = done == cfg.M
 	res.HalfDuplexSlots = res.TotalSlots + res.Type2Slots
@@ -307,45 +319,16 @@ type Trace struct {
 // RunTrace executes Algorithm 1 while capturing the possession matrix at
 // the beginning of every compact slot up to and including completion.
 func RunTrace(cfg Config) (Trace, error) {
-	// Re-run with instrumentation: simplest correct approach is to rerun
-	// the exact state machine, snapshotting before each slot.
-	if cfg.N < 1 || cfg.M < 1 {
-		return Trace{}, fmt.Errorf("matrixflood: invalid trace config N=%d M=%d", cfg.N, cfg.M)
-	}
-	res, err := Run(cfg)
+	var slots [][][]bool
+	res, err := run(cfg, func(has [][]bool) {
+		snap := make([][]bool, len(has))
+		for p := range snap {
+			snap[p] = append([]bool(nil), has[p]...)
+		}
+		slots = append(slots, snap)
+	})
 	if err != nil {
 		return Trace{Result: res}, err
 	}
-	st := newState(cfg)
-	tr := Trace{Result: res}
-	for c := 0; c <= res.TotalSlots; c++ {
-		if c < cfg.M {
-			st.deliver(c, 0, c)
-		}
-		snap := make([][]bool, cfg.M)
-		for p := range snap {
-			snap[p] = append([]bool(nil), st.has[p]...)
-		}
-		tr.Slots = append(tr.Slots, snap)
-		if c == res.TotalSlots {
-			break
-		}
-		type tx struct{ from, to, packet int }
-		var txs []tx
-		for i := 0; i < st.n; i++ {
-			pkt := st.choosePacket(i, c)
-			if pkt < 0 {
-				continue
-			}
-			to := st.target(i, c)
-			if to == i {
-				continue
-			}
-			txs = append(txs, tx{i, to, pkt})
-		}
-		for _, t := range txs {
-			st.deliver(t.packet, t.to, c)
-		}
-	}
-	return tr, nil
+	return Trace{Slots: slots, Result: res}, nil
 }

@@ -203,7 +203,7 @@ func Run(ctx context.Context, jobs []sim.Config, opts Options) (Results, Stats) 
 		// One observation feeds both surfaces (see Progress): the hook and
 		// the registry can never disagree on jobs done or the ETA.
 		elapsed := time.Since(start)
-		eta, rate := estimate(done, len(jobs), slots, elapsed)
+		eta, rate := Estimate(done, len(jobs), slots, elapsed)
 		if tel != nil {
 			tel.jobsDone.Inc()
 			if err != nil {

@@ -54,10 +54,13 @@ func newRunTel(reg *telemetry.Registry, jobs int) *runTel {
 	return rt
 }
 
-// estimate derives the batch ETA and slot throughput from one consistent
-// (done, slots, elapsed) observation. Shared by the Progress snapshot and
-// the telemetry gauges so the two surfaces always agree.
-func estimate(done, total int, slots int64, elapsed time.Duration) (eta time.Duration, rate float64) {
+// Estimate derives the batch ETA and slot throughput from one consistent
+// (done, slots, elapsed) observation: the ETA extrapolates the mean wall
+// time per done job over the jobs left (0 before the first and after the
+// last), and the rate is slots per elapsed second. The runner's Progress
+// snapshot and telemetry gauges and floodd's job progress all use it, so
+// every surface agrees.
+func Estimate(done, total int, slots int64, elapsed time.Duration) (eta time.Duration, rate float64) {
 	if done > 0 && done < total {
 		eta = time.Duration(int64(elapsed) / int64(done) * int64(total-done))
 	}

@@ -560,14 +560,7 @@ func (r *jobRun) apply(id string, outs []CellOutcome) (CompleteReply, error) {
 func (r *jobRun) observeLocked() {
 	done, total := r.jrn.Completed(), len(r.grid.Jobs)
 	elapsed := time.Since(r.start)
-	var eta time.Duration
-	var rate float64
-	if sec := elapsed.Seconds(); sec > 0 {
-		rate = float64(r.slots) / sec
-	}
-	if done > 0 && done < total {
-		eta = time.Duration(float64(elapsed) / float64(done) * float64(total-done))
-	}
+	eta, rate := runner.Estimate(done, total, r.slots, elapsed)
 	r.job.observe(runner.Progress{
 		Done: done, Total: total, Slots: r.slots,
 		Elapsed: elapsed, ETA: eta, SlotsPerSec: rate,

@@ -485,8 +485,8 @@ func (e *engine) mark(i int, f uint8) {
 
 // cleanupSlot clears slotFlags from the nodes this slot touched, so
 // consecutive slots need no O(n) wipes. The awake flags stay until the
-// next visited slot rebuilds the awake set, so IsAwake agrees with
-// AwakeList between slots.
+// next visited slot rebuilds the awake set, so between slots IsAwake
+// still reports the last visited slot's awake nodes.
 func (e *engine) cleanupSlot() {
 	w := e.w
 	for _, i := range e.touched {
@@ -496,8 +496,9 @@ func (e *engine) cleanupSlot() {
 }
 
 // deliver records node's reception of packet p at slot t, keeps the
-// neighbours' holder counts current, and lists p for accountCoverage when
-// the reception brings its holder count to 2 or to coverNodes.
+// neighbours' holder counts current, journals the change, and lists p for
+// accountCoverage when the reception brings its holder count to 2 or to
+// coverNodes.
 func (e *engine) deliver(p, node int, t int64) {
 	w := e.w
 	if !w.deliver(p, node, t) {
@@ -509,9 +510,7 @@ func (e *engine) deliver(p, node int, t int64) {
 	if w.heldCount[node] == w.injected {
 		w.flags[node] &^= flagNeedy
 	}
-	if w.nbrHeld != nil {
-		w.addHolder(p, node, 1)
-	}
+	w.holderLog = append(w.holderLog, HolderChange{Node: int32(node), Packet: int32(p), Delta: 1})
 	if c := w.count[p]; c == 2 || c == e.coverNodes {
 		e.milestones = append(e.milestones, int32(p))
 	}

@@ -18,7 +18,7 @@ func (chain) CollisionsApply() bool { return true }
 func (chain) Overhears() bool       { return false }
 func (chain) Intents(w *World) []Intent {
 	var out []Intent
-	for _, r := range w.AwakeList() {
+	for _, r := range w.awakeList {
 		s := r - 1
 		if s < 0 {
 			continue
@@ -446,7 +446,7 @@ func TestWorldAccessors(t *testing.T) {
 			}
 			// Chain forwarding.
 			var out []Intent
-			for _, r := range w.AwakeList() {
+			for _, r := range w.awakeList {
 				if r > 0 {
 					if pkt := w.OldestNeeded(r-1, r); pkt >= 0 {
 						out = append(out, Intent{From: r - 1, To: r, Packet: pkt})
@@ -478,7 +478,7 @@ func TestFuncProtocol(t *testing.T) {
 		ResetFunc:    func(w *World) { resetCalled = true },
 		IntentsFunc: func(w *World) []Intent {
 			var out []Intent
-			for _, r := range w.AwakeList() {
+			for _, r := range w.awakeList {
 				if r > 0 {
 					if pkt := w.OldestNeeded(r-1, r); pkt >= 0 {
 						out = append(out, Intent{From: r - 1, To: r, Packet: pkt})

@@ -29,7 +29,7 @@ func (c *chaosProtocol) CollisionsApply() bool { return c.collide }
 func (c *chaosProtocol) Overhears() bool       { return c.overhear }
 func (c *chaosProtocol) Intents(w *World) []Intent {
 	c.intentBuf = c.intentBuf[:0]
-	for _, r := range w.AwakeList() {
+	for _, r := range w.awakeList {
 		for _, l := range w.Graph.Neighbors(r) {
 			if !c.rng.Bool(c.density) {
 				continue

@@ -52,7 +52,7 @@ func fcfsProtocol() *FuncProtocol {
 	return &FuncProtocol{
 		IntentsFunc: func(w *World) []Intent {
 			var out []Intent
-			for _, r := range w.AwakeList() {
+			for _, r := range w.awakeList {
 				for _, l := range w.Graph.Neighbors(r) {
 					if pkt := w.OldestNeeded(l.To, r); pkt >= 0 {
 						out = append(out, Intent{From: l.To, To: r, Packet: pkt})
@@ -80,7 +80,7 @@ func (c *chaosSkipProtocol) CollisionsApply() bool { return c.collide }
 func (c *chaosSkipProtocol) Overhears() bool       { return c.overhear }
 func (c *chaosSkipProtocol) Intents(w *World) []Intent {
 	c.intentBuf = c.intentBuf[:0]
-	for _, r := range w.AwakeList() {
+	for _, r := range w.awakeList {
 		for _, l := range w.Graph.Neighbors(r) {
 			if pkt := w.OldestNeeded(l.To, r); pkt >= 0 && c.rng.Bool(c.density) {
 				c.intentBuf = append(c.intentBuf, Intent{From: l.To, To: r, Packet: pkt})

@@ -139,7 +139,8 @@ func newAwakePlan(scheds []*schedule.Schedule) *awakePlan {
 		plan.buckets[o] = backing[pos : pos : pos+c]
 		pos += c
 	}
-	// Ascending node order per bucket, the AwakeList order.
+	// Ascending node order per bucket, the order wake builds the awake set
+	// and frontier in.
 	for i, s := range scheds {
 		for _, off := range s.ActiveSlots() {
 			for base := off; base < L; base += s.Period() {

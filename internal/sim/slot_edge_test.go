@@ -31,7 +31,7 @@ func (p *greedyProtocol) Reset(w *World) {
 
 func (p *greedyProtocol) Intents(w *World) []Intent {
 	out := p.buf[:0]
-	for _, r := range w.AwakeList() {
+	for _, r := range w.awakeList {
 		for _, l := range w.Graph.Neighbors(r) {
 			if p.assigned[l.To] {
 				continue

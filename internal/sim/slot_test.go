@@ -97,7 +97,7 @@ func relabelProtocol() *FuncProtocol {
 			type pick struct{ from, to, pkt int }
 			var picks []pick
 			senderCount := make([]int, w.Graph.N())
-			for _, r := range w.AwakeList() {
+			for _, r := range w.awakeList {
 				bestFrom, bestPkt := -1, -1
 				bestTime := int64(math.MaxInt64)
 				tie := false
@@ -231,7 +231,7 @@ func keyedTimerProtocol(key func(int) int) *FuncProtocol {
 			type pick struct{ from, to int }
 			var picks []pick
 			senderCount := make([]int, w.Graph.N())
-			for _, r := range w.AwakeList() {
+			for _, r := range w.awakeList {
 				if w.Has(0, r) {
 					continue
 				}

@@ -23,7 +23,7 @@ func telTestConfig() Config {
 			ProtocolName: "tel-test",
 			IntentsFunc: func(w *World) []Intent {
 				var out []Intent
-				for _, r := range w.AwakeList() {
+				for _, r := range w.awakeList {
 					for _, l := range w.Graph.Neighbors(r) {
 						if p := w.OldestNeeded(l.To, r); p >= 0 {
 							out = append(out, Intent{From: l.To, To: r, Packet: p})

@@ -19,8 +19,8 @@ import (
 )
 
 // World is the simulation state visible to protocols. Protocols must treat
-// it as read-only except through their returned intents and the opt-in
-// TrackNeighborHolders.
+// it as read-only except through their returned intents and
+// TakeHolderChanges.
 type World struct {
 	Graph     *topology.Graph
 	Schedules []*schedule.Schedule
@@ -61,13 +61,9 @@ type World struct {
 	// engine every slot.
 	protoSlot rngutil.Stream
 
-	// nbrHeld is the opt-in per-packet neighbour-holder count
-	// (TrackNeighborHolders): nbrHeld[p*n+v] is how many of v's neighbours
-	// hold packet p. Nil unless a protocol asked for it; dropAll and the
-	// engine's delivery sites keep it current by walking the node's csr
-	// row. holderLog journals every change to it, one entry per possession
-	// change; the engine empties it after every Protocol.Intents call.
-	nbrHeld   []int32
+	// holderLog journals every possession change, one entry per delivery
+	// or crash-dropped copy; the engine empties it after every
+	// Protocol.Intents call.
 	holderLog []HolderChange
 	// csr is the graph's flat adjacency view, shared and read-only: the
 	// holder counts' row walks, link lookups for intents with an unknown
@@ -91,9 +87,8 @@ const (
 	frontierFlags = flagNeedy | flagHolderNbr
 )
 
-// HolderChange is one possession change journaled while the
-// neighbour-holder count is tracked: Node gained (Delta +1) or lost
-// (Delta -1) Packet.
+// HolderChange is one journaled possession change: Node gained (Delta +1)
+// or lost (Delta -1) Packet.
 type HolderChange struct {
 	Node, Packet, Delta int32
 }
@@ -125,43 +120,14 @@ func (w *World) NeededWord(sender, receiver, i int) uint64 {
 	return w.has[sender*w.pwords+i] &^ w.has[receiver*w.pwords+i]
 }
 
-// TrackNeighborHolders turns on the per-packet neighbour-holder count
-// read by NeighborsHolding, initialised from the current possession
-// state. A protocol that needs the count calls it from Reset;
-// from then on every delivery and crash updates the count by walking the
-// node's neighbour row, outside Intents, so the count Intents reads is the
-// slot's pre-slot state. Every update is also journaled for
-// TakeHolderChanges, starting with one +1 entry per packet copy held at
-// the call; the engine empties the journal after every Intents call, so
-// it never holds more than the changes since the previous one. Protocols
-// that never call it pay one predictable branch per delivery and allocate
-// nothing.
-func (w *World) TrackNeighborHolders() {
-	n := w.Graph.N()
-	w.nbrHeld = make([]int32, w.M*n)
-	for v := 0; v < n; v++ {
-		for i, word := range w.has[v*w.pwords : (v+1)*w.pwords] {
-			for word != 0 {
-				w.addHolder(i<<6+bits.TrailingZeros64(word), v, 1)
-				word &= word - 1
-			}
-		}
-	}
-}
-
-// NeighborsHolding returns how many of node's neighbours hold packet p.
-// It requires TrackNeighborHolders.
-func (w *World) NeighborsHolding(p, node int) int {
-	return int(w.nbrHeld[p*w.Graph.N()+node])
-}
-
 // TakeHolderChanges returns the possession changes since the previous
-// Intents call, in the order they happened, and empties the journal. It
-// requires TrackNeighborHolders. The changes reflect the world up to the
-// call, so a protocol that takes them in its Intents sees every delivery,
-// injection and crash before it decides; changes it does not take are
-// dropped when Intents returns. The slice is reused: it is valid until
-// the engine's next delivery or crash.
+// Intents call, in the order they happened, and empties the journal. The
+// changes reflect the world up to the call, so a protocol that takes them
+// in its Intents sees every delivery, injection and crash before it
+// decides; changes it does not take are dropped when Intents returns. A
+// protocol that keeps per-packet state about its neighbours (DFlood's
+// holder counts) maintains it from this journal. The slice is reused: it
+// is valid until the engine's next delivery or crash.
 func (w *World) TakeHolderChanges() []HolderChange {
 	out := w.holderLog
 	w.holderLog = w.holderLog[:0]
@@ -182,31 +148,11 @@ func (w *World) addHolderNbr(node int, d int32) {
 	}
 }
 
-// addHolder adds d to packet p's holder count at every neighbour of node
-// and journals the change. Callers guard it with a nil check on nbrHeld;
-// it is kept out of line so the guarded call adds little to the engine's
-// inlined delivery paths.
-//
-//go:noinline
-func (w *World) addHolder(p, node int, d int32) {
-	w.holderLog = append(w.holderLog, HolderChange{Node: int32(node), Packet: int32(p), Delta: d})
-	n := w.Graph.N()
-	row, _ := w.csr.Row(node)
-	held := w.nbrHeld[p*n : (p+1)*n]
-	for _, u := range row {
-		held[u] += d
-	}
-}
-
 // RecvTime returns the slot at which node received packet p, or -1.
 func (w *World) RecvTime(p, node int) int64 { return w.recvTime[node*w.M+p] }
 
 // IsAwake reports whether node is in its active slot right now.
 func (w *World) IsAwake(node int) bool { return w.flags[node]&flagAwake != 0 }
-
-// AwakeList returns the nodes awake this slot, ascending. The slice is
-// owned by the engine; do not modify or retain it.
-func (w *World) AwakeList() []int { return w.awakeList }
 
 // Frontier returns the slot's possible receivers, ascending: the awake
 // nodes that lack an injected packet and have a neighbour holding at
@@ -321,8 +267,8 @@ func (w *World) FreeHolders(dst []int32, receiver int, row []int32, busy []bool)
 
 // dropAll clears node's entire packet buffer — the engine applies it when
 // a fault-schedule crash takes effect. Possession bits, reception times,
-// the per-packet holder counts, the neighbours' holder counts and (when
-// tracked) the per-packet neighbour-holder counts are rolled back; latched
+// the per-packet holder counts and the neighbours' holder counts are
+// rolled back, and every dropped copy is journaled; latched
 // Result fields (CoverTime, Delay) are deliberately untouched, so coverage
 // remains monotone per packet. It returns the number of packet copies
 // dropped.
@@ -335,9 +281,7 @@ func (w *World) dropAll(node int) int {
 			word &= word - 1
 			w.count[p]--
 			w.recvTime[node*w.M+p] = -1
-			if w.nbrHeld != nil {
-				w.addHolder(p, node, -1)
-			}
+			w.holderLog = append(w.holderLog, HolderChange{Node: int32(node), Packet: int32(p), Delta: -1})
 			dropped++
 		}
 		words[i] = 0
@@ -351,9 +295,8 @@ func (w *World) dropAll(node int) int {
 }
 
 // deliver records node's reception of packet p at slot t and reports
-// whether it was new. It leaves the neighbours' holder counts to the
-// caller (addHolderNbr on a first packet, addHolder when nbrHeld is
-// non-nil), so it stays small enough to inline.
+// whether it was new. It leaves the neighbours' holder counts and the
+// journal to the caller, so it stays small enough to inline.
 func (w *World) deliver(p, node int, t int64) bool {
 	if w.Has(p, node) {
 		return false
