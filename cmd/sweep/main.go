@@ -40,7 +40,8 @@
 // journal so a killed sweep restarts where it left off — the resumed CSV
 // is byte-identical to an uninterrupted run. The journal is keyed to the
 // full grid definition (including the fault spec), so resuming with
-// different parameters fails instead of mixing sweeps. -retries re-runs
+// different parameters fails instead of mixing sweeps, as does resuming a
+// journal an older release keyed in another format. -retries re-runs
 // cells that fail retryably (timeout, panic) with exponential -backoff.
 //
 // Columns: protocol, duty, period, seed, mean_delay, p50_delay, p99_delay,
@@ -186,27 +187,6 @@ func (sc sweepConfig) spec() (service.Spec, error) {
 	return spec, nil
 }
 
-// diagnoseResume upgrades a -resume journal-open failure into an
-// actionable message when the journal is recognizably from an older sweep
-// release. Pre-canonicalization releases keyed the journal with the duty
-// axis exactly as typed ("0.10,0.20"), so resuming such a journal with a
-// current binary always fails the key check even though its records are
-// valid results for the same grid. Any other failure is returned as-is.
-func diagnoseResume(err error, path, want string) error {
-	stored, kerr := runner.ReadJournalKey(path)
-	if kerr != nil {
-		return err
-	}
-	if norm, serial, retyped := service.NormalizeJournalKey(stored); norm != want || serial || !retyped {
-		return err
-	}
-	return fmt.Errorf("%v\n"+
-		"the journal was written by an older sweep release that keyed the grid with duties exactly as typed (%q); "+
-		"current releases canonicalize duty formatting, so the key can never match even though the journal's records "+
-		"are valid for this grid. Either re-run without -resume to recompute into a fresh journal, or migrate this one "+
-		"by replacing the \"key\" field on its first line with %q and resuming again", err, stored, want)
-}
-
 func run(w io.Writer, sc sweepConfig) (err error) {
 	if sc.traceDir != "" && sc.retries > 0 {
 		return fmt.Errorf("-trace-dir cannot be combined with -retries: a retried cell would append the retry's events to the failed attempt's in the same trace file")
@@ -249,11 +229,8 @@ func run(w io.Writer, sc sweepConfig) (err error) {
 		}
 	}
 	if sc.journalPath != "" {
-		j, err := grid.OpenJournal(sc.journalPath, sc.resume)
+		j, err := runner.OpenJournal(sc.journalPath, grid.JournalKey(), sc.resume)
 		if err != nil {
-			if sc.resume {
-				return diagnoseResume(err, sc.journalPath, grid.JournalKey())
-			}
 			return err
 		}
 		defer j.Close()

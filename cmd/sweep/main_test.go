@@ -366,11 +366,18 @@ func TestRunJournalResumeByteIdentical(t *testing.T) {
 	}
 }
 
-func TestRunResumeLegacyJournal(t *testing.T) {
-	// A journal keyed by a pre-canonicalization release ("0.10" as typed,
-	// not "0.1") must fail resume with a migration message, not a bare key
-	// mismatch.
-	sc := testConfig() // dutiesCSV "0.10" canonicalizes to "0.1"
+// TestRunResumeOldJournalKey resumes a journal an older release wrote
+// under the v2 key format ("sweep/v2|...|compact=true|faults=..."). A
+// journal resumes only under the grid's current key, so the sweep fails
+// with the runner's key-mismatch error naming both keys, and leaves the
+// journal byte-identical.
+func TestRunResumeOldJournalKey(t *testing.T) {
+	sc := testConfig()
+	sc.journalPath = filepath.Join(t.TempDir(), "sweep.journal")
+	var scratch bytes.Buffer
+	if err := run(&scratch, sc); err != nil {
+		t.Fatal(err)
+	}
 	spec, err := sc.spec()
 	if err != nil {
 		t.Fatal(err)
@@ -379,108 +386,35 @@ func TestRunResumeLegacyJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := grid.JournalKey()
-	legacy := strings.Replace(want, "|duties=0.1|", "|duties=0.10|", 1)
-	if legacy == want {
-		t.Fatalf("key %q lacks the expected canonical duty segment", want)
+	key := grid.JournalKey()
+	rest, ok := strings.CutPrefix(key, "sweep/v3|")
+	i := strings.LastIndex(rest, "|faults=")
+	if !ok || i < 0 {
+		t.Fatalf("unexpected journal key %q", key)
 	}
-
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j, err := runner.OpenJournal(path, legacy, false)
+	old := "sweep/v2|" + rest[:i] + "|compact=true" + rest[i:]
+	data, err := os.ReadFile(sc.journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-
-	var buf bytes.Buffer
-	sc.journalPath = path
-	sc.resume = true
-	err = run(&buf, sc)
-	if err == nil {
-		t.Fatal("resume against a legacy-keyed journal accepted")
-	}
-	if !strings.Contains(err.Error(), "older sweep release") {
-		t.Fatalf("legacy journal error lacks migration guidance: %v", err)
-	}
-
-	// A genuinely different grid must keep the plain mismatch error.
-	scOther := sc
-	scOther.seeds = 2
-	err = run(&buf, scOther)
-	if err == nil {
-		t.Fatal("resume with a different grid accepted")
-	}
-	if strings.Contains(err.Error(), "older sweep release") {
-		t.Fatalf("grid mismatch misdiagnosed as legacy journal: %v", err)
-	}
-}
-
-// TestRunResumeV1Journal resumes journals keyed by older releases: a v1
-// key ("sweep|...|compact=<bool>|sharded=<bool>|faults=...") with
-// sharded=true and a v2 key ("sweep/v2|...|compact=<bool>|faults=...")
-// hold results the current engine reproduces and resume to the
-// uninterrupted CSV; a sharded=false one holds serial-engine results and
-// must fail with a diagnosis naming the retired serial engine.
-func TestRunResumeV1Journal(t *testing.T) {
-	sc := testConfig()
-	sc.seeds = 2
-	var want bytes.Buffer
-	if err := run(&want, sc); err != nil {
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	data = fmt.Appendf(nil, "{\"journal\":\"ldcflood-runner\",\"v\":1,\"key\":%q}\n%s", old, lines[1])
+	if err := os.WriteFile(sc.journalPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tail := range []string{
-		"|compact=true|sharded=true",
-		"|compact=false|sharded=false",
-		"|compact=true", // v2
-	} {
-		// A journaled run, then its journal rewritten into what an older
-		// release would have left behind: old header, one record.
-		path := filepath.Join(t.TempDir(), "sweep.journal")
-		scJ := sc
-		scJ.journalPath = path
-		var scratch bytes.Buffer
-		if err := run(&scratch, scJ); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := bytes.SplitAfter(data, []byte("\n"))
-		key, err := runner.ReadJournalKey(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest, ok := strings.CutPrefix(key, "sweep/v3|")
-		i := strings.LastIndex(rest, "|faults=")
-		if !ok || i < 0 {
-			t.Fatalf("unexpected journal key %q", key)
-		}
-		prefix := "sweep|"
-		if !strings.Contains(tail, "sharded=") {
-			prefix = "sweep/v2|"
-		}
-		old := prefix + rest[:i] + tail + rest[i:]
-		header := fmt.Sprintf("{\"journal\":\"ldcflood-runner\",\"v\":1,\"key\":%q}\n", old)
-		if err := os.WriteFile(path, append([]byte(header), lines[1]...), 0o644); err != nil {
-			t.Fatal(err)
-		}
 
-		var got bytes.Buffer
-		scJ.resume = true
-		err = run(&got, scJ)
-		if strings.Contains(tail, "sharded=false") {
-			if err == nil || !strings.Contains(err.Error(), "serial engine") {
-				t.Fatalf("resuming a sharded=false journal: err = %v, want the serial-engine diagnosis", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("resuming a %s journal: %v", old, err)
-		}
-		if got.String() != want.String() {
-			t.Fatalf("resumed sweep CSV (%s) differs from the uninterrupted run", tail)
-		}
+	sc.resume = true
+	err = run(&scratch, sc)
+	wantErr := fmt.Sprintf("belongs to a different batch (key %q, want %q)", old, key)
+	if err == nil || !strings.Contains(err.Error(), wantErr) {
+		t.Fatalf("resuming a v2 journal: err = %v, want %q", err, wantErr)
+	}
+	got, err := os.ReadFile(sc.journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("the refused journal changed:\n%s\nvs\n%s", got, data)
 	}
 }
 

@@ -171,26 +171,6 @@ func tornHeader(data []byte) bool {
 	return string(data[:n]) == string(sig[:n])
 }
 
-// ReadJournalKey reads the batch key from the journal header at path
-// without loading its records — callers use it to explain a key mismatch
-// (e.g. cmd/sweep's legacy-journal detection) or to inspect a journal's
-// provenance.
-func ReadJournalKey(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", fmt.Errorf("runner: journal: %w", err)
-	}
-	lines := splitLines(data)
-	if len(lines) == 0 {
-		return "", fmt.Errorf("runner: journal %s: empty file", path)
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil || hdr.Journal != journalMagic {
-		return "", fmt.Errorf("runner: journal %s: not a journal file", path)
-	}
-	return hdr.Key, nil
-}
-
 // splitLines splits data on '\n', dropping a trailing empty fragment.
 func splitLines(data []byte) [][]byte {
 	var out [][]byte

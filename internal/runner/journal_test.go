@@ -319,34 +319,6 @@ func TestJournalResumeTornHeader(t *testing.T) {
 	}
 }
 
-// TestReadJournalKey pins the header-only reader used by cmd/sweep's
-// legacy-journal diagnostics.
-func TestReadJournalKey(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j, err := runner.OpenJournal(path, "the-key", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	key, err := runner.ReadJournalKey(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "the-key" {
-		t.Fatalf("ReadJournalKey = %q, want %q", key, "the-key")
-	}
-	if _, err := runner.ReadJournalKey(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("ReadJournalKey on a missing file succeeded")
-	}
-	bogus := filepath.Join(t.TempDir(), "bogus")
-	if err := os.WriteFile(bogus, []byte("not json\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runner.ReadJournalKey(bogus); err == nil {
-		t.Fatal("ReadJournalKey on a non-journal file succeeded")
-	}
-}
-
 // TestJournalRecordIdempotent pins the out-of-band write path the
 // distributed lease protocol journals worker completions through: the
 // first Record for an index lands, a duplicate is refused, and the

@@ -132,7 +132,7 @@ func (s *Service) runJob(j *Job) {
 		s.settle(j, StateFailed, err.Error())
 		return
 	}
-	jrn, err := grid.OpenJournal(filepath.Join(j.dir, "journal.jsonl"), true)
+	jrn, err := runner.OpenJournal(filepath.Join(j.dir, "journal.jsonl"), grid.JournalKey(), true)
 	if err != nil {
 		s.settle(j, StateFailed, err.Error())
 		return

@@ -28,9 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"runtime"
 
 	"ldcflood/internal/lease"
 	"ldcflood/internal/telemetry"
@@ -56,12 +54,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs/{id}/lease/{lease}/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("POST /v1/jobs/{id}/lease/{lease}/complete", s.handleComplete)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /debug/vars", s.handleVars)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	telemetry.MountDebug(mux, s.debugSnapshot)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		mux.ServeHTTP(w, r)
@@ -400,28 +393,16 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleVars is GET /debug/vars: the expvar-compatible JSON document —
-// cmdline and memstats (what stdlib expvar always publishes), the
+// debugSnapshot is the instrument set GET /debug/vars serves: the
 // service-level floodd.* instruments, and every job's private registry
 // with its keys prefixed "job.<id>." (the per-job runner.*, sim.* and
-// fault.* catalogs from docs/OBSERVABILITY.md). Assembled by hand like
-// telemetry.Server's, and for the same reason: expvar's process-global
-// registry panics on duplicate names across servers.
-func (s *Service) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	cmdline, _ := json.Marshal(os.Args)
-	memstats, _ := json.Marshal(mem)
-	fmt.Fprintf(w, "{\n\"cmdline\": %s,\n\"memstats\": %s", cmdline, memstats)
-	writeSnap := func(prefix string, snap telemetry.Snapshot) {
-		for _, k := range snap.Keys() {
-			fmt.Fprintf(w, ",\n%q: %d", prefix+k, snap[k])
+// fault.* catalogs from docs/OBSERVABILITY.md).
+func (s *Service) debugSnapshot() telemetry.Snapshot {
+	snap := s.reg.Snapshot()
+	for _, j := range s.Jobs() {
+		for k, v := range j.Registry.Snapshot() {
+			snap["job."+j.ID+"."+k] = v
 		}
 	}
-	writeSnap("", s.reg.Snapshot())
-	for _, j := range s.Jobs() {
-		writeSnap("job."+j.ID+".", j.Registry.Snapshot())
-	}
-	fmt.Fprint(w, "\n}\n")
+	return snap
 }

@@ -711,3 +711,171 @@ func TestDurationJSON(t *testing.T) {
 		t.Fatalf("marshal = %s", out)
 	}
 }
+
+// TestServiceRestartOldJournalKey restarts a daemon over an unfinished
+// job whose journal an older release wrote under the v1 key format
+// ("sweep|...|compact=false|sharded=false|faults=..."). A journal resumes
+// only under the grid's current key, so the job settles failed with the
+// runner's key-mismatch error naming both keys, and the journal is left
+// byte-identical.
+func TestServiceRestartOldJournalKey(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newService(t, dir, service.Options{})
+	j, err := s1.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, s1, j.ID, 60*time.Second); st != service.StateDone {
+		t.Fatalf("job = %s", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := service.Compile(j.Status().Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Turn the finished job into an unfinished one an older release left
+	// behind: a v1 header over one journaled cell, no terminal status.
+	jobDir := filepath.Join(dir, j.ID)
+	path := filepath.Join(jobDir, "journal.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := grid.JournalKey()
+	rest, ok := strings.CutPrefix(key, "sweep/v3|")
+	i := strings.LastIndex(rest, "|faults=")
+	if !ok || i < 0 {
+		t.Fatalf("unexpected journal key %q", key)
+	}
+	old := "sweep|" + rest[:i] + "|compact=false|sharded=false" + rest[i:]
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	data = fmt.Appendf(nil, "{\"journal\":\"ldcflood-runner\",\"v\":1,\"key\":%q}\n%s", old, lines[1])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"status.json", "result.csv"} {
+		if err := os.Remove(filepath.Join(jobDir, f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2 := newService(t, dir, service.Options{})
+	j2, ok := s2.Job(j.ID)
+	if !ok {
+		t.Fatalf("job %s not resurrected", j.ID)
+	}
+	wantErr := fmt.Sprintf("belongs to a different batch (key %q, want %q)", old, key)
+	if st := waitState(t, s2, j.ID, 60*time.Second); st != service.StateFailed || !strings.Contains(j2.Status().Error, wantErr) {
+		t.Fatalf("v1 journal: job = %s (%q), want failed with %q", st, j2.Status().Error, wantErr)
+	}
+	if err := s2.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("the refused journal changed:\n%s\nvs\n%s", got, data)
+	}
+}
+
+// TestServiceRestartUnknownProtocol restarts a daemon over two
+// unfinished jobs: the first was persisted by a release that still had
+// the Flash protocol and names "flash", the second is ordinary. The first
+// must settle failed with flood's unknown-protocol error, and stay failed
+// across a further restart; the second, and a job submitted afterwards,
+// must still run to the reference CSV.
+func TestServiceRestartUnknownProtocol(t *testing.T) {
+	want := referenceCSV(t, tinySpec())
+	dir := t.TempDir()
+	s1 := newService(t, dir, service.Options{})
+	var ids []string
+	for range 2 {
+		j, err := s1.Submit(tinySpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitState(t, s1, j.ID, 60*time.Second); st != service.StateDone {
+			t.Fatalf("job = %s", st)
+		}
+		ids = append(ids, j.ID)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		for _, f := range []string{"status.json", "result.csv"} {
+			if err := os.Remove(filepath.Join(dir, id, f)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flash := ids[0]
+	editSpec(t, filepath.Join(dir, flash, "spec.json"), func(spec map[string]any) { spec["protocols"] = []string{"flash"} })
+
+	s2 := newService(t, dir, service.Options{})
+	j, ok := s2.Job(flash)
+	if !ok {
+		t.Fatalf("job %s not resurrected", flash)
+	}
+	if st := waitState(t, s2, flash, 60*time.Second); st != service.StateFailed || !strings.Contains(j.Status().Error, `flood: unknown protocol "flash"`) {
+		t.Fatalf("flash job = %s (%q), want failed with the unknown-protocol error", st, j.Status().Error)
+	}
+	fresh, err := s2.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{ids[1], fresh.ID} {
+		if st := waitState(t, s2, id, 60*time.Second); st != service.StateDone {
+			t.Fatalf("job %s behind the flash job = %s", id, st)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, id, "result.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("job %s CSV differs from the reference:\n%s\nvs\n%s", id, got, want)
+		}
+	}
+	if err := s2.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := newService(t, dir, service.Options{})
+	j3, ok := s3.Job(flash)
+	if !ok {
+		t.Fatalf("flash job %s not loaded after a further restart", flash)
+	}
+	if st := j3.State(); st != service.StateFailed {
+		t.Fatalf("flash job after a further restart = %s, want failed", st)
+	}
+}
+
+// editSpec rewrites the spec inside a persisted spec.json document, as an
+// older release would have written it.
+func editSpec(t *testing.T, path string, edit func(spec map[string]any)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	edit(meta["spec"].(map[string]any))
+	if data, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -33,7 +33,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -284,9 +283,11 @@ func Compile(spec Spec) (*Grid, error) {
 // checkpoints while re-indenting it does not). The execution knobs
 // (Parallel, Timeout, Retries, Backoff) and the ignored Workers are not
 // keyed: they never change results, so a journal written at parallel=1
-// resumes cleanly at parallel=4. The "sweep/v3" prefix marks the key
-// format of the one-loop engine; NormalizeJournalKey maps older formats
-// onto it.
+// resumes cleanly at parallel=4. Duties are written in their shortest
+// form ("0.10" keys as "0.1"). The "sweep/v3" prefix marks the key format
+// of the one-loop engine; a journal resumes only under exactly this key,
+// so one written under an older format is refused and must be recomputed
+// into a fresh journal.
 func (g *Grid) JournalKey() string {
 	duties := make([]string, len(g.Spec.Duties))
 	for i, d := range g.Spec.Duties {
@@ -297,90 +298,6 @@ func (g *Grid) JournalKey() string {
 	return fmt.Sprintf("sweep/v3|protocols=%s|duties=%s|seeds=%d|m=%d|coverage=%g|toposeed=%d|syncerr=%g|faults=%x",
 		strings.Join(g.Spec.Protocols, ","), strings.Join(duties, ","),
 		g.Spec.Seeds, g.Spec.M, g.Spec.Coverage, g.Spec.TopoSeed, g.Spec.SyncErr, h.Sum64())
-}
-
-// NormalizeJournalKey maps a journal key any release wrote onto the
-// current JournalKey format, so a stored key can be compared with the
-// key of the grid being resumed:
-//
-//   - v2 keys ("sweep/v2|...") carry a compact= field naming the time
-//     path. Both paths computed identical results, so it is dropped.
-//   - v1 keys ("sweep|...") also carry sharded= naming the slot
-//     discipline. Only sharded=true journals hold results the current
-//     engine reproduces; serial reports any other v1 key, whose records
-//     came from the retired serial engine.
-//   - Releases before duty canonicalization wrote the duty axis as typed
-//     ("0.10,0.20"). The duties are canonicalized as JournalKey does, and
-//     retyped reports that this changed the key.
-//
-// A key in no known format is returned unchanged.
-func NormalizeJournalKey(stored string) (key string, serial, retyped bool) {
-	version, rest, _ := strings.Cut(stored, "|")
-	if version != "sweep" && version != "sweep/v2" && version != "sweep/v3" {
-		return stored, false, false
-	}
-	serial = version == "sweep"
-	var fields []string
-	for _, f := range strings.Split(rest, "|") {
-		name, val, _ := strings.Cut(f, "=")
-		switch name {
-		case "compact":
-			continue
-		case "sharded":
-			serial = val != "true"
-			continue
-		case "duties":
-			f = "duties=" + canonicalDuties(val)
-			retyped = retyped || f != "duties="+val
-		}
-		fields = append(fields, f)
-	}
-	return "sweep/v3|" + strings.Join(fields, "|"), serial, retyped
-}
-
-// canonicalDuties formats a comma-separated duty list as JournalKey does,
-// or returns it unchanged when a value does not parse.
-func canonicalDuties(list string) string {
-	parts := strings.Split(list, ",")
-	for k, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return list
-		}
-		parts[k] = strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-// ErrSerialJournal is wrapped by the error OpenJournal returns when asked
-// to resume a journal of the retired serial engine.
-var ErrSerialJournal = errors.New("journal written by the retired serial engine")
-
-// OpenJournal opens the grid's checkpoint journal at path, creating it
-// (resume=false) or resuming it (resume=true) as runner.OpenJournal does.
-// Resuming also accepts a journal an older release wrote for this grid
-// whose records the current engine reproduces — a v2 key with either
-// compact= value, a v1 key with sharded=true — under its stored key
-// (NormalizeJournalKey). A v1 journal of the serial engine, whose results
-// differ, fails with ErrSerialJournal. A journal keyed with duties as
-// typed fails the key check; cmd/sweep explains how to migrate it.
-func (g *Grid) OpenJournal(path string, resume bool) (*runner.Journal, error) {
-	key := g.JournalKey()
-	if resume {
-		if stored, err := runner.ReadJournalKey(path); err == nil {
-			switch norm, serial, retyped := NormalizeJournalKey(stored); {
-			case norm != key:
-			case serial:
-				return nil, fmt.Errorf("%w: %s holds results of the serial engine (sharded=false), "+
-					"which no longer exists; every run now uses the keyed-stream engine, whose results differ. "+
-					"Recompute the grid into a fresh journal (run again without resuming, or delete the journal)",
-					ErrSerialJournal, path)
-			case !retyped:
-				key = stored
-			}
-		}
-	}
-	return runner.OpenJournal(path, key, resume)
 }
 
 // Options returns the runner options the grid's spec asks for (workers,

@@ -28,7 +28,6 @@ import (
 // Server is a running debug endpoint. Start one with Serve; stop it with
 // Close. The zero value is not usable.
 type Server struct {
-	reg *Registry
 	ln  net.Listener
 	srv *http.Server
 }
@@ -45,14 +44,9 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	s := &Server{reg: reg, ln: ln}
+	s := &Server{ln: ln}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/vars", s.handleVars)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	MountDebug(mux, reg.Snapshot)
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return s, nil
@@ -79,21 +73,36 @@ func (s *Server) URL() string {
 // Close stops the listener and releases the port.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// handleVars writes the expvar-compatible JSON document: the process
+// MountDebug mounts the debug endpoints on mux: GET /debug/vars serves
+// the expvar-compatible JSON document for the snapshot snap returns at
+// each request, and /debug/pprof/ the standard net/http/pprof handlers.
+// Serve mounts them for one registry; floodd mounts them beside its job
+// API for the daemon's registry and every job's.
+func MountDebug(mux *http.ServeMux, snap func() Snapshot) {
+	mux.HandleFunc("GET /debug/vars", func(w http.ResponseWriter, r *http.Request) {
+		writeVars(w, snap())
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// writeVars writes the expvar-compatible JSON document: the process
 // command line and runtime.MemStats (the two vars the stdlib expvar
-// package always publishes) followed by every registry instrument, keys
+// package always publishes) followed by every instrument in snap, keys
 // sorted. It is assembled by hand rather than through expvar.Publish
 // because expvar's registry is process-global and panics on duplicate
 // names, which would break tests (and any caller) running two servers in
 // one process.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
+func writeVars(w http.ResponseWriter, snap Snapshot) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	cmdline, _ := json.Marshal(os.Args)
 	memstats, _ := json.Marshal(mem)
 	fmt.Fprintf(w, "{\n\"cmdline\": %s,\n\"memstats\": %s", cmdline, memstats)
-	snap := s.reg.Snapshot()
 	for _, k := range snap.Keys() {
 		fmt.Fprintf(w, ",\n%q: %d", k, snap[k])
 	}

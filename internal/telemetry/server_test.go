@@ -80,7 +80,7 @@ func TestServeNilRegistry(t *testing.T) {
 	}
 }
 
-// TestTwoServersOneProcess guards the reason handleVars avoids
+// TestTwoServersOneProcess guards the reason writeVars avoids
 // expvar.Publish: two live debug servers in one process must not panic or
 // interfere.
 func TestTwoServersOneProcess(t *testing.T) {
